@@ -48,6 +48,8 @@ from .pipeline import (
     generators_from_gate,
     gottesman_mochon,
     normalize_family,
+    orbit_kernel,
+    product_rep,
     reconstruct_unitary,
     run_pipeline,
 )

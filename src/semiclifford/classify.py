@@ -25,7 +25,6 @@ from .clifford import CliffordRep
 from .dense import (
     TOL,
     check_unitary,
-    conjugate_dense,
     hierarchy_level,
     is_pauli,
     monomial_check,

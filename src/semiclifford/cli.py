@@ -66,21 +66,32 @@ def phase_str(z, tol=1e-9) -> str:
 
 
 def read_bit_matrices(path) -> list:
-    """Read one or more matrices: 'rows cols' header then 0/1 row lines."""
+    """Read one or more matrices: 'rows cols' header then 0/1 row lines.
+
+    Raises:
+        ValueError: on a malformed header, a truncated block, a wrong
+            shape, or a row character other than 0 or 1 (naming the
+            file line), so no digit is silently reduced mod 2.
+    """
     with open(path) as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        lines = [(num, ln.split("#", 1)[0].strip()) for num, ln in enumerate(fh, 1)]
+    lines = [(num, ln) for num, ln in lines if ln]
     mats = []
     i = 0
     while i < len(lines):
-        head = lines[i].split()
+        head = lines[i][1].split()
         if len(head) != 2:
-            raise ValueError(f"bad matrix header {lines[i]!r}")
+            raise ValueError(f"bad matrix header {lines[i][1]!r}")
         rows, cols = int(head[0]), int(head[1])
         body = lines[i + 1 : i + 1 + rows]
         if len(body) != rows:
             raise ValueError("truncated matrix block")
-        mat = np.array([[int(ch) for ch in ln] for ln in body], dtype=np.uint8)
+        for num, ln in body:
+            if ln.strip("01"):
+                raise ValueError(
+                    f"{path}: line {num}: row {ln!r} has a character other than 0 or 1"
+                )
+        mat = np.array([[int(ch) for ch in ln] for _, ln in body], dtype=np.uint8)
         if mat.shape != (rows, cols):
             raise ValueError(f"matrix block is {mat.shape}, header says {(rows, cols)}")
         mats.append(mat)
@@ -235,6 +246,13 @@ def _print_human(out):
     walk(out)
 
 
+def positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="semiclifford",
@@ -242,7 +260,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, help="seed for self-check sampling")
-    parser.add_argument("--kmax", type=int, default=3, help="hierarchy search depth")
+    parser.add_argument(
+        "--kmax", type=positive_int, default=3, help="hierarchy search depth (>= 1)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="hierarchy level and span memberships")

@@ -3,13 +3,17 @@
 A third-level gate U determines 2n Clifford involutions
 Q_i = U tau_{e_i} U^dag that square to I and commute or anticommute in
 the same pattern as the Pauli generators.  The pipeline conjugates the
-family so every C-matrix has zero lower-left block, scans all 2^{2n}
-rep products to build the exponent-to-f-vector map, extracts the
-n-dimensional kernel of that map, and realizes the kernel products as
-dense diagonal involutions.  The resulting group spans the full
-diagonal algebra, which certifies that U is generalized semi-Clifford;
-the conjugating Clifford and the diagonal generators form the
-certificate.
+family so every C-matrix has zero lower-left block, finds the
+n-dimensional kernel of the exponent-to-f-vector map as the stabilizer
+of 0 under the generators' affine action on the 2^n f-vectors, and
+realizes the kernel products as dense diagonal involutions.  The
+resulting group spans the full diagonal algebra, which certifies that
+U is generalized semi-Clifford; the conjugating Clifford and the
+diagonal generators form the certificate.
+
+build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
+are kept as the independent reference that orbit_kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -262,6 +266,76 @@ def fmap_kernel(scan: FMapScan) -> np.ndarray:
     return red[:n].copy()
 
 
+def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
+    """Basis (rows) of the exponent vectors with zero f-vector.
+
+    On a block-form family, generator k acts on the f-vectors by
+    y -> A_k^T y + f_k, where A_k is the upper-left block of its
+    C-matrix: the product with exponent vector e_k + x has f-vector
+    f_k + A_k^T T(x).  So the image of the f-map T is the orbit of 0 and
+    its kernel is the stabilizer of 0.  A breadth-first search over the
+    at most 2^n orbit points records one exponent word per point (bit k
+    is the exponent of generator k); each edge y -> y' that reaches a
+    point already seen gives the Schreier generator
+    word(y) + e_k + word(y'), and these span the stabilizer.
+
+    The orbit is verified to have all 2^n points (T is surjective) and
+    the kernel to have rank n.  The basis is in RREF, so it equals
+    fmap_kernel's.
+    """
+    if not family.is_block_form():
+        raise ValueError("family must be normalized to block form first")
+    n = family.n
+    # per generator: f_k and the images A_k^T e_i (row i of A_k), packed
+    # into ints with bit i holding coordinate i
+    weights = 1 << np.arange(n)
+    moves = [
+        (int(q.f @ weights), [int(row @ weights) for row in q.c[:n, :n]])
+        for q in family.qs
+    ]
+    word = {0: 0}
+    points = [0]
+    stabilizer = set()
+    for y in points:  # points grows while it is walked: breadth-first
+        for k, (f, images) in enumerate(moves):
+            z = f
+            for i in range(n):
+                if y >> i & 1:
+                    z ^= images[i]
+            w = word[y] ^ (1 << k)
+            if z in word:
+                stabilizer.add(w ^ word[z])
+            else:
+                word[z] = w
+                points.append(z)
+    if len(points) != 1 << n:
+        raise AssertionError(
+            f"f-vector map is not surjective: the orbit of 0 has {len(points)} "
+            f"points, expected {1 << n}"
+        )
+    m = 2 * n
+    members = np.array(
+        [[(w >> k) & 1 for k in range(m)] for w in sorted(stabilizer - {0})],
+        dtype=np.uint8,
+    ).reshape(-1, m)
+    red, pivots = gf2.rref(members)
+    if len(pivots) != n:
+        raise AssertionError(f"kernel rank {len(pivots)}, expected {n}")
+    return red[:n].copy()
+
+
+def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
+    """Rep of the generator product with exponent vector bits.
+
+    The reps pairwise commute, so the composition order does not change
+    the result: it equals build_fmap's reps[x] for the same exponents.
+    """
+    rep = CliffordRep.identity(family.n)
+    for k in np.flatnonzero(gf2.asbits(bits)):
+        rep = compose(family.qs[k], rep)
+    return rep
+
+
 def _rank_mod_prime(mat, p=2_147_483_647):
     """Exact rank of an integer matrix modulo a large prime.
 
@@ -309,23 +383,24 @@ class GscCertificate:
 
 
 def extract_certificate(
-    scan: FMapScan, conjugator: CliffordRep, rng=None, tol=TOL
+    family: GeneratorFamily, conjugator: CliffordRep, rng=None, tol=TOL
 ) -> GscCertificate:
-    """Realize the kernel products and package the certificate.
+    """Certify a block-form family: kernel, realized products, span.
 
-    Asserts, naming the violated property: identity A-block and zero
+    The kernel comes from orbit_kernel and its products from
+    product_rep.  Asserts, naming the violated property: identity A-block and zero
     f-vector for every kernel product, diagonality of each realization,
     and full rank of the 2^n diagonal patterns.  When an rng is given,
     a few kernel products are cross-checked against dense products of
     the constituent generators (up to global phase) and sampled pairs
     are checked to commute densely.
     """
-    n = scan.family.n
-    kernel = fmap_kernel(scan)
+    n = family.n
+    kernel = orbit_kernel(family)
     diag_gens = []
     spectra = []
     for row in kernel:
-        rep = scan.reps[scan.index_of(row)]
+        rep = product_rep(family, row)
         if not np.array_equal(rep.c[:n, :n], gf2.ident(n)):
             raise AssertionError("kernel product has a non-identity A-block")
         if rep.f.any():
@@ -359,7 +434,7 @@ def extract_certificate(
         )
 
     checks = 0
-    if rng is not None and scan.family.dense_qs is not None:
+    if rng is not None and family.dense_qs is not None:
         take = min(3, len(kernel))
         rows = rng.choice(len(kernel), size=take, replace=False)
         for ridx in rows:
@@ -367,7 +442,7 @@ def extract_certificate(
             prod = np.eye(dim, dtype=complex)
             for k in range(2 * n):
                 if bits[k]:
-                    prod = prod @ scan.family.dense_qs[k]
+                    prod = prod @ family.dense_qs[k]
             if not allclose_up_to_phase(prod, diag_gens[int(ridx)], tol=1e-8):
                 raise AssertionError("dense product disagrees with the realization")
             checks += 1
@@ -404,8 +479,7 @@ def run_pipeline(u, rng=None, tol=TOL) -> GscCertificate:
     """Gate to certificate: generators, block form, kernel, realization."""
     family = generators_from_gate(u, tol)
     normalized, q_m = normalize_family(family, tol)
-    scan = build_fmap(normalized)
-    return extract_certificate(scan, q_m, rng=rng, tol=tol)
+    return extract_certificate(normalized, q_m, rng=rng, tol=tol)
 
 
 GM_QUBITS = "A1 A2 A3 B1 B2 B3 R".split()

@@ -229,3 +229,21 @@ def test_cli_classify_seven_qubits_skips_span_tests(capsys):
     assert out["hierarchy_level"] == 3
     assert out["semi_clifford"] is None
     assert out["generalized_semi_clifford"] is None
+
+
+def test_read_bit_matrices_rejects_non_binary_digits(tmp_path):
+    # a row "1002" must not be reduced mod 2 to the identity row "1000"
+    bad = tmp_path / "digits.mat"
+    bad.write_text("4 4\n1000\n0100\n0010\n1002\n")
+    with pytest.raises(ValueError, match=r"line 5.*'1002'"):
+        read_bit_matrices(str(bad))
+    code = main(["--json", "normalform", str(bad)])
+    assert code == 1
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_cli_rejects_kmax_below_one(kmax, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "--kmax", kmax, "classify", data("circuits/t.cir")])
+    assert exc.value.code != 0
+    assert "--kmax" in capsys.readouterr().err

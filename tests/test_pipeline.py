@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import random_c3_gate
+from helpers import random_c3_gate, random_clifford_dense
 from semiclifford import gf2
 from semiclifford.circuits import embed_gate
 from semiclifford.clifford import CliffordRep, compose, from_pauli
 from semiclifford.dense import allclose_up_to_phase, extract_rep
 from semiclifford.pauli import PhasedPauli
 from semiclifford.pipeline import (
+    GeneratorFamily,
     build_fmap,
     extract_certificate,
     fmap_kernel,
     generators_from_gate,
     normalize_family,
+    orbit_kernel,
+    product_rep,
     reconstruct_unitary,
     run_pipeline,
 )
@@ -156,6 +159,36 @@ def test_bare_pauli_family_kernel():
     kernel = fmap_kernel(scan)
     expect = np.concatenate([gf2.ident(3), gf2.zeros(3, 3)], axis=1)
     assert np.array_equal(kernel, expect)
+    assert np.array_equal(orbit_kernel(fam), expect)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_kernel_matches_scan_oracle(n, rng):
+    gates = [random_c3_gate(n, rng) for _ in range(4)]
+    if n == 3:
+        # a non-diagonal core gives A-blocks other than I in block form
+        cswap = embed_gate("CSWAP", (0, 1, 2), 3) @ embed_gate("CCZ", (0, 1, 2), 3)
+        gates += [random_clifford_dense(3, rng) @ cswap @ random_clifford_dense(3, rng)]
+    for u in gates:
+        norm, _ = normalize_family(generators_from_gate(u))
+        scan = build_fmap(norm)
+        kernel = orbit_kernel(norm)
+        assert np.array_equal(kernel, fmap_kernel(scan))
+        for row in kernel:
+            assert product_rep(norm, row) == scan.reps[scan.index_of(row)]
+
+
+def test_small_orbit_family_fails_both_paths():
+    # unvalidated: every product is the identity, so the orbit of 0 is {0}
+    # and the zero set is everything
+    n = 2
+    fam = GeneratorFamily(qs=(CliffordRep.identity(n),) * (2 * n), dense_qs=None, n=n)
+    with pytest.raises(AssertionError, match="orbit of 0 has 1 points"):
+        orbit_kernel(fam)
+    with pytest.raises(AssertionError, match="kernel has size 16"):
+        fmap_kernel(build_fmap(fam))
+    with pytest.raises(AssertionError):
+        extract_certificate(fam, CliffordRep.identity(n))
 
 
 def test_ccz_pipeline():
