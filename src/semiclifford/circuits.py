@@ -19,6 +19,7 @@ import numpy as np
 
 from .clifford import CliffordRep, compose
 from .dense import extract_rep
+from .pauli import DENSE_QUBIT_CAP
 
 _SQ2 = np.sqrt(2.0)
 
@@ -156,6 +157,8 @@ def embed_gate(name, qubits, n) -> np.ndarray:
 
 def circuit_to_dense(desc: CircuitDescription) -> np.ndarray:
     """Dense unitary of a circuit; listed gates act in order."""
+    if desc.n > DENSE_QUBIT_CAP:
+        raise ValueError(f"n={desc.n} exceeds the dense cap {DENSE_QUBIT_CAP}")
     u = np.eye(1 << desc.n, dtype=complex)
     for name, qubits in desc.gates:
         u = embed_gate(name, qubits, desc.n) @ u

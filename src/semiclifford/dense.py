@@ -55,10 +55,34 @@ def _generator_matrices(n):
     return tuple(mats)
 
 
-def conjugate_dense(u, p_or_mat):
-    """u M u^dag for a PhasedPauli or raw matrix M."""
-    m = pauli_to_dense(p_or_mat) if isinstance(p_or_mat, PhasedPauli) else p_or_mat
-    return u @ m @ u.conj().T
+@lru_cache(maxsize=None)
+def _generator_actions(n):
+    """(perm, signs) per tau_{e_j}, with tau_{e_j} @ m == signs[:, None] * m[perm].
+
+    Read off the monomial _generator_matrices: row r of tau_{e_j} has
+    its one nonzero entry, +-1, in column perm[r].
+    """
+    rows = np.arange(1 << n)
+    actions = []
+    for g in _generator_matrices(n):
+        perm = np.abs(g).argmax(axis=1)
+        signs = g[rows, perm].real
+        perm.flags.writeable = False
+        signs.flags.writeable = False
+        actions.append((perm, signs))
+    return tuple(actions)
+
+
+def _generator_conjugates(u):
+    """Yield u tau_{e_j} u^dag for j = 0..2n-1, lazily.
+
+    tau_{e_j} is a signed permutation, so tau_{e_j} u^dag is a row
+    permutation of u^dag times +-1 signs: exact in floating point and
+    O(4^n), which leaves one matmul per conjugation.
+    """
+    udag = u.conj().T
+    for perm, signs in _generator_actions(num_qubits(u)):
+        yield u @ (signs[:, None] * udag[perm])
 
 
 _PHASE_TABLE = ((1 + 0j, (0, 0)), (-1 + 0j, (0, 1)), (1j, (1, 0)), (-1j, (1, 1)))
@@ -119,13 +143,11 @@ def extract_rep(u, tol=TOL):
     """
     u = np.asarray(u, dtype=complex)
     n = num_qubits(u)
-    gens = _generator_matrices(n)
-    udag = u.conj().T
     cols = []
     hbits = []
     j = gf2.j_mat(n)
-    for idx in range(2 * n):
-        img = is_pauli(u @ gens[idx] @ udag, tol)
+    for conj in _generator_conjugates(u):
+        img = is_pauli(conj, tol)
         if img is None:
             return None
         if img.delta != gf2.quad_form(j, img.a):
@@ -143,11 +165,7 @@ def _in_level(u, k, tol):
         return is_pauli(u, tol) is not None
     if k == 2:
         return extract_rep(u, tol) is not None
-    n = num_qubits(u)
-    udag = u.conj().T
-    return all(
-        _in_level(u @ g @ udag, k - 1, tol) for g in _generator_matrices(n)
-    )
+    return all(_in_level(conj, k - 1, tol) for conj in _generator_conjugates(u))
 
 
 def hierarchy_level(u, kmax=3, tol=TOL):
@@ -156,6 +174,8 @@ def hierarchy_level(u, kmax=3, tol=TOL):
     Level 1 is the Pauli group, level 2 the Clifford group, and level
     k+1 contains the unitaries conjugating every Pauli into level k.
     """
+    if kmax < 1:
+        raise ValueError(f"kmax={kmax} is below 1")
     if kmax > HIERARCHY_LEVEL_CAP:
         raise ValueError(f"kmax={kmax} exceeds the cap {HIERARCHY_LEVEL_CAP}")
     u = check_unitary(u, tol)

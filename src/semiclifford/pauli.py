@@ -9,18 +9,11 @@ coordinate convention.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
 
 from . import gf2
-
-# single-qubit tau matrices; tau_00 is the group identity
-_TAU = {
-    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
-    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, 1], [-1, 0]], dtype=complex),
-}
 
 DENSE_QUBIT_CAP = 10
 
@@ -122,14 +115,33 @@ def is_hermitian_pauli(p: PhasedPauli) -> bool:
     return p.delta == gf2.dot(p.v, p.w)
 
 
+@lru_cache(maxsize=None)
+def _label_tables(n):
+    """Basis labels 0..2^n-1, their popcount signs (-1)**|x|, bit weights."""
+    labels = np.arange(1 << n)
+    signs = np.ones(1 << n)
+    for i in range(n):
+        signs[1 << i : 2 << i] = -signs[: 1 << i]
+    weights = 1 << np.arange(n - 1, -1, -1)
+    for arr in (labels, signs, weights):
+        arr.flags.writeable = False
+    return labels, signs, weights
+
+
 def pauli_to_dense(p: PhasedPauli) -> np.ndarray:
-    """Exact 2^n x 2^n matrix of p; entries lie in {0, +-1, +-i}."""
-    if p.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"n={p.n} exceeds the dense cap {DENSE_QUBIT_CAP}")
-    out = np.array([[1]], dtype=complex)
-    for vi, wi in zip(p.v, p.w):
-        out = np.kron(out, _TAU[(int(vi), int(wi))])
-    return p.phase * out
+    """Exact 2^n x 2^n matrix of p; entries lie in {0, +-1, +-i}.
+
+    p is monomial: column x holds phase * (-1)**(v . (x + w)) in row
+    x + w, with qubit 0 the most significant bit of a label.
+    """
+    n = p.n
+    if n > DENSE_QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the dense cap {DENSE_QUBIT_CAP}")
+    cols, signs, weights = _label_tables(n)
+    rows = cols ^ int(p.w @ weights)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out[rows, cols] = p.phase * signs[rows & int(p.v @ weights)]
+    return out
 
 
 def pauli_apply_basis(p: PhasedPauli, x):

@@ -33,6 +33,7 @@ from .dense import (
     extract_rep,
     num_qubits,
     realize_block,
+    _generator_conjugates,
     _generator_matrices,
 )
 from .expansion import rep_to_dense
@@ -89,11 +90,9 @@ def generators_from_gate(u, tol=TOL) -> GeneratorFamily:
     n = num_qubits(u)
     if n > 7:
         raise ValueError(f"n={n} exceeds the pipeline cap of 7 qubits")
-    udag = u.conj().T
     reps = []
     dense = []
-    for i, g in enumerate(_generator_matrices(n)):
-        qd = u @ g @ udag
+    for i, qd in enumerate(_generator_conjugates(u)):
         rep = extract_rep(qd, tol)
         if rep is None:
             raise ValueError(
@@ -336,31 +335,20 @@ def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
     return rep
 
 
-def _rank_mod_prime(mat, p=2_147_483_647):
-    """Exact rank of an integer matrix modulo a large prime.
+def span_rank(spectra, tol=TOL) -> int:
+    """Rank of the 2^n diagonal patterns of n +-1 valued spectra.
 
-    The mod-p rank never exceeds the rational rank, so a full mod-p
-    rank certifies full rank exactly; entries stay below p**2 so int64
-    arithmetic cannot overflow.
+    The pattern of exponent vector t has entry (-1)**(t . b(x)) at
+    position x, where b(x) collects the sign bits of the spectra at x.
+    So the pattern matrix is the +-1 character matrix of Z_2^n
+    restricted to the columns b(x), and its rank is the number of
+    distinct b(x).
     """
-    a = np.mod(np.asarray(mat, dtype=np.int64), p)
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        piv = next((k for k in range(r, rows) if a[k, c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for k in range(rows):
-            if k != r and a[k, c]:
-                a[k] = (a[k] - a[k, c] * a[r]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+    spectra = np.asarray(spectra)
+    if np.abs(spectra.imag).max() > tol or np.abs(np.abs(spectra.real) - 1).max() > tol:
+        raise AssertionError("diagonal patterns are not +-1 valued")
+    weights = 1 << np.arange(spectra.shape[0])
+    return len(set((weights @ (spectra.real < 0)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -390,7 +378,7 @@ def extract_certificate(
     The kernel comes from orbit_kernel and its products from
     product_rep.  Asserts, naming the violated property: identity A-block and zero
     f-vector for every kernel product, diagonality of each realization,
-    and full rank of the 2^n diagonal patterns.  When an rng is given,
+    and full rank of the 2^n diagonal patterns (span_rank).  When an rng is given,
     a few kernel products are cross-checked against dense products of
     the constituent generators (up to global phase) and sampled pairs
     are checked to commute densely.
@@ -413,21 +401,7 @@ def extract_certificate(
         spectra.append(np.diagonal(dense).copy())
 
     dim = 1 << n
-    patterns = np.zeros((dim, dim), dtype=complex)
-    patterns[0] = np.ones(dim)
-    current = np.ones(dim, dtype=complex)
-    prev_gray = 0
-    for t in range(1, dim):
-        gray = t ^ (t >> 1)
-        k = (prev_gray ^ gray).bit_length() - 1
-        current = current * spectra[k]
-        patterns[gray] = current
-        prev_gray = gray
-    # diagonal involutions have exactly +-1 spectra, so the rank check
-    # can be exact over the integers
-    if np.abs(patterns.imag).max() > tol or np.abs(np.abs(patterns.real) - 1).max() > tol:
-        raise AssertionError("diagonal patterns are not +-1 valued")
-    pattern_rank = _rank_mod_prime(np.rint(patterns.real))
+    pattern_rank = span_rank(spectra, tol)
     if pattern_rank != dim:
         raise AssertionError(
             f"diagonal group spans rank {pattern_rank}, expected {dim}"
@@ -520,12 +494,16 @@ def counterexample_report(rng=None, tol=TOL) -> dict:
         raise AssertionError("constituents are not involutions")
     uv = u @ v
     vu = v @ u
-    uv_level = hierarchy_level(uv, kmax=3, tol=tol)
+    low_level = hierarchy_level(uv, kmax=2, tol=tol)
     witness_index = n + 6  # x-part generator on qubit R
     gens = _generator_matrices(n)
     vu_conj = vu @ gens[witness_index] @ vu.conj().T
     vu_witness_clifford = extract_rep(vu_conj, tol) is not None
+    # the family's 14 conjugates are exactly the ones the level-3 test
+    # checks with extract_rep, so building it is the level-3 verdict; a
+    # gate outside level 3 raises here
     cert = run_pipeline(uv, rng=rng, tol=tol)
+    uv_level = low_level or 3
     return {
         "uv_in_level_3": uv_level == 3,
         "uv_level": uv_level,

@@ -1,9 +1,10 @@
 """Shared samplers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: Pauli
-coefficients come from literal trace projections, Lagrangians from a
-DFS over isotropic extensions, and symplectic groups from brute-force
-filtering of all matrices.
+coefficients come from literal trace projections, dense Paulis from
+Kronecker products, diagonal span ranks from exact elimination of the
+full pattern matrix, Lagrangians from a DFS over isotropic extensions,
+and symplectic groups from brute-force filtering of all matrices.
 """
 
 from __future__ import annotations
@@ -15,6 +16,70 @@ from semiclifford.circuits import circuit_to_dense, embed_gate, random_circuit
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
 from semiclifford.dense import BlockRep
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
+
+
+# single-qubit tau matrices; tau_00 is the group identity
+_TAU = {
+    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
+    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
+    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, 1], [-1, 0]], dtype=complex),
+}
+
+
+def kron_pauli_to_dense(p: PhasedPauli) -> np.ndarray:
+    """Dense matrix of p as a Kronecker product of single-qubit taus."""
+    out = np.array([[1]], dtype=complex)
+    for vi, wi in zip(p.v, p.w):
+        out = np.kron(out, _TAU[(int(vi), int(wi))])
+    return p.phase * out
+
+
+def pattern_matrix(spectra):
+    """All 2^n products of n diagonal spectra, one row per exponent vector.
+
+    Row x (bit k of x is the exponent of spectrum k) is filled in Gray
+    code order, one elementwise product per row.
+    """
+    dim = len(spectra[0])
+    patterns = np.zeros((1 << len(spectra), dim), dtype=complex)
+    patterns[0] = np.ones(dim)
+    current = np.ones(dim, dtype=complex)
+    prev_gray = 0
+    for t in range(1, patterns.shape[0]):
+        gray = t ^ (t >> 1)
+        k = (prev_gray ^ gray).bit_length() - 1
+        current = current * spectra[k]
+        patterns[gray] = current
+        prev_gray = gray
+    return patterns
+
+
+def rank_mod_prime(mat, p=2_147_483_647):
+    """Exact rank of an integer matrix modulo a large prime.
+
+    The mod-p rank never exceeds the rational rank, so a full mod-p
+    rank certifies full rank exactly; entries stay below p**2 so int64
+    arithmetic cannot overflow.
+    """
+    a = np.mod(np.asarray(mat, dtype=np.int64), p)
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        piv = next((k for k in range(r, rows) if a[k, c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        for k in range(rows):
+            if k != r and a[k, c]:
+                a[k] = (a[k] - a[k, c] * a[r]) % p
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def all_phased_paulis(n):

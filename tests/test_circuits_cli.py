@@ -14,6 +14,7 @@ from semiclifford.circuits import (
     parse_circuit,
 )
 from semiclifford.cli import main, read_bit_matrices, bits_to_hex, hex_to_bits
+from semiclifford.pauli import DENSE_QUBIT_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,6 +87,13 @@ def test_circuit_to_dense_order():
     u = circuit_to_dense(desc)
     want = embed_gate("H", (0,), 1) @ embed_gate("X", (0,), 1)
     assert np.allclose(u, want)
+
+
+def test_circuit_to_dense_rejects_past_dense_cap():
+    # the cap fires before the 2^n x 2^n identity is allocated
+    desc = parse_circuit(f"qubits {DENSE_QUBIT_CAP + 1}\n")
+    with pytest.raises(ValueError, match=f"n={DENSE_QUBIT_CAP + 1}.*cap {DENSE_QUBIT_CAP}"):
+        circuit_to_dense(desc)
 
 
 def test_read_bit_matrices(tmp_path):
@@ -247,3 +255,12 @@ def test_cli_rejects_kmax_below_one(kmax, capsys):
         main(["--json", "--kmax", kmax, "classify", data("circuits/t.cir")])
     assert exc.value.code != 0
     assert "--kmax" in capsys.readouterr().err
+
+
+def test_cli_rejects_circuit_past_dense_cap(tmp_path, capsys):
+    big = tmp_path / "big.cir"
+    big.write_text(f"qubits {DENSE_QUBIT_CAP + 1}\nH 0\n")
+    code = main(["--json", "classify", str(big)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert f"cap {DENSE_QUBIT_CAP}" in out["error"]

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import all_phased_paulis, sample_admissible_pair, sample_block_rep
 from semiclifford import gf2
+from semiclifford.classify import classify
 from semiclifford.circuits import embed_gate, standard_gate
 from semiclifford.clifford import CliffordRep, from_pauli
 from semiclifford.dense import (
@@ -14,6 +15,9 @@ from semiclifford.dense import (
     is_pauli,
     monomial_check,
     realize_block,
+    _generator_actions,
+    _generator_conjugates,
+    _generator_matrices,
 )
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
@@ -39,6 +43,33 @@ def test_extract_rep_cases():
         p = PhasedPauli(0, 0, a)
         assert extract_rep(pauli_to_dense(p)) == from_pauli(p)
     assert extract_rep(embed_gate("T", (0,), 1)) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_actions_match_dense_generators(n, rng):
+    dim = 1 << n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    actions = _generator_actions(n)
+    assert len(actions) == 2 * n
+    for g, (perm, signs) in zip(_generator_matrices(n), actions):
+        assert np.array_equal(signs[:, None] * m[perm], g @ m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generator_conjugates_match_two_matmuls(n, rng):
+    dim = 1 << n
+    gens = _generator_matrices(n)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(z)
+    conjs = list(_generator_conjugates(u))
+    assert len(conjs) == 2 * n
+    for conj, g in zip(conjs, gens):
+        assert np.allclose(conj, u @ g @ u.conj().T, rtol=0, atol=1e-12)
+    # a signed permutation: every entry is one product of +-1 terms, so exact
+    s = np.zeros((dim, dim), dtype=complex)
+    s[rng.permutation(dim), np.arange(dim)] = rng.choice([-1.0, 1.0], size=dim)
+    for conj, g in zip(_generator_conjugates(s), gens):
+        assert np.array_equal(conj, s @ g @ s.conj().T)
 
 
 def test_hierarchy_levels():
@@ -72,6 +103,16 @@ def test_hierarchy_guards():
         hierarchy_level(np.eye(2, dtype=complex), kmax=5)
     with pytest.raises(ValueError):
         hierarchy_level(2 * np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("kmax", [0, -3])
+def test_hierarchy_level_rejects_kmax_below_one(kmax):
+    # level None would read as "not in the hierarchy" for any gate
+    t = embed_gate("T", (0,), 1)
+    with pytest.raises(ValueError, match=f"kmax={kmax}"):
+        hierarchy_level(t, kmax=kmax)
+    with pytest.raises(ValueError, match=f"kmax={kmax}"):
+        classify(t, kmax=kmax)
 
 
 def test_realize_block_identity_and_sigma_z():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_phased_paulis, int_to_bits
+from helpers import all_phased_paulis, int_to_bits, kron_pauli_to_dense
 from semiclifford import gf2
 from semiclifford.pauli import (
     PhasedPauli,
@@ -65,6 +65,19 @@ def test_dense_single_qubit_matrices():
     assert np.array_equal(x, np.array([[0, 1], [1, 0]], dtype=complex))
     t11 = pauli_to_dense(PhasedPauli(0, 0, [1, 1]))
     assert np.array_equal(t11, np.array([[0, 1], [-1, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dense_matches_kron_oracle_exhaustive(n):
+    for p in all_phased_paulis(n):
+        assert np.array_equal(pauli_to_dense(p), kron_pauli_to_dense(p))
+
+
+def test_dense_matches_kron_oracle_n7(rng):
+    for _ in range(50):
+        delta, epsilon = rng.integers(0, 2, size=2)
+        p = PhasedPauli(delta, epsilon, rng.integers(0, 2, size=14))
+        assert np.array_equal(pauli_to_dense(p), kron_pauli_to_dense(p))
 
 
 @pytest.mark.parametrize("n", [1, 2])

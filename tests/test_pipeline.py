@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
 
-from helpers import random_c3_gate, random_clifford_dense
+from helpers import pattern_matrix, random_c3_gate, random_clifford_dense, rank_mod_prime
 from semiclifford import gf2
 from semiclifford.circuits import embed_gate
 from semiclifford.clifford import CliffordRep, compose, from_pauli
-from semiclifford.dense import allclose_up_to_phase, extract_rep
+from semiclifford.dense import allclose_up_to_phase, extract_rep, hierarchy_level
 from semiclifford.pauli import PhasedPauli
 from semiclifford.pipeline import (
     GeneratorFamily,
     build_fmap,
+    counterexample_report,
     extract_certificate,
     fmap_kernel,
     generators_from_gate,
+    gottesman_mochon,
     normalize_family,
     orbit_kernel,
     product_rep,
     reconstruct_unitary,
     run_pipeline,
+    span_rank,
 )
 
 
@@ -189,6 +192,53 @@ def test_small_orbit_family_fails_both_paths():
         fmap_kernel(build_fmap(fam))
     with pytest.raises(AssertionError):
         extract_certificate(fam, CliffordRep.identity(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_span_rank_matches_pattern_oracle(n, rng):
+    for _ in range(4):
+        spectra = run_pipeline(random_c3_gate(n, rng)).spectra
+        oracle = rank_mod_prime(np.rint(pattern_matrix(spectra).real))
+        assert span_rank(spectra) == oracle == 1 << n
+
+
+@pytest.mark.parametrize(
+    "spectra,rank",
+    [
+        ([[1, 1, -1, -1], [1, 1, -1, -1]], 2),
+        ([[1, -1, 1, -1], [1, 1, 1, 1]], 2),
+        ([[1] * 8] * 3, 1),
+        # the third spectrum is the product of the first two
+        ([[1, -1, 1, -1, 1, -1, 1, -1], [1, 1, -1, -1, 1, 1, -1, -1],
+          [1, -1, -1, 1, 1, -1, -1, 1]], 4),
+    ],
+)
+def test_span_rank_degenerate_spectra(spectra, rank):
+    spectra = np.array(spectra, dtype=complex)
+    assert span_rank(spectra) == rank_mod_prime(np.rint(pattern_matrix(spectra).real)) == rank
+
+
+def test_span_rank_rejects_non_sign_spectra():
+    with pytest.raises(AssertionError, match="not \\+-1 valued"):
+        span_rank(np.array([[1, 1j]]))
+
+
+def test_counterexample_level_matches_full_hierarchy_test():
+    u, v = gottesman_mochon()
+    report = counterexample_report()
+    assert report["uv_level"] == hierarchy_level(u @ v, kmax=3) == 3
+
+
+def test_counterexample_report_rejects_gate_outside_level_3(monkeypatch):
+    # C^6 Z is an involution at level 7, so the shared family fails
+    c6z = np.diag([1.0] * 127 + [-1.0]).astype(complex)
+    monkeypatch.setattr(
+        "semiclifford.pipeline.gottesman_mochon", lambda: (np.eye(128, dtype=complex), c6z)
+    )
+    with pytest.raises(ValueError, match="not a third-level gate"):
+        counterexample_report()
+    with pytest.raises(ValueError, match="not a third-level gate"):
+        run_pipeline(c6z)
 
 
 def test_ccz_pipeline():
