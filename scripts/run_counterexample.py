@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 
-from semiclifford.dense import extract_rep, hierarchy_level, _generator_matrices
+from semiclifford import gf2
+from semiclifford.dense import extract_rep, hierarchy_level, pauli_conjugates
 from semiclifford.pipeline import (
     extract_certificate,
     generators_from_gate,
@@ -33,7 +34,7 @@ def main():
 
     vu = v @ u
     witness = 13  # x-part generator on qubit R
-    conj = vu @ _generator_matrices(7)[witness] @ vu.conj().T
+    (conj,) = pauli_conjugates(vu, gf2.ident(14)[[witness]])
     print(
         f"[{time.monotonic()-t0:5.1f}s] VU conjugate of sigma_x on R is Clifford:",
         extract_rep(conj) is not None,

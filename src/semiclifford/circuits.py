@@ -19,7 +19,7 @@ import numpy as np
 
 from .clifford import CliffordRep, compose
 from .dense import extract_rep
-from .pauli import DENSE_QUBIT_CAP
+from .pauli import check_dense_cap
 
 _SQ2 = np.sqrt(2.0)
 
@@ -136,6 +136,7 @@ def embed_gate(name, qubits, n) -> np.ndarray:
             raise ValueError(f"qubit {q} out of range for n={n}")
     if len(set(qubits)) != k:
         raise ValueError(f"repeated qubit in {qubits}")
+    check_dense_cap(n)
     dim = 1 << n
     shifts = [n - 1 - q for q in qubits]
     out = np.zeros((dim, dim), dtype=complex)
@@ -157,8 +158,7 @@ def embed_gate(name, qubits, n) -> np.ndarray:
 
 def circuit_to_dense(desc: CircuitDescription) -> np.ndarray:
     """Dense unitary of a circuit; listed gates act in order."""
-    if desc.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"n={desc.n} exceeds the dense cap {DENSE_QUBIT_CAP}")
+    check_dense_cap(desc.n)
     u = np.eye(1 << desc.n, dtype=complex)
     for name, qubits in desc.gates:
         u = embed_gate(name, qubits, desc.n) @ u

@@ -17,6 +17,7 @@ trusted from the search path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,25 +30,22 @@ from .dense import (
     is_pauli,
     monomial_check,
     num_qubits,
+    pauli_conjugates,
 )
 from .expansion import rep_to_dense
 from .pauli import PhasedPauli, pauli_to_dense
 
-SPAN_QUBIT_CAP = 3
 
-_LAG_CLIFFORDS: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _lagrangian_cliffords(n):
-    """Dense Cliffords mapping the z-Lagrangian onto each Lagrangian."""
-    if n not in _LAG_CLIFFORDS:
-        lags = gf2.enumerate_lagrangians(n)
-        mats = []
-        for lag in lags:
-            c = gf2.symplectic_complete(lag)
-            mats.append(rep_to_dense(CliffordRep(c, np.zeros(2 * n, dtype=np.uint8))))
-        _LAG_CLIFFORDS[n] = (tuple(lags), tuple(mats))
-    return _LAG_CLIFFORDS[n]
+    """Lagrangians in canonical order, and dense Cliffords mapping the
+    z-Lagrangian onto each."""
+    lags = tuple(gf2.enumerate_lagrangians(n))
+    zero_h = np.zeros(2 * n, dtype=np.uint8)
+    mats = tuple(
+        rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags
+    )
+    return lags, mats
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,13 @@ def is_semi_clifford(u, tol=TOL):
     """
     u = check_unitary(u, tol)
     n = num_qubits(u)
-    if n > SPAN_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the search cap {SPAN_QUBIT_CAP}")
-    lags = gf2.enumerate_lagrangians(n)
-    udag = u.conj().T
+    if n > gf2.LAGRANGIAN_QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
+    lags, _ = _lagrangian_cliffords(n)
     for lag in lags:
         images = []
-        for b in lag.basis:
-            img = is_pauli(u @ pauli_to_dense(PhasedPauli(0, 0, b)) @ udag, tol)
+        for conj in pauli_conjugates(u, lag.basis):
+            img = is_pauli(conj, tol)
             if img is None:
                 break
             images.append(img.a)
@@ -124,8 +121,8 @@ def is_generalized_semi_clifford(u, tol=TOL):
     """
     u = check_unitary(u, tol)
     n = num_qubits(u)
-    if n > SPAN_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the search cap {SPAN_QUBIT_CAP}")
+    if n > gf2.LAGRANGIAN_QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
     lags, mats = _lagrangian_cliffords(n)
     for i_dom, q_dom in enumerate(mats):
         middle_left = u @ q_dom
@@ -178,7 +175,7 @@ def classify(u, kmax=3, tol=TOL) -> ClassificationReport:
     level = hierarchy_level(u, kmax=kmax, tol=tol)
     searched = {}
     semi = semi_w = gsc = gsc_w = None
-    if n <= SPAN_QUBIT_CAP:
+    if n <= gf2.LAGRANGIAN_QUBIT_CAP:
         semi_res = is_semi_clifford(u, tol)
         if semi_res[0]:
             semi, semi_w = True, semi_res[1]

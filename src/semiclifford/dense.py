@@ -3,9 +3,13 @@
 Everything symbolic in this package is cross-checked against exact
 2^n x 2^n matrices built here: Pauli membership, Clifford extraction,
 hierarchy level decisions, monomial structure, and the realization of
-block-form involutions as permutation-phase matrices.  Entries of
-interest lie on an exact grid of roots of unity over powers of sqrt(2),
-so a 1e-9 absolute tolerance only absorbs accumulated rounding.
+block-form involutions as permutation-phase matrices.  Every Pauli
+conjugation u tau_a u^dag goes through pauli_conjugates, which applies
+tau_a as the signed permutation of pauli.pauli_action (the single
+source of tau_a's permutation and signs), so it costs one matmul.
+Entries of interest lie on an exact grid of roots of unity over powers
+of sqrt(2), so a 1e-9 absolute tolerance only absorbs accumulated
+rounding.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ import numpy as np
 
 from . import gf2
 from .clifford import CliffordRep, compose, is_involution_rep, reps_commute
-from .pauli import PhasedPauli, pauli_to_dense
+from .pauli import PhasedPauli, pauli_action, pauli_to_dense
 
 TOL = 1e-9
+# qubit cap of the dense hierarchy test, rep_to_dense and the pipeline
 HIERARCHY_QUBIT_CAP = 7
 HIERARCHY_LEVEL_CAP = 4
 
@@ -46,42 +51,25 @@ def check_unitary(u, tol=TOL) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _generator_matrices(n):
-    """Dense tau_{e_j} for j = 0..2n-1, cached per qubit count."""
-    mats = []
-    for j in range(2 * n):
-        a = np.zeros(2 * n, dtype=np.uint8)
-        a[j] = 1
-        mats.append(pauli_to_dense(PhasedPauli(0, 0, a)))
-    return tuple(mats)
+    """Dense tau_{e_j} for j = 0..2n-1, cached per qubit count.
 
-
-@lru_cache(maxsize=None)
-def _generator_actions(n):
-    """(perm, signs) per tau_{e_j}, with tau_{e_j} @ m == signs[:, None] * m[perm].
-
-    Read off the monomial _generator_matrices: row r of tau_{e_j} has
-    its one nonzero entry, +-1, in column perm[r].
+    The library conjugates through pauli_conjugates; these matrices are
+    the two-matmul reference for tests and the benchmark's set-up probe.
     """
-    rows = np.arange(1 << n)
-    actions = []
-    for g in _generator_matrices(n):
-        perm = np.abs(g).argmax(axis=1)
-        signs = g[rows, perm].real
-        perm.flags.writeable = False
-        signs.flags.writeable = False
-        actions.append((perm, signs))
-    return tuple(actions)
+    return tuple(pauli_to_dense(PhasedPauli(0, 0, e)) for e in gf2.ident(2 * n))
 
 
-def _generator_conjugates(u):
-    """Yield u tau_{e_j} u^dag for j = 0..2n-1, lazily.
+def pauli_conjugates(u, vectors):
+    """Yield u tau_a u^dag for each a in vectors, lazily.
 
-    tau_{e_j} is a signed permutation, so tau_{e_j} u^dag is a row
-    permutation of u^dag times +-1 signs: exact in floating point and
-    O(4^n), which leaves one matmul per conjugation.
+    tau_a is a signed permutation (pauli_action), so tau_a u^dag is a
+    row permutation of u^dag times +-1 signs: exact in floating point
+    and O(4^n), which leaves one matmul per conjugation.
     """
+    n = num_qubits(u)
     udag = u.conj().T
-    for perm, signs in _generator_actions(num_qubits(u)):
+    for a in vectors:
+        perm, signs = pauli_action(n, a)
         yield u @ (signs[:, None] * udag[perm])
 
 
@@ -146,7 +134,7 @@ def extract_rep(u, tol=TOL):
     cols = []
     hbits = []
     j = gf2.j_mat(n)
-    for conj in _generator_conjugates(u):
+    for conj in pauli_conjugates(u, gf2.ident(2 * n)):
         img = is_pauli(conj, tol)
         if img is None:
             return None
@@ -165,7 +153,8 @@ def _in_level(u, k, tol):
         return is_pauli(u, tol) is not None
     if k == 2:
         return extract_rep(u, tol) is not None
-    return all(_in_level(conj, k - 1, tol) for conj in _generator_conjugates(u))
+    gens = gf2.ident(2 * num_qubits(u))
+    return all(_in_level(conj, k - 1, tol) for conj in pauli_conjugates(u, gens))
 
 
 def hierarchy_level(u, kmax=3, tol=TOL):
@@ -258,17 +247,17 @@ def _lambda_kernel(blk: BlockRep):
     return gf2.lows((gf2.mat_mul(blk.a, blk.e) ^ np.outer(d0, d0)) & 1)
 
 
-def _lambda_product(blk: BlockRep, y) -> complex:
-    """The gauge-invariant product lambda_0 * lambda_{f+y}.
+def _lambda_products(blk: BlockRep, ybits) -> np.ndarray:
+    """The gauge-invariant products lambda_0 * lambda_{f+y}, one per row y.
 
     Evaluates i**(d0.y) * (-1)**(d0.y + g.y + y^T lows(AE + d0 d0^T) y),
     which pins every entry of the realized involution once one square
     root is chosen for lambda_0.
     """
-    y = gf2.asbits(y)
-    d0y = gf2.dot(blk.d0, y)
-    sign = (d0y + gf2.dot(blk.g, y) + gf2.quad_form(_lambda_kernel(blk), y)) & 1
-    return (1j ** d0y) * ((-1.0) ** sign)
+    iexp = (ybits @ blk.d0) & 1
+    low = _lambda_kernel(blk)
+    sexp = (iexp + ybits @ blk.g + np.einsum("ij,jk,ik->i", ybits, low, ybits)) & 1
+    return (1j ** iexp.astype(int)) * ((-1.0) ** sexp.astype(int))
 
 
 def _check_involution_block(blk: BlockRep):
@@ -295,12 +284,7 @@ def realize_block(blk: BlockRep) -> np.ndarray:
     targets_bits = (xbits @ blk.a ^ blk.f) & 1
     powers = 1 << np.arange(n - 1, -1, -1)
     targets = targets_bits @ powers
-    ybits = xbits ^ blk.f
-    low = _lambda_kernel(blk)
-    d0 = blk.d0
-    iexp = (ybits @ d0) & 1
-    sexp = (iexp + ybits @ blk.g + np.einsum("ij,jk,ik->i", ybits, low, ybits)) & 1
-    rhs = (1j ** iexp.astype(int)) * ((-1.0) ** sexp.astype(int))
+    rhs = _lambda_products(blk, xbits ^ blk.f)
     lam0 = np.exp(1j * np.angle(rhs[0]) / 2)
     lam = rhs / lam0
     u = np.zeros((dim, dim), dtype=complex)
@@ -318,7 +302,7 @@ def commutator_sign(q1: BlockRep, q2: BlockRep) -> int:
         (lambda_0 lambda_f) * (lambda'_0 lambda'_{f+f'})
             == (lambda'_0 lambda'_{f'}) * (lambda_0 lambda_{f+f'}),
 
-    each factor being a _lambda_product of one of the two reps.  In
+    each factor being a _lambda_products entry of one of the two reps.  In
     particular f = f' = 0 forces the +1 branch.
     """
     r1 = q1.to_rep()
@@ -336,8 +320,10 @@ def commutator_sign(q1: BlockRep, q2: BlockRep) -> int:
     if not np.array_equal(fcomp_l, fcomp_r):
         raise ValueError("f-vectors are not compatible")
     fsum = q1.f ^ q2.f
-    lhs = _lambda_product(q1, q1.f) * _lambda_product(q2, fsum)
-    rhs = _lambda_product(q2, q2.f) * _lambda_product(q1, fsum)
+    l1_f, l1_sum = _lambda_products(q1, np.array([q1.f, fsum]))
+    l2_f, l2_sum = _lambda_products(q2, np.array([q2.f, fsum]))
+    lhs = l1_f * l2_sum
+    rhs = l2_f * l1_sum
     ratio = lhs / rhs
     if abs(ratio - 1) < TOL:
         return 1

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import gf2
 from .clifford import CliffordRep
-from .dense import check_unitary
-
-DENSE_QUBIT_CAP = 7
+from .dense import HIERARCHY_QUBIT_CAP, check_unitary
+from .pauli import pauli_action
 
 
 @dataclass(frozen=True)
@@ -164,19 +163,15 @@ def rep_to_dense(rep: CliffordRep) -> np.ndarray:
     expansion's global-phase gauge (anchor coefficient real positive).
     """
     n = rep.n
-    if n > DENSE_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the dense cap {DENSE_QUBIT_CAP}")
+    if n > HIERARCHY_QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the dense cap {HIERARCHY_QUBIT_CAP}")
     exp = expand(rep)
     dim = 1 << n
-    cols = np.arange(dim)
-    popcnt = np.array([bin(x).count("1") for x in range(dim)], dtype=np.int64)
-    powers = 1 << np.arange(n - 1, -1, -1)
+    cols, signs = pauli_action(n, exp.support)
+    herm = 1j ** ((exp.support[:, :n] & exp.support[:, n:]).sum(axis=1) & 1)
     u = np.zeros((dim, dim), dtype=complex)
-    for pt, val in zip(exp.support, exp.values):
-        vint = int(pt[:n] @ powers)
-        wint = int(pt[n:] @ powers)
-        rows = cols ^ wint
-        signs = (-1.0) ** (popcnt[rows & vint] & 1)
-        herm = 1j ** (popcnt[vint & wint] & 1)
-        u[rows, cols] += val * herm * signs
+    # one row per support point, added in order: the sum at each entry
+    # runs over the points in the same order as a loop would
+    rows = np.broadcast_to(np.arange(dim), cols.shape)
+    np.add.at(u, (rows, cols), (exp.values * herm)[:, None] * signs)
     return check_unitary(u)

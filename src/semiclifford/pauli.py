@@ -115,6 +115,12 @@ def is_hermitian_pauli(p: PhasedPauli) -> bool:
     return p.delta == gf2.dot(p.v, p.w)
 
 
+def check_dense_cap(n):
+    """Raise before a 2^n x 2^n matrix is allocated past DENSE_QUBIT_CAP."""
+    if n > DENSE_QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the dense cap {DENSE_QUBIT_CAP}")
+
+
 @lru_cache(maxsize=None)
 def _label_tables(n):
     """Basis labels 0..2^n-1, their popcount signs (-1)**|x|, bit weights."""
@@ -128,19 +134,28 @@ def _label_tables(n):
     return labels, signs, weights
 
 
-def pauli_to_dense(p: PhasedPauli) -> np.ndarray:
-    """Exact 2^n x 2^n matrix of p; entries lie in {0, +-1, +-i}.
+def pauli_action(n, a):
+    """tau_a on n qubits as a signed permutation (perm, signs).
 
-    p is monomial: column x holds phase * (-1)**(v . (x + w)) in row
-    x + w, with qubit 0 the most significant bit of a label.
+    tau_a @ m == signs[:, None] * m[perm]: row r of tau_a holds
+    (-1)**(v . r) in column r + w, with qubit 0 the most significant bit
+    of a label.  Every dense build and conjugation of tau_a in the
+    package goes through here.  Rows of a 2-d a give one (perm, signs)
+    row each.
     """
-    n = p.n
-    if n > DENSE_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the dense cap {DENSE_QUBIT_CAP}")
-    cols, signs, weights = _label_tables(n)
-    rows = cols ^ int(p.w @ weights)
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
-    out[rows, cols] = p.phase * signs[rows & int(p.v @ weights)]
+    check_dense_cap(n)
+    labels, popsigns, weights = _label_tables(n)
+    a = np.asarray(a)
+    wint = (a[..., n:] @ weights)[..., None]
+    vint = (a[..., :n] @ weights)[..., None]
+    return labels ^ wint, popsigns[labels & vint]
+
+
+def pauli_to_dense(p: PhasedPauli) -> np.ndarray:
+    """Exact 2^n x 2^n matrix of p; entries lie in {0, +-1, +-i}."""
+    perm, signs = pauli_action(p.n, p.a)
+    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    out[_label_tables(p.n)[0], perm] = p.phase * signs
     return out
 
 

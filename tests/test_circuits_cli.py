@@ -96,6 +96,12 @@ def test_circuit_to_dense_rejects_past_dense_cap():
         circuit_to_dense(desc)
 
 
+def test_embed_gate_rejects_past_dense_cap():
+    n = DENSE_QUBIT_CAP + 1
+    with pytest.raises(ValueError, match=f"n={n}.*cap {DENSE_QUBIT_CAP}"):
+        embed_gate("X", (0,), n)
+
+
 def test_read_bit_matrices(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("2 3\n101\n010\n2 2\n10\n01\n")

@@ -8,6 +8,7 @@ from semiclifford.classify import (
     classify,
     is_generalized_semi_clifford,
     is_semi_clifford,
+    _lagrangian_cliffords,
 )
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
@@ -84,6 +85,21 @@ def test_classify_reports():
 
 def test_classify_search_space_sizes():
     assert [len(gf2.enumerate_lagrangians(n)) for n in (1, 2, 3)] == [3, 15, 135]
+
+
+def test_is_semi_clifford_reads_the_cached_lagrangians(monkeypatch):
+    _lagrangian_cliffords(3)
+    calls = []
+    enumerate_lagrangians = gf2.enumerate_lagrangians
+
+    def counting(n):
+        calls.append(n)
+        return enumerate_lagrangians(n)
+
+    monkeypatch.setattr(gf2, "enumerate_lagrangians", counting)
+    ok, _ = is_semi_clifford(embed_gate("T", (1,), 3))
+    assert ok
+    assert calls == []
 
 
 def test_span_check_on_witness_n1():

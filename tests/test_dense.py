@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import all_phased_paulis, sample_admissible_pair, sample_block_rep
+from helpers import (
+    all_phased_paulis,
+    kron_pauli_to_dense,
+    sample_admissible_pair,
+    sample_block_rep,
+)
 from semiclifford import gf2
 from semiclifford.classify import classify
 from semiclifford.circuits import embed_gate, standard_gate
@@ -14,9 +19,8 @@ from semiclifford.dense import (
     hierarchy_level,
     is_pauli,
     monomial_check,
+    pauli_conjugates,
     realize_block,
-    _generator_actions,
-    _generator_conjugates,
     _generator_matrices,
 )
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
@@ -45,31 +49,35 @@ def test_extract_rep_cases():
     assert extract_rep(embed_gate("T", (0,), 1)) is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_generator_actions_match_dense_generators(n, rng):
-    dim = 1 << n
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    actions = _generator_actions(n)
-    assert len(actions) == 2 * n
-    for g, (perm, signs) in zip(_generator_matrices(n), actions):
-        assert np.array_equal(signs[:, None] * m[perm], g @ m)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generator_conjugates_match_two_matmuls(n, rng):
     dim = 1 << n
     gens = _generator_matrices(n)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     u, _ = np.linalg.qr(z)
-    conjs = list(_generator_conjugates(u))
+    conjs = list(pauli_conjugates(u, gf2.ident(2 * n)))
     assert len(conjs) == 2 * n
     for conj, g in zip(conjs, gens):
         assert np.allclose(conj, u @ g @ u.conj().T, rtol=0, atol=1e-12)
     # a signed permutation: every entry is one product of +-1 terms, so exact
     s = np.zeros((dim, dim), dtype=complex)
     s[rng.permutation(dim), np.arange(dim)] = rng.choice([-1.0, 1.0], size=dim)
-    for conj, g in zip(_generator_conjugates(s), gens):
+    for conj, g in zip(pauli_conjugates(s, gf2.ident(2 * n)), gens):
         assert np.array_equal(conj, s @ g @ s.conj().T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pauli_conjugates_match_two_matmuls_off_generators(n, rng):
+    dim = 1 << n
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(z)
+    # weight >= 2, so no vector is a generator
+    vectors = [a for a in rng.integers(0, 2, size=(16, 2 * n)) if a.sum() >= 2]
+    conjs = list(pauli_conjugates(u, vectors))
+    assert len(conjs) == len(vectors)
+    for conj, a in zip(conjs, vectors):
+        tau = kron_pauli_to_dense(PhasedPauli(0, 0, a))
+        assert np.allclose(conj, u @ tau @ u.conj().T, rtol=0, atol=1e-12)
 
 
 def test_hierarchy_levels():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_phased_paulis, int_to_bits, kron_pauli_to_dense
+from helpers import all_bare_paulis, all_phased_paulis, int_to_bits, kron_pauli_to_dense
 from semiclifford import gf2
 from semiclifford.pauli import (
     PhasedPauli,
     commutes,
     is_hermitian_pauli,
+    pauli_action,
     pauli_apply_basis,
     pauli_mul,
     pauli_to_dense,
@@ -78,6 +79,27 @@ def test_dense_matches_kron_oracle_n7(rng):
         delta, epsilon = rng.integers(0, 2, size=2)
         p = PhasedPauli(delta, epsilon, rng.integers(0, 2, size=14))
         assert np.array_equal(pauli_to_dense(p), kron_pauli_to_dense(p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_action_matches_kron_oracle_exhaustive(n, rng):
+    # every a, one at a time and as the rows of one batch
+    dim = 1 << n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    paulis = all_bare_paulis(n)
+    perms, signs = pauli_action(n, np.array([p.a for p in paulis]))
+    for p, batch_perm, batch_signs in zip(paulis, perms, signs):
+        perm, sign = pauli_action(n, p.a)
+        assert np.array_equal(sign[:, None] * m[perm], kron_pauli_to_dense(p) @ m)
+        assert np.array_equal(batch_perm, perm) and np.array_equal(batch_signs, sign)
+
+
+def test_pauli_action_matches_kron_oracle_n7(rng):
+    m = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+    for _ in range(50):
+        p = PhasedPauli(0, 0, rng.integers(0, 2, size=14))
+        perm, signs = pauli_action(7, p.a)
+        assert np.array_equal(signs[:, None] * m[perm], kron_pauli_to_dense(p) @ m)
 
 
 @pytest.mark.parametrize("n", [1, 2])
