@@ -10,8 +10,12 @@ The span criterion is operationalized through monomial matrices: the
 span of the sigma_z subgroup is the diagonal algebra, whose unitary
 normalizer is exactly the monomial group, so U maps span(A_L) onto
 span(A_L') iff Q_L'^dag U Q_L is monomial for Cliffords Q_L mapping the
-z-Lagrangian onto L.  Witnesses are re-verified numerically instead of
-trusted from the search path.
+z-Lagrangian onto L.  The pair search screens all images of one
+domain with a single batched product: column 0 of Q_L'^dag U Q_L must
+hold exactly one entry above the tolerance, as every column of a
+monomial matrix does, so only the few pairs that pass get the full
+monomial check, in canonical order.  Witnesses are re-verified
+numerically instead of trusted from the search path.
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ from .pauli import PhasedPauli, pauli_to_dense
 
 @lru_cache(maxsize=None)
 def _lagrangian_cliffords(n):
-    """Lagrangians in canonical order, and dense Cliffords mapping the
-    z-Lagrangian onto each."""
+    """Lagrangians in canonical order, and a read-only (L, 2^n, 2^n)
+    stack of dense Cliffords mapping the z-Lagrangian onto each."""
     lags = tuple(gf2.enumerate_lagrangians(n))
     zero_h = np.zeros(2 * n, dtype=np.uint8)
-    mats = tuple(
-        rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags
+    mats = np.stack(
+        [rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags]
     )
+    mats.flags.writeable = False
     return lags, mats
 
 
@@ -82,7 +87,7 @@ def _verify_span_map(u, domain, image, tol=TOL):
         residual = moved.copy()
         for mat in basis_img:
             residual -= (np.vdot(mat, moved) / dim) * mat
-        if not np.allclose(residual, 0, atol=1e-6):
+        if not np.allclose(residual, 0, atol=tol):
             return False
     return True
 
@@ -112,12 +117,26 @@ def is_semi_clifford(u, tol=TOL):
     return False, len(lags)
 
 
+def _column0_survivors(middle_left, mats, tol=TOL):
+    """Ascending indices i for which column 0 of mats[i]^dag middle_left
+    has exactly one entry above tol.
+
+    A monomial matrix has exactly one such entry in every column, so
+    the indices include every i whose product passes monomial_check
+    (barring an entry within rounding of tol).  Row i of the one
+    batched product is that column, conjugated.
+    """
+    col0 = middle_left[:, 0].conj() @ mats
+    return np.flatnonzero((np.abs(col0) > tol).sum(axis=1) == 1)
+
+
 def is_generalized_semi_clifford(u, tol=TOL):
     """Search Lagrangian pairs for a monomial middle factor.
 
-    Returns (True, GscWitness) for the first pair (L, L') with
-    Q_L'^dag u Q_L monomial; the witness additionally passes a direct
-    span-equality check.  Returns (False, searched_pairs) otherwise.
+    Returns (True, GscWitness) for the first pair (L, L'), in canonical
+    order, with Q_L'^dag u Q_L monomial; the witness additionally passes
+    a direct span-equality check.  Returns (False, searched_pairs)
+    otherwise, counting every pair, screened out or checked.
     """
     u = check_unitary(u, tol)
     n = num_qubits(u)
@@ -126,8 +145,8 @@ def is_generalized_semi_clifford(u, tol=TOL):
     lags, mats = _lagrangian_cliffords(n)
     for i_dom, q_dom in enumerate(mats):
         middle_left = u @ q_dom
-        for i_img, q_img in enumerate(mats):
-            mc = monomial_check(q_img.conj().T @ middle_left, tol)
+        for i_img in _column0_survivors(middle_left, mats, tol):
+            mc = monomial_check(mats[i_img].conj().T @ middle_left, tol)
             if not mc.is_monomial:
                 continue
             domain = lags[i_dom]

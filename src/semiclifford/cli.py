@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,11 +34,6 @@ def bits_to_hex(arr) -> str:
     """Row-major bit packing of a GF(2) array as a hex string."""
     flat = gf2.asbits(arr).reshape(-1)
     return bytes(np.packbits(flat)).hex()
-
-
-def hex_to_bits(text, size) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
-    return np.unpackbits(raw)[:size].astype(np.uint8)
 
 
 def bitstring(vec) -> str:
@@ -253,7 +249,14 @@ def positive_int(text) -> int:
     return value
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    argparse objects hold reference cycles, so a parser built per call
+    leaves garbage that only a full collection frees.  parse_args keeps
+    no state between calls: each returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="semiclifford",
         description="Clifford representation, normal form, and hierarchy tools",
@@ -286,8 +289,11 @@ def main(argv=None) -> int:
         help="check the seven-qubit controlled-swap/CCZ verdicts",
     )
     p.set_defaults(func=cmd_verify_counterexample)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
     except (ValueError, AssertionError, OSError) as exc:

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the code paths they check: Pauli
 coefficients come from literal trace projections, dense Paulis from
 Kronecker products, diagonal span ranks from exact elimination of the
 full pattern matrix, Lagrangians from a DFS over isotropic extensions,
-and symplectic groups from brute-force filtering of all matrices.
+symplectic groups from brute-force filtering of all matrices, and
+generalized semi-Clifford witnesses from a full monomial check of every
+Lagrangian pair.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_dense, embed_gate, random_circuit
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
-from semiclifford.dense import BlockRep
+from semiclifford.classify import GscWitness, _lagrangian_cliffords, _verify_span_map
+from semiclifford.dense import TOL, BlockRep, check_unitary, monomial_check, num_qubits
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
 
@@ -33,6 +36,36 @@ def kron_pauli_to_dense(p: PhasedPauli) -> np.ndarray:
     for vi, wi in zip(p.v, p.w):
         out = np.kron(out, _TAU[(int(vi), int(wi))])
     return p.phase * out
+
+
+def hex_to_bits(text, size) -> np.ndarray:
+    """Inverse of ``cli.bits_to_hex`` for the first ``size`` bits."""
+    raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
+    return np.unpackbits(raw)[:size].astype(np.uint8)
+
+
+def gsc_search_oracle(u, tol=TOL):
+    """Generalized semi-Clifford search with no screen: one full
+    monomial check per Lagrangian pair, in canonical order."""
+    u = check_unitary(u, tol)
+    lags, mats = _lagrangian_cliffords(num_qubits(u))
+    for i_dom, q_dom in enumerate(mats):
+        middle_left = u @ q_dom
+        for i_img, q_img in enumerate(mats):
+            mc = monomial_check(q_img.conj().T @ middle_left, tol)
+            if not mc.is_monomial:
+                continue
+            domain = lags[i_dom]
+            image = lags[i_img]
+            if not _verify_span_map(u, domain, image, tol):
+                raise AssertionError("monomial witness failed the span check")
+            return True, GscWitness(
+                domain=domain,
+                image=image,
+                permutation=mc.permutation,
+                phases=mc.phases,
+            )
+    return False, len(lags) ** 2
 
 
 def pattern_matrix(spectra):

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from semiclifford.circuits import (
     embed_gate,
     parse_circuit,
 )
-from semiclifford.cli import main, read_bit_matrices, bits_to_hex, hex_to_bits
+from helpers import hex_to_bits
+from semiclifford.cli import main, read_bit_matrices, bits_to_hex
 from semiclifford.pauli import DENSE_QUBIT_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,6 +130,22 @@ def test_cli_classify_json(capsys):
     assert out["hierarchy_level"] == 3
     assert out["semi_clifford"] is True
     assert out["generalized_semi_clifford"] is True
+
+
+def test_cli_call_leaves_no_cyclic_garbage(capsys):
+    main(["--json", "classify", data("circuits/ccz.cir")])
+    gc.collect()
+    assert main(["--json", "classify", data("circuits/ccz.cir")]) == 0
+    assert gc.collect() == 0
+
+
+def test_cli_calls_share_no_flag_state(capsys):
+    main(["--json", "--kmax", "1", "classify", data("circuits/t.cir")])
+    first = json.loads(capsys.readouterr().out)
+    main(["--json", "classify", data("circuits/t.cir")])
+    second = json.loads(capsys.readouterr().out)
+    assert (first["kmax"], first["hierarchy_level"]) == (1, None)
+    assert (second["kmax"], second["hierarchy_level"]) == (3, 3)
 
 
 def test_cli_classify_deterministic(capsys):

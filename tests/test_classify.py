@@ -1,16 +1,38 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from helpers import random_c3_gate, random_clifford_dense
+from helpers import gsc_search_oracle, random_c3_gate, random_clifford_dense
 from semiclifford import gf2
-from semiclifford.circuits import embed_gate
+from semiclifford.circuits import circuit_to_dense, embed_gate, parse_circuit
 from semiclifford.classify import (
     classify,
     is_generalized_semi_clifford,
     is_semi_clifford,
+    _column0_survivors,
     _lagrangian_cliffords,
 )
+from semiclifford.dense import monomial_check
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
+
+# The package re-exports the classify function under the module's name.
+classify_module = importlib.import_module("semiclifford.classify")
+
+# Three layers of H, T/TDG and CX at n = 3: neither semi-Clifford nor
+# generalized semi-Clifford, so the pair search tries all 135^2 pairs.
+FULL_MISS_CIRCUITS = (
+    "qubits 3\nH 0\nT 0\nH 1\nTDG 1\nH 2\nT 2\nCX 2 0\nCX 1 2\n"
+    "H 0\nT 0\nH 1\nTDG 1\nH 2\nTDG 2\nCX 0 1\nCX 1 2\n"
+    "H 0\nT 0\nH 1\nT 1\nH 2\nTDG 2\nCX 1 2\nCX 2 0\n",
+    "qubits 3\nH 0\nT 0\nH 1\nTDG 1\nH 2\nT 2\nCX 1 2\nCX 2 0\n"
+    "H 0\nT 0\nH 1\nTDG 1\nH 2\nTDG 2\nCX 1 2\nCX 2 0\n"
+    "H 0\nTDG 0\nH 1\nT 1\nH 2\nT 2\nCX 0 1\nCX 1 2\n",
+)
+
+
+def full_miss_gate(i):
+    return circuit_to_dense(parse_circuit(FULL_MISS_CIRCUITS[i]))
 
 
 def test_cliffords_are_semi_clifford(rng):
@@ -114,3 +136,60 @@ def test_search_cap():
         is_semi_clifford(np.eye(16, dtype=complex))
     with pytest.raises(ValueError):
         is_generalized_semi_clifford(np.eye(16, dtype=complex))
+
+
+def _oracle_gates(rng):
+    gates = [embed_gate(name, (0,), 1) for name in ("H", "S", "T", "X")]
+    for n in (1, 2, 3):
+        gates += [random_clifford_dense(n, rng) for _ in range(2)]
+    for n in (2, 3):
+        gates += [random_c3_gate(n, rng) for _ in range(2)]
+    return gates + [full_miss_gate(i) for i in range(len(FULL_MISS_CIRCUITS))]
+
+
+def test_gsc_search_matches_unscreened_oracle(rng):
+    for u in _oracle_gates(rng):
+        ok, got = is_generalized_semi_clifford(u)
+        want_ok, want = gsc_search_oracle(u)
+        assert ok == want_ok
+        if not ok:
+            assert got == want
+            continue
+        assert np.array_equal(got.domain.basis, want.domain.basis)
+        assert np.array_equal(got.image.basis, want.image.basis)
+        assert got.permutation == want.permutation
+        assert np.asarray(got.phases).tobytes() == np.asarray(want.phases).tobytes()
+
+
+def test_column0_survivors_include_every_monomial_pair(rng):
+    accepted_total = 0
+    for n in (1, 2, 3):
+        gates = [random_clifford_dense(n, rng), random_c3_gate(n, rng)]
+        if n == 3:
+            gates.append(full_miss_gate(0))
+        _, mats = _lagrangian_cliffords(n)
+        for u in gates:
+            for q_dom in mats:
+                middle_left = u @ q_dom
+                accepted = {
+                    i
+                    for i, q_img in enumerate(mats)
+                    if monomial_check(q_img.conj().T @ middle_left).is_monomial
+                }
+                survivors = _column0_survivors(middle_left, mats)
+                assert accepted <= set(survivors.tolist())
+                accepted_total += len(accepted)
+    assert accepted_total > 0
+
+
+def test_full_miss_search_runs_few_monomial_checks(monkeypatch):
+    calls = []
+
+    def counting(m, tol):
+        calls.append(1)
+        return monomial_check(m, tol)
+
+    u = full_miss_gate(0)
+    monkeypatch.setattr(classify_module, "monomial_check", counting)
+    assert is_generalized_semi_clifford(u) == (False, 135**2)
+    assert len(calls) <= 135
