@@ -50,7 +50,6 @@ from .pipeline import (
     normalize_family,
     orbit_kernel,
     product_rep,
-    reconstruct_unitary,
     run_pipeline,
 )
 

@@ -30,6 +30,7 @@ from .clifford import CliffordRep
 from .dense import (
     TOL,
     check_unitary,
+    close,
     hierarchy_level,
     is_pauli,
     monomial_check,
@@ -77,7 +78,7 @@ def _span_basis(n, lag):
     return mats
 
 
-def _verify_span_map(u, domain, image, tol=TOL):
+def _verify_span_map(u, domain, image):
     """Check u . span(A_domain) . u^dag == span(A_image) directly."""
     n = domain.n
     dim = 1 << n
@@ -87,19 +88,19 @@ def _verify_span_map(u, domain, image, tol=TOL):
         residual = moved.copy()
         for mat in basis_img:
             residual -= (np.vdot(mat, moved) / dim) * mat
-        if not np.allclose(residual, 0, atol=tol):
+        if not close(residual, 0):
             return False
     return True
 
 
-def is_semi_clifford(u, tol=TOL):
+def is_semi_clifford(u):
     """Search for a Lagrangian whose Pauli subgroup maps into the Paulis.
 
     Returns (True, SemiCliffordWitness) for the first Lagrangian (in
     canonical order) whose basis conjugates to exact phased Paulis, or
     (False, searched_count).  The image is re-validated as a Lagrangian.
     """
-    u = check_unitary(u, tol)
+    u = check_unitary(u)
     n = num_qubits(u)
     if n > gf2.LAGRANGIAN_QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
@@ -107,7 +108,7 @@ def is_semi_clifford(u, tol=TOL):
     for lag in lags:
         images = []
         for conj in pauli_conjugates(u, lag.basis):
-            img = is_pauli(conj, tol)
+            img = is_pauli(conj)
             if img is None:
                 break
             images.append(img.a)
@@ -117,20 +118,20 @@ def is_semi_clifford(u, tol=TOL):
     return False, len(lags)
 
 
-def _column0_survivors(middle_left, mats, tol=TOL):
+def _column0_survivors(middle_left, mats):
     """Ascending indices i for which column 0 of mats[i]^dag middle_left
-    has exactly one entry above tol.
+    has exactly one entry above TOL.
 
     A monomial matrix has exactly one such entry in every column, so
     the indices include every i whose product passes monomial_check
-    (barring an entry within rounding of tol).  Row i of the one
+    (barring an entry within rounding of TOL).  Row i of the one
     batched product is that column, conjugated.
     """
     col0 = middle_left[:, 0].conj() @ mats
-    return np.flatnonzero((np.abs(col0) > tol).sum(axis=1) == 1)
+    return np.flatnonzero((np.abs(col0) > TOL).sum(axis=1) == 1)
 
 
-def is_generalized_semi_clifford(u, tol=TOL):
+def is_generalized_semi_clifford(u):
     """Search Lagrangian pairs for a monomial middle factor.
 
     Returns (True, GscWitness) for the first pair (L, L'), in canonical
@@ -138,20 +139,20 @@ def is_generalized_semi_clifford(u, tol=TOL):
     a direct span-equality check.  Returns (False, searched_pairs)
     otherwise, counting every pair, screened out or checked.
     """
-    u = check_unitary(u, tol)
+    u = check_unitary(u)
     n = num_qubits(u)
     if n > gf2.LAGRANGIAN_QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
     lags, mats = _lagrangian_cliffords(n)
     for i_dom, q_dom in enumerate(mats):
         middle_left = u @ q_dom
-        for i_img in _column0_survivors(middle_left, mats, tol):
-            mc = monomial_check(mats[i_img].conj().T @ middle_left, tol)
+        for i_img in _column0_survivors(middle_left, mats):
+            mc = monomial_check(mats[i_img].conj().T @ middle_left)
             if not mc.is_monomial:
                 continue
             domain = lags[i_dom]
             image = lags[i_img]
-            if not _verify_span_map(u, domain, image, tol):
+            if not _verify_span_map(u, domain, image):
                 raise AssertionError("monomial witness failed the span check")
             return True, GscWitness(
                 domain=domain,
@@ -187,22 +188,22 @@ class ClassificationReport:
             )
 
 
-def classify(u, kmax=3, tol=TOL) -> ClassificationReport:
+def classify(u, kmax=3) -> ClassificationReport:
     """Full report: hierarchy level plus both span-based memberships."""
-    u = check_unitary(u, tol)
+    u = check_unitary(u)
     n = num_qubits(u)
-    level = hierarchy_level(u, kmax=kmax, tol=tol)
+    level = hierarchy_level(u, kmax=kmax)
     searched = {}
     semi = semi_w = gsc = gsc_w = None
     if n <= gf2.LAGRANGIAN_QUBIT_CAP:
-        semi_res = is_semi_clifford(u, tol)
+        semi_res = is_semi_clifford(u)
         if semi_res[0]:
             semi, semi_w = True, semi_res[1]
             searched["lagrangians"] = None
         else:
             semi, semi_w = False, None
             searched["lagrangians"] = semi_res[1]
-        gsc_res = is_generalized_semi_clifford(u, tol)
+        gsc_res = is_generalized_semi_clifford(u)
         if gsc_res[0]:
             gsc, gsc_w = True, gsc_res[1]
         else:

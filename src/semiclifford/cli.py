@@ -20,7 +20,7 @@ from . import gf2
 from .circuits import circuit_to_dense, parse_circuit
 from .classify import classify
 from .clifford import CliffordRep
-from .dense import extract_rep
+from .dense import TOL, extract_rep
 from .expansion import expand
 from .normal_form import (
     commuting_set_normal_form,
@@ -54,9 +54,9 @@ def matrix_rows(mat) -> list:
     return [bitstring(row) for row in gf2.asbits(mat)]
 
 
-def phase_str(z, tol=1e-9) -> str:
+def phase_str(z) -> str:
     for val, name in ((1, "1"), (-1, "-1"), (1j, "i"), (-1j, "-i")):
-        if abs(z - val) < tol:
+        if abs(z - val) < TOL:
             return name
     return f"{z.real:+.12f}{z.imag:+.12f}j"
 
@@ -65,9 +65,10 @@ def read_bit_matrices(path) -> list:
     """Read one or more matrices: 'rows cols' header then 0/1 row lines.
 
     Raises:
-        ValueError: on a malformed header, a truncated block, a wrong
-            shape, or a row character other than 0 or 1 (naming the
-            file line), so no digit is silently reduced mod 2.
+        ValueError: on a header that is not two positive integers or a
+            row character other than 0 or 1 (both naming the file line,
+            so no digit is silently reduced mod 2), a truncated block,
+            or a wrong shape.
     """
     with open(path) as fh:
         lines = [(num, ln.split("#", 1)[0].strip()) for num, ln in enumerate(fh, 1)]
@@ -75,10 +76,15 @@ def read_bit_matrices(path) -> list:
     mats = []
     i = 0
     while i < len(lines):
-        head = lines[i][1].split()
-        if len(head) != 2:
-            raise ValueError(f"bad matrix header {lines[i][1]!r}")
-        rows, cols = int(head[0]), int(head[1])
+        num, header = lines[i]
+        try:
+            rows, cols = (int(tok) for tok in header.split())
+        except ValueError:
+            rows = cols = 0
+        if rows < 1 or cols < 1:
+            raise ValueError(
+                f"{path}: line {num}: matrix header {header!r} is not two positive integers"
+            )
         body = lines[i + 1 : i + 1 + rows]
         if len(body) != rows:
             raise ValueError("truncated matrix block")

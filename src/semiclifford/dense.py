@@ -7,9 +7,14 @@ block-form involutions as permutation-phase matrices.  Every Pauli
 conjugation u tau_a u^dag goes through pauli_conjugates, which applies
 tau_a as the signed permutation of pauli.pauli_action (the single
 source of tau_a's permutation and signs), so it costs one matmul.
-Entries of interest lie on an exact grid of roots of unity over powers
-of sqrt(2), so a 1e-9 absolute tolerance only absorbs accumulated
-rounding.
+TOL is the package's one tolerance, and it is absolute: every dense
+test reads it, and every matrix comparison goes through close, which
+bounds the largest entrywise difference by TOL with no relative term.
+The entries of Paulis, Cliffords and the certificate spectra are 0 or
+an eighth root of unity over a power of sqrt(2), and at the supported
+sizes two distinct such values differ by far more than TOL.  So TOL
+only absorbs accumulated rounding, which stays near machine epsilon,
+and never merges two exact values.
 """
 
 from __future__ import annotations
@@ -40,11 +45,16 @@ def num_qubits(u) -> int:
     return n
 
 
-def check_unitary(u, tol=TOL) -> np.ndarray:
+def close(a, b) -> bool:
+    """Whether a and b agree within TOL in every entry (absolute, max-norm)."""
+    return bool(np.abs(a - b).max() <= TOL)
+
+
+def check_unitary(u) -> np.ndarray:
     """Validate unitarity of an untrusted matrix and return it as complex."""
     u = np.asarray(u, dtype=complex)
     num_qubits(u)
-    if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=tol):
+    if not close(u.conj().T @ u, np.eye(u.shape[0])):
         raise ValueError("matrix is not unitary")
     return u
 
@@ -76,15 +86,15 @@ def pauli_conjugates(u, vectors):
 _PHASE_TABLE = ((1 + 0j, (0, 0)), (-1 + 0j, (0, 1)), (1j, (1, 0)), (-1j, (1, 1)))
 
 
-def _phase_bits(z, tol=TOL):
+def _phase_bits(z):
     """Map a complex number to (delta, epsilon) if it is a group phase."""
     for val, bits in _PHASE_TABLE:
-        if abs(z - val) < tol:
+        if abs(z - val) < TOL:
             return bits
     return None
 
 
-def is_pauli(u, tol=TOL):
+def is_pauli(u):
     """The unique PhasedPauli realized by u, or None.
 
     A candidate is read off the action on |0> and the |e_j> states and
@@ -95,7 +105,7 @@ def is_pauli(u, tol=TOL):
     n = num_qubits(u)
     dim = u.shape[0]
     col0 = u[:, 0]
-    hits = np.flatnonzero(np.abs(col0) > tol)
+    hits = np.flatnonzero(np.abs(col0) > TOL)
     if hits.size != 1:
         return None
     row0 = int(hits[0])
@@ -105,24 +115,24 @@ def is_pauli(u, tol=TOL):
         col = 1 << (n - 1 - i)
         target = row0 ^ col
         ratio = u[target, col] / col0[row0]
-        if abs(ratio - 1) < tol:
+        if abs(ratio - 1) < TOL:
             v[i] = 0
-        elif abs(ratio + 1) < tol:
+        elif abs(ratio + 1) < TOL:
             v[i] = 1
         else:
             return None
     a = np.concatenate([v, w])
     base = col0[row0] * (-1.0) ** gf2.dot(v, w)
-    bits = _phase_bits(base, tol)
+    bits = _phase_bits(base)
     if bits is None:
         return None
     cand = PhasedPauli(bits[0], bits[1], a)
-    if not np.allclose(u, pauli_to_dense(cand), atol=tol):
+    if not close(u, pauli_to_dense(cand)):
         return None
     return cand
 
 
-def extract_rep(u, tol=TOL):
+def extract_rep(u):
     """Read the (C, h) rep off a dense matrix, or None if not Clifford.
 
     Conjugates all 2n generators; every image must be an exact phased
@@ -135,7 +145,7 @@ def extract_rep(u, tol=TOL):
     hbits = []
     j = gf2.j_mat(n)
     for conj in pauli_conjugates(u, gf2.ident(2 * n)):
-        img = is_pauli(conj, tol)
+        img = is_pauli(conj)
         if img is None:
             return None
         if img.delta != gf2.quad_form(j, img.a):
@@ -148,16 +158,16 @@ def extract_rep(u, tol=TOL):
     return CliffordRep(c, np.array(hbits, dtype=np.uint8))
 
 
-def _in_level(u, k, tol):
+def _in_level(u, k):
     if k == 1:
-        return is_pauli(u, tol) is not None
+        return is_pauli(u) is not None
     if k == 2:
-        return extract_rep(u, tol) is not None
+        return extract_rep(u) is not None
     gens = gf2.ident(2 * num_qubits(u))
-    return all(_in_level(conj, k - 1, tol) for conj in pauli_conjugates(u, gens))
+    return all(_in_level(conj, k - 1) for conj in pauli_conjugates(u, gens))
 
 
-def hierarchy_level(u, kmax=3, tol=TOL):
+def hierarchy_level(u, kmax=3):
     """Smallest k <= kmax with u in level k of the hierarchy, else None.
 
     Level 1 is the Pauli group, level 2 the Clifford group, and level
@@ -167,11 +177,11 @@ def hierarchy_level(u, kmax=3, tol=TOL):
         raise ValueError(f"kmax={kmax} is below 1")
     if kmax > HIERARCHY_LEVEL_CAP:
         raise ValueError(f"kmax={kmax} exceeds the cap {HIERARCHY_LEVEL_CAP}")
-    u = check_unitary(u, tol)
+    u = check_unitary(u)
     if num_qubits(u) > HIERARCHY_QUBIT_CAP:
         raise ValueError(f"dimension {u.shape[0]} exceeds the hierarchy cap")
     for k in range(1, kmax + 1):
-        if _in_level(u, k, tol):
+        if _in_level(u, k):
             return k
     return None
 
@@ -346,10 +356,10 @@ class MonomialCheck:
     phases: tuple | None = None
 
 
-def monomial_check(u, tol=TOL) -> MonomialCheck:
+def monomial_check(u) -> MonomialCheck:
     """Decompose u as permutation times diagonal, if it is monomial."""
     u = np.asarray(u, dtype=complex)
-    heavy = np.abs(u) > tol
+    heavy = np.abs(u) > TOL
     if not (heavy.sum(axis=0) == 1).all() or not (heavy.sum(axis=1) == 1).all():
         return MonomialCheck(False)
     rows = heavy.argmax(axis=0)
@@ -357,16 +367,16 @@ def monomial_check(u, tol=TOL) -> MonomialCheck:
     return MonomialCheck(True, tuple(int(r) for r in rows), tuple(phases))
 
 
-def allclose_up_to_phase(u, v, tol=TOL) -> bool:
-    """Whether u = e^{i theta} v for a single global phase."""
+def close_up_to_phase(u, v) -> bool:
+    """Whether u = e^{i theta} v for a single global phase, within TOL."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         return False
     idx = np.unravel_index(np.abs(v).argmax(), v.shape)
-    if abs(v[idx]) < tol:
-        return np.allclose(u, v, atol=tol)
+    if abs(v[idx]) < TOL:
+        return close(u, v)
     phase = u[idx] / v[idx]
-    if abs(abs(phase) - 1) > tol:
+    if abs(abs(phase) - 1) > TOL:
         return False
-    return np.allclose(u, phase * v, atol=tol)
+    return close(u, phase * v)

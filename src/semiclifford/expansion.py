@@ -144,9 +144,11 @@ def expand(rep: CliffordRep) -> ExpansionResult:
         prev = t ^ (1 << k)
         values[t] = values[prev] * phase[prev, k]
 
+    # every phase is +-1 or +-i, so the products are exact and any path
+    # through the cube must give bit-equal values
     for k in range(m):
         shifted = np.arange(count) ^ (1 << k)
-        if not np.allclose(values[shifted], values * phase[:, k], atol=1e-12):
+        if not np.array_equal(values[shifted], values * phase[:, k]):
             raise AssertionError("coefficient recurrence is path-dependent")
 
     support.flags.writeable = False

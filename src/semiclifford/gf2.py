@@ -13,30 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = [
-    "asbits",
-    "ident",
-    "zeros",
-    "j_mat",
-    "p_mat",
-    "mat_mul",
-    "lows",
-    "diag_vec",
-    "quad_form",
-    "rref",
-    "rank",
-    "inverse",
-    "solve",
-    "kernel_basis",
-    "image_pivots",
-    "is_involution",
-    "is_symplectic",
-    "symmetric_congruence",
-    "Lagrangian",
-    "enumerate_lagrangians",
-    "symplectic_complete",
-]
-
 
 def asbits(data) -> np.ndarray:
     """Coerce an array-like to uint8 with entries reduced mod 2."""

@@ -6,7 +6,8 @@ Kronecker products, diagonal span ranks from exact elimination of the
 full pattern matrix, Lagrangians from a DFS over isotropic extensions,
 symplectic groups from brute-force filtering of all matrices, and
 generalized semi-Clifford witnesses from a full monomial check of every
-Lagrangian pair.
+Lagrangian pair.  reconstruct_unitary inverts generators_from_gate on
+the dense side, as a round-trip check of generator families.
 """
 
 from __future__ import annotations
@@ -17,8 +18,17 @@ from semiclifford import gf2
 from semiclifford.circuits import circuit_to_dense, embed_gate, random_circuit
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
 from semiclifford.classify import GscWitness, _lagrangian_cliffords, _verify_span_map
-from semiclifford.dense import TOL, BlockRep, check_unitary, monomial_check, num_qubits
+from semiclifford.dense import (
+    TOL,
+    BlockRep,
+    check_unitary,
+    close,
+    monomial_check,
+    num_qubits,
+    pauli_conjugates,
+)
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
+from semiclifford.pipeline import GeneratorFamily
 
 
 # single-qubit tau matrices; tau_00 is the group identity
@@ -44,20 +54,20 @@ def hex_to_bits(text, size) -> np.ndarray:
     return np.unpackbits(raw)[:size].astype(np.uint8)
 
 
-def gsc_search_oracle(u, tol=TOL):
+def gsc_search_oracle(u):
     """Generalized semi-Clifford search with no screen: one full
     monomial check per Lagrangian pair, in canonical order."""
-    u = check_unitary(u, tol)
+    u = check_unitary(u)
     lags, mats = _lagrangian_cliffords(num_qubits(u))
     for i_dom, q_dom in enumerate(mats):
         middle_left = u @ q_dom
         for i_img, q_img in enumerate(mats):
-            mc = monomial_check(q_img.conj().T @ middle_left, tol)
+            mc = monomial_check(q_img.conj().T @ middle_left)
             if not mc.is_monomial:
                 continue
             domain = lags[i_dom]
             image = lags[i_img]
-            if not _verify_span_map(u, domain, image, tol):
+            if not _verify_span_map(u, domain, image):
                 raise AssertionError("monomial witness failed the span check")
             return True, GscWitness(
                 domain=domain,
@@ -66,6 +76,54 @@ def gsc_search_oracle(u, tol=TOL):
                 phases=mc.phases,
             )
     return False, len(lags) ** 2
+
+
+def reconstruct_unitary(family: GeneratorFamily) -> np.ndarray:
+    """Rebuild a unitary whose conjugation action realizes the family.
+
+    Finds a joint eigenvector of the first n dense generators (first
+    sign assignment with a nonzero joint projector, first basis vector
+    with nonzero image, leading entry gauged real positive) and builds
+    the columns as generator products applied to it.  The output is
+    verified to be unitary and to conjugate each tau_{e_i} to the dense
+    generator exactly.
+    """
+    family.validate()
+    n = family.n
+    dim = 1 << n
+    alpha = None
+    lambdas = None
+    for assign in range(1 << n):
+        bits = [(assign >> (n - 1 - i)) & 1 for i in range(n)]
+        for col in range(dim):
+            vec = np.zeros(dim, dtype=complex)
+            vec[col] = 1.0
+            for i in range(n):
+                vec = 0.5 * (vec + (-1.0) ** bits[i] * (family.dense_qs[i] @ vec))
+            norm = np.linalg.norm(vec)
+            if norm > TOL:
+                vec = vec / norm
+                lead = vec[np.flatnonzero(np.abs(vec) > TOL)[0]]
+                vec = vec * (abs(lead) / lead)
+                alpha = vec
+                lambdas = bits
+                break
+        if alpha is not None:
+            break
+    if alpha is None:
+        raise ValueError("no joint eigenvector found; family invariants are broken")
+    cols = np.zeros((dim, dim), dtype=complex)
+    for x in range(dim):
+        vec = alpha
+        for i in range(n - 1, -1, -1):
+            if ((x >> (n - 1 - i)) & 1) ^ lambdas[i]:
+                vec = family.dense_qs[n + i] @ vec
+        cols[:, x] = vec
+    u = check_unitary(cols)
+    for i, conj in enumerate(pauli_conjugates(u, gf2.ident(2 * n))):
+        if not close(conj, family.dense_qs[i]):
+            raise AssertionError(f"reconstruction misses generator {i}")
+    return u
 
 
 def pattern_matrix(spectra):

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-Every tolerance is pinned here: GF(2) checks are exact, dense checks
-use 1e-9 absolute, and each criterion enforces its runtime budget.
+Every tolerance is pinned here: GF(2) checks are exact, the library's
+dense checks use its one absolute tolerance (dense.TOL = 1e-9, applied
+through dense.close with no relative term), the checks written here
+use 1e-9 absolute as well (1e-12 for expansion magnitudes), and each
+criterion enforces its runtime budget.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from semiclifford.circuits import circuit_to_dense, circuit_to_rep, embed_gate, 
 from semiclifford.classify import is_generalized_semi_clifford, is_semi_clifford
 from semiclifford.clifford import CliffordRep, compose, inverse
 from semiclifford.dense import (
-    allclose_up_to_phase,
+    close_up_to_phase,
     commutator_sign,
     extract_rep,
     hierarchy_level,
@@ -184,7 +187,7 @@ def test_criterion_06_pauli_expansion():
                     assert abs(abs(val) - want_mag) < 1e-9
                 dd = rep_to_dense(rep)
                 assert extract_rep(dd) == rep
-                assert allclose_up_to_phase(dd, u, 1e-8)
+                assert close_up_to_phase(dd, u)
 
 
 def test_criterion_07_hierarchy_levels():

@@ -1,11 +1,14 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiclifford.circuits import (
     CircuitDescription,
@@ -215,11 +218,15 @@ def test_cli_error_paths(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the package from this checkout's src/, as the
+    # suite itself does, whether or not PYTHONPATH names it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "semiclifford.cli", "--json", "classify", data("circuits/h.cir")],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
@@ -271,6 +278,35 @@ def test_read_bit_matrices_rejects_non_binary_digits(tmp_path):
         read_bit_matrices(str(bad))
     code = main(["--json", "normalform", str(bad)])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("-1 2\n10\n", 1),
+        ("2 x\n10\n01\n", 1),
+        ("0 0\n", 1),
+        ("# comment\n\n1 2\n10\n2 -2\n10\n01\n", 5),
+    ],
+)
+def test_read_bit_matrices_rejects_bad_header(tmp_path, text, line):
+    bad = tmp_path / "header.mat"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=rf"header\.mat: line {line}: .* not two positive integers"):
+        read_bit_matrices(str(bad))
+    assert main(["--json", "normalform", str(bad)]) == 1
+
+
+@given(st.text(alphabet="0123456789 -+_x#\t\n", max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_read_bit_matrices_header_fuzz(tmp_path_factory, header):
+    path = tmp_path_factory.mktemp("fuzz") / "m.mat"
+    path.write_text(f"{header}\n10\n01\n")
+    try:
+        mats = read_bit_matrices(str(path))
+    except ValueError:
+        return
+    assert all(m.dtype == np.uint8 and m.size for m in mats)
 
 
 @pytest.mark.parametrize("kmax", ["0", "-1"])

@@ -185,9 +185,9 @@ def test_column0_survivors_include_every_monomial_pair(rng):
 def test_full_miss_search_runs_few_monomial_checks(monkeypatch):
     calls = []
 
-    def counting(m, tol):
+    def counting(m):
         calls.append(1)
-        return monomial_check(m, tol)
+        return monomial_check(m)
 
     u = full_miss_gate(0)
     monkeypatch.setattr(classify_module, "monomial_check", counting)

@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -7,13 +11,16 @@ from helpers import (
     sample_admissible_pair,
     sample_block_rep,
 )
+import semiclifford
 from semiclifford import gf2
 from semiclifford.classify import classify
 from semiclifford.circuits import embed_gate, standard_gate
 from semiclifford.clifford import CliffordRep, from_pauli
 from semiclifford.dense import (
     BlockRep,
-    allclose_up_to_phase,
+    check_unitary,
+    close,
+    close_up_to_phase,
     commutator_sign,
     extract_rep,
     hierarchy_level,
@@ -22,6 +29,7 @@ from semiclifford.dense import (
     pauli_conjugates,
     realize_block,
     _generator_matrices,
+    TOL,
 )
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
@@ -93,11 +101,11 @@ def test_hierarchy_monotone():
     from semiclifford.dense import _in_level
 
     t = embed_gate("T", (0,), 1)
-    assert not _in_level(t, 2, 1e-9)
-    assert _in_level(t, 3, 1e-9)
-    assert _in_level(t, 4, 1e-9)
+    assert not _in_level(t, 2)
+    assert _in_level(t, 3)
+    assert _in_level(t, 4)
     h = embed_gate("H", (0,), 1)
-    assert _in_level(h, 2, 1e-9) and _in_level(h, 3, 1e-9)
+    assert _in_level(h, 2) and _in_level(h, 3)
 
 
 def test_hierarchy_above_kmax():
@@ -133,7 +141,7 @@ def test_realize_block_identity_and_sigma_z():
 def test_realize_block_cz():
     cz = standard_gate("CZ", (0, 1), 2)
     blk = BlockRep.from_rep(cz)
-    assert allclose_up_to_phase(realize_block(blk), embed_gate("CZ", (0, 1), 2))
+    assert close_up_to_phase(realize_block(blk), embed_gate("CZ", (0, 1), 2))
 
 
 def test_realize_block_eighth_root_case():
@@ -145,7 +153,7 @@ def test_realize_block_eighth_root_case():
     assert np.allclose(d @ d, np.eye(2), atol=1e-12)
     assert extract_rep(d) == rep
     xs = embed_gate("X", (0,), 1) @ embed_gate("S", (0,), 1)
-    assert allclose_up_to_phase(d, xs)
+    assert close_up_to_phase(d, xs)
 
 
 def test_realize_block_rejects_non_involution():
@@ -218,8 +226,61 @@ def test_monomial_check():
 
 def test_allclose_up_to_phase():
     u = embed_gate("S", (0,), 1)
-    assert allclose_up_to_phase(np.exp(0.3j) * u, u)
-    assert not allclose_up_to_phase(embed_gate("H", (0,), 1), u)
+    assert close_up_to_phase(np.exp(0.3j) * u, u)
+    assert not close_up_to_phase(embed_gate("H", (0,), 1), u)
+
+
+# The three cases below sit between TOL and numpy's default rtol of
+# 1e-5: a relative tolerance would accept each of them.
+
+
+def test_check_unitary_tolerance_is_absolute():
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(np.diag([1, 1 + 1e-6]))
+
+
+def test_is_pauli_tolerance_is_absolute():
+    zz = np.diag([1.0, -1.0, -1.0, 1.0])
+    assert is_pauli(zz) == PhasedPauli(0, 0, [1, 1, 0, 0])
+    zz[3, 3] += 4e-6
+    assert is_pauli(zz) is None
+
+
+def test_close_up_to_phase_tolerance_is_absolute():
+    # every entry has modulus 1, and the largest entry (0, 0) is untouched,
+    # so the phase read off it is exactly 1
+    v = np.array([[1, 1], [1, -1]], dtype=complex)
+    u = v.copy()
+    u[1, 1] += 1e-6
+    assert not close_up_to_phase(u, v)
+    assert close(v + TOL / 2, v) and not close(v + 2 * TOL, v)
+
+
+def _package_routines():
+    for info in pkgutil.iter_modules(semiclifford.__path__):
+        mod = importlib.import_module(f"semiclifford.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                for _, member in inspect.getmembers(obj):
+                    if inspect.isfunction(member) or inspect.ismethod(member):
+                        yield f"{mod.__name__}.{obj.__name__}.{member.__name__}", member
+            elif callable(obj):
+                yield f"{mod.__name__}.{obj.__name__}", obj
+
+
+def test_no_function_takes_a_tolerance():
+    # dense.TOL is the one tolerance; no caller may pick another
+    routines = dict(_package_routines())
+    assert "semiclifford.pipeline.GeneratorFamily.validate" in routines
+    assert len(routines) > 100
+    takes_tol = [
+        name
+        for name, fn in routines.items()
+        if "tol" in inspect.signature(fn).parameters
+    ]
+    assert takes_tol == []
 
 
 def test_hierarchy_level_four():

@@ -5,7 +5,7 @@ from helpers import int_to_bits, pauli_projection, random_clifford_dense
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_dense, circuit_to_rep, random_circuit, standard_gate
 from semiclifford.clifford import CliffordRep
-from semiclifford.dense import allclose_up_to_phase, extract_rep
+from semiclifford.dense import close_up_to_phase, extract_rep
 from semiclifford.expansion import alpha_vector, expand, rep_to_dense
 
 
@@ -118,7 +118,7 @@ def test_support_is_coset_of_image(rng):
 def test_rep_to_dense_identity_and_s_gate():
     assert np.allclose(rep_to_dense(CliffordRep.identity(1)), np.eye(2))
     ds = rep_to_dense(standard_gate("S", (0,), 1))
-    assert allclose_up_to_phase(ds, np.diag([1, 1j]))
+    assert close_up_to_phase(ds, np.diag([1, 1j]))
 
 
 def test_rep_to_dense_lagrangian_completions():
@@ -137,7 +137,7 @@ def test_rep_to_dense_round_trip_random(rng):
             rep = extract_rep(u)
             dd = rep_to_dense(rep)
             assert extract_rep(dd) == rep
-            assert allclose_up_to_phase(dd, u, 1e-8)
+            assert close_up_to_phase(dd, u)
 
 
 def test_rep_to_dense_cap():

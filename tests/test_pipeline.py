@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import pattern_matrix, random_c3_gate, random_clifford_dense, rank_mod_prime
+from helpers import (
+    pattern_matrix,
+    random_c3_gate,
+    random_clifford_dense,
+    rank_mod_prime,
+    reconstruct_unitary,
+)
 from semiclifford import gf2
 from semiclifford.circuits import embed_gate
 from semiclifford.clifford import CliffordRep, compose, from_pauli
-from semiclifford.dense import allclose_up_to_phase, extract_rep, hierarchy_level
+from semiclifford.dense import close_up_to_phase, extract_rep, hierarchy_level
 from semiclifford.pauli import PhasedPauli
 from semiclifford.pipeline import (
     GeneratorFamily,
@@ -18,7 +24,6 @@ from semiclifford.pipeline import (
     normalize_family,
     orbit_kernel,
     product_rep,
-    reconstruct_unitary,
     run_pipeline,
     span_rank,
 )
@@ -57,7 +62,7 @@ def test_non_c3_gate_is_rejected_with_witness():
 def test_reconstruct_identity_family():
     fam = generators_from_gate(np.eye(4, dtype=complex))
     u = reconstruct_unitary(fam)
-    assert allclose_up_to_phase(u, np.eye(4))
+    assert close_up_to_phase(u, np.eye(4))
 
 
 @pytest.mark.parametrize("name,qubits,n", [("H", (0,), 1), ("T", (0,), 1), ("CCZ", (0, 1, 2), 3)])
@@ -71,14 +76,14 @@ def test_reconstruct_known_gates(name, qubits, n):
 
     for i, g in enumerate(_generator_matrices(n)):
         assert np.allclose(u @ g @ udag, fam.dense_qs[i], atol=1e-8)
-    assert allclose_up_to_phase(u, u0, 1e-8)
+    assert close_up_to_phase(u, u0)
 
 
 def test_reconstruct_random_c3(rng):
     u0 = random_c3_gate(2, rng)
     fam = generators_from_gate(u0)
     u = reconstruct_unitary(fam)
-    assert allclose_up_to_phase(u, u0, 1e-8)
+    assert close_up_to_phase(u, u0)
 
 
 def test_normalize_block_family_is_noop():
@@ -185,7 +190,9 @@ def test_small_orbit_family_fails_both_paths():
     # unvalidated: every product is the identity, so the orbit of 0 is {0}
     # and the zero set is everything
     n = 2
-    fam = GeneratorFamily(qs=(CliffordRep.identity(n),) * (2 * n), dense_qs=None, n=n)
+    fam = GeneratorFamily(
+        qs=(CliffordRep.identity(n),) * (2 * n), dense_qs=(np.eye(1 << n),) * (2 * n), n=n
+    )
     with pytest.raises(AssertionError, match="orbit of 0 has 1 points"):
         orbit_kernel(fam)
     with pytest.raises(AssertionError, match="kernel has size 16"):
