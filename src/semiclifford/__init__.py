@@ -13,6 +13,7 @@ from .circuits import (
     CircuitDescription,
     CircuitSyntaxError,
     circuit_to_dense,
+    circuit_to_monomial,
     circuit_to_rep,
     parse_circuit,
     random_circuit,
@@ -20,6 +21,7 @@ from .circuits import (
 )
 from .dense import (
     BlockRep,
+    Monomial,
     MonomialCheck,
     commutator_sign,
     extract_rep,

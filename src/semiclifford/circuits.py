@@ -2,23 +2,26 @@
 
 Circuit files are line oriented: the first non-comment line is
 ``qubits N``, every following line is ``NAME q0 [q1 [q2]]``, and ``#``
-starts a comment.  Qubit 0 is the most significant bit of a basis
-label (leftmost tensor factor).
+starts a comment.  Numbers are ASCII digits only.  Qubit 0 is the
+most significant bit of a basis label (leftmost tensor factor).
 
 Clifford gate reps are extracted from the dense matrices rather than
 transcribed from tables, so the dense engine stays the single source
-of truth.
+of truth.  Likewise circuit_to_monomial reads each gate's permutation
+and phases off its GATE_MATRICES entry with monomial_check; every
+library gate but H is monomial.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .clifford import CliffordRep, compose
-from .dense import extract_rep
+from .dense import Monomial, extract_rep, monomial_check
 from .pauli import check_dense_cap
 
 _SQ2 = np.sqrt(2.0)
@@ -58,6 +61,10 @@ class CircuitSyntaxError(ValueError):
     pass
 
 
+# int() also reads "1_0", "+1" and non-ASCII digits; the format does not
+_DIGITS = re.compile(r"[0-9]+")
+
+
 @dataclass(frozen=True)
 class CircuitDescription:
     n: int
@@ -94,20 +101,18 @@ def parse_circuit(text) -> CircuitDescription:
                 raise CircuitSyntaxError(
                     f"line {lineno}: expected 'qubits N', got {raw.strip()!r}"
                 )
-            try:
-                n = int(tokens[1])
-            except ValueError:
+            if not _DIGITS.fullmatch(tokens[1]):
                 raise CircuitSyntaxError(f"line {lineno}: bad qubit count {tokens[1]!r}")
+            n = int(tokens[1])
             if n < 1:
                 raise CircuitSyntaxError(f"line {lineno}: qubit count must be positive")
             continue
         name = tokens[0].upper()
         if name not in GATE_MATRICES:
             raise CircuitSyntaxError(f"line {lineno}: unknown gate {tokens[0]!r}")
-        try:
-            qubits = tuple(int(t) for t in tokens[1:])
-        except ValueError:
+        if not all(_DIGITS.fullmatch(t) for t in tokens[1:]):
             raise CircuitSyntaxError(f"line {lineno}: bad qubit index in {raw.strip()!r}")
+        qubits = tuple(int(t) for t in tokens[1:])
         if len(qubits) != GATE_ARITY[name]:
             raise CircuitSyntaxError(
                 f"line {lineno}: {name} takes {GATE_ARITY[name]} qubits, got {len(qubits)}"
@@ -162,6 +167,50 @@ def circuit_to_dense(desc: CircuitDescription) -> np.ndarray:
     u = np.eye(1 << desc.n, dtype=complex)
     for name, qubits in desc.gates:
         u = embed_gate(name, qubits, desc.n) @ u
+    return u
+
+
+@lru_cache(maxsize=None)
+def _gate_monomial(name):
+    """The library gate as a Monomial on its own qubits, or None (H)."""
+    mc = monomial_check(GATE_MATRICES[name])
+    if not mc.is_monomial:
+        return None
+    gate = Monomial(mc.permutation, mc.phases)
+    gate.perm.flags.writeable = False
+    gate.phases.flags.writeable = False
+    return gate
+
+
+def _embed_monomial(gate: Monomial, qubits, n) -> Monomial:
+    """gate on the given qubits of n, in O(2^n); embed_gate's layout."""
+    k = len(qubits)
+    cols = np.arange(1 << n)
+    shifts = [n - 1 - q for q in qubits]
+    sub_col = np.zeros_like(cols)
+    rows = cols.copy()
+    for pos, sh in enumerate(shifts):
+        sub_col |= ((cols >> sh) & 1) << (k - 1 - pos)
+        rows &= ~(1 << sh)
+    sub_row = gate.perm[sub_col]
+    for pos, sh in enumerate(shifts):
+        rows |= ((sub_row >> (k - 1 - pos)) & 1) << sh
+    return Monomial(rows, gate.phases[sub_col])
+
+
+def circuit_to_monomial(desc: CircuitDescription) -> Monomial | None:
+    """Monomial unitary of a circuit, or None if a gate is not monomial.
+
+    Listed gates act in order, as in circuit_to_dense, whose matrix
+    this equals within TOL; the cost is O(2^n) per gate.
+    """
+    check_dense_cap(desc.n)
+    u = Monomial.identity(desc.n)
+    for name, qubits in desc.gates:
+        gate = _gate_monomial(name)
+        if gate is None:
+            return None
+        u = _embed_monomial(gate, qubits, desc.n) @ u
     return u
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
 import numpy as np
 
 from . import gf2
-from .circuits import circuit_to_dense, parse_circuit
+from .circuits import circuit_to_dense, circuit_to_monomial, parse_circuit
 from .classify import classify
 from .clifford import CliffordRep
 from .dense import TOL, extract_rep
@@ -61,14 +62,18 @@ def phase_str(z) -> str:
     return f"{z.real:+.12f}{z.imag:+.12f}j"
 
 
+_HEADER = re.compile(r"([0-9]+)\s+([0-9]+)")
+
+
 def read_bit_matrices(path) -> list:
     """Read one or more matrices: 'rows cols' header then 0/1 row lines.
 
     Raises:
-        ValueError: on a header that is not two positive integers or a
-            row character other than 0 or 1 (both naming the file line,
-            so no digit is silently reduced mod 2), a truncated block,
-            or a wrong shape.
+        ValueError: naming the file and line, on a header that is not
+            two positive integers in ASCII digits, a row character other
+            than 0 or 1 (so no digit is silently reduced mod 2), a row
+            whose length is not the header's column count, or a block
+            that ends before its header's row count.
     """
     with open(path) as fh:
         lines = [(num, ln.split("#", 1)[0].strip()) for num, ln in enumerate(fh, 1)]
@@ -77,35 +82,41 @@ def read_bit_matrices(path) -> list:
     i = 0
     while i < len(lines):
         num, header = lines[i]
-        try:
-            rows, cols = (int(tok) for tok in header.split())
-        except ValueError:
-            rows = cols = 0
+        m = _HEADER.fullmatch(header)
+        rows, cols = (int(m[1]), int(m[2])) if m else (0, 0)
         if rows < 1 or cols < 1:
             raise ValueError(
                 f"{path}: line {num}: matrix header {header!r} is not two positive integers"
             )
         body = lines[i + 1 : i + 1 + rows]
         if len(body) != rows:
-            raise ValueError("truncated matrix block")
-        for num, ln in body:
+            raise ValueError(
+                f"{path}: line {num}: block of {rows} rows ends after {len(body)}"
+            )
+        for row_num, ln in body:
             if ln.strip("01"):
                 raise ValueError(
-                    f"{path}: line {num}: row {ln!r} has a character other than 0 or 1"
+                    f"{path}: line {row_num}: row {ln!r} has a character other than 0 or 1"
                 )
-        mat = np.array([[int(ch) for ch in ln] for _, ln in body], dtype=np.uint8)
-        if mat.shape != (rows, cols):
-            raise ValueError(f"matrix block is {mat.shape}, header says {(rows, cols)}")
-        mats.append(mat)
+            if len(ln) != cols:
+                raise ValueError(
+                    f"{path}: line {row_num}: row {ln!r} has {len(ln)} entries, "
+                    f"header says {cols}"
+                )
+        mats.append(np.array([[int(ch) for ch in ln] for _, ln in body], dtype=np.uint8))
         i += 1 + rows
     if not mats:
         raise ValueError(f"no matrices found in {path}")
     return mats
 
 
-def load_circuit_dense(path):
+def load_circuit(path):
     with open(path) as fh:
-        desc = parse_circuit(fh.read())
+        return parse_circuit(fh.read())
+
+
+def load_circuit_dense(path):
+    desc = load_circuit(path)
     return desc, circuit_to_dense(desc)
 
 
@@ -194,7 +205,10 @@ def certificate_to_json(cert) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    desc, u = load_circuit_dense(args.circuit)
+    desc = load_circuit(args.circuit)
+    u = circuit_to_monomial(desc)
+    if u is None:  # an H gate: the dense engine
+        u = circuit_to_dense(desc)
     rng = np.random.default_rng(args.seed)
     cert = run_pipeline(u, rng=rng)
     return {

@@ -1,4 +1,4 @@
-"""Ground-truth dense complex-matrix engine.
+"""Operator engine: dense 2^n x 2^n matrices and monomial matrices.
 
 Everything symbolic in this package is cross-checked against exact
 2^n x 2^n matrices built here: Pauli membership, Clifford extraction,
@@ -15,10 +15,19 @@ an eighth root of unity over a power of sqrt(2), and at the supported
 sizes two distinct such values differ by far more than TOL.  So TOL
 only absorbs accumulated rounding, which stays near machine epsilon,
 and never merges two exact values.
+
+A Monomial (permutation times diagonal) is the engine's second
+operator type.  check_unitary, close, pauli_conjugates, is_pauli and
+so extract_rep and hierarchy_level accept one as well as an ndarray
+and give the same result, each in O(2^n) per operation instead of a
+dense matmul or scan.  The type of the input picks the engine; dense
+matrices remain the engine for non-monomial gates (H) and the oracle
+the tests check the monomial path against.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,12 +35,101 @@ import numpy as np
 
 from . import gf2
 from .clifford import CliffordRep, compose, is_involution_rep, reps_commute
-from .pauli import PhasedPauli, pauli_action, pauli_to_dense
+from .pauli import PhasedPauli, _label_tables, pauli_action, pauli_to_dense
 
 TOL = 1e-9
 # qubit cap of the dense hierarchy test, rep_to_dense and the pipeline
 HIERARCHY_QUBIT_CAP = 7
 HIERARCHY_LEVEL_CAP = 4
+
+
+class Monomial:
+    """A 2^n x 2^n monomial matrix: u|c> = phases[c] |perm[c]>.
+
+    perm[c] is the row of the one nonzero entry of column c, as in
+    MonomialCheck, and phases[c] its value; every phase is above TOL in
+    modulus.  Products, adjoints and Pauli conjugations cost O(2^n).
+    Treat the arrays as read-only: operations return new Monomials.
+    """
+
+    __slots__ = ("perm", "phases")
+    # numpy operators defer to this class: `-1.0 * m` reaches __rmul__,
+    # and `ndarray @ m` raises instead of building an object array
+    __array_ufunc__ = None
+    ndim = 2
+
+    def __init__(self, perm, phases):
+        perm = np.asarray(perm, dtype=np.intp)
+        phases = np.asarray(phases, dtype=complex)
+        if perm.ndim != 1 or perm.shape != phases.shape:
+            raise ValueError(f"perm {perm.shape} and phases {phases.shape} differ in shape")
+        self.perm = perm
+        self.phases = phases
+
+    @classmethod
+    def identity(cls, n):
+        dim = 1 << n
+        return cls(np.arange(dim), np.ones(dim, dtype=complex))
+
+    @classmethod
+    def from_dense(cls, u):
+        mc = monomial_check(u)
+        if not mc.is_monomial:
+            raise ValueError("matrix is not monomial")
+        return cls(mc.permutation, mc.phases)
+
+    @property
+    def shape(self):
+        return self.perm.shape * 2
+
+    def __matmul__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        if self.perm.shape != other.perm.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not multiply")
+        return Monomial(self.perm[other.perm], self.phases[other.perm] * other.phases)
+
+    def __rmul__(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return Monomial(self.perm, scalar * self.phases)
+
+    def dag(self):
+        """The adjoint: column perm[c] holds conj(phases[c]) in row c."""
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(self.perm.size)
+        return Monomial(inv, self.phases[inv].conj())
+
+    def to_dense(self) -> np.ndarray:
+        dim = self.perm.size
+        out = np.zeros((dim, dim), dtype=complex)
+        out[self.perm, np.arange(dim)] = self.phases
+        return out
+
+    def __repr__(self):
+        return f"Monomial(n={num_qubits(self)})"
+
+
+def as_dense(u) -> np.ndarray:
+    """u as a complex ndarray; a Monomial is expanded to its dense matrix."""
+    if isinstance(u, Monomial):
+        return u.to_dense()
+    return np.asarray(u, dtype=complex)
+
+
+def _as_operator(u):
+    """A Monomial as it is, anything else as a complex ndarray."""
+    if isinstance(u, Monomial):
+        return u
+    return np.asarray(u, dtype=complex)
+
+
+def identity_like(u):
+    """The identity of u's size: a Monomial for a Monomial, else dense."""
+    n = num_qubits(u)
+    if isinstance(u, Monomial):
+        return Monomial.identity(n)
+    return np.eye(1 << n)
 
 
 def num_qubits(u) -> int:
@@ -46,14 +144,33 @@ def num_qubits(u) -> int:
 
 
 def close(a, b) -> bool:
-    """Whether a and b agree within TOL in every entry (absolute, max-norm)."""
+    """Whether a and b agree within TOL in every entry (absolute, max-norm).
+
+    Two Monomials are close when their permutations are equal and their
+    phases agree within TOL, which is the dense test on their matrices,
+    since each phase is above TOL in modulus.  A Monomial is compared
+    only with a Monomial.
+    """
+    if isinstance(a, Monomial) or isinstance(b, Monomial):
+        if not (isinstance(a, Monomial) and isinstance(b, Monomial)):
+            raise TypeError("close compares a Monomial only with a Monomial")
+        return np.array_equal(a.perm, b.perm) and bool(np.abs(a.phases - b.phases).max() <= TOL)
     return bool(np.abs(a - b).max() <= TOL)
 
 
-def check_unitary(u) -> np.ndarray:
-    """Validate unitarity of an untrusted matrix and return it as complex."""
-    u = np.asarray(u, dtype=complex)
-    num_qubits(u)
+def check_unitary(u):
+    """Validate unitarity of an untrusted matrix and return it as complex.
+
+    A Monomial is unitary when its permutation is a bijection and every
+    phase has modulus 1 within TOL: then u^dag u is diag(|phases|^2).
+    """
+    u = _as_operator(u)
+    n = num_qubits(u)
+    if isinstance(u, Monomial):
+        bijective = np.array_equal(np.sort(u.perm), np.arange(1 << n))
+        if not (bijective and np.abs(np.abs(u.phases) ** 2 - 1).max() <= TOL):
+            raise ValueError("matrix is not unitary")
+        return u
     if not close(u.conj().T @ u, np.eye(u.shape[0])):
         raise ValueError("matrix is not unitary")
     return u
@@ -74,9 +191,17 @@ def pauli_conjugates(u, vectors):
 
     tau_a is a signed permutation (pauli_action), so tau_a u^dag is a
     row permutation of u^dag times +-1 signs: exact in floating point
-    and O(4^n), which leaves one matmul per conjugation.
+    and O(4^n), which leaves one matmul per conjugation.  For a
+    Monomial u, tau_a is the Monomial sending |c> to signs[c + w] |c + w>,
+    and the conjugate is two O(2^n) Monomial products.
     """
     n = num_qubits(u)
+    if isinstance(u, Monomial):
+        udag = u.dag()
+        for a in vectors:
+            perm, signs = pauli_action(n, a)
+            yield u @ Monomial(perm, signs[perm]) @ udag
+        return
     udag = u.conj().T
     for a in vectors:
         perm, signs = pauli_action(n, a)
@@ -99,37 +224,49 @@ def is_pauli(u):
 
     A candidate is read off the action on |0> and the |e_j> states and
     then verified entrywise, so near-misses (wrong phase grid, extra
-    support) are rejected.
+    support) are rejected.  A Monomial is verified in O(2^n) against
+    pauli_action: its permutation must be c -> c + w and its phases the
+    candidate's phase times tau_a's signs.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _as_operator(u)
     n = num_qubits(u)
-    dim = u.shape[0]
-    col0 = u[:, 0]
-    hits = np.flatnonzero(np.abs(col0) > TOL)
-    if hits.size != 1:
-        return None
-    row0 = int(hits[0])
-    w = np.array([(row0 >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+    cols = [1 << (n - 1 - i) for i in range(n)]  # |e_i>: qubit i's bit set
+    if isinstance(u, Monomial):
+        row0, z0 = int(u.perm[0]), u.phases[0]
+        if abs(z0) <= TOL:
+            return None
+        vals = [u.phases[c] if u.perm[c] == row0 ^ c else 0 for c in cols]
+    else:
+        col0 = u[:, 0]
+        hits = np.flatnonzero(np.abs(col0) > TOL)
+        if hits.size != 1:
+            return None
+        row0 = int(hits[0])
+        z0 = col0[row0]
+        vals = [u[row0 ^ c, c] for c in cols]
     v = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        col = 1 << (n - 1 - i)
-        target = row0 ^ col
-        ratio = u[target, col] / col0[row0]
+    for i, val in enumerate(vals):
+        ratio = val / z0
         if abs(ratio - 1) < TOL:
             v[i] = 0
         elif abs(ratio + 1) < TOL:
             v[i] = 1
         else:
             return None
-    a = np.concatenate([v, w])
-    base = col0[row0] * (-1.0) ** gf2.dot(v, w)
+    w = np.array([(row0 >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+    base = z0 * (-1.0) ** gf2.dot(v, w)
     bits = _phase_bits(base)
     if bits is None:
         return None
-    cand = PhasedPauli(bits[0], bits[1], a)
-    if not close(u, pauli_to_dense(cand)):
-        return None
-    return cand
+    cand = PhasedPauli(bits[0], bits[1], np.concatenate([v, w]))
+    if isinstance(u, Monomial):
+        perm, signs = pauli_action(n, cand.a)
+        ok = np.array_equal(u.perm, perm) and bool(
+            np.abs(u.phases - cand.phase * signs[perm]).max() <= TOL
+        )
+    else:
+        ok = close(u, pauli_to_dense(cand))
+    return cand if ok else None
 
 
 def extract_rep(u):
@@ -139,7 +276,7 @@ def extract_rep(u):
     Pauli.  The Hermiticity constraint d_j = c_j^T J c_j and the
     symplectic condition are verified rather than assumed.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _as_operator(u)
     n = num_qubits(u)
     cols = []
     hbits = []
@@ -251,6 +388,15 @@ class BlockRep:
         return f"BlockRep(n={self.n})"
 
 
+@lru_cache(maxsize=None)
+def basis_bits(n) -> np.ndarray:
+    """Read-only (2^n, n) array: row x holds the bits of label x, qubit 0 first."""
+    labels, _, weights = _label_tables(n)
+    bits = ((labels[:, None] & weights) != 0).astype(np.uint8)
+    bits.flags.writeable = False
+    return bits
+
+
 def _lambda_kernel(blk: BlockRep):
     """Strictly lower part of AE + d0 d0^T, the quadratic piece of the phases."""
     d0 = blk.d0
@@ -287,10 +433,7 @@ def realize_block(blk: BlockRep) -> np.ndarray:
     _check_involution_block(blk)
     n = blk.n
     dim = 1 << n
-    xbits = np.array(
-        [[(x >> (n - 1 - i)) & 1 for i in range(n)] for x in range(dim)],
-        dtype=np.uint8,
-    )
+    xbits = basis_bits(n)
     targets_bits = (xbits @ blk.a ^ blk.f) & 1
     powers = 1 << np.arange(n - 1, -1, -1)
     targets = targets_bits @ powers

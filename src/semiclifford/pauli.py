@@ -17,7 +17,7 @@ from . import gf2
 
 DENSE_QUBIT_CAP = 10
 
-_PARSE_RE = re.compile(r"^([+-])(i\.)?tau\[([01]*)\|([01]*)\]$")
+_PARSE_RE = re.compile(r"([+-])(i\.)?tau\[([01]+)\|([01]+)\]")
 
 
 class PhasedPauli:
@@ -79,7 +79,7 @@ class PhasedPauli:
 
     @classmethod
     def parse(cls, text):
-        m = _PARSE_RE.match(text.strip())
+        m = _PARSE_RE.fullmatch(text.strip())
         if m is None:
             raise ValueError(f"unparseable Pauli literal: {text!r}")
         sign, ipart, vbits, wbits = m.groups()

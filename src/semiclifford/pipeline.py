@@ -6,10 +6,16 @@ the same pattern as the Pauli generators.  The pipeline conjugates the
 family so every C-matrix has zero lower-left block, finds the
 n-dimensional kernel of the exponent-to-f-vector map as the stabilizer
 of 0 under the generators' affine action on the 2^n f-vectors, and
-realizes the kernel products as dense diagonal involutions.  The
+reads each kernel product's diagonal spectrum off its rep.  The
 resulting group spans the full diagonal algebra, which certifies that
 U is generalized semi-Clifford; the conjugating Clifford and the
 diagonal generators form the certificate.
+
+The operators Q_i are Monomials when U is one (every library gate but
+H is, and so is the seven-qubit pair of gottesman_mochon), and dense
+matrices otherwise; each step runs on the type it is given.  Dense
+matrices still serve the non-monomial input, the conjugator, the
+rng-gated cross-checks of extract_certificate, and the tests.
 
 build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
 are kept as the independent reference that orbit_kernel is tested
@@ -23,16 +29,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .circuits import embed_gate
+from .circuits import CircuitDescription, circuit_to_monomial
 from .clifford import CliffordRep, compose, inverse, is_involution_rep, reps_commute
 from .dense import (
     HIERARCHY_QUBIT_CAP,
     TOL,
     BlockRep,
+    Monomial,
+    _lambda_products,
+    as_dense,
+    basis_bits,
     check_unitary,
     close,
     close_up_to_phase,
     extract_rep,
+    identity_like,
     num_qubits,
     pauli_conjugates,
     realize_block,
@@ -42,10 +53,13 @@ from .expansion import rep_to_dense
 
 @dataclass(frozen=True)
 class GeneratorFamily:
-    """2n commuting-pattern Clifford involutions and their dense forms."""
+    """2n commuting-pattern Clifford involutions: reps and operators.
+
+    ops[i] realizes qs[i], as a Monomial or a dense matrix.
+    """
 
     qs: tuple
-    dense_qs: tuple
+    ops: tuple
     n: int
 
     def validate(self):
@@ -59,17 +73,16 @@ class GeneratorFamily:
             for j in range(i + 1, 2 * n):
                 if not reps_commute(self.qs[i], self.qs[j]):
                     raise ValueError(f"generators {i} and {j} have incompatible reps")
-        eye = np.eye(1 << n)
-        for i, qd in enumerate(self.dense_qs):
-            if not close(qd @ qd, eye):
-                raise ValueError(f"dense generator {i} does not square to I")
+        for i, op in enumerate(self.ops):
+            if not close(op @ op, identity_like(op)):
+                raise ValueError(f"generator op {i} does not square to I")
         for i in range(2 * n):
             for j in range(i + 1, 2 * n):
                 sign = -1.0 if j == i + n else 1.0
-                lhs = self.dense_qs[i] @ self.dense_qs[j]
-                rhs = sign * self.dense_qs[j] @ self.dense_qs[i]
+                lhs = self.ops[i] @ self.ops[j]
+                rhs = sign * self.ops[j] @ self.ops[i]
                 if not close(lhs, rhs):
-                    raise ValueError(f"dense generators {i}, {j} break the sign pattern")
+                    raise ValueError(f"generator ops {i}, {j} break the sign pattern")
 
     def is_block_form(self) -> bool:
         n = self.n
@@ -88,17 +101,17 @@ def generators_from_gate(u) -> GeneratorFamily:
     if n > HIERARCHY_QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the pipeline cap of {HIERARCHY_QUBIT_CAP} qubits")
     reps = []
-    dense = []
-    for i, qd in enumerate(pauli_conjugates(u, gf2.ident(2 * n))):
-        rep = extract_rep(qd)
+    ops = []
+    for i, op in enumerate(pauli_conjugates(u, gf2.ident(2 * n))):
+        rep = extract_rep(op)
         if rep is None:
             raise ValueError(
                 f"input is not a third-level gate: conjugated generator {i} "
                 "is not Clifford"
             )
         reps.append(rep)
-        dense.append(qd)
-    family = GeneratorFamily(qs=tuple(reps), dense_qs=tuple(dense), n=n)
+        ops.append(op)
+    family = GeneratorFamily(qs=tuple(reps), ops=tuple(ops), n=n)
     family.validate()
     return family
 
@@ -108,21 +121,26 @@ def normalize_family(family: GeneratorFamily):
 
     Returns (normalized family, conjugating CliffordRep).  The
     conjugator gets h = 0; if the family is already in block form it is
-    returned unchanged with the identity conjugator.
+    returned unchanged with the identity conjugator.  A monomial
+    Clifford maps diagonal Paulis to diagonal Paulis, so a family of
+    Monomial ops is always in block form; only dense families are
+    conjugated.
     """
     from .normal_form import commuting_set_normal_form
 
     n = family.n
     if family.is_block_form():
         return family, CliffordRep.identity(n)
+    if isinstance(family.ops[0], Monomial):
+        raise AssertionError("a family of Monomial ops is not in block form")
     snf = commuting_set_normal_form([q.c for q in family.qs])
     q_m = CliffordRep(snf.m, np.zeros(2 * n, dtype=np.uint8))
     q_m_inv = inverse(q_m)
     reps = tuple(compose(compose(q_m, q), q_m_inv) for q in family.qs)
     v = rep_to_dense(q_m)
     vdag = v.conj().T
-    dense = tuple(v @ qd @ vdag for qd in family.dense_qs)
-    out = GeneratorFamily(qs=reps, dense_qs=dense, n=n)
+    ops = tuple(v @ op @ vdag for op in family.ops)
+    out = GeneratorFamily(qs=reps, ops=ops, n=n)
     out.validate()
     if not out.is_block_form():
         raise AssertionError("conjugated family is not in block form")
@@ -300,9 +318,10 @@ class GscCertificate:
     """Witness that the source gate is generalized semi-Clifford.
 
     conjugator (with its dense realization) moves the family to block
-    form; the kernel-product reps over kernel_basis realize as dense
-    diagonal involutions whose group spans the full diagonal algebra,
-    i.e. the span of the sigma_z subgroup.
+    form; the kernel-product reps over kernel_basis realize as diagonal
+    involutions (diagonal_generators, dense, with the given spectra)
+    whose group spans the full diagonal algebra, i.e. the span of the
+    sigma_z subgroup.
     """
 
     n: int
@@ -317,18 +336,24 @@ class GscCertificate:
 def extract_certificate(
     family: GeneratorFamily, conjugator: CliffordRep, rng=None
 ) -> GscCertificate:
-    """Certify a block-form family: kernel, realized products, span.
+    """Certify a block-form family: kernel, product spectra, span.
 
     The kernel comes from orbit_kernel and its products from
-    product_rep.  Asserts, naming the violated property: identity A-block and zero
-    f-vector for every kernel product, diagonality of each realization,
-    and full rank of the 2^n diagonal patterns (span_rank).  When an rng is given,
-    a few kernel products are cross-checked against dense products of
-    the constituent generators (up to global phase) and sampled pairs
-    are checked to commute densely.
+    product_rep.  Asserts, naming the violated property: identity
+    A-block and zero f-vector for every kernel product, and full rank
+    of the 2^n diagonal patterns (span_rank).  With A = I and f = 0 the
+    product's realization (realize_block) is the diagonal matrix of its
+    lambda products, so each spectrum is read straight off
+    _lambda_products.  When an rng is given, a few kernel products are
+    realized with realize_block and cross-checked against that diagonal
+    and against the product of the constituent generator ops (up to
+    global phase, densely), and sampled pairs are checked to commute
+    densely.
     """
     n = family.n
     kernel = orbit_kernel(family)
+    dim = 1 << n
+    blocks = []
     diag_gens = []
     spectra = []
     for row in kernel:
@@ -337,14 +362,12 @@ def extract_certificate(
             raise AssertionError("kernel product has a non-identity A-block")
         if rep.f.any():
             raise AssertionError("kernel product has a nonzero f-vector")
-        dense = realize_block(BlockRep.from_rep(rep))
-        off = dense - np.diag(np.diagonal(dense))
-        if np.abs(off).max() > TOL:
-            raise AssertionError("kernel product realization is not diagonal")
-        diag_gens.append(dense)
-        spectra.append(np.diagonal(dense).copy())
+        blk = BlockRep.from_rep(rep)
+        spectrum = _lambda_products(blk, basis_bits(n))
+        blocks.append(blk)
+        diag_gens.append(np.diag(spectrum))
+        spectra.append(spectrum)
 
-    dim = 1 << n
     pattern_rank = span_rank(spectra)
     if pattern_rank != dim:
         raise AssertionError(
@@ -357,11 +380,14 @@ def extract_certificate(
         rows = rng.choice(len(kernel), size=take, replace=False)
         for ridx in rows:
             bits = kernel[ridx]
-            prod = np.eye(dim, dtype=complex)
+            prod = identity_like(family.ops[0])
             for k in range(2 * n):
                 if bits[k]:
-                    prod = prod @ family.dense_qs[k]
-            if not close_up_to_phase(prod, diag_gens[int(ridx)]):
+                    prod = prod @ family.ops[k]
+            realized = realize_block(blocks[int(ridx)])
+            if not close(realized, diag_gens[int(ridx)]):
+                raise AssertionError("kernel product realization is not its diagonal spectrum")
+            if not close_up_to_phase(as_dense(prod), realized):
                 raise AssertionError("dense product disagrees with the realization")
             checks += 1
         for _ in range(min(3, len(diag_gens) * (len(diag_gens) - 1) // 2)):
@@ -404,7 +430,7 @@ GM_QUBITS = "A1 A2 A3 B1 B2 B3 R".split()
 
 
 def gottesman_mochon():
-    """The seven-qubit pair (U, V): controlled swaps and four CCZs.
+    """The seven-qubit pair (U, V) as Monomials: controlled swaps and CCZs.
 
     Qubit order is A1 A2 A3 B1 B2 B3 R (indices 0..6).  U swaps each
     A_i with B_i when R is set; V applies CCZ on (A1,A2,A3), (A1,B2,B3),
@@ -412,12 +438,14 @@ def gottesman_mochon():
     sits at level three while VU does not, witnessed on qubit R.
     """
     n = 7
-    u = np.eye(1 << n, dtype=complex)
-    for i in range(3):
-        u = embed_gate("CSWAP", (6, i, 3 + i), n) @ u
-    v = np.eye(1 << n, dtype=complex)
-    for triple in ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2)):
-        v = embed_gate("CCZ", triple, n) @ v
+    u = circuit_to_monomial(
+        CircuitDescription(n, tuple(("CSWAP", (6, i, 3 + i)) for i in range(3)))
+    )
+    v = circuit_to_monomial(
+        CircuitDescription(
+            n, tuple(("CCZ", t) for t in ((0, 1, 2), (0, 4, 5), (3, 1, 5), (3, 4, 2)))
+        )
+    )
     return u, v
 
 
@@ -426,15 +454,14 @@ def counterexample_report(rng=None) -> dict:
 
     Checks UV is level three, that VU fails level three on the sigma_x
     conjugate at qubit R (its image is not even Clifford), and that the
-    pipeline still produces a complete certificate for UV.
+    pipeline still produces a complete certificate for UV.  Every step
+    runs on the type gottesman_mochon returns: Monomials.
     """
     from .dense import hierarchy_level
 
     u, v = gottesman_mochon()
     n = 7
-    dim = 1 << n
-    eye = np.eye(dim)
-    if not (close(u @ u, eye) and close(v @ v, eye)):
+    if not (close(u @ u, identity_like(u)) and close(v @ v, identity_like(v))):
         raise AssertionError("constituents are not involutions")
     uv = u @ v
     vu = v @ u

@@ -21,6 +21,7 @@ from semiclifford.classify import GscWitness, _lagrangian_cliffords, _verify_spa
 from semiclifford.dense import (
     TOL,
     BlockRep,
+    as_dense,
     check_unitary,
     close,
     monomial_check,
@@ -91,6 +92,7 @@ def reconstruct_unitary(family: GeneratorFamily) -> np.ndarray:
     family.validate()
     n = family.n
     dim = 1 << n
+    ops = [as_dense(op) for op in family.ops]
     alpha = None
     lambdas = None
     for assign in range(1 << n):
@@ -99,7 +101,7 @@ def reconstruct_unitary(family: GeneratorFamily) -> np.ndarray:
             vec = np.zeros(dim, dtype=complex)
             vec[col] = 1.0
             for i in range(n):
-                vec = 0.5 * (vec + (-1.0) ** bits[i] * (family.dense_qs[i] @ vec))
+                vec = 0.5 * (vec + (-1.0) ** bits[i] * (ops[i] @ vec))
             norm = np.linalg.norm(vec)
             if norm > TOL:
                 vec = vec / norm
@@ -117,11 +119,11 @@ def reconstruct_unitary(family: GeneratorFamily) -> np.ndarray:
         vec = alpha
         for i in range(n - 1, -1, -1):
             if ((x >> (n - 1 - i)) & 1) ^ lambdas[i]:
-                vec = family.dense_qs[n + i] @ vec
+                vec = ops[n + i] @ vec
         cols[:, x] = vec
     u = check_unitary(cols)
     for i, conj in enumerate(pauli_conjugates(u, gf2.ident(2 * n))):
-        if not close(conj, family.dense_qs[i]):
+        if not close(conj, ops[i]):
             raise AssertionError(f"reconstruction misses generator {i}")
     return u
 

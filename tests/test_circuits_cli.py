@@ -52,6 +52,59 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("# nothing\n")
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("qubits 1_0\nX \u0663\n", 1),
+        ("qubits 2\nX \u0663\n", 2),
+        ("qubits \u0663\n", 1),
+        ("qubits +2\n", 1),
+        ("qubits 2\nCX 0 1_1\n", 2),
+        ("qubits 2\nX +1\n", 2),
+        ("qubits 2\nX \uff11\n", 2),
+    ],
+)
+def test_parse_accepts_only_ascii_digits(text, line):
+    # int() reads "1_0" as 10 and Arabic-Indic or full-width digits as
+    # numbers; the circuit format allows [0-9]+ only
+    with pytest.raises(CircuitSyntaxError, match=f"line {line}"):
+        parse_circuit(text)
+
+
+_CIRCUIT_TOKENS = st.sampled_from(
+    ["qubits", "X", "cx", "CCZ", "H", "T", "0", "1", "2", "3", "007", "1_0", "+1", "-1",
+     "\u0663", "\uff12", "#", "x", ""]
+)
+
+
+@given(
+    st.lists(st.lists(_CIRCUIT_TOKENS, max_size=4).map(" ".join), max_size=5).map("\n".join)
+    | st.text(max_size=30)
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_circuit_fuzz(text):
+    try:
+        desc = parse_circuit(text)
+    except CircuitSyntaxError:
+        return
+    assert desc.n >= 1
+    for _, qubits in desc.gates:
+        assert all(type(q) is int and 0 <= q < desc.n for q in qubits)
+
+
+@given(st.text(max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_parse_circuit_header_is_strict(count):
+    text = f"qubits {count}\n"
+    try:
+        desc = parse_circuit(text)
+    except CircuitSyntaxError:
+        return
+    token = count.split()[0] if len(count.split()) == 1 else None
+    assert token is not None and token.isascii() and token.isdigit()
+    assert desc.n == int(token) >= 1
+
+
 def test_description_validation():
     with pytest.raises(ValueError):
         CircuitDescription(n=2, gates=(("CX", (0, 0)),))
@@ -251,7 +304,7 @@ def test_cli_pipeline_matches_counterexample_circuit(capsys):
         desc = parse_circuit(fh.read())
     u_file = circuit_to_dense(desc)
     u, v = gottesman_mochon()
-    assert np.allclose(u_file, u @ v, atol=1e-9)
+    assert np.allclose(u_file, (u @ v).to_dense(), atol=1e-9)
 
 
 def test_cli_pipeline_deterministic(capsys):
@@ -307,6 +360,46 @@ def test_read_bit_matrices_header_fuzz(tmp_path_factory, header):
     except ValueError:
         return
     assert all(m.dtype == np.uint8 and m.size for m in mats)
+
+
+@pytest.mark.parametrize(
+    "text,line,what",
+    [
+        ("2 2\n10\n1\n", 3, "row '1' has 1 entries, header says 2"),
+        ("2 3\n10\n01\n", 2, "row '10' has 2 entries, header says 3"),
+        ("2 2\n10\n", 1, "block of 2 rows ends after 1"),
+        ("1 2\n10\n3 2\n10\n01\n", 3, "block of 3 rows ends after 2"),
+        ("1 2\n101\n", 2, "row '101' has 3 entries, header says 2"),
+    ],
+)
+def test_read_bit_matrices_names_malformed_block(tmp_path, text, line, what):
+    bad = tmp_path / "block.mat"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=rf"block\.mat: line {line}: {what}"):
+        read_bit_matrices(str(bad))
+    assert main(["--json", "normalform", str(bad)]) == 1
+
+
+@given(st.text(alphabet="01 2#\t\n", max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_read_bit_matrices_body_fuzz(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("fuzz") / "m.mat"
+    path.write_text(f"2 3\n{body}\n")
+    try:
+        mats = read_bit_matrices(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: line ")
+        return
+    assert mats[0].shape == (2, 3)
+    assert all(m.dtype == np.uint8 and set(np.unique(m)) <= {0, 1} for m in mats)
+
+
+@pytest.mark.parametrize("header", ["1_0 2", "2 \u0663", "+2 2", "2 +2", "\uff12 2"])
+def test_read_bit_matrices_header_accepts_only_ascii_digits(tmp_path, header):
+    bad = tmp_path / "strict.mat"
+    bad.write_text(f"{header}\n10\n01\n")
+    with pytest.raises(ValueError, match=r"strict\.mat: line 1: .* not two positive integers"):
+        read_bit_matrices(str(bad))
 
 
 @pytest.mark.parametrize("kmax", ["0", "-1"])

@@ -188,3 +188,20 @@ def test_parse_rejects_garbage():
         PhasedPauli.parse("tau[01]")
     with pytest.raises(ValueError):
         PhasedPauli.parse("+i.tau[0|01]")
+
+
+@pytest.mark.parametrize("text", ["+tau[|]", "-i.tau[|]", " +tau[|] "])
+def test_parse_rejects_empty_label(text):
+    with pytest.raises(ValueError, match="unparseable"):
+        PhasedPauli.parse(text)
+
+
+@given(st.text(alphabet="+-i.tau[]|01 \n٣x", max_size=16) | st.text(max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_parse_fuzz(text):
+    try:
+        p = PhasedPauli.parse(text)
+    except ValueError:
+        return
+    assert p.n >= 1
+    assert PhasedPauli.parse(repr(p)) == p

@@ -11,7 +11,13 @@ from helpers import (
 from semiclifford import gf2
 from semiclifford.circuits import embed_gate
 from semiclifford.clifford import CliffordRep, compose, from_pauli
-from semiclifford.dense import close_up_to_phase, extract_rep, hierarchy_level
+from semiclifford.dense import (
+    BlockRep,
+    close_up_to_phase,
+    extract_rep,
+    hierarchy_level,
+    realize_block,
+)
 from semiclifford.pauli import PhasedPauli
 from semiclifford.pipeline import (
     GeneratorFamily,
@@ -48,9 +54,9 @@ def test_t_family_has_non_pauli_member():
     from semiclifford.dense import is_pauli
 
     fam = generators_from_gate(embed_gate("T", (0,), 1))
-    assert is_pauli(fam.dense_qs[0]) is not None  # Z conjugate stays Z
-    assert is_pauli(fam.dense_qs[1]) is None  # X conjugate is Clifford only
-    assert extract_rep(fam.dense_qs[1]) is not None
+    assert is_pauli(fam.ops[0]) is not None  # Z conjugate stays Z
+    assert is_pauli(fam.ops[1]) is None  # X conjugate is Clifford only
+    assert extract_rep(fam.ops[1]) is not None
 
 
 def test_non_c3_gate_is_rejected_with_witness():
@@ -75,7 +81,7 @@ def test_reconstruct_known_gates(name, qubits, n):
     from semiclifford.dense import _generator_matrices
 
     for i, g in enumerate(_generator_matrices(n)):
-        assert np.allclose(u @ g @ udag, fam.dense_qs[i], atol=1e-8)
+        assert np.allclose(u @ g @ udag, fam.ops[i], atol=1e-8)
     assert close_up_to_phase(u, u0)
 
 
@@ -191,7 +197,7 @@ def test_small_orbit_family_fails_both_paths():
     # and the zero set is everything
     n = 2
     fam = GeneratorFamily(
-        qs=(CliffordRep.identity(n),) * (2 * n), dense_qs=(np.eye(1 << n),) * (2 * n), n=n
+        qs=(CliffordRep.identity(n),) * (2 * n), ops=(np.eye(1 << n),) * (2 * n), n=n
     )
     with pytest.raises(AssertionError, match="orbit of 0 has 1 points"):
         orbit_kernel(fam)
@@ -295,3 +301,36 @@ def test_identity_gate_certificate_is_z_group():
         from semiclifford.pauli import pauli_to_dense
 
         assert np.allclose(d, pauli_to_dense(PhasedPauli(0, 0, a)), atol=1e-12)
+
+
+def _kernel_families(rng):
+    u, v = gottesman_mochon()
+    yield u @ v
+    for n in (1, 2, 3):
+        for _ in range(3):
+            yield random_c3_gate(n, rng)
+
+
+def test_spectra_equal_realized_kernel_products(rng):
+    # A = I and f = 0 make realize_block the diagonal of the spectrum
+    for gate in _kernel_families(rng):
+        norm, qm = normalize_family(generators_from_gate(gate))
+        cert = extract_certificate(norm, qm)
+        for row, spectrum in zip(cert.kernel_basis, cert.spectra):
+            realized = realize_block(BlockRep.from_rep(product_rep(norm, row)))
+            assert realized.tobytes() == np.diag(spectrum).tobytes()
+
+
+def test_certificate_realizes_only_in_the_cross_check(monkeypatch):
+    calls = []
+
+    def counting(blk):
+        calls.append(blk)
+        return realize_block(blk)
+
+    monkeypatch.setattr("semiclifford.pipeline.realize_block", counting)
+    u, v = gottesman_mochon()
+    run_pipeline(u @ v)
+    assert calls == []
+    cert = run_pipeline(u @ v, rng=np.random.default_rng(0))
+    assert len(calls) == 3 == cert.verdicts["dense_cross_checks"] - 3
