@@ -174,3 +174,68 @@ def is_involution_rep(rep: CliffordRep) -> bool:
 def reps_commute(a: CliffordRep, b: CliffordRep) -> bool:
     """Whether the operators commute up to a sign (reps of ab and ba agree)."""
     return compose(a, b) == compose(b, a)
+
+
+class BlockRep:
+    """Involution-friendly rep with C = (A E; 0 A^T) and h = (f; g).
+
+    Validated invariants: A^2 = I, E and AE symmetric (equivalently C
+    is a symplectic involution with zero lower-left block) and
+    A^T f = f.  d0 = diag(AE) is derived.
+    """
+
+    __slots__ = ("a", "e", "f", "g")
+
+    def __init__(self, a, e, f, g):
+        a = gf2.frozenbits(a)
+        e = gf2.frozenbits(e)
+        f = gf2.frozenbits(f)
+        g = gf2.frozenbits(g)
+        n = a.shape[0]
+        if a.shape != (n, n) or e.shape != (n, n) or f.shape != (n,) or g.shape != (n,):
+            raise ValueError("inconsistent block shapes")
+        if not np.array_equal(gf2.mat_mul(a, a), gf2.ident(n)):
+            raise ValueError("A is not an involution")
+        if not np.array_equal(e, e.T):
+            raise ValueError("E is not symmetric")
+        ae = gf2.mat_mul(a, e)
+        if not np.array_equal(ae, ae.T):
+            raise ValueError("AE is not symmetric")
+        if not np.array_equal(gf2.mat_mul(a.T, f), f):
+            raise ValueError("f is not fixed by A^T")
+        self.a = a
+        self.e = e
+        self.f = f
+        self.g = g
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def d0(self):
+        return gf2.diag_vec(gf2.mat_mul(self.a, self.e))
+
+    @classmethod
+    def from_rep(cls, rep: CliffordRep):
+        n = rep.n
+        if rep.c[n:, :n].any():
+            raise ValueError("rep has a nonzero lower-left block")
+        a = rep.c[:n, :n]
+        if not np.array_equal(rep.c[n:, n:], a.T):
+            raise ValueError("lower-right block is not A^T")
+        return cls(a, rep.c[:n, n:], rep.h[:n], rep.h[n:])
+
+    def to_rep(self) -> CliffordRep:
+        n = self.n
+        c = gf2.zeros(2 * n, 2 * n)
+        c[:n, :n] = self.a
+        c[:n, n:] = self.e
+        c[n:, n:] = self.a.T
+        return CliffordRep(c, np.concatenate([self.f, self.g]))
+
+    def __eq__(self, other):
+        return isinstance(other, BlockRep) and self.to_rep() == other.to_rep()
+
+    def __repr__(self):
+        return f"BlockRep(n={self.n})"

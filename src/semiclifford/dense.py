@@ -6,7 +6,12 @@ hierarchy level decisions, monomial structure, and the realization of
 block-form involutions as permutation-phase matrices.  Every Pauli
 conjugation u tau_a u^dag goes through pauli_conjugates, which applies
 tau_a as the signed permutation of pauli.pauli_action (the single
-source of tau_a's permutation and signs), so it costs one matmul.
+source of tau_a's permutation and signs).  The dense engine works on
+stacks: a set of conjugates is one batched product per stack, at most
+_STACK_ENTRIES (2^14) entries, and one vectorized Pauli test reads and
+verifies every matrix of a stack, so the Clifford test, the hierarchy
+test and classify's semi-Clifford search cost a few numpy calls per
+stack instead of one Python-level test per conjugate.
 TOL is the package's one tolerance, and it is absolute: every dense
 test reads it, and every matrix comparison goes through close, which
 bounds the largest entrywise difference by TOL with no relative term.
@@ -34,10 +39,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .clifford import CliffordRep, compose, is_involution_rep, reps_commute
+from .clifford import BlockRep, CliffordRep, is_involution_rep, reps_commute
 from .pauli import PhasedPauli, _label_tables, pauli_action, pauli_to_dense
 
 TOL = 1e-9
+# Most complex entries in one batched stack: a single 2^7 x 2^7 matrix,
+# the hierarchy cap.  A stacked test holds a few temporaries the size of
+# its stack, so stacks of whole n = 7 conjugate sets would multiply the
+# peak memory of a hierarchy test by the set size; in chunks of this
+# size it stays at the one-matrix peak, and at n <= 3 every set the
+# searches build fits in one stack.
+_STACK_ENTRIES = 1 << 14
 # qubit cap of the dense hierarchy test, rep_to_dense and the pipeline
 HIERARCHY_QUBIT_CAP = 7
 HIERARCHY_LEVEL_CAP = 4
@@ -134,9 +146,16 @@ def identity_like(u):
 
 def num_qubits(u) -> int:
     """Number of qubits for a 2^n-dimensional square matrix."""
-    dim = u.shape[0]
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim != 2:
         raise ValueError(f"not a square matrix: {u.shape}")
+    return _stack_qubits(u)
+
+
+def _stack_qubits(us) -> int:
+    """Number of qubits of each matrix in a (..., 2^n, 2^n) stack."""
+    if us.ndim < 2 or us.shape[-1] != us.shape[-2]:
+        raise ValueError(f"not a square matrix: {us.shape}")
+    dim = us.shape[-1]
     n = dim.bit_length() - 1
     if 1 << n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -187,112 +206,213 @@ def _generator_matrices(n):
 
 
 def pauli_conjugates(u, vectors):
-    """Yield u tau_a u^dag for each a in vectors, lazily.
+    """u tau_a u^dag for each row a of vectors.
 
-    tau_a is a signed permutation (pauli_action), so tau_a u^dag is a
-    row permutation of u^dag times +-1 signs: exact in floating point
-    and O(4^n), which leaves one matmul per conjugation.  For a
-    Monomial u, tau_a is the Monomial sending |c> to signs[c + w] |c + w>,
-    and the conjugate is two O(2^n) Monomial products.
+    For a dense u of shape (..., d, d) the result is the (..., m, d, d)
+    stack of all m conjugates, one batched product: tau_a is a signed
+    permutation (pauli_action), so tau_a u^dag is a row permutation of
+    u^dag times +-1 signs, exact in floating point.  The caller keeps
+    the stack within _STACK_ENTRIES (see _conjugate_chunks).  For a
+    Monomial u the conjugates are yielded lazily, so a test can stop at
+    the first failure: tau_a is the Monomial sending |c> to
+    signs[c + w] |c + w>, and each conjugate is two O(2^n) products.
     """
-    n = num_qubits(u)
     if isinstance(u, Monomial):
-        udag = u.dag()
-        for a in vectors:
-            perm, signs = pauli_action(n, a)
-            yield u @ Monomial(perm, signs[perm]) @ udag
-        return
-    udag = u.conj().T
+        return _monomial_conjugates(u, vectors)
+    u = np.asarray(u, dtype=complex)
+    return _dense_conjugates(u, _dagger(u), vectors)
+
+
+def _dagger(us):
+    """The adjoint of each matrix of a stack, C-contiguous so that the
+    row gathers of _dense_conjugates read whole rows."""
+    return np.ascontiguousarray(np.conj(np.swapaxes(us, -1, -2)))
+
+
+def _dense_conjugates(us, udag, vectors):
+    perm, signs = pauli_action(_stack_qubits(us), vectors)
+    moved = udag[..., perm, :]
+    moved *= signs[..., None]
+    return us[..., None, :, :] @ moved
+
+
+def _monomial_conjugates(u, vectors):
+    n = num_qubits(u)
+    udag = u.dag()
     for a in vectors:
         perm, signs = pauli_action(n, a)
-        yield u @ (signs[:, None] * udag[perm])
+        yield u @ Monomial(perm, signs[perm]) @ udag
 
 
-_PHASE_TABLE = ((1 + 0j, (0, 0)), (-1 + 0j, (0, 1)), (1j, (1, 0)), (-1j, (1, 1)))
+def _conjugate_chunks(us, vectors):
+    """Yield the conjugates us[i] tau_a us[i]^dag of a dense (k, d, d)
+    stack, over i and then the rows a of vectors, as (p, d, d) stacks of
+    at most _STACK_ENTRIES entries (of one matrix when d^2 is larger)."""
+    k, d = us.shape[0], us.shape[-1]
+    m = len(vectors)
+    per = max(1, _STACK_ENTRIES // (d * d))
+    udag = _dagger(us)
+    if per >= m:
+        rows = per // m
+        for i in range(0, k, rows):
+            yield _dense_conjugates(us[i : i + rows], udag[i : i + rows], vectors).reshape(-1, d, d)
+    else:
+        for i in range(k):
+            for j in range(0, m, per):
+                yield _dense_conjugates(us[i], udag[i], vectors[j : j + per])
 
 
-def _phase_bits(z):
-    """Map a complex number to (delta, epsilon) if it is a group phase."""
-    for val, bits in _PHASE_TABLE:
-        if abs(z - val) < TOL:
-            return bits
-    return None
+# the group phases i**delta (-1)**epsilon, and their (delta, epsilon) bits
+_PHASES = np.array([1, -1, 1j, -1j])
+_PHASE_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+
+
+def _pauli_stack(us):
+    """is_pauli on every matrix of a dense (k, d, d) stack at once.
+
+    Returns (ok, bits, a): ok (k,) is True exactly where the matrix is
+    the phased Pauli i**delta (-1)**epsilon tau_a, with bits (k, 2) its
+    (delta, epsilon) and a (k, 2n) its label; elsewhere bits and a mean
+    nothing.  The candidate is read off column 0 (one entry z0, in row
+    w) and the |e_i> columns (the entry in row w + e_i is +-z0, the
+    sign giving v_i), then verified entrywise, every entry within TOL
+    of the Pauli's, so near-misses (wrong phase grid, extra support)
+    are rejected.
+    """
+    n = _stack_qubits(us)
+    k = us.shape[0]
+    idx = np.arange(k)
+    heavy = np.abs(us[:, :, 0]) > TOL
+    one = heavy.sum(axis=1) == 1
+    row0 = heavy.argmax(axis=1)
+    # a matrix with no single heavy entry is rejected; 1 keeps it finite
+    z0 = np.where(one, us[idx, row0, 0], 1)
+    cols = _label_tables(n)[2]  # |e_i>: the label with only qubit i set
+    ratio = us[idx[:, None], row0[:, None] ^ cols, cols] / z0[:, None]
+    plus = np.abs(ratio - 1) < TOL
+    minus = np.abs(ratio + 1) < TOL
+    v = minus.astype(np.uint8)
+    w = basis_bits(n)[row0]
+    base = z0 * (-1.0) ** ((v & w).sum(axis=1) & 1)
+    near = np.abs(base[:, None] - _PHASES) < TOL
+    ok = one & (plus | minus).all(axis=1) & near.any(axis=1)
+    bits = _PHASE_BITS[near.argmax(axis=1)]
+    a = np.concatenate([v, w], axis=1)
+    sel = np.flatnonzero(ok)
+    perm, signs = pauli_action(n, a[sel])
+    diff = us[sel]
+    # bits (delta, epsilon) index _PHASES as 2 * delta + epsilon
+    diff[np.arange(sel.size)[:, None], np.arange(1 << n), perm] -= (
+        _PHASES[bits[sel] @ (2, 1)][:, None] * signs
+    )
+    ok[sel] = np.abs(diff).max(axis=(1, 2)) <= TOL
+    return ok, bits, a
 
 
 def is_pauli(u):
     """The unique PhasedPauli realized by u, or None.
 
-    A candidate is read off the action on |0> and the |e_j> states and
-    then verified entrywise, so near-misses (wrong phase grid, extra
-    support) are rejected.  A Monomial is verified in O(2^n) against
-    pauli_action: its permutation must be c -> c + w and its phases the
-    candidate's phase times tau_a's signs.
+    A dense u is the one-matrix case of the stacked test (_pauli_stack).
+    A Monomial's candidate is read off the same way and verified in
+    O(2^n) against pauli_action: its permutation must be c -> c + w and
+    its phases the candidate's phase times tau_a's signs.  Monomials
+    are tested one at a time, so a caller can stop at the first miss.
     """
     u = _as_operator(u)
     n = num_qubits(u)
-    cols = [1 << (n - 1 - i) for i in range(n)]  # |e_i>: qubit i's bit set
-    if isinstance(u, Monomial):
-        row0, z0 = int(u.perm[0]), u.phases[0]
-        if abs(z0) <= TOL:
-            return None
-        vals = [u.phases[c] if u.perm[c] == row0 ^ c else 0 for c in cols]
-    else:
-        col0 = u[:, 0]
-        hits = np.flatnonzero(np.abs(col0) > TOL)
-        if hits.size != 1:
-            return None
-        row0 = int(hits[0])
-        z0 = col0[row0]
-        vals = [u[row0 ^ c, c] for c in cols]
-    v = np.zeros(n, dtype=np.uint8)
-    for i, val in enumerate(vals):
-        ratio = val / z0
-        if abs(ratio - 1) < TOL:
-            v[i] = 0
-        elif abs(ratio + 1) < TOL:
-            v[i] = 1
+    if not isinstance(u, Monomial):
+        ok, bits, a = _pauli_stack(u[None])
+        return PhasedPauli(*bits[0], a[0]) if ok[0] else None
+    # the read-off of _pauli_stack, one scalar at a time: on one Monomial
+    # that is cheaper than numpy calls on length-1 arrays
+    row0, z0 = int(u.perm[0]), complex(u.phases[0])
+    if abs(z0) <= TOL:
+        return None
+    v = []
+    for col in _label_tables(n)[2].tolist():
+        ratio = u.phases[col] / z0 if u.perm[col] == row0 ^ col else 0
+        if abs(ratio - 1) < TOL or abs(ratio + 1) < TOL:
+            v.append(int(ratio.real < 0))
         else:
             return None
-    w = np.array([(row0 >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-    base = z0 * (-1.0) ** gf2.dot(v, w)
-    bits = _phase_bits(base)
-    if bits is None:
+    w = basis_bits(n)[row0]
+    near = np.abs(z0 * (-1.0) ** gf2.dot(v, w) - _PHASES) < TOL
+    if not near.any():
         return None
-    cand = PhasedPauli(bits[0], bits[1], np.concatenate([v, w]))
-    if isinstance(u, Monomial):
-        perm, signs = pauli_action(n, cand.a)
-        ok = np.array_equal(u.perm, perm) and bool(
-            np.abs(u.phases - cand.phase * signs[perm]).max() <= TOL
-        )
-    else:
-        ok = close(u, pauli_to_dense(cand))
-    return cand if ok else None
+    cand = PhasedPauli(*_PHASE_BITS[near.argmax()], np.concatenate([v, w]))
+    perm, signs = pauli_action(n, cand.a)
+    if np.array_equal(u.perm, perm) and np.abs(u.phases - cand.phase * signs[perm]).max() <= TOL:
+        return cand
+    return None
+
+
+def _clifford_reps(bits, ct):
+    """(ct, h) for k candidate reps, or None unless every one is valid.
+
+    bits (k, 2n, 2) and ct (k, 2n, 2n) hold the (delta, epsilon) bits
+    and labels of the Pauli images of the 2n generators: ct[i] is C^T
+    and h[i] = bits[i, :, 1].  Each image must satisfy the Hermiticity
+    constraint delta_j = c_j^T J c_j = v_j . w_j, and each C must be
+    symplectic, C^T P C = P.
+    """
+    n = ct.shape[-1] // 2
+    hermitian = bits[..., 0] == ((ct[..., :n] & ct[..., n:]).sum(axis=-1) & 1)
+    p = gf2.p_mat(n)
+    symplectic = (((ct @ p) & 1) @ np.swapaxes(ct, -1, -2) & 1) == p
+    if not (hermitian.all() and symplectic.all()):
+        return None
+    return ct, bits[..., 1]
+
+
+def _clifford_stack(us):
+    """_clifford_reps of a dense (k, d, d) stack, or None if one is not
+    Clifford.
+
+    The conjugates of all 2n generators go through the stacked Pauli
+    test in chunks (_conjugate_chunks), stopping at the first chunk with
+    an image that is not a phased Pauli.
+    """
+    k = us.shape[0]
+    m = 2 * _stack_qubits(us)
+    bits = np.empty((k * m, 2), dtype=np.uint8)
+    labels = np.empty((k * m, m), dtype=np.uint8)
+    start = 0
+    for stack in _conjugate_chunks(us, gf2.ident(m)):
+        stop = start + len(stack)
+        ok, bits[start:stop], labels[start:stop] = _pauli_stack(stack)
+        if not ok.all():
+            return None
+        start = stop
+    return _clifford_reps(bits.reshape(k, m, 2), labels.reshape(k, m, m))
+
+
+def _monomial_clifford(u):
+    """_clifford_reps of one Monomial, testing its conjugates one at a
+    time and stopping at the first that is not a phased Pauli."""
+    images = []
+    for conj in pauli_conjugates(u, gf2.ident(2 * num_qubits(u))):
+        img = is_pauli(conj)
+        if img is None:
+            return None
+        images.append(img)
+    bits = np.array([[(img.delta, img.epsilon) for img in images]], dtype=np.uint8)
+    return _clifford_reps(bits, np.array([[img.a for img in images]]))
 
 
 def extract_rep(u):
-    """Read the (C, h) rep off a dense matrix, or None if not Clifford.
+    """Read the (C, h) rep off a matrix, or None if not Clifford.
 
     Conjugates all 2n generators; every image must be an exact phased
     Pauli.  The Hermiticity constraint d_j = c_j^T J c_j and the
     symplectic condition are verified rather than assumed.
     """
     u = _as_operator(u)
-    n = num_qubits(u)
-    cols = []
-    hbits = []
-    j = gf2.j_mat(n)
-    for conj in pauli_conjugates(u, gf2.ident(2 * n)):
-        img = is_pauli(conj)
-        if img is None:
-            return None
-        if img.delta != gf2.quad_form(j, img.a):
-            return None
-        cols.append(img.a)
-        hbits.append(img.epsilon)
-    c = np.array(cols, dtype=np.uint8).T
-    if not gf2.is_symplectic(c):
+    num_qubits(u)  # rejects anything but a square 2^n-dimensional matrix
+    found = _monomial_clifford(u) if isinstance(u, Monomial) else _clifford_stack(u[None])
+    if found is None:
         return None
-    return CliffordRep(c, np.array(hbits, dtype=np.uint8))
+    ct, h = found
+    return CliffordRep(ct[0].T, h[0])
 
 
 def _in_level(u, k):
@@ -300,8 +420,18 @@ def _in_level(u, k):
         return is_pauli(u) is not None
     if k == 2:
         return extract_rep(u) is not None
+    if not isinstance(u, Monomial):
+        return _all_in_level(u[None], k)
     gens = gf2.ident(2 * num_qubits(u))
     return all(_in_level(conj, k - 1) for conj in pauli_conjugates(u, gens))
+
+
+def _all_in_level(us, k):
+    """Whether every matrix of a dense (k', d, d) stack lies in level k >= 2."""
+    if k == 2:
+        return _clifford_stack(us) is not None
+    gens = gf2.ident(2 * _stack_qubits(us))
+    return all(_all_in_level(stack, k - 1) for stack in _conjugate_chunks(us, gens))
 
 
 def hierarchy_level(u, kmax=3):
@@ -321,71 +451,6 @@ def hierarchy_level(u, kmax=3):
         if _in_level(u, k):
             return k
     return None
-
-
-class BlockRep:
-    """Involution-friendly rep with C = (A E; 0 A^T) and h = (f; g).
-
-    Validated invariants: A^2 = I, E and AE symmetric (equivalently C
-    is a symplectic involution with zero lower-left block) and
-    A^T f = f.  d0 = diag(AE) is derived.
-    """
-
-    __slots__ = ("a", "e", "f", "g")
-
-    def __init__(self, a, e, f, g):
-        a = gf2.frozenbits(a)
-        e = gf2.frozenbits(e)
-        f = gf2.frozenbits(f)
-        g = gf2.frozenbits(g)
-        n = a.shape[0]
-        if a.shape != (n, n) or e.shape != (n, n) or f.shape != (n,) or g.shape != (n,):
-            raise ValueError("inconsistent block shapes")
-        if not np.array_equal(gf2.mat_mul(a, a), gf2.ident(n)):
-            raise ValueError("A is not an involution")
-        if not np.array_equal(e, e.T):
-            raise ValueError("E is not symmetric")
-        ae = gf2.mat_mul(a, e)
-        if not np.array_equal(ae, ae.T):
-            raise ValueError("AE is not symmetric")
-        if not np.array_equal(gf2.mat_mul(a.T, f), f):
-            raise ValueError("f is not fixed by A^T")
-        self.a = a
-        self.e = e
-        self.f = f
-        self.g = g
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def d0(self):
-        return gf2.diag_vec(gf2.mat_mul(self.a, self.e))
-
-    @classmethod
-    def from_rep(cls, rep: CliffordRep):
-        n = rep.n
-        if rep.c[n:, :n].any():
-            raise ValueError("rep has a nonzero lower-left block")
-        a = rep.c[:n, :n]
-        if not np.array_equal(rep.c[n:, n:], a.T):
-            raise ValueError("lower-right block is not A^T")
-        return cls(a, rep.c[:n, n:], rep.h[:n], rep.h[n:])
-
-    def to_rep(self) -> CliffordRep:
-        n = self.n
-        c = gf2.zeros(2 * n, 2 * n)
-        c[:n, :n] = self.a
-        c[:n, n:] = self.e
-        c[n:, n:] = self.a.T
-        return CliffordRep(c, np.concatenate([self.f, self.g]))
-
-    def __eq__(self, other):
-        return isinstance(other, BlockRep) and self.to_rep() == other.to_rep()
-
-    def __repr__(self):
-        return f"BlockRep(n={self.n})"
 
 
 @lru_cache(maxsize=None)
@@ -434,9 +499,7 @@ def realize_block(blk: BlockRep) -> np.ndarray:
     n = blk.n
     dim = 1 << n
     xbits = basis_bits(n)
-    targets_bits = (xbits @ blk.a ^ blk.f) & 1
-    powers = 1 << np.arange(n - 1, -1, -1)
-    targets = targets_bits @ powers
+    targets = ((xbits @ blk.a ^ blk.f) & 1) @ _label_tables(n)[2]
     rhs = _lambda_products(blk, xbits ^ blk.f)
     lam0 = np.exp(1j * np.angle(rhs[0]) / 2)
     lam = rhs / lam0

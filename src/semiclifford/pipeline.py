@@ -30,11 +30,10 @@ import numpy as np
 
 from . import gf2
 from .circuits import CircuitDescription, circuit_to_monomial
-from .clifford import CliffordRep, compose, inverse, is_involution_rep, reps_commute
+from .clifford import BlockRep, CliffordRep, compose, inverse, is_involution_rep, reps_commute
 from .dense import (
     HIERARCHY_QUBIT_CAP,
     TOL,
-    BlockRep,
     Monomial,
     _lambda_products,
     as_dense,
@@ -102,7 +101,11 @@ def generators_from_gate(u) -> GeneratorFamily:
         raise ValueError(f"n={n} exceeds the pipeline cap of {HIERARCHY_QUBIT_CAP} qubits")
     reps = []
     ops = []
-    for i, op in enumerate(pauli_conjugates(u, gf2.ident(2 * n))):
+    gens = gf2.ident(2 * n)
+    for i in range(2 * n):
+        # one conjugate at a time: a dense stack of all 2n at n = 7 would
+        # exceed the engine's stack bound
+        (op,) = pauli_conjugates(u, gens[i : i + 1])
         rep = extract_rep(op)
         if rep is None:
             raise ValueError(

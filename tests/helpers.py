@@ -7,7 +7,10 @@ full pattern matrix, Lagrangians from a DFS over isotropic extensions,
 symplectic groups from brute-force filtering of all matrices, and
 generalized semi-Clifford witnesses from a full monomial check of every
 Lagrangian pair.  reconstruct_unitary inverts generators_from_gate on
-the dense side, as a round-trip check of generator families.
+the dense side, as a round-trip check of generator families.  The
+scalar dense engine the library's stacked one replaced is kept here as
+its oracle: one Pauli read-off per matrix, conjugates by two matmuls,
+and the semi-Clifford search one Lagrangian at a time.
 """
 
 from __future__ import annotations
@@ -16,11 +19,15 @@ import numpy as np
 
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_dense, embed_gate, random_circuit
-from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
-from semiclifford.classify import GscWitness, _lagrangian_cliffords, _verify_span_map
+from semiclifford.clifford import BlockRep, CliffordRep, compose, is_involution_rep, reps_commute
+from semiclifford.classify import (
+    GscWitness,
+    SemiCliffordWitness,
+    _lagrangian_cliffords,
+    _verify_span_map,
+)
 from semiclifford.dense import (
     TOL,
-    BlockRep,
     as_dense,
     check_unitary,
     close,
@@ -77,6 +84,96 @@ def gsc_search_oracle(u):
                 phases=mc.phases,
             )
     return False, len(lags) ** 2
+
+
+_ORACLE_PHASES = ((1 + 0j, (0, 0)), (-1 + 0j, (0, 1)), (1j, (1, 0)), (-1j, (1, 1)))
+
+
+def is_pauli_oracle(u):
+    """The PhasedPauli a dense u realizes, or None, one matrix at a time.
+
+    The candidate is read off column 0 and the |e_i> columns with
+    Python loops over the bits, then compared entrywise with
+    pauli_to_dense of the candidate.
+    """
+    u = np.asarray(u, dtype=complex)
+    n = num_qubits(u)
+    col0 = u[:, 0]
+    hits = np.flatnonzero(np.abs(col0) > TOL)
+    if hits.size != 1:
+        return None
+    row0 = int(hits[0])
+    z0 = col0[row0]
+    v = np.zeros(n, dtype=np.uint8)
+    for i in range(n):
+        col = 1 << (n - 1 - i)  # |e_i>: qubit i's bit set
+        ratio = u[row0 ^ col, col] / z0
+        if abs(ratio - 1) < TOL:
+            v[i] = 0
+        elif abs(ratio + 1) < TOL:
+            v[i] = 1
+        else:
+            return None
+    w = np.array([(row0 >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+    base = z0 * (-1.0) ** gf2.dot(v, w)
+    for value, (delta, epsilon) in _ORACLE_PHASES:
+        if abs(base - value) < TOL:
+            cand = PhasedPauli(delta, epsilon, np.concatenate([v, w]))
+            return cand if close(u, pauli_to_dense(cand)) else None
+    return None
+
+
+def conjugate_oracle(u, a):
+    """u tau_a u^dag by two dense matmuls."""
+    return u @ pauli_to_dense(PhasedPauli(0, 0, a)) @ u.conj().T
+
+
+def extract_rep_oracle(u):
+    """The (C, h) rep of a dense u, or None, from is_pauli_oracle on each
+    generator conjugate, with the Hermiticity and symplectic checks."""
+    n = num_qubits(u)
+    j = gf2.j_mat(n)
+    cols = []
+    hbits = []
+    for e in gf2.ident(2 * n):
+        img = is_pauli_oracle(conjugate_oracle(u, e))
+        if img is None or img.delta != gf2.quad_form(j, img.a):
+            return None
+        cols.append(img.a)
+        hbits.append(img.epsilon)
+    c = np.array(cols, dtype=np.uint8).T
+    if not gf2.is_symplectic(c):
+        return None
+    return CliffordRep(c, np.array(hbits, dtype=np.uint8))
+
+
+def _in_level_oracle(u, k):
+    if k == 1:
+        return is_pauli_oracle(u) is not None
+    if k == 2:
+        return extract_rep_oracle(u) is not None
+    gens = gf2.ident(2 * num_qubits(u))
+    return all(_in_level_oracle(conjugate_oracle(u, e), k - 1) for e in gens)
+
+
+def hierarchy_level_oracle(u, kmax):
+    """Smallest k <= kmax with u in level k, each conjugate tested alone."""
+    for k in range(1, kmax + 1):
+        if _in_level_oracle(u, k):
+            return k
+    return None
+
+
+def semi_clifford_oracle(u):
+    """Semi-Clifford search one Lagrangian at a time, in canonical order:
+    the first whose basis conjugates to Paulis, else (False, count)."""
+    lags, _ = _lagrangian_cliffords(num_qubits(u))
+    for lag in lags:
+        images = [is_pauli_oracle(conjugate_oracle(u, b)) for b in lag.basis]
+        if all(img is not None for img in images):
+            image = gf2.Lagrangian(np.array([img.a for img in images], dtype=np.uint8))
+            return True, SemiCliffordWitness(domain=lag, image=image)
+    return False, len(lags)
 
 
 def reconstruct_unitary(family: GeneratorFamily) -> np.ndarray:

@@ -15,9 +15,8 @@ import semiclifford
 from semiclifford import gf2
 from semiclifford.classify import classify
 from semiclifford.circuits import embed_gate, standard_gate
-from semiclifford.clifford import CliffordRep, from_pauli
+from semiclifford.clifford import BlockRep, CliffordRep, from_pauli
 from semiclifford.dense import (
-    BlockRep,
     check_unitary,
     close,
     close_up_to_phase,

@@ -1,0 +1,38 @@
+"""Byte-for-byte `--json` output of the CLI on fixed inputs.
+
+Each case runs ``cli.main`` from the repository root on a committed
+circuit and compares standard output with a committed file.  The
+inputs cover every circuit under ``circuits/`` and three n = 3 gates:
+a Clifford (both searches hit at once), a Clifford . diagonal .
+Clifford gate (semi-Clifford on a late Lagrangian) and a Clifford+T
+gate for which both searches run to the end.  Regenerate an expected
+file only for a change that means to alter the output:
+
+    PYTHONPATH=src python -m semiclifford.cli --json classify circuits/t.cir \\
+        > tests/golden/classify_t.json
+"""
+
+from pathlib import Path
+
+import pytest
+
+from semiclifford.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [("classify", f"circuits/{p.name}") for p in sorted((ROOT / "circuits").glob("*.cir"))]
+CASES += [
+    ("classify", "tests/golden/clifford3.cir"),
+    ("classify", "tests/golden/cdc3.cir"),
+    ("classify", "tests/golden/clifford_t3.cir"),
+    ("expand", "tests/golden/clifford3.cir"),
+]
+
+
+@pytest.mark.parametrize("verb,circuit", CASES, ids=[f"{v}-{Path(c).stem}" for v, c in CASES])
+def test_json_matches_golden(verb, circuit, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(["--json", verb, circuit]) == 0
+    expected = (GOLDEN / f"{verb}_{Path(circuit).stem}.json").read_text()
+    assert capsys.readouterr().out == expected

@@ -10,9 +10,8 @@ from helpers import (
 )
 from semiclifford import gf2
 from semiclifford.circuits import embed_gate
-from semiclifford.clifford import CliffordRep, compose, from_pauli
+from semiclifford.clifford import BlockRep, CliffordRep, compose, from_pauli
 from semiclifford.dense import (
-    BlockRep,
     close_up_to_phase,
     extract_rep,
     hierarchy_level,

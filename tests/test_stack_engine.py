@@ -1,0 +1,172 @@
+"""The stacked dense engine against the scalar oracles in helpers.
+
+The library conjugates and Pauli-tests whole stacks of dense matrices;
+helpers keeps the one-matrix-at-a-time engine it replaced.  Verdicts,
+read-off Paulis, reps, hierarchy levels, witnesses and searched counts
+must agree exactly, near-misses must fall on the same side of TOL, and
+no stack may outgrow the bound that keeps n = 7 memory at one matrix.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from helpers import (
+    all_phased_paulis,
+    conjugate_oracle,
+    extract_rep_oracle,
+    gsc_search_oracle,
+    hierarchy_level_oracle,
+    is_pauli_oracle,
+    kron_pauli_to_dense,
+    random_c3_gate,
+    semi_clifford_oracle,
+)
+from semiclifford import gf2
+from semiclifford.circuits import (
+    GATE_ARITY,
+    circuit_to_dense,
+    embed_gate,
+    parse_circuit,
+    random_circuit,
+)
+from semiclifford.classify import is_generalized_semi_clifford, is_semi_clifford
+from semiclifford.dense import (
+    TOL,
+    _STACK_ENTRIES,
+    _conjugate_chunks,
+    _pauli_stack,
+    extract_rep,
+    hierarchy_level,
+    is_pauli,
+)
+from semiclifford.pauli import PhasedPauli
+
+OMEGA = np.exp(1j * np.pi / 4)
+
+
+def _stack_results(stack):
+    ok, bits, a = _pauli_stack(np.asarray(stack))
+    return [PhasedPauli(*b, x) if good else None for good, b, x in zip(ok, bits, a)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stack_test_equals_oracle_on_every_phased_pauli(n):
+    paulis = all_phased_paulis(n)
+    stack = np.array([kron_pauli_to_dense(p) for p in paulis])
+    assert _stack_results(stack) == paulis
+    assert [is_pauli_oracle(m) for m in stack] == paulis
+    assert [is_pauli(m) for m in stack] == paulis
+    off_grid = OMEGA * stack
+    assert _stack_results(off_grid) == [None] * len(paulis)
+    assert [is_pauli_oracle(m) for m in off_grid] == [None] * len(paulis)
+
+
+def _near_miss_positions(p):
+    """(row, col) of the column-0 entry, an |e_i> entry, another
+    nonzero entry and a zero entry of a dense Pauli."""
+    d = kron_pauli_to_dense(p)
+    dim = d.shape[0]
+    row0 = int(np.flatnonzero(d[:, 0])[0])
+    col_e = dim >> 1
+    last = dim - 1
+    zero_row = (int(np.flatnonzero(d[:, last])[0]) + 1) % dim
+    return [(row0, 0), (int(np.flatnonzero(d[:, col_e])[0]), col_e),
+            (int(np.flatnonzero(d[:, last])[0]), last), (zero_row, last)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_near_misses_fall_on_the_same_side_of_tol(n):
+    for p in all_phased_paulis(n):
+        for pos in _near_miss_positions(p):
+            for offset, expected in ((2 * TOL, None), (TOL / 2, p)):
+                m = kron_pauli_to_dense(p)
+                m[pos] += offset
+                assert _stack_results(m[None]) == [expected], (p, pos, offset)
+                assert is_pauli_oracle(m) == expected, (p, pos, offset)
+
+
+def _library_placements(n):
+    for name, arity in GATE_ARITY.items():
+        if arity <= n:
+            for qubits in itertools.permutations(range(n), arity):
+                yield name, qubits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rep_and_level_match_oracle_on_every_library_placement(n):
+    kmax = 4 if n <= 2 else 3
+    for name, qubits in _library_placements(n):
+        u = embed_gate(name, qubits, n)
+        assert extract_rep(u) == extract_rep_oracle(u), (name, qubits)
+        assert hierarchy_level(u, kmax=kmax) == hierarchy_level_oracle(u, kmax), (name, qubits)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rep_and_level_match_oracle_on_random_clifford_t(n):
+    rng = np.random.default_rng(900 + n)
+    kmax = 4 if n <= 2 else 3
+    for depth in (1, 2, 3, 5, 8, 12):
+        u = circuit_to_dense(random_circuit(n, depth, rng, names=("H", "T", "CX")))
+        assert extract_rep(u) == extract_rep_oracle(u)
+        assert hierarchy_level(u, kmax=kmax) == hierarchy_level_oracle(u, kmax)
+
+
+def _clifford_t_layers(n, layers, rng):
+    """Layers of H and T or T^dag on every qubit, then a CX chain."""
+    lines = [f"qubits {n}"]
+    for _ in range(layers):
+        for q in range(n):
+            lines += [f"H {q}", f"{rng.choice(['T', 'TDG'])} {q}"]
+        lines += [f"CX {q} {q + 1}" for q in range(n - 1)]
+    return circuit_to_dense(parse_circuit("\n".join(lines)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_searches_match_oracles_on_cdc_and_clifford_t(n):
+    rng = np.random.default_rng(910 + n)
+    gates = [random_c3_gate(n, rng) for _ in range(3)]
+    gates += [_clifford_t_layers(n, layers, rng) for layers in (1, 3)]
+    verdicts = []
+    for u in gates:
+        semi = is_semi_clifford(u)
+        assert semi == semi_clifford_oracle(u)
+        assert is_generalized_semi_clifford(u) == gsc_search_oracle(u)
+        verdicts.append(semi[0])
+    assert verdicts[:3] == [True] * 3
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("n,count", [(4, 10), (7, 2)])
+def test_conjugate_chunks_respect_the_stack_bound(n, count):
+    rng = np.random.default_rng(920 + n)
+    us = np.array([circuit_to_dense(random_circuit(n, 10, rng, ("H", "T", "CX"))) for _ in range(count)])
+    vectors = gf2.ident(2 * n)
+    chunks = list(_conjugate_chunks(us, vectors))
+    assert all(c.size <= max(_STACK_ENTRIES, us[0].size) for c in chunks)
+    got = np.concatenate(chunks)
+    want = [conjugate_oracle(u, a) for u in us for a in vectors]
+    assert got.shape == (count * 2 * n, 1 << n, 1 << n)
+    assert all(np.abs(g - w).max() <= TOL for g, w in zip(got, want))
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_seven_qubit_dense_tests_stay_at_one_matrix_of_memory():
+    # an unchunked stack of the 14 (or 196) conjugates would need about
+    # 14 times the single-matrix peak
+    clifford = circuit_to_dense(parse_circuit("qubits 7\nH 0\n"))
+    gate = circuit_to_dense(parse_circuit("qubits 7\nH 0\nT 1\n"))
+    assert extract_rep(clifford) is not None
+    assert hierarchy_level(gate, kmax=3) == 3
+    assert _peak_mib(lambda: extract_rep(clifford)) <= 2
+    assert _peak_mib(lambda: hierarchy_level(gate, kmax=3)) <= 2
