@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import CliffordRep, compose
-from .dense import Monomial, extract_rep, monomial_check
-from .pauli import check_dense_cap
+from .dense import Monomial, basis_bits, extract_rep, monomial_check
+from .pauli import _label_tables, check_dense_cap
 
 _SQ2 = np.sqrt(2.0)
 
@@ -142,23 +142,34 @@ def embed_gate(name, qubits, n) -> np.ndarray:
     if len(set(qubits)) != k:
         raise ValueError(f"repeated qubit in {qubits}")
     check_dense_cap(n)
-    dim = 1 << n
-    shifts = [n - 1 - q for q in qubits]
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        sub_col = 0
-        for pos, sh in enumerate(shifts):
-            sub_col |= ((col >> sh) & 1) << (k - 1 - pos)
-        for sub_row in range(1 << k):
-            val = gate[sub_row, sub_col]
-            if val == 0:
-                continue
-            row = col
-            for pos, sh in enumerate(shifts):
-                bit = (sub_row >> (k - 1 - pos)) & 1
-                row = (row & ~(1 << sh)) | (bit << sh)
-            out[row, col] += val
+    sub, rest, spread = _placement(tuple(qubits), n)
+    labels = _label_tables(n)[0]
+    out = np.zeros((labels.size, labels.size), dtype=complex)
+    # adding into zeros, rather than assigning, turns the -0.0 real parts
+    # of Y and SDG into +0.0: the same bits as the column-by-column build
+    out[rest | spread[:, None], labels] += gate[:, sub]
     return out
+
+
+@lru_cache(maxsize=None)
+def _placement(qubits, n):
+    """Read-only label tables (sub, rest, spread) placing a gate on the
+    given qubits of n.
+
+    For each basis label c of n qubits, sub[c] is the gate's own label
+    read off those qubits (the first listed most significant) and
+    rest[c] is c with those qubits cleared; spread[s] sets the gate's
+    label s on them.  So the gate's column sub[c] lands in column c,
+    its row s in row rest[c] | spread[s].
+    """
+    labels, _, weights = _label_tables(n)
+    place = weights[list(qubits)]
+    spread = basis_bits(len(qubits)) @ place
+    sub = ((labels[:, None] & place) != 0) @ _label_tables(len(qubits))[2]
+    rest = labels & ~spread[-1]
+    for arr in (sub, rest, spread):
+        arr.flags.writeable = False
+    return sub, rest, spread
 
 
 def circuit_to_dense(desc: CircuitDescription) -> np.ndarray:
@@ -184,18 +195,8 @@ def _gate_monomial(name):
 
 def _embed_monomial(gate: Monomial, qubits, n) -> Monomial:
     """gate on the given qubits of n, in O(2^n); embed_gate's layout."""
-    k = len(qubits)
-    cols = np.arange(1 << n)
-    shifts = [n - 1 - q for q in qubits]
-    sub_col = np.zeros_like(cols)
-    rows = cols.copy()
-    for pos, sh in enumerate(shifts):
-        sub_col |= ((cols >> sh) & 1) << (k - 1 - pos)
-        rows &= ~(1 << sh)
-    sub_row = gate.perm[sub_col]
-    for pos, sh in enumerate(shifts):
-        rows |= ((sub_row >> (k - 1 - pos)) & 1) << sh
-    return Monomial(rows, gate.phases[sub_col])
+    sub, rest, spread = _placement(tuple(qubits), n)
+    return Monomial(rest | spread[gate.perm[sub]], gate.phases[sub])
 
 
 def circuit_to_monomial(desc: CircuitDescription) -> Monomial | None:

@@ -3,15 +3,22 @@
 Everything symbolic in this package is cross-checked against exact
 2^n x 2^n matrices built here: Pauli membership, Clifford extraction,
 hierarchy level decisions, monomial structure, and the realization of
-block-form involutions as permutation-phase matrices.  Every Pauli
-conjugation u tau_a u^dag goes through pauli_conjugates, which applies
-tau_a as the signed permutation of pauli.pauli_action (the single
-source of tau_a's permutation and signs).  The dense engine works on
-stacks: a set of conjugates is one batched product per stack, at most
-_STACK_ENTRIES (2^14) entries, and one vectorized Pauli test reads and
-verifies every matrix of a stack, so the Clifford test, the hierarchy
-test and classify's semi-Clifford search cost a few numpy calls per
-stack instead of one Python-level test per conjugate.
+block-form involutions as permutation-phase matrices.
+
+The engine has two operator types with one code path.  A Monomial
+(permutation times diagonal) is the engine for monomial gates, in
+O(2^n) per operation; dense matrices are the engine for the rest (H)
+and the oracle the tests check the Monomial path against.  Either type
+comes as one matrix or a stack: a (k, d, d) array or a Monomial over
+(k, 2^n) arrays.  Every Pauli conjugation u tau_a u^dag goes through
+_conjugates, which applies tau_a as the signed permutation of
+pauli.pauli_action (the single source of tau_a's permutation and
+signs): one batched matmul for a dense stack, one gather for a
+Monomial stack.  _pauli_stack is the only Pauli test; is_pauli,
+extract_rep and hierarchy_level run it on stacks of at most
+_STACK_ENTRIES (2^14) stored entries, a few numpy calls per stack
+instead of one Python-level test per conjugate.
+
 TOL is the package's one tolerance, and it is absolute: every dense
 test reads it, and every matrix comparison goes through close, which
 bounds the largest entrywise difference by TOL with no relative term.
@@ -20,14 +27,6 @@ an eighth root of unity over a power of sqrt(2), and at the supported
 sizes two distinct such values differ by far more than TOL.  So TOL
 only absorbs accumulated rounding, which stays near machine epsilon,
 and never merges two exact values.
-
-A Monomial (permutation times diagonal) is the engine's second
-operator type.  check_unitary, close, pauli_conjugates, is_pauli and
-so extract_rep and hierarchy_level accept one as well as an ndarray
-and give the same result, each in O(2^n) per operation instead of a
-dense matmul or scan.  The type of the input picks the engine; dense
-matrices remain the engine for non-monomial gates (H) and the oracle
-the tests check the monomial path against.
 """
 
 from __future__ import annotations
@@ -43,12 +42,13 @@ from .clifford import BlockRep, CliffordRep, is_involution_rep, reps_commute
 from .pauli import PhasedPauli, _label_tables, pauli_action, pauli_to_dense
 
 TOL = 1e-9
-# Most complex entries in one batched stack: a single 2^7 x 2^7 matrix,
-# the hierarchy cap.  A stacked test holds a few temporaries the size of
-# its stack, so stacks of whole n = 7 conjugate sets would multiply the
-# peak memory of a hierarchy test by the set size; in chunks of this
-# size it stays at the one-matrix peak, and at n <= 3 every set the
-# searches build fits in one stack.
+# Most stored entries in one batched stack: a single dense 2^7 x 2^7
+# matrix, the hierarchy cap, or 2^7 Monomials of that size.  A stacked
+# test holds a few temporaries the size of its stack, so stacks of whole
+# n = 7 conjugate sets would multiply the peak memory of a hierarchy
+# test by the set size; in chunks of this size it stays at the
+# one-matrix peak, and at n <= 3 every set the searches build fits in
+# one stack.
 _STACK_ENTRIES = 1 << 14
 # qubit cap of the dense hierarchy test, rep_to_dense and the pipeline
 HIERARCHY_QUBIT_CAP = 7
@@ -61,19 +61,22 @@ class Monomial:
     perm[c] is the row of the one nonzero entry of column c, as in
     MonomialCheck, and phases[c] its value; every phase is above TOL in
     modulus.  Products, adjoints and Pauli conjugations cost O(2^n).
-    Treat the arrays as read-only: operations return new Monomials.
+    With (k, 2^n) arrays it is a stack of k matrices, the counterpart
+    of a dense (k, d, d) stack: indexing (u[None] too) and iteration run
+    over the first axis, and dag, to_dense and the stacked engine take
+    a stack; a product takes one matrix on each side.  Treat the arrays
+    as read-only: operations return new Monomials.
     """
 
     __slots__ = ("perm", "phases")
     # numpy operators defer to this class: `-1.0 * m` reaches __rmul__,
     # and `ndarray @ m` raises instead of building an object array
     __array_ufunc__ = None
-    ndim = 2
 
     def __init__(self, perm, phases):
         perm = np.asarray(perm, dtype=np.intp)
         phases = np.asarray(phases, dtype=complex)
-        if perm.ndim != 1 or perm.shape != phases.shape:
+        if perm.ndim < 1 or perm.shape != phases.shape:
             raise ValueError(f"perm {perm.shape} and phases {phases.shape} differ in shape")
         self.perm = perm
         self.phases = phases
@@ -92,12 +95,22 @@ class Monomial:
 
     @property
     def shape(self):
-        return self.perm.shape * 2
+        return self.perm.shape + self.perm.shape[-1:]
+
+    @property
+    def ndim(self):
+        return self.perm.ndim + 1
+
+    def __len__(self):
+        return len(self.perm)
+
+    def __getitem__(self, index):
+        return Monomial(self.perm[index], self.phases[index])
 
     def __matmul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        if self.perm.shape != other.perm.shape:
+        if self.perm.ndim != 1 or self.perm.shape != other.perm.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not multiply")
         return Monomial(self.perm[other.perm], self.phases[other.perm] * other.phases)
 
@@ -109,17 +122,16 @@ class Monomial:
     def dag(self):
         """The adjoint: column perm[c] holds conj(phases[c]) in row c."""
         inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        return Monomial(inv, self.phases[inv].conj())
+        np.put_along_axis(inv, self.perm, np.arange(self.perm.shape[-1]), axis=-1)
+        return Monomial(inv, np.take_along_axis(self.phases, inv, axis=-1).conj())
 
     def to_dense(self) -> np.ndarray:
-        dim = self.perm.size
-        out = np.zeros((dim, dim), dtype=complex)
-        out[self.perm, np.arange(dim)] = self.phases
+        out = np.zeros(self.shape, dtype=complex)
+        np.put_along_axis(out, self.perm[..., None, :], self.phases[..., None, :], axis=-2)
         return out
 
     def __repr__(self):
-        return f"Monomial(n={num_qubits(self)})"
+        return f"Monomial(n={_stack_qubits(self)})"
 
 
 def as_dense(u) -> np.ndarray:
@@ -206,60 +218,62 @@ def _generator_matrices(n):
 
 
 def pauli_conjugates(u, vectors):
-    """u tau_a u^dag for each row a of vectors.
+    """u tau_a u^dag for each row a of vectors, as one stack of u's type.
 
-    For a dense u of shape (..., d, d) the result is the (..., m, d, d)
-    stack of all m conjugates, one batched product: tau_a is a signed
-    permutation (pauli_action), so tau_a u^dag is a row permutation of
-    u^dag times +-1 signs, exact in floating point.  The caller keeps
-    the stack within _STACK_ENTRIES (see _conjugate_chunks).  For a
-    Monomial u the conjugates are yielded lazily, so a test can stop at
-    the first failure: tau_a is the Monomial sending |c> to
-    signs[c + w] |c + w>, and each conjugate is two O(2^n) products.
+    The (m, d, d) dense stack or the (m, 2^n) Monomial stack of all m
+    conjugates, one batched product (_conjugates).  The caller keeps a
+    dense stack within _STACK_ENTRIES (see _conjugate_chunks).
     """
-    if isinstance(u, Monomial):
-        return _monomial_conjugates(u, vectors)
-    u = np.asarray(u, dtype=complex)
-    return _dense_conjugates(u, _dagger(u), vectors)
+    us = _as_operator(u)[None]
+    return _conjugates(us, _dagger(us), vectors)
 
 
 def _dagger(us):
-    """The adjoint of each matrix of a stack, C-contiguous so that the
-    row gathers of _dense_conjugates read whole rows."""
+    """The adjoint of each matrix of a stack; a dense one C-contiguous so
+    that the row gathers of _conjugates read whole rows."""
+    if isinstance(us, Monomial):
+        return us.dag()
     return np.ascontiguousarray(np.conj(np.swapaxes(us, -1, -2)))
 
 
-def _dense_conjugates(us, udag, vectors):
+def _conjugates(us, udag, vectors):
+    """us[i] tau_a us[i]^dag for each matrix i of a (k, ...) stack and
+    then each row a of vectors, as a flat stack of k m matrices.
+
+    tau_a is a signed permutation (pauli_action).  For a dense stack,
+    tau_a u^dag is a row permutation of u^dag times +-1 signs, exact in
+    floating point, and one batched matmul finishes the conjugates.  A
+    Monomial tau_a sends |c> to signs[c + w] |c + w>, so all k m
+    Monomial conjugates are one O(k m 2^n) gather.
+    """
     perm, signs = pauli_action(_stack_qubits(us), vectors)
-    moved = udag[..., perm, :]
+    d = us.shape[-1]
+    if isinstance(us, Monomial):
+        rows = np.arange(len(perm))[:, None]
+        t = perm[rows, udag.perm[:, None]]  # (k, m, d): tau_a u^dag's perm
+        phases = np.take_along_axis(us.phases[:, None], t, -1)
+        phases *= signs[rows, t]
+        phases *= udag.phases[:, None]
+        perms = np.take_along_axis(us.perm[:, None], t, -1)
+        return Monomial(perms.reshape(-1, d), phases.reshape(-1, d))
+    moved = udag[:, perm, :]
     moved *= signs[..., None]
-    return us[..., None, :, :] @ moved
-
-
-def _monomial_conjugates(u, vectors):
-    n = num_qubits(u)
-    udag = u.dag()
-    for a in vectors:
-        perm, signs = pauli_action(n, a)
-        yield u @ Monomial(perm, signs[perm]) @ udag
+    return (us[:, None] @ moved).reshape(-1, d, d)
 
 
 def _conjugate_chunks(us, vectors):
-    """Yield the conjugates us[i] tau_a us[i]^dag of a dense (k, d, d)
-    stack, over i and then the rows a of vectors, as (p, d, d) stacks of
-    at most _STACK_ENTRIES entries (of one matrix when d^2 is larger)."""
-    k, d = us.shape[0], us.shape[-1]
+    """Yield the conjugates us[i] tau_a us[i]^dag of a (k, ...) stack,
+    over i and then the rows a of vectors, as stacks of at most
+    _STACK_ENTRIES stored entries (of one matrix when it is larger):
+    d^2 per dense matrix, 2^n per Monomial."""
+    d = us.shape[-1]
+    per = max(1, _STACK_ENTRIES // (d if isinstance(us, Monomial) else d * d))
     m = len(vectors)
-    per = max(1, _STACK_ENTRIES // (d * d))
+    rows, cols = max(1, per // m), min(per, m)
     udag = _dagger(us)
-    if per >= m:
-        rows = per // m
-        for i in range(0, k, rows):
-            yield _dense_conjugates(us[i : i + rows], udag[i : i + rows], vectors).reshape(-1, d, d)
-    else:
-        for i in range(k):
-            for j in range(0, m, per):
-                yield _dense_conjugates(us[i], udag[i], vectors[j : j + per])
+    for i in range(0, us.shape[0], rows):
+        for j in range(0, m, cols):
+            yield _conjugates(us[i : i + rows], udag[i : i + rows], vectors[j : j + cols])
 
 
 # the group phases i**delta (-1)**epsilon, and their (delta, epsilon) bits
@@ -268,27 +282,38 @@ _PHASE_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
 
 
 def _pauli_stack(us):
-    """is_pauli on every matrix of a dense (k, d, d) stack at once.
+    """is_pauli on every matrix of a (k, d, d) dense or (k, 2^n) Monomial
+    stack at once.
 
     Returns (ok, bits, a): ok (k,) is True exactly where the matrix is
     the phased Pauli i**delta (-1)**epsilon tau_a, with bits (k, 2) its
     (delta, epsilon) and a (k, 2n) its label; elsewhere bits and a mean
     nothing.  The candidate is read off column 0 (one entry z0, in row
     w) and the |e_i> columns (the entry in row w + e_i is +-z0, the
-    sign giving v_i), then verified entrywise, every entry within TOL
-    of the Pauli's, so near-misses (wrong phase grid, extra support)
-    are rejected.
+    sign giving v_i); only the entry access differs by type.  Then it
+    is verified, every entry within TOL of the Pauli's, so near-misses
+    (wrong phase grid, extra support) are rejected: entrywise for a
+    dense stack, and for a Monomial stack by its permutation, which
+    must be c -> c + w exactly, and its phases.
     """
     n = _stack_qubits(us)
     k = us.shape[0]
     idx = np.arange(k)
-    heavy = np.abs(us[:, :, 0]) > TOL
-    one = heavy.sum(axis=1) == 1
-    row0 = heavy.argmax(axis=1)
-    # a matrix with no single heavy entry is rejected; 1 keeps it finite
-    z0 = np.where(one, us[idx, row0, 0], 1)
     cols = _label_tables(n)[2]  # |e_i>: the label with only qubit i set
-    ratio = us[idx[:, None], row0[:, None] ^ cols, cols] / z0[:, None]
+    if isinstance(us, Monomial):
+        row0, z0 = us.perm[:, 0], us.phases[:, 0]
+        one = np.abs(z0) > TOL
+        at = us.perm[:, cols] == row0[:, None] ^ cols
+        entries = np.where(at, us.phases[:, cols], 0)
+    else:
+        heavy = np.abs(us[:, :, 0]) > TOL
+        one = heavy.sum(axis=1) == 1
+        row0 = heavy.argmax(axis=1)
+        z0 = us[idx, row0, 0]
+        entries = us[idx[:, None], row0[:, None] ^ cols, cols]
+    # a matrix with no single heavy entry is rejected; 1 keeps it finite
+    z0 = np.where(one, z0, 1)
+    ratio = entries / z0[:, None]
     plus = np.abs(ratio - 1) < TOL
     minus = np.abs(ratio + 1) < TOL
     v = minus.astype(np.uint8)
@@ -300,50 +325,27 @@ def _pauli_stack(us):
     a = np.concatenate([v, w], axis=1)
     sel = np.flatnonzero(ok)
     perm, signs = pauli_action(n, a[sel])
-    diff = us[sel]
     # bits (delta, epsilon) index _PHASES as 2 * delta + epsilon
-    diff[np.arange(sel.size)[:, None], np.arange(1 << n), perm] -= (
-        _PHASES[bits[sel] @ (2, 1)][:, None] * signs
-    )
-    ok[sel] = np.abs(diff).max(axis=(1, 2)) <= TOL
+    values = _PHASES[bits[sel] @ (2, 1)][:, None] * signs
+    if isinstance(us, Monomial):
+        # tau_a is an involution, so column c holds values[c + w] in row c + w
+        diff = np.take_along_axis(values, perm, 1)
+        diff -= us.phases[sel]
+        ok[sel] = (us.perm[sel] == perm).all(axis=1) & (np.abs(diff).max(axis=1) <= TOL)
+    else:
+        diff = us[sel]
+        diff[np.arange(sel.size)[:, None], np.arange(1 << n), perm] -= values
+        ok[sel] = np.abs(diff).max(axis=(1, 2)) <= TOL
     return ok, bits, a
 
 
 def is_pauli(u):
-    """The unique PhasedPauli realized by u, or None.
-
-    A dense u is the one-matrix case of the stacked test (_pauli_stack).
-    A Monomial's candidate is read off the same way and verified in
-    O(2^n) against pauli_action: its permutation must be c -> c + w and
-    its phases the candidate's phase times tau_a's signs.  Monomials
-    are tested one at a time, so a caller can stop at the first miss.
-    """
+    """The unique PhasedPauli realized by u, or None: the one-matrix
+    case of the stacked test (_pauli_stack), for either operator type."""
     u = _as_operator(u)
-    n = num_qubits(u)
-    if not isinstance(u, Monomial):
-        ok, bits, a = _pauli_stack(u[None])
-        return PhasedPauli(*bits[0], a[0]) if ok[0] else None
-    # the read-off of _pauli_stack, one scalar at a time: on one Monomial
-    # that is cheaper than numpy calls on length-1 arrays
-    row0, z0 = int(u.perm[0]), complex(u.phases[0])
-    if abs(z0) <= TOL:
-        return None
-    v = []
-    for col in _label_tables(n)[2].tolist():
-        ratio = u.phases[col] / z0 if u.perm[col] == row0 ^ col else 0
-        if abs(ratio - 1) < TOL or abs(ratio + 1) < TOL:
-            v.append(int(ratio.real < 0))
-        else:
-            return None
-    w = basis_bits(n)[row0]
-    near = np.abs(z0 * (-1.0) ** gf2.dot(v, w) - _PHASES) < TOL
-    if not near.any():
-        return None
-    cand = PhasedPauli(*_PHASE_BITS[near.argmax()], np.concatenate([v, w]))
-    perm, signs = pauli_action(n, cand.a)
-    if np.array_equal(u.perm, perm) and np.abs(u.phases - cand.phase * signs[perm]).max() <= TOL:
-        return cand
-    return None
+    num_qubits(u)  # rejects anything but a square 2^n-dimensional matrix
+    ok, bits, a = _pauli_stack(u[None])
+    return PhasedPauli(*bits[0], a[0]) if ok[0] else None
 
 
 def _clifford_reps(bits, ct):
@@ -365,8 +367,8 @@ def _clifford_reps(bits, ct):
 
 
 def _clifford_stack(us):
-    """_clifford_reps of a dense (k, d, d) stack, or None if one is not
-    Clifford.
+    """_clifford_reps of a dense or Monomial stack of k matrices, or None
+    if one is not Clifford.
 
     The conjugates of all 2n generators go through the stacked Pauli
     test in chunks (_conjugate_chunks), stopping at the first chunk with
@@ -386,19 +388,6 @@ def _clifford_stack(us):
     return _clifford_reps(bits.reshape(k, m, 2), labels.reshape(k, m, m))
 
 
-def _monomial_clifford(u):
-    """_clifford_reps of one Monomial, testing its conjugates one at a
-    time and stopping at the first that is not a phased Pauli."""
-    images = []
-    for conj in pauli_conjugates(u, gf2.ident(2 * num_qubits(u))):
-        img = is_pauli(conj)
-        if img is None:
-            return None
-        images.append(img)
-    bits = np.array([[(img.delta, img.epsilon) for img in images]], dtype=np.uint8)
-    return _clifford_reps(bits, np.array([[img.a for img in images]]))
-
-
 def extract_rep(u):
     """Read the (C, h) rep off a matrix, or None if not Clifford.
 
@@ -408,7 +397,7 @@ def extract_rep(u):
     """
     u = _as_operator(u)
     num_qubits(u)  # rejects anything but a square 2^n-dimensional matrix
-    found = _monomial_clifford(u) if isinstance(u, Monomial) else _clifford_stack(u[None])
+    found = _clifford_stack(u[None])
     if found is None:
         return None
     ct, h = found
@@ -420,14 +409,11 @@ def _in_level(u, k):
         return is_pauli(u) is not None
     if k == 2:
         return extract_rep(u) is not None
-    if not isinstance(u, Monomial):
-        return _all_in_level(u[None], k)
-    gens = gf2.ident(2 * num_qubits(u))
-    return all(_in_level(conj, k - 1) for conj in pauli_conjugates(u, gens))
+    return _all_in_level(u[None], k)
 
 
 def _all_in_level(us, k):
-    """Whether every matrix of a dense (k', d, d) stack lies in level k >= 2."""
+    """Whether every matrix of a dense or Monomial stack lies in level k >= 2."""
     if k == 2:
         return _clifford_stack(us) is not None
     gens = gf2.ident(2 * _stack_qubits(us))

@@ -14,7 +14,7 @@ diagonal generators form the certificate.
 The operators Q_i are Monomials when U is one (every library gate but
 H is, and so is the seven-qubit pair of gottesman_mochon), and dense
 matrices otherwise; each step runs on the type it is given.  Dense
-matrices still serve the non-monomial input, the conjugator, the
+matrices still serve the non-monomial input and its conjugator, the
 rng-gated cross-checks of extract_certificate, and the tests.
 
 build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
@@ -320,18 +320,15 @@ def span_rank(spectra) -> int:
 class GscCertificate:
     """Witness that the source gate is generalized semi-Clifford.
 
-    conjugator (with its dense realization) moves the family to block
-    form; the kernel-product reps over kernel_basis realize as diagonal
-    involutions (diagonal_generators, dense, with the given spectra)
+    conjugator moves the family to block form; the kernel-product reps
+    over kernel_basis realize as diagonal involutions, diag(spectra[r]),
     whose group spans the full diagonal algebra, i.e. the span of the
     sigma_z subgroup.
     """
 
     n: int
     conjugator: CliffordRep
-    conjugator_dense: np.ndarray
     kernel_basis: np.ndarray
-    diagonal_generators: tuple
     spectra: tuple
     verdicts: dict
 
@@ -350,14 +347,13 @@ def extract_certificate(
     _lambda_products.  When an rng is given, a few kernel products are
     realized with realize_block and cross-checked against that diagonal
     and against the product of the constituent generator ops (up to
-    global phase, densely), and sampled pairs are checked to commute
-    densely.
+    global phase, densely), and sampled pairs of spectra are checked to
+    commute.
     """
     n = family.n
     kernel = orbit_kernel(family)
     dim = 1 << n
     blocks = []
-    diag_gens = []
     spectra = []
     for row in kernel:
         rep = product_rep(family, row)
@@ -368,7 +364,6 @@ def extract_certificate(
         blk = BlockRep.from_rep(rep)
         spectrum = _lambda_products(blk, basis_bits(n))
         blocks.append(blk)
-        diag_gens.append(np.diag(spectrum))
         spectra.append(spectrum)
 
     pattern_rank = span_rank(spectra)
@@ -388,15 +383,16 @@ def extract_certificate(
                 if bits[k]:
                     prod = prod @ family.ops[k]
             realized = realize_block(blocks[int(ridx)])
-            if not close(realized, diag_gens[int(ridx)]):
+            if not close(realized, np.diag(spectra[int(ridx)])):
                 raise AssertionError("kernel product realization is not its diagonal spectrum")
             if not close_up_to_phase(as_dense(prod), realized):
                 raise AssertionError("dense product disagrees with the realization")
             checks += 1
-        for _ in range(min(3, len(diag_gens) * (len(diag_gens) - 1) // 2)):
-            i, j = rng.choice(len(diag_gens), size=2, replace=False)
-            lhs = diag_gens[int(i)] @ diag_gens[int(j)]
-            rhs = diag_gens[int(j)] @ diag_gens[int(i)]
+        for _ in range(min(3, len(spectra) * (len(spectra) - 1) // 2)):
+            i, j = rng.choice(len(spectra), size=2, replace=False)
+            # the diagonals of the two products of the realizations
+            lhs = spectra[int(i)] * spectra[int(j)]
+            rhs = spectra[int(j)] * spectra[int(i)]
             if not close(lhs, rhs):
                 raise AssertionError("kernel realizations do not commute")
             checks += 1
@@ -414,9 +410,7 @@ def extract_certificate(
     return GscCertificate(
         n=n,
         conjugator=conjugator,
-        conjugator_dense=rep_to_dense(conjugator),
         kernel_basis=kernel,
-        diagonal_generators=tuple(diag_gens),
         spectra=tuple(spectra),
         verdicts=verdicts,
     )

@@ -10,7 +10,9 @@ Lagrangian pair.  reconstruct_unitary inverts generators_from_gate on
 the dense side, as a round-trip check of generator families.  The
 scalar dense engine the library's stacked one replaced is kept here as
 its oracle: one Pauli read-off per matrix, conjugates by two matmuls,
-and the semi-Clifford search one Lagrangian at a time.
+and the semi-Clifford search one Lagrangian at a time.  So is the gate
+embedding the library's placement tables replaced: one column at a
+time, decoding each label bit by bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from semiclifford import gf2
-from semiclifford.circuits import circuit_to_dense, embed_gate, random_circuit
+from semiclifford.circuits import (
+    GATE_ARITY,
+    GATE_MATRICES,
+    circuit_to_dense,
+    embed_gate,
+    random_circuit,
+)
 from semiclifford.clifford import BlockRep, CliffordRep, compose, is_involution_rep, reps_commute
 from semiclifford.classify import (
     GscWitness,
@@ -60,6 +68,30 @@ def hex_to_bits(text, size) -> np.ndarray:
     """Inverse of ``cli.bits_to_hex`` for the first ``size`` bits."""
     raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
     return np.unpackbits(raw)[:size].astype(np.uint8)
+
+
+def embed_gate_oracle(name, qubits, n) -> np.ndarray:
+    """Dense matrix of a library gate on the given qubits of n, built
+    one column at a time with qubit 0 the most significant label bit."""
+    gate = GATE_MATRICES[name]
+    k = GATE_ARITY[name]
+    dim = 1 << n
+    shifts = [n - 1 - q for q in qubits]
+    out = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        sub_col = 0
+        for pos, sh in enumerate(shifts):
+            sub_col |= ((col >> sh) & 1) << (k - 1 - pos)
+        for sub_row in range(1 << k):
+            val = gate[sub_row, sub_col]
+            if val == 0:
+                continue
+            row = col
+            for pos, sh in enumerate(shifts):
+                bit = (sub_row >> (k - 1 - pos)) & 1
+                row = (row & ~(1 << sh)) | (bit << sh)
+            out[row, col] += val
+    return out
 
 
 def gsc_search_oracle(u):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -11,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiclifford.circuits import (
+    GATE_ARITY,
     CircuitDescription,
     CircuitSyntaxError,
+    _embed_monomial,
+    _gate_monomial,
     circuit_to_dense,
     embed_gate,
     parse_circuit,
 )
-from helpers import hex_to_bits
+from helpers import embed_gate_oracle, hex_to_bits
 from semiclifford.cli import main, read_bit_matrices, bits_to_hex
 from semiclifford.pauli import DENSE_QUBIT_CAP
 
@@ -137,6 +141,19 @@ def test_embed_cswap_and_ccz():
     # |101> <-> |110>
     assert cswap[0b110, 0b101] == 1 and cswap[0b101, 0b110] == 1
     assert cswap[0b001, 0b001] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_embeddings_match_the_column_loop_at_every_placement(n):
+    for name, arity in GATE_ARITY.items():
+        for qubits in itertools.permutations(range(n), arity):
+            want = embed_gate_oracle(name, qubits, n)
+            # bit for bit, signed zeros included
+            assert embed_gate(name, qubits, n).tobytes() == want.tobytes(), (name, qubits)
+            gate = _gate_monomial(name)
+            if gate is not None:
+                got = _embed_monomial(gate, qubits, n).to_dense()
+                assert np.array_equal(got, want), (name, qubits)
 
 
 def test_circuit_to_dense_order():

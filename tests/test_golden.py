@@ -5,8 +5,10 @@ circuit and compares standard output with a committed file.  The
 inputs cover every circuit under ``circuits/`` and three n = 3 gates:
 a Clifford (both searches hit at once), a Clifford . diagonal .
 Clifford gate (semi-Clifford on a late Lagrangian) and a Clifford+T
-gate for which both searches run to the end.  Regenerate an expected
-file only for a change that means to alter the output:
+gate for which both searches run to the end.  ``pipeline`` runs on
+every circuit under ``circuits/``, and ``verify-counterexample``, which
+takes no circuit, runs once; both use the default seed.  Regenerate an
+expected file only for a change that means to alter the output:
 
     PYTHONPATH=src python -m semiclifford.cli --json classify circuits/t.cir \\
         > tests/golden/classify_t.json
@@ -21,18 +23,28 @@ from semiclifford.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-CASES = [("classify", f"circuits/{p.name}") for p in sorted((ROOT / "circuits").glob("*.cir"))]
+CIRCUITS = [f"circuits/{p.name}" for p in sorted((ROOT / "circuits").glob("*.cir"))]
+CASES = [("classify", c) for c in CIRCUITS]
 CASES += [
     ("classify", "tests/golden/clifford3.cir"),
     ("classify", "tests/golden/cdc3.cir"),
     ("classify", "tests/golden/clifford_t3.cir"),
     ("expand", "tests/golden/clifford3.cir"),
 ]
+CASES += [("pipeline", c) for c in CIRCUITS]
+CASES += [("verify-counterexample", None)]
 
 
-@pytest.mark.parametrize("verb,circuit", CASES, ids=[f"{v}-{Path(c).stem}" for v, c in CASES])
+def _stem(verb, circuit):
+    return verb if circuit is None else f"{verb}_{Path(circuit).stem}"
+
+
+IDS = [v if c is None else f"{v}-{Path(c).stem}" for v, c in CASES]
+
+
+@pytest.mark.parametrize("verb,circuit", CASES, ids=IDS)
 def test_json_matches_golden(verb, circuit, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
-    assert main(["--json", verb, circuit]) == 0
-    expected = (GOLDEN / f"{verb}_{Path(circuit).stem}.json").read_text()
+    assert main(["--json", verb] + ([] if circuit is None else [circuit])) == 0
+    expected = (GOLDEN / f"{_stem(verb, circuit)}.json").read_text()
     assert capsys.readouterr().out == expected

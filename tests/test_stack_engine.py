@@ -1,10 +1,11 @@
-"""The stacked dense engine against the scalar oracles in helpers.
+"""The stacked engine against the scalar oracles in helpers.
 
-The library conjugates and Pauli-tests whole stacks of dense matrices;
-helpers keeps the one-matrix-at-a-time engine it replaced.  Verdicts,
-read-off Paulis, reps, hierarchy levels, witnesses and searched counts
-must agree exactly, near-misses must fall on the same side of TOL, and
-no stack may outgrow the bound that keeps n = 7 memory at one matrix.
+The library conjugates and Pauli-tests whole stacks of dense matrices
+or Monomials; helpers keeps the one-matrix-at-a-time dense engine as
+its oracle.  Verdicts, read-off Paulis, reps, hierarchy levels,
+witnesses and searched counts must agree exactly, near-misses must
+fall on the same side of TOL in either form, and no stack may outgrow
+the bound that keeps n = 7 memory at one matrix.
 """
 
 import itertools
@@ -36,6 +37,7 @@ from semiclifford.classify import is_generalized_semi_clifford, is_semi_clifford
 from semiclifford.dense import (
     TOL,
     _STACK_ENTRIES,
+    Monomial,
     _conjugate_chunks,
     _pauli_stack,
     extract_rep,
@@ -43,12 +45,13 @@ from semiclifford.dense import (
     is_pauli,
 )
 from semiclifford.pauli import PhasedPauli
+from semiclifford.pipeline import gottesman_mochon
 
 OMEGA = np.exp(1j * np.pi / 4)
 
 
 def _stack_results(stack):
-    ok, bits, a = _pauli_stack(np.asarray(stack))
+    ok, bits, a = _pauli_stack(stack if isinstance(stack, Monomial) else np.asarray(stack))
     return [PhasedPauli(*b, x) if good else None for good, b, x in zip(ok, bits, a)]
 
 
@@ -66,7 +69,7 @@ def test_stack_test_equals_oracle_on_every_phased_pauli(n):
 
 def _near_miss_positions(p):
     """(row, col) of the column-0 entry, an |e_i> entry, another
-    nonzero entry and a zero entry of a dense Pauli."""
+    nonzero entry and, last, a zero entry of a dense Pauli."""
     d = kron_pauli_to_dense(p)
     dim = d.shape[0]
     row0 = int(np.flatnonzero(d[:, 0])[0])
@@ -80,12 +83,18 @@ def _near_miss_positions(p):
 @pytest.mark.parametrize("n", [1, 2])
 def test_near_misses_fall_on_the_same_side_of_tol(n):
     for p in all_phased_paulis(n):
-        for pos in _near_miss_positions(p):
+        positions = _near_miss_positions(p)
+        for pos in positions:
             for offset, expected in ((2 * TOL, None), (TOL / 2, p)):
                 m = kron_pauli_to_dense(p)
                 m[pos] += offset
                 assert _stack_results(m[None]) == [expected], (p, pos, offset)
                 assert is_pauli_oracle(m) == expected, (p, pos, offset)
+                if pos == positions[-1]:
+                    continue  # a perturbed zero entry has no Monomial form
+                mono = Monomial.from_dense(m)
+                assert _stack_results(mono[None]) == [expected], (p, pos, offset)
+                assert is_pauli(mono) == expected, (p, pos, offset)
 
 
 def _library_placements(n):
@@ -170,3 +179,9 @@ def test_seven_qubit_dense_tests_stay_at_one_matrix_of_memory():
     assert hierarchy_level(gate, kmax=3) == 3
     assert _peak_mib(lambda: extract_rep(clifford)) <= 2
     assert _peak_mib(lambda: hierarchy_level(gate, kmax=3)) <= 2
+    # stacked Monomial recursion is chunked as well: its stacks stay
+    # within _STACK_ENTRIES instead of growing as (2n)^k 2^n with level k
+    u, v = gottesman_mochon()
+    uv = u @ v
+    assert hierarchy_level(uv, kmax=3) == 3
+    assert _peak_mib(lambda: hierarchy_level(uv, kmax=3)) <= 2
