@@ -176,6 +176,36 @@ def reps_commute(a: CliffordRep, b: CliffordRep) -> bool:
     return compose(a, b) == compose(b, a)
 
 
+def product_table(cs, hs):
+    """Reps of q_i q_j for every ordered pair of a family, all at once.
+
+    cs (k, 2n, 2n) and hs (k, 2n) stack the bits of k reps q_i.  Returns
+    (C, h) of shapes (k, k, 2n, 2n) and (k, k, 2n), where entry [i, j]
+    equals compose(q_i, q_j) bit for bit.  Row blocks (i, a) of the
+    stacked C_i, lows_i, h_i and d_i times column blocks (j, x) of the
+    stacked C_j form one product, and one more einsum finishes
+    diag(C_j^T lows_i C_j).  The sums run in uint8 and wrap mod 256,
+    which keeps their parity; an einsum over uint8 needs no BLAS call,
+    so its cost does not depend on the BLAS thread count.
+    """
+    cs = gf2.asbits(cs)
+    hs = gf2.asbits(hs)
+    k, m, _ = cs.shape
+    n = m // 2
+    # C^T J C, its diagonal d and lows(C^T J C + d d^T) for every rep
+    cjc = np.swapaxes(cs[:, :n], 1, 2) @ cs[:, n:] & 1
+    d = np.diagonal(cjc, axis1=1, axis2=2)
+    low = np.tril(cjc ^ (d[:, :, None] & d[:, None, :]), -1)
+    cols = cs.transpose(1, 0, 2).reshape(m, k * m)
+    rows = np.concatenate([cs.reshape(k * m, m), low.reshape(k * m, m), hs, d])
+    prod = np.einsum("ab,bc->ac", rows, cols)
+    c12 = prod[: k * m].reshape(k, m, k, m).transpose(0, 2, 1, 3)
+    low_c = prod[k * m : 2 * k * m].reshape(k, m, k, m)
+    quad = np.einsum("iajx,ajx->ijx", low_c, cols.reshape(m, k, m))
+    hc, dc = prod[2 * k * m :].reshape(2, k, k, m)
+    return c12 & 1, (hs[None] + hc + quad + dc * d[None]) & 1
+
+
 class BlockRep:
     """Involution-friendly rep with C = (A E; 0 A^T) and h = (f; g).
 

@@ -359,9 +359,7 @@ def _clifford_reps(bits, ct):
     """
     n = ct.shape[-1] // 2
     hermitian = bits[..., 0] == ((ct[..., :n] & ct[..., n:]).sum(axis=-1) & 1)
-    p = gf2.p_mat(n)
-    symplectic = (((ct @ p) & 1) @ np.swapaxes(ct, -1, -2) & 1) == p
-    if not (hermitian.all() and symplectic.all()):
+    if not (hermitian.all() and gf2.symplectic_mask(np.swapaxes(ct, -1, -2)).all()):
         return None
     return ct, bits[..., 1]
 

@@ -205,8 +205,20 @@ def is_symplectic(c) -> bool:
     c = asbits(c)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2:
         raise ValueError(f"need a square even-dimensional matrix, got {c.shape}")
-    p = p_mat(c.shape[0] // 2)
-    return np.array_equal(mat_mul(mat_mul(c.T, p), c), p)
+    return bool(symplectic_mask(c))
+
+
+def symplectic_mask(cs):
+    """Whether C^T P C = P, for each matrix of a (..., 2n, 2n) stack.
+
+    With T and B the top and bottom row halves of C, C^T P C is
+    T^T B + (T^T B)^T, so the test is one batched product of half the
+    size.  Returns a bool array of the stack's leading shape.
+    """
+    cs = asbits(cs)
+    n = cs.shape[-1] // 2
+    tb = np.swapaxes(cs[..., :n, :], -1, -2) @ cs[..., n:, :]
+    return (((tb ^ np.swapaxes(tb, -1, -2)) & 1) == p_mat(n)).all(axis=(-2, -1))
 
 
 def symmetric_congruence(e):

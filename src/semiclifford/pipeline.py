@@ -13,9 +13,14 @@ diagonal generators form the certificate.
 
 The operators Q_i are Monomials when U is one (every library gate but
 H is, and so is the seven-qubit pair of gottesman_mochon), and dense
-matrices otherwise; each step runs on the type it is given.  Dense
-matrices still serve the non-monomial input and its conjugator, the
-rng-gated cross-checks of extract_certificate, and the tests.
+matrices otherwise; each step runs on the type it is given.  The 2n
+conjugates are tested for being Clifford a stack at a time, and the
+family's rep checks (involutions, pairwise commutation, symplectic
+products) read one table of all (2n)^2 ordered products,
+clifford.product_table: a few batched GF(2) products, not one compose
+per pair.  Dense matrices still serve the non-monomial input and its
+conjugator, the rng-gated cross-checks of extract_certificate, and the
+tests.
 
 build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
 are kept as the independent reference that orbit_kernel is tested
@@ -30,11 +35,13 @@ import numpy as np
 
 from . import gf2
 from .circuits import CircuitDescription, circuit_to_monomial
-from .clifford import BlockRep, CliffordRep, compose, inverse, is_involution_rep, reps_commute
+from .clifford import BlockRep, CliffordRep, compose, inverse, product_table
 from .dense import (
     HIERARCHY_QUBIT_CAP,
     TOL,
     Monomial,
+    _clifford_stack,
+    _conjugate_chunks,
     _lambda_products,
     as_dense,
     basis_bits,
@@ -62,16 +69,40 @@ class GeneratorFamily:
     n: int
 
     def validate(self):
+        """Check the reps and the ops; raise ValueError naming the first failure.
+
+        The rep checks read one product_table of all (2n)^2 ordered
+        products q_i q_j: every product is symplectic, each diagonal
+        entry q_i q_i is the identity rep (q_i is an involution rep), and
+        the table is symmetric (q_i and q_j commute up to a sign).  Then
+        each op squares to I and each pair of ops commutes, or
+        anticommutes exactly for the pair (Z_i, X_i) of one qubit.
+        Failures are named in index order: the first non-involution i,
+        then the first incompatible pair i < j.
+        """
         n = self.n
-        if len(self.qs) != 2 * n:
-            raise ValueError(f"expected {2 * n} generators, got {len(self.qs)}")
-        for i, q in enumerate(self.qs):
-            if not is_involution_rep(q):
-                raise ValueError(f"generator {i} is not an involution rep")
-        for i in range(2 * n):
-            for j in range(i + 1, 2 * n):
-                if not reps_commute(self.qs[i], self.qs[j]):
-                    raise ValueError(f"generators {i} and {j} have incompatible reps")
+        m = 2 * n
+        if len(self.qs) != m:
+            raise ValueError(f"expected {m} generators, got {len(self.qs)}")
+        for q in self.qs:
+            if q.n != self.qs[0].n:
+                raise ValueError(f"qubit counts differ: {self.qs[0].n} vs {q.n}")
+        table_c, table_h = product_table(
+            np.stack([q.c for q in self.qs]), np.stack([q.h for q in self.qs])
+        )
+        if not gf2.symplectic_mask(table_c).all():
+            raise ValueError("C is not symplectic")
+        diag = np.arange(m)
+        identity = (table_c[diag, diag] == gf2.ident(table_c.shape[-1])).all(axis=(1, 2))
+        identity &= ~table_h[diag, diag].any(axis=1)
+        bad = np.flatnonzero(~identity)
+        if bad.size:
+            raise ValueError(f"generator {bad[0]} is not an involution rep")
+        symmetric = (table_c == table_c.transpose(1, 0, 2, 3)).all(axis=(2, 3))
+        symmetric &= (table_h == table_h.transpose(1, 0, 2)).all(axis=2)
+        bad = np.argwhere(~symmetric)  # row-major: the first i, then its first j > i
+        if bad.size:
+            raise ValueError(f"generators {bad[0, 0]} and {bad[0, 1]} have incompatible reps")
         for i, op in enumerate(self.ops):
             if not close(op @ op, identity_like(op)):
                 raise ValueError(f"generator op {i} does not square to I")
@@ -91,9 +122,13 @@ class GeneratorFamily:
 def generators_from_gate(u) -> GeneratorFamily:
     """Conjugate all 2n Pauli generators by u and extract their reps.
 
+    The conjugates come in the engine's stacks (_conjugate_chunks): all
+    2n in one stack for a Monomial, one matrix per stack for a dense
+    gate at n = 7.  Each stack goes through one stacked Clifford test.
+
     Raises:
-        ValueError: naming the witness index when some conjugate is not
-            Clifford (u is then not a third-level gate).
+        ValueError: naming the first witness index when some conjugate
+            is not Clifford (u is then not a third-level gate).
     """
     u = check_unitary(u)
     n = num_qubits(u)
@@ -101,19 +136,17 @@ def generators_from_gate(u) -> GeneratorFamily:
         raise ValueError(f"n={n} exceeds the pipeline cap of {HIERARCHY_QUBIT_CAP} qubits")
     reps = []
     ops = []
-    gens = gf2.ident(2 * n)
-    for i in range(2 * n):
-        # one conjugate at a time: a dense stack of all 2n at n = 7 would
-        # exceed the engine's stack bound
-        (op,) = pauli_conjugates(u, gens[i : i + 1])
-        rep = extract_rep(op)
-        if rep is None:
+    for stack in _conjugate_chunks(u[None], gf2.ident(2 * n)):
+        found = _clifford_stack(stack)
+        if found is None:
+            # the stacked test passes exactly when each matrix passes alone
+            first = next(k for k, op in enumerate(stack) if _clifford_stack(op[None]) is None)
             raise ValueError(
-                f"input is not a third-level gate: conjugated generator {i} "
+                f"input is not a third-level gate: conjugated generator {len(ops) + first} "
                 "is not Clifford"
             )
-        reps.append(rep)
-        ops.append(op)
+        reps.extend(CliffordRep(ct.T, h) for ct, h in zip(*found))
+        ops.extend(stack)
     family = GeneratorFamily(qs=tuple(reps), ops=tuple(ops), n=n)
     family.validate()
     return family
@@ -333,6 +366,14 @@ class GscCertificate:
     verdicts: dict
 
 
+def _op_product(family: GeneratorFamily, bits):
+    """The product of the generator ops over an exponent vector, in index order."""
+    prod = identity_like(family.ops[0])
+    for k in np.flatnonzero(bits):
+        prod = prod @ family.ops[k]
+    return prod
+
+
 def extract_certificate(
     family: GeneratorFamily, conjugator: CliffordRep, rng=None
 ) -> GscCertificate:
@@ -347,8 +388,8 @@ def extract_certificate(
     _lambda_products.  When an rng is given, a few kernel products are
     realized with realize_block and cross-checked against that diagonal
     and against the product of the constituent generator ops (up to
-    global phase, densely), and sampled pairs of spectra are checked to
-    commute.
+    global phase, densely), and for sampled pairs of kernel rows the two
+    products of generator ops are checked to commute.
     """
     n = family.n
     kernel = orbit_kernel(family)
@@ -377,11 +418,7 @@ def extract_certificate(
         take = min(3, len(kernel))
         rows = rng.choice(len(kernel), size=take, replace=False)
         for ridx in rows:
-            bits = kernel[ridx]
-            prod = identity_like(family.ops[0])
-            for k in range(2 * n):
-                if bits[k]:
-                    prod = prod @ family.ops[k]
+            prod = _op_product(family, kernel[ridx])
             realized = realize_block(blocks[int(ridx)])
             if not close(realized, np.diag(spectra[int(ridx)])):
                 raise AssertionError("kernel product realization is not its diagonal spectrum")
@@ -390,10 +427,8 @@ def extract_certificate(
             checks += 1
         for _ in range(min(3, len(spectra) * (len(spectra) - 1) // 2)):
             i, j = rng.choice(len(spectra), size=2, replace=False)
-            # the diagonals of the two products of the realizations
-            lhs = spectra[int(i)] * spectra[int(j)]
-            rhs = spectra[int(j)] * spectra[int(i)]
-            if not close(lhs, rhs):
+            a, b = (_op_product(family, kernel[r]) for r in (i, j))
+            if not close(a @ b, b @ a):
                 raise AssertionError("kernel realizations do not commute")
             checks += 1
 
@@ -467,7 +502,7 @@ def counterexample_report(rng=None) -> dict:
     (vu_conj,) = pauli_conjugates(vu, gf2.ident(2 * n)[[witness_index]])
     vu_witness_clifford = extract_rep(vu_conj) is not None
     # the family's 14 conjugates are exactly the ones the level-3 test
-    # checks with extract_rep, so building it is the level-3 verdict; a
+    # checks for being Clifford, so building it is the level-3 verdict; a
     # gate outside level 3 raises here
     cert = run_pipeline(uv, rng=rng)
     uv_level = low_level or 3

@@ -12,6 +12,8 @@ from semiclifford.clifford import (
     from_pauli,
     inverse,
     is_involution_rep,
+    product_table,
+    reps_commute,
 )
 from semiclifford.dense import extract_rep
 from semiclifford.pauli import PhasedPauli, pauli_mul, pauli_to_dense
@@ -207,3 +209,34 @@ def test_round_trip_extract_of_realization(rng):
     for _ in range(5):
         rep = circuit_to_rep(random_circuit(2, 12, rng))
         assert extract_rep(rep_to_dense(rep)) == rep
+
+
+def _assert_table_matches_compose(reps):
+    cs = np.stack([q.c for q in reps])
+    hs = np.stack([q.h for q in reps])
+    table_c, table_h = product_table(cs, hs)
+    k, m = len(reps), cs.shape[-1]
+    assert table_c.shape == (k, k, m, m) and table_h.shape == (k, k, m)
+    for i, outer in enumerate(reps):
+        for j, inner in enumerate(reps):
+            ref = compose(outer, inner)
+            assert table_c[i, j].tobytes() == ref.c.tobytes()
+            assert table_h[i, j].tobytes() == ref.h.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_table_matches_compose_bitwise(n, rng):
+    # random C and h: the family has non-commuting and non-involution pairs
+    reps = [
+        CliffordRep(circuit_to_rep(random_circuit(n, 10, rng)).c, rng.integers(0, 2, 2 * n))
+        for _ in range(6)
+    ]
+    assert not all(reps_commute(a, b) for a in reps for b in reps)
+    _assert_table_matches_compose(reps)
+
+
+def test_product_table_matches_compose_on_the_uv_family():
+    from semiclifford.pipeline import generators_from_gate, gottesman_mochon
+
+    u, v = gottesman_mochon()
+    _assert_table_matches_compose(generators_from_gate(u @ v).qs)

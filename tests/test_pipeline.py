@@ -12,13 +12,14 @@ from semiclifford import gf2
 from semiclifford.circuits import embed_gate
 from semiclifford.clifford import BlockRep, CliffordRep, compose, from_pauli
 from semiclifford.dense import (
+    Monomial,
     close_up_to_phase,
     extract_rep,
     hierarchy_level,
     realize_block,
 )
 from semiclifford.expansion import rep_to_dense
-from semiclifford.pauli import PhasedPauli
+from semiclifford.pauli import PhasedPauli, pauli_to_dense
 from semiclifford.pipeline import (
     GeneratorFamily,
     build_fmap,
@@ -334,3 +335,96 @@ def test_certificate_realizes_only_in_the_cross_check(monkeypatch):
     assert calls == []
     cert = run_pipeline(u @ v, rng=np.random.default_rng(0))
     assert len(calls) == 3 == cert.verdicts["dense_cross_checks"] - 3
+
+
+def _t_family():
+    # T on qubit 1 of n = 2: generators 0-2 have C = I, generator 3 does not
+    return generators_from_gate(embed_gate("T", (1,), 2))
+
+
+def _with_reps(family, replace):
+    qs = list(family.qs)
+    for k, q in replace.items():
+        qs[k] = q
+    return GeneratorFamily(qs=tuple(qs), ops=family.ops, n=family.n)
+
+
+def test_validate_names_the_first_non_involution_rep():
+    # S^2 = Z, so the rep of S squares to a Pauli rep, not the identity rep
+    s = extract_rep(embed_gate("S", (0,), 2))
+    with pytest.raises(ValueError, match="^generator 1 is not an involution rep$"):
+        _with_reps(_t_family(), {1: s, 3: s}).validate()
+
+
+def test_validate_names_the_first_incompatible_pair():
+    # flipping h bit 1 of a C = I rep keeps it an involution rep, but
+    # generator 3 moves e_1 (C_3^T e_1 != e_1), so only pairs (0, 3) and
+    # (1, 3) stop commuting
+    fam = _t_family()
+    flipped = {}
+    for k in (0, 1):
+        h = fam.qs[k].h.copy()
+        h[1] ^= 1
+        flipped[k] = CliffordRep(fam.qs[k].c, h)
+    with pytest.raises(ValueError, match="^generators 0 and 3 have incompatible reps$"):
+        _with_reps(fam, flipped).validate()
+    with pytest.raises(ValueError, match="^generators 1 and 3 have incompatible reps$"):
+        _with_reps(fam, {1: flipped[1]}).validate()
+
+
+# the fourth root of Z sits at level 4: its X conjugate is not Clifford
+_ROOT_Z = np.diag([1, np.exp(1j * np.pi / 8)])
+
+
+@pytest.mark.parametrize("monomial", [False, True])
+@pytest.mark.parametrize(
+    "gate,witness",
+    [(np.kron(np.eye(2), _ROOT_Z), 3), (np.kron(_ROOT_Z, _ROOT_Z), 2)],
+    ids=["qubit-1", "both-qubits"],
+)
+def test_witness_is_the_first_non_clifford_generator(gate, witness, monomial):
+    u = Monomial.from_dense(gate) if monomial else gate
+    with pytest.raises(ValueError, match=f"conjugated generator {witness} is not Clifford"):
+        generators_from_gate(u)
+
+
+def test_uv_family_is_one_clifford_stack_and_no_scalar_compose(monkeypatch):
+    import semiclifford.clifford as clifford_module
+    import semiclifford.dense as dense_module
+    import semiclifford.pipeline as pipeline_module
+
+    calls = {"compose": 0, "_clifford_stack": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, owner in (("compose", clifford_module), ("_clifford_stack", dense_module)):
+        wrapped = counting(name, getattr(owner, name))
+        for module in (owner, pipeline_module):
+            monkeypatch.setattr(module, name, wrapped, raising=False)
+    u, v = gottesman_mochon()
+    generators_from_gate(u @ v)
+    assert calls == {"compose": 0, "_clifford_stack": 1}
+
+
+def test_certificate_pair_check_compares_the_generator_ops():
+    # unvalidated: op 3 is X on every qubit in place of Z_3, so kernel row
+    # 3's product anticommutes with every other row's while the reps stay
+    # those of the identity gate
+    n = 4
+    fam = generators_from_gate(np.eye(1 << n, dtype=complex))
+    ops = list(fam.ops)
+    ops[3] = pauli_to_dense(PhasedPauli(0, 0, [0] * n + [1] * n))
+    bad = GeneratorFamily(qs=fam.qs, ops=tuple(ops), n=n)
+    # seed 17 realizes kernel rows 0, 1 and 2 only, then draws the pair (3, 1)
+    draws = np.random.default_rng(17)
+    assert 3 not in draws.choice(n, size=3, replace=False)
+    assert sorted(draws.choice(n, size=2, replace=False)) == [1, 3]
+    cert = extract_certificate(fam, CliffordRep.identity(n), rng=np.random.default_rng(17))
+    assert cert.verdicts["dense_cross_checks"] == 6
+    with pytest.raises(AssertionError, match="kernel realizations do not commute"):
+        extract_certificate(bad, CliffordRep.identity(n), rng=np.random.default_rng(17))
