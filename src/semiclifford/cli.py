@@ -38,7 +38,8 @@ def bits_to_hex(arr) -> str:
 
 
 def bitstring(vec) -> str:
-    return "".join(str(int(b)) for b in gf2.asbits(vec))
+    """A bit vector as a string of ASCII '0' and '1'."""
+    return (gf2.asbits(vec) + 48).tobytes().decode("ascii")
 
 
 def rep_to_json(rep: CliffordRep) -> dict:
@@ -52,7 +53,8 @@ def rep_to_json(rep: CliffordRep) -> dict:
 
 
 def matrix_rows(mat) -> list:
-    return [bitstring(row) for row in gf2.asbits(mat)]
+    """One bitstring per row of a bit matrix."""
+    return [row.tobytes().decode("ascii") for row in gf2.asbits(mat) + 48]
 
 
 def phase_str(z) -> str:
@@ -103,7 +105,8 @@ def read_bit_matrices(path) -> list:
                     f"{path}: line {row_num}: row {ln!r} has {len(ln)} entries, "
                     f"header says {cols}"
                 )
-        mats.append(np.array([[int(ch) for ch in ln] for _, ln in body], dtype=np.uint8))
+        text = "".join(ln for _, ln in body).encode("ascii")
+        mats.append((np.frombuffer(text, dtype=np.uint8) - 48).reshape(rows, cols))
         i += 1 + rows
     if not mats:
         raise ValueError(f"no matrices found in {path}")
@@ -186,8 +189,10 @@ def cmd_expand(args) -> dict:
         "anchor": bitstring(res.a0),
         "rep": rep_to_json(rep),
         "coefficients": [
-            {"a": bitstring(pt), "re": float(val.real), "im": float(val.imag)}
-            for pt, val in zip(res.support, res.values)
+            {"a": a, "re": re, "im": im}
+            for a, re, im in zip(
+                matrix_rows(res.support), res.values.real.tolist(), res.values.imag.tolist()
+            )
         ],
     }
 

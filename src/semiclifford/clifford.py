@@ -142,7 +142,7 @@ def compose(outer: CliffordRep, inner: CliffordRep) -> CliffordRep:
 
 def inverse(rep: CliffordRep) -> CliffordRep:
     """Rep of the inverse operator."""
-    cinv = gf2.inverse(rep.c)
+    cinv = gf2.symplectic_inverse(rep.c)
     cinv_t = cinv.T
     j = gf2.j_mat(rep.n)
     d_prime = gf2.diag_vec(gf2.mat_mul(gf2.mat_mul(cinv_t, j), cinv))

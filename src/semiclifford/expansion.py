@@ -137,12 +137,14 @@ def expand(rep: CliffordRep) -> ExpansionResult:
         iexp = (quad_j - db - a2q + 2 * sign_bits) % 4
         phase[:, k] = 1j ** iexp
 
+    # r at t comes from r at t ^ (1 << k), k the lowest set bit of t;
+    # that point has no set bit below k + 1, so going from high k to low
+    # fills every t after the point it comes from
     values = np.zeros(count, dtype=complex)
     values[0] = 2.0 ** (-m / 2)
-    for t in range(1, count):
-        k = (t & -t).bit_length() - 1
-        prev = t ^ (1 << k)
-        values[t] = values[prev] * phase[prev, k]
+    for k in reversed(range(m)):
+        prev = np.arange(0, count, 2 << k)
+        values[prev + (1 << k)] = values[prev] * phase[prev, k]
 
     # every phase is +-1 or +-i, so the products are exact and any path
     # through the cube must give bit-equal values

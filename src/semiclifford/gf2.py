@@ -4,12 +4,19 @@ Vectors are 1-D numpy ``uint8`` arrays with entries in {0, 1}; matrices
 are 2-D.  Addition is XOR and products are reduced mod 2.  ``uint8``
 matmul accumulates mod 256, which preserves parity, so no dtype
 widening is needed at the sizes used here (dimensions well below 256).
+
+Row reduction packs each row into one Python int, bit c holding column
+c, and eliminates with whole-row XORs, the tableau layout of
+Aaronson-Gottesman (quant-ph/0406196).  The packing stays inside
+``rref``: every function here takes and returns ``uint8`` arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 import numpy as np
 
@@ -20,8 +27,16 @@ def asbits(data) -> np.ndarray:
 
 
 def frozenbits(data) -> np.ndarray:
-    """Mod-2 copy of *data*, marked read-only."""
-    out = asbits(data).copy()
+    """Read-only ``uint8`` copy of *data*, whose entries must be bits.
+
+    Raises:
+        ValueError: if an entry is not 0 or 1 (bools are bits), so no
+            value is silently reduced mod 2.
+    """
+    arr = np.asarray(data)
+    out = arr.astype(np.uint8, order="C")
+    if out.size and (out.max() > 1 or (arr.dtype != np.uint8 and not np.array_equal(out, arr))):
+        raise ValueError("bit array has an entry other than 0 or 1")
     out.flags.writeable = False
     return out
 
@@ -46,6 +61,14 @@ def p_mat(n):
     p = zeros(2 * n, 2 * n)
     p[:n, n:] = ident(n)
     p[n:, :n] = ident(n)
+    return p
+
+
+@lru_cache(maxsize=None)
+def _p_form(n):
+    """p_mat(n), read-only and built once per n for the symplectic test."""
+    p = p_mat(n)
+    p.flags.writeable = False
     return p
 
 
@@ -97,30 +120,40 @@ def rref(m, n_pivot_cols=None):
         (R, pivot_cols): the reduced matrix and the pivot column list
         (its length is the GF(2) rank of the searched columns).
     """
-    r = asbits(m).copy()
+    r = asbits(m)
     rows, cols = r.shape
     if n_pivot_cols is None:
         n_pivot_cols = cols
+    if not rows or not cols:
+        return r, []
+    # row k is bits [k * width, (k + 1) * width) of one little-endian int
+    width = 8 * ((cols + 7) >> 3)
+    mask = (1 << width) - 1
+    packed = int.from_bytes(np.packbits(r, axis=1, bitorder="little").tobytes(), "little")
+    ints = [packed >> (k * width) & mask for k in range(rows)]
+    searched = (1 << n_pivot_cols) - 1
     pivots: list[int] = []
-    row = 0
-    for col in range(n_pivot_cols):
-        hit = -1
-        for k in range(row, rows):
-            if r[k, col]:
-                hit = k
-                break
-        if hit < 0:
-            continue
-        if hit != row:
-            r[[row, hit]] = r[[hit, row]]
-        for k in range(rows):
-            if k != row and r[k, col]:
-                r[k] ^= r[row]
-        pivots.append(col)
-        row += 1
-        if row == rows:
+    for row in range(rows):
+        # searched columns left of the next pivot are zero in rows >= row,
+        # so the lowest set bit among those rows is the next pivot column
+        rest = reduce(or_, ints[row:], 0) & searched
+        if not rest:
             break
-    return r, pivots
+        bit = rest & -rest
+        hit = row
+        while not ints[hit] & bit:
+            hit += 1
+        top = ints[hit]
+        ints[hit] = ints[row]
+        ints = [x ^ top if x & bit else x for x in ints]
+        ints[row] = top
+        pivots.append(bit.bit_length() - 1)
+    packed = 0
+    for x in reversed(ints):
+        packed = packed << width | x
+    data = np.frombuffer(packed.to_bytes(rows * width >> 3, "little"), dtype=np.uint8)
+    red = np.unpackbits(data.reshape(rows, width >> 3), axis=1, count=cols, bitorder="little")
+    return red, pivots
 
 
 def rank(m) -> int:
@@ -143,6 +176,27 @@ def inverse(m):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular over GF(2)")
     return red[:, n:].copy()
+
+
+def symplectic_inverse(m):
+    """Inverse of a symplectic matrix, P m^T P = (D^T B^T; C^T A^T).
+
+    m^T P m = P and P^2 = I give m^{-1} = P m^T P, so no elimination is
+    needed; m = (A B; C D) in n x n blocks.
+
+    Raises:
+        ValueError: if *m* is not square of even size, or not symplectic.
+    """
+    m = asbits(m)
+    if not is_symplectic(m):
+        raise ValueError("matrix is not symplectic")
+    n = m.shape[0] // 2
+    out = np.empty(m.shape, dtype=np.uint8)
+    out[:n, :n] = m[n:, n:].T
+    out[:n, n:] = m[:n, n:].T
+    out[n:, :n] = m[n:, :n].T
+    out[n:, n:] = m[:n, :n].T
+    return out
 
 
 def solve(m, rhs):
@@ -218,7 +272,7 @@ def symplectic_mask(cs):
     cs = asbits(cs)
     n = cs.shape[-1] // 2
     tb = np.swapaxes(cs[..., :n, :], -1, -2) @ cs[..., n:, :]
-    return (((tb ^ np.swapaxes(tb, -1, -2)) & 1) == p_mat(n)).all(axis=(-2, -1))
+    return (((tb ^ np.swapaxes(tb, -1, -2)) & 1) == _p_form(n)).all(axis=(-2, -1))
 
 
 def symmetric_congruence(e):

@@ -43,7 +43,8 @@ class SetNormalForm:
 
 
 def _conj(m, c):
-    return gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m))
+    """m c m^{-1}; every conjugator built here is symplectic."""
+    return gf2.mat_mul(gf2.mat_mul(m, c), gf2.symplectic_inverse(m))
 
 
 def _block_diag(p, q):

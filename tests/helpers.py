@@ -12,7 +12,8 @@ scalar dense engine the library's stacked one replaced is kept here as
 its oracle: one Pauli read-off per matrix, conjugates by two matmuls,
 and the semi-Clifford search one Lagrangian at a time.  So is the gate
 embedding the library's placement tables replaced: one column at a
-time, decoding each label bit by bit.
+time, decoding each label bit by bit.  rref_oracle is the per-bit row
+reduction the library's packed-int elimination replaced.
 """
 
 from __future__ import annotations
@@ -62,6 +63,38 @@ def kron_pauli_to_dense(p: PhasedPauli) -> np.ndarray:
     for vi, wi in zip(p.v, p.w):
         out = np.kron(out, _TAU[(int(vi), int(wi))])
     return p.phase * out
+
+
+def rref_oracle(m, n_pivot_cols=None):
+    """Reduced row echelon form over GF(2), one numpy bit at a time.
+
+    Same contract as ``gf2.rref``: (R, pivot_cols), with the pivot
+    search restricted to the first n_pivot_cols columns.
+    """
+    r = gf2.asbits(m).copy()
+    rows, cols = r.shape
+    if n_pivot_cols is None:
+        n_pivot_cols = cols
+    pivots = []
+    row = 0
+    for col in range(n_pivot_cols):
+        hit = -1
+        for k in range(row, rows):
+            if r[k, col]:
+                hit = k
+                break
+        if hit < 0:
+            continue
+        if hit != row:
+            r[[row, hit]] = r[[hit, row]]
+        for k in range(rows):
+            if k != row and r[k, col]:
+                r[k] ^= r[row]
+        pivots.append(col)
+        row += 1
+        if row == rows:
+            break
+    return r, pivots
 
 
 def hex_to_bits(text, size) -> np.ndarray:

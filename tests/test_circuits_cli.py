@@ -22,7 +22,7 @@ from semiclifford.circuits import (
     parse_circuit,
 )
 from helpers import embed_gate_oracle, hex_to_bits
-from semiclifford.cli import main, read_bit_matrices, bits_to_hex
+from semiclifford.cli import bitstring, bits_to_hex, main, matrix_rows, read_bit_matrices
 from semiclifford.pauli import DENSE_QUBIT_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -434,3 +434,19 @@ def test_cli_rejects_circuit_past_dense_cap(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert f"cap {DENSE_QUBIT_CAP}" in out["error"]
+
+
+@given(st.integers(0, 6), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_bit_rows_match_per_bit_join(rows, cols, seed):
+    mat = np.random.default_rng(seed).integers(0, 2, size=(rows, cols)).astype(np.uint8)
+    want = ["".join(str(int(b)) for b in row) for row in mat]
+    assert matrix_rows(mat) == want
+    assert [bitstring(row) for row in mat] == want
+    assert bitstring(mat.reshape(-1)) == "".join(want)
+
+
+def test_bit_rows_of_empty_input():
+    assert bitstring(np.zeros(0, dtype=np.uint8)) == ""
+    assert matrix_rows(np.zeros((0, 4), dtype=np.uint8)) == []
+    assert matrix_rows(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]

@@ -5,6 +5,7 @@ from helpers import all_phased_paulis, random_clifford_dense
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_dense, circuit_to_rep, random_circuit, standard_gate
 from semiclifford.clifford import (
+    BlockRep,
     CliffordRep,
     compose,
     conjugate,
@@ -24,6 +25,26 @@ def test_constructor_rejects_non_symplectic():
     bad[0, 0] = 0
     with pytest.raises(ValueError):
         CliffordRep(bad, np.zeros(4, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "c,h",
+    [(3 * np.eye(2, dtype=int), [2, 0]), (1.7 * np.eye(2), [0, 0]), (np.eye(2), [0, -1])],
+)
+def test_constructor_rejects_values_that_are_not_bits(c, h):
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        CliffordRep(c, h)
+
+
+def test_block_rep_rejects_values_that_are_not_bits():
+    one = np.ones((1, 1), dtype=np.uint8)
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        BlockRep(one, 2 * one, [0], [0])
+
+
+def test_constructor_accepts_bools():
+    rep = CliffordRep(np.eye(2, dtype=bool), np.array([True, False]))
+    assert rep == CliffordRep(gf2.ident(2), [1, 0])
 
 
 def test_d_vector_cases():

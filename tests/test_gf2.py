@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_lagrangians
+from helpers import brute_force_lagrangians, rref_oracle
 from semiclifford import gf2
+from semiclifford.circuits import circuit_to_rep, random_circuit
+from semiclifford.normal_form import _conj
 
 C1 = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)
 C2 = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
@@ -212,3 +214,89 @@ def test_symplectic_complete_random_n3(rng):
         assert gf2.is_symplectic(c)
         stacked = np.concatenate([c[:, :3].T, lag.basis])
         assert gf2.rank(stacked) == 3
+
+
+@st.composite
+def _rref_cases(draw):
+    """A bit matrix up to 40 x 80 of chosen rank and density, and a pivot bound."""
+    rows = draw(st.integers(0, 40))
+    cols = draw(st.integers(0, 80))
+    rank = draw(st.integers(0, min(rows, cols)))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = (rng.random((rows, rank)) < density).astype(np.uint8)
+    right = (rng.random((rank, cols)) < density).astype(np.uint8)
+    m = (left @ right) & 1
+    if draw(st.booleans()):
+        m[:, rng.random(cols) < 0.2] = 0  # columns no pivot can sit in
+    n_pivot_cols = draw(st.none() | st.integers(0, cols))
+    return m, n_pivot_cols
+
+
+@given(_rref_cases())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_per_bit_oracle(case):
+    m, n_pivot_cols = case
+    before = m.copy()
+    red, pivots = gf2.rref(m, n_pivot_cols)
+    want, want_pivots = rref_oracle(m, n_pivot_cols)
+    assert pivots == want_pivots
+    assert red.dtype == np.uint8 and red.shape == m.shape
+    assert np.array_equal(red, want)
+    assert red.flags.writeable and not np.shares_memory(red, m)
+    assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (3, 64), (2, 65)])
+def test_rref_edge_shapes(shape):
+    for m in (np.zeros(shape, dtype=np.uint8), np.ones(shape, dtype=np.uint8)):
+        for n_pivot_cols in range(shape[1] + 1):
+            red, pivots = gf2.rref(m, n_pivot_cols)
+            want, want_pivots = rref_oracle(m, n_pivot_cols)
+            assert pivots == want_pivots
+            assert red.shape == shape and np.array_equal(red, want)
+            assert red.flags.writeable
+
+
+def test_symplectic_inverse_matches_inverse(rng, sp4):
+    mats = list(sp4)
+    mats += [circuit_to_rep(random_circuit(5, 20, rng)).c for _ in range(10)]
+    for m in mats:
+        assert np.array_equal(gf2.symplectic_inverse(m), gf2.inverse(m))
+
+
+def test_symplectic_inverse_conjugates_bit_for_bit(rng):
+    for _ in range(10):
+        m = circuit_to_rep(random_circuit(5, 20, rng)).c
+        c = rng.integers(0, 2, size=(10, 10)).astype(np.uint8)
+        want = gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m))
+        assert np.array_equal(_conj(m, c), want)
+
+
+def test_symplectic_inverse_rejects_non_symplectic():
+    m = gf2.ident(4)
+    m[0, 1] = 1  # (A 0; 0 I) with A != I is invertible but not symplectic
+    assert np.array_equal(gf2.mat_mul(m, gf2.inverse(m)), gf2.ident(4))
+    with pytest.raises(ValueError, match="not symplectic"):
+        gf2.symplectic_inverse(m)
+    with pytest.raises(ValueError):
+        gf2.symplectic_inverse(gf2.ident(3))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[2, 0], [0, -1], [[1, 0], [0, 3]], [0.5, 1.0], [256, 1], 1.7 * np.eye(2)],
+)
+def test_frozenbits_rejects_non_bits(data):
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        gf2.frozenbits(data)
+
+
+def test_frozenbits_accepts_bits_and_bools():
+    fortran = np.asfortranarray([[1, 1], [0, 1]], dtype=np.uint8)
+    bits = ([1, 0, 1], np.array([True, False]), np.eye(2), np.zeros((0, 3)), [[0, 1]], fortran)
+    for data in bits:
+        out = gf2.frozenbits(data)
+        assert out.dtype == np.uint8 and not out.flags.writeable
+        assert out.flags.c_contiguous  # stacked reps feed product_table's einsums
+        assert np.array_equal(out, np.asarray(data))

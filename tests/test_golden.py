@@ -1,14 +1,20 @@
 """Byte-for-byte `--json` output of the CLI on fixed inputs.
 
 Each case runs ``cli.main`` from the repository root on a committed
-circuit and compares standard output with a committed file.  The
-inputs cover every circuit under ``circuits/`` and three n = 3 gates:
-a Clifford (both searches hit at once), a Clifford . diagonal .
-Clifford gate (semi-Clifford on a late Lagrangian) and a Clifford+T
-gate for which both searches run to the end.  ``pipeline`` runs on
-every circuit under ``circuits/``, and ``verify-counterexample``, which
-takes no circuit, runs once; both use the default seed.  Regenerate an
-expected file only for a change that means to alter the output:
+circuit or bit-matrix file and compares standard output with a
+committed file.  The inputs cover every circuit under ``circuits/``
+and three n = 3 gates: a Clifford (both searches hit at once), a
+Clifford . diagonal . Clifford gate (semi-Clifford on a late
+Lagrangian) and a Clifford+T gate for which both searches run to the
+end.  ``pipeline`` runs on every circuit under ``circuits/``, and
+``verify-counterexample``, which takes no circuit, runs once; both use
+the default seed.  ``normalform`` runs on ``matrices/c1c2.mat`` (set
+mode, two elements), a single n = 6 involution and a three-element
+n = 6 commuting set; ``expand`` also runs on an n = 5 Clifford whose C
+fixes a 2-dimensional space, whose coefficients hold many ``-0.0``
+parts that any change in the order of the phase recurrence would flip.
+Regenerate an expected file only for a change that means to alter the
+output:
 
     PYTHONPATH=src python -m semiclifford.cli --json classify circuits/t.cir \\
         > tests/golden/classify_t.json
@@ -30,6 +36,10 @@ CASES += [
     ("classify", "tests/golden/cdc3.cir"),
     ("classify", "tests/golden/clifford_t3.cir"),
     ("expand", "tests/golden/clifford3.cir"),
+    ("expand", "tests/golden/fixed2_5.cir"),
+    ("normalform", "matrices/c1c2.mat"),
+    ("normalform", "tests/golden/involution6.mat"),
+    ("normalform", "tests/golden/set3_6.mat"),
 ]
 CASES += [("pipeline", c) for c in CIRCUITS]
 CASES += [("verify-counterexample", None)]

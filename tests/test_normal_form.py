@@ -206,3 +206,25 @@ def test_commuting_triples_from_sp4(sp4_involutions):
         if count == 40:
             break
     assert count == 40
+
+
+def test_set_normal_form_makes_few_general_inverses(monkeypatch):
+    """Conjugators are symplectic, so their inverse is P m^T P.
+
+    With every conjugation inverting by ``gf2.inverse`` (elimination of
+    the augmented matrix), this n = 8 set made 25 such calls; only the
+    congruence and Jordan bases, which need not be symplectic, still
+    eliminate, and they make 6.
+    """
+    mats = random_commuting_involution_set(8, np.random.default_rng(8008), 3)
+    calls = []
+    inverse = gf2.inverse
+
+    def counting(m):
+        calls.append(1)
+        return inverse(m)
+
+    monkeypatch.setattr(gf2, "inverse", counting)
+    res = commuting_set_normal_form(mats)
+    assert all(not c[8:, :8].any() for c in res.normalized)
+    assert len(calls) <= 6

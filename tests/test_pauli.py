@@ -25,6 +25,11 @@ def test_identity_element():
         assert pauli_mul(p, ident) == p
 
 
+def test_coordinates_must_be_bits():
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        PhasedPauli(0, 0, [2, 1])
+
+
 def test_tau11_squares_to_minus_identity():
     t11 = PhasedPauli(0, 0, [1, 1])
     sq = pauli_mul(t11, t11)
