@@ -55,8 +55,8 @@ def main():
     print(f"[{time.monotonic()-t0:5.1f}s] block form reached; conjugator is "
           + ("identity" if q_m.is_identity() else "nontrivial"))
     kernel = orbit_kernel(normalized)
-    print(f"[{time.monotonic()-t0:5.1f}s] searched the 2^7-point orbit of 0; kernel "
-          f"dimension {kernel.shape[0]}")
+    print(f"[{time.monotonic()-t0:5.1f}s] grew the 2^7-point orbit of 0 by coset doubling; "
+          f"kernel dimension {kernel.shape[0]}")
     cert = extract_certificate(normalized, q_m, rng=np.random.default_rng(0))
     print(f"[{time.monotonic()-t0:5.1f}s] certificate verdicts: {cert.verdicts}")
 

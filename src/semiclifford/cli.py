@@ -21,7 +21,7 @@ from . import gf2
 from .circuits import circuit_to_dense, circuit_to_monomial, parse_circuit
 from .classify import classify
 from .clifford import CliffordRep
-from .dense import TOL, extract_rep
+from .dense import _PHASES, TOL, extract_rep
 from .expansion import expand
 from .normal_form import (
     commuting_set_normal_form,
@@ -57,11 +57,25 @@ def matrix_rows(mat) -> list:
     return [row.tobytes().decode("ascii") for row in gf2.asbits(mat) + 48]
 
 
+_PHASE_NAMES = ("1", "-1", "i", "-i")
+
+
 def phase_str(z) -> str:
-    for val, name in ((1, "1"), (-1, "-1"), (1j, "i"), (-1j, "-i")):
+    for val, name in zip(_PHASES, _PHASE_NAMES):
         if abs(z - val) < TOL:
             return name
     return f"{z.real:+.12f}{z.imag:+.12f}j"
+
+
+def phase_labels(zs) -> list:
+    """phase_str of every entry of a 1-D array, with one distance test
+    for the whole array; only entries far from 1, -1, i and -i are
+    formatted one at a time."""
+    near = np.abs(np.asarray(zs)[:, None] - _PHASES) < TOL
+    labels = np.array(_PHASE_NAMES, dtype=object)[near.argmax(axis=1)]
+    for t in np.flatnonzero(~near.any(axis=1)):
+        labels[t] = phase_str(zs[t])
+    return labels.tolist()
 
 
 _HEADER = re.compile(r"([0-9]+)\s+([0-9]+)")
@@ -145,7 +159,7 @@ def cmd_classify(args) -> dict:
             "domain": matrix_rows(report.gsc_witness.domain.basis),
             "image": matrix_rows(report.gsc_witness.image.basis),
             "permutation": list(report.gsc_witness.permutation),
-            "phases": [phase_str(z) for z in report.gsc_witness.phases],
+            "phases": phase_labels(report.gsc_witness.phases),
         }
     searched = {k: v for k, v in report.searched.items() if v is not None}
     if searched:
@@ -202,9 +216,7 @@ def certificate_to_json(cert) -> dict:
         "n": cert.n,
         "conjugator": rep_to_json(cert.conjugator),
         "kernel_basis": matrix_rows(cert.kernel_basis),
-        "diagonal_spectra": [
-            [phase_str(z) for z in spectrum] for spectrum in cert.spectra
-        ],
+        "diagonal_spectra": [phase_labels(spectrum) for spectrum in cert.spectra],
         "verdicts": cert.verdicts,
     }
 

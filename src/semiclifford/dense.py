@@ -470,26 +470,23 @@ def _check_involution_block(blk: BlockRep):
         raise ValueError("rep does not satisfy the involution conditions")
 
 
-def realize_block(blk: BlockRep) -> np.ndarray:
-    """Dense involution Q with Q|x> = lambda_x |f + A^T x>.
+def realize_block(blk: BlockRep) -> Monomial:
+    """The involution Q with Q|x> = lambda_x |f + A^T x>, as a Monomial.
 
     The phase products lambda_0 lambda_{f+y} are fixed by the rep; only
     lambda_0 itself is a gauge.  It must satisfy lambda_0^2 =
     (lambda_0 lambda_{f+f}), so we take the principal square root of
     that value (which is +1 whenever f = 0).  The result then squares
-    to I exactly and extract_rep round-trips.
+    to I exactly and extract_rep round-trips.  Its to_dense() is the
+    dense matrix; no 2^n x 2^n array is built here.
     """
     _check_involution_block(blk)
     n = blk.n
-    dim = 1 << n
     xbits = basis_bits(n)
     targets = ((xbits @ blk.a ^ blk.f) & 1) @ _label_tables(n)[2]
     rhs = _lambda_products(blk, xbits ^ blk.f)
     lam0 = np.exp(1j * np.angle(rhs[0]) / 2)
-    lam = rhs / lam0
-    u = np.zeros((dim, dim), dtype=complex)
-    u[targets, np.arange(dim)] = lam
-    return u
+    return Monomial(targets, rhs / lam0)
 
 
 def commutator_sign(q1: BlockRep, q2: BlockRep) -> int:
@@ -558,15 +555,31 @@ def monomial_check(u) -> MonomialCheck:
 
 
 def close_up_to_phase(u, v) -> bool:
-    """Whether u = e^{i theta} v for a single global phase, within TOL."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        return False
-    idx = np.unravel_index(np.abs(v).argmax(), v.shape)
-    if abs(v[idx]) < TOL:
-        return close(u, v)
-    phase = u[idx] / v[idx]
+    """Whether u = e^{i theta} v for a single global phase, within TOL.
+
+    The phase is read at the largest entry of v, the first in row-major
+    order among equals.  Two Monomials are compared in O(2^n): their
+    permutations must be equal, and the phase is read at the entry the
+    dense test reads.  A Monomial is compared only with a Monomial.
+    """
+    if isinstance(u, Monomial) or isinstance(v, Monomial):
+        if not (isinstance(u, Monomial) and isinstance(v, Monomial)):
+            raise TypeError("close_up_to_phase compares a Monomial only with a Monomial")
+        if not np.array_equal(u.perm, v.perm):
+            return False
+        mags = np.abs(v.phases)
+        cols = np.flatnonzero(mags == mags.max())
+        col = cols[v.perm[cols].argmin()]  # the top row among the largest
+        phase = u.phases[col] / v.phases[col]
+    else:
+        u = np.asarray(u, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        if u.shape != v.shape:
+            return False
+        idx = np.unravel_index(np.abs(v).argmax(), v.shape)
+        if abs(v[idx]) < TOL:
+            return close(u, v)
+        phase = u[idx] / v[idx]
     if abs(abs(phase) - 1) > TOL:
         return False
     return close(u, phase * v)

@@ -352,13 +352,13 @@ class Lagrangian:
 
     The basis matrix has one vector per row; it is canonicalized to
     reduced row echelon form on construction so equal subspaces compare
-    equal.
+    equal.  Its entries must be bits (frozenbits), else ValueError.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = asbits(self.basis)
+        basis = frozenbits(self.basis)
         if basis.ndim != 2 or basis.shape[1] % 2:
             raise ValueError(f"bad basis shape {basis.shape}")
         n = basis.shape[1] // 2

@@ -205,7 +205,7 @@ def _involution_conjugator(c):
 
 
 def _validate_involution(c, label="input"):
-    c = gf2.asbits(c)
+    c = gf2.frozenbits(c)
     if not gf2.is_symplectic(c):
         raise ValueError(f"{label} is not symplectic")
     if not gf2.is_involution(c):
@@ -295,7 +295,7 @@ def commuting_set_normal_form(cs) -> SetNormalForm:
             is not a symplectic involution or two elements fail to
             commute.
     """
-    mats = [gf2.asbits(c) for c in cs]
+    mats = [gf2.frozenbits(c) for c in cs]
     if not mats:
         raise ValueError("empty set")
     dim = mats[0].shape[0]

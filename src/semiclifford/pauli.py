@@ -24,7 +24,8 @@ class PhasedPauli:
     """A Pauli group element i**delta (-1)**epsilon tau_a.
 
     Two elements are equal iff all three coordinates agree; the phase
-    is part of the value, not a gauge.
+    is part of the value, not a gauge.  Every coordinate must be 0 or 1
+    (ValueError otherwise), so none is silently reduced mod 2.
     """
 
     __slots__ = ("delta", "epsilon", "a")
@@ -33,8 +34,10 @@ class PhasedPauli:
         a = gf2.frozenbits(a)
         if a.ndim != 1 or a.size % 2:
             raise ValueError(f"bad coordinate vector of shape {a.shape}")
-        self.delta = int(delta) & 1
-        self.epsilon = int(epsilon) & 1
+        if delta not in (0, 1) or epsilon not in (0, 1):
+            raise ValueError(f"phase bits ({delta}, {epsilon}) have an entry other than 0 or 1")
+        self.delta = int(delta)
+        self.epsilon = int(epsilon)
         self.a = a
 
     @classmethod

@@ -18,9 +18,13 @@ conjugates are tested for being Clifford a stack at a time, and the
 family's rep checks (involutions, pairwise commutation, symplectic
 products) read one table of all (2n)^2 ordered products,
 clifford.product_table: a few batched GF(2) products, not one compose
-per pair.  Dense matrices still serve the non-monomial input and its
-conjugator, the rng-gated cross-checks of extract_certificate, and the
-tests.
+per pair; its op checks are a few stacked products of the ops.  The
+kernel comes from coset doubling over the 2^n f-vectors, and the
+rng-gated cross-checks of extract_certificate realize kernel products
+as Monomials, so on a Monomial family every step after
+generators_from_gate is O(2^n) per operator.  Dense matrices serve
+only the non-monomial input (whose cross-checks densify the
+realization), its conjugator, and the tests.
 
 build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
 are kept as the independent reference that orbit_kernel is tested
@@ -39,11 +43,11 @@ from .clifford import BlockRep, CliffordRep, compose, inverse, product_table
 from .dense import (
     HIERARCHY_QUBIT_CAP,
     TOL,
+    _STACK_ENTRIES,
     Monomial,
     _clifford_stack,
     _conjugate_chunks,
     _lambda_products,
-    as_dense,
     basis_bits,
     check_unitary,
     close,
@@ -55,6 +59,44 @@ from .dense import (
     realize_block,
 )
 from .expansion import rep_to_dense
+
+
+def _products(ops, *orders):
+    """Yield the products ops[i] @ ops[j] of a tuple of Monomials or of
+    dense matrices, for each order (left, right) of index arrays over
+    the pairs (i, j) of zip(left, right).
+
+    Each item is a tuple of stacks, one per order, over the same chunk
+    of pairs; together they hold at most _STACK_ENTRIES stored entries
+    (one matrix per stack when that is more): one gather per Monomial
+    stack, one batched matmul per dense one.
+    """
+    monomial = isinstance(ops[0], Monomial)
+    d = ops[0].shape[-1]
+    per = max(1, _STACK_ENTRIES // (len(orders) * (d if monomial else d * d)))
+    if monomial:
+        perms = np.stack([op.perm for op in ops])
+        phases = np.stack([op.phases for op in ops])
+    for s in range(0, len(orders[0][0]), per):
+        stacks = []
+        for left, right in orders:
+            lo, ro = left[s : s + per], right[s : s + per]
+            if monomial:
+                inner = perms[ro]
+                outer = lo[:, None]
+                stacks.append(Monomial(perms[outer, inner], phases[outer, inner] * phases[ro]))
+            else:
+                stacks.append(np.stack([ops[i] for i in lo]) @ np.stack([ops[j] for j in ro]))
+        yield tuple(stacks)
+
+
+def _close_each(us, vs, signs=1.0):
+    """close(us[t], signs[t] * vs[t]) for each matrix t of a stack; vs is
+    a stack of the same type and length, or one matrix for all t."""
+    if isinstance(us, Monomial):
+        diff = us.phases - np.reshape(signs, (-1, 1)) * vs.phases
+        return (us.perm == vs.perm).all(axis=-1) & (np.abs(diff).max(axis=-1) <= TOL)
+    return np.abs(us - np.reshape(signs, (-1, 1, 1)) * vs).max(axis=(1, 2)) <= TOL
 
 
 @dataclass(frozen=True)
@@ -76,9 +118,10 @@ class GeneratorFamily:
         entry q_i q_i is the identity rep (q_i is an involution rep), and
         the table is symmetric (q_i and q_j commute up to a sign).  Then
         each op squares to I and each pair of ops commutes, or
-        anticommutes exactly for the pair (Z_i, X_i) of one qubit.
-        Failures are named in index order: the first non-involution i,
-        then the first incompatible pair i < j.
+        anticommutes exactly for the pair (Z_i, X_i) of one qubit: the
+        squares, and both products of each pair i < j, come in stacks
+        from _products.  Failures are named in index order: the first
+        non-involution i, then the first incompatible pair i < j.
         """
         n = self.n
         m = 2 * n
@@ -103,16 +146,21 @@ class GeneratorFamily:
         bad = np.argwhere(~symmetric)  # row-major: the first i, then its first j > i
         if bad.size:
             raise ValueError(f"generators {bad[0, 0]} and {bad[0, 1]} have incompatible reps")
-        for i, op in enumerate(self.ops):
-            if not close(op @ op, identity_like(op)):
-                raise ValueError(f"generator op {i} does not square to I")
-        for i in range(2 * n):
-            for j in range(i + 1, 2 * n):
-                sign = -1.0 if j == i + n else 1.0
-                lhs = self.ops[i] @ self.ops[j]
-                rhs = sign * self.ops[j] @ self.ops[i]
-                if not close(lhs, rhs):
-                    raise ValueError(f"generator ops {i}, {j} break the sign pattern")
+        ident = identity_like(self.ops[0])
+        squares = [_close_each(sq, ident) for (sq,) in _products(self.ops, (diag, diag))]
+        bad = np.flatnonzero(~np.concatenate(squares))
+        if bad.size:
+            raise ValueError(f"generator op {bad[0]} does not square to I")
+        left, right = np.triu_indices(m, 1)  # row-major: the first i, then its first j > i
+        signs = np.where(right == left + n, -1.0, 1.0)
+        start = 0
+        for lhs, rhs in _products(self.ops, (left, right), (right, left)):
+            stop = start + len(lhs)
+            bad = start + np.flatnonzero(~_close_each(lhs, rhs, signs[start:stop]))
+            if bad.size:
+                i, j = left[bad[0]], right[bad[0]]
+                raise ValueError(f"generator ops {i}, {j} break the sign pattern")
+            start = stop
 
     def is_block_form(self) -> bool:
         n = self.n
@@ -270,55 +318,62 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
     y -> A_k^T y + f_k, where A_k is the upper-left block of its
     C-matrix: the product with exponent vector e_k + x has f-vector
     f_k + A_k^T T(x).  So the image of the f-map T is the orbit of 0 and
-    its kernel is the stabilizer of 0.  A breadth-first search over the
-    at most 2^n orbit points records one exponent word per point (bit k
-    is the exponent of generator k); each edge y -> y' that reaches a
-    point already seen gives the Schreier generator
-    word(y) + e_k + word(y'), and these span the stabilizer.
+    its kernel is the stabilizer of 0.  The maps of a validated family
+    commute and square to the identity, so they generate an elementary
+    abelian 2-group, and the orbit grows by coset doubling.  Walking the
+    generators in index order, with one exponent word per orbit point
+    (bit k is the exponent of generator k): if f_k is outside the orbit,
+    generator k moves the orbit onto a disjoint copy, whose points
+    A_k^T y + f_k have the words word(y) + e_k; if f_k is in the orbit
+    with word w, generator k maps the orbit onto itself and e_k + w
+    joins the stabilizer.  Points are packed ints (bit i holds
+    coordinate i), and A_k^T is tabulated over all 2^n of them in n
+    doubling steps, so each copy is one gather and the kernel one rref
+    of at most 2n stabilizer generators.
 
     The orbit is verified to have all 2^n points (T is surjective) and
-    the kernel to have rank n.  The basis is in RREF, so it equals
-    fmap_kernel's.
+    the kernel to have rank n; a copy that meets the orbit, which only
+    an unvalidated family can produce, raises.  The basis is in RREF, so
+    it equals fmap_kernel's.
     """
     if not family.is_block_form():
         raise ValueError("family must be normalized to block form first")
     n = family.n
-    # per generator: f_k and the images A_k^T e_i (row i of A_k), packed
-    # into ints with bit i holding coordinate i
+    m = 2 * n
     weights = 1 << np.arange(n)
-    moves = [
-        (int(q.f @ weights), [int(row @ weights) for row in q.c[:n, :n]])
-        for q in family.qs
-    ]
-    word = {0: 0}
-    points = [0]
-    stabilizer = set()
-    for y in points:  # points grows while it is walked: breadth-first
-        for k, (f, images) in enumerate(moves):
-            z = f
-            for i in range(n):
-                if y >> i & 1:
-                    z ^= images[i]
-            w = word[y] ^ (1 << k)
-            if z in word:
-                stabilizer.add(w ^ word[z])
-            else:
-                word[z] = w
-                points.append(z)
+    shifts = np.stack([q.f for q in family.qs]) @ weights
+    # images[k, i] = A_k^T e_i (row i of A_k), so lin[k, y] = A_k^T y
+    images = np.stack([q.c[:n, :n] for q in family.qs]) @ weights
+    lin = np.zeros((m, 1), dtype=images.dtype)
+    for i in range(n):
+        lin = np.concatenate([lin, lin ^ images[:, i, None]], axis=1)
+    position = np.full(1 << n, -1)
+    position[0] = 0
+    points = np.zeros(1, dtype=lin.dtype)
+    words = np.zeros(1, dtype=lin.dtype)
+    stabilizer = []
+    for k, f in enumerate(shifts):
+        if position[f] >= 0:
+            stabilizer.append(words[position[f]] ^ (1 << k))
+            continue
+        copy = lin[k, points] ^ f
+        if (position[copy] >= 0).any():
+            raise AssertionError(
+                f"generator {k} maps the orbit of 0 partly into itself; invalid family"
+            )
+        position[copy] = np.arange(len(points), 2 * len(points))
+        points = np.concatenate([points, copy])
+        words = np.concatenate([words, words ^ (1 << k)])
     if len(points) != 1 << n:
         raise AssertionError(
             f"f-vector map is not surjective: the orbit of 0 has {len(points)} "
             f"points, expected {1 << n}"
         )
-    m = 2 * n
-    members = np.array(
-        [[(w >> k) & 1 for k in range(m)] for w in sorted(stabilizer - {0})],
-        dtype=np.uint8,
-    ).reshape(-1, m)
-    red, pivots = gf2.rref(members)
+    members = (np.array(stabilizer, dtype=lin.dtype)[:, None] >> np.arange(m)) & 1
+    red, pivots = gf2.rref(members.astype(np.uint8))
     if len(pivots) != n:
         raise AssertionError(f"kernel rank {len(pivots)}, expected {n}")
-    return red[:n].copy()
+    return red  # n rows: the steps that did not double the orbit
 
 
 def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
@@ -386,10 +441,12 @@ def extract_certificate(
     product's realization (realize_block) is the diagonal matrix of its
     lambda products, so each spectrum is read straight off
     _lambda_products.  When an rng is given, a few kernel products are
-    realized with realize_block and cross-checked against that diagonal
-    and against the product of the constituent generator ops (up to
-    global phase, densely), and for sampled pairs of kernel rows the two
-    products of generator ops are checked to commute.
+    realized with realize_block, as Monomials, and cross-checked against
+    that diagonal and against the product of the constituent generator
+    ops up to global phase (both O(2^n) for Monomial ops; a dense
+    family's product is compared with the densified realization), and
+    for sampled pairs of kernel rows the two products of generator ops
+    are checked to commute.
     """
     n = family.n
     kernel = orbit_kernel(family)
@@ -419,10 +476,12 @@ def extract_certificate(
         rows = rng.choice(len(kernel), size=take, replace=False)
         for ridx in rows:
             prod = _op_product(family, kernel[ridx])
-            realized = realize_block(blocks[int(ridx)])
-            if not close(realized, np.diag(spectra[int(ridx)])):
+            realized = realize_block(blocks[ridx])
+            if not close(realized, Monomial(np.arange(dim), spectra[ridx])):
                 raise AssertionError("kernel product realization is not its diagonal spectrum")
-            if not close_up_to_phase(as_dense(prod), realized):
+            if not isinstance(prod, Monomial):  # a dense family
+                realized = realized.to_dense()
+            if not close_up_to_phase(prod, realized):
                 raise AssertionError("dense product disagrees with the realization")
             checks += 1
         for _ in range(min(3, len(spectra) * (len(spectra) - 1) // 2)):

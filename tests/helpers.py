@@ -13,7 +13,9 @@ its oracle: one Pauli read-off per matrix, conjugates by two matmuls,
 and the semi-Clifford search one Lagrangian at a time.  So is the gate
 embedding the library's placement tables replaced: one column at a
 time, decoding each label bit by bit.  rref_oracle is the per-bit row
-reduction the library's packed-int elimination replaced.
+reduction the library's packed-int elimination replaced, and
+orbit_kernel_oracle the breadth-first orbit search its coset-doubling
+orbit_kernel replaced.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from semiclifford import gf2
 from semiclifford.circuits import (
     GATE_ARITY,
     GATE_MATRICES,
+    CircuitDescription,
     circuit_to_dense,
+    circuit_to_monomial,
     embed_gate,
     random_circuit,
 )
@@ -577,3 +581,70 @@ def random_c3_gate(n, rng):
             qs = tuple(int(x) for x in rng.choice(n, size=2, replace=False))
             d = embed_gate("CZ", qs, n) @ d
     return left @ d @ right
+
+
+def random_monomial_c3_gate(n, rng, cswap=False):
+    """Clifford . third-level core . Clifford as a Monomial, with no H.
+
+    The Cliffords are random X, S, CX, CZ and SWAP circuits.  The core is
+    one CSWAP (n >= 3) when cswap is set, which gives the block-form
+    family A-blocks other than I, else a product of T, S and CCZ gates,
+    a diagonal gate of the third level.
+    """
+    cliffords = ("X", "S", "CX", "CZ", "SWAP")
+    left = random_circuit(n, 3 * n, rng, names=cliffords).gates
+    right = random_circuit(n, 3 * n, rng, names=cliffords).gates
+    if cswap:
+        core = (("CSWAP", tuple(int(q) for q in rng.choice(n, size=3, replace=False))),)
+    else:
+        core = random_circuit(n, 2 * n, rng, names=("T", "S", "CCZ")).gates
+    return circuit_to_monomial(CircuitDescription(n, left + core + right))
+
+
+def orbit_kernel_oracle(family: GeneratorFamily) -> np.ndarray:
+    """orbit_kernel by breadth-first search over the orbit of 0.
+
+    Records one exponent word per orbit point; each edge y -> y' that
+    reaches a point already seen gives the Schreier generator
+    word(y) + e_k + word(y'), and these span the stabilizer.  Raises
+    orbit_kernel's AssertionErrors, with the same messages.
+    """
+    if not family.is_block_form():
+        raise ValueError("family must be normalized to block form first")
+    n = family.n
+    # per generator: f_k and the images A_k^T e_i (row i of A_k), packed
+    # into ints with bit i holding coordinate i
+    weights = 1 << np.arange(n)
+    moves = [
+        (int(q.f @ weights), [int(row @ weights) for row in q.c[:n, :n]])
+        for q in family.qs
+    ]
+    word = {0: 0}
+    points = [0]
+    stabilizer = set()
+    for y in points:  # points grows while it is walked: breadth-first
+        for k, (f, images) in enumerate(moves):
+            z = f
+            for i in range(n):
+                if y >> i & 1:
+                    z ^= images[i]
+            w = word[y] ^ (1 << k)
+            if z in word:
+                stabilizer.add(w ^ word[z])
+            else:
+                word[z] = w
+                points.append(z)
+    if len(points) != 1 << n:
+        raise AssertionError(
+            f"f-vector map is not surjective: the orbit of 0 has {len(points)} "
+            f"points, expected {1 << n}"
+        )
+    m = 2 * n
+    members = np.array(
+        [[(w >> k) & 1 for k in range(m)] for w in sorted(stabilizer - {0})],
+        dtype=np.uint8,
+    ).reshape(-1, m)
+    red, pivots = gf2.rref(members)
+    if len(pivots) != n:
+        raise AssertionError(f"kernel rank {len(pivots)}, expected {n}")
+    return red[:n].copy()

@@ -155,13 +155,13 @@ def test_criterion_05_realization_and_sign():
         assert zero_f_pairs >= 50
         for b1, b2 in pairs:
             for blk in (b1, b2):
-                d = realize_block(blk)
+                d = realize_block(blk).to_dense()
                 assert np.allclose(d @ d, np.eye(d.shape[0]), atol=1e-9)
                 assert extract_rep(d) == blk.to_rep()
             sign = commutator_sign(b1, b2)
             if not b1.f.any() and not b2.f.any():
                 assert sign == 1
-            d1, d2 = realize_block(b1), realize_block(b2)
+            d1, d2 = realize_block(b1).to_dense(), realize_block(b2).to_dense()
             lhs, rhs = d1 @ d2, d2 @ d1
             if np.allclose(lhs, rhs, atol=1e-9):
                 assert sign == 1

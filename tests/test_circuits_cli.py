@@ -22,7 +22,15 @@ from semiclifford.circuits import (
     parse_circuit,
 )
 from helpers import embed_gate_oracle, hex_to_bits
-from semiclifford.cli import bitstring, bits_to_hex, main, matrix_rows, read_bit_matrices
+from semiclifford.cli import (
+    bitstring,
+    bits_to_hex,
+    main,
+    matrix_rows,
+    phase_labels,
+    phase_str,
+    read_bit_matrices,
+)
 from semiclifford.pauli import DENSE_QUBIT_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -450,3 +458,20 @@ def test_bit_rows_of_empty_input():
     assert bitstring(np.zeros(0, dtype=np.uint8)) == ""
     assert matrix_rows(np.zeros((0, 4), dtype=np.uint8)) == []
     assert matrix_rows(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
+
+
+def test_phase_labels_match_phase_str():
+    eighth = np.exp(1j * np.pi / 4)
+    near = 1e-10
+    values = np.array(
+        [1, -1, 1j, -1j, eighth, -eighth.conj(), 0, 0.5, 1 + near, -1j - near * 1j,
+         1 + 2e-9, -0.0 - 1j, complex(-0.0, 1.0), 1 + 1e-9j, 2],
+        dtype=complex,
+    )
+    rng = np.random.default_rng(3)
+    circle = np.exp(2j * np.pi * rng.random(50))
+    values = np.concatenate([values, rng.choice(values, 200), circle])
+    assert phase_labels(values) == [phase_str(z) for z in values]
+    # a tuple of Python complex numbers, as a GSC witness holds its phases
+    assert phase_labels(tuple(complex(z) for z in values)) == [phase_str(complex(z)) for z in values]
+    assert phase_labels(np.zeros(0, dtype=complex)) == []

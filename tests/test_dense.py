@@ -132,15 +132,15 @@ def test_hierarchy_level_rejects_kmax_below_one(kmax):
 
 def test_realize_block_identity_and_sigma_z():
     ident = BlockRep.from_rep(CliffordRep.identity(2))
-    assert np.allclose(realize_block(ident), np.eye(4))
+    assert np.allclose(realize_block(ident).to_dense(), np.eye(4))
     z = BlockRep.from_rep(CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8)))
-    assert np.allclose(realize_block(z), np.diag([1, -1]))
+    assert np.allclose(realize_block(z).to_dense(), np.diag([1, -1]))
 
 
 def test_realize_block_cz():
     cz = standard_gate("CZ", (0, 1), 2)
     blk = BlockRep.from_rep(cz)
-    assert close_up_to_phase(realize_block(blk), embed_gate("CZ", (0, 1), 2))
+    assert close_up_to_phase(realize_block(blk).to_dense(), embed_gate("CZ", (0, 1), 2))
 
 
 def test_realize_block_eighth_root_case():
@@ -148,7 +148,7 @@ def test_realize_block_eighth_root_case():
     rep = CliffordRep(
         np.array([[1, 1], [0, 1]], dtype=np.uint8), np.array([1, 0], dtype=np.uint8)
     )
-    d = realize_block(BlockRep.from_rep(rep))
+    d = realize_block(BlockRep.from_rep(rep)).to_dense()
     assert np.allclose(d @ d, np.eye(2), atol=1e-12)
     assert extract_rep(d) == rep
     xs = embed_gate("X", (0,), 1) @ embed_gate("S", (0,), 1)
@@ -168,7 +168,7 @@ def test_realize_round_trip_random(rng):
     for _ in range(60):
         n = int(rng.integers(1, 4))
         blk = sample_block_rep(n, rng)
-        d = realize_block(blk)
+        d = realize_block(blk).to_dense()
         assert np.allclose(d @ d, np.eye(1 << n), atol=1e-9)
         assert np.allclose(d @ d.conj().T, np.eye(1 << n), atol=1e-9)
         assert extract_rep(d) == blk.to_rep()
@@ -198,7 +198,7 @@ def test_commutator_sign_matches_dense(rng):
         n = int(rng.integers(1, 4))
         b1, b2 = sample_admissible_pair(n, rng)
         sign = commutator_sign(b1, b2)
-        d1, d2 = realize_block(b1), realize_block(b2)
+        d1, d2 = realize_block(b1).to_dense(), realize_block(b2).to_dense()
         lhs, rhs = d1 @ d2, d2 @ d1
         if np.allclose(lhs, rhs, atol=1e-9):
             dense_sign = 1

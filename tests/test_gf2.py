@@ -292,6 +292,15 @@ def test_frozenbits_rejects_non_bits(data):
         gf2.frozenbits(data)
 
 
+@pytest.mark.parametrize(
+    "basis", [[[3, 0]], [[1, 0, 0, 0], [0, 2, 0, 0]], [[1, 0, 0, -1], [0, 1, 0, 0]]]
+)
+def test_lagrangian_rejects_non_bits(basis):
+    # [[3, 0]] used to be stored as the basis [[1, 0]]
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        gf2.Lagrangian(np.array(basis))
+
+
 def test_frozenbits_accepts_bits_and_bools():
     fortran = np.asfortranarray([[1, 1], [0, 1]], dtype=np.uint8)
     bits = ([1, 0, 1], np.array([True, False]), np.eye(2), np.zeros((0, 3)), [[0, 1]], fortran)

@@ -25,6 +25,7 @@ from semiclifford.dense import (
     Monomial,
     check_unitary,
     close,
+    close_up_to_phase,
     extract_rep,
     hierarchy_level,
     is_pauli,
@@ -121,6 +122,30 @@ def test_close_matches_dense_close(rng):
     for other in (a, nudged, pushed, swapped):
         assert close(a, other) == close(a.to_dense(), other.to_dense())
     assert close(a, nudged) and not close(a, pushed) and not close(a, swapped)
+
+
+def test_close_up_to_phase_matches_dense(rng):
+    # the entry the global phase is read at decides borderline cases: u =
+    # phase v, off by +0.8 TOL at column c and by -0.8 TOL at column c + 1,
+    # passes exactly when the phase is read at neither column
+    a = circuit_to_monomial(random_circuit(3, 10, rng, names=MONOMIAL_GATES))
+    scaled = Monomial(a.perm, a.phases * np.array([1, 0.5, 1, 2, 2, 1, 0.5, 1]))
+    phase = np.exp(0.7j)
+    verdicts = set()
+    for v in (a, scaled):
+        others = [phase * v, 2.0 * v, Monomial(v.perm[[1, 0, 2, 3, 4, 5, 6, 7]], v.phases)]
+        for c in range(8):
+            bump = np.zeros(8, dtype=complex)
+            bump[c] += 0.8 * TOL
+            bump[(c + 1) % 8] -= 0.8 * TOL
+            others.append(Monomial(v.perm, phase * v.phases + bump))
+        for u in others:
+            verdict = close_up_to_phase(u, v)
+            assert verdict == close_up_to_phase(u.to_dense(), v.to_dense())
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    with pytest.raises(TypeError):
+        close_up_to_phase(a, a.to_dense())
 
 
 @pytest.mark.parametrize(

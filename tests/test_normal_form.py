@@ -138,6 +138,25 @@ def test_obstruction_rejects_non_commuting(sp4_involutions):
         simultaneous_nice_form_obstruction(*found)
 
 
+_THREE_I = 3 * np.eye(4, dtype=int)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: involution_normal_form(_THREE_I),
+        lambda: commuting_set_normal_form([gf2.ident(4), _THREE_I]),
+        lambda: simultaneous_nice_form_obstruction(_THREE_I, gf2.ident(4)),
+        lambda: simultaneous_nice_form_obstruction(gf2.ident(4), 2 * gf2.ident(4)),
+    ],
+    ids=["single", "set", "pair-first", "pair-second"],
+)
+def test_involution_inputs_must_be_bits(call):
+    # 3 I used to be read as I and given the identity normal form
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        call()
+
+
 def test_identity_set():
     snf = commuting_set_normal_form([gf2.ident(4)])
     assert np.array_equal(snf.m, gf2.ident(4))

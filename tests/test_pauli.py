@@ -30,6 +30,19 @@ def test_coordinates_must_be_bits():
         PhasedPauli(0, 0, [2, 1])
 
 
+@pytest.mark.parametrize("delta,epsilon", [(3, 0), (0, 2), (-1, 0), (0, 0.5), (2, 2)])
+def test_phase_bits_must_be_bits(delta, epsilon):
+    # no phase bit is silently reduced mod 2
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        PhasedPauli(delta, epsilon, [0, 1])
+
+
+def test_phase_bits_accept_numpy_and_bool_bits():
+    p = PhasedPauli(np.uint8(1), True, [0, 1])
+    assert (p.delta, p.epsilon) == (1, 1)
+    assert type(p.delta) is int and type(p.epsilon) is int
+
+
 def test_tau11_squares_to_minus_identity():
     t11 = PhasedPauli(0, 0, [1, 1])
     sq = pauli_mul(t11, t11)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    orbit_kernel_oracle,
     pattern_matrix,
     random_c3_gate,
     random_clifford_dense,
+    random_monomial_c3_gate,
     rank_mod_prime,
     reconstruct_unitary,
 )
@@ -177,20 +179,53 @@ def test_bare_pauli_family_kernel():
     assert np.array_equal(orbit_kernel(fam), expect)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 8))
 def test_orbit_kernel_matches_scan_oracle(n, rng):
-    gates = [random_c3_gate(n, rng) for _ in range(4)]
+    # monomial gates reach n = 7 cheaply, and a CSWAP core gives A-blocks
+    # other than I; the 2^{2n} scan runs up to n = 5, the BFS oracle always
+    gates = [random_monomial_c3_gate(n, rng, cswap=n >= 3 and k < 2) for k in range(4)]
+    if n <= 3:
+        gates += [random_c3_gate(n, rng) for _ in range(4)]
     if n == 3:
         # a non-diagonal core gives A-blocks other than I in block form
         cswap = embed_gate("CSWAP", (0, 1, 2), 3) @ embed_gate("CCZ", (0, 1, 2), 3)
         gates += [random_clifford_dense(3, rng) @ cswap @ random_clifford_dense(3, rng)]
+    moved = False
     for u in gates:
         norm, _ = normalize_family(generators_from_gate(u))
-        scan = build_fmap(norm)
+        moved |= any((q.c[:n, :n] != gf2.ident(n)).any() for q in norm.qs)
         kernel = orbit_kernel(norm)
-        assert np.array_equal(kernel, fmap_kernel(scan))
-        for row in kernel:
-            assert product_rep(norm, row) == scan.reps[scan.index_of(row)]
+        assert np.array_equal(kernel, orbit_kernel_oracle(norm))
+        if n <= 5:
+            scan = build_fmap(norm)
+            assert np.array_equal(kernel, fmap_kernel(scan))
+            for row in kernel:
+                assert product_rep(norm, row) == scan.reps[scan.index_of(row)]
+    assert moved or n < 3
+
+
+def test_orbit_kernel_matches_both_oracles_on_the_uv_family():
+    u, v = gottesman_mochon()
+    norm, _ = normalize_family(generators_from_gate(u @ v))
+    kernel = orbit_kernel(norm)
+    assert np.array_equal(kernel, orbit_kernel_oracle(norm))
+    assert np.array_equal(kernel, fmap_kernel(build_fmap(norm)))
+
+
+def test_orbit_kernel_rejects_a_copy_that_meets_the_orbit():
+    # unvalidated: generator 0 gives the orbit {0, e_0}; generator 1 has
+    # f = e_1 outside it, but A_1^T e_0 + e_1 = e_0 is inside, which maps
+    # of one elementary abelian group never do
+    n = 2
+    a = np.array([[1, 1], [0, 1]], dtype=np.uint8)
+    c1 = np.block([[a, gf2.zeros(n, n)], [gf2.zeros(n, n), gf2.inverse(a).T]])
+    qs = (
+        CliffordRep(gf2.ident(2 * n), [1, 0, 0, 0]),
+        CliffordRep(c1, [0, 1, 0, 0]),
+    ) + (CliffordRep.identity(n),) * 2
+    fam = GeneratorFamily(qs=qs, ops=(np.eye(1 << n),) * (2 * n), n=n)
+    with pytest.raises(AssertionError, match="^generator 1 maps the orbit of 0 partly into"):
+        orbit_kernel(fam)
 
 
 def test_small_orbit_family_fails_both_paths():
@@ -200,8 +235,11 @@ def test_small_orbit_family_fails_both_paths():
     fam = GeneratorFamily(
         qs=(CliffordRep.identity(n),) * (2 * n), ops=(np.eye(1 << n),) * (2 * n), n=n
     )
-    with pytest.raises(AssertionError, match="orbit of 0 has 1 points"):
+    with pytest.raises(AssertionError, match="orbit of 0 has 1 points") as got:
         orbit_kernel(fam)
+    with pytest.raises(AssertionError) as oracle:
+        orbit_kernel_oracle(fam)
+    assert str(got.value) == str(oracle.value)
     with pytest.raises(AssertionError, match="kernel has size 16"):
         fmap_kernel(build_fmap(fam))
     with pytest.raises(AssertionError):
@@ -318,7 +356,7 @@ def test_spectra_equal_realized_kernel_products(rng):
         norm, qm = normalize_family(generators_from_gate(gate))
         cert = extract_certificate(norm, qm)
         for row, spectrum in zip(cert.kernel_basis, cert.spectra):
-            realized = realize_block(BlockRep.from_rep(product_rep(norm, row)))
+            realized = realize_block(BlockRep.from_rep(product_rep(norm, row))).to_dense()
             assert realized.tobytes() == np.diag(spectrum).tobytes()
 
 
@@ -428,3 +466,130 @@ def test_certificate_pair_check_compares_the_generator_ops():
     assert cert.verdicts["dense_cross_checks"] == 6
     with pytest.raises(AssertionError, match="kernel realizations do not commute"):
         extract_certificate(bad, CliffordRep.identity(n), rng=np.random.default_rng(17))
+
+
+def _with_ops(family, replace):
+    ops = list(family.ops)
+    for k, op in replace.items():
+        ops[k] = op
+    return GeneratorFamily(qs=family.qs, ops=tuple(ops), n=family.n)
+
+
+def _uv_family():
+    u, v = gottesman_mochon()
+    return generators_from_gate(u @ v)
+
+
+def test_validate_names_the_first_op_that_does_not_square_to_i():
+    fam = _uv_family()
+    ops = fam.ops
+    # i op_5 squares to -I; the reps are untouched, so only the op check fails
+    tampered = {5: Monomial(ops[5].perm, 1j * ops[5].phases)}
+    with pytest.raises(ValueError, match="^generator op 5 does not square to I$"):
+        _with_ops(fam, tampered).validate()
+    # one phase off: op_9 no longer squares to I, and op_11 is checked after it
+    phases = ops[9].phases.copy()
+    phases[17] *= -1
+    tampered = {9: Monomial(ops[9].perm, phases), 11: Monomial(ops[11].perm, 1j * ops[11].phases)}
+    with pytest.raises(ValueError, match="^generator op 9 does not square to I$"):
+        _with_ops(fam, tampered).validate()
+
+
+@pytest.mark.parametrize("monomial", [True, False])
+def test_validate_names_the_first_pair_that_breaks_the_sign_pattern(monomial):
+    # op_5 op_7 and op_3 op_8 still square to I, but op_7 (x on qubit 0)
+    # and op_8 (x on qubit 1) anticommute with op_0 and op_1: the pairs
+    # (0, 5) and (1, 3) break the pattern, and (0, 5) comes first in
+    # index order (i, then j > i) although (1, 3) has the smaller j
+    fam = _uv_family()
+    if not monomial:
+        fam = GeneratorFamily(qs=fam.qs, ops=tuple(op.to_dense() for op in fam.ops), n=fam.n)
+    ops = fam.ops
+    bad = _with_ops(fam, {5: ops[5] @ ops[7], 3: ops[3] @ ops[8]})
+    with pytest.raises(ValueError, match="^generator ops 0, 5 break the sign pattern$"):
+        bad.validate()
+    bad = _with_ops(fam, {3: ops[3] @ ops[8]})
+    with pytest.raises(ValueError, match="^generator ops 1, 3 break the sign pattern$"):
+        bad.validate()
+    # -op_3 keeps every relation
+    _with_ops(fam, {3: -1.0 * ops[3]}).validate()
+
+
+@pytest.mark.parametrize("monomial", [True, False])
+@pytest.mark.parametrize("tamper", ["permutation", "phase"])
+def test_cross_check_catches_an_op_that_disagrees_with_its_block(monomial, tamper):
+    # the identity gate's kernel rows are e_0 and e_1, so op_0 = Z_0 is
+    # one kernel product; the reps, and so the realized blocks, stay Z_0
+    u = Monomial.identity(2) if monomial else np.eye(4, dtype=complex)
+    fam = generators_from_gate(u)
+    z0 = fam.ops[0] if monomial else Monomial.from_dense(fam.ops[0])
+    if tamper == "permutation":
+        op = fam.ops[2] if monomial else Monomial.from_dense(fam.ops[2])  # X_0
+    else:
+        op = Monomial(z0.perm, z0.phases * np.array([1, 1, 1, -1]))  # Z_0 CZ
+    bad = _with_ops(fam, {0: op if monomial else op.to_dense()})
+    cert = extract_certificate(fam, CliffordRep.identity(2), rng=np.random.default_rng(0))
+    assert cert.verdicts["dense_cross_checks"] == 3
+    with pytest.raises(AssertionError, match="^dense product disagrees with the realization$"):
+        extract_certificate(bad, CliffordRep.identity(2), rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("circuit", ["tests/golden/cdc3.cir", "tests/golden/fixed2_5.cir"])
+def test_pipeline_on_h_circuits_runs_six_cross_checks(circuit, capsys, monkeypatch):
+    import json
+    from pathlib import Path
+
+    from semiclifford.cli import main
+
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    assert "H " in Path(circuit).read_text()  # the dense engine
+    assert main(["--json", "pipeline", circuit]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["certificate"]["verdicts"]
+    assert verdicts["dense_cross_checks"] == 6
+
+
+def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
+    # one report densifies no Monomial (the cross-checks compare
+    # Monomials), multiplies no Monomial pair inside validate (the op
+    # checks are gathers), and runs one rref in orbit_kernel, on at most
+    # 2n = 14 rows (one per stabilizer generator)
+    import semiclifford.pipeline as pipeline_module
+
+    calls = {"to_dense": 0, "validate @": 0}
+    rref_rows = []
+    inside = set()
+
+    def flagged(name, fn):
+        def wrapper(*args):
+            inside.add(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.discard(name)
+
+        return wrapper
+
+    to_dense, matmul, rref = Monomial.to_dense, Monomial.__matmul__, gf2.rref
+
+    def counting_to_dense(self):
+        calls["to_dense"] += 1
+        return to_dense(self)
+
+    def counting_matmul(self, other):
+        calls["validate @"] += "validate" in inside
+        return matmul(self, other)
+
+    def counting_rref(m, *args):
+        if "orbit_kernel" in inside:
+            rref_rows.append(len(m))
+        return rref(m, *args)
+
+    monkeypatch.setattr(Monomial, "to_dense", counting_to_dense)
+    monkeypatch.setattr(Monomial, "__matmul__", counting_matmul)
+    monkeypatch.setattr(gf2, "rref", counting_rref)
+    monkeypatch.setattr(GeneratorFamily, "validate", flagged("validate", GeneratorFamily.validate))
+    monkeypatch.setattr(pipeline_module, "orbit_kernel", flagged("orbit_kernel", orbit_kernel))
+    report = counterexample_report(rng=np.random.default_rng(1))
+    assert report["certificate"].verdicts["dense_cross_checks"] == 6
+    assert calls == {"to_dense": 0, "validate @": 0}
+    assert len(rref_rows) == 1 and rref_rows[0] <= 14
