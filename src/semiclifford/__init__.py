@@ -8,7 +8,7 @@ complex-matrix oracle at small qubit counts.
 """
 
 from .classify import ClassificationReport, classify, is_generalized_semi_clifford, is_semi_clifford
-from .clifford import BlockRep, CliffordRep, compose, conjugate, d_vector, from_pauli, inverse
+from .clifford import CliffordRep, compose, conjugate, d_vector, from_pauli, inverse
 from .circuits import (
     CircuitDescription,
     CircuitSyntaxError,

@@ -161,7 +161,7 @@ def is_generalized_semi_clifford(u):
     a direct span-equality check.  Returns (False, searched_pairs)
     otherwise, counting every pair, screened out or checked.
     """
-    u = check_unitary(u)
+    u = as_dense(check_unitary(u))
     n = num_qubits(u)
     if n > gf2.LAGRANGIAN_QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")

@@ -22,16 +22,31 @@ from . import gf2
 from .pauli import PhasedPauli
 
 
+def sign_data(cs):
+    """d = diag(C^T J C) and lows(C^T J C + d d^T) for a (..., 2n, 2n) stack.
+
+    With T and B the top and bottom row halves of C, C^T J C = T^T B.
+    Both results are read-only, of shapes (..., 2n) and (..., 2n, 2n).
+    """
+    cs = gf2.asbits(cs)
+    n = cs.shape[-1] // 2
+    cjc = np.swapaxes(cs[..., :n, :], -1, -2) @ cs[..., n:, :] & 1
+    d = np.diagonal(cjc, axis1=-2, axis2=-1).copy()
+    low = np.tril(cjc ^ (d[..., :, None] & d[..., None, :]), -1)
+    d.flags.writeable = False
+    low.flags.writeable = False
+    return d, low
+
+
 class CliffordRep:
     """A Clifford operator up to global phase, as a (C, h) pair.
 
     The symplectic condition on C is validated at construction; both
-    arrays are frozen afterwards.  The derived quantities d and
-    lows(C^T J C + d d^T) are cached because composition and
-    conjugation reuse them heavily.
+    arrays are frozen afterwards.  The sign data d and
+    lows(C^T J C + d d^T) are cached because conjugation reuses them.
     """
 
-    __slots__ = ("c", "h", "_d", "_lows")
+    __slots__ = ("c", "h", "_signs")
 
     def __init__(self, c, h):
         c = gf2.frozenbits(c)
@@ -44,8 +59,7 @@ class CliffordRep:
             raise ValueError("C is not symplectic")
         self.c = c
         self.h = h
-        self._d = None
-        self._lows = None
+        self._signs = None
 
     @classmethod
     def identity(cls, n):
@@ -68,24 +82,16 @@ class CliffordRep:
     @property
     def d(self):
         """d = diag(C^T J C), recomputed from C (never stored stale)."""
-        if self._d is None:
-            j = gf2.j_mat(self.n)
-            d = gf2.diag_vec(gf2.mat_mul(gf2.mat_mul(self.c.T, j), self.c))
-            d.flags.writeable = False
-            self._d = d
-        return self._d
+        if self._signs is None:
+            self._signs = sign_data(self.c)
+        return self._signs[0]
 
     @property
     def lows_matrix(self):
         """lows(C^T J C + d d^T), the quadratic sign kernel of this rep."""
-        if self._lows is None:
-            j = gf2.j_mat(self.n)
-            m = gf2.mat_mul(gf2.mat_mul(self.c.T, j), self.c)
-            m = (m ^ np.outer(self.d, self.d)) & 1
-            low = gf2.lows(m)
-            low.flags.writeable = False
-            self._lows = low
-        return self._lows
+        if self._signs is None:
+            self._signs = sign_data(self.c)
+        return self._signs[1]
 
     def is_identity(self) -> bool:
         return not self.h.any() and np.array_equal(self.c, gf2.ident(2 * self.n))
@@ -131,25 +137,21 @@ def conjugate(rep: CliffordRep, p: PhasedPauli) -> PhasedPauli:
 
 
 def compose(outer: CliffordRep, inner: CliffordRep) -> CliffordRep:
-    """Rep of the operator product outer * inner (inner acts first)."""
+    """Rep of outer * inner (inner acts first): the 1 x 1 product_table."""
     _check_same_n(outer, inner)
-    c12 = gf2.mat_mul(outer.c, inner.c)
-    cross = gf2.mat_mul(gf2.mat_mul(inner.c.T, outer.lows_matrix), inner.c)
-    cross = (cross ^ (np.outer(inner.d, outer.d) @ inner.c & 1)) & 1
-    h12 = (inner.h ^ gf2.mat_mul(inner.c.T, outer.h) ^ gf2.diag_vec(cross)) & 1
-    return CliffordRep(c12, h12)
+    c, h = product_table(outer.c[None], outer.h[None], inner.c[None], inner.h[None])
+    return CliffordRep(c[0, 0], h[0, 0])
 
 
 def inverse(rep: CliffordRep) -> CliffordRep:
-    """Rep of the inverse operator."""
+    """Rep of the inverse operator.
+
+    compose(rep, (C^{-1}, h')) has h-vector h' plus a term that depends
+    only on rep and C^{-1}, so the h' that makes it the identity rep is
+    that term: the h-vector of compose(rep, (C^{-1}, 0)).
+    """
     cinv = gf2.symplectic_inverse(rep.c)
-    cinv_t = cinv.T
-    j = gf2.j_mat(rep.n)
-    d_prime = gf2.diag_vec(gf2.mat_mul(gf2.mat_mul(cinv_t, j), cinv))
-    cross = gf2.mat_mul(gf2.mat_mul(cinv_t, rep.lows_matrix), cinv)
-    cross = (cross ^ (np.outer(d_prime, rep.d) @ cinv & 1)) & 1
-    h_prime = (gf2.mat_mul(cinv_t, rep.h) ^ gf2.diag_vec(cross)) & 1
-    return CliffordRep(cinv, h_prime)
+    return CliffordRep(cinv, compose(rep, CliffordRep(cinv, np.zeros_like(rep.h))).h)
 
 
 def from_pauli(p: PhasedPauli) -> CliffordRep:
@@ -176,96 +178,31 @@ def reps_commute(a: CliffordRep, b: CliffordRep) -> bool:
     return compose(a, b) == compose(b, a)
 
 
-def product_table(cs, hs):
-    """Reps of q_i q_j for every ordered pair of a family, all at once.
+def product_table(left_c, left_h, right_c, right_h):
+    """Reps of l_i r_j for every ordered pair of two families, all at once.
 
-    cs (k, 2n, 2n) and hs (k, 2n) stack the bits of k reps q_i.  Returns
-    (C, h) of shapes (k, k, 2n, 2n) and (k, k, 2n), where entry [i, j]
-    equals compose(q_i, q_j) bit for bit.  Row blocks (i, a) of the
-    stacked C_i, lows_i, h_i and d_i times column blocks (j, x) of the
-    stacked C_j form one product, and one more einsum finishes
-    diag(C_j^T lows_i C_j).  The sums run in uint8 and wrap mod 256,
-    which keeps their parity; an einsum over uint8 needs no BLAS call,
-    so its cost does not depend on the BLAS thread count.
+    left_c (k, 2n, 2n) and left_h (k, 2n) stack the bits of k reps l_i,
+    right_c and right_h those of k' reps r_j.  Returns (C, h) of shapes
+    (k, k', 2n, 2n) and (k, k', 2n), where entry [i, j] is the rep of
+    l_i r_j (r_j acts first); this is the package's one composition law
+    (Dehaene-De Moor, quant-ph/0304125), and compose is its 1 x 1 case.
+    Row blocks (i, a) of the stacked C_i, lows_i, h_i and d_i times
+    column blocks (j, x) of the stacked C_j form one product, and one
+    more einsum finishes diag(C_j^T lows_i C_j).  The sums run in uint8
+    and wrap mod 256, which keeps their parity; an einsum over uint8
+    needs no BLAS call, so its cost does not depend on the BLAS thread
+    count.
     """
-    cs = gf2.asbits(cs)
-    hs = gf2.asbits(hs)
-    k, m, _ = cs.shape
-    n = m // 2
-    # C^T J C, its diagonal d and lows(C^T J C + d d^T) for every rep
-    cjc = np.swapaxes(cs[:, :n], 1, 2) @ cs[:, n:] & 1
-    d = np.diagonal(cjc, axis1=1, axis2=2)
-    low = np.tril(cjc ^ (d[:, :, None] & d[:, None, :]), -1)
-    cols = cs.transpose(1, 0, 2).reshape(m, k * m)
-    rows = np.concatenate([cs.reshape(k * m, m), low.reshape(k * m, m), hs, d])
+    left_c, left_h, right_c, right_h = map(gf2.asbits, (left_c, left_h, right_c, right_h))
+    k, m, _ = left_c.shape
+    kr = right_c.shape[0]
+    d_left, low_left = sign_data(left_c)
+    d_right = sign_data(right_c)[0]
+    cols = right_c.transpose(1, 0, 2).reshape(m, kr * m)
+    rows = np.concatenate([left_c.reshape(k * m, m), low_left.reshape(k * m, m), left_h, d_left])
     prod = np.einsum("ab,bc->ac", rows, cols)
-    c12 = prod[: k * m].reshape(k, m, k, m).transpose(0, 2, 1, 3)
-    low_c = prod[k * m : 2 * k * m].reshape(k, m, k, m)
-    quad = np.einsum("iajx,ajx->ijx", low_c, cols.reshape(m, k, m))
-    hc, dc = prod[2 * k * m :].reshape(2, k, k, m)
-    return c12 & 1, (hs[None] + hc + quad + dc * d[None]) & 1
-
-
-class BlockRep:
-    """Involution-friendly rep with C = (A E; 0 A^T) and h = (f; g).
-
-    Validated invariants: A^2 = I, E and AE symmetric (equivalently C
-    is a symplectic involution with zero lower-left block) and
-    A^T f = f.  d0 = diag(AE) is derived.
-    """
-
-    __slots__ = ("a", "e", "f", "g")
-
-    def __init__(self, a, e, f, g):
-        a = gf2.frozenbits(a)
-        e = gf2.frozenbits(e)
-        f = gf2.frozenbits(f)
-        g = gf2.frozenbits(g)
-        n = a.shape[0]
-        if a.shape != (n, n) or e.shape != (n, n) or f.shape != (n,) or g.shape != (n,):
-            raise ValueError("inconsistent block shapes")
-        if not np.array_equal(gf2.mat_mul(a, a), gf2.ident(n)):
-            raise ValueError("A is not an involution")
-        if not np.array_equal(e, e.T):
-            raise ValueError("E is not symmetric")
-        ae = gf2.mat_mul(a, e)
-        if not np.array_equal(ae, ae.T):
-            raise ValueError("AE is not symmetric")
-        if not np.array_equal(gf2.mat_mul(a.T, f), f):
-            raise ValueError("f is not fixed by A^T")
-        self.a = a
-        self.e = e
-        self.f = f
-        self.g = g
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def d0(self):
-        return gf2.diag_vec(gf2.mat_mul(self.a, self.e))
-
-    @classmethod
-    def from_rep(cls, rep: CliffordRep):
-        n = rep.n
-        if rep.c[n:, :n].any():
-            raise ValueError("rep has a nonzero lower-left block")
-        a = rep.c[:n, :n]
-        if not np.array_equal(rep.c[n:, n:], a.T):
-            raise ValueError("lower-right block is not A^T")
-        return cls(a, rep.c[:n, n:], rep.h[:n], rep.h[n:])
-
-    def to_rep(self) -> CliffordRep:
-        n = self.n
-        c = gf2.zeros(2 * n, 2 * n)
-        c[:n, :n] = self.a
-        c[:n, n:] = self.e
-        c[n:, n:] = self.a.T
-        return CliffordRep(c, np.concatenate([self.f, self.g]))
-
-    def __eq__(self, other):
-        return isinstance(other, BlockRep) and self.to_rep() == other.to_rep()
-
-    def __repr__(self):
-        return f"BlockRep(n={self.n})"
+    c12 = prod[: k * m].reshape(k, m, kr, m).transpose(0, 2, 1, 3)
+    low_c = prod[k * m : 2 * k * m].reshape(k, m, kr, m)
+    quad = np.einsum("iajx,ajx->ijx", low_c, cols.reshape(m, kr, m))
+    hc, dc = prod[2 * k * m :].reshape(2, k, kr, m)
+    return c12 & 1, (right_h[None] + hc + quad + dc * d_right[None]) & 1

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .clifford import BlockRep, CliffordRep, is_involution_rep, reps_commute
+from .clifford import CliffordRep, is_involution_rep, reps_commute
 from .pauli import PhasedPauli, _label_tables, pauli_action, pauli_to_dense
 
 TOL = 1e-9
@@ -446,32 +446,43 @@ def basis_bits(n) -> np.ndarray:
     return bits
 
 
-def _lambda_kernel(blk: BlockRep):
-    """Strictly lower part of AE + d0 d0^T, the quadratic piece of the phases."""
-    d0 = blk.d0
-    return gf2.lows((gf2.mat_mul(blk.a, blk.e) ^ np.outer(d0, d0)) & 1)
+def _check_block_form(rep: CliffordRep):
+    n = rep.n
+    if rep.c[n:, :n].any():
+        raise ValueError("rep has a nonzero lower-left block")
 
 
-def _lambda_products(blk: BlockRep, ybits) -> np.ndarray:
+def _lambda_products(rep: CliffordRep, ybits) -> np.ndarray:
     """The gauge-invariant products lambda_0 * lambda_{f+y}, one per row y.
 
-    Evaluates i**(d0.y) * (-1)**(d0.y + g.y + y^T lows(AE + d0 d0^T) y),
-    which pins every entry of the realized involution once one square
-    root is chosen for lambda_0.
+    For a block-form rep C = (A E; 0 A^T), h = (f; g), evaluates
+    i**(d0.y) * (-1)**(d0.y + g.y + y^T lows(AE + d0 d0^T) y), which pins
+    every entry of the realized involution once one square root is
+    chosen for lambda_0.  C^T J C is (0 A^T A^T; 0 (AE)^T) and AE is
+    symmetric, so d0 = diag(AE) and lows(AE + d0 d0^T) are the lower
+    halves of the rep's d and lows_matrix.
     """
-    iexp = (ybits @ blk.d0) & 1
-    low = _lambda_kernel(blk)
-    sexp = (iexp + ybits @ blk.g + np.einsum("ij,jk,ik->i", ybits, low, ybits)) & 1
+    _check_block_form(rep)
+    n = rep.n
+    d0 = rep.d[n:]
+    iexp = (ybits @ d0) & 1
+    low = rep.lows_matrix[n:, n:]
+    sexp = (iexp + ybits @ rep.g + np.einsum("ij,jk,ik->i", ybits, low, ybits)) & 1
     return (1j ** iexp.astype(int)) * ((-1.0) ** sexp.astype(int))
 
 
-def _check_involution_block(blk: BlockRep):
-    if not is_involution_rep(blk.to_rep()):
+def _check_involution_block(rep: CliffordRep):
+    _check_block_form(rep)
+    if not is_involution_rep(rep):
         raise ValueError("rep does not satisfy the involution conditions")
 
 
-def realize_block(blk: BlockRep) -> Monomial:
+def realize_block(rep: CliffordRep) -> Monomial:
     """The involution Q with Q|x> = lambda_x |f + A^T x>, as a Monomial.
+
+    rep is in block form, C = (A E; 0 A^T) and h = (f; g), and passes
+    is_involution_rep; that makes A an involution, E and AE symmetric
+    and A^T f = f.  Raises ValueError otherwise.
 
     The phase products lambda_0 lambda_{f+y} are fixed by the rep; only
     lambda_0 itself is a gauge.  It must satisfy lambda_0^2 =
@@ -480,16 +491,16 @@ def realize_block(blk: BlockRep) -> Monomial:
     to I exactly and extract_rep round-trips.  Its to_dense() is the
     dense matrix; no 2^n x 2^n array is built here.
     """
-    _check_involution_block(blk)
-    n = blk.n
+    _check_involution_block(rep)
+    n = rep.n
     xbits = basis_bits(n)
-    targets = ((xbits @ blk.a ^ blk.f) & 1) @ _label_tables(n)[2]
-    rhs = _lambda_products(blk, xbits ^ blk.f)
+    targets = ((xbits @ rep.c[:n, :n] ^ rep.f) & 1) @ _label_tables(n)[2]
+    rhs = _lambda_products(rep, xbits ^ rep.f)
     lam0 = np.exp(1j * np.angle(rhs[0]) / 2)
     return Monomial(targets, rhs / lam0)
 
 
-def commutator_sign(q1: BlockRep, q2: BlockRep) -> int:
+def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
     """+1 if the realized involutions commute, -1 if they anticommute.
 
     Evaluated purely from the lambda products, never from dense
@@ -500,20 +511,20 @@ def commutator_sign(q1: BlockRep, q2: BlockRep) -> int:
             == (lambda'_0 lambda'_{f'}) * (lambda_0 lambda_{f+f'}),
 
     each factor being a _lambda_products entry of one of the two reps.  In
-    particular f = f' = 0 forces the +1 branch.
+    particular f = f' = 0 forces the +1 branch.  Both reps must be block
+    involutions, as for realize_block.
     """
-    r1 = q1.to_rep()
-    r2 = q2.to_rep()
     if q1.n != q2.n:
         raise ValueError(f"qubit counts differ: {q1.n} vs {q2.n}")
     _check_involution_block(q1)
     _check_involution_block(q2)
-    if not np.array_equal(gf2.mat_mul(r1.c, r2.c), gf2.mat_mul(r2.c, r1.c)):
+    if not np.array_equal(gf2.mat_mul(q1.c, q2.c), gf2.mat_mul(q2.c, q1.c)):
         raise ValueError("C-matrices do not commute")
-    if not reps_commute(r1, r2):
+    if not reps_commute(q1, q2):
         raise ValueError("reps do not satisfy the sign-compatibility condition")
-    fcomp_l = (q2.f ^ gf2.mat_mul(q1.a.T, q2.f)) & 1
-    fcomp_r = (q1.f ^ gf2.mat_mul(q2.a.T, q1.f)) & 1
+    n = q1.n
+    fcomp_l = (q2.f ^ gf2.mat_mul(q1.c[:n, :n].T, q2.f)) & 1
+    fcomp_r = (q1.f ^ gf2.mat_mul(q2.c[:n, :n].T, q1.f)) & 1
     if not np.array_equal(fcomp_l, fcomp_r):
         raise ValueError("f-vectors are not compatible")
     fsum = q1.f ^ q2.f
@@ -545,7 +556,7 @@ class MonomialCheck:
 
 def monomial_check(u) -> MonomialCheck:
     """Decompose u as permutation times diagonal, if it is monomial."""
-    u = np.asarray(u, dtype=complex)
+    u = as_dense(u)
     heavy = np.abs(u) > TOL
     if not (heavy.sum(axis=0) == 1).all() or not (heavy.sum(axis=1) == 1).all():
         return MonomialCheck(False)

@@ -168,7 +168,7 @@ def rep_to_dense(rep: CliffordRep) -> np.ndarray:
     """
     n = rep.n
     if n > HIERARCHY_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the dense cap {HIERARCHY_QUBIT_CAP}")
+        raise ValueError(f"n={n} exceeds the hierarchy cap {HIERARCHY_QUBIT_CAP}")
     exp = expand(rep)
     dim = 1 << n
     cols, signs = pauli_action(n, exp.support)

@@ -143,10 +143,13 @@ def _check_nice(c):
 
 
 def _involution_conjugator(c):
-    """Recursive core: symplectic m with m c m^{-1} = (I E; 0 I)."""
+    """Recursive core: symplectic m with m c m^{-1} = (I E; 0 I).
+
+    Returns (m, m c m^{-1}); the second has passed _check_nice.
+    """
     n = c.shape[0] // 2
     if n == 0:
-        return c.copy()
+        return c.copy(), c.copy()
     a_blk = c[:n, :n]
     e_blk = c[:n, n:]
     f_blk = c[n:, :n]
@@ -181,13 +184,13 @@ def _involution_conjugator(c):
             raise AssertionError("antidiagonal corner has unexpected shape")
         mx = gf2.ident(2 * r)
         mx[r:, :r] = einv
-        my = _involution_conjugator(y)
+        my = _involution_conjugator(y)[0]
         m3 = _embed_pair(mx, my, r, n)
         m = gf2.mat_mul(gf2.mat_mul(m3, m2), m1)
     elif f_blk.any():
         # swap the roles of the two halves; the image has E' = F nonzero
         p = gf2.p_mat(n)
-        m = gf2.mat_mul(_involution_conjugator(_conj(p, c)), p)
+        m = gf2.mat_mul(_involution_conjugator(_conj(p, c))[0], p)
     else:
         # C = (A 0; 0 A^T): Jordan-normalize, then fold each two-block
         # into a symmetric E corner with one z/x coordinate swap
@@ -200,8 +203,9 @@ def _involution_conjugator(c):
         m = gf2.mat_mul(swap, mj)
     if not gf2.is_symplectic(m):
         raise AssertionError("partial conjugator lost symplecticity")
-    _check_nice(_conj(m, c))
-    return m
+    normalized = _conj(m, c)
+    _check_nice(normalized)
+    return m, normalized
 
 
 def _validate_involution(c, label="input"):
@@ -222,9 +226,7 @@ def involution_normal_form(c) -> NormalFormResult:
     half-swap and Jordan normalization of the involutive A block.
     """
     c = _validate_involution(c)
-    m = _involution_conjugator(c)
-    normalized = _conj(m, c)
-    _check_nice(normalized)
+    m, normalized = _involution_conjugator(c)
     normalized.flags.writeable = False
     m.flags.writeable = False
     return NormalFormResult(m=m, normalized=normalized)
@@ -242,11 +244,10 @@ def _set_conjugator(mats):
     if all(_is_block_form(c) for c in mats):
         return gf2.ident(2 * n)
     first = next(
-        c for c in mats if not np.array_equal(c, gf2.ident(2 * n))
+        i for i, c in enumerate(mats) if not np.array_equal(c, gf2.ident(2 * n))
     )
-    m_a = _involution_conjugator(first)
-    current = [_conj(m_a, c) for c in mats]
-    pivot = _conj(m_a, first)
+    m_a, pivot = _involution_conjugator(mats[first])
+    current = [pivot if i == first else _conj(m_a, c) for i, c in enumerate(mats)]
     big_r, r = gf2.symmetric_congruence(pivot[:n, n:])
     m_b = _block_diag(big_r, gf2.inverse(big_r).T)
     current = [_conj(m_b, c) for c in current]

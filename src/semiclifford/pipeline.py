@@ -39,7 +39,7 @@ import numpy as np
 
 from . import gf2
 from .circuits import CircuitDescription, circuit_to_monomial
-from .clifford import BlockRep, CliffordRep, compose, inverse, product_table
+from .clifford import CliffordRep, compose, inverse, product_table
 from .dense import (
     HIERARCHY_QUBIT_CAP,
     TOL,
@@ -130,9 +130,9 @@ class GeneratorFamily:
         for q in self.qs:
             if q.n != self.qs[0].n:
                 raise ValueError(f"qubit counts differ: {self.qs[0].n} vs {q.n}")
-        table_c, table_h = product_table(
-            np.stack([q.c for q in self.qs]), np.stack([q.h for q in self.qs])
-        )
+        cs = np.stack([q.c for q in self.qs])
+        hs = np.stack([q.h for q in self.qs])
+        table_c, table_h = product_table(cs, hs, cs, hs)
         if not gf2.symplectic_mask(table_c).all():
             raise ValueError("C is not symplectic")
         diag = np.arange(m)
@@ -451,7 +451,7 @@ def extract_certificate(
     n = family.n
     kernel = orbit_kernel(family)
     dim = 1 << n
-    blocks = []
+    reps = []
     spectra = []
     for row in kernel:
         rep = product_rep(family, row)
@@ -459,10 +459,8 @@ def extract_certificate(
             raise AssertionError("kernel product has a non-identity A-block")
         if rep.f.any():
             raise AssertionError("kernel product has a nonzero f-vector")
-        blk = BlockRep.from_rep(rep)
-        spectrum = _lambda_products(blk, basis_bits(n))
-        blocks.append(blk)
-        spectra.append(spectrum)
+        reps.append(rep)
+        spectra.append(_lambda_products(rep, basis_bits(n)))
 
     pattern_rank = span_rank(spectra)
     if pattern_rank != dim:
@@ -476,7 +474,7 @@ def extract_certificate(
         rows = rng.choice(len(kernel), size=take, replace=False)
         for ridx in rows:
             prod = _op_product(family, kernel[ridx])
-            realized = realize_block(blocks[ridx])
+            realized = realize_block(reps[ridx])
             if not close(realized, Monomial(np.arange(dim), spectra[ridx])):
                 raise AssertionError("kernel product realization is not its diagonal spectrum")
             if not isinstance(prod, Monomial):  # a dense family

@@ -15,7 +15,10 @@ embedding the library's placement tables replaced: one column at a
 time, decoding each label bit by bit.  rref_oracle is the per-bit row
 reduction the library's packed-int elimination replaced, and
 orbit_kernel_oracle the breadth-first orbit search its coset-doubling
-orbit_kernel replaced.
+orbit_kernel replaced.  compose_oracle and inverse_oracle are the
+scalar composition and inversion formulas that clifford.product_table
+replaced for both, each reading d and lows(C^T J C + d d^T) off explicit
+products with J rather than the library's stacked sign_data.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from semiclifford.circuits import (
     embed_gate,
     random_circuit,
 )
-from semiclifford.clifford import BlockRep, CliffordRep, compose, is_involution_rep, reps_commute
+from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
 from semiclifford.classify import (
     GscWitness,
     SemiCliffordWitness,
@@ -59,6 +62,36 @@ _TAU = {
     (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
     (1, 1): np.array([[0, 1], [-1, 0]], dtype=complex),
 }
+
+
+def _sign_data_oracle(c):
+    """d = diag(C^T J C) and lows(C^T J C + d d^T) of one matrix, J = (0 I; 0 0)."""
+    cjc = gf2.mat_mul(gf2.mat_mul(c.T, gf2.j_mat(c.shape[0] // 2)), c)
+    d = gf2.diag_vec(cjc)
+    return d, gf2.lows((cjc ^ np.outer(d, d)) & 1)
+
+
+def compose_oracle(outer: CliffordRep, inner: CliffordRep) -> CliffordRep:
+    """Rep of outer * inner by the scalar Dehaene-De Moor formula."""
+    d_out, low_out = _sign_data_oracle(outer.c)
+    d_in = _sign_data_oracle(inner.c)[0]
+    c12 = gf2.mat_mul(outer.c, inner.c)
+    cross = gf2.mat_mul(gf2.mat_mul(inner.c.T, low_out), inner.c)
+    cross = (cross ^ (np.outer(d_in, d_out) @ inner.c & 1)) & 1
+    h12 = (inner.h ^ gf2.mat_mul(inner.c.T, outer.h) ^ gf2.diag_vec(cross)) & 1
+    return CliffordRep(c12, h12)
+
+
+def inverse_oracle(rep: CliffordRep) -> CliffordRep:
+    """Rep of the inverse operator, with its own h formula."""
+    cinv = gf2.symplectic_inverse(rep.c)
+    cinv_t = cinv.T
+    d, low = _sign_data_oracle(rep.c)
+    d_prime = _sign_data_oracle(cinv)[0]
+    cross = gf2.mat_mul(gf2.mat_mul(cinv_t, low), cinv)
+    cross = (cross ^ (np.outer(d_prime, d) @ cinv & 1)) & 1
+    h_prime = (gf2.mat_mul(cinv_t, rep.h) ^ gf2.diag_vec(cross)) & 1
+    return CliffordRep(cinv, h_prime)
 
 
 def kron_pauli_to_dense(p: PhasedPauli) -> np.ndarray:
@@ -468,7 +501,7 @@ def _block_c(a, e):
     return np.block([[a, e], [gf2.zeros(n, n), a.T]]).astype(np.uint8)
 
 
-def sample_block_rep(n, rng) -> BlockRep:
+def sample_block_rep(n, rng) -> CliffordRep:
     """Random rep with block C satisfying the full involution conditions."""
     while True:
         a = random_involution_matrix(n, rng)
@@ -491,7 +524,7 @@ def sample_block_rep(n, rng) -> BlockRep:
             h0 = (h0 ^ (co @ free)) & 1
         rep = CliffordRep(c, h0)
         if is_involution_rep(rep):
-            return BlockRep.from_rep(rep)
+            return rep
 
 
 def sample_admissible_pair(n, rng):
@@ -535,7 +568,7 @@ def sample_admissible_pair(n, rng):
         r1 = CliffordRep(c1, sol[:n2])
         r2 = CliffordRep(c2, sol[n2:])
         if is_involution_rep(r1) and is_involution_rep(r2) and reps_commute(r1, r2):
-            return BlockRep.from_rep(r1), BlockRep.from_rep(r2)
+            return r1, r2
 
 
 def random_commuting_involution_set(n, rng, size):

@@ -157,7 +157,7 @@ def test_criterion_05_realization_and_sign():
             for blk in (b1, b2):
                 d = realize_block(blk).to_dense()
                 assert np.allclose(d @ d, np.eye(d.shape[0]), atol=1e-9)
-                assert extract_rep(d) == blk.to_rep()
+                assert extract_rep(d) == blk
             sign = commutator_sign(b1, b2)
             if not b1.f.any() and not b2.f.any():
                 assert sign == 1

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import gsc_search_oracle, random_c3_gate, random_clifford_dense
 from semiclifford import gf2
-from semiclifford.circuits import circuit_to_dense, embed_gate, parse_circuit
+from semiclifford.circuits import circuit_to_dense, circuit_to_monomial, embed_gate, parse_circuit
 from semiclifford.classify import (
     classify,
     is_generalized_semi_clifford,
@@ -13,7 +13,7 @@ from semiclifford.classify import (
     _column0_survivors,
     _lagrangian_cliffords,
 )
-from semiclifford.dense import monomial_check
+from semiclifford.dense import Monomial, monomial_check
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
 # The package re-exports the classify function under the module's name.
@@ -103,6 +103,23 @@ def test_classify_reports():
     assert (rep.level, rep.semi_clifford, rep.generalized_semi_clifford) == (3, True, True)
     rep = classify(embed_gate("SWAP", (0, 1), 2))
     assert (rep.level, rep.semi_clifford, rep.generalized_semi_clifford) == (2, True, True)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["qubits 3\nCCZ 0 1 2\n", "qubits 2\nT 0\nCX 0 1\nS 1\n", "qubits 1\nX 0\n"],
+)
+def test_classify_accepts_a_monomial(text):
+    desc = parse_circuit(text)
+    mono = circuit_to_monomial(desc)
+    assert isinstance(mono, Monomial)
+    assert classify(mono) == classify(circuit_to_dense(desc))
+
+
+def test_gsc_search_and_monomial_check_accept_a_monomial():
+    ident = Monomial.identity(2)
+    assert is_generalized_semi_clifford(ident) == is_generalized_semi_clifford(np.eye(4))
+    assert monomial_check(ident) == monomial_check(np.eye(4))
 
 
 def test_classify_search_space_sizes():

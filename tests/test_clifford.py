@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import all_phased_paulis, random_clifford_dense
+from helpers import all_phased_paulis, compose_oracle, inverse_oracle, random_clifford_dense
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_dense, circuit_to_rep, random_circuit, standard_gate
 from semiclifford.clifford import (
-    BlockRep,
     CliffordRep,
     compose,
     conjugate,
@@ -15,6 +14,7 @@ from semiclifford.clifford import (
     is_involution_rep,
     product_table,
     reps_commute,
+    sign_data,
 )
 from semiclifford.dense import extract_rep
 from semiclifford.pauli import PhasedPauli, pauli_mul, pauli_to_dense
@@ -36,10 +36,41 @@ def test_constructor_rejects_values_that_are_not_bits(c, h):
         CliffordRep(c, h)
 
 
-def test_block_rep_rejects_values_that_are_not_bits():
-    one = np.ones((1, 1), dtype=np.uint8)
-    with pytest.raises(ValueError, match="other than 0 or 1"):
-        BlockRep(one, 2 * one, [0], [0])
+def _bit_stack(count, shape):
+    """All count (..., shape) bit arrays, as one (count, *shape) uint8 stack."""
+    size = int(np.prod(shape))
+    return ((np.arange(count)[:, None] >> np.arange(size)) & 1).astype(np.uint8).reshape(
+        (count, *shape)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_involution_rep_in_block_form_implies_the_block_invariants(n):
+    # every C = (A E; 0 D) and every h: a symplectic C whose rep passes
+    # is_involution_rep meets each check of the deleted block-rep type
+    blocks = _bit_stack(1 << (3 * n * n), (3, n, n))
+    cs = np.zeros((len(blocks), 2 * n, 2 * n), dtype=np.uint8)
+    cs[:, :n, :n], cs[:, :n, n:], cs[:, n:, n:] = blocks.transpose(1, 0, 2, 3)
+    cs = cs[gf2.symplectic_mask(cs)]
+    hs = _bit_stack(1 << (2 * n), (2 * n,))
+    ident = gf2.ident(n)
+    seen = set()
+    for c in cs:
+        a, e = c[:n, :n], c[:n, n:]
+        for h in hs:
+            if not is_involution_rep(CliffordRep(c, h)):
+                continue
+            f = h[:n]
+            seen.add((a.tobytes(), e.any(), f.any()))
+            ae = gf2.mat_mul(a, e)
+            assert np.array_equal(gf2.mat_mul(a, a), ident)
+            assert np.array_equal(e, e.T)
+            assert np.array_equal(ae, ae.T)
+            assert np.array_equal(gf2.mat_mul(a.T, f), f)
+            assert np.array_equal(c[n:, n:], a.T)
+    # not vacuous: nonzero E and f occur, and at n = 2 non-identity A
+    assert any(e_any for _, e_any, _ in seen) and any(f_any for _, _, f_any in seen)
+    assert len({a for a, _, _ in seen}) == (1 if n == 1 else 4)
 
 
 def test_constructor_accepts_bools():
@@ -233,16 +264,29 @@ def test_round_trip_extract_of_realization(rng):
 
 
 def _assert_table_matches_compose(reps):
+    # product_table over the family and over two different stacks, compose
+    # and inverse, each bit for bit against the scalar oracles
     cs = np.stack([q.c for q in reps])
     hs = np.stack([q.h for q in reps])
-    table_c, table_h = product_table(cs, hs)
     k, m = len(reps), cs.shape[-1]
+    table_c, table_h = product_table(cs, hs, cs, hs)
     assert table_c.shape == (k, k, m, m) and table_h.shape == (k, k, m)
+    left = slice(0, k - 2)
+    right = slice(1, k)
+    part_c, part_h = product_table(cs[left], hs[left], cs[right], hs[right])
+    assert part_c.shape == (k - 2, k - 1, m, m) and part_h.shape == (k - 2, k - 1, m)
     for i, outer in enumerate(reps):
         for j, inner in enumerate(reps):
-            ref = compose(outer, inner)
+            ref = compose_oracle(outer, inner)
             assert table_c[i, j].tobytes() == ref.c.tobytes()
             assert table_h[i, j].tobytes() == ref.h.tobytes()
+            if left.start <= i < left.stop and right.start <= j < right.stop:
+                assert part_c[i - left.start, j - right.start].tobytes() == ref.c.tobytes()
+                assert part_h[i - left.start, j - right.start].tobytes() == ref.h.tobytes()
+            got = compose(outer, inner)
+            assert (got.c.tobytes(), got.h.tobytes()) == (ref.c.tobytes(), ref.h.tobytes())
+        inv, ref = inverse(outer), inverse_oracle(outer)
+        assert (inv.c.tobytes(), inv.h.tobytes()) == (ref.c.tobytes(), ref.h.tobytes())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -261,3 +305,15 @@ def test_product_table_matches_compose_on_the_uv_family():
 
     u, v = gottesman_mochon()
     _assert_table_matches_compose(generators_from_gate(u @ v).qs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sign_data_matches_the_rep_and_each_matrix(n, rng):
+    reps = [circuit_to_rep(random_circuit(n, 10, rng)) for _ in range(5)]
+    j = gf2.j_mat(n)
+    d, low = sign_data(np.stack([q.c for q in reps]))
+    for q, dq, lq in zip(reps, d, low):
+        cjc = gf2.mat_mul(gf2.mat_mul(q.c.T, j), q.c)
+        assert np.array_equal(dq, gf2.diag_vec(cjc))
+        assert np.array_equal(lq, gf2.lows((cjc ^ np.outer(dq, dq)) & 1))
+        assert q.d.tobytes() == dq.tobytes() and q.lows_matrix.tobytes() == lq.tobytes()

@@ -15,7 +15,7 @@ import semiclifford
 from semiclifford import gf2
 from semiclifford.classify import classify
 from semiclifford.circuits import embed_gate, standard_gate
-from semiclifford.clifford import BlockRep, CliffordRep, from_pauli
+from semiclifford.clifford import CliffordRep, from_pauli
 from semiclifford.dense import (
     check_unitary,
     close,
@@ -131,15 +131,15 @@ def test_hierarchy_level_rejects_kmax_below_one(kmax):
 
 
 def test_realize_block_identity_and_sigma_z():
-    ident = BlockRep.from_rep(CliffordRep.identity(2))
+    ident = CliffordRep.identity(2)
     assert np.allclose(realize_block(ident).to_dense(), np.eye(4))
-    z = BlockRep.from_rep(CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8)))
+    z = CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8))
     assert np.allclose(realize_block(z).to_dense(), np.diag([1, -1]))
 
 
 def test_realize_block_cz():
     cz = standard_gate("CZ", (0, 1), 2)
-    blk = BlockRep.from_rep(cz)
+    blk = cz
     assert close_up_to_phase(realize_block(blk).to_dense(), embed_gate("CZ", (0, 1), 2))
 
 
@@ -148,7 +148,7 @@ def test_realize_block_eighth_root_case():
     rep = CliffordRep(
         np.array([[1, 1], [0, 1]], dtype=np.uint8), np.array([1, 0], dtype=np.uint8)
     )
-    d = realize_block(BlockRep.from_rep(rep)).to_dense()
+    d = realize_block(rep).to_dense()
     assert np.allclose(d @ d, np.eye(2), atol=1e-12)
     assert extract_rep(d) == rep
     xs = embed_gate("X", (0,), 1) @ embed_gate("S", (0,), 1)
@@ -159,9 +159,20 @@ def test_realize_block_rejects_non_involution():
     # the S rep passes the shape invariants but S^2 = Z, so the full
     # involution condition fails and realization must reject it
     s = standard_gate("S", (0,), 1)
-    blk = BlockRep.from_rep(s)
+    blk = s
     with pytest.raises(ValueError):
         realize_block(blk)
+
+
+def test_block_form_functions_reject_a_rep_outside_block_form():
+    # H is an involution rep whose C = P has a nonzero lower-left block
+    h = standard_gate("H", (0,), 1)
+    z = CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8))
+    with pytest.raises(ValueError, match="rep has a nonzero lower-left block"):
+        realize_block(h)
+    for pair in ((h, z), (z, h)):
+        with pytest.raises(ValueError, match="rep has a nonzero lower-left block"):
+            commutator_sign(*pair)
 
 
 def test_realize_round_trip_random(rng):
@@ -171,7 +182,7 @@ def test_realize_round_trip_random(rng):
         d = realize_block(blk).to_dense()
         assert np.allclose(d @ d, np.eye(1 << n), atol=1e-9)
         assert np.allclose(d @ d.conj().T, np.eye(1 << n), atol=1e-9)
-        assert extract_rep(d) == blk.to_rep()
+        assert extract_rep(d) == blk
         mc = monomial_check(d)
         assert mc.is_monomial
 
@@ -188,8 +199,8 @@ def test_commutator_sign_zero_f_family(rng):
 
 
 def test_commutator_sign_z_x():
-    z = BlockRep.from_rep(CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8)))
-    x = BlockRep.from_rep(CliffordRep(gf2.ident(2), np.array([1, 0], dtype=np.uint8)))
+    z = CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8))
+    x = CliffordRep(gf2.ident(2), np.array([1, 0], dtype=np.uint8))
     assert commutator_sign(z, x) == -1
 
 
@@ -209,8 +220,8 @@ def test_commutator_sign_matches_dense(rng):
 
 
 def test_commutator_sign_rejects_incompatible():
-    z = BlockRep.from_rep(CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8)))
-    cz_like = BlockRep.from_rep(standard_gate("CZ", (0, 1), 2))
+    z = CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8))
+    cz_like = standard_gate("CZ", (0, 1), 2)
     with pytest.raises(ValueError):
         commutator_sign(z, cz_like)
 

@@ -141,5 +141,5 @@ def test_rep_to_dense_round_trip_random(rng):
 
 
 def test_rep_to_dense_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=8 exceeds the hierarchy cap 7"):
         rep_to_dense(CliffordRep.identity(8))

@@ -247,3 +247,58 @@ def test_set_normal_form_makes_few_general_inverses(monkeypatch):
     res = commuting_set_normal_form(mats)
     assert all(not c[8:, :8].any() for c in res.normalized)
     assert len(calls) <= 6
+
+
+def _record_conjugations(monkeypatch):
+    """Patch normal_form._conj to log the ids of (m, c) of every conjugation
+    it builds; the log holds the arrays too, so no id is reused."""
+    from semiclifford import normal_form
+
+    calls = []
+    conj = normal_form._conj
+
+    def recording(m, c):
+        calls.append((id(m), id(c), m, c))
+        return conj(m, c)
+
+    monkeypatch.setattr(normal_form, "_conj", recording)
+    return calls
+
+
+def _rebuilt(calls):
+    """Whether one matrix object was conjugated by one conjugator object twice."""
+    pairs = [call[:2] for call in calls]
+    return len(set(pairs)) != len(pairs)
+
+
+def test_normal_forms_build_each_conjugation_once(monkeypatch, rng):
+    # the checked (I E; 0 I) image of the recursion is the result, and the
+    # set form's pivot is its entry of the conjugated set, not a rebuild
+    calls = _record_conjugations(monkeypatch)
+    for c in (C1, C2, JORDAN_C):
+        calls.clear()
+        involution_normal_form(c)
+        assert calls and not _rebuilt(calls)
+    for _ in range(10):
+        n = int(rng.integers(2, 5))
+        calls.clear()
+        snf = commuting_set_normal_form(random_commuting_involution_set(n, rng, 3))
+        assert calls and not _rebuilt(calls)
+        assert all(not nf[n:, :n].any() for nf in snf.normalized)
+
+
+def test_each_involution_normal_form_is_checked_once(monkeypatch, rng):
+    from semiclifford import normal_form
+
+    levels, checks = [], []
+    core, check = normal_form._involution_conjugator, normal_form._check_nice
+    monkeypatch.setattr(
+        normal_form, "_involution_conjugator", lambda c: levels.append(1) or core(c)
+    )
+    monkeypatch.setattr(normal_form, "_check_nice", lambda c: checks.append(1) or check(c))
+    for c in (C1, C2, JORDAN_C, *random_commuting_involution_set(4, rng, 3)):
+        levels.clear()
+        checks.clear()
+        assert_nice(involution_normal_form(c), c)
+        # every level but the empty n = 0 one checks its own result
+        assert 0 < len(checks) <= len(levels)

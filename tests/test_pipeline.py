@@ -12,7 +12,7 @@ from helpers import (
 )
 from semiclifford import gf2
 from semiclifford.circuits import embed_gate
-from semiclifford.clifford import BlockRep, CliffordRep, compose, from_pauli
+from semiclifford.clifford import CliffordRep, compose, from_pauli
 from semiclifford.dense import (
     Monomial,
     close_up_to_phase,
@@ -356,7 +356,7 @@ def test_spectra_equal_realized_kernel_products(rng):
         norm, qm = normalize_family(generators_from_gate(gate))
         cert = extract_certificate(norm, qm)
         for row, spectrum in zip(cert.kernel_basis, cert.spectra):
-            realized = realize_block(BlockRep.from_rep(product_rep(norm, row))).to_dense()
+            realized = realize_block(product_rep(norm, row)).to_dense()
             assert realized.tobytes() == np.diag(spectrum).tobytes()
 
 
