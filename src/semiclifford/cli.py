@@ -279,11 +279,15 @@ def _print_human(out):
     walk(out)
 
 
-def positive_int(text) -> int:
+def positive_int(text, low=1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def nonnegative_int(text) -> int:
+    return positive_int(text, low=0)
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Clifford representation, normal form, and hierarchy tools",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for self-check sampling")
+    parser.add_argument(
+        "--seed", type=nonnegative_int, default=0, help="seed for self-check sampling (>= 0)"
+    )
     parser.add_argument(
         "--kmax", type=positive_int, default=3, help="hierarchy search depth (>= 1)"
     )

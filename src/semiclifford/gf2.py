@@ -22,21 +22,26 @@ import numpy as np
 
 
 def asbits(data) -> np.ndarray:
-    """Coerce an array-like to uint8 with entries reduced mod 2."""
-    return np.asarray(data, dtype=np.uint8) & 1
+    """*data* as a ``uint8`` array whose entries must be bits.
 
-
-def frozenbits(data) -> np.ndarray:
-    """Read-only ``uint8`` copy of *data*, whose entries must be bits.
+    ``uint8`` input is returned as it is, without a copy.
 
     Raises:
         ValueError: if an entry is not 0 or 1 (bools are bits), so no
             value is silently reduced mod 2.
     """
     arr = np.asarray(data)
-    out = arr.astype(np.uint8, order="C")
-    if out.size and (out.max() > 1 or (arr.dtype != np.uint8 and not np.array_equal(out, arr))):
+    out = arr if arr.dtype == np.uint8 else arr.astype(np.uint8)
+    # deleting the bytes 0 and 1 leaves nothing of an array of bits; on
+    # small arrays this is several times faster than out.max()
+    if out.tobytes().translate(None, b"\0\1") or (out is not arr and not np.array_equal(out, arr)):
         raise ValueError("bit array has an entry other than 0 or 1")
+    return out
+
+
+def frozenbits(data) -> np.ndarray:
+    """Read-only C-ordered copy of ``asbits(data)``."""
+    out = np.array(asbits(data), order="C")
     out.flags.writeable = False
     return out
 
@@ -73,16 +78,14 @@ def _p_form(n):
 
 
 def mat_mul(a, b):
-    """Matrix (or matrix-vector) product over GF(2).
+    """Matrix (or matrix-vector) product over GF(2); stacks broadcast.
 
     Raises:
         ValueError: if the inner dimensions do not conform.
     """
     a = asbits(a)
     b = asbits(b)
-    inner_a = a.shape[-1]
-    inner_b = b.shape[0]
-    if inner_a != inner_b:
+    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
     return (a @ b) & 1
 

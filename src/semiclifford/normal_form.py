@@ -4,17 +4,19 @@ Two normal forms are provided:
 
 * a single symplectic involution C is conjugated to (I E; 0 I) with E
   symmetric, by an explicit symplectic M;
-* a pairwise-commuting set of symplectic involutions is conjugated by
-  one shared symplectic M so that every element gets the block shape
-  (A E; 0 A^T) (zero lower-left block).
+* a pairwise-commuting set of symplectic involutions, held as one
+  (k, 2n, 2n) stack, is conjugated by one shared symplectic M so that
+  every element gets the block shape (A E; 0 A^T) (zero lower-left
+  block).
 
 The stronger simultaneous (I E; 0 I) form is generally impossible in
 characteristic two; ``simultaneous_nice_form_obstruction`` certifies
 the failure for a given pair via the product (I+C1)(I+C2).
 
-Every conjugation step re-verifies symplecticity of the partial
-conjugator, and the final forms are recomputed from scratch rather
-than trusted; index bookkeeping is the dominant risk here.
+Every conjugator is inverted, and its symplecticity re-verified, once:
+one conjugation per conjugator, of the whole stack at once.  The final
+forms are checked again rather than trusted; index bookkeeping is the
+dominant risk here.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class SetNormalForm:
 
 
 def _conj(m, c):
-    """m c m^{-1}; every conjugator built here is symplectic."""
-    return gf2.mat_mul(gf2.mat_mul(m, c), gf2.symplectic_inverse(m))
+    """m c m^{-1} for a bit matrix or stack c; every conjugator here is symplectic."""
+    return m @ c @ gf2.symplectic_inverse(m) & 1  # uint8 products keep their parity
 
 
 def _block_diag(p, q):
@@ -98,31 +100,14 @@ def _jordan_involution_basis(a):
     nil = gf2.ident(n) ^ a
     pivots = gf2.image_pivots(nil)
     k = len(pivots)
-    cols = []
-    for j in pivots:
-        u = np.zeros(n, dtype=np.uint8)
-        u[j] = 1
-        cols.append((nil[:, j].copy(), u))
-    image = [pair[0] for pair in cols]
-    ker = gf2.kernel_basis(nil)
-    completion = []
-    base = list(image)
-    base_rank = gf2.rank(np.array(base, dtype=np.uint8)) if base else 0
-    for vec in ker:
-        trial = base + [vec]
-        trial_rank = gf2.rank(np.array(trial, dtype=np.uint8))
-        if trial_rank > base_rank:
-            completion.append(vec)
-            base = trial
-            base_rank = trial_rank
-    b_cols = []
-    for img, u in cols:
-        b_cols.extend([img, u])
-    b_cols.extend(completion)
-    b = np.array(b_cols, dtype=np.uint8).T
+    image = nil[:, pivots]
+    chains = np.stack([image, gf2.ident(n)[:, pivots]], axis=2).reshape(n, 2 * k)
+    # the kernel vectors that each raise the rank of Im(N) and of the ones
+    # kept before them are the pivot columns of (image | ker) past the image
+    span = np.concatenate([image, gf2.kernel_basis(nil).T], axis=1)
+    b = np.concatenate([chains, span[:, gf2.image_pivots(span)[k:]]], axis=1)
     jordan = gf2.ident(n)
-    for i in range(k):
-        jordan[2 * i, 2 * i + 1] = 1
+    jordan[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 1
     if not np.array_equal(gf2.mat_mul(a, b), gf2.mat_mul(b, jordan)):
         raise AssertionError("Jordan basis bookkeeping failed")
     return b, k
@@ -232,55 +217,45 @@ def involution_normal_form(c) -> NormalFormResult:
     return NormalFormResult(m=m, normalized=normalized)
 
 
-def _is_block_form(c):
-    n = c.shape[0] // 2
-    return not c[n:, :n].any()
+def _noncommuting_pair(stack):
+    """First pair i < j of the stack, in row-major order, that does not commute."""
+    for i in range(len(stack) - 1):
+        rest = stack[i + 1 :]
+        bad = (gf2.mat_mul(stack[i], rest) != gf2.mat_mul(rest, stack[i])).any(axis=(1, 2))
+        if bad.any():
+            return i, i + 1 + int(np.argmax(bad))
+    return None
 
 
-def _set_conjugator(mats):
-    n = mats[0].shape[0] // 2
-    if n == 0:
-        return mats[0].copy()
-    if all(_is_block_form(c) for c in mats):
-        return gf2.ident(2 * n)
-    first = next(
-        i for i, c in enumerate(mats) if not np.array_equal(c, gf2.ident(2 * n))
-    )
-    m_a, pivot = _involution_conjugator(mats[first])
-    current = [pivot if i == first else _conj(m_a, c) for i, c in enumerate(mats)]
+def _set_conjugator(stack):
+    """(m, m stack m^{-1}) with every conjugated element in block form."""
+    dim = stack.shape[1]
+    n = dim // 2
+    if not stack[:, n:, :n].any():
+        return gf2.ident(dim), stack
+    first = int(np.flatnonzero((stack != gf2.ident(dim)).any(axis=(1, 2)))[0])
+    m_a, pivot = _involution_conjugator(stack[first])
     big_r, r = gf2.symmetric_congruence(pivot[:n, n:])
-    m_b = _block_diag(big_r, gf2.inverse(big_r).T)
-    current = [_conj(m_b, c) for c in current]
-    m_ba = gf2.mat_mul(m_b, m_a)
     if r == 0:
         raise AssertionError("non-identity element normalized to identity")
+    m = gf2.mat_mul(_block_diag(big_r, gf2.inverse(big_r).T), m_a)
+    current = _conj(m, stack)
     # commutation with the full-rank corner of the pivot forces every
     # element's a3, f1, f2 refined blocks to vanish
-    for c in current:
-        bad = (
-            c[r:n, :r].any()
-            or c[n : n + r, :n].any()
-            or c[n + r :, :r].any()
-        )
-        if bad:
-            raise AssertionError("commuting element has forbidden refined blocks")
+    bad = current[:, r:n, :r].any() or current[:, n : n + r, :n].any()
+    if bad or current[:, n + r :, :r].any():
+        raise AssertionError("commuting element has forbidden refined blocks")
     if r == n:
-        return m_ba
-    ix, iy = _pair_coords(r, n)
-    subs = []
-    for c in current:
-        sub = c[np.ix_(iy, iy)].copy()
-        subs.append(_validate_involution(sub, "projected element"))
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if not np.array_equal(
-                gf2.mat_mul(subs[i], subs[j]), gf2.mat_mul(subs[j], subs[i])
-            ):
-                raise AssertionError("projected elements stopped commuting")
-    m_d = _set_conjugator(subs)
-    m_emb = gf2.ident(2 * n)
-    m_emb[np.ix_(iy, iy)] = m_d
-    return gf2.mat_mul(m_emb, m_ba)
+        return m, current
+    iy = _pair_coords(r, n)[1]
+    subs = current[:, iy][:, :, iy]
+    for sub in subs:
+        _validate_involution(sub, "projected element")
+    if _noncommuting_pair(subs):
+        raise AssertionError("projected elements stopped commuting")
+    m_emb = gf2.ident(dim)
+    m_emb[np.ix_(iy, iy)] = _set_conjugator(subs)[0]
+    return gf2.mat_mul(m_emb, m), _conj(m_emb, current)
 
 
 def commuting_set_normal_form(cs) -> SetNormalForm:
@@ -304,32 +279,26 @@ def commuting_set_normal_form(cs) -> SetNormalForm:
         if c.shape != (dim, dim):
             raise ValueError(f"element {i} has shape {c.shape}, expected {(dim, dim)}")
         _validate_involution(c, f"element {i}")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not np.array_equal(
-                gf2.mat_mul(mats[i], mats[j]), gf2.mat_mul(mats[j], mats[i])
-            ):
-                raise ValueError(f"elements {i} and {j} do not commute")
-    m = _set_conjugator(mats)
+    stack = np.stack(mats)
+    pair = _noncommuting_pair(stack)
+    if pair:
+        raise ValueError(f"elements {pair[0]} and {pair[1]} do not commute")
+    m, normalized = _set_conjugator(stack)
     if not gf2.is_symplectic(m):
         raise AssertionError("set conjugator is not symplectic")
     n = dim // 2
-    normalized = []
-    for i, c in enumerate(mats):
-        nc = _conj(m, c)
-        if nc[n:, :n].any():
-            raise AssertionError(f"element {i} was not reduced to block form")
-        a = nc[:n, :n]
-        e = nc[:n, n:]
-        ae = gf2.mat_mul(a, e)
-        if not (
-            np.array_equal(gf2.mat_mul(a, a), gf2.ident(n))
-            and np.array_equal(e, e.T)
-            and np.array_equal(ae, ae.T)
-        ):
-            raise AssertionError(f"element {i} violates the block-form side conditions")
-        nc.flags.writeable = False
-        normalized.append(nc)
+    # with a the top-left block, a (a e) = (a^2 ae) is one product
+    a_top = gf2.mat_mul(normalized[:, :n, :n], normalized[:, :n])
+    e, ae = normalized[:, :n, n:], a_top[:, :, n:]
+    side = (a_top[:, :, :n] == gf2.ident(n)) & (e == np.swapaxes(e, 1, 2))
+    side &= ae == np.swapaxes(ae, 1, 2)
+    block = ~normalized[:, n:, :n].any(axis=(1, 2))
+    bad = np.flatnonzero(~(block & side.all(axis=(1, 2))))
+    if bad.size and not block[bad[0]]:
+        raise AssertionError(f"element {bad[0]} was not reduced to block form")
+    if bad.size:
+        raise AssertionError(f"element {bad[0]} violates the block-form side conditions")
+    normalized.flags.writeable = False
     m.flags.writeable = False
     return SetNormalForm(m=m, normalized=tuple(normalized))
 

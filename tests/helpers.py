@@ -19,6 +19,11 @@ orbit_kernel replaced.  compose_oracle and inverse_oracle are the
 scalar composition and inversion formulas that clifford.product_table
 replaced for both, each reading d and lows(C^T J C + d d^T) off explicit
 products with J rather than the library's stacked sign_data.
+set_normal_form_oracle is the list-based commuting-set normal form that
+the library's stacked one replaced: it conjugates one element at a
+time, first by m_a and then by m_b at each level, and the inputs once
+more by the final M.  jordan_basis_oracle completes Im(N) to Ker(N) by
+growing rank tests, one elimination per kernel vector.
 """
 
 from __future__ import annotations
@@ -50,6 +55,12 @@ from semiclifford.dense import (
     monomial_check,
     num_qubits,
     pauli_conjugates,
+)
+from semiclifford.normal_form import (
+    _block_diag,
+    _involution_conjugator,
+    _pair_coords,
+    _validate_involution,
 )
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 from semiclifford.pipeline import GeneratorFamily
@@ -681,3 +692,88 @@ def orbit_kernel_oracle(family: GeneratorFamily) -> np.ndarray:
     if len(pivots) != n:
         raise AssertionError(f"kernel rank {len(pivots)}, expected {n}")
     return red[:n].copy()
+
+
+def _conj_oracle(m, c):
+    return gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m))
+
+
+def _set_conjugator_oracle(mats):
+    n = mats[0].shape[0] // 2
+    if n == 0:
+        return mats[0].copy()
+    if all(not c[n:, :n].any() for c in mats):
+        return gf2.ident(2 * n)
+    first = next(
+        i for i, c in enumerate(mats) if not np.array_equal(c, gf2.ident(2 * n))
+    )
+    m_a, pivot = _involution_conjugator(mats[first])
+    current = [pivot if i == first else _conj_oracle(m_a, c) for i, c in enumerate(mats)]
+    big_r, r = gf2.symmetric_congruence(pivot[:n, n:])
+    m_b = _block_diag(big_r, gf2.inverse(big_r).T)
+    current = [_conj_oracle(m_b, c) for c in current]
+    m_ba = gf2.mat_mul(m_b, m_a)
+    if r == 0:
+        raise AssertionError("non-identity element normalized to identity")
+    for c in current:
+        bad = (
+            c[r:n, :r].any()
+            or c[n : n + r, :n].any()
+            or c[n + r :, :r].any()
+        )
+        if bad:
+            raise AssertionError("commuting element has forbidden refined blocks")
+    if r == n:
+        return m_ba
+    ix, iy = _pair_coords(r, n)
+    subs = []
+    for c in current:
+        sub = c[np.ix_(iy, iy)].copy()
+        subs.append(_validate_involution(sub, "projected element"))
+    for i in range(len(subs)):
+        for j in range(i + 1, len(subs)):
+            if not np.array_equal(
+                gf2.mat_mul(subs[i], subs[j]), gf2.mat_mul(subs[j], subs[i])
+            ):
+                raise AssertionError("projected elements stopped commuting")
+    m_d = _set_conjugator_oracle(subs)
+    m_emb = gf2.ident(2 * n)
+    m_emb[np.ix_(iy, iy)] = m_d
+    return gf2.mat_mul(m_emb, m_ba)
+
+
+def set_normal_form_oracle(mats):
+    """(M, [M c M^{-1} for each c]) by the list-based set recursion."""
+    mats = [gf2.frozenbits(c) for c in mats]
+    m = _set_conjugator_oracle(mats)
+    return m, [_conj_oracle(m, c) for c in mats]
+
+
+def jordan_basis_oracle(a):
+    """(B, k) of normal_form._jordan_involution_basis by incremental rank."""
+    n = a.shape[0]
+    nil = gf2.ident(n) ^ a
+    pivots = gf2.image_pivots(nil)
+    k = len(pivots)
+    cols = []
+    for j in pivots:
+        u = np.zeros(n, dtype=np.uint8)
+        u[j] = 1
+        cols.append((nil[:, j].copy(), u))
+    image = [pair[0] for pair in cols]
+    ker = gf2.kernel_basis(nil)
+    completion = []
+    base = list(image)
+    base_rank = gf2.rank(np.array(base, dtype=np.uint8)) if base else 0
+    for vec in ker:
+        trial = base + [vec]
+        trial_rank = gf2.rank(np.array(trial, dtype=np.uint8))
+        if trial_rank > base_rank:
+            completion.append(vec)
+            base = trial
+            base_rank = trial_rank
+    b_cols = []
+    for img, u in cols:
+        b_cols.extend([img, u])
+    b_cols.extend(completion)
+    return np.array(b_cols, dtype=np.uint8).T, k

@@ -475,3 +475,16 @@ def test_phase_labels_match_phase_str():
     # a tuple of Python complex numbers, as a GSC witness holds its phases
     assert phase_labels(tuple(complex(z) for z in values)) == [phase_str(complex(z)) for z in values]
     assert phase_labels(np.zeros(0, dtype=complex)) == []
+
+
+@pytest.mark.parametrize("verb", ["classify", "pipeline", "verify-counterexample"])
+def test_cli_rejects_negative_seed(verb, capsys):
+    # pipeline and verify-counterexample used to exit 1 with numpy's
+    # "expected non-negative integer", and classify ignored the value
+    argv = ["--json", "--seed", "-1", verb]
+    if verb != "verify-counterexample":
+        argv.append(data("circuits/t.cir"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert "--seed" in capsys.readouterr().err

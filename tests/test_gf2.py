@@ -309,3 +309,30 @@ def test_frozenbits_accepts_bits_and_bools():
         assert out.dtype == np.uint8 and not out.flags.writeable
         assert out.flags.c_contiguous  # stacked reps feed product_table's einsums
         assert np.array_equal(out, np.asarray(data))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gf2.rank([[2]]),
+        lambda: gf2.inverse([[3]]),
+        lambda: gf2.is_symplectic(3 * gf2.ident(2)),
+        lambda: gf2.asbits([2.7, 1.5]),
+        lambda: gf2.asbits(np.array([-1])),
+        lambda: gf2.mat_mul(gf2.ident(2), 2 * gf2.ident(2)),
+    ],
+    ids=["rank", "inverse", "is_symplectic", "floats", "negative", "mat_mul"],
+)
+def test_gf2_rejects_non_bits(call):
+    # each used to reduce its input mod 2: rank([[2]]) was 0, inverse([[3]])
+    # was [[1]], 3 I_2 passed as symplectic and [2.7, 1.5] read as [0, 1]
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        call()
+
+
+def test_asbits_accepts_bits_and_bools_and_keeps_uint8():
+    for data in ([1, 0, 1], np.array([True, False]), np.eye(2), np.zeros((0, 3)), [[0, 1]]):
+        out = gf2.asbits(data)
+        assert out.dtype == np.uint8 and np.array_equal(out, np.asarray(data))
+    bits = gf2.ident(3)
+    assert gf2.asbits(bits) is bits

@@ -9,8 +9,9 @@ Lagrangian) and a Clifford+T gate for which both searches run to the
 end.  ``pipeline`` runs on every circuit under ``circuits/``, and
 ``verify-counterexample``, which takes no circuit, runs once; both use
 the default seed.  ``normalform`` runs on ``matrices/c1c2.mat`` (set
-mode, two elements), a single n = 6 involution and a three-element
-n = 6 commuting set; ``expand`` also runs on an n = 5 Clifford whose C
+mode, two elements), a single n = 6 involution, a three-element n = 6
+commuting set and a three-element n = 5 set whose set normal form
+recurses once and completes a Jordan basis; ``expand`` also runs on an n = 5 Clifford whose C
 fixes a 2-dimensional space, whose coefficients hold many ``-0.0``
 parts that any change in the order of the phase recurrence would flip.
 Regenerate an expected file only for a change that means to alter the
@@ -40,6 +41,7 @@ CASES += [
     ("normalform", "matrices/c1c2.mat"),
     ("normalform", "tests/golden/involution6.mat"),
     ("normalform", "tests/golden/set3_6.mat"),
+    ("normalform", "tests/golden/set3_5.mat"),
 ]
 CASES += [("pipeline", c) for c in CIRCUITS]
 CASES += [("verify-counterexample", None)]

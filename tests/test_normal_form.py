@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_commuting_involution_set, symplectic_involutions
+from helpers import (
+    jordan_basis_oracle,
+    random_commuting_involution_set,
+    random_involution_matrix,
+    set_normal_form_oracle,
+    symplectic_involutions,
+)
 from semiclifford import gf2
 from semiclifford.normal_form import (
     NormalFormResult,
@@ -302,3 +308,133 @@ def test_each_involution_normal_form_is_checked_once(monkeypatch, rng):
         assert_nice(involution_normal_form(c), c)
         # every level but the empty n = 0 one checks its own result
         assert 0 < len(checks) <= len(levels)
+
+
+def _count_levels(monkeypatch):
+    """Patch the set recursion and the Jordan basis to log what they reach:
+    'nested' for each nested level whose stack is not yet in block form,
+    'completion' for each Jordan basis with two-blocks and fixed vectors."""
+    from semiclifford import normal_form
+
+    seen, depth = [], [0]
+    core, jordan = normal_form._set_conjugator, normal_form._jordan_involution_basis
+
+    def level(stack):
+        n = len(stack[0]) // 2
+        if depth[0] and np.asarray(stack)[:, n:, :n].any():
+            seen.append("nested")
+        depth[0] += 1
+        try:
+            return core(stack)
+        finally:
+            depth[0] -= 1
+
+    def basis(a):
+        b, k = jordan(a)
+        if 0 < 2 * k < a.shape[0]:
+            seen.append("completion")
+        return b, k
+
+    monkeypatch.setattr(normal_form, "_set_conjugator", level)
+    monkeypatch.setattr(normal_form, "_jordan_involution_basis", basis)
+    return seen
+
+
+def test_set_normal_form_matches_list_oracle(monkeypatch):
+    rng = np.random.default_rng(1414)
+    seen = _count_levels(monkeypatch)
+    for n in range(1, 7):
+        for size in range(1, 6):
+            for _ in range(3):
+                mats = random_commuting_involution_set(n, rng, size)
+                snf = commuting_set_normal_form(mats)
+                m, normalized = set_normal_form_oracle(mats)
+                assert np.array_equal(snf.m, m)
+                assert len(snf.normalized) == size
+                for got, want in zip(snf.normalized, normalized):
+                    assert np.array_equal(got, want)
+    # the cases reach the r < n recursion and a nonempty Jordan completion
+    assert "nested" in seen and "completion" in seen
+
+
+def test_jordan_basis_matches_incremental_rank_oracle():
+    from semiclifford.normal_form import _jordan_involution_basis
+
+    rng = np.random.default_rng(77)
+    shapes = set()
+    for n in range(1, 9):
+        for _ in range(12):
+            a = random_involution_matrix(n, rng)
+            b, k = _jordan_involution_basis(a)
+            want_b, want_k = jordan_basis_oracle(a)
+            assert k == want_k and np.array_equal(b, want_b)
+            shapes.add((k > 0, 2 * k < n))
+    assert (True, True) in shapes  # two-blocks and a nonempty completion
+
+
+def test_golden_recursion_set_reaches_nested_level(monkeypatch):
+    from pathlib import Path
+
+    from semiclifford.cli import read_bit_matrices
+
+    seen = _count_levels(monkeypatch)
+    path = Path(__file__).resolve().parent / "golden" / "set3_5.mat"
+    commuting_set_normal_form(read_bit_matrices(str(path)))
+    assert "nested" in seen and "completion" in seen
+
+
+def test_set_error_names_first_noncommuting_pair(sp4_involutions):
+    invs = sp4_involutions
+    prods = np.einsum("aij,bjk->abik", invs, invs) & 1
+    commute = (prods == prods.transpose(1, 0, 2, 3)).all(axis=(2, 3))
+
+    # (0, 3) and (1, 2) fail to commute, every other pair commutes: the
+    # first pair in row-major order is (0, 3), not the (1, 2) that a scan
+    # by the second index would meet first
+    def middles(x, w):
+        both = commute[x] & commute[w]
+        return zip(*np.nonzero(~commute & both[:, None] & both[None, :]))
+
+    x, y, z, w = next(
+        (x, y, z, w) for x, w in zip(*np.nonzero(~commute)) for y, z in middles(x, w)
+    )
+    with pytest.raises(ValueError, match="elements 0 and 3 do not commute"):
+        commuting_set_normal_form([invs[x], invs[y], invs[z], invs[w]])
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        picks = rng.choice(invs.shape[0], size=5)
+        bad = [(i, j) for i in range(5) for j in range(i + 1, 5) if not commute[picks[i], picks[j]]]
+        if bad:
+            with pytest.raises(ValueError, match=f"elements {bad[0][0]} and {bad[0][1]} do not"):
+                commuting_set_normal_form(list(invs[picks]))
+
+
+def test_set_normal_form_inverts_each_conjugator_once(monkeypatch):
+    # each conjugator used to be inverted once per element it conjugated,
+    # and the final M once more per input
+    received = []
+    inverse = gf2.symplectic_inverse
+
+    def recording(m):
+        received.append(m)  # held, so no id is reused within a call
+        return inverse(m)
+
+    monkeypatch.setattr(gf2, "symplectic_inverse", recording)
+    rng = np.random.default_rng(3030)
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        mats = random_commuting_involution_set(n, rng, int(rng.integers(2, 6)))
+        received.clear()
+        commuting_set_normal_form(mats)
+        ids = [id(m) for m in received]
+        assert len(set(ids)) == len(ids)
+
+
+def test_conj_of_a_stack_is_the_conj_of_each_element(rng):
+    from semiclifford.normal_form import _conj
+
+    mats = np.stack(random_commuting_involution_set(4, rng, 4))
+    m = involution_normal_form(mats[0]).m
+    stacked = _conj(m, mats)
+    for c, got in zip(mats, stacked):
+        assert np.array_equal(got, gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m)))
