@@ -9,7 +9,10 @@ Clifford gate reps are extracted from the dense matrices rather than
 transcribed from tables, so the dense engine stays the single source
 of truth.  Likewise circuit_to_monomial reads each gate's permutation
 and phases off its GATE_MATRICES entry with monomial_check; every
-library gate but H is monomial.
+library gate but H is monomial.  circuit_to_dense applies each gate's
+own 2^k x 2^k matrix to the running matrix block by block over its k
+qubits, so it builds no 2^n x 2^n gate (embed_gate) and runs no
+2^n x 2^n matmul per gate.
 """
 
 from __future__ import annotations
@@ -172,12 +175,30 @@ def _placement(qubits, n):
     return sub, rest, spread
 
 
+@lru_cache(maxsize=None)
+def _gate_rows(qubits, n):
+    """Read-only (2^(n-k), 2^k) label table of a k-qubit gate's blocks.
+
+    Row r lists the labels that share one setting of the other qubits,
+    in the gate's own label order: base | spread[s] for the r-th label
+    base with the gate's qubits clear.  So the gate acts on u's rows as
+    u[rows] = gate @ u[rows], one small product per block.
+    """
+    _, rest, spread = _placement(qubits, n)
+    labels = _label_tables(n)[0]
+    rows = labels[rest == labels][:, None] | spread
+    rows.flags.writeable = False
+    return rows
+
+
 def circuit_to_dense(desc: CircuitDescription) -> np.ndarray:
-    """Dense unitary of a circuit; listed gates act in order."""
+    """Dense unitary of a circuit; listed gates act in order, each on
+    the running matrix's blocks over its own qubits (_gate_rows)."""
     check_dense_cap(desc.n)
     u = np.eye(1 << desc.n, dtype=complex)
     for name, qubits in desc.gates:
-        u = embed_gate(name, qubits, desc.n) @ u
+        rows = _gate_rows(qubits, desc.n)
+        u[rows] = GATE_MATRICES[name] @ u[rows]
     return u
 
 

@@ -17,12 +17,15 @@ The span criterion is operationalized through monomial matrices: the
 span of the sigma_z subgroup is the diagonal algebra, whose unitary
 normalizer is exactly the monomial group, so U maps span(A_L) onto
 span(A_L') iff Q_L'^dag U Q_L is monomial for Cliffords Q_L mapping the
-z-Lagrangian onto L.  The pair search screens all images of one
-domain with a single batched product: column 0 of Q_L'^dag U Q_L must
-hold exactly one entry above the tolerance, as every column of a
-monomial matrix does, so only the few pairs that pass get the full
-monomial check, in canonical order.  Witnesses are re-verified
-numerically instead of trusted from the search path.
+z-Lagrangian onto L.  The pair search screens every image of a chunk
+of domains with a single product against the whole Clifford table,
+stored so that it reads as one (2^n, 2^n L) matrix: column 0 of
+Q_L'^dag U Q_L must hold exactly one entry above the tolerance, as
+every column of a monomial matrix does, so only the few pairs that
+pass get the full monomial check, in canonical order.  Domain 0 is screened alone first, so a search that
+hits there pays for one domain; later chunks hold at most as many
+entries as the semi-Clifford search's conjugate stack.  Witnesses are
+re-verified numerically instead of trusted from the search path.
 """
 
 from __future__ import annotations
@@ -53,14 +56,21 @@ from .pauli import _label_tables, pauli_action
 @lru_cache(maxsize=None)
 def _lagrangian_cliffords(n):
     """Lagrangians in canonical order, and a read-only (L, 2^n, 2^n)
-    stack of dense Cliffords mapping the z-Lagrangian onto each."""
+    stack of dense Cliffords mapping the z-Lagrangian onto each.
+
+    The stack is a view of one C-ordered (2^n, 2^n, L) array holding
+    entry (r, j) of Clifford i at [r, j, i], so that the pair search's
+    screen reads the table as a (2^n, 2^n L) matrix without a copy
+    (_screen_survivors).
+    """
     lags = tuple(gf2.enumerate_lagrangians(n))
     zero_h = np.zeros(2 * n, dtype=np.uint8)
-    mats = np.stack(
-        [rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags]
+    table = np.stack(
+        [rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags],
+        axis=2,
     )
-    mats.flags.writeable = False
-    return lags, mats
+    table.flags.writeable = False
+    return lags, table.transpose(2, 0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +99,7 @@ class GscWitness:
 def _span_basis(n, lag):
     """Dense Hermitian basis of the span of the subgroup labeled by lag,
     as a (2^n, 2^n, 2^n) stack: i**(v.w) tau_a for each member a."""
-    vecs = np.array(list(lag.vectors()))
+    vecs = lag.vectors()
     perm, signs = pauli_action(n, vecs)
     herm = 1j ** ((vecs[:, :n] & vecs[:, n:]).sum(axis=1) & 1)
     dim = 1 << n
@@ -140,17 +150,26 @@ def is_semi_clifford(u):
     return True, SemiCliffordWitness(domain=lags[first], image=gf2.Lagrangian(images[rows[first]]))
 
 
-def _column0_survivors(middle_left, mats):
-    """Ascending indices i for which column 0 of mats[i]^dag middle_left
-    has exactly one entry above TOL.
+def _screen_survivors(u, start, stop):
+    """The pairs (i_dom, i_img), i_dom in [start, stop), in row-major
+    order, for which column 0 of Q_img^dag u Q_dom has exactly one entry
+    above TOL, as two index arrays.
 
     A monomial matrix has exactly one such entry in every column, so
-    the indices include every i whose product passes monomial_check
-    (barring an entry within rounding of TOL).  Row i of the one
-    batched product is that column, conjugated.
+    the pairs include every one whose product passes monomial_check
+    (barring an entry within rounding of TOL).  The Clifford table, read
+    as a (2^n, 2^n L) matrix, holds column j of Clifford i in column
+    j L + i; so its columns 0 .. L-1 are the Q_dom |0>, and row k of the
+    one product (u Q_dom |0>)^dag table, read as a (2^n, L) array, holds
+    that column, conjugated, for domain start + k and every image.
     """
-    col0 = middle_left[:, 0].conj() @ mats
-    return np.flatnonzero((np.abs(col0) > TOL).sum(axis=1) == 1)
+    mats = _lagrangian_cliffords(num_qubits(u))[1]
+    # a view, not a copy: see _lagrangian_cliffords
+    table = mats.transpose(1, 2, 0).reshape(len(u), -1)
+    col0 = (u @ table[:, start:stop]).conj().T @ table
+    heavy = (np.abs(col0) > TOL).reshape(stop - start, len(u), -1)
+    doms, imgs = np.nonzero(heavy.sum(axis=1) == 1)
+    return doms + start, imgs
 
 
 def is_generalized_semi_clifford(u):
@@ -159,17 +178,21 @@ def is_generalized_semi_clifford(u):
     Returns (True, GscWitness) for the first pair (L, L'), in canonical
     order, with Q_L'^dag u Q_L monomial; the witness additionally passes
     a direct span-equality check.  Returns (False, searched_pairs)
-    otherwise, counting every pair, screened out or checked.
+    otherwise, counting every pair, screened out or checked.  Domain 0
+    is screened alone, then chunks of domains (_screen_survivors).
     """
     u = as_dense(check_unitary(u))
     n = num_qubits(u)
     if n > gf2.LAGRANGIAN_QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
     lags, mats = _lagrangian_cliffords(n)
-    for i_dom, q_dom in enumerate(mats):
-        middle_left = u @ q_dom
-        for i_img in _column0_survivors(middle_left, mats):
-            mc = monomial_check(mats[i_img].conj().T @ middle_left)
+    dim = 1 << n
+    # domains per screen: (4^n - 1) 4^n entries at L 2^n per domain
+    per = max(1, (dim * dim - 1) * dim // len(lags))
+    bounds = [0, *range(1, len(lags), per), len(lags)]
+    for start, stop in zip(bounds, bounds[1:]):
+        for i_dom, i_img in zip(*_screen_survivors(u, start, stop)):
+            mc = monomial_check(mats[i_img].conj().T @ (u @ mats[i_dom]))
             if not mc.is_monomial:
                 continue
             domain = lags[i_dom]

@@ -21,14 +21,15 @@ from . import gf2
 from .circuits import circuit_to_dense, circuit_to_monomial, parse_circuit
 from .classify import classify
 from .clifford import CliffordRep
-from .dense import _PHASES, TOL, extract_rep
+from .dense import _PHASES, TOL, check_hierarchy_cap, check_kmax, extract_rep
 from .expansion import expand
 from .normal_form import (
     commuting_set_normal_form,
     involution_normal_form,
     simultaneous_nice_form_obstruction,
 )
-from .pipeline import counterexample_report, run_pipeline
+from .pauli import check_dense_cap
+from .pipeline import check_pipeline_cap, counterexample_report, run_pipeline
 
 
 def bits_to_hex(arr) -> str:
@@ -127,18 +128,24 @@ def read_bit_matrices(path) -> list:
     return mats
 
 
-def load_circuit(path):
+def load_circuit(path, check_size=None):
+    """Parse the circuit file at path.  A verb whose engine stops below
+    the dense cap passes the engine's size check as check_size(n); it
+    runs after the dense cap, before any 2^n x 2^n matrix is built."""
     with open(path) as fh:
-        return parse_circuit(fh.read())
-
-
-def load_circuit_dense(path):
-    desc = load_circuit(path)
-    return desc, circuit_to_dense(desc)
+        desc = parse_circuit(fh.read())
+    if check_size is not None:
+        check_dense_cap(desc.n)
+        check_size(desc.n)
+    return desc
 
 
 def cmd_classify(args) -> dict:
-    desc, u = load_circuit_dense(args.circuit)
+    def check_size(n):
+        check_kmax(args.kmax)  # hierarchy_level tests kmax before the size
+        check_hierarchy_cap(n)
+
+    u = circuit_to_dense(load_circuit(args.circuit, check_size))
     report = classify(u, kmax=args.kmax)
     out = {
         "command": "classify",
@@ -188,8 +195,7 @@ def cmd_normalform(args) -> dict:
 
 
 def cmd_expand(args) -> dict:
-    desc, u = load_circuit_dense(args.circuit)
-    rep = extract_rep(u)
+    rep = extract_rep(circuit_to_dense(load_circuit(args.circuit)))
     if rep is None:
         raise ValueError("circuit is not Clifford; expansion needs a (C, h) rep")
     res = expand(rep)
@@ -222,7 +228,7 @@ def certificate_to_json(cert) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    desc = load_circuit(args.circuit)
+    desc = load_circuit(args.circuit, check_pipeline_cap)
     u = circuit_to_monomial(desc)
     if u is None:  # an H gate: the dense engine
         u = circuit_to_dense(desc)

@@ -418,19 +418,29 @@ def _all_in_level(us, k):
     return all(_all_in_level(stack, k - 1) for stack in _conjugate_chunks(us, gens))
 
 
+def check_kmax(kmax):
+    """Raise ValueError unless 1 <= kmax <= HIERARCHY_LEVEL_CAP."""
+    if kmax < 1:
+        raise ValueError(f"kmax={kmax} is below 1")
+    if kmax > HIERARCHY_LEVEL_CAP:
+        raise ValueError(f"kmax={kmax} exceeds the cap {HIERARCHY_LEVEL_CAP}")
+
+
+def check_hierarchy_cap(n):
+    """Raise ValueError past the hierarchy test's HIERARCHY_QUBIT_CAP."""
+    if n > HIERARCHY_QUBIT_CAP:
+        raise ValueError(f"dimension {1 << n} exceeds the hierarchy cap")
+
+
 def hierarchy_level(u, kmax=3):
     """Smallest k <= kmax with u in level k of the hierarchy, else None.
 
     Level 1 is the Pauli group, level 2 the Clifford group, and level
     k+1 contains the unitaries conjugating every Pauli into level k.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax={kmax} is below 1")
-    if kmax > HIERARCHY_LEVEL_CAP:
-        raise ValueError(f"kmax={kmax} exceeds the cap {HIERARCHY_LEVEL_CAP}")
+    check_kmax(kmax)
     u = check_unitary(u)
-    if num_qubits(u) > HIERARCHY_QUBIT_CAP:
-        raise ValueError(f"dimension {u.shape[0]} exceeds the hierarchy cap")
+    check_hierarchy_cap(num_qubits(u))
     for k in range(1, kmax + 1):
         if _in_level(u, k):
             return k

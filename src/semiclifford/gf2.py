@@ -349,6 +349,14 @@ def symmetric_congruence(e):
     return r_acc, r
 
 
+@lru_cache(maxsize=None)
+def _mask_bits(k) -> np.ndarray:
+    """Read-only (2^k, k) array: row x holds the bits of x, bit 0 first."""
+    bits = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+    bits.flags.writeable = False
+    return bits
+
+
 @dataclass(frozen=True)
 class Lagrangian:
     """Maximal isotropic subspace of Z_2^{2n}, stored as an RREF basis.
@@ -386,15 +394,11 @@ class Lagrangian:
     def __hash__(self):
         return hash(self.basis.tobytes())
 
-    def vectors(self):
-        """All 2^n member vectors, in span-enumeration order."""
-        n = self.basis.shape[0]
-        for mask in range(1 << n):
-            v = np.zeros(2 * self.n, dtype=np.uint8)
-            for i in range(n):
-                if (mask >> i) & 1:
-                    v ^= self.basis[i]
-            yield v
+    def vectors(self) -> np.ndarray:
+        """All 2^n member vectors as the rows of one array, in
+        span-enumeration order: row x sums the basis rows i for which
+        bit i of x is set."""
+        return _mask_bits(self.n) @ self.basis & 1
 
 
 LAGRANGIAN_QUBIT_CAP = 3

@@ -268,14 +268,16 @@ def commuting_set_normal_form(cs) -> SetNormalForm:
 
     Raises:
         ValueError: naming the offending element or pair when an input
-            is not a symplectic involution or two elements fail to
-            commute.
+            is not a 2-d matrix or not a symplectic involution, or two
+            elements fail to commute.
     """
     mats = [gf2.frozenbits(c) for c in cs]
     if not mats:
         raise ValueError("empty set")
-    dim = mats[0].shape[0]
     for i, c in enumerate(mats):
+        if c.ndim != 2:
+            raise ValueError(f"element {i} is not a 2-d matrix: shape {c.shape}")
+        dim = len(mats[0])
         if c.shape != (dim, dim):
             raise ValueError(f"element {i} has shape {c.shape}, expected {(dim, dim)}")
         _validate_involution(c, f"element {i}")

@@ -167,6 +167,12 @@ class GeneratorFamily:
         return all(not q.c[n:, :n].any() for q in self.qs)
 
 
+def check_pipeline_cap(n):
+    """Raise ValueError past the pipeline's HIERARCHY_QUBIT_CAP qubits."""
+    if n > HIERARCHY_QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the pipeline cap of {HIERARCHY_QUBIT_CAP} qubits")
+
+
 def generators_from_gate(u) -> GeneratorFamily:
     """Conjugate all 2n Pauli generators by u and extract their reps.
 
@@ -180,8 +186,7 @@ def generators_from_gate(u) -> GeneratorFamily:
     """
     u = check_unitary(u)
     n = num_qubits(u)
-    if n > HIERARCHY_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the pipeline cap of {HIERARCHY_QUBIT_CAP} qubits")
+    check_pipeline_cap(n)
     reps = []
     ops = []
     for stack in _conjugate_chunks(u[None], gf2.ident(2 * n)):

@@ -12,8 +12,12 @@ scalar dense engine the library's stacked one replaced is kept here as
 its oracle: one Pauli read-off per matrix, conjugates by two matmuls,
 and the semi-Clifford search one Lagrangian at a time.  So is the gate
 embedding the library's placement tables replaced: one column at a
-time, decoding each label bit by bit.  rref_oracle is the per-bit row
-reduction the library's packed-int elimination replaced, and
+time, decoding each label bit by bit.  column0_survivors_oracle is the
+per-domain column-0 screen that the generalized semi-Clifford search's
+chunked screen replaced, and circuit_to_dense_oracle the
+embed-and-multiply circuit build that its block-wise one replaced.
+rref_oracle is the per-bit row reduction the library's packed-int
+elimination replaced, and
 orbit_kernel_oracle the breadth-first orbit search its coset-doubling
 orbit_kernel replaced.  compose_oracle and inverse_oracle are the
 scalar composition and inversion formulas that clifford.product_table
@@ -173,6 +177,29 @@ def embed_gate_oracle(name, qubits, n) -> np.ndarray:
                 row = (row & ~(1 << sh)) | (bit << sh)
             out[row, col] += val
     return out
+
+
+def column0_survivors_oracle(u):
+    """The pairs (i_dom, i_img), in row-major order, whose product
+    Q_img^dag u Q_dom has exactly one entry above TOL in column 0,
+    screened one domain at a time: one product of column 0 of u Q_dom
+    with the whole Lagrangian Clifford stack per domain."""
+    mats = _lagrangian_cliffords(num_qubits(u))[1]
+    pairs = []
+    for i_dom, q_dom in enumerate(mats):
+        col0 = (u @ q_dom)[:, 0].conj() @ mats
+        hits = np.flatnonzero((np.abs(col0) > TOL).sum(axis=1) == 1)
+        pairs.extend((i_dom, int(i_img)) for i_img in hits)
+    return pairs
+
+
+def circuit_to_dense_oracle(desc: CircuitDescription) -> np.ndarray:
+    """Dense unitary of a circuit, each gate embedded as a full
+    2^n x 2^n matrix and multiplied in."""
+    u = np.eye(1 << desc.n, dtype=complex)
+    for name, qubits in desc.gates:
+        u = embed_gate(name, qubits, desc.n) @ u
+    return u
 
 
 def gsc_search_oracle(u):

@@ -21,7 +21,8 @@ from semiclifford.circuits import (
     embed_gate,
     parse_circuit,
 )
-from helpers import embed_gate_oracle, hex_to_bits
+from helpers import circuit_to_dense_oracle, embed_gate_oracle, hex_to_bits
+from semiclifford import circuits, cli
 from semiclifford.cli import (
     bitstring,
     bits_to_hex,
@@ -31,6 +32,7 @@ from semiclifford.cli import (
     phase_str,
     read_bit_matrices,
 )
+from semiclifford.dense import close
 from semiclifford.pauli import DENSE_QUBIT_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,6 +174,62 @@ def test_circuit_to_dense_order():
     assert np.allclose(u, want)
 
 
+def _all_placements(n):
+    """Every library gate at every ordered choice of its qubits of n."""
+    return [
+        (name, qubits)
+        for name, arity in GATE_ARITY.items()
+        for qubits in itertools.permutations(range(n), arity)
+    ]
+
+
+def _random_library_circuit(n, depth, rng):
+    placements = _all_placements(n)
+    picks = rng.integers(len(placements), size=depth)
+    return CircuitDescription(n, tuple(placements[i] for i in picks))
+
+
+CIRCUIT_FILES = sorted(
+    str(path.relative_to(ROOT))
+    for folder in ("circuits", "tests/golden")
+    for path in (ROOT / folder).glob("*.cir")
+)
+
+
+@pytest.mark.parametrize("rel", CIRCUIT_FILES)
+def test_circuit_to_dense_matches_embedded_gates_on_every_file(rel):
+    with open(data(rel)) as fh:
+        desc = parse_circuit(fh.read())
+    # bit for bit, signed zeros included
+    assert circuit_to_dense(desc).tobytes() == circuit_to_dense_oracle(desc).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_circuit_to_dense_matches_embedded_gates_bit_for_bit(n, rng):
+    placements = _all_placements(n)
+    order = rng.permutation(len(placements))
+    descs = [CircuitDescription(n, tuple(placements[i] for i in order))]
+    descs += [_random_library_circuit(n, 40, rng) for _ in range(3)]
+    for desc in descs:
+        assert circuit_to_dense(desc).tobytes() == circuit_to_dense_oracle(desc).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_circuit_to_dense_matches_embedded_gates_past_the_hierarchy_cap(n, rng):
+    # at these sizes the oracle's 2^n x 2^n products round differently
+    # in the last bit, so the two builds agree within TOL
+    desc = _random_library_circuit(n, 40, rng)
+    assert close(circuit_to_dense(desc), circuit_to_dense_oracle(desc))
+
+
+def test_circuit_to_dense_embeds_no_gate(monkeypatch, rng):
+    calls = []
+    monkeypatch.setattr(circuits, "embed_gate", lambda *args: calls.append(args))
+    for n in (1, 3, 5):
+        circuit_to_dense(_random_library_circuit(n, 20, rng))
+    assert calls == []
+
+
 def test_circuit_to_dense_rejects_past_dense_cap():
     # the cap fires before the 2^n x 2^n identity is allocated
     desc = parse_circuit(f"qubits {DENSE_QUBIT_CAP + 1}\n")
@@ -311,6 +369,37 @@ def test_console_entry_point():
     assert out["hierarchy_level"] == 2
 
 
+def test_cli_verbs_leave_numpy_ma_unimported():
+    # numpy.ma (pulled in by np.unique, among others) adds about 1.7 MB
+    # to a process; no verb needs it
+    script = (
+        "import contextlib, io, sys\n"
+        "from semiclifford.cli import main\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['--json', *argv.split()]) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    verbs = [
+        f"classify {data('tests/golden/cdc3.cir')}",
+        f"expand {data('tests/golden/clifford3.cir')}",
+        f"normalform {data('tests/golden/set3_5.mat')}",
+        f"pipeline {data('circuits/h.cir')}",
+        f"pipeline {data('circuits/ccz.cir')}",
+        "verify-counterexample",
+    ]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *verbs],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_cli_verify_counterexample(capsys):
     code = main(["--json", "verify-counterexample"])
     out = json.loads(capsys.readouterr().out)
@@ -442,6 +531,45 @@ def test_cli_rejects_circuit_past_dense_cap(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     assert f"cap {DENSE_QUBIT_CAP}" in out["error"]
+
+
+def _h_t_cx_circuit(n, gates):
+    """A circuit of H, T and CX gates over n qubits, H first."""
+    lines = [f"qubits {n}"]
+    for i in range(gates):
+        lines.append(("H {0}", "T {0}", "CX {0} {1}")[i % 3].format(i % n, (i + 1) % n))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "verb, kmax, n, error",
+    [
+        ("classify", "3", 8, "dimension 256 exceeds the hierarchy cap"),
+        ("classify", "3", 10, "dimension 1024 exceeds the hierarchy cap"),
+        ("classify", "5", 10, "kmax=5 exceeds the cap 4"),
+        ("pipeline", "3", 8, "n=8 exceeds the pipeline cap of 7 qubits"),
+        ("pipeline", "3", 10, "n=10 exceeds the pipeline cap of 7 qubits"),
+    ],
+)
+def test_cli_refuses_circuit_past_hierarchy_cap_before_dense_build(
+    verb, kmax, n, error, tmp_path, capsys, monkeypatch
+):
+    # the same error bytes as after a full 2^n x 2^n build, without the build
+    path = tmp_path / "big.cir"
+    path.write_text(_h_t_cx_circuit(n, 40))
+    monkeypatch.setattr(cli, "circuit_to_dense", lambda desc: pytest.fail("dense build"))
+    code = main(["--json", "--kmax", kmax, verb, str(path)])
+    assert code == 1
+    assert capsys.readouterr().out == json.dumps({"command": verb, "error": error}) + "\n"
+
+
+def test_cli_dense_cap_comes_before_the_hierarchy_cap(tmp_path, capsys):
+    path = tmp_path / "huge.cir"
+    path.write_text(_h_t_cx_circuit(DENSE_QUBIT_CAP + 1, 3))
+    for verb in ("classify", "pipeline"):
+        assert main(["--json", "--kmax", "5", verb, str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == f"n={DENSE_QUBIT_CAP + 1} exceeds the dense cap {DENSE_QUBIT_CAP}"
 
 
 @given(st.integers(0, 6), st.integers(0, 12), st.integers(0, 2**32 - 1))

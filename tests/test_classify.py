@@ -1,19 +1,31 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import gsc_search_oracle, random_c3_gate, random_clifford_dense
+from helpers import (
+    column0_survivors_oracle,
+    gsc_search_oracle,
+    random_c3_gate,
+    random_clifford_dense,
+)
 from semiclifford import gf2
-from semiclifford.circuits import circuit_to_dense, circuit_to_monomial, embed_gate, parse_circuit
+from semiclifford.circuits import (
+    circuit_to_dense,
+    circuit_to_monomial,
+    embed_gate,
+    parse_circuit,
+    random_circuit,
+)
 from semiclifford.classify import (
     classify,
     is_generalized_semi_clifford,
     is_semi_clifford,
-    _column0_survivors,
     _lagrangian_cliffords,
+    _screen_survivors,
 )
-from semiclifford.dense import Monomial, monomial_check
+from semiclifford.dense import Monomial, monomial_check, num_qubits
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
 # The package re-exports the classify function under the module's name.
@@ -178,6 +190,11 @@ def test_gsc_search_matches_unscreened_oracle(rng):
         assert np.asarray(got.phases).tobytes() == np.asarray(want.phases).tobytes()
 
 
+def _pairs(screens):
+    """The (i_dom, i_img) pairs of a run of _screen_survivors results."""
+    return [(int(d), int(i)) for doms, imgs in screens for d, i in zip(doms, imgs)]
+
+
 def test_column0_survivors_include_every_monomial_pair(rng):
     accepted_total = 0
     for n in (1, 2, 3):
@@ -186,17 +203,97 @@ def test_column0_survivors_include_every_monomial_pair(rng):
             gates.append(full_miss_gate(0))
         _, mats = _lagrangian_cliffords(n)
         for u in gates:
-            for q_dom in mats:
-                middle_left = u @ q_dom
-                accepted = {
-                    i
-                    for i, q_img in enumerate(mats)
-                    if monomial_check(q_img.conj().T @ middle_left).is_monomial
-                }
-                survivors = _column0_survivors(middle_left, mats)
-                assert accepted <= set(survivors.tolist())
-                accepted_total += len(accepted)
+            survivors = set(_pairs([_screen_survivors(u, 0, len(mats))]))
+            accepted = {
+                (i_dom, i_img)
+                for i_dom, q_dom in enumerate(mats)
+                for i_img, q_img in enumerate(mats)
+                if monomial_check(q_img.conj().T @ u @ q_dom).is_monomial
+            }
+            assert accepted <= survivors
+            accepted_total += len(accepted)
     assert accepted_total > 0
+
+
+def _screen_gates(rng):
+    """Cliffords, C.D.C gates and Clifford+T gates at n = 1..3, with the
+    n = 3 full misses."""
+    gates = []
+    for n in (1, 2, 3):
+        names = ("H", "T", "CX") if n > 1 else ("H", "T")
+        gates += [random_clifford_dense(n, rng), random_c3_gate(n, rng)]
+        gates += [circuit_to_dense(random_circuit(n, 8 * n, rng, names=names))]
+    return gates + [full_miss_gate(i) for i in range(len(FULL_MISS_CIRCUITS))]
+
+
+def test_chunked_screen_matches_the_per_domain_oracle(rng):
+    for u in _screen_gates(rng):
+        count = len(_lagrangian_cliffords(num_qubits(u))[0])
+        for bounds in ((0, count), (0, 1, count), (0, 1, 2, count)):
+            got = [_screen_survivors(u, a, b) for a, b in zip(bounds, bounds[1:])]
+            assert _pairs(got) == column0_survivors_oracle(u)
+
+
+def _recording_screen(monkeypatch):
+    calls = []
+    screen = _screen_survivors
+
+    def recording(u, start, stop):
+        pairs = screen(u, start, stop)
+        calls.append((start, stop, pairs))
+        return pairs
+
+    monkeypatch.setattr(classify_module, "_screen_survivors", recording)
+    return calls
+
+
+def test_full_miss_screens_domain_zero_then_chunks_within_the_conjugate_stack(monkeypatch, rng):
+    calls = _recording_screen(monkeypatch)
+    for u in _screen_gates(rng):
+        calls.clear()
+        ok, _ = is_generalized_semi_clifford(u)
+        assert ok == gsc_search_oracle(u)[0]
+        n = num_qubits(u)
+        count = len(_lagrangian_cliffords(n)[0])
+        assert calls[0][:2] == (0, 1)
+        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+        # each chunk's product holds at most the (4^n - 1) 4^n entries
+        # of the semi-Clifford search's conjugate stack
+        assert all((stop - start) * count * 2**n <= (4**n - 1) * 4**n for start, stop, _ in calls)
+        if not ok:
+            assert calls[-1][1] == count
+            assert _pairs(pairs for _, _, pairs in calls) == column0_survivors_oracle(u)
+    assert [stop - start for start, stop, _ in calls] == [1] + [3] * 44 + [2]
+
+
+def test_early_hit_screens_domain_zero_alone(monkeypatch, rng):
+    calls = _recording_screen(monkeypatch)
+    for n in (1, 2, 3):
+        ok, wit = is_generalized_semi_clifford(random_clifford_dense(n, rng))
+        assert ok
+        assert wit.domain == _lagrangian_cliffords(n)[0][0]
+        assert [call[:2] for call in calls] == [(0, 1)]
+        calls.clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_screen_reads_the_clifford_table_without_a_copy(n):
+    mats = _lagrangian_cliffords(n)[1]
+    table = mats.transpose(1, 2, 0).reshape(2**n, -1)
+    assert np.shares_memory(table, mats)
+    assert not mats.flags.writeable
+
+
+def test_full_miss_search_stays_within_a_small_memory_peak():
+    u = full_miss_gate(0)
+    assert is_generalized_semi_clifford(u) == (False, 135**2)  # fills the caches
+    tracemalloc.start()
+    try:
+        is_generalized_semi_clifford(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 1024
 
 
 def test_full_miss_search_runs_few_monomial_checks(monkeypatch):

@@ -185,6 +185,20 @@ def test_set_errors_report_offender(sp4_involutions):
         commuting_set_normal_form([a, b])
 
 
+@pytest.mark.parametrize(
+    "elements, index",
+    [
+        ([1], 0),
+        ([np.array([1, 0])], 0),
+        ([gf2.ident(2), 1], 1),
+        ([gf2.ident(2), np.array([1, 0])], 1),
+    ],
+)
+def test_set_rejects_elements_that_are_not_matrices(elements, index):
+    with pytest.raises(ValueError, match=f"element {index} is not a 2-d matrix"):
+        commuting_set_normal_form(elements)
+
+
 def test_random_commuting_sets(rng):
     for _ in range(40):
         n = int(rng.integers(1, 5))
