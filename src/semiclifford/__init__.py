@@ -8,7 +8,7 @@ complex-matrix oracle at small qubit counts.
 """
 
 from .classify import ClassificationReport, classify, is_generalized_semi_clifford, is_semi_clifford
-from .clifford import CliffordRep, compose, conjugate, d_vector, from_pauli, inverse
+from .clifford import CliffordRep, compose, conjugate, from_pauli, inverse
 from .circuits import (
     CircuitDescription,
     CircuitSyntaxError,
@@ -16,7 +16,6 @@ from .circuits import (
     circuit_to_monomial,
     circuit_to_rep,
     parse_circuit,
-    random_circuit,
     standard_gate,
 )
 from .dense import (

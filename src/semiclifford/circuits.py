@@ -5,14 +5,15 @@ Circuit files are line oriented: the first non-comment line is
 starts a comment.  Numbers are ASCII digits only.  Qubit 0 is the
 most significant bit of a basis label (leftmost tensor factor).
 
-Clifford gate reps are extracted from the dense matrices rather than
-transcribed from tables, so the dense engine stays the single source
-of truth.  Likewise circuit_to_monomial reads each gate's permutation
-and phases off its GATE_MATRICES entry with monomial_check; every
-library gate but H is monomial.  circuit_to_dense applies each gate's
-own 2^k x 2^k matrix to the running matrix block by block over its k
-qubits, so it builds no 2^n x 2^n gate (embed_gate) and runs no
-2^n x 2^n matmul per gate.
+Clifford gate reps are read off each gate's own 2^k x 2^k matrix with
+extract_rep rather than transcribed from tables, so the dense engine
+stays the single source of truth, and placed on the gate's qubits'
+coordinates; whether a gate is Clifford is read off its matrix too.
+Likewise circuit_to_monomial reads each gate's permutation and phases
+off its GATE_MATRICES entry; every library gate but H is monomial.
+circuit_to_dense applies each gate's own matrix to the running matrix
+block by block over its k qubits.  So no builder makes a 2^n x 2^n
+gate, and reps have no qubit cap.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import CliffordRep, compose
-from .dense import Monomial, basis_bits, extract_rep, monomial_check
+from .dense import Monomial, basis_bits, extract_rep
 from .pauli import _label_tables, check_dense_cap
 
 _SQ2 = np.sqrt(2.0)
@@ -56,8 +57,6 @@ GATE_MATRICES = dict(_ONE_QUBIT)
 GATE_MATRICES.update({"CX": _CX, "CZ": _CZ, "SWAP": _SWAP, "CCZ": _CCZ, "CSWAP": _CSWAP})
 
 GATE_ARITY = {name: mat.shape[0].bit_length() - 1 for name, mat in GATE_MATRICES.items()}
-
-CLIFFORD_GATES = ("I", "X", "Y", "Z", "H", "S", "SDG", "CX", "CZ", "SWAP")
 
 
 class CircuitSyntaxError(ValueError):
@@ -133,27 +132,6 @@ def parse_circuit(text) -> CircuitDescription:
     return CircuitDescription(n=n, gates=tuple(gates))
 
 
-def embed_gate(name, qubits, n) -> np.ndarray:
-    """Dense matrix of a library gate acting on the given qubits of n."""
-    gate = GATE_MATRICES[name]
-    k = GATE_ARITY[name]
-    if len(qubits) != k:
-        raise ValueError(f"{name} takes {k} qubits")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for n={n}")
-    if len(set(qubits)) != k:
-        raise ValueError(f"repeated qubit in {qubits}")
-    check_dense_cap(n)
-    sub, rest, spread = _placement(tuple(qubits), n)
-    labels = _label_tables(n)[0]
-    out = np.zeros((labels.size, labels.size), dtype=complex)
-    # adding into zeros, rather than assigning, turns the -0.0 real parts
-    # of Y and SDG into +0.0: the same bits as the column-by-column build
-    out[rest | spread[:, None], labels] += gate[:, sub]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _placement(qubits, n):
     """Read-only label tables (sub, rest, spread) placing a gate on the
@@ -205,17 +183,17 @@ def circuit_to_dense(desc: CircuitDescription) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _gate_monomial(name):
     """The library gate as a Monomial on its own qubits, or None (H)."""
-    mc = monomial_check(GATE_MATRICES[name])
-    if not mc.is_monomial:
+    try:
+        gate = Monomial.from_dense(GATE_MATRICES[name])
+    except ValueError:
         return None
-    gate = Monomial(mc.permutation, mc.phases)
     gate.perm.flags.writeable = False
     gate.phases.flags.writeable = False
     return gate
 
 
 def _embed_monomial(gate: Monomial, qubits, n) -> Monomial:
-    """gate on the given qubits of n, in O(2^n); embed_gate's layout."""
+    """gate on the given qubits of n, in O(2^n), laid out by _placement."""
     sub, rest, spread = _placement(tuple(qubits), n)
     return Monomial(rest | spread[gate.perm[sub]], gate.phases[sub])
 
@@ -237,17 +215,30 @@ def circuit_to_monomial(desc: CircuitDescription) -> Monomial | None:
 
 
 @lru_cache(maxsize=None)
+def _gate_rep(name):
+    """The library gate's rep on its own qubits, or None if not Clifford."""
+    return extract_rep(GATE_MATRICES[name])
+
+
 def standard_gate(name, qubits, n) -> CliffordRep:
-    """Rep of a Clifford library gate, extracted from its dense matrix."""
+    """Rep of a Clifford library gate on the given qubits of n.
+
+    The gate's own rep is placed on coordinates idx = [q..., n + q...]:
+    C is the identity but for the gate's C on idx x idx, and h is zero
+    but for the gate's h on idx.
+    """
     name = name.upper()
-    if name not in CLIFFORD_GATES:
-        if name in GATE_MATRICES:
-            raise ValueError(f"{name} is not a Clifford gate")
-        raise ValueError(f"unknown gate {name!r}")
-    rep = extract_rep(embed_gate(name, tuple(qubits), n))
-    if rep is None:
-        raise AssertionError(f"library gate {name} failed Clifford extraction")
-    return rep
+    qubits = tuple(qubits)
+    CircuitDescription(n, ((name, qubits),))  # checks the name and qubits
+    gate = _gate_rep(name)
+    if gate is None:
+        raise ValueError(f"{name} is not a Clifford gate")
+    idx = [*qubits, *(n + q for q in qubits)]
+    c = np.eye(2 * n, dtype=np.uint8)
+    c[np.ix_(idx, idx)] = gate.c
+    h = np.zeros(2 * n, dtype=np.uint8)
+    h[idx] = gate.h
+    return CliffordRep(c, h)
 
 
 def circuit_to_rep(desc: CircuitDescription) -> CliffordRep:
@@ -256,16 +247,3 @@ def circuit_to_rep(desc: CircuitDescription) -> CliffordRep:
     for name, qubits in desc.gates:
         rep = compose(standard_gate(name, qubits, desc.n), rep)
     return rep
-
-
-def random_circuit(n, depth, rng, names=("H", "S", "CX")) -> CircuitDescription:
-    """Random circuit over the given gate names (defaults generate Cliffords)."""
-    gates = []
-    for _ in range(depth):
-        name = str(rng.choice(names))
-        arity = GATE_ARITY[name]
-        if arity > n:
-            continue
-        qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
-        gates.append((name, qubits))
-    return CircuitDescription(n=n, gates=tuple(gates))

@@ -110,11 +110,6 @@ class CliffordRep:
         return f"CliffordRep(n={self.n}, c={self.c.tolist()}, h={self.h.tolist()})"
 
 
-def d_vector(rep: CliffordRep):
-    """diag(C^T J C); coordinate j equals c_j^T J c_j."""
-    return rep.d.copy()
-
-
 def _check_same_n(a, b):
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")

@@ -95,11 +95,6 @@ def lows(m):
     return np.tril(asbits(m), -1)
 
 
-def diag_vec(m):
-    """Diagonal of a square matrix as a vector."""
-    return np.diagonal(asbits(m)).copy()
-
-
 def quad_form(m, v) -> int:
     """Evaluate v^T m v over GF(2)."""
     v = asbits(v)

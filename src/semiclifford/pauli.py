@@ -8,7 +8,6 @@ coordinate convention.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from . import gf2
 
 DENSE_QUBIT_CAP = 10
-
-_PARSE_RE = re.compile(r"([+-])(i\.)?tau\[([01]+)\|([01]+)\]")
 
 
 class PhasedPauli:
@@ -80,17 +77,6 @@ class PhasedPauli:
         wbits = "".join(str(int(b)) for b in self.w)
         return f"{sign}{ipart}tau[{vbits}|{wbits}]"
 
-    @classmethod
-    def parse(cls, text):
-        m = _PARSE_RE.fullmatch(text.strip())
-        if m is None:
-            raise ValueError(f"unparseable Pauli literal: {text!r}")
-        sign, ipart, vbits, wbits = m.groups()
-        if len(vbits) != len(wbits):
-            raise ValueError(f"z/x parts differ in length: {text!r}")
-        a = np.array([int(b) for b in vbits + wbits], dtype=np.uint8)
-        return cls(1 if ipart else 0, 1 if sign == "-" else 0, a)
-
 
 def _check_same_n(p, q):
     if p.n != q.n:
@@ -111,11 +97,6 @@ def commutes(p: PhasedPauli, q: PhasedPauli) -> bool:
     """Whether p and q commute (phases are irrelevant)."""
     _check_same_n(p, q)
     return gf2.dot(q.a, gf2.mat_mul(gf2.p_mat(p.n), p.a)) == 0
-
-
-def is_hermitian_pauli(p: PhasedPauli) -> bool:
-    """Hermiticity of the dense realization: delta == v . w mod 2."""
-    return p.delta == gf2.dot(p.v, p.w)
 
 
 def check_dense_cap(n):

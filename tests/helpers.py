@@ -10,9 +10,11 @@ Lagrangian pair.  reconstruct_unitary inverts generators_from_gate on
 the dense side, as a round-trip check of generator families.  The
 scalar dense engine the library's stacked one replaced is kept here as
 its oracle: one Pauli read-off per matrix, conjugates by two matmuls,
-and the semi-Clifford search one Lagrangian at a time.  So is the gate
-embedding the library's placement tables replaced: one column at a
-time, decoding each label bit by bit.  column0_survivors_oracle is the
+and the semi-Clifford search one Lagrangian at a time.
+embed_gate_oracle builds a gate's 2^n x 2^n matrix one column at a
+time, decoding each label bit by bit; the library places each gate's
+own matrix, Monomial or rep instead, and builds no such matrix.
+column0_survivors_oracle is the
 per-domain column-0 screen that the generalized semi-Clifford search's
 chunked screen replaced, and circuit_to_dense_oracle the
 embed-and-multiply circuit build that its block-wise one replaced.
@@ -28,9 +30,13 @@ the library's stacked one replaced: it conjugates one element at a
 time, first by m_a and then by m_b at each level, and the inputs once
 more by the final M.  jordan_basis_oracle completes Im(N) to Ker(N) by
 growing rank tests, one elimination per kernel vector.
+random_circuit and parse_pauli (the inverse of PhasedPauli's repr) are
+samplers and readers that only tests use.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -41,8 +47,6 @@ from semiclifford.circuits import (
     CircuitDescription,
     circuit_to_dense,
     circuit_to_monomial,
-    embed_gate,
-    random_circuit,
 )
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
 from semiclifford.classify import (
@@ -82,7 +86,7 @@ _TAU = {
 def _sign_data_oracle(c):
     """d = diag(C^T J C) and lows(C^T J C + d d^T) of one matrix, J = (0 I; 0 0)."""
     cjc = gf2.mat_mul(gf2.mat_mul(c.T, gf2.j_mat(c.shape[0] // 2)), c)
-    d = gf2.diag_vec(cjc)
+    d = np.diagonal(cjc).copy()
     return d, gf2.lows((cjc ^ np.outer(d, d)) & 1)
 
 
@@ -93,7 +97,7 @@ def compose_oracle(outer: CliffordRep, inner: CliffordRep) -> CliffordRep:
     c12 = gf2.mat_mul(outer.c, inner.c)
     cross = gf2.mat_mul(gf2.mat_mul(inner.c.T, low_out), inner.c)
     cross = (cross ^ (np.outer(d_in, d_out) @ inner.c & 1)) & 1
-    h12 = (inner.h ^ gf2.mat_mul(inner.c.T, outer.h) ^ gf2.diag_vec(cross)) & 1
+    h12 = (inner.h ^ gf2.mat_mul(inner.c.T, outer.h) ^ np.diagonal(cross)) & 1
     return CliffordRep(c12, h12)
 
 
@@ -105,8 +109,23 @@ def inverse_oracle(rep: CliffordRep) -> CliffordRep:
     d_prime = _sign_data_oracle(cinv)[0]
     cross = gf2.mat_mul(gf2.mat_mul(cinv_t, low), cinv)
     cross = (cross ^ (np.outer(d_prime, d) @ cinv & 1)) & 1
-    h_prime = (gf2.mat_mul(cinv_t, rep.h) ^ gf2.diag_vec(cross)) & 1
+    h_prime = (gf2.mat_mul(cinv_t, rep.h) ^ np.diagonal(cross)) & 1
     return CliffordRep(cinv, h_prime)
+
+
+_PARSE_RE = re.compile(r"([+-])(i\.)?tau\[([01]+)\|([01]+)\]")
+
+
+def parse_pauli(text) -> PhasedPauli:
+    """Inverse of PhasedPauli's repr, e.g. ``-i.tau[01|10]``."""
+    m = _PARSE_RE.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"unparseable Pauli literal: {text!r}")
+    sign, ipart, vbits, wbits = m.groups()
+    if len(vbits) != len(wbits):
+        raise ValueError(f"z/x parts differ in length: {text!r}")
+    a = np.array([int(b) for b in vbits + wbits], dtype=np.uint8)
+    return PhasedPauli(1 if ipart else 0, 1 if sign == "-" else 0, a)
 
 
 def kron_pauli_to_dense(p: PhasedPauli) -> np.ndarray:
@@ -198,7 +217,7 @@ def circuit_to_dense_oracle(desc: CircuitDescription) -> np.ndarray:
     2^n x 2^n matrix and multiplied in."""
     u = np.eye(1 << desc.n, dtype=complex)
     for name, qubits in desc.gates:
-        u = embed_gate(name, qubits, desc.n) @ u
+        u = embed_gate_oracle(name, qubits, desc.n) @ u
     return u
 
 
@@ -434,6 +453,19 @@ def int_to_bits(x, width):
     return np.array([(x >> k) & 1 for k in range(width)], dtype=np.uint8)
 
 
+def random_circuit(n, depth, rng, names=("H", "S", "CX")) -> CircuitDescription:
+    """Random circuit over the given gate names (defaults generate Cliffords)."""
+    gates = []
+    for _ in range(depth):
+        name = str(rng.choice(names))
+        arity = GATE_ARITY[name]
+        if arity > n:
+            continue
+        qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
+        gates.append((name, qubits))
+    return CircuitDescription(n=n, gates=tuple(gates))
+
+
 def random_clifford_dense(n, rng, depth=12):
     return circuit_to_dense(random_circuit(n, depth, rng))
 
@@ -647,10 +679,10 @@ def random_c3_gate(n, rng):
     for _ in range(6):
         name = str(rng.choice(["T", "TDG", "S", "Z"]))
         q = int(rng.integers(0, n))
-        d = embed_gate(name, (q,), n) @ d
+        d = embed_gate_oracle(name, (q,), n) @ d
         if n >= 2 and rng.random() < 0.4:
             qs = tuple(int(x) for x in rng.choice(n, size=2, replace=False))
-            d = embed_gate("CZ", qs, n) @ d
+            d = embed_gate_oracle("CZ", qs, n) @ d
     return left @ d @ right
 
 

@@ -17,12 +17,14 @@ import pytest
 
 from helpers import (
     all_phased_paulis,
+    embed_gate_oracle,
     pauli_projection,
     random_c3_gate,
+    random_circuit,
     sample_admissible_pair,
 )
 from semiclifford import gf2
-from semiclifford.circuits import circuit_to_dense, circuit_to_rep, embed_gate, random_circuit
+from semiclifford.circuits import GATE_MATRICES, circuit_to_dense, circuit_to_rep
 from semiclifford.classify import is_generalized_semi_clifford, is_semi_clifford
 from semiclifford.clifford import CliffordRep, compose, inverse
 from semiclifford.dense import (
@@ -192,7 +194,7 @@ def test_criterion_06_pauli_expansion():
 
 def test_criterion_07_hierarchy_levels():
     with criterion(7, "X at level 1; H,S,CX,CZ,SWAP at 2; T,CCZ at 3", 5):
-        assert hierarchy_level(embed_gate("X", (0,), 1)) == 1
+        assert hierarchy_level(GATE_MATRICES["X"]) == 1
         for name, qubits, n in (
             ("H", (0,), 1),
             ("S", (0,), 1),
@@ -200,11 +202,11 @@ def test_criterion_07_hierarchy_levels():
             ("CZ", (0, 1), 2),
             ("SWAP", (0, 1), 2),
         ):
-            u = embed_gate(name, qubits, n)
+            u = embed_gate_oracle(name, qubits, n)
             assert is_pauli(u) is None
             assert hierarchy_level(u) == 2
         for name, qubits, n in (("T", (0,), 1), ("CCZ", (0, 1, 2), 3)):
-            u = embed_gate(name, qubits, n)
+            u = embed_gate_oracle(name, qubits, n)
             assert extract_rep(u) is None
             assert hierarchy_level(u) == 3
 
@@ -213,14 +215,14 @@ def test_criterion_08_semi_clifford_small_n():
     rng = np.random.default_rng(8)
     with criterion(8, "criterion-7 gates and 50 random level-3 gates are semi-Clifford", 60):
         fixed = (
-            embed_gate("X", (0,), 1),
-            embed_gate("H", (0,), 1),
-            embed_gate("S", (0,), 1),
-            embed_gate("CX", (0, 1), 2),
-            embed_gate("CZ", (0, 1), 2),
-            embed_gate("SWAP", (0, 1), 2),
-            embed_gate("T", (0,), 1),
-            embed_gate("CCZ", (0, 1, 2), 3),
+            GATE_MATRICES["X"],
+            GATE_MATRICES["H"],
+            GATE_MATRICES["S"],
+            GATE_MATRICES["CX"],
+            GATE_MATRICES["CZ"],
+            GATE_MATRICES["SWAP"],
+            GATE_MATRICES["T"],
+            GATE_MATRICES["CCZ"],
         )
         for u in fixed:
             ok, _ = is_semi_clifford(u)

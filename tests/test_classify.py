@@ -7,16 +7,17 @@ import pytest
 from helpers import (
     column0_survivors_oracle,
     gsc_search_oracle,
+    embed_gate_oracle,
     random_c3_gate,
+    random_circuit,
     random_clifford_dense,
 )
 from semiclifford import gf2
 from semiclifford.circuits import (
+    GATE_MATRICES,
     circuit_to_dense,
     circuit_to_monomial,
-    embed_gate,
     parse_circuit,
-    random_circuit,
 )
 from semiclifford.classify import (
     classify,
@@ -57,14 +58,14 @@ def test_cliffords_are_semi_clifford(rng):
 
 
 def test_t_gate_fixes_z_lagrangian():
-    ok, wit = is_semi_clifford(embed_gate("T", (0,), 1))
+    ok, wit = is_semi_clifford(GATE_MATRICES["T"])
     assert ok
     assert wit.domain.basis.tolist() == [[1, 0]]
     assert wit.image.basis.tolist() == [[1, 0]]
 
 
 def test_ccz_semi_clifford():
-    ok, wit = is_semi_clifford(embed_gate("CCZ", (0, 1, 2), 3))
+    ok, wit = is_semi_clifford(GATE_MATRICES["CCZ"])
     assert ok
     # the diagonal gate fixes the z-Lagrangian
     z = np.concatenate([gf2.ident(3), gf2.zeros(3, 3)], axis=1)
@@ -109,11 +110,11 @@ def test_semi_clifford_gates_are_gsc(rng):
 
 
 def test_classify_reports():
-    rep = classify(embed_gate("H", (0,), 1))
+    rep = classify(GATE_MATRICES["H"])
     assert (rep.level, rep.semi_clifford, rep.generalized_semi_clifford) == (2, True, True)
-    rep = classify(embed_gate("T", (0,), 1))
+    rep = classify(GATE_MATRICES["T"])
     assert (rep.level, rep.semi_clifford, rep.generalized_semi_clifford) == (3, True, True)
-    rep = classify(embed_gate("SWAP", (0, 1), 2))
+    rep = classify(GATE_MATRICES["SWAP"])
     assert (rep.level, rep.semi_clifford, rep.generalized_semi_clifford) == (2, True, True)
 
 
@@ -148,7 +149,7 @@ def test_is_semi_clifford_reads_the_cached_lagrangians(monkeypatch):
         return enumerate_lagrangians(n)
 
     monkeypatch.setattr(gf2, "enumerate_lagrangians", counting)
-    ok, _ = is_semi_clifford(embed_gate("T", (1,), 3))
+    ok, _ = is_semi_clifford(embed_gate_oracle("T", (1,), 3))
     assert ok
     assert calls == []
 
@@ -156,7 +157,7 @@ def test_is_semi_clifford_reads_the_cached_lagrangians(monkeypatch):
 def test_span_check_on_witness_n1():
     # direct span-equality verification runs inside the gsc search
     for name in ("H", "S", "T"):
-        ok, wit = is_generalized_semi_clifford(embed_gate(name, (0,), 1))
+        ok, wit = is_generalized_semi_clifford(embed_gate_oracle(name, (0,), 1))
         assert ok
 
 
@@ -168,7 +169,7 @@ def test_search_cap():
 
 
 def _oracle_gates(rng):
-    gates = [embed_gate(name, (0,), 1) for name in ("H", "S", "T", "X")]
+    gates = [embed_gate_oracle(name, (0,), 1) for name in ("H", "S", "T", "X")]
     for n in (1, 2, 3):
         gates += [random_clifford_dense(n, rng) for _ in range(2)]
     for n in (2, 3):

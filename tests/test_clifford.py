@@ -1,14 +1,29 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import all_phased_paulis, compose_oracle, inverse_oracle, random_clifford_dense
-from semiclifford import gf2
-from semiclifford.circuits import circuit_to_dense, circuit_to_rep, random_circuit, standard_gate
+from helpers import (
+    all_phased_paulis,
+    compose_oracle,
+    embed_gate_oracle,
+    inverse_oracle,
+    random_circuit,
+    random_clifford_dense,
+)
+from semiclifford import circuits, gf2
+from semiclifford.circuits import (
+    GATE_ARITY,
+    CircuitDescription,
+    circuit_to_dense,
+    circuit_to_monomial,
+    circuit_to_rep,
+    standard_gate,
+)
 from semiclifford.clifford import (
     CliffordRep,
     compose,
     conjugate,
-    d_vector,
     from_pauli,
     inverse,
     is_involution_rep,
@@ -79,11 +94,11 @@ def test_constructor_accepts_bools():
 
 
 def test_d_vector_cases():
-    assert not d_vector(CliffordRep.identity(2)).any()
+    assert not CliffordRep.identity(2).d.any()
     p_rep = CliffordRep(gf2.p_mat(1), np.zeros(2, dtype=np.uint8))
-    assert not d_vector(p_rep).any()
+    assert not p_rep.d.any()
     s = standard_gate("S", (0,), 1)
-    assert d_vector(s).tolist() == [0, 1]
+    assert s.d.tolist() == [0, 1]
 
 
 def test_identity_rep_fixes_everything():
@@ -207,6 +222,63 @@ def test_standard_gate_errors():
         standard_gate("CX", (0, 5), 2)
 
 
+def test_standard_gate_takes_a_list_of_qubits():
+    # any sequence of qubits, as CircuitDescription and circuit_to_dense take
+    assert standard_gate("CX", [0, 1], 2) == standard_gate("CX", (0, 1), 2)
+    assert standard_gate("SWAP", [2, 0], 3) == standard_gate("SWAP", (2, 0), 3)
+    with pytest.raises(ValueError, match="repeated qubit"):
+        standard_gate("CZ", [1, 1], 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_standard_gate_matches_the_embedded_extraction_at_every_placement(n):
+    # the placed k-qubit rep against the rep read off the whole 2^n x 2^n gate
+    for name, arity in GATE_ARITY.items():
+        for qubits in itertools.permutations(range(n), arity):
+            want = extract_rep(embed_gate_oracle(name, qubits, n))
+            if want is None:
+                with pytest.raises(ValueError, match=f"^{name} is not a Clifford gate$"):
+                    standard_gate(name, qubits, n)
+            else:
+                assert standard_gate(name, qubits, n) == want, (name, qubits)
+
+
+_H_FREE_CLIFFORDS = ("I", "X", "Y", "Z", "S", "SDG", "CX", "CZ", "SWAP")
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_circuit_to_rep_matches_the_monomial_engine_past_the_hierarchy_cap(n, rng):
+    # the Monomial engine shares no code with the rep placement
+    for _ in range(3):
+        desc = random_circuit(n, 40, rng, names=_H_FREE_CLIFFORDS)
+        assert circuit_to_rep(desc) == extract_rep(circuit_to_monomial(desc))
+
+
+_INVERSE_NAME = {"S": "SDG", "SDG": "S"}
+
+
+def test_circuit_to_rep_past_the_dense_cap_reads_no_large_matrix(monkeypatch, rng):
+    shapes = []
+
+    def recording_extract_rep(u):
+        shapes.append(np.shape(u))
+        return extract_rep(u)
+
+    circuits._gate_rep.cache_clear()
+    monkeypatch.setattr(circuits, "extract_rep", recording_extract_rep)
+    n = 12
+    desc = random_circuit(n, 60, rng, names=("H", "S", "SDG", "CX", "CZ", "SWAP", "Y"))
+    assert "H" in {name for name, _ in desc.gates}
+    rep = circuit_to_rep(desc)
+    assert rep.n == n and not rep.is_identity()
+    # the inverse circuit's rep undoes it
+    undo = CircuitDescription(
+        n, tuple((_INVERSE_NAME.get(name, name), qs) for name, qs in reversed(desc.gates))
+    )
+    assert compose(circuit_to_rep(undo), rep).is_identity()
+    assert shapes and max(max(shape) for shape in shapes) <= 4
+
+
 def test_conjugation_is_group_homomorphism(rng):
     ps1 = all_phased_paulis(1)
     for _ in range(5):
@@ -314,6 +386,6 @@ def test_sign_data_matches_the_rep_and_each_matrix(n, rng):
     d, low = sign_data(np.stack([q.c for q in reps]))
     for q, dq, lq in zip(reps, d, low):
         cjc = gf2.mat_mul(gf2.mat_mul(q.c.T, j), q.c)
-        assert np.array_equal(dq, gf2.diag_vec(cjc))
+        assert np.array_equal(dq, np.diagonal(cjc))
         assert np.array_equal(lq, gf2.lows((cjc ^ np.outer(dq, dq)) & 1))
         assert q.d.tobytes() == dq.tobytes() and q.lows_matrix.tobytes() == lq.tobytes()

@@ -14,7 +14,7 @@ from helpers import (
 import semiclifford
 from semiclifford import gf2
 from semiclifford.classify import classify
-from semiclifford.circuits import embed_gate, standard_gate
+from semiclifford.circuits import GATE_MATRICES, standard_gate
 from semiclifford.clifford import CliffordRep, from_pauli
 from semiclifford.dense import (
     check_unitary,
@@ -34,10 +34,10 @@ from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
 
 def test_is_pauli_basic():
-    x = embed_gate("X", (0,), 1)
+    x = GATE_MATRICES["X"]
     assert is_pauli(x) == PhasedPauli(0, 0, np.array([0, 1], dtype=np.uint8))
-    assert is_pauli(embed_gate("H", (0,), 1)) is None
-    assert is_pauli(np.exp(1j * np.pi / 4) * embed_gate("Z", (0,), 1)) is None
+    assert is_pauli(GATE_MATRICES["H"]) is None
+    assert is_pauli(np.exp(1j * np.pi / 4) * GATE_MATRICES["Z"]) is None
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -53,7 +53,7 @@ def test_extract_rep_cases():
         a = np.array([(abits >> k) & 1 for k in range(4)], dtype=np.uint8)
         p = PhasedPauli(0, 0, a)
         assert extract_rep(pauli_to_dense(p)) == from_pauli(p)
-    assert extract_rep(embed_gate("T", (0,), 1)) is None
+    assert extract_rep(GATE_MATRICES["T"]) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -88,22 +88,22 @@ def test_pauli_conjugates_match_two_matmuls_off_generators(n, rng):
 
 
 def test_hierarchy_levels():
-    assert hierarchy_level(embed_gate("X", (0,), 1)) == 1
-    assert hierarchy_level(embed_gate("Y", (0,), 1)) == 1
-    assert hierarchy_level(embed_gate("H", (0,), 1)) == 2
-    assert hierarchy_level(embed_gate("CX", (0, 1), 2)) == 2
-    assert hierarchy_level(embed_gate("T", (0,), 1)) == 3
-    assert hierarchy_level(embed_gate("CCZ", (0, 1, 2), 3)) == 3
+    assert hierarchy_level(GATE_MATRICES["X"]) == 1
+    assert hierarchy_level(GATE_MATRICES["Y"]) == 1
+    assert hierarchy_level(GATE_MATRICES["H"]) == 2
+    assert hierarchy_level(GATE_MATRICES["CX"]) == 2
+    assert hierarchy_level(GATE_MATRICES["T"]) == 3
+    assert hierarchy_level(GATE_MATRICES["CCZ"]) == 3
 
 
 def test_hierarchy_monotone():
     from semiclifford.dense import _in_level
 
-    t = embed_gate("T", (0,), 1)
+    t = GATE_MATRICES["T"]
     assert not _in_level(t, 2)
     assert _in_level(t, 3)
     assert _in_level(t, 4)
-    h = embed_gate("H", (0,), 1)
+    h = GATE_MATRICES["H"]
     assert _in_level(h, 2) and _in_level(h, 3)
 
 
@@ -123,7 +123,7 @@ def test_hierarchy_guards():
 @pytest.mark.parametrize("kmax", [0, -3])
 def test_hierarchy_level_rejects_kmax_below_one(kmax):
     # level None would read as "not in the hierarchy" for any gate
-    t = embed_gate("T", (0,), 1)
+    t = GATE_MATRICES["T"]
     with pytest.raises(ValueError, match=f"kmax={kmax}"):
         hierarchy_level(t, kmax=kmax)
     with pytest.raises(ValueError, match=f"kmax={kmax}"):
@@ -140,7 +140,7 @@ def test_realize_block_identity_and_sigma_z():
 def test_realize_block_cz():
     cz = standard_gate("CZ", (0, 1), 2)
     blk = cz
-    assert close_up_to_phase(realize_block(blk).to_dense(), embed_gate("CZ", (0, 1), 2))
+    assert close_up_to_phase(realize_block(blk).to_dense(), GATE_MATRICES["CZ"])
 
 
 def test_realize_block_eighth_root_case():
@@ -151,7 +151,7 @@ def test_realize_block_eighth_root_case():
     d = realize_block(rep).to_dense()
     assert np.allclose(d @ d, np.eye(2), atol=1e-12)
     assert extract_rep(d) == rep
-    xs = embed_gate("X", (0,), 1) @ embed_gate("S", (0,), 1)
+    xs = GATE_MATRICES["X"] @ GATE_MATRICES["S"]
     assert close_up_to_phase(d, xs)
 
 
@@ -231,13 +231,13 @@ def test_monomial_check():
     assert mc.is_monomial and mc.permutation == (0, 1, 2, 3)
     p = PhasedPauli(0, 0, [1, 0, 0, 1])
     assert monomial_check(pauli_to_dense(p)).is_monomial
-    assert not monomial_check(embed_gate("H", (0,), 1)).is_monomial
+    assert not monomial_check(GATE_MATRICES["H"]).is_monomial
 
 
 def test_allclose_up_to_phase():
-    u = embed_gate("S", (0,), 1)
+    u = GATE_MATRICES["S"]
     assert close_up_to_phase(np.exp(0.3j) * u, u)
-    assert not close_up_to_phase(embed_gate("H", (0,), 1), u)
+    assert not close_up_to_phase(GATE_MATRICES["H"], u)
 
 
 # The three cases below sit between TOL and numpy's default rtol of
@@ -297,4 +297,4 @@ def test_hierarchy_level_four():
     # fourth root of Z sits exactly at level 4
     rt = np.diag([1, np.exp(1j * np.pi / 8)])
     assert hierarchy_level(rt, kmax=4) == 4
-    assert hierarchy_level(embed_gate("T", (0,), 1), kmax=4) == 3
+    assert hierarchy_level(GATE_MATRICES["T"], kmax=4) == 3

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import int_to_bits, pauli_projection, random_clifford_dense
+from helpers import int_to_bits, pauli_projection, random_circuit, random_clifford_dense
 from semiclifford import gf2
-from semiclifford.circuits import circuit_to_dense, circuit_to_rep, random_circuit, standard_gate
+from semiclifford.circuits import circuit_to_dense, circuit_to_rep, standard_gate
 from semiclifford.clifford import CliffordRep
 from semiclifford.dense import close_up_to_phase, extract_rep
 from semiclifford.expansion import alpha_vector, expand, rep_to_dense

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_lagrangians, rref_oracle
+from helpers import brute_force_lagrangians, random_circuit, rref_oracle
 from semiclifford import gf2
-from semiclifford.circuits import circuit_to_rep, random_circuit
+from semiclifford.circuits import circuit_to_rep
 from semiclifford.normal_form import _conj
 
 C1 = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)

@@ -11,14 +11,13 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import embed_gate_oracle, random_circuit
 from semiclifford.circuits import (
     GATE_ARITY,
     GATE_MATRICES,
     CircuitDescription,
     circuit_to_dense,
     circuit_to_monomial,
-    embed_gate,
-    random_circuit,
 )
 from semiclifford.dense import (
     TOL,
@@ -62,7 +61,7 @@ def _assert_same_verdicts(m, d, kmax=3):
 @pytest.mark.parametrize("n,name,qubits", list(_embedded_library_gates()))
 def test_library_gate_verdicts_match_dense(n, name, qubits):
     m = circuit_to_monomial(_one_gate(n, name, qubits))
-    d = embed_gate(name, qubits, n)
+    d = embed_gate_oracle(name, qubits, n)
     assert np.array_equal(m.to_dense(), d)
     _assert_same_verdicts(m, d)
 
@@ -111,7 +110,7 @@ def test_monomial_algebra_matches_dense(rng):
     with pytest.raises(ValueError, match="do not multiply"):
         a @ Monomial.identity(n + 1)
     with pytest.raises(ValueError, match="not monomial"):
-        Monomial.from_dense(embed_gate("H", (0,), 1))
+        Monomial.from_dense(GATE_MATRICES["H"])
 
 
 def test_close_matches_dense_close(rng):
@@ -251,7 +250,7 @@ def test_monomial_family_is_block_form_for_every_library_gate():
 
 def test_normalize_family_refuses_monomial_family_outside_block_form():
     # reps of H T are not in block form; Monomial ops never come with such reps
-    dense = generators_from_gate(embed_gate("H", (0,), 1) @ embed_gate("T", (0,), 1))
+    dense = generators_from_gate(GATE_MATRICES["H"] @ GATE_MATRICES["T"])
     assert not dense.is_block_form()
     fake = GeneratorFamily(qs=dense.qs, ops=(Monomial.identity(1),) * 2, n=1)
     with pytest.raises(AssertionError, match="not in block form"):

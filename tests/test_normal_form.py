@@ -107,7 +107,8 @@ def test_counterexample_pair_set_form():
 
 
 def test_counterexample_pair_scrambled(rng):
-    from semiclifford.circuits import circuit_to_rep, random_circuit
+    from helpers import random_circuit
+    from semiclifford.circuits import circuit_to_rep
 
     for _ in range(20):
         s = circuit_to_rep(random_circuit(2, 10, rng)).c

@@ -5,13 +5,14 @@ from helpers import (
     orbit_kernel_oracle,
     pattern_matrix,
     random_c3_gate,
+    embed_gate_oracle,
     random_clifford_dense,
     random_monomial_c3_gate,
     rank_mod_prime,
     reconstruct_unitary,
 )
 from semiclifford import gf2
-from semiclifford.circuits import embed_gate
+from semiclifford.circuits import GATE_MATRICES
 from semiclifford.clifford import CliffordRep, compose, from_pauli
 from semiclifford.dense import (
     Monomial,
@@ -47,7 +48,7 @@ def test_identity_family_is_bare_paulis():
 
 
 def test_hadamard_family_swaps():
-    fam = generators_from_gate(embed_gate("H", (0,), 1))
+    fam = generators_from_gate(GATE_MATRICES["H"])
     # H Z H = X, H X H = Z
     assert fam.qs[0] == from_pauli(PhasedPauli(0, 0, [0, 1]))
     assert fam.qs[1] == from_pauli(PhasedPauli(0, 0, [1, 0]))
@@ -56,7 +57,7 @@ def test_hadamard_family_swaps():
 def test_t_family_has_non_pauli_member():
     from semiclifford.dense import is_pauli
 
-    fam = generators_from_gate(embed_gate("T", (0,), 1))
+    fam = generators_from_gate(GATE_MATRICES["T"])
     assert is_pauli(fam.ops[0]) is not None  # Z conjugate stays Z
     assert is_pauli(fam.ops[1]) is None  # X conjugate is Clifford only
     assert extract_rep(fam.ops[1]) is not None
@@ -76,7 +77,7 @@ def test_reconstruct_identity_family():
 
 @pytest.mark.parametrize("name,qubits,n", [("H", (0,), 1), ("T", (0,), 1), ("CCZ", (0, 1, 2), 3)])
 def test_reconstruct_known_gates(name, qubits, n):
-    u0 = embed_gate(name, qubits, n)
+    u0 = embed_gate_oracle(name, qubits, n)
     fam = generators_from_gate(u0)
     u = reconstruct_unitary(fam)
     udag = u.conj().T
@@ -96,7 +97,7 @@ def test_reconstruct_random_c3(rng):
 
 
 def test_normalize_block_family_is_noop():
-    fam = generators_from_gate(embed_gate("CZ", (0, 1), 2) @ embed_gate("T", (0,), 2))
+    fam = generators_from_gate(GATE_MATRICES["CZ"] @ embed_gate_oracle("T", (0,), 2))
     assert fam.is_block_form()
     out, qm = normalize_family(fam)
     assert qm.is_identity()
@@ -106,7 +107,7 @@ def test_normalize_block_family_is_noop():
 def test_normalize_family_t_gate():
     from semiclifford.clifford import inverse
 
-    fam = generators_from_gate(embed_gate("T", (0,), 1))
+    fam = generators_from_gate(GATE_MATRICES["T"])
     out, qm = normalize_family(fam)
     assert out.is_block_form()
     qm_inv = inverse(qm)
@@ -117,7 +118,7 @@ def test_normalize_family_t_gate():
 def test_normalize_family_nontrivial(rng):
     from semiclifford.clifford import inverse
 
-    u = embed_gate("H", (0,), 1) @ embed_gate("T", (0,), 1)
+    u = GATE_MATRICES["H"] @ GATE_MATRICES["T"]
     fam = generators_from_gate(u)
     assert not fam.is_block_form()
     out, qm = normalize_family(fam)
@@ -188,7 +189,7 @@ def test_orbit_kernel_matches_scan_oracle(n, rng):
         gates += [random_c3_gate(n, rng) for _ in range(4)]
     if n == 3:
         # a non-diagonal core gives A-blocks other than I in block form
-        cswap = embed_gate("CSWAP", (0, 1, 2), 3) @ embed_gate("CCZ", (0, 1, 2), 3)
+        cswap = GATE_MATRICES["CSWAP"] @ GATE_MATRICES["CCZ"]
         gates += [random_clifford_dense(3, rng) @ cswap @ random_clifford_dense(3, rng)]
     moved = False
     for u in gates:
@@ -294,7 +295,7 @@ def test_counterexample_report_rejects_gate_outside_level_3(monkeypatch):
 
 
 def test_ccz_pipeline():
-    cert = run_pipeline(embed_gate("CCZ", (0, 1, 2), 3), rng=np.random.default_rng(0))
+    cert = run_pipeline(GATE_MATRICES["CCZ"], rng=np.random.default_rng(0))
     assert cert.verdicts["kernel_dimension"] == 3
     assert cert.verdicts["span_full"]
     for d in map(np.diag, cert.spectra):
@@ -303,7 +304,7 @@ def test_ccz_pipeline():
 
 
 def test_t_pipeline_certificate():
-    cert = run_pipeline(embed_gate("T", (0,), 1), rng=np.random.default_rng(0))
+    cert = run_pipeline(GATE_MATRICES["T"], rng=np.random.default_rng(0))
     assert cert.verdicts["kernel_dimension"] == 1
     spectrum = cert.spectra[0]
     assert np.allclose(np.abs(spectrum), 1)
@@ -377,7 +378,7 @@ def test_certificate_realizes_only_in_the_cross_check(monkeypatch):
 
 def _t_family():
     # T on qubit 1 of n = 2: generators 0-2 have C = I, generator 3 does not
-    return generators_from_gate(embed_gate("T", (1,), 2))
+    return generators_from_gate(embed_gate_oracle("T", (1,), 2))
 
 
 def _with_reps(family, replace):
@@ -389,7 +390,7 @@ def _with_reps(family, replace):
 
 def test_validate_names_the_first_non_involution_rep():
     # S^2 = Z, so the rep of S squares to a Pauli rep, not the identity rep
-    s = extract_rep(embed_gate("S", (0,), 2))
+    s = extract_rep(embed_gate_oracle("S", (0,), 2))
     with pytest.raises(ValueError, match="^generator 1 is not an involution rep$"):
         _with_reps(_t_family(), {1: s, 3: s}).validate()
 

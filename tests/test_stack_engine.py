@@ -17,21 +17,21 @@ import pytest
 from helpers import (
     all_phased_paulis,
     conjugate_oracle,
+    embed_gate_oracle,
     extract_rep_oracle,
     gsc_search_oracle,
     hierarchy_level_oracle,
     is_pauli_oracle,
     kron_pauli_to_dense,
     random_c3_gate,
+    random_circuit,
     semi_clifford_oracle,
 )
 from semiclifford import gf2
 from semiclifford.circuits import (
     GATE_ARITY,
     circuit_to_dense,
-    embed_gate,
     parse_circuit,
-    random_circuit,
 )
 from semiclifford.classify import is_generalized_semi_clifford, is_semi_clifford
 from semiclifford.dense import (
@@ -108,7 +108,7 @@ def _library_placements(n):
 def test_rep_and_level_match_oracle_on_every_library_placement(n):
     kmax = 4 if n <= 2 else 3
     for name, qubits in _library_placements(n):
-        u = embed_gate(name, qubits, n)
+        u = embed_gate_oracle(name, qubits, n)
         assert extract_rep(u) == extract_rep_oracle(u), (name, qubits)
         assert hierarchy_level(u, kmax=kmax) == hierarchy_level_oracle(u, kmax), (name, qubits)
 
