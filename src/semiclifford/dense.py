@@ -10,23 +10,23 @@ The engine has two operator types with one code path.  A Monomial
 O(2^n) per operation; dense matrices are the engine for the rest (H)
 and the oracle the tests check the Monomial path against.  Either type
 comes as one matrix or a stack: a (k, d, d) array or a Monomial over
-(k, 2^n) arrays.  Every Pauli conjugation u tau_a u^dag goes through
-_conjugates, which applies tau_a as the signed permutation of
-pauli.pauli_action (the single source of tau_a's permutation and
-signs): one batched matmul for a dense stack, one gather for a
-Monomial stack.  _pauli_stack is the only Pauli test; is_pauli,
-extract_rep and hierarchy_level run it on stacks of at most
-_STACK_ENTRIES (2^14) stored entries, a few numpy calls per stack
-instead of one Python-level test per conjugate.
+(k, 2^n) arrays, and @ multiplies two stacks pairwise.  Every Pauli
+conjugation u tau_a u^dag goes through _conjugates, which applies
+tau_a as the signed permutation of pauli.pauli_action (the single
+source of tau_a's permutation and signs): one batched matmul for a
+dense stack, one gather for a Monomial stack.  _pauli_stack is the
+only Pauli test; is_pauli, extract_rep and hierarchy_level run it on
+stacks of at most _STACK_ENTRIES (2^14) stored entries, a few numpy
+calls per stack instead of one Python-level test per conjugate.
 
 TOL is the package's one tolerance, and it is absolute: every dense
-test reads it, and every matrix comparison goes through close, which
-bounds the largest entrywise difference by TOL with no relative term.
-The entries of Paulis, Cliffords and the certificate spectra are 0 or
-an eighth root of unity over a power of sqrt(2), and at the supported
-sizes two distinct such values differ by far more than TOL.  So TOL
-only absorbs accumulated rounding, which stays near machine epsilon,
-and never merges two exact values.
+test reads it, and every matrix comparison goes through close or
+_close_stack, which bounds the largest entrywise difference by TOL
+with no relative term.  The entries of Paulis, Cliffords and the
+certificate spectra are 0 or an eighth root of unity over a power of
+sqrt(2), and at the supported sizes two distinct such values differ by
+far more than TOL.  So TOL only absorbs accumulated rounding, which
+stays near machine epsilon, and never merges two exact values.
 """
 
 from __future__ import annotations
@@ -50,6 +50,16 @@ TOL = 1e-9
 # one-matrix peak, and at n <= 3 every set the searches build fits in
 # one stack.
 _STACK_ENTRIES = 1 << 14
+
+
+def _per_stack(us, stacks=1):
+    """Matrices of us's type and size per stack when `stacks` stacks share
+    _STACK_ENTRIES: d^2 entries per dense matrix, 2^n per Monomial, and
+    one matrix when it alone is larger."""
+    d = us.shape[-1]
+    return max(1, _STACK_ENTRIES // (stacks * (d if isinstance(us, Monomial) else d * d)))
+
+
 # qubit cap of the dense hierarchy test, rep_to_dense and the pipeline
 HIERARCHY_QUBIT_CAP = 7
 HIERARCHY_LEVEL_CAP = 4
@@ -63,9 +73,10 @@ class Monomial:
     modulus.  Products, adjoints and Pauli conjugations cost O(2^n).
     With (k, 2^n) arrays it is a stack of k matrices, the counterpart
     of a dense (k, d, d) stack: indexing (u[None] too) and iteration run
-    over the first axis, and dag, to_dense and the stacked engine take
-    a stack; a product takes one matrix on each side.  Treat the arrays
-    as read-only: operations return new Monomials.
+    over the first axis, dag, to_dense and the stacked engine take a
+    stack, and a product of two stacks of equal shape multiplies them
+    pairwise, as ndarray @ does.  Treat the arrays as read-only:
+    operations return new Monomials.
     """
 
     __slots__ = ("perm", "phases")
@@ -110,9 +121,12 @@ class Monomial:
     def __matmul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        if self.perm.ndim != 1 or self.perm.shape != other.perm.shape:
+        if self.perm.shape != other.perm.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not multiply")
-        return Monomial(self.perm[other.perm], self.phases[other.perm] * other.phases)
+        if self.perm.ndim == 1:  # plain indexing: a tenth of take_along_axis's call cost
+            return Monomial(self.perm[other.perm], self.phases[other.perm] * other.phases)
+        perm, phases = (np.take_along_axis(a, other.perm, -1) for a in (self.perm, self.phases))
+        return Monomial(perm, phases * other.phases)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
@@ -175,18 +189,26 @@ def _stack_qubits(us) -> int:
 
 
 def close(a, b) -> bool:
-    """Whether a and b agree within TOL in every entry (absolute, max-norm).
+    """Whether a and b agree within TOL in every entry (absolute, max-norm):
+    the one-matrix case of _close_stack."""
+    return bool(_close_stack(a, b))
+
+
+def _close_stack(us, vs, signs=1.0):
+    """close(us[t], signs[t] * vs[t]) for each matrix t of a stack, where vs
+    is a stack of the same type and length or one matrix for all t.
 
     Two Monomials are close when their permutations are equal and their
     phases agree within TOL, which is the dense test on their matrices,
     since each phase is above TOL in modulus.  A Monomial is compared
     only with a Monomial.
     """
-    if isinstance(a, Monomial) or isinstance(b, Monomial):
-        if not (isinstance(a, Monomial) and isinstance(b, Monomial)):
+    if isinstance(us, Monomial) or isinstance(vs, Monomial):
+        if not (isinstance(us, Monomial) and isinstance(vs, Monomial)):
             raise TypeError("close compares a Monomial only with a Monomial")
-        return np.array_equal(a.perm, b.perm) and bool(np.abs(a.phases - b.phases).max() <= TOL)
-    return bool(np.abs(a - b).max() <= TOL)
+        diff = us.phases - np.asarray(signs)[..., None] * vs.phases
+        return (us.perm == vs.perm).all(axis=-1) & (np.abs(diff).max(axis=-1) <= TOL)
+    return np.abs(us - np.asarray(signs)[..., None, None] * vs).max(axis=(-2, -1)) <= TOL
 
 
 def check_unitary(u):
@@ -221,8 +243,9 @@ def pauli_conjugates(u, vectors):
     """u tau_a u^dag for each row a of vectors, as one stack of u's type.
 
     The (m, d, d) dense stack or the (m, 2^n) Monomial stack of all m
-    conjugates, one batched product (_conjugates).  The caller keeps a
-    dense stack within _STACK_ENTRIES (see _conjugate_chunks).
+    conjugates, one batched product (_conjugates), unchunked: its peak
+    is about twice the stack, 7 MiB for the 2n = 14 dense conjugates at
+    n = 7.  Longer dense sets go through _conjugate_chunks.
     """
     us = _as_operator(u)[None]
     return _conjugates(us, _dagger(us), vectors)
@@ -264,16 +287,16 @@ def _conjugates(us, udag, vectors):
 def _conjugate_chunks(us, vectors):
     """Yield the conjugates us[i] tau_a us[i]^dag of a (k, ...) stack,
     over i and then the rows a of vectors, as stacks of at most
-    _STACK_ENTRIES stored entries (of one matrix when it is larger):
-    d^2 per dense matrix, 2^n per Monomial."""
-    d = us.shape[-1]
-    per = max(1, _STACK_ENTRIES // (d if isinstance(us, Monomial) else d * d))
+    _STACK_ENTRIES stored entries (_per_stack).  Each chunk of us gets
+    its own adjoint, so no adjoint of the whole stack is held."""
+    per = _per_stack(us)
     m = len(vectors)
     rows, cols = max(1, per // m), min(per, m)
-    udag = _dagger(us)
     for i in range(0, us.shape[0], rows):
+        chunk = us[i : i + rows]
+        udag = _dagger(chunk)
         for j in range(0, m, cols):
-            yield _conjugates(us[i : i + rows], udag[i : i + rows], vectors[j : j + cols])
+            yield _conjugates(chunk, udag, vectors[j : j + cols])
 
 
 # the group phases i**delta (-1)**epsilon, and their (delta, epsilon) bits

@@ -11,15 +11,15 @@ resulting group spans the full diagonal algebra, which certifies that
 U is generalized semi-Clifford; the conjugating Clifford and the
 diagonal generators form the certificate.
 
-The operators Q_i are Monomials when U is one (every library gate but
-H is, and so is the seven-qubit pair of gottesman_mochon), and dense
-matrices otherwise; each step runs on the type it is given.  The 2n
-conjugates are tested for being Clifford a stack at a time, and the
-family's rep checks (involutions, pairwise commutation, symplectic
-products) read one table of all (2n)^2 ordered products,
-clifford.product_table: a few batched GF(2) products, not one compose
-per pair; its op checks are a few stacked products of the ops.  The
-kernel comes from coset doubling over the 2^n f-vectors, and the
+The operators Q_i are one stack: Monomials when U is one (every
+library gate but H is, and so is the seven-qubit pair of
+gottesman_mochon), and dense matrices otherwise; each step runs on the
+type it is given.  The 2n conjugates are tested for being Clifford as
+one stack, and the family's rep checks (involutions, pairwise
+commutation, symplectic products) read one table of all (2n)^2 ordered
+products, clifford.product_table: a few batched GF(2) products, not one
+compose per pair; its op checks are a few stacked products of the ops.
+The kernel comes from coset doubling over the 2^n f-vectors, and the
 rng-gated cross-checks of extract_certificate realize kernel products
 as Monomials, so on a Monomial family every step after
 generators_from_gate is O(2^n) per operator.  Dense matrices serve
@@ -43,11 +43,11 @@ from .clifford import CliffordRep, compose, inverse, product_table
 from .dense import (
     HIERARCHY_QUBIT_CAP,
     TOL,
-    _STACK_ENTRIES,
     Monomial,
     _clifford_stack,
-    _conjugate_chunks,
+    _close_stack,
     _lambda_products,
+    _per_stack,
     basis_bits,
     check_unitary,
     close,
@@ -61,75 +61,42 @@ from .dense import (
 from .expansion import rep_to_dense
 
 
-def _products(ops, *orders):
-    """Yield the products ops[i] @ ops[j] of a tuple of Monomials or of
-    dense matrices, for each order (left, right) of index arrays over
-    the pairs (i, j) of zip(left, right).
-
-    Each item is a tuple of stacks, one per order, over the same chunk
-    of pairs; together they hold at most _STACK_ENTRIES stored entries
-    (one matrix per stack when that is more): one gather per Monomial
-    stack, one batched matmul per dense one.
-    """
-    monomial = isinstance(ops[0], Monomial)
-    d = ops[0].shape[-1]
-    per = max(1, _STACK_ENTRIES // (len(orders) * (d if monomial else d * d)))
-    if monomial:
-        perms = np.stack([op.perm for op in ops])
-        phases = np.stack([op.phases for op in ops])
-    for s in range(0, len(orders[0][0]), per):
-        stacks = []
-        for left, right in orders:
-            lo, ro = left[s : s + per], right[s : s + per]
-            if monomial:
-                inner = perms[ro]
-                outer = lo[:, None]
-                stacks.append(Monomial(perms[outer, inner], phases[outer, inner] * phases[ro]))
-            else:
-                stacks.append(np.stack([ops[i] for i in lo]) @ np.stack([ops[j] for j in ro]))
-        yield tuple(stacks)
-
-
-def _close_each(us, vs, signs=1.0):
-    """close(us[t], signs[t] * vs[t]) for each matrix t of a stack; vs is
-    a stack of the same type and length, or one matrix for all t."""
-    if isinstance(us, Monomial):
-        diff = us.phases - np.reshape(signs, (-1, 1)) * vs.phases
-        return (us.perm == vs.perm).all(axis=-1) & (np.abs(diff).max(axis=-1) <= TOL)
-    return np.abs(us - np.reshape(signs, (-1, 1, 1)) * vs).max(axis=(1, 2)) <= TOL
-
-
 @dataclass(frozen=True)
 class GeneratorFamily:
     """2n commuting-pattern Clifford involutions: reps and operators.
 
-    ops[i] realizes qs[i], as a Monomial or a dense matrix.
+    ops is one stack, a (2n, 2^n) Monomial or a (2n, 2^n, 2^n) array,
+    and ops[i] realizes qs[i].
     """
 
     qs: tuple
-    ops: tuple
+    ops: Monomial | np.ndarray
     n: int
 
     def validate(self):
         """Check the reps and the ops; raise ValueError naming the first failure.
 
-        The rep checks read one product_table of all (2n)^2 ordered
-        products q_i q_j: every product is symplectic, each diagonal
-        entry q_i q_i is the identity rep (q_i is an involution rep), and
-        the table is symmetric (q_i and q_j commute up to a sign).  Then
-        each op squares to I and each pair of ops commutes, or
-        anticommutes exactly for the pair (Z_i, X_i) of one qubit: the
-        squares, and both products of each pair i < j, come in stacks
-        from _products.  Failures are named in index order: the first
-        non-involution i, then the first incompatible pair i < j.
+        Shapes first: 2n reps on n qubits, 2n ops of size 2^n.  The rep
+        checks read one product_table of all (2n)^2 ordered products
+        q_i q_j: every product is symplectic, each q_i q_i is the identity
+        rep (q_i is an involution rep), and the table is symmetric (q_i
+        and q_j commute up to a sign).  Then each op squares to I and each
+        pair of ops commutes, or anticommutes exactly for the pair
+        (Z_i, X_i) of one qubit: one stacked product per chunk of ops
+        (_per_stack) and order.  Failures are named in index order: the
+        first non-involution i, then the first incompatible pair i < j.
         """
         n = self.n
         m = 2 * n
         if len(self.qs) != m:
             raise ValueError(f"expected {m} generators, got {len(self.qs)}")
+        ops = self.ops
+        if ops.shape[0] != m or ops.shape[-1] != 1 << n:
+            got = f"{ops.shape[0]} of size {ops.shape[-1]}"
+            raise ValueError(f"expected {m} generator ops of size {1 << n}, got {got}")
         for q in self.qs:
-            if q.n != self.qs[0].n:
-                raise ValueError(f"qubit counts differ: {self.qs[0].n} vs {q.n}")
+            if q.n != n:
+                raise ValueError(f"qubit counts differ: {n} vs {q.n}")
         cs = np.stack([q.c for q in self.qs])
         hs = np.stack([q.h for q in self.qs])
         table_c, table_h = product_table(cs, hs, cs, hs)
@@ -146,21 +113,22 @@ class GeneratorFamily:
         bad = np.argwhere(~symmetric)  # row-major: the first i, then its first j > i
         if bad.size:
             raise ValueError(f"generators {bad[0, 0]} and {bad[0, 1]} have incompatible reps")
-        ident = identity_like(self.ops[0])
-        squares = [_close_each(sq, ident) for (sq,) in _products(self.ops, (diag, diag))]
-        bad = np.flatnonzero(~np.concatenate(squares))
-        if bad.size:
-            raise ValueError(f"generator op {bad[0]} does not square to I")
+        ident = identity_like(ops[0])
+        per = _per_stack(ops)
+        for s in range(0, m, per):
+            a = ops[s : s + per]
+            bad = s + np.flatnonzero(~_close_stack(a @ a, ident))
+            if bad.size:
+                raise ValueError(f"generator op {bad[0]} does not square to I")
         left, right = np.triu_indices(m, 1)  # row-major: the first i, then its first j > i
         signs = np.where(right == left + n, -1.0, 1.0)
-        start = 0
-        for lhs, rhs in _products(self.ops, (left, right), (right, left)):
-            stop = start + len(lhs)
-            bad = start + np.flatnonzero(~_close_each(lhs, rhs, signs[start:stop]))
+        per = _per_stack(ops, 2)
+        for s in range(0, len(left), per):
+            a, b = ops[left[s : s + per]], ops[right[s : s + per]]
+            bad = s + np.flatnonzero(~_close_stack(a @ b, b @ a, signs[s : s + per]))
             if bad.size:
                 i, j = left[bad[0]], right[bad[0]]
                 raise ValueError(f"generator ops {i}, {j} break the sign pattern")
-            start = stop
 
     def is_block_form(self) -> bool:
         n = self.n
@@ -176,9 +144,8 @@ def check_pipeline_cap(n):
 def generators_from_gate(u) -> GeneratorFamily:
     """Conjugate all 2n Pauli generators by u and extract their reps.
 
-    The conjugates come in the engine's stacks (_conjugate_chunks): all
-    2n in one stack for a Monomial, one matrix per stack for a dense
-    gate at n = 7.  Each stack goes through one stacked Clifford test.
+    The 2n conjugates are one stack of u's type (pauli_conjugates), and
+    it goes through one stacked Clifford test.
 
     Raises:
         ValueError: naming the first witness index when some conjugate
@@ -187,20 +154,16 @@ def generators_from_gate(u) -> GeneratorFamily:
     u = check_unitary(u)
     n = num_qubits(u)
     check_pipeline_cap(n)
-    reps = []
-    ops = []
-    for stack in _conjugate_chunks(u[None], gf2.ident(2 * n)):
-        found = _clifford_stack(stack)
-        if found is None:
-            # the stacked test passes exactly when each matrix passes alone
-            first = next(k for k, op in enumerate(stack) if _clifford_stack(op[None]) is None)
-            raise ValueError(
-                f"input is not a third-level gate: conjugated generator {len(ops) + first} "
-                "is not Clifford"
-            )
-        reps.extend(CliffordRep(ct.T, h) for ct, h in zip(*found))
-        ops.extend(stack)
-    family = GeneratorFamily(qs=tuple(reps), ops=tuple(ops), n=n)
+    ops = pauli_conjugates(u, gf2.ident(2 * n))
+    found = _clifford_stack(ops)
+    if found is None:
+        # the stacked test passes exactly when each matrix passes alone
+        first = next(k for k, op in enumerate(ops) if _clifford_stack(op[None]) is None)
+        raise ValueError(
+            f"input is not a third-level gate: conjugated generator {first} is not Clifford"
+        )
+    reps = tuple(CliffordRep(ct.T, h) for ct, h in zip(*found))
+    family = GeneratorFamily(qs=reps, ops=ops, n=n)
     family.validate()
     return family
 
@@ -220,16 +183,14 @@ def normalize_family(family: GeneratorFamily):
     n = family.n
     if family.is_block_form():
         return family, CliffordRep.identity(n)
-    if isinstance(family.ops[0], Monomial):
+    if isinstance(family.ops, Monomial):
         raise AssertionError("a family of Monomial ops is not in block form")
     snf = commuting_set_normal_form([q.c for q in family.qs])
     q_m = CliffordRep(snf.m, np.zeros(2 * n, dtype=np.uint8))
     q_m_inv = inverse(q_m)
     reps = tuple(compose(compose(q_m, q), q_m_inv) for q in family.qs)
     v = rep_to_dense(q_m)
-    vdag = v.conj().T
-    ops = tuple(v @ op @ vdag for op in family.ops)
-    out = GeneratorFamily(qs=reps, ops=ops, n=n)
+    out = GeneratorFamily(qs=reps, ops=v @ family.ops @ v.conj().T, n=n)
     out.validate()
     if not out.is_block_form():
         raise AssertionError("conjugated family is not in block form")

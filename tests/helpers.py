@@ -31,7 +31,8 @@ time, first by m_a and then by m_b at each level, and the inputs once
 more by the final M.  jordan_basis_oracle completes Im(N) to Ker(N) by
 growing rank tests, one elimination per kernel vector.
 random_circuit and parse_pauli (the inverse of PhasedPauli's repr) are
-samplers and readers that only tests use.
+samplers and readers that only tests use, and stack_ops builds the one
+operator stack that GeneratorFamily.ops holds from single matrices.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from semiclifford.classify import (
 )
 from semiclifford.dense import (
     TOL,
+    Monomial,
     as_dense,
     check_unitary,
     close,
@@ -333,6 +335,14 @@ def semi_clifford_oracle(u):
             image = gf2.Lagrangian(np.array([img.a for img in images], dtype=np.uint8))
             return True, SemiCliffordWitness(domain=lag, image=image)
     return False, len(lags)
+
+
+def stack_ops(ops):
+    """One stack of the operators' type from a sequence of Monomials or
+    of dense matrices: a (k, 2^n) Monomial or a (k, d, d) array."""
+    if isinstance(ops[0], Monomial):
+        return Monomial(np.stack([op.perm for op in ops]), np.stack([op.phases for op in ops]))
+    return np.stack(ops)
 
 
 def reconstruct_unitary(family: GeneratorFamily) -> np.ndarray:

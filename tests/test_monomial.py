@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import embed_gate_oracle, random_circuit
+from helpers import embed_gate_oracle, random_circuit, stack_ops
 from semiclifford.circuits import (
     GATE_ARITY,
     GATE_MATRICES,
@@ -22,6 +22,7 @@ from semiclifford.circuits import (
 from semiclifford.dense import (
     TOL,
     Monomial,
+    _close_stack,
     check_unitary,
     close,
     close_up_to_phase,
@@ -121,6 +122,57 @@ def test_close_matches_dense_close(rng):
     for other in (a, nudged, pushed, swapped):
         assert close(a, other) == close(a.to_dense(), other.to_dense())
     assert close(a, nudged) and not close(a, pushed) and not close(a, swapped)
+
+
+def _random_stack(n, k, rng):
+    return stack_ops(
+        [circuit_to_monomial(random_circuit(n, 10, rng, names=MONOMIAL_GATES)) for _ in range(k)]
+    )
+
+
+def test_stack_product_is_the_pairwise_product(rng):
+    a, b = _random_stack(3, 5, rng), _random_stack(3, 5, rng)
+    prod = a @ b
+    assert prod.shape == (5, 8, 8)
+    for t in range(5):
+        one = a[t] @ b[t]
+        assert np.array_equal(prod.perm[t], one.perm) and np.array_equal(prod.phases[t], one.phases)
+    assert _close_stack(prod.to_dense(), a.to_dense() @ b.to_dense()).all()
+
+
+def test_stack_product_rejects_unequal_stacks_and_dense_operands(rng):
+    a = _random_stack(3, 5, rng)
+    for other in (a[:4], _random_stack(2, 5, rng), a[0]):
+        with pytest.raises(ValueError, match="do not multiply"):
+            a @ other
+    for left, right in ((a, a.to_dense()), (a.to_dense(), a), (a[0], a[0].to_dense())):
+        with pytest.raises(TypeError):
+            left @ right
+    with pytest.raises(TypeError):
+        _close_stack(a, a.to_dense())
+
+
+@pytest.mark.parametrize("monomial", [True, False])
+def test_stacked_close_is_close_on_each_matrix(monomial, rng):
+    us = _random_stack(3, 6, rng)
+    nudge = np.where(np.arange(8) == 5, TOL / 2, 0)
+    vs = stack_ops(
+        [
+            us[0],
+            -1.0 * us[1],
+            us[2],
+            Monomial(us[3].perm, us[3].phases + nudge),  # within TOL
+            Monomial(us[4].perm, us[4].phases + 4 * nudge),  # past TOL
+            us[0],
+        ]
+    )
+    if not monomial:
+        us, vs = us.to_dense(), vs.to_dense()
+    signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+    assert _close_stack(us, vs).tolist() == [close(u, v) for u, v in zip(us, vs)]
+    want = [close(u, s * v) for u, v, s in zip(us, vs, signs)]
+    assert _close_stack(us, vs, signs).tolist() == want == [True, True, False, True, False, False]
+    assert _close_stack(us, vs[0]).tolist() == [close(u, vs[0]) for u in us]
 
 
 def test_close_up_to_phase_matches_dense(rng):
@@ -223,7 +275,7 @@ def _validate_error(family, k, mutate):
     ops = list(family.ops)
     ops[k] = mutate(ops[k])
     with pytest.raises(ValueError) as exc:
-        GeneratorFamily(qs=family.qs, ops=tuple(ops), n=family.n).validate()
+        GeneratorFamily(qs=family.qs, ops=stack_ops(ops), n=family.n).validate()
     return str(exc.value)
 
 
@@ -252,6 +304,6 @@ def test_normalize_family_refuses_monomial_family_outside_block_form():
     # reps of H T are not in block form; Monomial ops never come with such reps
     dense = generators_from_gate(GATE_MATRICES["H"] @ GATE_MATRICES["T"])
     assert not dense.is_block_form()
-    fake = GeneratorFamily(qs=dense.qs, ops=(Monomial.identity(1),) * 2, n=1)
+    fake = GeneratorFamily(qs=dense.qs, ops=stack_ops((Monomial.identity(1),) * 2), n=1)
     with pytest.raises(AssertionError, match="not in block form"):
         normalize_family(fake)

@@ -10,11 +10,13 @@ from helpers import (
     random_monomial_c3_gate,
     rank_mod_prime,
     reconstruct_unitary,
+    stack_ops,
 )
 from semiclifford import gf2
 from semiclifford.circuits import GATE_MATRICES
 from semiclifford.clifford import CliffordRep, compose, from_pauli
 from semiclifford.dense import (
+    _STACK_ENTRIES,
     Monomial,
     close_up_to_phase,
     extract_rep,
@@ -224,7 +226,7 @@ def test_orbit_kernel_rejects_a_copy_that_meets_the_orbit():
         CliffordRep(gf2.ident(2 * n), [1, 0, 0, 0]),
         CliffordRep(c1, [0, 1, 0, 0]),
     ) + (CliffordRep.identity(n),) * 2
-    fam = GeneratorFamily(qs=qs, ops=(np.eye(1 << n),) * (2 * n), n=n)
+    fam = GeneratorFamily(qs=qs, ops=stack_ops((np.eye(1 << n),) * (2 * n)), n=n)
     with pytest.raises(AssertionError, match="^generator 1 maps the orbit of 0 partly into"):
         orbit_kernel(fam)
 
@@ -234,7 +236,7 @@ def test_small_orbit_family_fails_both_paths():
     # and the zero set is everything
     n = 2
     fam = GeneratorFamily(
-        qs=(CliffordRep.identity(n),) * (2 * n), ops=(np.eye(1 << n),) * (2 * n), n=n
+        qs=(CliffordRep.identity(n),) * (2 * n), ops=stack_ops((np.eye(1 << n),) * (2 * n)), n=n
     )
     with pytest.raises(AssertionError, match="orbit of 0 has 1 points") as got:
         orbit_kernel(fam)
@@ -458,7 +460,7 @@ def test_certificate_pair_check_compares_the_generator_ops():
     fam = generators_from_gate(np.eye(1 << n, dtype=complex))
     ops = list(fam.ops)
     ops[3] = pauli_to_dense(PhasedPauli(0, 0, [0] * n + [1] * n))
-    bad = GeneratorFamily(qs=fam.qs, ops=tuple(ops), n=n)
+    bad = GeneratorFamily(qs=fam.qs, ops=stack_ops(ops), n=n)
     # seed 17 realizes kernel rows 0, 1 and 2 only, then draws the pair (3, 1)
     draws = np.random.default_rng(17)
     assert 3 not in draws.choice(n, size=3, replace=False)
@@ -473,12 +475,36 @@ def _with_ops(family, replace):
     ops = list(family.ops)
     for k, op in replace.items():
         ops[k] = op
-    return GeneratorFamily(qs=family.qs, ops=tuple(ops), n=family.n)
+    return GeneratorFamily(qs=family.qs, ops=stack_ops(ops), n=family.n)
 
 
 def _uv_family():
     u, v = gottesman_mochon()
     return generators_from_gate(u @ v)
+
+
+@pytest.mark.parametrize("monomial", [True, False])
+def test_validate_rejects_ops_that_are_not_2n_matrices_of_size_2_to_the_n(monomial):
+    # T on qubit 1 of n = 2: 4 reps need 4 ops of size 4
+    gate = embed_gate_oracle("T", (1,), 2)
+    fam = generators_from_gate(Monomial.from_dense(gate) if monomial else gate)
+    ops = list(fam.ops)
+    wider = generators_from_gate(Monomial.identity(3) if monomial else np.eye(8)).ops
+    cases = [(ops[:3], "3 of size 4"), (ops + ops[:1], "5 of size 4"), (wider[:4], "4 of size 8")]
+    for wrong, got in cases:
+        bad = GeneratorFamily(qs=fam.qs, ops=stack_ops(wrong), n=2)
+        with pytest.raises(ValueError, match=f"^expected 4 generator ops of size 4, got {got}$"):
+            bad.validate()
+    GeneratorFamily(qs=fam.qs, ops=stack_ops(ops), n=2).validate()
+
+
+def test_validate_rejects_reps_of_another_qubit_count():
+    # the first four reps of the 3-qubit identity family commute in a
+    # valid pattern, but they act on 3 qubits, not on the family's 2
+    reps = generators_from_gate(np.eye(8, dtype=complex)).qs[:4]
+    ops = generators_from_gate(np.eye(4, dtype=complex)).ops
+    with pytest.raises(ValueError, match="^qubit counts differ: 2 vs 3$"):
+        GeneratorFamily(qs=reps, ops=ops, n=2).validate()
 
 
 def test_validate_names_the_first_op_that_does_not_square_to_i():
@@ -504,7 +530,7 @@ def test_validate_names_the_first_pair_that_breaks_the_sign_pattern(monomial):
     # index order (i, then j > i) although (1, 3) has the smaller j
     fam = _uv_family()
     if not monomial:
-        fam = GeneratorFamily(qs=fam.qs, ops=tuple(op.to_dense() for op in fam.ops), n=fam.n)
+        fam = GeneratorFamily(qs=fam.qs, ops=fam.ops.to_dense(), n=fam.n)
     ops = fam.ops
     bad = _with_ops(fam, {5: ops[5] @ ops[7], 3: ops[3] @ ops[8]})
     with pytest.raises(ValueError, match="^generator ops 0, 5 break the sign pattern$"):
@@ -551,12 +577,14 @@ def test_pipeline_on_h_circuits_runs_six_cross_checks(circuit, capsys, monkeypat
 
 def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
     # one report densifies no Monomial (the cross-checks compare
-    # Monomials), multiplies no Monomial pair inside validate (the op
-    # checks are gathers), and runs one rref in orbit_kernel, on at most
-    # 2n = 14 rows (one per stabilizer generator)
+    # Monomials), multiplies no single Monomial pair inside validate (its
+    # op checks multiply stacks, at most one product per chunk and order:
+    # the 14 squares fit one chunk, the 91 pairs i < j come in chunks of
+    # _STACK_ENTRIES // (2 * 2^7), in two orders), and runs one rref in
+    # orbit_kernel, on at most 2n = 14 rows (one per stabilizer generator)
     import semiclifford.pipeline as pipeline_module
 
-    calls = {"to_dense": 0, "validate @": 0}
+    calls = {"to_dense": 0, "validate @": 0, "validate stacked @": 0}
     rref_rows = []
     inside = set()
 
@@ -577,7 +605,8 @@ def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
         return to_dense(self)
 
     def counting_matmul(self, other):
-        calls["validate @"] += "validate" in inside
+        if "validate" in inside:
+            calls["validate stacked @" if self.perm.ndim > 1 else "validate @"] += 1
         return matmul(self, other)
 
     def counting_rref(m, *args):
@@ -592,5 +621,6 @@ def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
     monkeypatch.setattr(pipeline_module, "orbit_kernel", flagged("orbit_kernel", orbit_kernel))
     report = counterexample_report(rng=np.random.default_rng(1))
     assert report["certificate"].verdicts["dense_cross_checks"] == 6
-    assert calls == {"to_dense": 0, "validate @": 0}
+    assert calls["to_dense"] == calls["validate @"] == 0
+    assert 0 < calls["validate stacked @"] <= 1 + 2 * -(-91 // (_STACK_ENTRIES // (2 << 7)))
     assert len(rref_rows) == 1 and rref_rows[0] <= 14

@@ -45,7 +45,7 @@ from semiclifford.dense import (
     is_pauli,
 )
 from semiclifford.pauli import PhasedPauli
-from semiclifford.pipeline import gottesman_mochon
+from semiclifford.pipeline import generators_from_gate, gottesman_mochon
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -185,3 +185,12 @@ def test_seven_qubit_dense_tests_stay_at_one_matrix_of_memory():
     uv = u @ v
     assert hierarchy_level(uv, kmax=3) == 3
     assert _peak_mib(lambda: hierarchy_level(uv, kmax=3)) <= 2
+
+
+def test_seven_qubit_dense_family_holds_two_stacks_of_its_ops():
+    # the 14 conjugates take 3.5 MiB, and building them holds two such
+    # stacks; an adjoint of the whole stack in the Clifford test would
+    # add a third
+    gate = circuit_to_dense(parse_circuit("qubits 7\nH 0\nCX 0 1\nS 1\nCCZ 2 3 4\nH 0\n"))
+    assert generators_from_gate(gate).ops.shape == (14, 128, 128)
+    assert _peak_mib(lambda: generators_from_gate(gate)) <= 8
