@@ -15,9 +15,10 @@ conjugation u tau_a u^dag goes through _conjugates, which applies
 tau_a as the signed permutation of pauli.pauli_action (the single
 source of tau_a's permutation and signs): one batched matmul for a
 dense stack, one gather for a Monomial stack.  _pauli_stack is the
-only Pauli test; is_pauli, extract_rep and hierarchy_level run it on
-stacks of at most _STACK_ENTRIES (2^14) stored entries, a few numpy
-calls per stack instead of one Python-level test per conjugate.
+only Pauli test of a built conjugate; is_pauli and the dense Clifford
+test run it on stacks of at most _STACK_ENTRIES (2^14) stored entries.
+A Monomial's Clifford test builds none: _affine_paulis reads its
+generator images off its affine permutation and its phase products.
 
 TOL is the package's one tolerance, and it is absolute: every dense
 test reads it, and every matrix comparison goes through close or
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import gf2
 from .clifford import CliffordRep, is_involution_rep, reps_commute
-from .pauli import PhasedPauli, _label_tables, pauli_action, pauli_to_dense
+from .pauli import PhasedPauli, _label_tables, check_dense_cap, pauli_action, pauli_to_dense
 
 TOL = 1e-9
 # Most stored entries in one batched stack: a single dense 2^7 x 2^7
@@ -304,6 +305,23 @@ _PHASES = np.array([1, -1, 1j, -1j])
 _PHASE_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
 
 
+def _read_pauli(n, one, row0, read):
+    """(ok, bits, a) of the candidate Paulis read off (k, n + 1) entries:
+    z0 in column 0 and row row0 (`one` if alone above TOL there), then
+    +-z0 (the sign gives v_i) in row row0 + e_i of each |e_i> column."""
+    # a matrix with no single heavy entry is rejected; 1 keeps it finite
+    z0 = np.where(one, read[:, 0], 1)
+    ratio = read[:, 1:] / z0[:, None]
+    plus = np.abs(ratio - 1) < TOL
+    minus = np.abs(ratio + 1) < TOL
+    v = minus.astype(np.uint8)
+    w = basis_bits(n)[row0]
+    base = z0 * (-1.0) ** ((v & w).sum(axis=1) & 1)
+    near = np.abs(base[:, None] - _PHASES) < TOL
+    ok = one & (plus | minus).all(axis=1) & near.any(axis=1)
+    return ok, _PHASE_BITS[near.argmax(axis=1)], np.concatenate([v, w], axis=1)
+
+
 def _pauli_stack(us):
     """is_pauli on every matrix of a (k, d, d) dense or (k, 2^n) Monomial
     stack at once.
@@ -322,30 +340,19 @@ def _pauli_stack(us):
     n = _stack_qubits(us)
     k = us.shape[0]
     idx = np.arange(k)
-    cols = _label_tables(n)[2]  # |e_i>: the label with only qubit i set
+    # column 0, then |e_i>: the label with only qubit i set
+    cols = np.concatenate([[0], _label_tables(n)[2]])
     if isinstance(us, Monomial):
-        row0, z0 = us.perm[:, 0], us.phases[:, 0]
-        one = np.abs(z0) > TOL
+        row0 = us.perm[:, 0]
         at = us.perm[:, cols] == row0[:, None] ^ cols
-        entries = np.where(at, us.phases[:, cols], 0)
+        read = np.where(at, us.phases[:, cols], 0)
+        one = np.abs(read[:, 0]) > TOL
     else:
         heavy = np.abs(us[:, :, 0]) > TOL
         one = heavy.sum(axis=1) == 1
         row0 = heavy.argmax(axis=1)
-        z0 = us[idx, row0, 0]
-        entries = us[idx[:, None], row0[:, None] ^ cols, cols]
-    # a matrix with no single heavy entry is rejected; 1 keeps it finite
-    z0 = np.where(one, z0, 1)
-    ratio = entries / z0[:, None]
-    plus = np.abs(ratio - 1) < TOL
-    minus = np.abs(ratio + 1) < TOL
-    v = minus.astype(np.uint8)
-    w = basis_bits(n)[row0]
-    base = z0 * (-1.0) ** ((v & w).sum(axis=1) & 1)
-    near = np.abs(base[:, None] - _PHASES) < TOL
-    ok = one & (plus | minus).all(axis=1) & near.any(axis=1)
-    bits = _PHASE_BITS[near.argmax(axis=1)]
-    a = np.concatenate([v, w], axis=1)
+        read = us[idx[:, None], row0[:, None] ^ cols, cols]
+    ok, bits, a = _read_pauli(n, one, row0, read)
     sel = np.flatnonzero(ok)
     perm, signs = pauli_action(n, a[sel])
     # bits (delta, epsilon) index _PHASES as 2 * delta + epsilon
@@ -387,24 +394,69 @@ def _clifford_reps(bits, ct):
     return ct, bits[..., 1]
 
 
+def _affine_paulis(us):
+    """_pauli_stack of the conjugates of all 2n generators by each Monomial
+    u|x> = phi(x)|pi(x)> of a stack, in _conjugate_chunks's order, read
+    off u.  The X-images are translations exactly when pi is affine,
+    pi(x) = A x + b, checked in one doubling step per qubit.  Then
+    u Z_j u^dag holds (-1)**x_j |phi(x)|^2 in column pi(x), and u X_j u^dag
+    holds r_j(x) = phi(x + e_j) conj(phi(x)) in row pi(x) + A e_j, bit for
+    bit the conjugates' entries: _read_pauli reads the same candidates off
+    x = pi^-1(0), pi^-1(e_i), and each is verified at every x.  If a
+    permutation is not an affine bijection, every image fails.
+    """
+    n = _stack_qubits(us)
+    check_dense_cap(n)  # the cap of the conjugates this test replaces
+    labels, popsigns, weights = _label_tables(n)
+    perm, phases = us.perm, us.phases
+    rows = np.arange(len(perm))[:, None]
+    inv = np.zeros_like(perm)
+    inv[rows, perm] = labels
+    cols = perm[:, weights] ^ perm[:, :1]  # A e_j; pi(c + e_j) = pi(c) + A e_j for labels c < e_j
+    steps = zip(weights, cols.T[:, :, None])
+    if not (all((perm[:, e : 2 * e] == perm[:, :e] ^ col).all() for e, col in steps)
+            and (inv[rows, perm] == labels).all()):
+        return np.zeros(2 * n * len(perm), dtype=bool), None, None
+    xs = inv[:, np.concatenate([[0], weights])]  # x at columns 0 and |e_i>
+    squares = phases * phases.conj()
+    z = np.where(xs[:, None] & weights[:, None], -1, 1) * squares[rows, xs][:, None]
+    x = phases[rows[..., None], xs[:, None] ^ weights[:, None]] * phases[rows, xs].conj()[:, None]
+    read = np.concatenate([z, x], axis=1).reshape(-1, n + 1)
+    row0 = np.concatenate([np.zeros_like(cols), cols], axis=1).ravel()
+    ok, bits, a = _read_pauli(n, np.abs(read[:, 0]) > TOL, row0, read)
+    ok = ok.reshape(-1, 2 * n)
+    ok[:, :n] &= (np.abs(1 - squares).max(axis=1) <= TOL)[:, None]
+    vw = a.reshape(-1, 2 * n, 2, n)[:, n:] @ weights  # (k, n, 2): X-image v and w
+    values = _PHASES[bits.reshape(-1, 2 * n, 2)[:, n:] @ (2, 1)][..., None]
+    values = values * popsigns[(perm[:, None] ^ vw[..., 1:]) & vw[..., :1]]
+    values -= phases[:, labels ^ weights[:, None]] * phases.conj()[:, None]
+    ok[:, n:] &= np.abs(values).max(axis=-1) <= TOL
+    return ok.ravel(), bits, a
+
+
 def _clifford_stack(us):
     """_clifford_reps of a dense or Monomial stack of k matrices, or None
     if one is not Clifford.
 
-    The conjugates of all 2n generators go through the stacked Pauli
-    test in chunks (_conjugate_chunks), stopping at the first chunk with
-    an image that is not a phased Pauli.
+    Dense conjugates go through the Pauli test in chunks
+    (_conjugate_chunks), a Monomial stack through _affine_paulis, both
+    stopping at the first chunk with an image that is not a Pauli.
     """
     k = us.shape[0]
     m = 2 * _stack_qubits(us)
+    if isinstance(us, Monomial):
+        per = _per_stack(us, m // 2)  # n X-images of 2^n entries per matrix
+        tests = (_affine_paulis(us[i : i + per]) for i in range(0, k, per))
+    else:
+        tests = (_pauli_stack(stack) for stack in _conjugate_chunks(us, gf2.ident(m)))
     bits = np.empty((k * m, 2), dtype=np.uint8)
     labels = np.empty((k * m, m), dtype=np.uint8)
     start = 0
-    for stack in _conjugate_chunks(us, gf2.ident(m)):
-        stop = start + len(stack)
-        ok, bits[start:stop], labels[start:stop] = _pauli_stack(stack)
+    for ok, b, a in tests:
         if not ok.all():
             return None
+        stop = start + len(ok)
+        bits[start:stop], labels[start:stop] = b, a
         start = stop
     return _clifford_reps(bits.reshape(k, m, 2), labels.reshape(k, m, m))
 
@@ -412,8 +464,8 @@ def _clifford_stack(us):
 def extract_rep(u):
     """Read the (C, h) rep off a matrix, or None if not Clifford.
 
-    Conjugates all 2n generators; every image must be an exact phased
-    Pauli.  The Hermiticity constraint d_j = c_j^T J c_j and the
+    The images of all 2n generators (_clifford_stack) must be exact
+    phased Paulis.  The Hermiticity constraint d_j = c_j^T J c_j and the
     symplectic condition are verified rather than assumed.
     """
     u = _as_operator(u)

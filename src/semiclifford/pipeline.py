@@ -76,7 +76,8 @@ class GeneratorFamily:
     def validate(self):
         """Check the reps and the ops; raise ValueError naming the first failure.
 
-        Shapes first: 2n reps on n qubits, 2n ops of size 2^n.  The rep
+        Shapes first: 2n reps on n qubits, 2n ops of size 2^n in one
+        stack (TypeError for any other ops type).  The rep
         checks read one product_table of all (2n)^2 ordered products
         q_i q_j: every product is symplectic, each q_i q_i is the identity
         rep (q_i is an involution rep), and the table is symmetric (q_i
@@ -91,6 +92,9 @@ class GeneratorFamily:
         if len(self.qs) != m:
             raise ValueError(f"expected {m} generators, got {len(self.qs)}")
         ops = self.ops
+        if not isinstance(ops, (Monomial, np.ndarray)):
+            kind = type(ops).__name__
+            raise TypeError(f"generator ops are a {kind}, not a Monomial or ndarray stack")
         if ops.shape[0] != m or ops.shape[-1] != 1 << n:
             got = f"{ops.shape[0]} of size {ops.shape[-1]}"
             raise ValueError(f"expected {m} generator ops of size {1 << n}, got {got}")
@@ -348,8 +352,10 @@ def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
     The reps pairwise commute, so the composition order does not change
     the result: it equals build_fmap's reps[x] for the same exponents.
     """
-    rep = CliffordRep.identity(family.n)
-    for k in np.flatnonzero(gf2.asbits(bits)):
+    factors = np.flatnonzero(gf2.asbits(bits))
+    # from the first factor, since compose(q, identity) is q
+    rep = family.qs[factors[0]] if factors.size else CliffordRep.identity(family.n)
+    for k in factors[1:]:
         rep = compose(family.qs[k], rep)
     return rep
 

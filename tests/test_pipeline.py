@@ -215,6 +215,21 @@ def test_orbit_kernel_matches_both_oracles_on_the_uv_family():
     assert np.array_equal(kernel, fmap_kernel(build_fmap(norm)))
 
 
+def test_product_rep_equals_the_fold_from_the_identity(rng):
+    u, v = gottesman_mochon()
+    families = [generators_from_gate(u @ v)]
+    for n in (1, 2, 3):  # C.D.C gates, normalized to block form
+        families.append(normalize_family(generators_from_gate(random_c3_gate(n, rng)))[0])
+    for fam in families:
+        m = 2 * fam.n
+        rows = [np.zeros(m, np.uint8)] + list(gf2.ident(m)) + list(rng.integers(0, 2, (20, m)))
+        for row in rows:
+            fold = CliffordRep.identity(fam.n)
+            for k in np.flatnonzero(row):
+                fold = compose(fam.qs[k], fold)
+            assert product_rep(fam, row) == fold
+
+
 def test_orbit_kernel_rejects_a_copy_that_meets_the_orbit():
     # unvalidated: generator 0 gives the orbit {0, e_0}; generator 1 has
     # f = e_1 outside it, but A_1^T e_0 + e_1 = e_0 is inside, which maps
@@ -434,7 +449,7 @@ def test_uv_family_is_one_clifford_stack_and_no_scalar_compose(monkeypatch):
     import semiclifford.dense as dense_module
     import semiclifford.pipeline as pipeline_module
 
-    calls = {"compose": 0, "_clifford_stack": 0}
+    calls = {"compose": 0, "_clifford_stack": 0, "_pauli_stack": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -443,13 +458,16 @@ def test_uv_family_is_one_clifford_stack_and_no_scalar_compose(monkeypatch):
 
         return wrapper
 
-    for name, owner in (("compose", clifford_module), ("_clifford_stack", dense_module)):
+    owners = (("compose", clifford_module), ("_clifford_stack", dense_module))
+    for name, owner in owners + (("_pauli_stack", dense_module),):
         wrapped = counting(name, getattr(owner, name))
         for module in (owner, pipeline_module):
             monkeypatch.setattr(module, name, wrapped, raising=False)
     u, v = gottesman_mochon()
     generators_from_gate(u @ v)
-    assert calls == {"compose": 0, "_clifford_stack": 1}
+    # the Monomial reps are read off as affine maps: no conjugate of the
+    # 14 ops goes through the Pauli-stack test
+    assert calls == {"compose": 0, "_clifford_stack": 1, "_pauli_stack": 0}
 
 
 def test_certificate_pair_check_compares_the_generator_ops():
@@ -496,6 +514,17 @@ def test_validate_rejects_ops_that_are_not_2n_matrices_of_size_2_to_the_n(monomi
         with pytest.raises(ValueError, match=f"^expected 4 generator ops of size 4, got {got}$"):
             bad.validate()
     GeneratorFamily(qs=fam.qs, ops=stack_ops(ops), n=2).validate()
+
+
+@pytest.mark.parametrize("monomial", [True, False])
+def test_validate_rejects_ops_that_are_not_one_stack(monomial):
+    # a tuple of matrices, the ops type before the one-stack family
+    gate = embed_gate_oracle("T", (1,), 2)
+    f = generators_from_gate(Monomial.from_dense(gate) if monomial else gate)
+    for ops in (tuple(f.ops), list(f.ops)):
+        message = f"^generator ops are a {type(ops).__name__}, not a Monomial or ndarray stack$"
+        with pytest.raises(TypeError, match=message):
+            GeneratorFamily(qs=f.qs, ops=ops, n=2).validate()
 
 
 def test_validate_rejects_reps_of_another_qubit_count():
