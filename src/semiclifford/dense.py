@@ -135,9 +135,12 @@ class Monomial:
         return Monomial(self.perm, scalar * self.phases)
 
     def dag(self):
-        """The adjoint: column perm[c] holds conj(phases[c]) in row c."""
-        inv = np.empty_like(self.perm)
+        """The adjoint: column perm[c] holds conj(phases[c]) in row c;
+        ValueError if a permutation is not a bijection."""
+        inv = np.full_like(self.perm, -1)
         np.put_along_axis(inv, self.perm, np.arange(self.perm.shape[-1]), axis=-1)
+        if (inv < 0).any():
+            raise ValueError("permutation is not a bijection")
         return Monomial(inv, np.take_along_axis(self.phases, inv, axis=-1).conj())
 
     def to_dense(self) -> np.ndarray:
@@ -186,6 +189,8 @@ def _stack_qubits(us) -> int:
     n = dim.bit_length() - 1
     if 1 << n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
+    if not n:
+        raise ValueError("need at least one qubit, got dimension 1")
     return n
 
 

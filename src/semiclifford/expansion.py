@@ -54,12 +54,6 @@ class ExpansionResult:
         }
 
 
-def _fixed_space(rep: CliffordRep):
-    """Kernel basis of I + C (rows)."""
-    ic = gf2.ident(2 * rep.n) ^ rep.c
-    return ic, gf2.kernel_basis(ic)
-
-
 def alpha_vector(rep: CliffordRep):
     """Vector alpha with alpha^T b = b^T lows(C^T J C + d d^T) b on Ker(I+C).
 
@@ -68,15 +62,11 @@ def alpha_vector(rep: CliffordRep):
     linear system is solved (a failure would mean an upstream bug, so
     it raises loudly).  Free coordinates of alpha are gauged to zero.
     """
-    ic, kernel = _fixed_space(rep)
+    kernel = gf2.kernel_basis(gf2.ident(2 * rep.n) ^ rep.c)
     low = rep.lows_matrix
-    if kernel.shape[0] == 0:
-        return np.zeros(2 * rep.n, dtype=np.uint8)
-    bilinear = (low ^ low.T) & 1
-    cross = gf2.mat_mul(gf2.mat_mul(kernel, bilinear), kernel.T)
-    if cross.any():
+    if (kernel @ (low ^ low.T) @ kernel.T & 1).any():
         raise AssertionError("quadratic phase form is not linear on Ker(I + C)")
-    svals = np.array([gf2.quad_form(low, b) for b in kernel], dtype=np.uint8)
+    svals = np.einsum("ij,jk,ik->i", kernel, low, kernel) & 1
     alpha = gf2.solve(kernel, svals)
     if alpha is None:
         raise AssertionError("linearizing system is inconsistent")
@@ -88,61 +78,49 @@ def expand(rep: CliffordRep) -> ExpansionResult:
 
     Seeds the anchor coefficient at +2^{-(2n-s)/2} and propagates along
     the coset generators via the exact phase recurrence; consistency of
-    every redundant edge is verified rather than assumed.
+    every redundant edge is verified rather than assumed.  Generator
+    (I + C) e_p reads its phase terms off two tables built once.
     """
     n = rep.n
-    n2 = 2 * n
     j = gf2.j_mat(n)
     p = gf2.p_mat(n)
-    ic, kernel = _fixed_space(rep)
+    ic = gf2.ident(2 * n) ^ rep.c
+    kernel = gf2.kernel_basis(ic)
     s = kernel.shape[0]
-    alpha = alpha_vector(rep)
-
-    # the anchor is gauge-independent as a coset: moving alpha by any
-    # other solution shifts P(h+alpha) inside Im(I + C)
-    for delta in gf2.kernel_basis(kernel) if s else []:
-        if gf2.solve(ic, gf2.mat_mul(p, delta)) is None:
-            raise AssertionError("anchor coset depends on the alpha gauge")
-
-    a0 = gf2.mat_mul(p, (rep.h ^ alpha) & 1)
+    a0 = gf2.mat_mul(p, rep.h ^ alpha_vector(rep))
     pivots = gf2.image_pivots(ic)
     m = len(pivots)
-    if m != n2 - s:
+
+    # the anchor is gauge-independent as a coset: moving alpha by any
+    # other solution delta shifts P(h+alpha) by P delta inside Im(I + C)
+    shifts = p @ gf2.kernel_basis(kernel).T & 1
+    if gf2.rank(np.concatenate([ic, shifts], axis=1)) != m:
+        raise AssertionError("anchor coset depends on the alpha gauge")
+
+    if m != 2 * n - s:
         raise AssertionError("rank bookkeeping failed")
     gens = ic[:, pivots].T.copy()  # rows: generators of Im(I + C)
 
     count = 1 << m
-    tbits = np.zeros((count, m), dtype=np.uint8)
-    for k in range(m):
-        tbits[:, k] = (np.arange(count) >> k) & 1
-    support = (tbits @ gens ^ a0) & 1
+    support = (gf2._mask_bits(m) @ gens ^ a0) & 1
 
     quad_j = np.einsum("ij,jk,ik->i", support, j, support).astype(np.int64) & 1
-    low = rep.lows_matrix
-    d = rep.d
+    # i-exponent terms for b = e_p: 2 (b^T J a + h_p) - d_p, in uint8 mod 256
+    # (a multiple of 4); b^T lows b = 0 as lows is strictly lower triangular
+    linear = 2 * (support @ j.T[:, pivots] + rep.h[pivots]) - rep.d[pivots]
+    jc = j @ rep.c[:, pivots] & 1
 
-    # per-generator phase tables: phase[t] relates r at t to r at t ^ (1<<k)
+    # phase[t, k] relates r at t to r at t ^ (1 << k), and r at t comes
+    # from r at t ^ (1 << k), k the lowest set bit of t; that point has no
+    # set bit below k + 1, so going from high k to low fills every t after
+    # the point it comes from
     phase = np.empty((count, m), dtype=complex)
-    for k in range(m):
-        b = np.zeros(n2, dtype=np.uint8)
-        b[pivots[k]] = 1
-        shifted = np.arange(count) ^ (1 << k)
-        a2q = quad_j[shifted]
-        jb = gf2.mat_mul(j.T, b)
-        vcb = gf2.mat_mul(j, gf2.mat_mul(rep.c, b))
-        db = gf2.dot(d, b)
-        hb = gf2.dot(rep.h, b)
-        sb = gf2.quad_form(low, b)
-        sign_bits = (support @ jb + hb + sb + support[shifted] @ vcb).astype(np.int64) & 1
-        iexp = (quad_j - db - a2q + 2 * sign_bits) % 4
-        phase[:, k] = 1j ** iexp
-
-    # r at t comes from r at t ^ (1 << k), k the lowest set bit of t;
-    # that point has no set bit below k + 1, so going from high k to low
-    # fills every t after the point it comes from
     values = np.zeros(count, dtype=complex)
     values[0] = 2.0 ** (-m / 2)
     for k in reversed(range(m)):
+        shifted = np.arange(count) ^ (1 << k)
+        iexp = quad_j - quad_j[shifted] + 2 * (support[shifted] @ jc[:, k]) + linear[:, k]
+        phase[:, k] = 1j ** (iexp % 4)
         prev = np.arange(0, count, 2 << k)
         values[prev + (1 << k)] = values[prev] * phase[prev, k]
 

@@ -373,8 +373,7 @@ class Lagrangian:
             raise ValueError("basis vectors are dependent")
         if basis.shape[0] != n:
             raise ValueError(f"need {n} basis vectors, got {basis.shape[0]}")
-        p = p_mat(n)
-        if mat_mul(mat_mul(red, p), red.T).any():
+        if (red @ _p_form(n) @ red.T & 1).any():
             raise ValueError("basis is not isotropic")
         red.flags.writeable = False
         object.__setattr__(self, "basis", red)
@@ -404,55 +403,48 @@ def enumerate_lagrangians(n) -> list[Lagrangian]:
 
     Enumerates canonical RREF bases (pivot sets in lexicographic order,
     free entries in integer order) and keeps the isotropic ones, so the
-    result order is deterministic.  Guarded to n <= 3; the counts are
-    3, 15, 135 for n = 1, 2, 3.
+    result order is deterministic; the bases of one pivot set are one
+    stack, tested with one batched B P B^T.  Guarded to n <= 3; the
+    counts are 3, 15, 135 for n = 1, 2, 3.
     """
     if n > LAGRANGIAN_QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {LAGRANGIAN_QUBIT_CAP}")
     cols = 2 * n
-    p = p_mat(n)
+    p = _p_form(n)
     out = []
     for pivots in combinations(range(cols), n):
-        free_slots = []
-        for i, pc in enumerate(pivots):
-            for c in range(pc + 1, cols):
-                if c not in pivots:
-                    free_slots.append((i, c))
-        for mask in range(1 << len(free_slots)):
-            basis = np.zeros((n, cols), dtype=np.uint8)
-            for i, pc in enumerate(pivots):
-                basis[i, pc] = 1
-            for bit, (i, c) in enumerate(free_slots):
-                if (mask >> bit) & 1:
-                    basis[i, c] = 1
-            if not mat_mul(mat_mul(basis, p), basis.T).any():
-                out.append(Lagrangian(basis))
+        # free slots: right of the row's pivot, outside every pivot column
+        free = np.arange(cols) > np.array(pivots, dtype=int)[:, None]
+        free[:, pivots] = False
+        rows, slots = np.nonzero(free)
+        bases = np.zeros((1 << len(rows), n, cols), dtype=np.uint8)
+        bases[:, range(n), pivots] = 1
+        bases[:, rows, slots] = _mask_bits(len(rows))
+        isotropic = ~(bases @ p @ bases.transpose(0, 2, 1) & 1).any(axis=(1, 2))
+        out.extend(Lagrangian(basis) for basis in bases[isotropic])
     return out
 
 
 def symplectic_complete(lag: Lagrangian):
     """Symplectic matrix whose first n columns span the given Lagrangian.
 
-    The partner columns are found one at a time by solving the
-    symplectic pairing constraints; free variables default to zero, so
-    the completion is deterministic.
+    Partner column i solves the pairing constraints with the columns
+    found so far, read off one product cols P (P is symmetric); free
+    variables default to zero, so the completion is deterministic.
 
     Raises:
         ValueError: propagated from Lagrangian validation if the input
             was built unsoundly.
     """
     n = lag.n
-    p = p_mat(n)
-    zcols = [lag.basis[i] for i in range(n)]
-    xcols: list[np.ndarray] = []
+    p = _p_form(n)
+    cols = np.concatenate([lag.basis, zeros(n, 2 * n)])
     for i in range(n):
-        lhs = [mat_mul(p, z) for z in zcols] + [mat_mul(p, x) for x in xcols]
-        rhs = [1 if j == i else 0 for j in range(n)] + [0] * len(xcols)
-        sol = solve(np.array(lhs, dtype=np.uint8), np.array(rhs, dtype=np.uint8))
+        sol = solve(cols[: n + i] @ p & 1, ident(n + i)[i])
         if sol is None:
             raise AssertionError("symplectic completion has no solution")
-        xcols.append(sol)
-    c = np.array(zcols + xcols, dtype=np.uint8).T
+        cols[n + i] = sol
+    c = cols.T
     if not is_symplectic(c):
         raise AssertionError("completion is not symplectic")
     return c

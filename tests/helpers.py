@@ -30,6 +30,11 @@ the library's stacked one replaced: it conjugates one element at a
 time, first by m_a and then by m_b at each level, and the inputs once
 more by the final M.  jordan_basis_oracle completes Im(N) to Ker(N) by
 growing rank tests, one elimination per kernel vector.
+enumerate_lagrangians_oracle, symplectic_complete_oracle,
+alpha_vector_oracle and expand_oracle are the one-vector-at-a-time
+bodies that the library's stacked GF(2) products replaced: a basis per
+free-slot mask, a pairing constraint per column, and scalar dot,
+quad_form and mat_mul calls per generator of the expansion.
 random_circuit and parse_pauli (the inverse of PhasedPauli's repr) are
 samplers and readers that only tests use, and stack_ops builds the one
 operator stack that GeneratorFamily.ops holds from single matrices.
@@ -37,6 +42,7 @@ operator stack that GeneratorFamily.ops holds from single matrices.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -519,6 +525,121 @@ def brute_force_lagrangians(n):
 
     extend([])
     return found
+
+
+def enumerate_lagrangians_oracle(n):
+    """The Lagrangians one basis at a time: every canonical RREF basis
+    (pivot sets in lexicographic order, free-slot masks in integer
+    order, free slots in row-major order) built entry by entry, kept
+    when B P B^T = 0."""
+    cols = 2 * n
+    p = gf2.p_mat(n)
+    out = []
+    for pivots in itertools.combinations(range(cols), n):
+        free_slots = []
+        for i, pc in enumerate(pivots):
+            for c in range(pc + 1, cols):
+                if c not in pivots:
+                    free_slots.append((i, c))
+        for mask in range(1 << len(free_slots)):
+            basis = np.zeros((n, cols), dtype=np.uint8)
+            for i, pc in enumerate(pivots):
+                basis[i, pc] = 1
+            for bit, (i, c) in enumerate(free_slots):
+                if (mask >> bit) & 1:
+                    basis[i, c] = 1
+            if not gf2.mat_mul(gf2.mat_mul(basis, p), basis.T).any():
+                out.append(gf2.Lagrangian(basis))
+    return out
+
+
+def symplectic_complete_oracle(lag):
+    """The symplectic completion with its pairing constraints built one
+    vector at a time, P z for each column z found so far."""
+    n = lag.n
+    p = gf2.p_mat(n)
+    zcols = [lag.basis[i] for i in range(n)]
+    xcols: list[np.ndarray] = []
+    for i in range(n):
+        lhs = [gf2.mat_mul(p, z) for z in zcols] + [gf2.mat_mul(p, x) for x in xcols]
+        rhs = [1 if j == i else 0 for j in range(n)] + [0] * len(xcols)
+        sol = gf2.solve(np.array(lhs, dtype=np.uint8), np.array(rhs, dtype=np.uint8))
+        if sol is None:
+            raise AssertionError("symplectic completion has no solution")
+        xcols.append(sol)
+    c = np.array(zcols + xcols, dtype=np.uint8).T
+    if not gf2.is_symplectic(c):
+        raise AssertionError("completion is not symplectic")
+    return c
+
+
+def alpha_vector_oracle(rep: CliffordRep):
+    """alpha_vector with one quad_form per kernel basis vector."""
+    kernel = gf2.kernel_basis(gf2.ident(2 * rep.n) ^ rep.c)
+    low = rep.lows_matrix
+    if kernel.shape[0] == 0:
+        return np.zeros(2 * rep.n, dtype=np.uint8)
+    bilinear = (low ^ low.T) & 1
+    if gf2.mat_mul(gf2.mat_mul(kernel, bilinear), kernel.T).any():
+        raise AssertionError("quadratic phase form is not linear on Ker(I + C)")
+    svals = np.array([gf2.quad_form(low, b) for b in kernel], dtype=np.uint8)
+    alpha = gf2.solve(kernel, svals)
+    if alpha is None:
+        raise AssertionError("linearizing system is inconsistent")
+    return alpha
+
+
+def expand_oracle(rep: CliffordRep):
+    """(a0, image_basis, s, support, values) of the Pauli expansion, with
+    one solve per gauge direction and the phase of each generator
+    b = e_p read off scalar GF(2) calls on b."""
+    n = rep.n
+    n2 = 2 * n
+    j = gf2.j_mat(n)
+    p = gf2.p_mat(n)
+    ic = gf2.ident(n2) ^ rep.c
+    kernel = gf2.kernel_basis(ic)
+    s = kernel.shape[0]
+    alpha = alpha_vector_oracle(rep)
+    for delta in gf2.kernel_basis(kernel) if s else []:
+        if gf2.solve(ic, gf2.mat_mul(p, delta)) is None:
+            raise AssertionError("anchor coset depends on the alpha gauge")
+    a0 = gf2.mat_mul(p, (rep.h ^ alpha) & 1)
+    pivots = gf2.image_pivots(ic)
+    m = len(pivots)
+    if m != n2 - s:
+        raise AssertionError("rank bookkeeping failed")
+    gens = ic[:, pivots].T.copy()
+    count = 1 << m
+    tbits = np.zeros((count, m), dtype=np.uint8)
+    for k in range(m):
+        tbits[:, k] = (np.arange(count) >> k) & 1
+    support = (tbits @ gens ^ a0) & 1
+    quad_j = np.einsum("ij,jk,ik->i", support, j, support).astype(np.int64) & 1
+    low = rep.lows_matrix
+    phase = np.empty((count, m), dtype=complex)
+    for k in range(m):
+        b = np.zeros(n2, dtype=np.uint8)
+        b[pivots[k]] = 1
+        shifted = np.arange(count) ^ (1 << k)
+        jb = gf2.mat_mul(j.T, b)
+        vcb = gf2.mat_mul(j, gf2.mat_mul(rep.c, b))
+        db = gf2.dot(rep.d, b)
+        hb = gf2.dot(rep.h, b)
+        sb = gf2.quad_form(low, b)
+        sign_bits = (support @ jb + hb + sb + support[shifted] @ vcb).astype(np.int64) & 1
+        iexp = (quad_j - db - quad_j[shifted] + 2 * sign_bits) % 4
+        phase[:, k] = 1j ** iexp
+    values = np.zeros(count, dtype=complex)
+    values[0] = 2.0 ** (-m / 2)
+    for k in reversed(range(m)):
+        prev = np.arange(0, count, 2 << k)
+        values[prev + (1 << k)] = values[prev] * phase[prev, k]
+    for k in range(m):
+        shifted = np.arange(count) ^ (1 << k)
+        if not np.array_equal(values[shifted], values * phase[:, k]):
+            raise AssertionError("coefficient recurrence is path-dependent")
+    return a0, gens, s, support, values
 
 
 def enumerate_symplectic_group(n):

@@ -17,6 +17,7 @@ from semiclifford.classify import classify
 from semiclifford.circuits import GATE_MATRICES, standard_gate
 from semiclifford.clifford import CliffordRep, from_pauli
 from semiclifford.dense import (
+    Monomial,
     check_unitary,
     close,
     close_up_to_phase,
@@ -118,6 +119,22 @@ def test_hierarchy_guards():
         hierarchy_level(np.eye(2, dtype=complex), kmax=5)
     with pytest.raises(ValueError):
         hierarchy_level(2 * np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: extract_rep(np.eye(1)),
+        lambda: extract_rep(Monomial.identity(0)),
+        lambda: is_pauli(np.eye(1)),
+        lambda: hierarchy_level(np.eye(1)),
+    ],
+    ids=["extract_rep", "extract_rep_monomial", "is_pauli", "hierarchy_level"],
+)
+def test_a_one_by_one_matrix_has_no_qubits(call):
+    # n = 0 gave +tau[|], level 1 and a ZeroDivisionError from the chunk sizes
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        call()
 
 
 @pytest.mark.parametrize("kmax", [0, -3])

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import int_to_bits, pauli_projection, random_circuit, random_clifford_dense
+from helpers import (
+    alpha_vector_oracle,
+    expand_oracle,
+    int_to_bits,
+    pauli_projection,
+    random_circuit,
+    random_clifford_dense,
+)
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_dense, circuit_to_rep, standard_gate
 from semiclifford.clifford import CliffordRep
@@ -143,3 +150,40 @@ def test_rep_to_dense_round_trip_random(rng):
 def test_rep_to_dense_cap():
     with pytest.raises(ValueError, match="n=8 exceeds the hierarchy cap 7"):
         rep_to_dense(CliffordRep.identity(8))
+
+
+def _assert_matches_scalar_oracle(rep):
+    res = expand(rep)
+    a0, gens, s, support, values = expand_oracle(rep)
+    assert res.s == s
+    pairs = [(alpha_vector(rep), alpha_vector_oracle(rep)), (res.a0, a0), (res.image_basis, gens)]
+    pairs += [(res.support, support), (res.values, values)]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # values bit for bit, the signs of their zero parts included
+        assert got.tobytes() == want.tobytes()
+
+
+def test_expand_matches_scalar_oracle_on_lagrangian_cliffords():
+    for n in (1, 2, 3):
+        for lag in gf2.enumerate_lagrangians(n):
+            c = gf2.symplectic_complete(lag)
+            _assert_matches_scalar_oracle(CliffordRep(c, np.zeros(2 * n, dtype=np.uint8)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_expand_matches_scalar_oracle_on_random_reps(n, rng):
+    # the identity (s = 2n) and random reps, s = 0 among them, all with h != 0
+    reps = [CliffordRep(gf2.ident(2 * n), np.ones(2 * n, dtype=np.uint8))]
+    dims = []
+    for _ in range(200):
+        rep = circuit_to_rep(random_circuit(n, 6 * n, rng))
+        dims.append(gf2.kernel_basis(gf2.ident(2 * n) ^ rep.c).shape[0])
+        h = rng.integers(0, 2, 2 * n).astype(np.uint8)
+        h[rng.integers(2 * n)] = 1
+        reps.append(CliffordRep(rep.c, h))
+        if 0 in dims and len(set(dims)) >= min(3, 2 * n):
+            break
+    assert 0 in dims and len(set(dims)) >= min(3, 2 * n)
+    for rep in reps:
+        _assert_matches_scalar_oracle(rep)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_lagrangians, random_circuit, rref_oracle
+from helpers import (
+    brute_force_lagrangians,
+    enumerate_lagrangians_oracle,
+    random_circuit,
+    rref_oracle,
+    symplectic_complete_oracle,
+)
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_rep
 from semiclifford.normal_form import _conj
@@ -171,6 +177,21 @@ def test_lagrangians_are_maximal(n):
         comp = gf2.kernel_basis(gf2.mat_mul(lag.basis, p))
         assert comp.shape[0] == n
         assert gf2.rank(np.concatenate([comp, lag.basis])) == n
+
+
+def test_lagrangians_and_completions_match_scalar_oracles():
+    # all 153 Lagrangians at n = 1..3, in order, and their completions, bit for bit
+    count = 0
+    for n in (1, 2, 3):
+        ours = gf2.enumerate_lagrangians(n)
+        want = enumerate_lagrangians_oracle(n)
+        assert [lag.basis.tobytes() for lag in ours] == [lag.basis.tobytes() for lag in want]
+        for lag in ours:
+            c, ref = gf2.symplectic_complete(lag), symplectic_complete_oracle(lag)
+            assert c.dtype == ref.dtype and c.shape == ref.shape
+            assert c.tobytes() == ref.tobytes()
+        count += len(ours)
+    assert count == 153
 
 
 def test_lagrangian_validation():

@@ -229,6 +229,17 @@ def test_pauli_conjugates_match_dense(n, rng):
         assert close(cm.to_dense(), cd)
 
 
+@pytest.mark.parametrize("perm", [[0, 0, 3, 3], [[0, 1, 2, 3], [1, 1, 2, 3]]])
+def test_dag_and_conjugates_reject_a_permutation_that_is_not_a_bijection(perm):
+    # the unassigned entries of the inverse table were uninitialized memory
+    u = Monomial(perm, np.ones(np.shape(perm)))
+    with pytest.raises(ValueError, match="not a bijection"):
+        u.dag()
+    if u.ndim == 2:
+        with pytest.raises(ValueError, match="not a bijection"):
+            pauli_conjugates(u, np.eye(4, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_is_pauli_on_every_phased_pauli(n):
     for delta, eps, bits in itertools.product((0, 1), (0, 1), range(1 << (2 * n))):
