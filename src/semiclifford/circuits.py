@@ -7,8 +7,10 @@ most significant bit of a basis label (leftmost tensor factor).
 
 Clifford gate reps are read off each gate's own 2^k x 2^k matrix with
 extract_rep rather than transcribed from tables, so the dense engine
-stays the single source of truth, and placed on the gate's qubits'
-coordinates; whether a gate is Clifford is read off its matrix too.
+stays the single source of truth; whether a gate is Clifford is read
+off its matrix too.  A gate's rep lives on its qubits' coordinates
+(_rep_coords): standard_gate places it in a 2n x 2n rep, and
+circuit_to_rep applies it as a tableau update of those rows of C.
 Likewise circuit_to_monomial reads each gate's permutation and phases
 off its GATE_MATRICES entry; every library gate but H is monomial.
 circuit_to_dense applies each gate's own matrix to the running matrix
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import CliffordRep, compose
+from .clifford import CliffordRep
 from .dense import Monomial, basis_bits, extract_rep
 from .pauli import _label_tables, check_dense_cap
 
@@ -220,20 +222,37 @@ def _gate_rep(name):
     return extract_rep(GATE_MATRICES[name])
 
 
+def has_library_reps(desc: CircuitDescription) -> bool:
+    """Whether every gate of the circuit has a library rep (is Clifford),
+    so that circuit_to_rep applies."""
+    return all(_gate_rep(name) is not None for name, _ in desc.gates)
+
+
+def _clifford_gate(name):
+    gate = _gate_rep(name)
+    if gate is None:
+        raise ValueError(f"{name} is not a Clifford gate")
+    return gate
+
+
+def _rep_coords(qubits, n):
+    """Coordinates idx = [q..., n + q...] of a gate's rep on the given
+    qubits of n: its X coordinates, then its Z coordinates."""
+    return [*qubits, *(n + q for q in qubits)]
+
+
 def standard_gate(name, qubits, n) -> CliffordRep:
     """Rep of a Clifford library gate on the given qubits of n.
 
-    The gate's own rep is placed on coordinates idx = [q..., n + q...]:
-    C is the identity but for the gate's C on idx x idx, and h is zero
-    but for the gate's h on idx.
+    The gate's own rep is placed on coordinates idx (_rep_coords): C is
+    the identity but for the gate's C on idx x idx, and h is zero but
+    for the gate's h on idx.
     """
     name = name.upper()
     qubits = tuple(qubits)
     CircuitDescription(n, ((name, qubits),))  # checks the name and qubits
-    gate = _gate_rep(name)
-    if gate is None:
-        raise ValueError(f"{name} is not a Clifford gate")
-    idx = [*qubits, *(n + q for q in qubits)]
+    gate = _clifford_gate(name)
+    idx = _rep_coords(qubits, n)
     c = np.eye(2 * n, dtype=np.uint8)
     c[np.ix_(idx, idx)] = gate.c
     h = np.zeros(2 * n, dtype=np.uint8)
@@ -242,8 +261,27 @@ def standard_gate(name, qubits, n) -> CliffordRep:
 
 
 def circuit_to_rep(desc: CircuitDescription) -> CliffordRep:
-    """Rep of a Clifford circuit by composing the per-gate reps."""
-    rep = CliffordRep.identity(desc.n)
+    """Rep of a Clifford circuit, by a tableau update per gate.
+
+    Listed gates act in order.  Each gate's own rep updates only the
+    rows idx (_rep_coords) of the running C, C[idx] = g.c C[idx]
+    (Aaronson-Gottesman, quant-ph/0406196), and h gains product_table's
+    terms for a left factor supported on idx: the placed gate's h, d and
+    lows are zero outside idx, so with rows = C[idx] and d_C read before
+    the update, h += g.h rows + diag(rows^T g.lows rows) + (g.d rows) d_C.
+    The lows order of idx differs from the global one only on pairs
+    other than (q, n + q), where C^T J C + d d^T is symmetric, so the
+    quadratic term is the same.  The cost is O(n) per gate; h sums in
+    uint8, whose wrap mod 256 keeps its parity, and is reduced once.
+    """
+    n = desc.n
+    c = np.eye(2 * n, dtype=np.uint8)
+    h = np.zeros(2 * n, dtype=np.uint8)
     for name, qubits in desc.gates:
-        rep = compose(standard_gate(name, qubits, desc.n), rep)
-    return rep
+        gate = _clifford_gate(name)
+        idx = _rep_coords(qubits, n)
+        rows = c[idx]
+        h += gate.h @ rows + ((gate.lows_matrix @ rows) & rows).sum(axis=0, dtype=np.uint8)
+        h += (gate.d @ rows) * (c[:n] & c[n:]).sum(axis=0, dtype=np.uint8)
+        c[idx] = gate.c @ rows & 1
+    return CliffordRep(c, h & 1)

@@ -18,7 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .circuits import circuit_to_dense, circuit_to_monomial, parse_circuit
+from .circuits import (
+    circuit_to_dense,
+    circuit_to_monomial,
+    circuit_to_rep,
+    has_library_reps,
+    parse_circuit,
+)
 from .classify import classify
 from .clifford import CliffordRep
 from .dense import _PHASES, TOL, check_hierarchy_cap, check_kmax, extract_rep
@@ -54,8 +60,11 @@ def rep_to_json(rep: CliffordRep) -> dict:
 
 
 def matrix_rows(mat) -> list:
-    """One bitstring per row of a bit matrix."""
-    return [row.tobytes().decode("ascii") for row in gf2.asbits(mat) + 48]
+    """One bitstring per row of a bit matrix, sliced from one decoded string."""
+    mat = gf2.asbits(mat)
+    text = (mat + 48).tobytes().decode("ascii")
+    width = mat.shape[1]
+    return [text[i * width : (i + 1) * width] for i in range(mat.shape[0])]
 
 
 _PHASE_NAMES = ("1", "-1", "i", "-i")
@@ -195,7 +204,12 @@ def cmd_normalform(args) -> dict:
 
 
 def cmd_expand(args) -> dict:
-    rep = extract_rep(circuit_to_dense(load_circuit(args.circuit)))
+    desc = load_circuit(args.circuit)
+    check_dense_cap(desc.n)  # on both paths, so both accept the same circuits
+    if has_library_reps(desc):
+        rep = circuit_to_rep(desc)
+    else:  # a T, TDG, CCZ or CSWAP gate: the product may still be Clifford
+        rep = extract_rep(circuit_to_dense(desc))
     if rep is None:
         raise ValueError("circuit is not Clifford; expansion needs a (C, h) rep")
     res = expand(rep)

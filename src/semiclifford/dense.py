@@ -149,7 +149,10 @@ class Monomial:
         return out
 
     def __repr__(self):
-        return f"Monomial(n={_stack_qubits(self)})"
+        try:
+            return f"Monomial(n={_stack_qubits(self)})"
+        except ValueError:  # not 2^n x 2^n for any n >= 1
+            return f"Monomial(shape={self.shape})"
 
 
 def as_dense(u) -> np.ndarray:

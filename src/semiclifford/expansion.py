@@ -7,6 +7,9 @@ quadratic phase form on the fixed space of C, and all nonzero
 coefficients share one magnitude.  This module computes the expansion
 symbolically and materializes it as a dense matrix, giving a
 rep-to-matrix constructor that never touches gate decompositions.
+I + C is row-reduced once per expansion for both its kernel and its
+image, and the bit products over the 2^{2n-s} support points are exact
+float32 BLAS products (gf2._blas_mat_mul).
 """
 
 from __future__ import annotations
@@ -54,6 +57,14 @@ class ExpansionResult:
         }
 
 
+def _fixed_space(rep: CliffordRep):
+    """I + C, a basis of Ker(I + C) (one vector per row) and the pivot
+    columns of I + C, which span Im(I + C): all from one rref."""
+    ic = gf2.ident(2 * rep.n) ^ rep.c
+    red, pivots = gf2.rref(ic)
+    return ic, gf2._rref_kernel(red, pivots), pivots
+
+
 def alpha_vector(rep: CliffordRep):
     """Vector alpha with alpha^T b = b^T lows(C^T J C + d d^T) b on Ker(I+C).
 
@@ -62,7 +73,11 @@ def alpha_vector(rep: CliffordRep):
     linear system is solved (a failure would mean an upstream bug, so
     it raises loudly).  Free coordinates of alpha are gauged to zero.
     """
-    kernel = gf2.kernel_basis(gf2.ident(2 * rep.n) ^ rep.c)
+    return _alpha_on(rep, _fixed_space(rep)[1])
+
+
+def _alpha_on(rep: CliffordRep, kernel):
+    """alpha_vector(rep), given the basis kernel of Ker(I + C)."""
     low = rep.lows_matrix
     if (kernel @ (low ^ low.T) @ kernel.T & 1).any():
         raise AssertionError("quadratic phase form is not linear on Ker(I + C)")
@@ -73,22 +88,27 @@ def alpha_vector(rep: CliffordRep):
     return alpha
 
 
+# i**k for k = 0..3, bit for bit what 1j ** k gives
+_I_POWERS = 1j ** np.arange(4)
+
+
 def expand(rep: CliffordRep) -> ExpansionResult:
     """Compute the full Pauli-basis expansion of the represented operator.
 
     Seeds the anchor coefficient at +2^{-(2n-s)/2} and propagates along
     the coset generators via the exact phase recurrence; consistency of
     every redundant edge is verified rather than assumed.  Generator
-    (I + C) e_p reads its phase terms off two tables built once.
+    (I + C) e_p reads its phase terms off tables built once, each from
+    one exact float32 BLAS product (gf2._blas_mat_mul), which gives
+    parities: the table terms enter the i-exponent doubled, so mod 4
+    only their parity counts.
     """
     n = rep.n
     j = gf2.j_mat(n)
     p = gf2.p_mat(n)
-    ic = gf2.ident(2 * n) ^ rep.c
-    kernel = gf2.kernel_basis(ic)
+    ic, kernel, pivots = _fixed_space(rep)
     s = kernel.shape[0]
-    a0 = gf2.mat_mul(p, rep.h ^ alpha_vector(rep))
-    pivots = gf2.image_pivots(ic)
+    a0 = gf2.mat_mul(p, rep.h ^ _alpha_on(rep, kernel))
     m = len(pivots)
 
     # the anchor is gauge-independent as a coset: moving alpha by any
@@ -102,13 +122,14 @@ def expand(rep: CliffordRep) -> ExpansionResult:
     gens = ic[:, pivots].T.copy()  # rows: generators of Im(I + C)
 
     count = 1 << m
-    support = (gf2._mask_bits(m) @ gens ^ a0) & 1
+    support = gf2._blas_mat_mul(gf2._mask_bits(m), gens) ^ a0
 
-    quad_j = np.einsum("ij,jk,ik->i", support, j, support).astype(np.int64) & 1
+    quad_j = (support & gf2._blas_mat_mul(support, j)).sum(axis=1, dtype=np.int64) & 1
     # i-exponent terms for b = e_p: 2 (b^T J a + h_p) - d_p, in uint8 mod 256
     # (a multiple of 4); b^T lows b = 0 as lows is strictly lower triangular
-    linear = 2 * (support @ j.T[:, pivots] + rep.h[pivots]) - rep.d[pivots]
-    jc = j @ rep.c[:, pivots] & 1
+    linear = 2 * (gf2._blas_mat_mul(support, j.T[:, pivots]) + rep.h[pivots]) - rep.d[pivots]
+    # jc[t, k] = a^T J C e_p for a = support[t] and p = pivots[k]
+    jc = gf2._blas_mat_mul(support, j @ rep.c[:, pivots] & 1)
 
     # phase[t, k] relates r at t to r at t ^ (1 << k), and r at t comes
     # from r at t ^ (1 << k), k the lowest set bit of t; that point has no
@@ -119,8 +140,8 @@ def expand(rep: CliffordRep) -> ExpansionResult:
     values[0] = 2.0 ** (-m / 2)
     for k in reversed(range(m)):
         shifted = np.arange(count) ^ (1 << k)
-        iexp = quad_j - quad_j[shifted] + 2 * (support[shifted] @ jc[:, k]) + linear[:, k]
-        phase[:, k] = 1j ** (iexp % 4)
+        iexp = quad_j - quad_j[shifted] + 2 * jc[shifted, k] + linear[:, k]
+        phase[:, k] = _I_POWERS[iexp & 3]
         prev = np.arange(0, count, 2 << k)
         values[prev + (1 << k)] = values[prev] * phase[prev, k]
 

@@ -90,6 +90,18 @@ def mat_mul(a, b):
     return (a @ b) & 1
 
 
+def _blas_mat_mul(a, b):
+    """mat_mul of two bit matrices from one float32 BLAS product.
+
+    numpy's integer matmul has no BLAS kernel.  Each entry of the float32
+    product counts ones, so it is an integer of at most a.shape[-1]; below
+    2^24 float32 holds every partial sum exactly, whatever the order or
+    the BLAS thread count.
+    """
+    prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+    return (prod.astype(np.int32) & 1).astype(np.uint8)
+
+
 def lows(m):
     """Strictly lower triangular part of a square matrix."""
     return np.tril(asbits(m), -1)
@@ -224,15 +236,18 @@ def kernel_basis(m):
     The result has shape (cols - rank, cols); it is empty (0 rows) for
     injective maps.
     """
-    m = asbits(m)
-    rows, cols = m.shape
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, col in enumerate(pivots):
-            basis[i, col] = red[row, f]
+    return _rref_kernel(*rref(m))
+
+
+def _rref_kernel(red, pivots):
+    """kernel_basis of a matrix from its rref (red, pivots): free column f
+    gives e_f plus red[r, f] in each pivot column r."""
+    free = np.ones(red.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, red.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = red[: len(pivots), free].T
     return basis
 
 

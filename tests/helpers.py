@@ -25,6 +25,8 @@ orbit_kernel replaced.  compose_oracle and inverse_oracle are the
 scalar composition and inversion formulas that clifford.product_table
 replaced for both, each reading d and lows(C^T J C + d d^T) off explicit
 products with J rather than the library's stacked sign_data.
+circuit_to_rep_oracle composes each gate's placed 2n x 2n rep, where
+the library's circuit_to_rep updates the gate's own rows of C in place.
 set_normal_form_oracle is the list-based commuting-set normal form that
 the library's stacked one replaced: it conjugates one element at a
 time, first by m_a and then by m_b at each level, and the inputs once
@@ -54,6 +56,7 @@ from semiclifford.circuits import (
     CircuitDescription,
     circuit_to_dense,
     circuit_to_monomial,
+    standard_gate,
 )
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
 from semiclifford.classify import (
@@ -119,6 +122,15 @@ def inverse_oracle(rep: CliffordRep) -> CliffordRep:
     cross = (cross ^ (np.outer(d_prime, d) @ cinv & 1)) & 1
     h_prime = (gf2.mat_mul(cinv_t, rep.h) ^ np.diagonal(cross)) & 1
     return CliffordRep(cinv, h_prime)
+
+
+def circuit_to_rep_oracle(desc: CircuitDescription) -> CliffordRep:
+    """Rep of a Clifford circuit by composing each gate's placed 2n x 2n
+    rep (standard_gate) onto the running one."""
+    rep = CliffordRep.identity(desc.n)
+    for name, qubits in desc.gates:
+        rep = compose(standard_gate(name, qubits, desc.n), rep)
+    return rep
 
 
 _PARSE_RE = re.compile(r"([+-])(i\.)?tau\[([01]+)\|([01]+)\]")

@@ -20,8 +20,9 @@ from semiclifford.circuits import (
     _gate_monomial,
     circuit_to_dense,
     parse_circuit,
+    standard_gate,
 )
-from helpers import circuit_to_dense_oracle, embed_gate_oracle, hex_to_bits
+from helpers import circuit_to_dense_oracle, embed_gate_oracle, hex_to_bits, random_circuit
 from semiclifford import cli
 from semiclifford.cli import (
     bitstring,
@@ -317,7 +318,77 @@ def test_cli_expand_rejects_non_clifford(capsys):
     code = main(["--json", "expand", data("circuits/t.cir")])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert "error" in out
+    assert out["error"] == "circuit is not Clifford; expansion needs a (C, h) rep"
+
+
+_CLIFFORD_GATES = ("I", "X", "Y", "Z", "H", "S", "SDG", "CX", "CZ", "SWAP")
+
+
+def _write_circuit(path, desc):
+    lines = [f"qubits {desc.n}"] + [" ".join([name, *map(str, qs)]) for name, qs in desc.gates]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _expand_output(capsys, path):
+    code = main(["--json", "expand", path])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_cli_expand_tableau_matches_the_dense_path_byte_for_byte(
+    n, rng, tmp_path, capsys, monkeypatch
+):
+    descs = [random_circuit(n, 6 * n, rng, names=_CLIFFORD_GATES) for _ in range(4)]
+    paths = [_write_circuit(tmp_path / f"c{i}.cir", desc) for i, desc in enumerate(descs)]
+    fast = [_expand_output(capsys, path) for path in paths]
+    monkeypatch.setattr(cli, "has_library_reps", lambda desc: False)
+    dense = [_expand_output(capsys, path) for path in paths]
+    assert fast == dense
+    assert all(code == 0 for code, _ in fast)
+
+
+def _count_calls(monkeypatch, name, calls):
+    real = getattr(cli, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, counted)
+
+
+def test_cli_expand_reads_a_clifford_circuit_without_a_dense_matrix(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("circuit_to_dense", "extract_rep"):
+        _count_calls(monkeypatch, name, calls)
+    rng = np.random.default_rng(3)
+    for n in range(1, 8):
+        desc = random_circuit(n, 6 * n, rng, names=_CLIFFORD_GATES)
+        path = _write_circuit(tmp_path / f"c{n}.cir", desc)
+        code, _ = _expand_output(capsys, path)
+        assert code == 0 and calls == [], n
+
+
+def test_cli_expand_t_pair_is_s_through_the_dense_path(tmp_path, capsys, monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, "circuit_to_dense", calls)
+    path = tmp_path / "tt.cir"
+    path.write_text("qubits 1\nT 0\nT 0\n")
+    code, text = _expand_output(capsys, str(path))
+    assert code == 0 and calls == ["circuit_to_dense"]
+    want = cli.rep_to_json(standard_gate("S", (0,), 1))
+    assert json.loads(text)["rep"] == want
+
+
+def test_cli_expand_checks_the_dense_cap_first(tmp_path, capsys):
+    big = tmp_path / "big.cir"
+    big.write_text(f"qubits {DENSE_QUBIT_CAP + 1}\nH 0\nCX 0 1\n")
+    code, text = _expand_output(capsys, str(big))
+    assert code == 1
+    assert json.loads(text)["error"] == (
+        f"n={DENSE_QUBIT_CAP + 1} exceeds the dense cap {DENSE_QUBIT_CAP}"
+    )
 
 
 def test_cli_pipeline_json(capsys):

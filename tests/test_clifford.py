@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     all_phased_paulis,
+    circuit_to_rep_oracle,
     compose_oracle,
     embed_gate_oracle,
     inverse_oracle,
@@ -244,6 +245,34 @@ def test_standard_gate_matches_the_embedded_extraction_at_every_placement(n):
 
 
 _H_FREE_CLIFFORDS = ("I", "X", "Y", "Z", "S", "SDG", "CX", "CZ", "SWAP")
+_CLIFFORD_GATES = ("H", *_H_FREE_CLIFFORDS)
+
+
+def _assert_tableau_matches(desc):
+    rep = circuit_to_rep(desc)
+    assert rep == circuit_to_rep_oracle(desc) == extract_rep(circuit_to_dense(desc)), desc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_circuit_to_rep_matches_composition_and_dense_on_random_circuits(n, rng):
+    for _ in range(12):
+        _assert_tableau_matches(random_circuit(n, 8 * n, rng, names=_CLIFFORD_GATES))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_circuit_to_rep_matches_composition_and_dense_at_every_placement(n, rng):
+    # each gate after a random prefix, so the running C has d != 0 and
+    # sign terms for the update to carry
+    for name in _CLIFFORD_GATES:
+        for qubits in itertools.permutations(range(n), GATE_ARITY[name]):
+            prefix = random_circuit(n, 4 * n, rng, names=_CLIFFORD_GATES).gates
+            _assert_tableau_matches(CircuitDescription(n, (*prefix, (name, qubits))))
+
+
+def test_circuit_to_rep_rejects_a_gate_without_a_rep():
+    for name in ("T", "TDG"):
+        with pytest.raises(ValueError, match=f"^{name} is not a Clifford gate$"):
+            circuit_to_rep(CircuitDescription(2, (("H", (0,)), (name, (1,)))))
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])

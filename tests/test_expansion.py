@@ -187,3 +187,19 @@ def test_expand_matches_scalar_oracle_on_random_reps(n, rng):
     assert 0 in dims and len(set(dims)) >= min(3, 2 * n)
     for rep in reps:
         _assert_matches_scalar_oracle(rep)
+
+
+def test_expand_eliminates_i_plus_c_once(monkeypatch, rng):
+    # the kernel, alpha's system and the image pivots share one rref of I + C
+    rep = circuit_to_rep(random_circuit(3, 18, rng))
+    ic = gf2.ident(6) ^ rep.c
+    real, seen = gf2.rref, []
+
+    def recording_rref(m, *args, **kwargs):
+        seen.append(np.array_equal(m, ic))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(gf2, "rref", recording_rref)
+    expand(rep)
+    alpha_vector(rep)
+    assert sum(seen) == 2

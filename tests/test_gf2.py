@@ -32,6 +32,18 @@ def test_counterexample_pair_commutes():
     assert np.array_equal(gf2.mat_mul(C1, C2), gf2.mat_mul(C2, C1))
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (4096, 14, 12), (5, 300, 7), (3, 0, 2)])
+def test_blas_mat_mul_equals_mat_mul(shape, rng):
+    # inner dimension 300 > 255: counts that a uint8 product would wrap
+    rows, inner, cols = shape
+    for density in (0.5, 1.0):
+        a = (rng.random((rows, inner)) < density).astype(np.uint8)
+        b = (rng.random((inner, cols)) < density).astype(np.uint8)
+        got = gf2._blas_mat_mul(a, b)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == gf2.mat_mul(a, b).tobytes()
+
+
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         gf2.mat_mul(gf2.ident(3), gf2.ident(4))

@@ -318,3 +318,11 @@ def test_normalize_family_refuses_monomial_family_outside_block_form():
     fake = GeneratorFamily(qs=dense.qs, ops=stack_ops((Monomial.identity(1),) * 2), n=1)
     with pytest.raises(AssertionError, match="not in block form"):
         normalize_family(fake)
+
+
+def test_monomial_repr_prints_qubits_or_shape():
+    assert repr(Monomial.identity(3)) == "Monomial(n=3)"
+    assert repr(Monomial.identity(2)[None]) == "Monomial(n=2)"
+    # no valid qubit count: the repr shows the shape and never raises
+    assert repr(Monomial.identity(0)) == "Monomial(shape=(1, 1))"
+    assert repr(Monomial(np.arange(3), np.ones(3))) == "Monomial(shape=(3, 3))"
