@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .clifford import CliffordRep, is_involution_rep, reps_commute
+from .clifford import CliffordRep, product_table, reps_commute, sign_data
 from .pauli import PhasedPauli, _label_tables, check_dense_cap, pauli_action, pauli_to_dense
 
 TOL = 1e-9
@@ -76,8 +76,11 @@ class Monomial:
     of a dense (k, d, d) stack: indexing (u[None] too) and iteration run
     over the first axis, dag, to_dense and the stacked engine take a
     stack, and a product of two stacks of equal shape multiplies them
-    pairwise, as ndarray @ does.  Treat the arrays as read-only:
-    operations return new Monomials.
+    pairwise, as ndarray @ does.  Every permutation entry lies in
+    [0, 2^n), which the constructor checks (ValueError otherwise).
+    Products, adjoints and indexing, whose entries are in range by
+    construction, build their results unchecked (_unchecked).  Treat the
+    arrays as read-only: operations return new Monomials.
     """
 
     __slots__ = ("perm", "phases")
@@ -90,13 +93,26 @@ class Monomial:
         phases = np.asarray(phases, dtype=complex)
         if perm.ndim < 1 or perm.shape != phases.shape:
             raise ValueError(f"perm {perm.shape} and phases {phases.shape} differ in shape")
+        dim = perm.shape[-1]
+        # as unsigned integers, negative entries are past every dimension
+        if perm.size and perm.view(np.uintp).max() >= dim:
+            raise ValueError(f"permutation entry outside [0, {dim})")
         self.perm = perm
         self.phases = phases
 
     @classmethod
+    def _unchecked(cls, perm, phases):
+        """A Monomial of intp perm and complex phases arrays of one shape
+        whose entries are in range by construction: no check runs."""
+        out = cls.__new__(cls)
+        out.perm = perm
+        out.phases = phases
+        return out
+
+    @classmethod
     def identity(cls, n):
         dim = 1 << n
-        return cls(np.arange(dim), np.ones(dim, dtype=complex))
+        return cls._unchecked(np.arange(dim), np.ones(dim, dtype=complex))
 
     @classmethod
     def from_dense(cls, u):
@@ -117,22 +133,31 @@ class Monomial:
         return len(self.perm)
 
     def __getitem__(self, index):
-        return Monomial(self.perm[index], self.phases[index])
+        perm, phases = self.perm[index], self.phases[index]
+        if perm.shape[-1:] != self.perm.shape[-1:]:  # the index reached the column axis
+            return Monomial(perm, phases)
+        return Monomial._unchecked(perm, phases)
 
     def __matmul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
         if self.perm.shape != other.perm.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not multiply")
-        if self.perm.ndim == 1:  # plain indexing: a tenth of take_along_axis's call cost
-            return Monomial(self.perm[other.perm], self.phases[other.perm] * other.phases)
-        perm, phases = (np.take_along_axis(a, other.perm, -1) for a in (self.perm, self.phases))
-        return Monomial(perm, phases * other.phases)
+        index, perm, phases = other.perm, self.perm, self.phases
+        if index.ndim > 1:
+            # one flat gather: matrix t's entries lie in [0, d), so t * d + entry
+            # reads its own matrix, at a third of take_along_axis's call cost
+            d = index.shape[-1]
+            index = index + np.arange(0, index.size, d).reshape(index.shape[:-1] + (1,))
+            perm, phases = perm.reshape(-1), phases.reshape(-1)
+        phases = phases[index]
+        phases *= other.phases
+        return Monomial._unchecked(perm[index], phases)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return Monomial(self.perm, scalar * self.phases)
+        return Monomial._unchecked(self.perm, scalar * self.phases)
 
     def dag(self):
         """The adjoint: column perm[c] holds conj(phases[c]) in row c;
@@ -141,7 +166,7 @@ class Monomial:
         np.put_along_axis(inv, self.perm, np.arange(self.perm.shape[-1]), axis=-1)
         if (inv < 0).any():
             raise ValueError("permutation is not a bijection")
-        return Monomial(inv, np.take_along_axis(self.phases, inv, axis=-1).conj())
+        return Monomial._unchecked(inv, np.take_along_axis(self.phases, inv, axis=-1).conj())
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
@@ -153,6 +178,15 @@ class Monomial:
             return f"Monomial(n={_stack_qubits(self)})"
         except ValueError:  # not 2^n x 2^n for any n >= 1
             return f"Monomial(shape={self.shape})"
+
+
+def _stack_ops(ops):
+    """One stack of the operators' type from a sequence of Monomials or
+    of dense matrices: a (k, 2^n) Monomial or a (k, d, d) array."""
+    if isinstance(ops[0], Monomial):
+        perms, phases = (np.stack([getattr(op, a) for op in ops]) for a in ("perm", "phases"))
+        return Monomial._unchecked(perms, phases)
+    return np.stack(ops)
 
 
 def as_dense(u) -> np.ndarray:
@@ -287,7 +321,7 @@ def _conjugates(us, udag, vectors):
         phases *= signs[rows, t]
         phases *= udag.phases[:, None]
         perms = np.take_along_axis(us.perm[:, None], t, -1)
-        return Monomial(perms.reshape(-1, d), phases.reshape(-1, d))
+        return Monomial._unchecked(perms.reshape(-1, d), phases.reshape(-1, d))
     moved = udag[:, perm, :]
     moved *= signs[..., None]
     return (us[:, None] @ moved).reshape(-1, d, d)
@@ -539,35 +573,73 @@ def basis_bits(n) -> np.ndarray:
     return bits
 
 
-def _check_block_form(rep: CliffordRep):
-    n = rep.n
-    if rep.c[n:, :n].any():
+def _check_block_form(cs):
+    """Raise ValueError unless every C of a (k, 2n, 2n) stack has a zero
+    lower-left block."""
+    n = cs.shape[-1] // 2
+    if cs[:, n:, :n].any():
         raise ValueError("rep has a nonzero lower-left block")
 
 
-def _lambda_products(rep: CliffordRep, ybits) -> np.ndarray:
-    """The gauge-invariant products lambda_0 * lambda_{f+y}, one per row y.
+def _lambda_products(cs, hs, ybits) -> np.ndarray:
+    """The gauge-invariant products lambda_0 * lambda_{f+y} of each rep of
+    a block-form stack, one per row y: a (k, r) array for the C's cs
+    (k, 2n, 2n) and h's hs (k, 2n) of k reps, with ybits (r, n) shared
+    by all reps or (k, r, n), one set per rep.
 
     For a block-form rep C = (A E; 0 A^T), h = (f; g), evaluates
     i**(d0.y) * (-1)**(d0.y + g.y + y^T lows(AE + d0 d0^T) y), which pins
     every entry of the realized involution once one square root is
     chosen for lambda_0.  C^T J C is (0 A^T A^T; 0 (AE)^T) and AE is
     symmetric, so d0 = diag(AE) and lows(AE + d0 d0^T) are the lower
-    halves of the rep's d and lows_matrix.
+    halves of the rep's d and lows_matrix: one sign_data over the stack.
+    Each y is then written as the features (y, y y^T), so both exponents
+    come from one exact float32 BLAS product (gf2._blas_mat_mul) with the
+    weights (d0, 0) and (g, lows): sums of at most n + n^2 bits.  Raises
+    ValueError if a C is not in block form.
     """
-    _check_block_form(rep)
-    n = rep.n
-    d0 = rep.d[n:]
-    iexp = (ybits @ d0) & 1
-    low = rep.lows_matrix[n:, n:]
-    sexp = (iexp + ybits @ rep.g + np.einsum("ij,jk,ik->i", ybits, low, ybits)) & 1
-    return (1j ** iexp.astype(int)) * ((-1.0) ** sexp.astype(int))
+    _check_block_form(cs)
+    k, m = hs.shape
+    n = m // 2
+    d, low = sign_data(cs)
+    pairs = (ybits[..., :, None] & ybits[..., None, :]).reshape(ybits.shape[:-1] + (n * n,))
+    features = np.concatenate([ybits, pairs], axis=-1)
+    weights = np.zeros((k, n + n * n, 2), dtype=np.uint8)
+    weights[:, :n, 0] = d[:, n:]
+    weights[:, :n, 1] = hs[:, n:]
+    weights[:, n:, 1] = low[:, n:, n:].reshape(k, n * n)
+    terms = gf2._blas_mat_mul(features, weights)
+    iexp = terms[..., 0]
+    # i**iexp (-1)**sexp is _PHASES[2 iexp + sexp], -0.0 imaginary parts included
+    return _PHASES[2 * iexp + (iexp ^ terms[..., 1])]
 
 
-def _check_involution_block(rep: CliffordRep):
-    _check_block_form(rep)
-    if not is_involution_rep(rep):
+def _check_involutions(cs, hs):
+    """Raise ValueError unless every rep of a stack is a block-form
+    involution rep: a zero lower-left block, and a square that is the
+    identity rep, read off the diagonal of one product_table."""
+    _check_block_form(cs)
+    squares_c, squares_h = product_table(cs, hs, cs, hs)
+    diag = np.arange(len(cs))
+    identity = gf2.ident(cs.shape[-1])
+    if squares_h[diag, diag].any() or not (squares_c[diag, diag] == identity).all():
         raise ValueError("rep does not satisfy the involution conditions")
+
+
+def _realize_involutions(cs, hs) -> Monomial:
+    """realize_block of each rep of a (k, 2n, 2n) C and (k, 2n) h stack,
+    as one (k, 2^n) Monomial stack.  The checks run once, on the whole
+    stack (_check_involutions), and so do the lambda products."""
+    _check_involutions(cs, hs)
+    n = cs.shape[-1] // 2
+    xbits = basis_bits(n)
+    labels, _, weights = _label_tables(n)
+    shift = (hs[:, :n] @ weights)[:, None]  # the label of f
+    targets = gf2._blas_mat_mul(xbits, cs[:, :n, :n]) @ weights ^ shift
+    # the products at y = x + f are those at y = x, read at label x ^ f
+    rhs = np.take_along_axis(_lambda_products(cs, hs, xbits), labels ^ shift, axis=1)
+    lam0 = np.exp(1j * np.angle(rhs[:, :1]) / 2)
+    return Monomial(targets, rhs / lam0)
 
 
 def realize_block(rep: CliffordRep) -> Monomial:
@@ -582,15 +654,10 @@ def realize_block(rep: CliffordRep) -> Monomial:
     (lambda_0 lambda_{f+f}), so we take the principal square root of
     that value (which is +1 whenever f = 0).  The result then squares
     to I exactly and extract_rep round-trips.  Its to_dense() is the
-    dense matrix; no 2^n x 2^n array is built here.
+    dense matrix; no 2^n x 2^n array is built here.  This is the
+    one-rep case of the stacked _realize_involutions.
     """
-    _check_involution_block(rep)
-    n = rep.n
-    xbits = basis_bits(n)
-    targets = ((xbits @ rep.c[:n, :n] ^ rep.f) & 1) @ _label_tables(n)[2]
-    rhs = _lambda_products(rep, xbits ^ rep.f)
-    lam0 = np.exp(1j * np.angle(rhs[0]) / 2)
-    return Monomial(targets, rhs / lam0)
+    return _realize_involutions(rep.c[None], rep.h[None])[0]
 
 
 def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
@@ -609,8 +676,9 @@ def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
     """
     if q1.n != q2.n:
         raise ValueError(f"qubit counts differ: {q1.n} vs {q2.n}")
-    _check_involution_block(q1)
-    _check_involution_block(q2)
+    cs = np.stack([q1.c, q2.c])
+    hs = np.stack([q1.h, q2.h])
+    _check_involutions(cs, hs)
     if not np.array_equal(gf2.mat_mul(q1.c, q2.c), gf2.mat_mul(q2.c, q1.c)):
         raise ValueError("C-matrices do not commute")
     if not reps_commute(q1, q2):
@@ -621,8 +689,9 @@ def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
     if not np.array_equal(fcomp_l, fcomp_r):
         raise ValueError("f-vectors are not compatible")
     fsum = q1.f ^ q2.f
-    l1_f, l1_sum = _lambda_products(q1, np.array([q1.f, fsum]))
-    l2_f, l2_sum = _lambda_products(q2, np.array([q2.f, fsum]))
+    (l1_f, l1_sum), (l2_f, l2_sum) = _lambda_products(
+        cs, hs, np.array([[q1.f, fsum], [q2.f, fsum]])
+    )
     lhs = l1_f * l2_sum
     rhs = l2_f * l1_sum
     ratio = lhs / rhs

@@ -77,6 +77,14 @@ def _p_form(n):
     return p
 
 
+@lru_cache(maxsize=None)
+def _strictly_lower(m):
+    """Read-only (m, m) uint8 mask of the entries below the diagonal."""
+    mask = np.tri(m, m, -1, dtype=np.uint8)
+    mask.flags.writeable = False
+    return mask
+
+
 def mat_mul(a, b):
     """Matrix (or matrix-vector) product over GF(2); stacks broadcast.
 
@@ -91,15 +99,40 @@ def mat_mul(a, b):
 
 
 def _blas_mat_mul(a, b):
-    """mat_mul of two bit matrices from one float32 BLAS product.
+    """mat_mul of two bit arrays (stacks broadcast) from one float32 BLAS
+    product.
 
     numpy's integer matmul has no BLAS kernel.  Each entry of the float32
     product counts ones, so it is an integer of at most a.shape[-1]; below
     2^24 float32 holds every partial sum exactly, whatever the order or
-    the BLAS thread count.
+    the BLAS thread count.  Below 256 every count fits a uint8, and the
+    product is cast straight to uint8 with no int32 copy.
+
+    Raises:
+        ValueError: if the inner dimension is 2^24 or more.
     """
+    inner = np.shape(a)[-1]
+    if inner >= 1 << 24:
+        raise ValueError(f"inner dimension {inner} is past float32's exact integers, 2^24")
     prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
-    return (prod.astype(np.int32) & 1).astype(np.uint8)
+    out = prod.astype(np.uint8 if inner < 256 else np.int32)
+    out &= 1
+    return out.astype(np.uint8, copy=False)
+
+
+def _top_bottom(cs):
+    """T^T B mod 2 for the top and bottom row halves T, B of each matrix
+    of a (..., 2n, 2n) bit array: C^T J C, for J = (0 I; 0 0).
+
+    A stack of two or more matrices takes one exact float32 BLAS product
+    (_blas_mat_mul); one matrix, alone or as a stack of one, keeps the
+    uint8 matmul, which costs less than the float32 round trip there.
+    """
+    n = cs.shape[-1] // 2
+    top = np.swapaxes(cs[..., :n, :], -1, -2)
+    if cs.size > cs.shape[-1] ** 2:
+        return _blas_mat_mul(top, cs[..., n:, :])
+    return top @ cs[..., n:, :] & 1
 
 
 def lows(m):
@@ -264,7 +297,8 @@ def is_involution(m) -> bool:
 
 
 def is_symplectic(c) -> bool:
-    """Whether C^T P C = P for the binary symplectic form P.
+    """Whether C^T P C = P for the binary symplectic form P: the
+    one-matrix case of symplectic_mask, whose bits are read once.
 
     Raises:
         ValueError: if the matrix is not square of even size.
@@ -272,7 +306,7 @@ def is_symplectic(c) -> bool:
     c = asbits(c)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2:
         raise ValueError(f"need a square even-dimensional matrix, got {c.shape}")
-    return bool(symplectic_mask(c))
+    return bool(_symplectic(c))
 
 
 def symplectic_mask(cs):
@@ -280,12 +314,16 @@ def symplectic_mask(cs):
 
     With T and B the top and bottom row halves of C, C^T P C is
     T^T B + (T^T B)^T, so the test is one batched product of half the
-    size.  Returns a bool array of the stack's leading shape.
+    size (_top_bottom).  Returns a bool array of the stack's leading
+    shape.
     """
-    cs = asbits(cs)
-    n = cs.shape[-1] // 2
-    tb = np.swapaxes(cs[..., :n, :], -1, -2) @ cs[..., n:, :]
-    return (((tb ^ np.swapaxes(tb, -1, -2)) & 1) == _p_form(n)).all(axis=(-2, -1))
+    return _symplectic(asbits(cs))
+
+
+def _symplectic(cs):
+    """symplectic_mask of a stack already read as bits."""
+    tb = _top_bottom(cs)
+    return ((tb ^ np.swapaxes(tb, -1, -2)) == _p_form(cs.shape[-1] // 2)).all(axis=(-2, -1))
 
 
 def symmetric_congruence(e):

@@ -14,17 +14,22 @@ diagonal generators form the certificate.
 The operators Q_i are one stack: Monomials when U is one (every
 library gate but H is, and so is the seven-qubit pair of
 gottesman_mochon), and dense matrices otherwise; each step runs on the
-type it is given.  The 2n conjugates are tested for being Clifford as
-one stack, and the family's rep checks (involutions, pairwise
-commutation, symplectic products) read one table of all (2n)^2 ordered
-products, clifford.product_table: a few batched GF(2) products, not one
-compose per pair; its op checks are a few stacked products of the ops.
-The kernel comes from coset doubling over the 2^n f-vectors, and the
-rng-gated cross-checks of extract_certificate realize kernel products
-as Monomials, so on a Monomial family every step after
-generators_from_gate is O(2^n) per operator.  Dense matrices serve
-only the non-monomial input (whose cross-checks densify the
-realization), its conjugator, and the tests.
+type it is given.  Each fact is tested once, on a stack.  The 2n
+conjugates are tested for being Clifford as one stack, whose passing
+C-matrices become reps without a second symplectic test
+(CliffordRep._trusted), and the family's rep checks (involutions,
+pairwise commutation, symplectic products) read one table of all
+(2n)^2 ordered products, clifford.product_table: a few batched GF(2)
+products, not one compose per pair; its op checks are a few stacked
+products of the ops.  The kernel comes from coset doubling over the 2^n
+f-vectors, the n spectra from one stacked lambda-products evaluation,
+and the rng-gated cross-checks of extract_certificate realize their
+sampled kernel products as one Monomial stack, squared for the
+involution check by one product table, so on a Monomial family every
+step after generators_from_gate is O(2^n) per operator.  The stacked
+GF(2) products run as exact float32 BLAS products (gf2._blas_mat_mul).
+Dense matrices serve only the non-monomial input (whose cross-checks
+densify the realization), its conjugator, and the tests.
 
 build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
 are kept as the independent reference that orbit_kernel is tested
@@ -48,6 +53,8 @@ from .dense import (
     _close_stack,
     _lambda_products,
     _per_stack,
+    _realize_involutions,
+    _stack_ops,
     basis_bits,
     check_unitary,
     close,
@@ -56,7 +63,6 @@ from .dense import (
     identity_like,
     num_qubits,
     pauli_conjugates,
-    realize_block,
 )
 from .expansion import rep_to_dense
 
@@ -79,13 +85,15 @@ class GeneratorFamily:
         Shapes first: 2n reps on n qubits, 2n ops of size 2^n in one
         stack (TypeError for any other ops type).  The rep
         checks read one product_table of all (2n)^2 ordered products
-        q_i q_j: every product is symplectic, each q_i q_i is the identity
-        rep (q_i is an involution rep), and the table is symmetric (q_i
-        and q_j commute up to a sign).  Then each op squares to I and each
-        pair of ops commutes, or anticommutes exactly for the pair
-        (Z_i, X_i) of one qubit: one stacked product per chunk of ops
-        (_per_stack) and order.  Failures are named in index order: the
-        first non-involution i, then the first incompatible pair i < j.
+        q_i q_j: every product is symplectic (one symplectic_mask over
+        the table, an exact float32 BLAS product), each q_i q_i is the
+        identity rep (q_i is an involution rep), and the table is
+        symmetric (q_i and q_j commute up to a sign).  Then each op
+        squares to I and each pair of ops commutes, or anticommutes
+        exactly for the pair (Z_i, X_i) of one qubit: one stacked
+        product per chunk of ops (_per_stack) and order.  Failures are
+        named in index order: the first non-involution i, then the first
+        incompatible pair i < j.
         """
         n = self.n
         m = 2 * n
@@ -166,7 +174,8 @@ def generators_from_gate(u) -> GeneratorFamily:
         raise ValueError(
             f"input is not a third-level gate: conjugated generator {first} is not Clifford"
         )
-    reps = tuple(CliffordRep(ct.T, h) for ct, h in zip(*found))
+    # _clifford_stack has tested every C as one stack (symplectic_mask)
+    reps = tuple(CliffordRep._trusted(ct.T, h) for ct, h in zip(*found))
     family = GeneratorFamily(qs=reps, ops=ops, n=n)
     family.validate()
     return family
@@ -394,9 +403,11 @@ class GscCertificate:
 
 
 def _op_product(family: GeneratorFamily, bits):
-    """The product of the generator ops over an exponent vector, in index order."""
-    prod = identity_like(family.ops[0])
-    for k in np.flatnonzero(bits):
+    """The product of the generator ops over an exponent vector, in index
+    order, from the first factor (as product_rep)."""
+    factors = np.flatnonzero(bits)
+    prod = family.ops[factors[0]] if factors.size else identity_like(family.ops[0])
+    for k in factors[1:]:
         prod = prod @ family.ops[k]
     return prod
 
@@ -411,28 +422,29 @@ def extract_certificate(
     A-block and zero f-vector for every kernel product, and full rank
     of the 2^n diagonal patterns (span_rank).  With A = I and f = 0 the
     product's realization (realize_block) is the diagonal matrix of its
-    lambda products, so each spectrum is read straight off
-    _lambda_products.  When an rng is given, a few kernel products are
-    realized with realize_block, as Monomials, and cross-checked against
-    that diagonal and against the product of the constituent generator
-    ops up to global phase (both O(2^n) for Monomial ops; a dense
-    family's product is compared with the densified realization), and
-    for sampled pairs of kernel rows the two products of generator ops
-    are checked to commute.
+    lambda products, so the n spectra are read straight off one stacked
+    _lambda_products call, which also checks that every kernel product
+    is in block form.  When an rng is given, a few kernel products are
+    realized as one Monomial stack (_realize_involutions: one
+    product_table squares them all for the block-form involution
+    check), and cross-checked against their diagonals and against the
+    products of the constituent generator ops up to global phase (both
+    O(2^n) for Monomial ops; a dense family's product is compared with
+    the densified realization), and for sampled pairs of kernel rows
+    the two products of generator ops are checked to commute, as one
+    stack.  Each drawn row's product of generator ops is built once.
     """
     n = family.n
     kernel = orbit_kernel(family)
     dim = 1 << n
-    reps = []
-    spectra = []
-    for row in kernel:
-        rep = product_rep(family, row)
-        if not np.array_equal(rep.c[:n, :n], gf2.ident(n)):
-            raise AssertionError("kernel product has a non-identity A-block")
-        if rep.f.any():
-            raise AssertionError("kernel product has a nonzero f-vector")
-        reps.append(rep)
-        spectra.append(_lambda_products(rep, basis_bits(n)))
+    reps = [product_rep(family, row) for row in kernel]
+    cs = np.stack([rep.c for rep in reps])
+    hs = np.stack([rep.h for rep in reps])
+    if not (cs[:, :n, :n] == gf2.ident(n)).all():
+        raise AssertionError("kernel product has a non-identity A-block")
+    if hs[:, :n].any():
+        raise AssertionError("kernel product has a nonzero f-vector")
+    spectra = _lambda_products(cs, hs, basis_bits(n))
 
     pattern_rank = span_rank(spectra)
     if pattern_rank != dim:
@@ -444,22 +456,26 @@ def extract_certificate(
     if rng is not None:
         take = min(3, len(kernel))
         rows = rng.choice(len(kernel), size=take, replace=False)
-        for ridx in rows:
-            prod = _op_product(family, kernel[ridx])
-            realized = realize_block(reps[ridx])
-            if not close(realized, Monomial(np.arange(dim), spectra[ridx])):
-                raise AssertionError("kernel product realization is not its diagonal spectrum")
-            if not isinstance(prod, Monomial):  # a dense family
-                realized = realized.to_dense()
-            if not close_up_to_phase(prod, realized):
+        pairs = [
+            rng.choice(len(kernel), size=2, replace=False)
+            for _ in range(min(3, len(kernel) * (len(kernel) - 1) // 2))
+        ]
+        # the product of generator ops of each drawn kernel row, built once
+        prods = {r: _op_product(family, kernel[r]) for r in {*rows, *np.ravel(pairs)}}
+        realized = _realize_involutions(cs[rows], hs[rows])
+        diagonal = Monomial(np.broadcast_to(np.arange(dim), realized.perm.shape), spectra[rows])
+        if not _close_stack(realized, diagonal).all():
+            raise AssertionError("kernel product realization is not its diagonal spectrum")
+        for r, one in zip(rows, realized):
+            if not isinstance(prods[r], Monomial):  # a dense family
+                one = one.to_dense()
+            if not close_up_to_phase(prods[r], one):
                 raise AssertionError("dense product disagrees with the realization")
-            checks += 1
-        for _ in range(min(3, len(spectra) * (len(spectra) - 1) // 2)):
-            i, j = rng.choice(len(spectra), size=2, replace=False)
-            a, b = (_op_product(family, kernel[r]) for r in (i, j))
-            if not close(a @ b, b @ a):
+        if pairs:
+            a, b = (_stack_ops([prods[r] for r in side]) for side in zip(*pairs))
+            if not _close_stack(a @ b, b @ a).all():
                 raise AssertionError("kernel realizations do not commute")
-            checks += 1
+        checks = take + len(pairs)
 
     verdicts = {
         "kernel_dimension": int(kernel.shape[0]),

@@ -25,6 +25,9 @@ orbit_kernel replaced.  compose_oracle and inverse_oracle are the
 scalar composition and inversion formulas that clifford.product_table
 replaced for both, each reading d and lows(C^T J C + d d^T) off explicit
 products with J rather than the library's stacked sign_data.
+symplectic_mask_uint8, sign_data_uint8 and product_table_uint8 are the
+stacked bodies with uint8 products that the library's exact float32 BLAS
+products replaced.
 circuit_to_rep_oracle composes each gate's placed 2n x 2n rep, where
 the library's circuit_to_rep updates the gate's own rows of C in place.
 set_normal_form_oracle is the list-based commuting-set normal form that
@@ -38,8 +41,9 @@ bodies that the library's stacked GF(2) products replaced: a basis per
 free-slot mask, a pairing constraint per column, and scalar dot,
 quad_form and mat_mul calls per generator of the expansion.
 random_circuit and parse_pauli (the inverse of PhasedPauli's repr) are
-samplers and readers that only tests use, and stack_ops builds the one
-operator stack that GeneratorFamily.ops holds from single matrices.
+samplers and readers that only tests use; stack_ops, which builds the
+one operator stack that GeneratorFamily.ops holds from single matrices,
+is the library's dense._stack_ops.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from semiclifford.classify import (
 from semiclifford.dense import (
     TOL,
     Monomial,
+    _stack_ops as stack_ops,
     as_dense,
     check_unitary,
     close,
@@ -99,6 +104,41 @@ def _sign_data_oracle(c):
     cjc = gf2.mat_mul(gf2.mat_mul(c.T, gf2.j_mat(c.shape[0] // 2)), c)
     d = np.diagonal(cjc).copy()
     return d, gf2.lows((cjc ^ np.outer(d, d)) & 1)
+
+
+def symplectic_mask_uint8(cs):
+    """gf2.symplectic_mask with its T^T B products in uint8, as before the
+    float32 BLAS product: per matrix, (T^T B + B^T T) mod 2 == P."""
+    n = cs.shape[-1] // 2
+    tb = np.swapaxes(cs[..., :n, :], -1, -2) @ cs[..., n:, :]
+    return (((tb ^ np.swapaxes(tb, -1, -2)) & 1) == gf2.p_mat(n)).all(axis=(-2, -1))
+
+
+def sign_data_uint8(cs):
+    """clifford.sign_data with its C^T J C product in uint8 and np.tril for
+    the lower part, as before the float32 BLAS product."""
+    n = cs.shape[-1] // 2
+    cjc = np.swapaxes(cs[..., :n, :], -1, -2) @ cs[..., n:, :] & 1
+    d = np.diagonal(cjc, axis1=-2, axis2=-1).copy()
+    return d, np.tril(cjc ^ (d[..., :, None] & d[..., None, :]), -1)
+
+
+def product_table_uint8(left_c, left_h, right_c, right_h):
+    """clifford.product_table with its row x column product as a uint8
+    einsum (sums wrap mod 256, which keeps their parity), as before the
+    float32 BLAS product."""
+    k, m, _ = left_c.shape
+    kr = right_c.shape[0]
+    d_left, low_left = sign_data_uint8(left_c)
+    d_right = sign_data_uint8(right_c)[0]
+    cols = right_c.transpose(1, 0, 2).reshape(m, kr * m)
+    rows = np.concatenate([left_c.reshape(k * m, m), low_left.reshape(k * m, m), left_h, d_left])
+    prod = np.einsum("ab,bc->ac", rows, cols)
+    c12 = prod[: k * m].reshape(k, m, kr, m).transpose(0, 2, 1, 3)
+    low_c = prod[k * m : 2 * k * m].reshape(k, m, kr, m)
+    quad = np.einsum("iajx,ajx->ijx", low_c, cols.reshape(m, kr, m))
+    hc, dc = prod[2 * k * m :].reshape(2, k, kr, m)
+    return c12 & 1, (right_h[None] + hc + quad + dc * d_right[None]) & 1
 
 
 def compose_oracle(outer: CliffordRep, inner: CliffordRep) -> CliffordRep:
@@ -353,14 +393,6 @@ def semi_clifford_oracle(u):
             image = gf2.Lagrangian(np.array([img.a for img in images], dtype=np.uint8))
             return True, SemiCliffordWitness(domain=lag, image=image)
     return False, len(lags)
-
-
-def stack_ops(ops):
-    """One stack of the operators' type from a sequence of Monomials or
-    of dense matrices: a (k, 2^n) Monomial or a (k, d, d) array."""
-    if isinstance(ops[0], Monomial):
-        return Monomial(np.stack([op.perm for op in ops]), np.stack([op.phases for op in ops]))
-    return np.stack(ops)
 
 
 def reconstruct_unitary(family: GeneratorFamily) -> np.ndarray:

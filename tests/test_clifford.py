@@ -9,8 +9,11 @@ from helpers import (
     compose_oracle,
     embed_gate_oracle,
     inverse_oracle,
+    product_table_uint8,
     random_circuit,
     random_clifford_dense,
+    sign_data_uint8,
+    symplectic_mask_uint8,
 )
 from semiclifford import circuits, gf2
 from semiclifford.circuits import (
@@ -418,3 +421,26 @@ def test_sign_data_matches_the_rep_and_each_matrix(n, rng):
         assert np.array_equal(dq, np.diagonal(cjc))
         assert np.array_equal(lq, gf2.lows((cjc ^ np.outer(dq, dq)) & 1))
         assert q.d.tobytes() == dq.tobytes() and q.lows_matrix.tobytes() == lq.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_blas_stacked_products_equal_the_uint8_reference(n, rng):
+    # symplectic_mask, sign_data and product_table take exact float32 BLAS
+    # products on stacks of several matrices and uint8 ones on a stack of
+    # one; both must give the uint8 reference's bits.  Random C's are
+    # almost never symplectic, so each stack mixes in circuit reps.
+    m = 2 * n
+    for k, kr in ((1, 1), (1, 4), (3, 1), (5, 6)):
+        cs, rcs = (rng.integers(0, 2, (s, m, m), dtype=np.uint8) for s in (k, kr))
+        hs, rhs = (rng.integers(0, 2, (s, m), dtype=np.uint8) for s in (k, kr))
+        for stack in (cs, rcs):
+            stack[-1] = circuit_to_rep(random_circuit(n, 3 * n, rng)).c
+        mask = gf2.symplectic_mask(cs)
+        assert mask.tobytes() == symplectic_mask_uint8(cs).tobytes() and mask[-1]
+        for got, want in zip(sign_data(cs), sign_data_uint8(cs)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for args in ((cs, hs, rcs, rhs), (cs, hs, cs, hs)):
+            for got, want in zip(product_table(*args), product_table_uint8(*args)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

@@ -15,9 +15,11 @@ import semiclifford
 from semiclifford import gf2
 from semiclifford.classify import classify
 from semiclifford.circuits import GATE_MATRICES, standard_gate
-from semiclifford.clifford import CliffordRep, from_pauli
+from semiclifford.clifford import CliffordRep, compose, from_pauli
 from semiclifford.dense import (
     Monomial,
+    _lambda_products,
+    basis_bits,
     check_unitary,
     close,
     close_up_to_phase,
@@ -179,6 +181,29 @@ def test_realize_block_rejects_non_involution():
     blk = s
     with pytest.raises(ValueError):
         realize_block(blk)
+
+
+def test_block_form_functions_reject_a_c_that_does_not_square_to_i():
+    # A has order 3, so C = (A 0; 0 A^-T) is in block form and its square
+    # has h = 0, but C^2 != I: only the C half of the involution test fails
+    a = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    c = np.zeros((4, 4), dtype=np.uint8)
+    c[:2, :2], c[2:, 2:] = a, gf2.inverse(a).T
+    rep = CliffordRep(c, np.zeros(4, dtype=np.uint8))
+    square = compose(rep, rep)
+    assert not square.h.any() and not square.is_identity()
+    z = CliffordRep(gf2.ident(4), np.array([0, 0, 1, 0], dtype=np.uint8))
+    for call in (lambda: realize_block(rep), lambda: commutator_sign(z, rep)):
+        with pytest.raises(ValueError, match="rep does not satisfy the involution conditions"):
+            call()
+
+
+def test_lambda_products_refuse_a_stack_with_one_rep_outside_block_form():
+    z = CliffordRep(gf2.ident(2), np.array([0, 1], dtype=np.uint8))
+    h = standard_gate("H", (0,), 1)
+    cs, hs = np.stack([z.c, h.c]), np.stack([z.h, h.h])
+    with pytest.raises(ValueError, match="rep has a nonzero lower-left block"):
+        _lambda_products(cs, hs, basis_bits(1))
 
 
 def test_block_form_functions_reject_a_rep_outside_block_form():

@@ -44,6 +44,15 @@ def test_blas_mat_mul_equals_mat_mul(shape, rng):
         assert got.tobytes() == gf2.mat_mul(a, b).tobytes()
 
 
+def test_blas_mat_mul_refuses_an_inner_dimension_past_float32_integers():
+    # float32 holds every integer only below 2^24; broadcast views of one
+    # byte give the shapes without allocating them
+    a = np.broadcast_to(np.uint8(1), (1, 1 << 24))
+    b = np.broadcast_to(np.uint8(1), (1 << 24, 1))
+    with pytest.raises(ValueError, match=r"inner dimension 16777216 .* 2\^24"):
+        gf2._blas_mat_mul(a, b)
+
+
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
         gf2.mat_mul(gf2.ident(3), gf2.ident(4))
@@ -340,7 +349,7 @@ def test_frozenbits_accepts_bits_and_bools():
     for data in bits:
         out = gf2.frozenbits(data)
         assert out.dtype == np.uint8 and not out.flags.writeable
-        assert out.flags.c_contiguous  # stacked reps feed product_table's einsums
+        assert out.flags.c_contiguous  # stacked reps feed product_table's products
         assert np.array_equal(out, np.asarray(data))
 
 

@@ -240,6 +240,26 @@ def test_dag_and_conjugates_reject_a_permutation_that_is_not_a_bijection(perm):
             pauli_conjugates(u, np.eye(4, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("perm", [[-1, 0, 1, 2], [4, 0, 1, 2], [[0, 1, 2, 3], [1, 2, 3, -4]]])
+def test_monomial_rejects_a_permutation_entry_out_of_range(perm):
+    # a negative entry used to wrap round to the end of its row, and an
+    # entry of at least 2^n to raise a bare IndexError from the first gather
+    with pytest.raises(ValueError, match=r"permutation entry outside \[0, 4\)"):
+        Monomial(perm, np.ones(np.shape(perm)))
+
+
+def test_stack_product_reads_each_matrix_of_its_own_stack(rng):
+    # the stacked product is one flat gather over all matrices; each
+    # column must still read the row of its own matrix
+    a, b = _random_stack(2, 6, rng), _random_stack(2, 6, rng)
+    for index in (np.s_[::2], np.s_[::-1], [5, 0, 3]):
+        prod = a[index] @ b[index]
+        for t, (x, y) in enumerate(zip(a[index], b[index])):
+            one = x @ y
+            assert np.array_equal(prod.perm[t], one.perm)
+            assert prod.phases[t].tobytes() == one.phases.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_is_pauli_on_every_phased_pauli(n):
     for delta, eps, bits in itertools.product((0, 1), (0, 1), range(1 << (2 * n))):

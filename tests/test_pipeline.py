@@ -1,5 +1,10 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import semiclifford
 
 from helpers import (
     orbit_kernel_oracle,
@@ -12,12 +17,14 @@ from helpers import (
     reconstruct_unitary,
     stack_ops,
 )
-from semiclifford import gf2
+from semiclifford import dense, gf2
 from semiclifford.circuits import GATE_MATRICES
 from semiclifford.clifford import CliffordRep, compose, from_pauli
 from semiclifford.dense import (
     _STACK_ENTRIES,
     Monomial,
+    _clifford_reps,
+    _realize_involutions,
     close_up_to_phase,
     extract_rep,
     hierarchy_level,
@@ -379,18 +386,90 @@ def test_spectra_equal_realized_kernel_products(rng):
 
 
 def test_certificate_realizes_only_in_the_cross_check(monkeypatch):
-    calls = []
+    # the cross-checks realize their sampled kernel reps as one stack;
+    # count the reps realized, one per row of each stack
+    realized = []
 
-    def counting(blk):
-        calls.append(blk)
-        return realize_block(blk)
+    def counting(cs, hs):
+        realized.extend(cs)
+        return _realize_involutions(cs, hs)
 
-    monkeypatch.setattr("semiclifford.pipeline.realize_block", counting)
+    monkeypatch.setattr("semiclifford.pipeline._realize_involutions", counting)
     u, v = gottesman_mochon()
     run_pipeline(u @ v)
-    assert calls == []
+    assert realized == []
     cert = run_pipeline(u @ v, rng=np.random.default_rng(0))
-    assert len(calls) == 3 == cert.verdicts["dense_cross_checks"] - 3
+    assert len(realized) == 3 == cert.verdicts["dense_cross_checks"] - 3
+
+
+def test_generator_reps_equal_the_checked_constructor_bit_for_bit(rng):
+    # the reps come from the constructor that skips the symplectic test
+    for gate in _kernel_families(rng):
+        for q in generators_from_gate(gate).qs:
+            ref = CliffordRep(q.c, q.h)
+            for got, want in ((q.c, ref.c), (q.h, ref.h), (q.d, ref.d)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert q.lows_matrix.tobytes() == ref.lows_matrix.tobytes()
+            for arr in (q.c, q.h):
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+def _uv_candidates():
+    """(bits, ct) of the UV family's generator images, as _clifford_reps reads them."""
+    u, v = gottesman_mochon()
+    qs = generators_from_gate(u @ v).qs
+    ct = np.stack([q.c.T for q in qs])
+    n = ct.shape[-1] // 2
+    delta = (ct[..., :n] & ct[..., n:]).sum(axis=-1) & 1
+    return np.stack([delta, np.stack([q.h for q in qs])], axis=-1).astype(np.uint8), ct
+
+
+def _break_symplectic(bits, ct, k):
+    """Copy image 1 of candidate k over image 0, with its phase bits: each
+    image stays Hermitian, but C_k is singular, so not symplectic."""
+    bits, ct = bits.copy(), ct.copy()
+    bits[k, 0], ct[k, 0] = bits[k, 1], ct[k, 1]
+    return bits, ct
+
+
+def test_clifford_reps_refuses_a_stack_with_one_non_symplectic_c():
+    bits, ct = _uv_candidates()
+    got_ct, got_h = _clifford_reps(bits, ct)
+    assert got_ct.tobytes() == ct.tobytes() and got_h.tobytes() == bits[..., 1].tobytes()
+    bad_bits, bad_ct = _break_symplectic(bits, ct, 5)
+    mask = gf2.symplectic_mask(np.swapaxes(bad_ct, -1, -2))
+    assert not mask[5] and mask.sum() == len(mask) - 1
+    assert _clifford_reps(bad_bits, bad_ct) is None
+
+
+def test_generators_from_gate_builds_no_rep_past_a_failing_stacked_test(monkeypatch):
+    # every candidate stack loses the symplectic C of its last matrix, so
+    # the stacked test fails, and so does each conjugate tested alone
+    original = dense._clifford_reps
+    trusted = []
+    monkeypatch.setattr(
+        dense, "_clifford_reps", lambda bits, ct: original(*_break_symplectic(bits, ct, -1))
+    )
+    monkeypatch.setattr(CliffordRep, "_trusted", lambda c, h: trusted.append(c))
+    u, v = gottesman_mochon()
+    message = "^input is not a third-level gate: conjugated generator 0 is not Clifford$"
+    with pytest.raises(ValueError, match=message):
+        generators_from_gate(u @ v)
+    assert trusted == []
+
+
+def test_the_trusted_rep_constructor_has_one_call_site():
+    # only generators_from_gate, right after its stacked Clifford test
+    src = Path(semiclifford.__file__).parent
+    calls = [
+        (path.name, line)
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if "._trusted(" in line
+    ]
+    assert [name for name, _ in calls] == ["pipeline.py"]
+    assert "CliffordRep._trusted(" in inspect.getsource(generators_from_gate)
 
 
 def _t_family():
