@@ -3,8 +3,12 @@
 Subcommands: classify, normalform, expand, pipeline,
 verify-counterexample.  Reports print human-readably by default and as
 schema-stable JSON with --json; every gauge in the library is
-deterministic, so JSON output is bit-identical across runs.  Exit code
-is 0 only if every internal assertion passed.
+deterministic, so JSON output is bit-identical across runs.  Every
+--json report is the text of json.dumps(report, sort_keys=True), byte
+for byte; expand writes its coefficient table as text built from one
+encoding of each distinct coefficient (coefficient_table) and places it
+into that report unchanged (encode_report).  Exit code is 0 only if
+every internal assertion passed.
 """
 
 from __future__ import annotations
@@ -65,6 +69,44 @@ def matrix_rows(mat) -> list:
     text = (mat + 48).tobytes().decode("ascii")
     width = mat.shape[1]
     return [text[i * width : (i + 1) * width] for i in range(mat.shape[0])]
+
+
+class RawJSON(str):
+    """Text that is already JSON, placed into a report unchanged."""
+
+
+def encode_report(out) -> str:
+    """json.dumps(out, sort_keys=True), byte for byte, with each top-level
+    RawJSON value placed as is.  A report with none is one json.dumps call."""
+    if not any(isinstance(v, RawJSON) for v in out.values()):
+        return json.dumps(out, sort_keys=True)
+    items = (
+        f"{json.dumps(k)}: {v if isinstance(v, RawJSON) else json.dumps(v, sort_keys=True)}"
+        for k, v in sorted(out.items())
+    )
+    return "{" + ", ".join(items) + "}"
+
+
+def coefficient_table(support, values) -> RawJSON:
+    """The list [{"a": row, "re": re, "im": im}, ...] of bit rows and
+    complex values, as json.dumps(..., sort_keys=True) writes it.
+
+    A record is '{"a": "', its row, and a tail set by the bit pattern of
+    its (re, im) pair (so 0.0 and -0.0 differ).  A Clifford expansion
+    has few such pairs: each tail is encoded once, and the records are
+    laid out as one byte array, zero-padded to a common width, from
+    which the zero bytes, never part of JSON text, are dropped.
+    """
+    values = np.ascontiguousarray(values, dtype=complex)
+    _, first, code = np.unique(values.view("V16"), return_index=True, return_inverse=True)
+    tails = [
+        f'", "im": {json.dumps(im)}, "re": {json.dumps(re)}}}, '.encode()
+        for re, im in zip(values.real[first].tolist(), values.imag[first].tolist())
+    ]
+    head = np.broadcast_to(np.frombuffer(b'{"a": "', np.uint8), (len(support), 7))
+    tail = np.array(tails).view(np.uint8).reshape(len(tails), -1)[code]
+    flat = np.concatenate([head, gf2.asbits(support) + 48, tail], axis=1).ravel()
+    return RawJSON("[" + flat[flat != 0].tobytes().decode("ascii")[:-2] + "]")
 
 
 _PHASE_NAMES = ("1", "-1", "i", "-i")
@@ -222,7 +264,9 @@ def cmd_expand(args) -> dict:
         "magnitude": res.magnitude,
         "anchor": bitstring(res.a0),
         "rep": rep_to_json(rep),
-        "coefficients": [
+        "coefficients": coefficient_table(res.support, res.values)
+        if args.json
+        else [
             {"a": a, "re": re, "im": im}
             for a, re, im in zip(
                 matrix_rows(res.support), res.values.real.tolist(), res.values.imag.tolist()
@@ -362,12 +406,12 @@ def main(argv=None) -> int:
     except (ValueError, AssertionError, OSError) as exc:
         err = {"command": args.command, "error": str(exc)}
         if args.json:
-            print(json.dumps(err, sort_keys=True))
+            print(encode_report(err))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(out, sort_keys=True))
+        print(encode_report(out))
     else:
         _print_human(out)
     return 0

@@ -77,7 +77,8 @@ class Monomial:
     over the first axis, dag, to_dense and the stacked engine take a
     stack, and a product of two stacks of equal shape multiplies them
     pairwise, as ndarray @ does.  Every permutation entry lies in
-    [0, 2^n), which the constructor checks (ValueError otherwise).
+    [0, 2^n) and is an integer (an integer array of any width), which
+    the constructor checks (ValueError otherwise).
     Products, adjoints and indexing, whose entries are in range by
     construction, build their results unchecked (_unchecked).  Treat the
     arrays as read-only: operations return new Monomials.
@@ -89,7 +90,12 @@ class Monomial:
     __array_ufunc__ = None
 
     def __init__(self, perm, phases):
-        perm = np.asarray(perm, dtype=np.intp)
+        perm = np.asarray(perm)
+        # a cast to intp would truncate floats and read bools and numeric
+        # strings as labels
+        if perm.dtype.kind not in "iu" and perm.size:
+            raise ValueError(f"permutation entries must be integers, not {perm.dtype}")
+        perm = perm.astype(np.intp, copy=False)
         phases = np.asarray(phases, dtype=complex)
         if perm.ndim < 1 or perm.shape != phases.shape:
             raise ValueError(f"perm {perm.shape} and phases {phases.shape} differ in shape")

@@ -40,10 +40,14 @@ alpha_vector_oracle and expand_oracle are the one-vector-at-a-time
 bodies that the library's stacked GF(2) products replaced: a basis per
 free-slot mask, a pairing constraint per column, and scalar dot,
 quad_form and mat_mul calls per generator of the expansion.
-random_circuit and parse_pauli (the inverse of PhasedPauli's repr) are
-samplers and readers that only tests use; stack_ops, which builds the
-one operator stack that GeneratorFamily.ops holds from single matrices,
-is the library's dense._stack_ops.
+coefficient_dicts_oracle is the expand report's coefficient list of one
+dict per support point, which json.dumps encoded before the CLI wrote
+the table from one encoding of each distinct coefficient.
+random_circuit, write_circuit and parse_pauli (the inverse of
+PhasedPauli's repr) are samplers, writers and readers that only tests
+use; stack_ops, which builds the one operator stack that
+GeneratorFamily.ops holds from single matrices, is the library's
+dense._stack_ops.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from semiclifford.circuits import (
     circuit_to_monomial,
     standard_gate,
 )
+from semiclifford.cli import matrix_rows
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
 from semiclifford.classify import (
     GscWitness,
@@ -513,6 +518,13 @@ def int_to_bits(x, width):
     return np.array([(x >> k) & 1 for k in range(width)], dtype=np.uint8)
 
 
+def coefficient_dicts_oracle(support, values) -> list:
+    return [
+        {"a": a, "re": re, "im": im}
+        for a, re, im in zip(matrix_rows(support), values.real.tolist(), values.imag.tolist())
+    ]
+
+
 def random_circuit(n, depth, rng, names=("H", "S", "CX")) -> CircuitDescription:
     """Random circuit over the given gate names (defaults generate Cliffords)."""
     gates = []
@@ -524,6 +536,13 @@ def random_circuit(n, depth, rng, names=("H", "S", "CX")) -> CircuitDescription:
         qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
         gates.append((name, qubits))
     return CircuitDescription(n=n, gates=tuple(gates))
+
+
+def write_circuit(path, desc) -> str:
+    """Write desc to path in the circuit file format; returns the path."""
+    lines = [f"qubits {desc.n}"] + [" ".join([name, *map(str, qs)]) for name, qs in desc.gates]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def random_clifford_dense(n, rng, depth=12):

@@ -22,7 +22,13 @@ from semiclifford.circuits import (
     parse_circuit,
     standard_gate,
 )
-from helpers import circuit_to_dense_oracle, embed_gate_oracle, hex_to_bits, random_circuit
+from helpers import (
+    circuit_to_dense_oracle,
+    embed_gate_oracle,
+    hex_to_bits,
+    random_circuit,
+    write_circuit,
+)
 from semiclifford import cli
 from semiclifford.cli import (
     bitstring,
@@ -115,7 +121,8 @@ def test_parse_circuit_header_is_strict(count):
         desc = parse_circuit(text)
     except CircuitSyntaxError:
         return
-    token = count.split()[0] if len(count.split()) == 1 else None
+    words = count.split("#", 1)[0].split()  # as the parser, drop a '#' comment first
+    token = words[0] if len(words) == 1 else None
     assert token is not None and token.isascii() and token.isdigit()
     assert desc.n == int(token) >= 1
 
@@ -324,12 +331,6 @@ def test_cli_expand_rejects_non_clifford(capsys):
 _CLIFFORD_GATES = ("I", "X", "Y", "Z", "H", "S", "SDG", "CX", "CZ", "SWAP")
 
 
-def _write_circuit(path, desc):
-    lines = [f"qubits {desc.n}"] + [" ".join([name, *map(str, qs)]) for name, qs in desc.gates]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
 def _expand_output(capsys, path):
     code = main(["--json", "expand", path])
     return code, capsys.readouterr().out
@@ -340,7 +341,7 @@ def test_cli_expand_tableau_matches_the_dense_path_byte_for_byte(
     n, rng, tmp_path, capsys, monkeypatch
 ):
     descs = [random_circuit(n, 6 * n, rng, names=_CLIFFORD_GATES) for _ in range(4)]
-    paths = [_write_circuit(tmp_path / f"c{i}.cir", desc) for i, desc in enumerate(descs)]
+    paths = [write_circuit(tmp_path / f"c{i}.cir", desc) for i, desc in enumerate(descs)]
     fast = [_expand_output(capsys, path) for path in paths]
     monkeypatch.setattr(cli, "has_library_reps", lambda desc: False)
     dense = [_expand_output(capsys, path) for path in paths]
@@ -365,7 +366,7 @@ def test_cli_expand_reads_a_clifford_circuit_without_a_dense_matrix(tmp_path, ca
     rng = np.random.default_rng(3)
     for n in range(1, 8):
         desc = random_circuit(n, 6 * n, rng, names=_CLIFFORD_GATES)
-        path = _write_circuit(tmp_path / f"c{n}.cir", desc)
+        path = write_circuit(tmp_path / f"c{n}.cir", desc)
         code, _ = _expand_output(capsys, path)
         assert code == 0 and calls == [], n
 

@@ -248,6 +248,38 @@ def test_monomial_rejects_a_permutation_entry_out_of_range(perm):
         Monomial(perm, np.ones(np.shape(perm)))
 
 
+@pytest.mark.parametrize(
+    "perm",
+    [
+        [0.7, 1.2, 2.9, 3.0],
+        np.array([1.0, 0.0, 2.0, 3.0]),
+        [True, False, True, False],
+        ["1", "0", "2", "3"],
+        [[0, 1, 2, 3], [1, 0, 3, 2.5]],
+    ],
+)
+def test_monomial_rejects_a_permutation_entry_that_is_not_an_integer(perm):
+    # floats were truncated, bools read as labels 0 and 1 and numeric
+    # strings parsed, all before the range check saw them
+    with pytest.raises(ValueError, match="permutation entries must be integers"):
+        Monomial(perm, np.ones(np.shape(perm)))
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [
+        [1, 0, 3, 2],
+        (1, 0, 3, 2),
+        *(np.array([1, 0, 3, 2], dtype=t) for t in (np.uint8, np.int16, np.uint32, np.int64)),
+        np.array([[1, 0, 3, 2], [0, 1, 2, 3]], dtype=np.uint64),
+    ],
+)
+def test_monomial_accepts_integer_permutations_of_any_width(perm):
+    u = Monomial(perm, np.ones(np.shape(perm)))
+    assert u.perm.dtype == np.intp
+    assert np.array_equal(u.perm, np.asarray(perm, dtype=np.int64))
+
+
 def test_stack_product_reads_each_matrix_of_its_own_stack(rng):
     # the stacked product is one flat gather over all matrices; each
     # column must still read the row of its own matrix

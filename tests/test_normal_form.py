@@ -308,6 +308,41 @@ def test_normal_forms_build_each_conjugation_once(monkeypatch, rng):
         assert all(not nf[n:, :n].any() for nf in snf.normalized)
 
 
+def test_each_conjugator_is_tested_symplectic_once(monkeypatch, rng):
+    # each level used to test its conjugator m, then test it again in the
+    # symplectic_inverse of the conjugation by m
+    tested = []
+    is_symplectic = gf2.is_symplectic
+    monkeypatch.setattr(gf2, "is_symplectic", lambda m: tested.append(m) or is_symplectic(m))
+    calls = _record_conjugations(monkeypatch)
+    mats = [C1, C2, JORDAN_C, *(random_commuting_involution_set(n, rng, 1)[0] for n in range(2, 7))]
+    for c in mats:
+        tested.clear()
+        calls.clear()
+        assert_nice(involution_normal_form(c), c)
+        tested = tested[:-1]  # assert_nice's own test of the result
+        # the input once, then each conjugator once, in its conjugation
+        assert len(tested) == 1 + len(calls)
+        assert len({id(m) for m in tested}) == len(tested)
+
+
+def test_a_conjugator_that_is_not_symplectic_fails_its_level(monkeypatch):
+    from semiclifford import normal_form
+
+    block_diag = normal_form._block_diag
+
+    def spoiled(p, q):
+        out = block_diag(p, q)
+        out[0, -1] ^= 1
+        return out
+
+    # JORDAN_C takes the E = F = 0 branch, whose only _block_diag is the
+    # level's conjugator
+    monkeypatch.setattr(normal_form, "_block_diag", spoiled)
+    with pytest.raises(AssertionError, match="^partial conjugator lost symplecticity$"):
+        involution_normal_form(JORDAN_C)
+
+
 def test_each_involution_normal_form_is_checked_once(monkeypatch, rng):
     from semiclifford import normal_form
 
