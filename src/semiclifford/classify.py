@@ -1,31 +1,26 @@
 """Semi-Clifford and generalized semi-Clifford decision procedures.
 
-A unitary is semi-Clifford when conjugation carries some maximal
-abelian subgroup of the Pauli group onto another; it is generalized
+A unitary U is semi-Clifford when conjugation carries some maximal
+abelian subgroup of the Pauli group onto another, and generalized
 semi-Clifford when only the linear spans of two such subgroups need to
 match.  At desk scale (n <= 3) both are decided by exhaustive search
-over Lagrangian subspaces, which label the maximal abelian subgroups.
+over the Lagrangian subspaces L that label the subgroups A_L, on one
+stack of the conjugates U tau_a U^dag of all 4^n - 1 nonzero tau_a
+(classify builds it once for both searches).
 
-The semi-Clifford search rests on S(U) = {a : U tau_a U^dag is Pauli}
-being a subspace, since products of Paulis are Paulis: it conjugates
-all 4^n - 1 nonzero tau_a in one batched product (at most 2^14 entries
-at n <= 3), tests the stack with one vectorized Pauli test, and
-returns the first Lagrangian, in canonical order, whose basis lies in
-S(U).
+Semi-Clifford: S(U) = {a : U tau_a U^dag is Pauli} is a subspace, since
+products of Paulis are Paulis, so the witness is the first Lagrangian,
+in canonical order, whose basis lies in S(U); one vectorized Pauli test
+of the stack gives S(U).
 
-The span criterion is operationalized through monomial matrices: the
-span of the sigma_z subgroup is the diagonal algebra, whose unitary
-normalizer is exactly the monomial group, so U maps span(A_L) onto
-span(A_L') iff Q_L'^dag U Q_L is monomial for Cliffords Q_L mapping the
-z-Lagrangian onto L.  The pair search screens every image of a chunk
-of domains with a single product against the whole Clifford table,
-stored so that it reads as one (2^n, 2^n L) matrix: column 0 of
-Q_L'^dag U Q_L must hold exactly one entry above the tolerance, as
-every column of a monomial matrix does, so only the few pairs that
-pass get the full monomial check, in canonical order.  Domain 0 is screened alone first, so a search that
-hits there pays for one domain; later chunks hold at most as many
-entries as the semi-Clifford search's conjugate stack.  Witnesses are
-re-verified numerically instead of trusted from the search path.
+Generalized semi-Clifford: U maps span(A_L) onto span(A_L') exactly
+when every U tau_b U^dag, b in the basis of L, has its Pauli support
+inside L', since A_L is generated by its basis and both spans have
+dimension 2^n.  The supports are the Pauli coefficients above TOL, all
+read off the stack by one product, and one float32 product of 0/1
+matrices decides all L^2 pairs.  Each candidate pair, in canonical
+order, must still make Q_L'^dag U Q_L monomial (Q_L a Clifford mapping
+the z-Lagrangian onto L) and pass a direct span check to be the witness.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from . import gf2
 from .clifford import CliffordRep
 from .dense import (
     TOL,
-    _conjugate_chunks,
     _pauli_stack,
     as_dense,
     basis_bits,
@@ -48,6 +42,7 @@ from .dense import (
     hierarchy_level,
     monomial_check,
     num_qubits,
+    pauli_conjugates,
 )
 from .expansion import rep_to_dense
 from .pauli import _label_tables, pauli_action
@@ -55,31 +50,44 @@ from .pauli import _label_tables, pauli_action
 
 @lru_cache(maxsize=None)
 def _lagrangian_cliffords(n):
-    """Lagrangians in canonical order, and a read-only (L, 2^n, 2^n)
-    stack of dense Cliffords mapping the z-Lagrangian onto each.
-
-    The stack is a view of one C-ordered (2^n, 2^n, L) array holding
-    entry (r, j) of Clifford i at [r, j, i], so that the pair search's
-    screen reads the table as a (2^n, 2^n L) matrix without a copy
-    (_screen_survivors).
-    """
+    """GF(2) tables of the Lagrangians, in canonical order: the
+    Lagrangians, a read-only (L, n) array of the labels of each one's
+    basis rows, and a read-only (4^n, L) float32 array holding 1 where
+    label b lies outside Lagrangian j."""
     lags = tuple(gf2.enumerate_lagrangians(n))
-    zero_h = np.zeros(2 * n, dtype=np.uint8)
-    table = np.stack(
-        [rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags],
-        axis=2,
-    )
-    table.flags.writeable = False
-    return lags, table.transpose(2, 0, 1)
+    bases = np.array([lag.basis for lag in lags])
+    weights = _label_tables(2 * n)[2]
+    # row x of a Lagrangian's members sums the basis rows set in x
+    members = (basis_bits(n) @ bases & 1) @ weights
+    outside = np.ones((1 << 2 * n, len(lags)), dtype=np.float32)
+    outside[members, np.arange(len(lags))[:, None]] = 0
+    labels = bases @ weights
+    for arr in (labels, outside):
+        arr.flags.writeable = False
+    return lags, labels, outside
 
 
 @lru_cache(maxsize=None)
-def _lagrangian_basis_labels(n):
-    """Read-only (L, n) array: the labels of each Lagrangian's basis rows."""
-    lags, _ = _lagrangian_cliffords(n)
-    labels = np.array([lag.basis for lag in lags]) @ _label_tables(2 * n)[2]
-    labels.flags.writeable = False
-    return labels
+def _lagrangian_clifford(n, index):
+    """Read-only dense Clifford mapping the z-Lagrangian onto Lagrangian
+    `index` of _lagrangian_cliffords(n): a witness's Q_L."""
+    lag = _lagrangian_cliffords(n)[0][index]
+    q = rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), np.zeros(2 * n, dtype=np.uint8)))
+    q.flags.writeable = False
+    return q
+
+
+@lru_cache(maxsize=None)
+def _coefficient_basis(n):
+    """Read-only (4^n, 4^n) complex basis change: a matrix M flattened
+    row-major, times it, gives its Pauli coefficients tr(tau_b^dag M) / 2^n.
+    tau_b is real, with signs[r] in column perm[r] of row r."""
+    dim = 1 << n
+    perm, signs = pauli_action(n, basis_bits(2 * n))
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    out[np.arange(0, dim * dim, dim) + perm, np.arange(dim * dim)[:, None]] = signs / dim
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,27 @@ def _verify_span_map(u, domain, image):
     return close(moved - coeffs @ basis_img, 0)
 
 
+def _nonzero_conjugates(u):
+    """u as a dense unitary, and its conjugates u tau_a u^dag of every
+    nonzero label a in label order (row r is label r + 1), as one stack."""
+    u = as_dense(check_unitary(u))
+    n = num_qubits(u)
+    if n > gf2.LAGRANGIAN_QUBIT_CAP:
+        raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
+    return u, pauli_conjugates(u, basis_bits(2 * n)[1:])
+
+
+def _semi_clifford_search(u, conjugates):
+    lags, labels, _ = _lagrangian_cliffords(num_qubits(u))
+    pauli, _, images = _pauli_stack(conjugates)
+    rows = labels - 1
+    hits = np.flatnonzero(pauli[rows].all(axis=1))
+    if hits.size == 0:
+        return False, len(lags)
+    first = hits[0]
+    return True, SemiCliffordWitness(domain=lags[first], image=gf2.Lagrangian(images[rows[first]]))
+
+
 def is_semi_clifford(u):
     """Search for a Lagrangian whose Pauli subgroup maps into the Paulis.
 
@@ -132,80 +161,43 @@ def is_semi_clifford(u):
     basis lies in the subspace S(u) of those whose conjugate is Pauli.
     The image is re-validated as a Lagrangian.
     """
-    u = as_dense(check_unitary(u))
+    return _semi_clifford_search(*_nonzero_conjugates(u))
+
+
+def _candidate_pairs(n, conjugates):
+    """The pairs (i_dom, i_img), in row-major order, whose domain basis
+    conjugates have Pauli supports inside the image, as two index arrays."""
+    _, labels, outside = _lagrangian_cliffords(n)
+    support = np.abs(conjugates.reshape(len(conjugates), -1) @ _coefficient_basis(n)) > TOL
+    union = support[labels.T - 1].any(axis=0).astype(np.float32)
+    # flatnonzero: np.nonzero on the 2-d array costs several times more
+    return divmod(np.flatnonzero(union @ outside == 0), len(labels))
+
+
+def _gsc_search(u, conjugates):
     n = num_qubits(u)
-    if n > gf2.LAGRANGIAN_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
-    lags, _ = _lagrangian_cliffords(n)
-    # row r of vectors has label r + 1: every nonzero vector, in label order
-    vectors = basis_bits(2 * n)[1:]
-    tests = [_pauli_stack(stack) for stack in _conjugate_chunks(u[None], vectors)]
-    pauli = np.concatenate([ok for ok, _, _ in tests])
-    images = np.concatenate([a for _, _, a in tests])
-    rows = _lagrangian_basis_labels(n) - 1
-    hits = np.flatnonzero(pauli[rows].all(axis=1))
-    if hits.size == 0:
-        return False, len(lags)
-    first = hits[0]
-    return True, SemiCliffordWitness(domain=lags[first], image=gf2.Lagrangian(images[rows[first]]))
-
-
-def _screen_survivors(u, start, stop):
-    """The pairs (i_dom, i_img), i_dom in [start, stop), in row-major
-    order, for which column 0 of Q_img^dag u Q_dom has exactly one entry
-    above TOL, as two index arrays.
-
-    A monomial matrix has exactly one such entry in every column, so
-    the pairs include every one whose product passes monomial_check
-    (barring an entry within rounding of TOL).  The Clifford table, read
-    as a (2^n, 2^n L) matrix, holds column j of Clifford i in column
-    j L + i; so its columns 0 .. L-1 are the Q_dom |0>, and row k of the
-    one product (u Q_dom |0>)^dag table, read as a (2^n, L) array, holds
-    that column, conjugated, for domain start + k and every image.
-    """
-    mats = _lagrangian_cliffords(num_qubits(u))[1]
-    # a view, not a copy: see _lagrangian_cliffords
-    table = mats.transpose(1, 2, 0).reshape(len(u), -1)
-    col0 = (u @ table[:, start:stop]).conj().T @ table
-    heavy = (np.abs(col0) > TOL).reshape(stop - start, len(u), -1)
-    doms, imgs = np.nonzero(heavy.sum(axis=1) == 1)
-    return doms + start, imgs
+    lags = _lagrangian_cliffords(n)[0]
+    for i_dom, i_img in zip(*(a.tolist() for a in _candidate_pairs(n, conjugates))):
+        q_dom, q_img = _lagrangian_clifford(n, i_dom), _lagrangian_clifford(n, i_img)
+        mc = monomial_check(q_img.conj().T @ (u @ q_dom))
+        if not mc.is_monomial:
+            continue
+        if not _verify_span_map(u, lags[i_dom], lags[i_img]):
+            raise AssertionError("monomial witness failed the span check")
+        return True, GscWitness(lags[i_dom], lags[i_img], mc.permutation, mc.phases)
+    return False, len(lags) ** 2
 
 
 def is_generalized_semi_clifford(u):
     """Search Lagrangian pairs for a monomial middle factor.
 
     Returns (True, GscWitness) for the first pair (L, L'), in canonical
-    order, with Q_L'^dag u Q_L monomial; the witness additionally passes
-    a direct span-equality check.  Returns (False, searched_pairs)
-    otherwise, counting every pair, screened out or checked.  Domain 0
-    is screened alone, then chunks of domains (_screen_survivors).
+    order, whose basis supports fit (module docstring) and with
+    Q_L'^dag u Q_L monomial; the witness additionally passes a direct
+    span-equality check.  Returns (False, searched_pairs) otherwise:
+    every one of the L^2 pairs is decided.
     """
-    u = as_dense(check_unitary(u))
-    n = num_qubits(u)
-    if n > gf2.LAGRANGIAN_QUBIT_CAP:
-        raise ValueError(f"n={n} exceeds the search cap {gf2.LAGRANGIAN_QUBIT_CAP}")
-    lags, mats = _lagrangian_cliffords(n)
-    dim = 1 << n
-    # domains per screen: (4^n - 1) 4^n entries at L 2^n per domain
-    per = max(1, (dim * dim - 1) * dim // len(lags))
-    bounds = [0, *range(1, len(lags), per), len(lags)]
-    for start, stop in zip(bounds, bounds[1:]):
-        for i_dom, i_img in zip(*_screen_survivors(u, start, stop)):
-            mc = monomial_check(mats[i_img].conj().T @ (u @ mats[i_dom]))
-            if not mc.is_monomial:
-                continue
-            domain = lags[i_dom]
-            image = lags[i_img]
-            if not _verify_span_map(u, domain, image):
-                raise AssertionError("monomial witness failed the span check")
-            return True, GscWitness(
-                domain=domain,
-                image=image,
-                permutation=mc.permutation,
-                phases=mc.phases,
-            )
-    return False, len(lags) ** 2
+    return _gsc_search(*_nonzero_conjugates(u))
 
 
 @dataclass(frozen=True)
@@ -241,19 +233,15 @@ def classify(u, kmax=3) -> ClassificationReport:
     searched = {}
     semi = semi_w = gsc = gsc_w = None
     if n <= gf2.LAGRANGIAN_QUBIT_CAP:
-        semi_res = is_semi_clifford(u)
-        if semi_res[0]:
-            semi, semi_w = True, semi_res[1]
+        dense, conjugates = _nonzero_conjugates(u)
+        semi, semi_w = _semi_clifford_search(dense, conjugates)
+        if semi:
             searched["lagrangians"] = None
         else:
-            semi, semi_w = False, None
-            searched["lagrangians"] = semi_res[1]
-        gsc_res = is_generalized_semi_clifford(u)
-        if gsc_res[0]:
-            gsc, gsc_w = True, gsc_res[1]
-        else:
-            gsc, gsc_w = False, None
-            searched["lagrangian_pairs"] = gsc_res[1]
+            searched["lagrangians"], semi_w = semi_w, None
+        gsc, gsc_w = _gsc_search(dense, conjugates)
+        if not gsc:
+            searched["lagrangian_pairs"], gsc_w = gsc_w, None
     return ClassificationReport(
         n=n,
         level=level,

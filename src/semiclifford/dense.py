@@ -197,16 +197,20 @@ def _stack_ops(ops):
 
 def as_dense(u) -> np.ndarray:
     """u as a complex ndarray; a Monomial is expanded to its dense matrix."""
-    if isinstance(u, Monomial):
-        return u.to_dense()
-    return np.asarray(u, dtype=complex)
+    u = _as_operator(u)
+    return u.to_dense() if isinstance(u, Monomial) else u
 
 
 def _as_operator(u):
-    """A Monomial as it is, anything else as a complex ndarray."""
+    """A Monomial as it is, anything else as a complex ndarray.  Entries
+    must be integer, real or complex numbers (ValueError otherwise): a
+    cast to complex would parse numeric strings and read bools as 0/1."""
     if isinstance(u, Monomial):
         return u
-    return np.asarray(u, dtype=complex)
+    u = np.asarray(u)
+    if u.dtype.kind not in "iufc":
+        raise ValueError(f"matrix entries must be numbers, not {u.dtype}")
+    return u.astype(complex, copy=False)
 
 
 def identity_like(u):
@@ -268,6 +272,9 @@ def check_unitary(u):
     """
     u = _as_operator(u)
     n = num_qubits(u)
+    # inf entries would make the product below warn before it fails
+    if not np.isfinite(u.phases if isinstance(u, Monomial) else u).all():
+        raise ValueError("matrix is not unitary")
     if isinstance(u, Monomial):
         bijective = np.array_equal(np.sort(u.perm), np.arange(1 << n))
         if not (bijective and np.abs(np.abs(u.phases) ** 2 - 1).max() <= TOL):
@@ -751,8 +758,8 @@ def close_up_to_phase(u, v) -> bool:
         col = cols[v.perm[cols].argmin()]  # the top row among the largest
         phase = u.phases[col] / v.phases[col]
     else:
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
+        u = _as_operator(u)
+        v = _as_operator(v)
         if u.shape != v.shape:
             return False
         idx = np.unravel_index(np.abs(v).argmax(), v.shape)

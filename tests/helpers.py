@@ -14,10 +14,11 @@ and the semi-Clifford search one Lagrangian at a time.
 embed_gate_oracle builds a gate's 2^n x 2^n matrix one column at a
 time, decoding each label bit by bit; the library places each gate's
 own matrix, Monomial or rep instead, and builds no such matrix.
-column0_survivors_oracle is the
-per-domain column-0 screen that the generalized semi-Clifford search's
-chunked screen replaced, and circuit_to_dense_oracle the
-embed-and-multiply circuit build that its block-wise one replaced.
+lagrangian_clifford_table is the dense (L, 2^n, 2^n) stack of
+Lagrangian Cliffords that the generalized semi-Clifford search held
+before it decided pairs from Pauli supports; the oracles below read it.
+circuit_to_dense_oracle is the embed-and-multiply circuit build that
+the library's block-wise one replaced.
 rref_oracle is the per-bit row reduction the library's packed-int
 elimination replaced, and
 orbit_kernel_oracle the breadth-first orbit search its coset-doubling
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,12 +70,7 @@ from semiclifford.circuits import (
 )
 from semiclifford.cli import matrix_rows
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
-from semiclifford.classify import (
-    GscWitness,
-    SemiCliffordWitness,
-    _lagrangian_cliffords,
-    _verify_span_map,
-)
+from semiclifford.classify import GscWitness, SemiCliffordWitness, _verify_span_map
 from semiclifford.dense import (
     TOL,
     Monomial,
@@ -85,6 +82,7 @@ from semiclifford.dense import (
     num_qubits,
     pauli_conjugates,
 )
+from semiclifford.expansion import rep_to_dense
 from semiclifford.normal_form import (
     _block_diag,
     _involution_conjugator,
@@ -263,18 +261,15 @@ def embed_gate_oracle(name, qubits, n) -> np.ndarray:
     return out
 
 
-def column0_survivors_oracle(u):
-    """The pairs (i_dom, i_img), in row-major order, whose product
-    Q_img^dag u Q_dom has exactly one entry above TOL in column 0,
-    screened one domain at a time: one product of column 0 of u Q_dom
-    with the whole Lagrangian Clifford stack per domain."""
-    mats = _lagrangian_cliffords(num_qubits(u))[1]
-    pairs = []
-    for i_dom, q_dom in enumerate(mats):
-        col0 = (u @ q_dom)[:, 0].conj() @ mats
-        hits = np.flatnonzero((np.abs(col0) > TOL).sum(axis=1) == 1)
-        pairs.extend((i_dom, int(i_img)) for i_img in hits)
-    return pairs
+@lru_cache(maxsize=None)
+def lagrangian_clifford_table(n):
+    """The Lagrangians in canonical order, and a read-only (L, 2^n, 2^n)
+    stack of dense Cliffords mapping the z-Lagrangian onto each."""
+    lags = tuple(gf2.enumerate_lagrangians(n))
+    zero_h = np.zeros(2 * n, dtype=np.uint8)
+    mats = np.stack([rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags])
+    mats.flags.writeable = False
+    return lags, mats
 
 
 def circuit_to_dense_oracle(desc: CircuitDescription) -> np.ndarray:
@@ -287,10 +282,10 @@ def circuit_to_dense_oracle(desc: CircuitDescription) -> np.ndarray:
 
 
 def gsc_search_oracle(u):
-    """Generalized semi-Clifford search with no screen: one full
-    monomial check per Lagrangian pair, in canonical order."""
+    """Generalized semi-Clifford search with no candidate filter: one
+    full monomial check per Lagrangian pair, in canonical order."""
     u = check_unitary(u)
-    lags, mats = _lagrangian_cliffords(num_qubits(u))
+    lags, mats = lagrangian_clifford_table(num_qubits(u))
     for i_dom, q_dom in enumerate(mats):
         middle_left = u @ q_dom
         for i_img, q_img in enumerate(mats):
@@ -391,7 +386,7 @@ def hierarchy_level_oracle(u, kmax):
 def semi_clifford_oracle(u):
     """Semi-Clifford search one Lagrangian at a time, in canonical order:
     the first whose basis conjugates to Paulis, else (False, count)."""
-    lags, _ = _lagrangian_cliffords(num_qubits(u))
+    lags, _ = lagrangian_clifford_table(num_qubits(u))
     for lag in lags:
         images = [is_pauli_oracle(conjugate_oracle(u, b)) for b in lag.basis]
         if all(img is not None for img in images):

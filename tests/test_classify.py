@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import (
-    column0_survivors_oracle,
-    gsc_search_oracle,
     embed_gate_oracle,
+    gsc_search_oracle,
+    lagrangian_clifford_table,
     random_c3_gate,
     random_circuit,
     random_clifford_dense,
+    random_monomial_c3_gate,
 )
 from semiclifford import gf2
 from semiclifford.circuits import (
@@ -20,13 +21,17 @@ from semiclifford.circuits import (
     parse_circuit,
 )
 from semiclifford.classify import (
+    _candidate_pairs,
+    _lagrangian_clifford,
+    _lagrangian_cliffords,
+    _nonzero_conjugates,
+    _verify_span_map,
     classify,
     is_generalized_semi_clifford,
     is_semi_clifford,
-    _lagrangian_cliffords,
-    _screen_survivors,
 )
-from semiclifford.dense import Monomial, monomial_check, num_qubits
+from semiclifford.dense import Monomial, as_dense, monomial_check, num_qubits
+from semiclifford.expansion import rep_to_dense
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
 # The package re-exports the classify function under the module's name.
@@ -157,7 +162,7 @@ def test_is_semi_clifford_reads_the_cached_lagrangians(monkeypatch):
 def test_lagrangian_table_makes_no_scalar_gf2_calls(monkeypatch):
     # enumeration, completion and expansion are stacked products; the
     # scalar loops they replaced made 876 quad_form, 1,330 dot and 7,625
-    # mat_mul calls
+    # mat_mul calls for the tables and every witness Clifford
     calls = dict.fromkeys(("quad_form", "dot", "mat_mul"), 0)
     for name in calls:
 
@@ -167,8 +172,10 @@ def test_lagrangian_table_makes_no_scalar_gf2_calls(monkeypatch):
 
         monkeypatch.setattr(gf2, name, counting)
     _lagrangian_cliffords.cache_clear()
+    _lagrangian_clifford.cache_clear()
     for n in (1, 2, 3):
-        _lagrangian_cliffords(n)
+        for i in range(len(_lagrangian_cliffords(n)[0])):
+            _lagrangian_clifford(n, i)
     assert calls["quad_form"] == 0 and calls["dot"] == 0
     assert calls["mat_mul"] <= 1000
 
@@ -188,120 +195,186 @@ def test_search_cap():
 
 
 def _oracle_gates(rng):
+    """Gates of every outcome at n = 1..3: Cliffords, C.D.C gates, H/T/CX
+    circuits, Monomials and the n = 3 full misses."""
     gates = [embed_gate_oracle(name, (0,), 1) for name in ("H", "S", "T", "X")]
     for n in (1, 2, 3):
+        names = ("H", "T", "CX") if n > 1 else ("H", "T")
         gates += [random_clifford_dense(n, rng) for _ in range(2)]
-    for n in (2, 3):
         gates += [random_c3_gate(n, rng) for _ in range(2)]
+        gates += [circuit_to_dense(random_circuit(n, 8 * n, rng, names=names))]
+        gates += [circuit_to_monomial(random_circuit(n, 6 * n, rng, names=names[1:] + ("X", "S")))]
+    gates += [random_monomial_c3_gate(3, rng) for _ in range(2)]
     return gates + [full_miss_gate(i) for i in range(len(FULL_MISS_CIRCUITS))]
 
 
+def _same_search(got, want):
+    """Equal verdicts, counts and witnesses, the phases bit for bit."""
+    assert got[0] == want[0]
+    if not got[0]:
+        assert got == want
+        return
+    assert np.array_equal(got[1].domain.basis, want[1].domain.basis)
+    assert np.array_equal(got[1].image.basis, want[1].image.basis)
+    assert got[1].permutation == want[1].permutation
+    assert np.asarray(got[1].phases).tobytes() == np.asarray(want[1].phases).tobytes()
+
+
 def test_gsc_search_matches_unscreened_oracle(rng):
+    # witnesses bit for bit, on dense and Monomial input
     for u in _oracle_gates(rng):
-        ok, got = is_generalized_semi_clifford(u)
-        want_ok, want = gsc_search_oracle(u)
-        assert ok == want_ok
-        if not ok:
-            assert got == want
-            continue
-        assert np.array_equal(got.domain.basis, want.domain.basis)
-        assert np.array_equal(got.image.basis, want.image.basis)
-        assert got.permutation == want.permutation
-        assert np.asarray(got.phases).tobytes() == np.asarray(want.phases).tobytes()
+        _same_search(is_generalized_semi_clifford(u), gsc_search_oracle(as_dense(u)))
 
 
-def _pairs(screens):
-    """The (i_dom, i_img) pairs of a run of _screen_survivors results."""
-    return [(int(d), int(i)) for doms, imgs in screens for d, i in zip(doms, imgs)]
+def _candidates(u):
+    u, conjugates = _nonzero_conjugates(u)
+    return set(zip(*(a.tolist() for a in _candidate_pairs(num_qubits(u), conjugates))))
 
 
-def test_column0_survivors_include_every_monomial_pair(rng):
+def test_candidate_pairs_include_every_monomial_pair(rng):
     accepted_total = 0
     for n in (1, 2, 3):
         gates = [random_clifford_dense(n, rng), random_c3_gate(n, rng)]
         if n == 3:
             gates.append(full_miss_gate(0))
-        _, mats = _lagrangian_cliffords(n)
+        _, mats = lagrangian_clifford_table(n)
         for u in gates:
-            survivors = set(_pairs([_screen_survivors(u, 0, len(mats))]))
+            candidates = _candidates(u)
             accepted = {
                 (i_dom, i_img)
                 for i_dom, q_dom in enumerate(mats)
                 for i_img, q_img in enumerate(mats)
                 if monomial_check(q_img.conj().T @ u @ q_dom).is_monomial
             }
-            assert accepted <= survivors
+            # every monomial pair is a candidate, and on exact gates no
+            # other pair is: the support criterion is exact
+            assert candidates == accepted
             accepted_total += len(accepted)
     assert accepted_total > 0
 
 
-def _screen_gates(rng):
-    """Cliffords, C.D.C gates and Clifford+T gates at n = 1..3, with the
-    n = 3 full misses."""
-    gates = []
-    for n in (1, 2, 3):
-        names = ("H", "T", "CX") if n > 1 else ("H", "T")
-        gates += [random_clifford_dense(n, rng), random_c3_gate(n, rng)]
-        gates += [circuit_to_dense(random_circuit(n, 8 * n, rng, names=names))]
-    return gates + [full_miss_gate(i) for i in range(len(FULL_MISS_CIRCUITS))]
+def _perturbed(u, eps, rng):
+    """u times exp(i eps H) for a random Hermitian H of largest eigenvalue
+    modulus 1: a unitary within about eps of u in every entry."""
+    d = len(u)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    return u @ (v * np.exp(1j * eps * w / np.abs(w).max())) @ v.conj().T
 
 
-def test_chunked_screen_matches_the_per_domain_oracle(rng):
-    for u in _screen_gates(rng):
-        count = len(_lagrangian_cliffords(num_qubits(u))[0])
-        for bounds in ((0, count), (0, 1, count), (0, 1, 2, count)):
-            got = [_screen_survivors(u, a, b) for a, b in zip(bounds, bounds[1:])]
-            assert _pairs(got) == column0_survivors_oracle(u)
+def _passing_pairs(u):
+    """Every pair that passes both the monomial check and the span check."""
+    lags, mats = lagrangian_clifford_table(num_qubits(u))
+    return [
+        (i_dom, i_img)
+        for i_dom, q_dom in enumerate(mats)
+        for i_img, q_img in enumerate(mats)
+        if monomial_check(q_img.conj().T @ (u @ q_dom)).is_monomial
+        and _verify_span_map(u, lags[i_dom], lags[i_img])
+    ]
 
 
-def _recording_screen(monkeypatch):
+def test_near_tol_perturbations_keep_the_oracle_witness_or_a_checked_one():
+    rng = np.random.default_rng(930)
+    gates = [random_c3_gate(n, rng) for n in (1, 1, 1, 1, 2, 2, 3)]
+    gates += [circuit_to_dense(random_circuit(1, 6, rng, names=("H", "S", "T")))]
+    gates += [circuit_to_dense(random_circuit(2, 12, rng, names=("H", "S", "CX", "T")))]
+    oracle_raised = 0
+    for eps in (1e-12, 1e-10, 3e-10, 1e-9, 3e-9):
+        for u in (_perturbed(g, eps, rng) for g in gates):
+            try:
+                want = gsc_search_oracle(u)
+            except AssertionError:
+                want = None
+            if want is not None:
+                _same_search(is_generalized_semi_clifford(u), want)
+                continue
+            assert eps > 1e-10
+            oracle_raised += 1
+            try:
+                got = is_generalized_semi_clifford(u)
+            except AssertionError:  # only where the oracle raises too
+                continue
+            if got[0]:
+                lags, mats = lagrangian_clifford_table(num_qubits(u))
+                q_dom, q_img = (mats[lags.index(lag)] for lag in (got[1].domain, got[1].image))
+                assert monomial_check(q_img.conj().T @ (u @ q_dom)).is_monomial
+                assert _verify_span_map(u, got[1].domain, got[1].image)
+            else:
+                assert _passing_pairs(u) == []
+    assert oracle_raised > 0
+
+
+def _counting_monomial_checks(monkeypatch):
     calls = []
-    screen = _screen_survivors
 
-    def recording(u, start, stop):
-        pairs = screen(u, start, stop)
-        calls.append((start, stop, pairs))
-        return pairs
+    def counting(m):
+        calls.append(1)
+        return monomial_check(m)
 
-    monkeypatch.setattr(classify_module, "_screen_survivors", recording)
+    monkeypatch.setattr(classify_module, "monomial_check", counting)
     return calls
 
 
-def test_full_miss_screens_domain_zero_then_chunks_within_the_conjugate_stack(monkeypatch, rng):
-    calls = _recording_screen(monkeypatch)
-    for u in _screen_gates(rng):
-        calls.clear()
-        ok, _ = is_generalized_semi_clifford(u)
-        assert ok == gsc_search_oracle(u)[0]
-        n = num_qubits(u)
-        count = len(_lagrangian_cliffords(n)[0])
-        assert calls[0][:2] == (0, 1)
-        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
-        # each chunk's product holds at most the (4^n - 1) 4^n entries
-        # of the semi-Clifford search's conjugate stack
-        assert all((stop - start) * count * 2**n <= (4**n - 1) * 4**n for start, stop, _ in calls)
-        if not ok:
-            assert calls[-1][1] == count
-            assert _pairs(pairs for _, _, pairs in calls) == column0_survivors_oracle(u)
-    assert [stop - start for start, stop, _ in calls] == [1] + [3] * 44 + [2]
+def test_full_miss_runs_no_monomial_check(monkeypatch):
+    calls = _counting_monomial_checks(monkeypatch)
+    for i in range(len(FULL_MISS_CIRCUITS)):
+        assert is_generalized_semi_clifford(full_miss_gate(i)) == (False, 135**2)
+    assert calls == []
 
 
-def test_early_hit_screens_domain_zero_alone(monkeypatch, rng):
-    calls = _recording_screen(monkeypatch)
+def _counting_rep_to_dense(monkeypatch):
+    calls = []
+
+    def counting(rep):
+        calls.append(rep)
+        return rep_to_dense(rep)
+
+    monkeypatch.setattr(classify_module, "rep_to_dense", counting)
+    return calls
+
+
+def test_early_hit_builds_at_most_its_two_witness_cliffords(monkeypatch, rng):
+    calls = _counting_rep_to_dense(monkeypatch)
+    _lagrangian_clifford.cache_clear()
     for n in (1, 2, 3):
-        ok, wit = is_generalized_semi_clifford(random_clifford_dense(n, rng))
+        u = random_clifford_dense(n, rng)
+        ok, wit = is_generalized_semi_clifford(u)
         assert ok
         assert wit.domain == _lagrangian_cliffords(n)[0][0]
-        assert [call[:2] for call in calls] == [(0, 1)]
+        assert 1 <= len(calls) <= 2
         calls.clear()
+        _same_search(is_generalized_semi_clifford(u), (ok, wit))
+        assert calls == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_screen_reads_the_clifford_table_without_a_copy(n):
-    mats = _lagrangian_cliffords(n)[1]
-    table = mats.transpose(1, 2, 0).reshape(2**n, -1)
-    assert np.shares_memory(table, mats)
-    assert not mats.flags.writeable
+def test_lagrangian_tables_build_no_dense_matrix(monkeypatch):
+    calls = _counting_rep_to_dense(monkeypatch)
+    _lagrangian_cliffords.cache_clear()
+    for n in (1, 2, 3):
+        lags, labels, outside = _lagrangian_cliffords(n)
+        assert not labels.flags.writeable and not outside.flags.writeable
+        weights = 1 << np.arange(2 * n - 1, -1, -1)
+        assert np.array_equal(labels, [lag.basis @ weights for lag in lags])
+        inside = np.zeros_like(outside)
+        for j, lag in enumerate(lags):
+            inside[lag.vectors() @ weights, j] = 1
+        assert np.array_equal(outside, 1 - inside)
+    assert calls == []
+
+
+def test_classify_conjugates_once_for_both_searches(monkeypatch):
+    calls = []
+    conjugates = classify_module.pauli_conjugates
+
+    def counting(u, vectors):
+        calls.append(len(vectors))
+        return conjugates(u, vectors)
+
+    monkeypatch.setattr(classify_module, "pauli_conjugates", counting)
+    report = classify(full_miss_gate(0))
+    assert report.searched == {"lagrangians": 135, "lagrangian_pairs": 135**2}
+    assert calls == [63]
 
 
 def test_full_miss_search_stays_within_a_small_memory_peak():
@@ -317,13 +390,7 @@ def test_full_miss_search_stays_within_a_small_memory_peak():
 
 
 def test_full_miss_search_runs_few_monomial_checks(monkeypatch):
-    calls = []
-
-    def counting(m):
-        calls.append(1)
-        return monomial_check(m)
-
+    calls = _counting_monomial_checks(monkeypatch)
     u = full_miss_gate(0)
-    monkeypatch.setattr(classify_module, "monomial_check", counting)
     assert is_generalized_semi_clifford(u) == (False, 135**2)
     assert len(calls) <= 135

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from helpers import (
 )
 import semiclifford
 from semiclifford import gf2
-from semiclifford.classify import classify
+from semiclifford.classify import classify, is_generalized_semi_clifford, is_semi_clifford
 from semiclifford.circuits import GATE_MATRICES, standard_gate
 from semiclifford.clifford import CliffordRep, compose, from_pauli
 from semiclifford.dense import (
     Monomial,
     _lambda_products,
+    as_dense,
     basis_bits,
     check_unitary,
     close,
@@ -340,3 +342,40 @@ def test_hierarchy_level_four():
     rt = np.diag([1, np.exp(1j * np.pi / 8)])
     assert hierarchy_level(rt, kmax=4) == 4
     assert hierarchy_level(GATE_MATRICES["T"], kmax=4) == 3
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.array([["1", "0"], ["0", "1"]]),
+        np.eye(2, dtype=bool),
+        np.eye(2, dtype=object),
+    ],
+    ids=["strings", "bools", "objects"],
+)
+def test_non_numeric_matrices_are_rejected_at_coercion(u):
+    searches = (is_semi_clifford, is_generalized_semi_clifford, classify)
+    for fn in (check_unitary, as_dense, is_pauli, extract_rep, monomial_check, *searches):
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            fn(u)
+
+
+def test_lists_of_python_numbers_are_still_matrices():
+    assert close(check_unitary([[1, 0], [0, 1]]), np.eye(2))
+    assert check_unitary([[0, 1j], [1j, 0]]).dtype == complex
+    assert close(as_dense([[0.0, 1.0], [1.0, 0.0]]), GATE_MATRICES["X"])
+    assert is_semi_clifford([[1, 0], [0, 1]])[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_matrices_fail_the_unitary_check_without_a_warning(bad):
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    mono = Monomial(np.arange(4), np.array([1, bad, 1, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (u, mono):
+            with pytest.raises(ValueError, match="^matrix is not unitary$"):
+                check_unitary(m)
+        with pytest.raises(ValueError, match="^matrix is not unitary$"):
+            classify(u)
