@@ -5,8 +5,16 @@ abelian subgroup of the Pauli group onto another, and generalized
 semi-Clifford when only the linear spans of two such subgroups need to
 match.  At desk scale (n <= 3) both are decided by exhaustive search
 over the Lagrangian subspaces L that label the subgroups A_L, on one
-stack of the conjugates U tau_a U^dag of all 4^n - 1 nonzero tau_a
-(classify builds it once for both searches).
+stack of the conjugates U tau_a U^dag of all 4^n - 1 nonzero tau_a.
+
+classify builds one stack for every fact it reports: U, those 4^n - 1
+conjugates, and the (2n)^2 conjugates of the 2n generator conjugates
+by the generators (100 matrices at n = 3).  One _pauli_stack test of it
+gives the hierarchy level (level 1 from U, level 2 from the generator
+rows and level 3 from the second conjugates, each through
+_clifford_reps, as hierarchy_level decides them) and S(U).  Above the
+search cap the level comes from hierarchy_level, the oracle of this
+read-off in the tests.
 
 Semi-Clifford: S(U) = {a : U tau_a U^dag is Pauli} is a subspace, since
 products of Paulis are Paulis, so the witness is the first Lagrangian,
@@ -20,7 +28,11 @@ dimension 2^n.  The supports are the Pauli coefficients above TOL, all
 read off the stack by one product, and one float32 product of 0/1
 matrices decides all L^2 pairs.  Each candidate pair, in canonical
 order, must still make Q_L'^dag U Q_L monomial (Q_L a Clifford mapping
-the z-Lagrangian onto L) and pass a direct span check to be the witness.
+the z-Lagrangian onto L) and pass a direct span check to be the witness;
+a monomial pair that fails the span check raises ValueError, since U is
+then within TOL of the decision.  A semi-Clifford pair (L, L') is such a
+witness, so in classify the first semi-Clifford domain bounds the
+generalized search.
 """
 
 from __future__ import annotations
@@ -34,9 +46,14 @@ from . import gf2
 from .clifford import CliffordRep
 from .dense import (
     TOL,
+    _all_in_level,
+    _clifford_reps,
+    _conjugates,
+    _dagger,
     _pauli_stack,
     as_dense,
     basis_bits,
+    check_kmax,
     check_unitary,
     close,
     hierarchy_level,
@@ -104,30 +121,23 @@ class GscWitness:
     phases: tuple
 
 
-def _span_basis(n, lag):
-    """Dense Hermitian basis of the span of the subgroup labeled by lag,
-    as a (2^n, 2^n, 2^n) stack: i**(v.w) tau_a for each member a."""
-    vecs = lag.vectors()
-    perm, signs = pauli_action(n, vecs)
-    herm = 1j ** ((vecs[:, :n] & vecs[:, n:]).sum(axis=1) & 1)
-    dim = 1 << n
-    out = np.zeros((len(vecs), dim, dim), dtype=complex)
-    out[np.arange(len(vecs))[:, None], np.arange(dim), perm] = herm[:, None] * signs
-    return out
-
-
 def _verify_span_map(u, domain, image):
     """Check u . span(A_domain) . u^dag == span(A_image) directly.
 
-    Each moved domain basis matrix, less its orthogonal projection onto
-    the image span (the image basis is orthogonal, each of norm^2 2^n),
-    must vanish within TOL.
+    Each conjugate u tau_a u^dag of a domain member a, less its
+    orthogonal projection onto the image span, must vanish within TOL.
+    The tau_b of the image members b are an orthogonal basis of that
+    span, each real and of norm^2 2^n; phases of either basis change
+    neither span.
     """
     n = domain.n
-    basis_img = _span_basis(n, image).reshape(1 << n, -1)
-    moved = (u @ _span_basis(n, domain) @ u.conj().T).reshape(1 << n, -1)
-    coeffs = np.einsum("lx,kx->kl", basis_img.conj(), moved) / (1 << n)
-    return close(moved - coeffs @ basis_img, 0)
+    dim = 1 << n
+    perm, signs = pauli_action(n, image.vectors())
+    basis = np.zeros((dim, dim, dim))
+    basis[np.arange(dim)[:, None], np.arange(dim), perm] = signs
+    basis = basis.reshape(dim, -1)
+    moved = pauli_conjugates(u, domain.vectors()).reshape(dim, -1)
+    return close(moved - (moved @ basis.T) @ basis / dim, 0)
 
 
 def _nonzero_conjugates(u):
@@ -140,15 +150,19 @@ def _nonzero_conjugates(u):
     return u, pauli_conjugates(u, basis_bits(2 * n)[1:])
 
 
-def _semi_clifford_search(u, conjugates):
-    lags, labels, _ = _lagrangian_cliffords(num_qubits(u))
-    pauli, _, images = _pauli_stack(conjugates)
+def _semi_clifford_search(n, tested):
+    """The semi-Clifford search on tested = _pauli_stack of the nonzero
+    conjugates (row r is label r + 1): (True, witness, i) for the first
+    Lagrangian i with its basis in S(u), else (False, searched, None)."""
+    lags, labels, _ = _lagrangian_cliffords(n)
+    pauli, _, images = tested
     rows = labels - 1
     hits = np.flatnonzero(pauli[rows].all(axis=1))
     if hits.size == 0:
-        return False, len(lags)
+        return False, len(lags), None
     first = hits[0]
-    return True, SemiCliffordWitness(domain=lags[first], image=gf2.Lagrangian(images[rows[first]]))
+    image = gf2.Lagrangian(images[rows[first]])
+    return True, SemiCliffordWitness(domain=lags[first], image=image), first
 
 
 def is_semi_clifford(u):
@@ -161,30 +175,48 @@ def is_semi_clifford(u):
     basis lies in the subspace S(u) of those whose conjugate is Pauli.
     The image is re-validated as a Lagrangian.
     """
-    return _semi_clifford_search(*_nonzero_conjugates(u))
+    u, conjugates = _nonzero_conjugates(u)
+    return _semi_clifford_search(num_qubits(u), _pauli_stack(conjugates))[:2]
 
 
-def _candidate_pairs(n, conjugates):
-    """The pairs (i_dom, i_img), in row-major order, whose domain basis
-    conjugates have Pauli supports inside the image, as two index arrays."""
+def _candidate_pairs(n, conjugates, last=None):
+    """The pairs (i_dom, i_img), in row-major order and with i_dom <= last
+    if given, whose domain basis conjugates have Pauli supports inside
+    the image, as two index arrays."""
     _, labels, outside = _lagrangian_cliffords(n)
+    rows = (labels if last is None else labels[: last + 1]).T - 1
+    if last is not None:
+        # only the conjugates that those bases use, renumbered in order
+        used = np.zeros(len(conjugates), dtype=bool)
+        used[rows] = True
+        conjugates, rows = conjugates[used], np.cumsum(used)[rows] - 1
     support = np.abs(conjugates.reshape(len(conjugates), -1) @ _coefficient_basis(n)) > TOL
-    union = support[labels.T - 1].any(axis=0).astype(np.float32)
+    union = support[rows].any(axis=0).astype(np.float32)
     # flatnonzero: np.nonzero on the 2-d array costs several times more
     return divmod(np.flatnonzero(union @ outside == 0), len(labels))
 
 
-def _gsc_search(u, conjugates):
+def _gsc_search(u, conjugates, last=None):
+    """The generalized search, over domains 0..last if given.  A
+    semi-Clifford witness at domain i makes its pair a monomial
+    candidate, so the walk ends at i or earlier and last = i changes no
+    result; only near TOL can that pair fail, and then the whole search
+    runs."""
     n = num_qubits(u)
     lags = _lagrangian_cliffords(n)[0]
-    for i_dom, i_img in zip(*(a.tolist() for a in _candidate_pairs(n, conjugates))):
+    for i_dom, i_img in zip(*(a.tolist() for a in _candidate_pairs(n, conjugates, last))):
         q_dom, q_img = _lagrangian_clifford(n, i_dom), _lagrangian_clifford(n, i_img)
         mc = monomial_check(q_img.conj().T @ (u @ q_dom))
         if not mc.is_monomial:
             continue
         if not _verify_span_map(u, lags[i_dom], lags[i_img]):
-            raise AssertionError("monomial witness failed the span check")
+            raise ValueError(
+                f"pair ({i_dom}, {i_img}) is monomial but fails the span check: "
+                "the gate is within TOL of the decision"
+            )
         return True, GscWitness(lags[i_dom], lags[i_img], mc.permutation, mc.phases)
+    if last is not None:
+        return _gsc_search(u, conjugates)
     return False, len(lags) ** 2
 
 
@@ -194,8 +226,9 @@ def is_generalized_semi_clifford(u):
     Returns (True, GscWitness) for the first pair (L, L'), in canonical
     order, whose basis supports fit (module docstring) and with
     Q_L'^dag u Q_L monomial; the witness additionally passes a direct
-    span-equality check.  Returns (False, searched_pairs) otherwise:
-    every one of the L^2 pairs is decided.
+    span-equality check, and a monomial pair that fails it raises
+    ValueError (u is within TOL of the decision).  Returns (False,
+    searched_pairs) otherwise: every one of the L^2 pairs is decided.
     """
     return _gsc_search(*_nonzero_conjugates(u))
 
@@ -225,21 +258,70 @@ class ClassificationReport:
             )
 
 
+def _tested_stack(u):
+    """The stack of the module docstring, and its _pauli_stack test.
+
+    Returns (stack, tested): row 0 of stack is u, row a its conjugate by
+    tau_a for each nonzero label a, and the last (2n)^2 rows the
+    conjugates g_i tau_(e_j) g_i^dag of the generator conjugates
+    g_i = u tau_(e_i) u^dag, over i and then j.  Every conjugate comes
+    from _conjugates, as those of hierarchy_level do.
+    """
+    n = num_qubits(u)
+    conjugates = pauli_conjugates(u, basis_bits(2 * n)[1:])
+    gens = conjugates[_label_tables(2 * n)[2] - 1]
+    second = _conjugates(gens, _dagger(gens), gf2.ident(2 * n))
+    stack = np.concatenate([u[None], conjugates, second])
+    return stack, _pauli_stack(stack)
+
+
+def _stack_level(stack, tested, kmax):
+    """hierarchy_level read off _tested_stack: level 1 from u, levels 2
+    and 3 from the generator and second conjugate rows, and level 4 by
+    _all_in_level on the second conjugates, whose conjugates it tests."""
+    ok, bits, labels = tested
+    m = 2 * num_qubits(stack[0])
+    gens, second = _label_tables(m)[2], slice(1 << m, None)
+
+    def clifford(rows, k):
+        reps = (bits[rows].reshape(k, m, 2), labels[rows].reshape(k, m, m))
+        return ok[rows].all() and _clifford_reps(*reps) is not None
+
+    tests = (
+        lambda: ok[0],
+        lambda: clifford(gens, 1),
+        lambda: clifford(second, m),
+        lambda: _all_in_level(stack[second], 2),
+    )
+    return next((k for k, test in zip(range(1, kmax + 1), tests) if test()), None)
+
+
 def classify(u, kmax=3) -> ClassificationReport:
-    """Full report: hierarchy level plus both span-based memberships."""
+    """Full report: hierarchy level plus both span-based memberships.
+
+    At n <= the search cap every fact is read off one tested stack
+    (module docstring), and a semi-Clifford witness at domain i bounds
+    the generalized search to domains 0..i; above it only the level is
+    decided, by hierarchy_level.
+    """
     u = check_unitary(u)
     n = num_qubits(u)
-    level = hierarchy_level(u, kmax=kmax)
     searched = {}
     semi = semi_w = gsc = gsc_w = None
-    if n <= gf2.LAGRANGIAN_QUBIT_CAP:
-        dense, conjugates = _nonzero_conjugates(u)
-        semi, semi_w = _semi_clifford_search(dense, conjugates)
+    if n > gf2.LAGRANGIAN_QUBIT_CAP:
+        level = hierarchy_level(u, kmax=kmax)
+    else:
+        check_kmax(kmax)
+        dense = as_dense(u)
+        stack, tested = _tested_stack(dense)
+        level = _stack_level(stack, tested, kmax)
+        nonzero = slice(1, 1 << 2 * n)
+        semi, semi_w, last = _semi_clifford_search(n, tuple(t[nonzero] for t in tested))
         if semi:
             searched["lagrangians"] = None
         else:
             searched["lagrangians"], semi_w = semi_w, None
-        gsc, gsc_w = _gsc_search(dense, conjugates)
+        gsc, gsc_w = _gsc_search(dense, stack[nonzero], last)
         if not gsc:
             searched["lagrangian_pairs"], gsc_w = gsc_w, None
     return ClassificationReport(

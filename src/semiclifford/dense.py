@@ -17,6 +17,9 @@ source of tau_a's permutation and signs): one batched matmul for a
 dense stack, one gather for a Monomial stack.  _pauli_stack is the
 only Pauli test of a built conjugate; is_pauli and the dense Clifford
 test run it on stacks of at most _STACK_ENTRIES (2^14) stored entries.
+At n <= 3, classify runs it once on one such stack (u, its 4^n - 1
+nonzero conjugates and the (2n)^2 conjugates of its generator
+conjugates) and reads the hierarchy level and S(u) off that one result.
 A Monomial's Clifford test builds none: _affine_paulis reads its
 generator images off its affine permutation and its phase products.
 

@@ -1,5 +1,8 @@
 import importlib
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,20 +25,32 @@ from semiclifford.circuits import (
 )
 from semiclifford.classify import (
     _candidate_pairs,
+    _gsc_search,
     _lagrangian_clifford,
     _lagrangian_cliffords,
     _nonzero_conjugates,
+    _semi_clifford_search,
     _verify_span_map,
     classify,
     is_generalized_semi_clifford,
     is_semi_clifford,
 )
-from semiclifford.dense import Monomial, as_dense, monomial_check, num_qubits
+from semiclifford.dense import (
+    _STACK_ENTRIES,
+    Monomial,
+    _pauli_stack,
+    as_dense,
+    hierarchy_level,
+    monomial_check,
+    num_qubits,
+)
 from semiclifford.expansion import rep_to_dense
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
 # The package re-exports the classify function under the module's name.
 classify_module = importlib.import_module("semiclifford.classify")
+dense_module = importlib.import_module("semiclifford.dense")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Three layers of H, T/TDG and CX at n = 3: neither semi-Clifford nor
 # generalized semi-Clifford, so the pair search tries all 135^2 pairs.
@@ -51,6 +66,22 @@ FULL_MISS_CIRCUITS = (
 
 def full_miss_gate(i):
     return circuit_to_dense(parse_circuit(FULL_MISS_CIRCUITS[i]))
+
+
+@pytest.fixture(scope="module")
+def classify_n3_gates(tmp_path_factory):
+    """The 93 gates of the benchmark's classify_n3 rounds for seeds 1..3."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    gates = []
+    for seed in (1, 2, 3):
+        workdir = tmp_path_factory.mktemp(f"classify_n3_{seed}")
+        for job in workloads.round_classify_n3(np.random.default_rng(seed), workdir):
+            gates.append(circuit_to_dense(parse_circuit(Path(job.argv[-1]).read_text())))
+    assert len(gates) == 93
+    return gates
 
 
 def test_cliffords_are_semi_clifford(rng):
@@ -293,7 +324,7 @@ def test_near_tol_perturbations_keep_the_oracle_witness_or_a_checked_one():
             oracle_raised += 1
             try:
                 got = is_generalized_semi_clifford(u)
-            except AssertionError:  # only where the oracle raises too
+            except ValueError:  # only where the oracle raises too
                 continue
             if got[0]:
                 lags, mats = lagrangian_clifford_table(num_qubits(u))
@@ -363,18 +394,132 @@ def test_lagrangian_tables_build_no_dense_matrix(monkeypatch):
     assert calls == []
 
 
-def test_classify_conjugates_once_for_both_searches(monkeypatch):
+def _counting(monkeypatch, name, modules=(classify_module, dense_module)):
+    """Count the calls of `name` made through any of the modules."""
     calls = []
-    conjugates = classify_module.pauli_conjugates
+    original = getattr(dense_module, name)
 
-    def counting(u, vectors):
-        calls.append(len(vectors))
-        return conjugates(u, vectors)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(classify_module, "pauli_conjugates", counting)
-    report = classify(full_miss_gate(0))
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_classify_conjugates_once_for_both_searches(monkeypatch):
+    gates = [full_miss_gate(0), random_c3_gate(3, np.random.default_rng(5))]
+    assert [hierarchy_level(u) for u in gates] == [None, 3]
+    for kmax in (1, 2, 3):
+        for u in gates:
+            with monkeypatch.context() as m:
+                conjugates = _counting(m, "pauli_conjugates", (classify_module,))
+                stacks = _counting(m, "_pauli_stack")
+                unitary = _counting(m, "check_unitary")
+                names = ("hierarchy_level", "is_pauli", "extract_rep")
+                oracles = [_counting(m, name) for name in names]
+                report = classify(u, kmax)
+            # the span check conjugates the 2^n members of a witness's
+            # domain itself, directly
+            span_check = [8] if report.gsc_witness is not None else []
+            assert [len(vectors) for _, vectors in conjugates] == [63] + span_check
+            assert len(stacks) == 1 and len(unitary) == 1
+            assert oracles == [[], [], []]
+            # u, its 63 nonzero conjugates and the 36 second conjugates
+            (stack,) = stacks[0]
+            assert stack.shape == (100, 8, 8) and stack.size <= _STACK_ENTRIES
+            assert report.level == (3 if u is gates[1] and kmax == 3 else None)
+    report = classify(gates[0])
     assert report.searched == {"lagrangians": 135, "lagrangian_pairs": 135**2}
-    assert calls == [63]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _near_tol_gates(rng):
+    gates = [random_c3_gate(n, rng) for n in (1, 1, 2, 2, 3)]
+    gates += [circuit_to_dense(random_circuit(2, 12, rng, names=("H", "S", "CX", "T")))]
+    return [_perturbed(g, eps, rng) for eps in (1e-12, 1e-10, 3e-10, 1e-9) for g in gates]
+
+
+def test_classify_level_matches_the_hierarchy_oracle(monkeypatch, classify_n3_gates, rng):
+    gates = list(classify_n3_gates)
+    gates += [random_c3_gate(n, rng) for n in (1, 2, 3)]
+    gates += [random_monomial_c3_gate(n, rng) for n in (1, 2, 3)]
+    gates += [random_monomial_c3_gate(3, rng, cswap=True), Monomial.identity(2)]
+    near_tol = _near_tol_gates(rng)
+    span_errors = 0
+    for u in gates + near_tol:
+        for kmax in (1, 2, 3, 4):
+            want = _outcome(hierarchy_level, u, kmax)
+            got = _outcome(lambda: classify(u, kmax).level)
+            if got != want and got[0] is ValueError and "span check" in got[1]:
+                # the generalized search's own error, near TOL: the level
+                # is still the oracle's when the span check passes
+                assert _outcome(is_generalized_semi_clifford, u) == got
+                span_errors += 1
+                with monkeypatch.context() as m:
+                    m.setattr(classify_module, "_verify_span_map", lambda *args: True)
+                    got = _outcome(lambda: classify(u, kmax).level)
+            assert got == want
+    levels = {hierarchy_level(u, 4) for u in gates}
+    assert levels == {1, 2, 3, None}
+    assert span_errors < len(near_tol)
+
+
+def test_classify_errors_come_in_the_parent_order(monkeypatch, rng):
+    unitary = random_c3_gate(2, rng)
+    messages = {0: "kmax=0 is below 1", 5: "kmax=5 exceeds the cap 4"}
+    for kmax, message in messages.items():
+        assert _outcome(classify, unitary, kmax) == (ValueError, message)
+        assert _outcome(classify, 2 * unitary, kmax) == (ValueError, "matrix is not unitary")
+        assert _outcome(classify, np.eye(16), kmax) == (ValueError, message)
+    assert _outcome(classify, 2 * np.eye(16), 3) == (ValueError, "matrix is not unitary")
+    too_big = (ValueError, "dimension 256 exceeds the hierarchy cap")
+    assert _outcome(classify, np.eye(256), 3) == too_big
+    calls = _counting(monkeypatch, "hierarchy_level")
+    report = classify(np.eye(16), 3)
+    assert len(calls) == 1
+    assert report.level == 1 and report.searched == {}
+    assert report.semi_clifford is None and report.generalized_semi_clifford is None
+
+
+def _bounded_and_unbounded(u):
+    u, conjugates = _nonzero_conjugates(u)
+    last = _semi_clifford_search(num_qubits(u), _pauli_stack(conjugates))[2]
+    return _gsc_search(u, conjugates, last), _gsc_search(u, conjugates), conjugates, last
+
+
+def test_semi_clifford_witness_bound_keeps_the_generalized_search(classify_n3_gates, rng):
+    bounded = 0
+    for u in classify_n3_gates + _oracle_gates(rng):
+        got, want, conjugates, last = _bounded_and_unbounded(u)
+        assert repr(got) == repr(want)
+        bounded += last is not None
+        if want[0]:
+            # a bound below the witness's domain falls back to the whole search
+            dom = _lagrangian_cliffords(num_qubits(u))[0].index(want[1].domain)
+            for cut in {0, dom - 1} - {-1, dom}:
+                assert repr(_gsc_search(as_dense(u), conjugates, cut)) == repr(want)
+    assert bounded >= 93 - 15
+
+
+def test_span_check_failure_near_tol_is_a_clean_value_error():
+    rng = np.random.default_rng(3)
+    u = _perturbed(random_c3_gate(1, rng), 1e-9, rng)
+    with pytest.raises(AssertionError):
+        gsc_search_oracle(u)  # the oracle's monomial pair fails its span check too
+    message = r"pair \(2, 0\) is monomial but fails the span check: the gate is within TOL"
+    for search in (is_generalized_semi_clifford, classify):
+        with pytest.raises(ValueError, match=message):
+            search(u)
 
 
 def test_full_miss_search_stays_within_a_small_memory_peak():
