@@ -180,13 +180,13 @@ def read_bit_matrices(path) -> list:
 
 
 def load_circuit(path, check_size=None):
-    """Parse the circuit file at path.  A verb whose engine stops below
-    the dense cap passes the engine's size check as check_size(n); it
-    runs after the dense cap, before any 2^n x 2^n matrix is built."""
+    """Parse the circuit file at path and check its size against the dense
+    cap, then against check_size(n), the size check of a verb whose engine
+    stops below it, before any 2^n x 2^n matrix is built."""
     with open(path) as fh:
         desc = parse_circuit(fh.read())
+    check_dense_cap(desc.n)
     if check_size is not None:
-        check_dense_cap(desc.n)
         check_size(desc.n)
     return desc
 
@@ -247,7 +247,6 @@ def cmd_normalform(args) -> dict:
 
 def cmd_expand(args) -> dict:
     desc = load_circuit(args.circuit)
-    check_dense_cap(desc.n)  # on both paths, so both accept the same circuits
     if has_library_reps(desc):
         rep = circuit_to_rep(desc)
     else:  # a T, TDG, CCZ or CSWAP gate: the product may still be Clifford

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf2
-from .pauli import PhasedPauli
+from .pauli import PhasedPauli, _check_same_n
 
 
 def sign_data(cs):
@@ -125,15 +125,9 @@ class CliffordRep:
         return f"CliffordRep(n={self.n}, c={self.c.tolist()}, h={self.h.tolist()})"
 
 
-def _check_same_n(a, b):
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-
-
 def conjugate(rep: CliffordRep, p: PhasedPauli) -> PhasedPauli:
     """Image Q p Q^dag of a phased Pauli under the represented Clifford."""
-    if rep.n != p.n:
-        raise ValueError(f"qubit counts differ: {rep.n} vs {p.n}")
+    _check_same_n(rep, p)
     a2 = gf2.mat_mul(rep.c, p.a)
     da = gf2.dot(rep.d, p.a)
     delta2 = p.delta ^ da

@@ -43,7 +43,9 @@ import numpy as np
 
 from . import gf2
 from .clifford import CliffordRep, product_table, reps_commute, sign_data
-from .pauli import PhasedPauli, _label_tables, check_dense_cap, pauli_action, pauli_to_dense
+from .pauli import (
+    PhasedPauli, _check_same_n, _label_tables, check_dense_cap, pauli_action, pauli_to_dense
+)
 
 TOL = 1e-9
 # Most stored entries in one batched stack: a single dense 2^7 x 2^7
@@ -535,16 +537,13 @@ def extract_rep(u):
     return CliffordRep(ct[0].T, h[0])
 
 
-def _in_level(u, k):
-    if k == 1:
-        return is_pauli(u) is not None
-    if k == 2:
-        return extract_rep(u) is not None
-    return _all_in_level(u[None], k)
-
-
 def _all_in_level(us, k):
-    """Whether every matrix of a dense or Monomial stack lies in level k >= 2."""
+    """Whether every matrix of a dense or Monomial stack lies in level k >= 1,
+    the package's one level recursion: the stacked Pauli test at k = 1, the
+    stacked Clifford test at k = 2, and above it the generator conjugates
+    of every matrix, in chunks (_conjugate_chunks), at level k - 1."""
+    if k == 1:
+        return _pauli_stack(us)[0].all()
     if k == 2:
         return _clifford_stack(us) is not None
     gens = gf2.ident(2 * _stack_qubits(us))
@@ -552,7 +551,10 @@ def _all_in_level(us, k):
 
 
 def check_kmax(kmax):
-    """Raise ValueError unless 1 <= kmax <= HIERARCHY_LEVEL_CAP."""
+    """Raise ValueError unless kmax is an integer (a numpy integer too,
+    but not a bool) with 1 <= kmax <= HIERARCHY_LEVEL_CAP."""
+    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral):
+        raise ValueError(f"kmax={kmax!r} is not an integer")
     if kmax < 1:
         raise ValueError(f"kmax={kmax} is below 1")
     if kmax > HIERARCHY_LEVEL_CAP:
@@ -570,14 +572,14 @@ def hierarchy_level(u, kmax=3):
 
     Level 1 is the Pauli group, level 2 the Clifford group, and level
     k+1 contains the unitaries conjugating every Pauli into level k.
+    Each level is decided by _all_in_level on the one-matrix stack u[None],
+    which builds no PhasedPauli or CliffordRep.  kmax is checked before
+    any matrix work.
     """
     check_kmax(kmax)
     u = check_unitary(u)
     check_hierarchy_cap(num_qubits(u))
-    for k in range(1, kmax + 1):
-        if _in_level(u, k):
-            return k
-    return None
+    return next((k for k in range(1, kmax + 1) if _all_in_level(u[None], k)), None)
 
 
 @lru_cache(maxsize=None)
@@ -690,8 +692,7 @@ def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
     particular f = f' = 0 forces the +1 branch.  Both reps must be block
     involutions, as for realize_block.
     """
-    if q1.n != q2.n:
-        raise ValueError(f"qubit counts differ: {q1.n} vs {q2.n}")
+    _check_same_n(q1, q2)
     cs = np.stack([q1.c, q2.c])
     hs = np.stack([q1.h, q2.h])
     _check_involutions(cs, hs)

@@ -65,6 +65,7 @@ from .dense import (
     pauli_conjugates,
 )
 from .expansion import rep_to_dense
+from .pauli import _check_same_n
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ class GeneratorFamily:
             got = f"{ops.shape[0]} of size {ops.shape[-1]}"
             raise ValueError(f"expected {m} generator ops of size {1 << n}, got {got}")
         for q in self.qs:
-            if q.n != n:
-                raise ValueError(f"qubit counts differ: {n} vs {q.n}")
+            _check_same_n(self, q)
         cs = np.stack([q.c for q in self.qs])
         hs = np.stack([q.h for q in self.qs])
         table_c, table_h = product_table(cs, hs, cs, hs)
@@ -210,7 +210,7 @@ def normalize_family(family: GeneratorFamily):
     return out, q_m
 
 
-@dataclass
+@dataclass(frozen=True)
 class FMapScan:
     """All 2^{2n} generator-product reps and their f-vectors.
 
@@ -219,28 +219,8 @@ class FMapScan:
     f-vector.  Well defined because the reps pairwise commute.
     """
 
-    family: GeneratorFamily
     reps: list
     fvals: np.ndarray
-
-    def exponent_bits(self, x: int) -> np.ndarray:
-        m = 2 * self.family.n
-        return np.array([(x >> k) & 1 for k in range(m)], dtype=np.uint8)
-
-    def index_of(self, bits) -> int:
-        bits = gf2.asbits(bits)
-        return int(sum(int(b) << k for k, b in enumerate(bits)))
-
-    def f_vector(self, x) -> np.ndarray:
-        if not isinstance(x, (int, np.integer)):
-            x = self.index_of(x)
-        return self.fvals[x].copy()
-
-    def a_block(self, x) -> np.ndarray:
-        if not isinstance(x, (int, np.integer)):
-            x = self.index_of(x)
-        n = self.family.n
-        return self.reps[x].c[:n, :n].copy()
 
 
 def build_fmap(family: GeneratorFamily) -> FMapScan:
@@ -263,7 +243,7 @@ def build_fmap(family: GeneratorFamily) -> FMapScan:
         reps[gray] = current
         fvals[gray] = current.f
         prev_gray = gray
-    return FMapScan(family=family, reps=reps, fvals=fvals)
+    return FMapScan(reps=reps, fvals=fvals)
 
 
 def fmap_kernel(scan: FMapScan) -> np.ndarray:
@@ -272,20 +252,17 @@ def fmap_kernel(scan: FMapScan) -> np.ndarray:
     The zero set is verified to be a subspace of dimension n and the
     map to be surjective onto the 2^n possible f-vectors.
     """
-    n = scan.family.n
-    m = 2 * n
-    count = 1 << m
-    zero_idx = [x for x in range(count) if not scan.fvals[x].any()]
+    n = scan.fvals.shape[1]
+    zero_idx = np.flatnonzero(~scan.fvals.any(axis=1))
     if len(zero_idx) != 1 << n:
         raise AssertionError(
             f"kernel has size {len(zero_idx)}, expected {1 << n}; invalid family"
         )
-    members = np.array([scan.exponent_bits(x) for x in zero_idx], dtype=np.uint8)
-    red, pivots = gf2.rref(members)
+    members = (zero_idx[:, None] >> np.arange(2 * n)) & 1  # bit k: exponent of generator k
+    red, pivots = gf2.rref(members.astype(np.uint8))
     if len(pivots) != n:
         raise AssertionError(f"kernel rank {len(pivots)}, expected {n}")
-    images = {scan.fvals[x].tobytes() for x in range(count)}
-    if len(images) != 1 << n:
+    if len(np.unique(scan.fvals, axis=0)) != 1 << n:
         raise AssertionError("f-vector map is not surjective")
     return red[:n].copy()
 
@@ -360,8 +337,12 @@ def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
 
     The reps pairwise commute, so the composition order does not change
     the result: it equals build_fmap's reps[x] for the same exponents.
+    Raises ValueError unless bits has one entry per generator.
     """
-    factors = np.flatnonzero(gf2.asbits(bits))
+    bits = gf2.asbits(bits)
+    if bits.ndim != 1 or bits.size != len(family.qs):
+        raise ValueError(f"exponent vector has length {bits.size}, expected {len(family.qs)}")
+    factors = np.flatnonzero(bits)
     # from the first factor, since compose(q, identity) is q
     rep = family.qs[factors[0]] if factors.size else CliffordRep.identity(family.n)
     for k in factors[1:]:

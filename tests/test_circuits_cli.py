@@ -625,7 +625,7 @@ def test_cli_refuses_circuit_past_hierarchy_cap_before_dense_build(
 def test_cli_dense_cap_comes_before_the_hierarchy_cap(tmp_path, capsys):
     path = tmp_path / "huge.cir"
     path.write_text(_h_t_cx_circuit(DENSE_QUBIT_CAP + 1, 3))
-    for verb in ("classify", "pipeline"):
+    for verb in ("classify", "expand", "pipeline"):
         assert main(["--json", "--kmax", "5", verb, str(path)]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == f"n={DENSE_QUBIT_CAP + 1} exceeds the dense cap {DENSE_QUBIT_CAP}"

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 import warnings
 
 import numpy as np
@@ -102,14 +103,36 @@ def test_hierarchy_levels():
 
 
 def test_hierarchy_monotone():
-    from semiclifford.dense import _in_level
+    from semiclifford.dense import _all_in_level
 
     t = GATE_MATRICES["T"]
-    assert not _in_level(t, 2)
-    assert _in_level(t, 3)
-    assert _in_level(t, 4)
+    assert not _all_in_level(t[None], 2)
+    assert _all_in_level(t[None], 3)
+    assert _all_in_level(t[None], 4)
     h = GATE_MATRICES["H"]
-    assert _in_level(h, 2) and _in_level(h, 3)
+    assert _all_in_level(h[None], 2) and _all_in_level(h[None], 3)
+
+
+def test_hierarchy_level_builds_no_pauli_or_rep(monkeypatch):
+    # the level tests read stacked bits: X used to build a PhasedPauli
+    # and H a CliffordRep only to compare them with None
+    built = []
+
+    def counting(name, make):
+        def wrapper(*args):
+            built.append(name)
+            return make(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(PhasedPauli, "__init__", counting("PhasedPauli", PhasedPauli.__init__))
+    monkeypatch.setattr(CliffordRep, "__init__", counting("CliffordRep", CliffordRep.__init__))
+    trusted = counting("CliffordRep", CliffordRep._trusted)
+    monkeypatch.setattr(CliffordRep, "_trusted", classmethod(lambda cls, *args: trusted(*args)))
+    for name, level in {"X": 1, "H": 2, "T": 3}.items():
+        assert hierarchy_level(GATE_MATRICES[name], kmax=4) == level
+    assert hierarchy_level(Monomial.identity(2), kmax=4) == 1
+    assert built == []
 
 
 def test_hierarchy_above_kmax():
@@ -149,6 +172,30 @@ def test_hierarchy_level_rejects_kmax_below_one(kmax):
         hierarchy_level(t, kmax=kmax)
     with pytest.raises(ValueError, match=f"kmax={kmax}"):
         classify(t, kmax=kmax)
+
+
+@pytest.mark.parametrize("kmax", [2.5, 3.0, "3", True, False, None, np.float64(2), np.bool_(1)])
+def test_kmax_must_be_an_integer(kmax, monkeypatch):
+    # 2.5 raised TypeError from range after the unitarity test, "3" a
+    # TypeError from <, and True ran as kmax = 1
+    t = GATE_MATRICES["T"]
+    message = f"^{re.escape(f'kmax={kmax!r}')} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        classify(t, kmax=kmax)
+    checked = []
+    monkeypatch.setattr(semiclifford.dense, "check_unitary", checked.append)
+    with pytest.raises(ValueError, match=message):
+        hierarchy_level(t, kmax=kmax)
+    assert checked == []  # rejected before any matrix work
+
+
+def test_kmax_accepts_numpy_integers():
+    t = GATE_MATRICES["T"]
+    for kind in (np.int8, np.int64, np.uint16):
+        assert hierarchy_level(t, kmax=kind(3)) == 3
+        assert hierarchy_level(t, kmax=kind(2)) is None
+        assert classify(t, kmax=kind(3)).level == 3
+        assert classify(t, kmax=kind(2)).level is None
 
 
 def test_realize_block_identity_and_sigma_z():

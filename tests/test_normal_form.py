@@ -11,6 +11,9 @@ from helpers import (
 from semiclifford import gf2
 from semiclifford.normal_form import (
     NormalFormResult,
+    _embed_pair,
+    _pair_coords,
+    _split_pair,
     commuting_set_normal_form,
     involution_normal_form,
     simultaneous_nice_form_obstruction,
@@ -88,6 +91,21 @@ def test_rejects_bad_inputs():
     s = np.array([[0, 1], [1, 1]], dtype=np.uint8)
     with pytest.raises(ValueError):
         involution_normal_form(s)
+
+
+@pytest.mark.parametrize("r, n", [(1, 2), (1, 3), (2, 3)])
+def test_split_pair_rejects_any_cross_block_entry(r, n, rng):
+    ix, iy = _pair_coords(r, n)
+    c = gf2.ident(2 * n)
+    c[np.ix_(ix, ix)] = rng.integers(0, 2, (2 * r, 2 * r))
+    c[np.ix_(iy, iy)] = rng.integers(0, 2, (2 * (n - r), 2 * (n - r)))
+    x, y = _split_pair(c, r, n)
+    assert np.array_equal(_embed_pair(x, y, r, n), c)
+    for i, j in [(ix[0], iy[-1]), (iy[0], ix[-1])]:
+        bad = c.copy()
+        bad[i, j] = 1
+        with pytest.raises(AssertionError, match="^matrix does not split along"):
+            _split_pair(bad, r, n)
 
 
 def test_idempotence():

@@ -138,6 +138,11 @@ def test_normalize_family_nontrivial(rng):
         assert q == compose(compose(qm, q0), qm_inv)
 
 
+def _index_of(bits):
+    """The scan index of an exponent vector: bit k is the exponent of generator k."""
+    return int(np.asarray(bits) @ (1 << np.arange(len(bits))))
+
+
 def test_fmap_values_and_additivity(rng):
     u = random_c3_gate(2, rng)
     fam = generators_from_gate(u)
@@ -145,16 +150,16 @@ def test_fmap_values_and_additivity(rng):
     scan = build_fmap(norm)
     n = 2
     # T(0) = 0 and T(e_k) = f-vector of generator k
-    assert not scan.f_vector(0).any()
+    assert not scan.fvals[0].any()
     for k in range(2 * n):
-        assert np.array_equal(scan.f_vector(1 << k), norm.qs[k].f)
+        assert np.array_equal(scan.fvals[1 << k], norm.qs[k].f)
     # T(x + y) = T(x) + A_x^T T(y)
     for _ in range(40):
         x = int(rng.integers(0, 1 << (2 * n)))
         y = int(rng.integers(0, 1 << (2 * n)))
-        ax = scan.a_block(x)
-        lhs = scan.f_vector(x ^ y)
-        rhs = (scan.f_vector(x) ^ gf2.mat_mul(ax.T, scan.f_vector(y))) & 1
+        ax = scan.reps[x].c[:n, :n]
+        lhs = scan.fvals[x ^ y]
+        rhs = (scan.fvals[x] ^ gf2.mat_mul(ax.T, scan.fvals[y])) & 1
         assert np.array_equal(lhs, rhs)
 
 
@@ -174,7 +179,7 @@ def test_fmap_kernel_properties(rng):
         for k in range(n):
             if bits[k]:
                 y ^= kernel[k]
-        assert np.array_equal(scan.f_vector(x), scan.f_vector(x ^ scan.index_of(y)))
+        assert np.array_equal(scan.fvals[x], scan.fvals[x ^ _index_of(y)])
     # fibers are kernel cosets: |Ker| * |Im| = 2^{2n}
     values = {scan.fvals[i].tobytes() for i in range(1 << (2 * n))}
     assert len(values) * (1 << n) == 1 << (2 * n)
@@ -210,7 +215,7 @@ def test_orbit_kernel_matches_scan_oracle(n, rng):
             scan = build_fmap(norm)
             assert np.array_equal(kernel, fmap_kernel(scan))
             for row in kernel:
-                assert product_rep(norm, row) == scan.reps[scan.index_of(row)]
+                assert product_rep(norm, row) == scan.reps[_index_of(row)]
     assert moved or n < 3
 
 
@@ -235,6 +240,15 @@ def test_product_rep_equals_the_fold_from_the_identity(rng):
             for k in np.flatnonzero(row):
                 fold = compose(fam.qs[k], fold)
             assert product_rep(fam, row) == fold
+
+
+@pytest.mark.parametrize("bits", [[1, 0, 1], [1], []])
+def test_product_rep_rejects_an_exponent_vector_of_another_length(bits):
+    # [1, 0, 1] raised IndexError, and [1] read as [1, 0]
+    fam = generators_from_gate(GATE_MATRICES["T"])
+    size = np.size(bits)
+    with pytest.raises(ValueError, match=f"^exponent vector has length {size}, expected 2$"):
+        product_rep(fam, bits)
 
 
 def test_orbit_kernel_rejects_a_copy_that_meets_the_orbit():
