@@ -13,9 +13,16 @@ off its matrix too.  A gate's rep lives on its qubits' coordinates
 circuit_to_rep applies it as a tableau update of those rows of C.
 Likewise circuit_to_monomial reads each gate's permutation and phases
 off its GATE_MATRICES entry; every library gate but H is monomial.
-circuit_to_dense applies each gate's own matrix to the running matrix
-block by block over its k qubits.  So no builder makes a 2^n x 2^n
-gate, and reps have no qubit cap.
+circuit_to_dense builds small circuits as a chain: up to CHAIN_QUBITS
+= 4 qubits it multiplies the running matrix by each placed gate, a
+cached read-only 2^n x 2^n matrix.  Above it, it applies each gate's
+own 2^k x 2^k matrix to the running matrix's rows over the gate's k
+qubits, so it builds no 2^n x 2^n gate there.  The full-matrix product
+is faster up to n = 5 and slower from n = 6 (CHAIN_QUBITS has the
+figures).  Reps have no qubit cap.
+
+parse_circuit reads each distinct gate line once per qubit count
+(_parse_gate) and builds the description without checking it again.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +76,15 @@ class CircuitSyntaxError(ValueError):
 # int() also reads "1_0", "+1" and non-ASCII digits; the format does not
 _DIGITS = re.compile(r"[0-9]+")
 
+# circuit_to_dense multiplies in each gate as a full 2^n x 2^n matrix up
+# to this many qubits, and works on the gate's rows above it.  Per gate,
+# on 40-gate random library circuits (2 vCPU, one BLAS thread), full
+# matrix against rows: 3.7 vs 8.7 us at n = 3, 4.3 vs 10.6 at n = 4,
+# 12.0 vs 17.2 at n = 5, 67.1 vs 32.5 at n = 6; so the crossover lies
+# between n = 5 and n = 6.  At 4 the gate cache holds at most 120
+# placements of 4 KB; at 5 it would hold 225 of 16 KB.
+CHAIN_QUBITS = 4
+
 
 @dataclass(frozen=True)
 class CircuitDescription:
@@ -90,6 +107,52 @@ class CircuitDescription:
                 if not 0 <= q < self.n:
                     raise ValueError(f"qubit {q} out of range for n={self.n}")
 
+    @classmethod
+    def _parsed(cls, n, gates):
+        """The description of gates that parse_circuit has already
+        checked, built without __post_init__'s second pass; every other
+        caller goes through the checked constructor."""
+        desc = cls.__new__(cls)
+        object.__setattr__(desc, "n", n)
+        object.__setattr__(desc, "gates", gates)
+        return desc
+
+
+def _gate_name(token):
+    """token upper-cased if it is ASCII, else as it is: str.upper() maps
+    the long s to S and the dotless i to I, and gate names are ASCII."""
+    return token.upper() if token.isascii() else token
+
+
+class _BadLine(NamedTuple):
+    """Why a gate line failed; quotes_line appends the raw line, which
+    the memo of _parse_gate does not see."""
+
+    reason: str
+    quotes_line: bool = False
+
+
+@lru_cache(maxsize=4096)
+def _parse_gate(line, n):
+    """(name, qubits) of a comment-stripped gate line of an n-qubit
+    circuit, or the _BadLine that says why it is not one.  The memo is
+    bounded because its keys are lines of input files."""
+    tokens = line.split()
+    name = _gate_name(tokens[0])
+    if name not in GATE_MATRICES:
+        return _BadLine(f"unknown gate {tokens[0]!r}")
+    if not all(_DIGITS.fullmatch(t) for t in tokens[1:]):
+        return _BadLine("bad qubit index in", quotes_line=True)
+    qubits = tuple(int(t) for t in tokens[1:])
+    if len(qubits) != GATE_ARITY[name]:
+        return _BadLine(f"{name} takes {GATE_ARITY[name]} qubits, got {len(qubits)}")
+    if len(set(qubits)) != len(qubits):
+        return _BadLine("repeated qubit in", quotes_line=True)
+    for q in qubits:
+        if not 0 <= q < n:
+            return _BadLine(f"qubit {q} out of range for n={n}")
+    return name, qubits
+
 
 def parse_circuit(text) -> CircuitDescription:
     """Parse the text circuit format; errors carry line numbers."""
@@ -111,27 +174,14 @@ def parse_circuit(text) -> CircuitDescription:
             if n < 1:
                 raise CircuitSyntaxError(f"line {lineno}: qubit count must be positive")
             continue
-        name = tokens[0].upper()
-        if name not in GATE_MATRICES:
-            raise CircuitSyntaxError(f"line {lineno}: unknown gate {tokens[0]!r}")
-        if not all(_DIGITS.fullmatch(t) for t in tokens[1:]):
-            raise CircuitSyntaxError(f"line {lineno}: bad qubit index in {raw.strip()!r}")
-        qubits = tuple(int(t) for t in tokens[1:])
-        if len(qubits) != GATE_ARITY[name]:
-            raise CircuitSyntaxError(
-                f"line {lineno}: {name} takes {GATE_ARITY[name]} qubits, got {len(qubits)}"
-            )
-        if len(set(qubits)) != len(qubits):
-            raise CircuitSyntaxError(f"line {lineno}: repeated qubit in {raw.strip()!r}")
-        for q in qubits:
-            if not 0 <= q < n:
-                raise CircuitSyntaxError(
-                    f"line {lineno}: qubit {q} out of range for n={n}"
-                )
-        gates.append((name, qubits))
+        gate = _parse_gate(line, n)
+        if isinstance(gate, _BadLine):
+            quoted = f" {raw.strip()!r}" if gate.quotes_line else ""
+            raise CircuitSyntaxError(f"line {lineno}: {gate.reason}{quoted}")
+        gates.append(gate)
     if n is None:
         raise CircuitSyntaxError("missing 'qubits N' header")
-    return CircuitDescription(n=n, gates=tuple(gates))
+    return CircuitDescription._parsed(n, tuple(gates))
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +211,10 @@ def _gate_rows(qubits, n):
 
     Row r lists the labels that share one setting of the other qubits,
     in the gate's own label order: base | spread[s] for the r-th label
-    base with the gate's qubits clear.  So the gate acts on u's rows as
-    u[rows] = gate @ u[rows], one small product per block.
+    base with the gate's qubits clear.  So the gate acts on each block
+    of u's rows as u[rows[r]] = gate @ u[rows[r]]; circuit_to_dense
+    stacks the blocks through rows.T into one product, and _placed_gate
+    scatters the gate onto every block of a 2^n x 2^n matrix.
     """
     _, rest, spread = _placement(qubits, n)
     labels = _label_tables(n)[0]
@@ -171,14 +223,37 @@ def _gate_rows(qubits, n):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _placed_gate(name, qubits, n):
+    """Read-only 2^n x 2^n matrix of a library gate on the given qubits
+    of n: the gate scattered onto each of its blocks (_gate_rows)."""
+    rows = _gate_rows(qubits, n)
+    gate = np.zeros((1 << n, 1 << n), dtype=complex)
+    gate[rows[:, :, None], rows[:, None, :]] = GATE_MATRICES[name]
+    gate.flags.writeable = False
+    return gate
+
+
 def circuit_to_dense(desc: CircuitDescription) -> np.ndarray:
-    """Dense unitary of a circuit; listed gates act in order, each on
-    the running matrix's blocks over its own qubits (_gate_rows)."""
-    check_dense_cap(desc.n)
-    u = np.eye(1 << desc.n, dtype=complex)
+    """Dense unitary of a circuit, a fresh writable array; listed gates
+    act in order.
+
+    Up to CHAIN_QUBITS qubits each gate is one product u = G @ u with
+    its cached placed matrix G (_placed_gate).  Above it, each gate is
+    one (2^k, 2^k) @ (2^k, 2^(n-k) 2^n) product on the running matrix's
+    rows over its own qubits (_gate_rows), read and written in place.
+    """
+    n = desc.n
+    check_dense_cap(n)
+    u = np.eye(1 << n, dtype=complex)
+    if n <= CHAIN_QUBITS:
+        for name, qubits in desc.gates:
+            u = _placed_gate(name, qubits, n) @ u
+        return u
     for name, qubits in desc.gates:
-        rows = _gate_rows(qubits, desc.n)
-        u[rows] = GATE_MATRICES[name] @ u[rows]
+        rows = _gate_rows(qubits, n).T
+        gate = GATE_MATRICES[name]
+        u[rows] = (gate @ u[rows].reshape(len(gate), -1)).reshape(len(gate), -1, 1 << n)
     return u
 
 
@@ -248,7 +323,7 @@ def standard_gate(name, qubits, n) -> CliffordRep:
     the identity but for the gate's C on idx x idx, and h is zero but
     for the gate's h on idx.
     """
-    name = name.upper()
+    name = _gate_name(name)
     qubits = tuple(qubits)
     CircuitDescription(n, ((name, qubits),))  # checks the name and qubits
     gate = _clifford_gate(name)

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiclifford.circuits import (
+    CHAIN_QUBITS,
     GATE_ARITY,
     GATE_MATRICES,
     CircuitDescription,
     CircuitSyntaxError,
     _embed_monomial,
     _gate_monomial,
+    _placed_gate,
     circuit_to_dense,
     parse_circuit,
     standard_gate,
@@ -90,6 +92,74 @@ def test_parse_accepts_only_ascii_digits(text, line):
     # numbers; the circuit format allows [0-9]+ only
     with pytest.raises(CircuitSyntaxError, match=f"line {line}"):
         parse_circuit(text)
+
+
+@pytest.mark.parametrize("token", ["\u017f", "\u0131", "\u017fdg", "\uff58"])
+def test_parse_accepts_only_ascii_gate_names(token):
+    # str.upper() maps the long s to S and the dotless i to I; the
+    # circuit format's gate names are ASCII
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(f"qubits 1\n{token} 0\n")
+    assert str(err.value) == f"line 2: unknown gate {token!r}"
+
+
+@pytest.mark.parametrize("name", ["\u017f", "\u0131", "\u017fdg"])
+def test_standard_gate_accepts_only_ascii_names(name):
+    with pytest.raises(ValueError) as err:
+        standard_gate(name, (0,), 1)
+    assert str(err.value) == f"unknown gate {name!r}"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("T 0  # no header\n", "line 1: expected 'qubits N', got 'T 0  # no header'"),
+        ("qubits two\n", "line 1: bad qubit count 'two'"),
+        ("qubits 0\n", "line 1: qubit count must be positive"),
+        ("qubits 2\nH 0\nFOO 1  # what\n", "line 3: unknown gate 'FOO'"),
+        (
+            "qubits 2\n\nCX 0 1_1  # odd index\n",
+            "line 3: bad qubit index in 'CX 0 1_1  # odd index'",
+        ),
+        ("qubits 2\nCX 0  # one short\n", "line 2: CX takes 2 qubits, got 1"),
+        ("qubits 3\nCCZ 2 0 2   # twice\n", "line 2: repeated qubit in 'CCZ 2 0 2   # twice'"),
+        ("qubits 2\nh 1\nccz 0 1 2\n", "line 3: qubit 2 out of range for n=2"),
+        ("qubits 2\n  X   3 # far\n", "line 2: qubit 3 out of range for n=2"),
+        ("# nothing\n", "missing 'qubits N' header"),
+    ],
+)
+def test_parse_error_messages_are_pinned(text, message):
+    # one case per error branch; a message that quotes the line quotes
+    # it as written, comment included
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(text)
+    assert str(err.value) == message
+
+
+def test_the_same_bad_line_reports_its_own_line_in_each_file():
+    bad = "CX 0 0  # same line\n"
+    for text, line in [(f"qubits 2\n{bad}", 2), (f"qubits 2\nH 0\n\nX 1\n{bad}", 5)]:
+        with pytest.raises(CircuitSyntaxError) as err:
+            parse_circuit(text)
+        assert str(err.value) == f"line {line}: repeated qubit in {bad.strip()!r}"
+
+
+def test_a_line_valid_at_three_qubits_is_out_of_range_at_two():
+    assert parse_circuit("qubits 3\nCX 0 2\n").gates == (("CX", (0, 2)),)
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit("qubits 2\nCX 0 2\n")
+    assert str(err.value) == "line 2: qubit 2 out of range for n=2"
+
+
+def test_parse_checks_each_gate_once(monkeypatch):
+    text = "qubits 3\nH 0\ncx 0 1\nCCZ 2 1 0\nH 0\n"
+    want = parse_circuit(text)
+    calls = []
+    monkeypatch.setattr(CircuitDescription, "__post_init__", lambda self: calls.append(self))
+    got = parse_circuit(text)
+    assert calls == []
+    assert got == want == CircuitDescription(want.n, want.gates)
+    assert calls == [want]  # the public constructor still checks
 
 
 _CIRCUIT_TOKENS = st.sampled_from(
@@ -215,12 +285,32 @@ def test_circuit_to_dense_matches_embedded_gates_on_every_file(rel):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_circuit_to_dense_matches_embedded_gates_bit_for_bit(n, rng):
+    assert 1 <= CHAIN_QUBITS < 7  # n = 1..7 covers both builds
     placements = _all_placements(n)
     order = rng.permutation(len(placements))
     descs = [CircuitDescription(n, tuple(placements[i] for i in order))]
     descs += [_random_library_circuit(n, 40, rng) for _ in range(3)]
     for desc in descs:
         assert circuit_to_dense(desc).tobytes() == circuit_to_dense_oracle(desc).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, CHAIN_QUBITS])
+def test_placed_gates_are_read_only(n):
+    for name, qubits in _all_placements(n):
+        gate = _placed_gate(name, qubits, n)
+        assert not gate.flags.writeable
+        assert np.array_equal(gate, embed_gate_oracle(name, qubits, n))
+
+
+@pytest.mark.parametrize("n", [1, CHAIN_QUBITS, CHAIN_QUBITS + 1])
+def test_circuit_to_dense_returns_a_fresh_writable_array(n):
+    for desc in (CircuitDescription(n, ()), CircuitDescription(n, (("H", (0,)),))):
+        first = circuit_to_dense(desc)
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = 7
+        again = circuit_to_dense(desc)
+        assert again is not first and again.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 9])
