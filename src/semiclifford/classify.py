@@ -22,17 +22,20 @@ in canonical order, whose basis lies in S(U); one vectorized Pauli test
 of the stack gives S(U).
 
 Generalized semi-Clifford: U maps span(A_L) onto span(A_L') exactly
-when every U tau_b U^dag, b in the basis of L, has its Pauli support
+when the Pauli supports of the U tau_b U^dag, b in the basis of L, lie
 inside L', since A_L is generated by its basis and both spans have
-dimension 2^n.  The supports are the Pauli coefficients above TOL, all
-read off the stack by one product, and one float32 product of 0/1
-matrices decides all L^2 pairs.  Each candidate pair, in canonical
-order, must still make Q_L'^dag U Q_L monomial (Q_L a Clifford mapping
-the z-Lagrangian onto L) and pass a direct span check to be the witness;
-a monomial pair that fails the span check raises ValueError, since U is
-then within TOL of the decision.  A semi-Clifford pair (L, L') is such a
-witness, so in classify the first semi-Clifford domain bounds the
-generalized search.
+dimension 2^n.  So L decides its own image.  With W the union of those
+supports, U A_L U^dag lies in the span of the tau_w, w in span W, so
+dim span W >= n; if W commutes pairwise, span W is isotropic, so it is
+the one Lagrangian L' containing W, and otherwise none contains W.  The
+supports are the Pauli coefficients above TOL, read off the stack by
+one product, and one float32 product with the label anticommutation
+table tests every domain.  A passing domain L, in canonical order, is
+the witness when Q_L'^dag U Q_L is monomial (Q_L a Clifford mapping the
+z-Lagrangian onto L) and a direct span check passes; a monomial pair
+that fails it leaves the verdict undecided, U being within TOL of it.
+A semi-Clifford pair (L, L') is such a witness, so in classify the
+first semi-Clifford domain bounds the generalized search.
 """
 
 from __future__ import annotations
@@ -68,20 +71,15 @@ from .pauli import _label_tables, pauli_action
 @lru_cache(maxsize=None)
 def _lagrangian_cliffords(n):
     """GF(2) tables of the Lagrangians, in canonical order: the
-    Lagrangians, a read-only (L, n) array of the labels of each one's
-    basis rows, and a read-only (4^n, L) float32 array holding 1 where
-    label b lies outside Lagrangian j."""
+    Lagrangians, a read-only (L, n) array of each one's basis labels, a
+    read-only (4^n, 4^n) float32 array holding 1 where labels a and b
+    anticommute, and a dict from each Lagrangian to its index."""
     lags = tuple(gf2.enumerate_lagrangians(n))
-    bases = np.array([lag.basis for lag in lags])
-    weights = _label_tables(2 * n)[2]
-    # row x of a Lagrangian's members sums the basis rows set in x
-    members = (basis_bits(n) @ bases & 1) @ weights
-    outside = np.ones((1 << 2 * n, len(lags)), dtype=np.float32)
-    outside[members, np.arange(len(lags))[:, None]] = 0
-    labels = bases @ weights
-    for arr in (labels, outside):
+    labels = np.array([lag.basis for lag in lags]) @ _label_tables(2 * n)[2]
+    anti = (basis_bits(2 * n) @ gf2._p_form(n) @ basis_bits(2 * n).T & 1).astype(np.float32)
+    for arr in (labels, anti):
         arr.flags.writeable = False
-    return lags, labels, outside
+    return lags, labels, anti, {lag: i for i, lag in enumerate(lags)}
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +152,7 @@ def _semi_clifford_search(n, tested):
     """The semi-Clifford search on tested = _pauli_stack of the nonzero
     conjugates (row r is label r + 1): (True, witness, i) for the first
     Lagrangian i with its basis in S(u), else (False, searched, None)."""
-    lags, labels, _ = _lagrangian_cliffords(n)
+    lags, labels = _lagrangian_cliffords(n)[:2]
     pauli, _, images = tested
     rows = labels - 1
     hits = np.flatnonzero(pauli[rows].all(axis=1))
@@ -179,38 +177,36 @@ def is_semi_clifford(u):
     return _semi_clifford_search(num_qubits(u), _pauli_stack(conjugates))[:2]
 
 
-def _candidate_pairs(n, conjugates, last=None):
-    """The pairs (i_dom, i_img), in row-major order and with i_dom <= last
-    if given, whose domain basis conjugates have Pauli supports inside
-    the image, as two index arrays."""
-    _, labels, outside = _lagrangian_cliffords(n)
-    rows = (labels if last is None else labels[: last + 1]).T - 1
-    if last is not None:
-        # only the conjugates that those bases use, renumbered in order
-        used = np.zeros(len(conjugates), dtype=bool)
-        used[rows] = True
-        conjugates, rows = conjugates[used], np.cumsum(used)[rows] - 1
-    support = np.abs(conjugates.reshape(len(conjugates), -1) @ _coefficient_basis(n)) > TOL
-    union = support[rows].any(axis=0).astype(np.float32)
-    # flatnonzero: np.nonzero on the 2-d array costs several times more
-    return divmod(np.flatnonzero(union @ outside == 0), len(labels))
+def _domain_images(n, conjugates, last=None):
+    """Yield (i_dom, i_img) for each domain i_dom, in order and with
+    i_dom <= last if given, whose basis conjugates have a support union W
+    that commutes pairwise; Lagrangian i_img is span W (module docstring)."""
+    _, labels, anti, index = _lagrangian_cliffords(n)
+    rows = labels[: None if last is None else last + 1].T - 1
+    # only the conjugates that those bases use, renumbered in order
+    used = np.zeros(len(conjugates), dtype=bool)
+    used[rows] = True
+    support = np.abs(conjugates[used].reshape(-1, 1 << 2 * n) @ _coefficient_basis(n)) > TOL
+    union = support[np.cumsum(used)[rows] - 1].any(axis=0).astype(np.float32)
+    for i_dom in np.flatnonzero(((union @ anti) * union).sum(axis=1) == 0).tolist():
+        span, pivots = gf2.rref(basis_bits(2 * n)[union[i_dom] != 0])
+        yield i_dom, index[gf2.Lagrangian(span[: len(pivots)])]
 
 
 def _gsc_search(u, conjugates, last=None):
-    """The generalized search, over domains 0..last if given.  A
-    semi-Clifford witness at domain i makes its pair a monomial
-    candidate, so the walk ends at i or earlier and last = i changes no
-    result; only near TOL can that pair fail, and then the whole search
-    runs."""
+    """The generalized search over domains 0..last if given; (None, message)
+    if a monomial pair fails the span check.  A semi-Clifford witness at
+    domain i makes domain i pass with a monomial pair, so last = i changes
+    no result; near TOL that pair can fail, and then the whole search runs."""
     n = num_qubits(u)
     lags = _lagrangian_cliffords(n)[0]
-    for i_dom, i_img in zip(*(a.tolist() for a in _candidate_pairs(n, conjugates, last))):
+    for i_dom, i_img in _domain_images(n, conjugates, last):
         q_dom, q_img = _lagrangian_clifford(n, i_dom), _lagrangian_clifford(n, i_img)
         mc = monomial_check(q_img.conj().T @ (u @ q_dom))
         if not mc.is_monomial:
             continue
         if not _verify_span_map(u, lags[i_dom], lags[i_img]):
-            raise ValueError(
+            return None, (
                 f"pair ({i_dom}, {i_img}) is monomial but fails the span check: "
                 "the gate is within TOL of the decision"
             )
@@ -221,25 +217,28 @@ def _gsc_search(u, conjugates, last=None):
 
 
 def is_generalized_semi_clifford(u):
-    """Search Lagrangian pairs for a monomial middle factor.
+    """Search the Lagrangian domains for a monomial middle factor.
 
-    Returns (True, GscWitness) for the first pair (L, L'), in canonical
-    order, whose basis supports fit (module docstring) and with
-    Q_L'^dag u Q_L monomial; the witness additionally passes a direct
-    span-equality check, and a monomial pair that fails it raises
-    ValueError (u is within TOL of the decision).  Returns (False,
-    searched_pairs) otherwise: every one of the L^2 pairs is decided.
+    Returns (True, GscWitness) for the first domain L, in canonical
+    order, with an image L' (module docstring) and Q_L'^dag u Q_L
+    monomial; the witness additionally passes a direct span-equality
+    check, and a monomial pair that fails it raises ValueError (u is
+    within TOL of the decision).  Returns (False, searched_pairs)
+    otherwise: every one of the L^2 pairs is decided.
     """
-    return _gsc_search(*_nonzero_conjugates(u))
+    found, result = _gsc_search(*_nonzero_conjugates(u))
+    if found is None:
+        raise ValueError(result)
+    return found, result
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     """Aggregated decisions for one unitary.
 
-    Span-test fields are None above the n <= 3 search cap; when both
-    are computed, semi-Clifford implies generalized semi-Clifford and
-    the constructor enforces it.
+    Span-test fields are None above the n <= 3 search cap, and the
+    generalized one near TOL (searched["undecided"] says why); when both
+    are set, semi-Clifford implies generalized, as the constructor checks.
     """
 
     n: int
@@ -323,7 +322,7 @@ def classify(u, kmax=3) -> ClassificationReport:
             searched["lagrangians"], semi_w = semi_w, None
         gsc, gsc_w = _gsc_search(dense, stack[nonzero], last)
         if not gsc:
-            searched["lagrangian_pairs"], gsc_w = gsc_w, None
+            searched["lagrangian_pairs" if gsc is False else "undecided"], gsc_w = gsc_w, None
     return ClassificationReport(
         n=n,
         level=level,

@@ -17,6 +17,9 @@ own matrix, Monomial or rep instead, and builds no such matrix.
 lagrangian_clifford_table is the dense (L, 2^n, 2^n) stack of
 Lagrangian Cliffords that the generalized semi-Clifford search held
 before it decided pairs from Pauli supports; the oracles below read it.
+candidate_pairs_oracle is the L^2 pair product over an
+outside-each-Lagrangian table that the library's per-domain isotropy
+test replaced.
 circuit_to_dense_oracle is the embed-and-multiply circuit build that
 the library's block-wise one replaced.
 rref_oracle is the per-bit row reduction the library's packed-int
@@ -70,7 +73,12 @@ from semiclifford.circuits import (
 )
 from semiclifford.cli import matrix_rows
 from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
-from semiclifford.classify import GscWitness, SemiCliffordWitness, _verify_span_map
+from semiclifford.classify import (
+    GscWitness,
+    SemiCliffordWitness,
+    _coefficient_basis,
+    _verify_span_map,
+)
 from semiclifford.dense import (
     TOL,
     Monomial,
@@ -270,6 +278,33 @@ def lagrangian_clifford_table(n):
     mats = np.stack([rep_to_dense(CliffordRep(gf2.symplectic_complete(lag), zero_h)) for lag in lags])
     mats.flags.writeable = False
     return lags, mats
+
+
+@lru_cache(maxsize=None)
+def _outside_table(n):
+    """The (L, n) basis labels of the Lagrangians, and a (4^n, L) float32
+    table holding 1 where label b lies outside Lagrangian j."""
+    lags = gf2.enumerate_lagrangians(n)
+    weights = 1 << np.arange(2 * n - 1, -1, -1)
+    outside = np.ones((1 << 2 * n, len(lags)), dtype=np.float32)
+    for j, lag in enumerate(lags):
+        outside[lag.vectors() @ weights, j] = 0
+    return np.array([lag.basis @ weights for lag in lags]), outside
+
+
+def candidate_pairs_oracle(n, conjugates, last=None):
+    """The pairs (i_dom, i_img), in row-major order and with i_dom <= last
+    if given, whose domain basis conjugates have Pauli supports inside
+    the image; row r of conjugates is u tau_a u^dag for label a = r + 1.
+    One float32 product of each domain's 0/1 support union with the
+    outside table decides all L^2 pairs.
+    """
+    labels, outside = _outside_table(n)
+    rows = labels[: None if last is None else last + 1].T - 1
+    support = np.abs(conjugates.reshape(len(conjugates), -1) @ _coefficient_basis(n)) > TOL
+    union = support[rows].any(axis=0).astype(np.float32)
+    pairs = divmod(np.flatnonzero(union @ outside == 0), len(labels))
+    return list(zip(*(a.tolist() for a in pairs)))
 
 
 def circuit_to_dense_oracle(desc: CircuitDescription) -> np.ndarray:

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    candidate_pairs_oracle,
     embed_gate_oracle,
     gsc_search_oracle,
     lagrangian_clifford_table,
@@ -24,7 +26,7 @@ from semiclifford.circuits import (
     parse_circuit,
 )
 from semiclifford.classify import (
-    _candidate_pairs,
+    _domain_images,
     _gsc_search,
     _lagrangian_clifford,
     _lagrangian_cliffords,
@@ -40,12 +42,13 @@ from semiclifford.dense import (
     Monomial,
     _pauli_stack,
     as_dense,
+    basis_bits,
     hierarchy_level,
     monomial_check,
     num_qubits,
 )
 from semiclifford.expansion import rep_to_dense
-from semiclifford.pauli import PhasedPauli, pauli_to_dense
+from semiclifford.pauli import PhasedPauli, commutes, pauli_to_dense
 
 # The package re-exports the classify function under the module's name.
 classify_module = importlib.import_module("semiclifford.classify")
@@ -53,7 +56,8 @@ dense_module = importlib.import_module("semiclifford.dense")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Three layers of H, T/TDG and CX at n = 3: neither semi-Clifford nor
-# generalized semi-Clifford, so the pair search tries all 135^2 pairs.
+# generalized semi-Clifford: no domain has an image, so all 135^2 pairs
+# are decided.
 FULL_MISS_CIRCUITS = (
     "qubits 3\nH 0\nT 0\nH 1\nTDG 1\nH 2\nT 2\nCX 2 0\nCX 1 2\n"
     "H 0\nT 0\nH 1\nTDG 1\nH 2\nTDG 2\nCX 0 1\nCX 1 2\n"
@@ -259,7 +263,7 @@ def test_gsc_search_matches_unscreened_oracle(rng):
 
 def _candidates(u):
     u, conjugates = _nonzero_conjugates(u)
-    return set(zip(*(a.tolist() for a in _candidate_pairs(num_qubits(u), conjugates))))
+    return set(_domain_images(num_qubits(u), conjugates))
 
 
 def test_candidate_pairs_include_every_monomial_pair(rng):
@@ -277,8 +281,8 @@ def test_candidate_pairs_include_every_monomial_pair(rng):
                 for i_img, q_img in enumerate(mats)
                 if monomial_check(q_img.conj().T @ u @ q_dom).is_monomial
             }
-            # every monomial pair is a candidate, and on exact gates no
-            # other pair is: the support criterion is exact
+            # every monomial pair is a passing domain and its image, and
+            # on exact gates no other pair is: the criterion is exact
             assert candidates == accepted
             accepted_total += len(accepted)
     assert accepted_total > 0
@@ -383,14 +387,15 @@ def test_lagrangian_tables_build_no_dense_matrix(monkeypatch):
     calls = _counting_rep_to_dense(monkeypatch)
     _lagrangian_cliffords.cache_clear()
     for n in (1, 2, 3):
-        lags, labels, outside = _lagrangian_cliffords(n)
-        assert not labels.flags.writeable and not outside.flags.writeable
+        lags, labels, anti, index = _lagrangian_cliffords(n)
+        assert not labels.flags.writeable and not anti.flags.writeable
         weights = 1 << np.arange(2 * n - 1, -1, -1)
         assert np.array_equal(labels, [lag.basis @ weights for lag in lags])
-        inside = np.zeros_like(outside)
-        for j, lag in enumerate(lags):
-            inside[lag.vectors() @ weights, j] = 1
-        assert np.array_equal(outside, 1 - inside)
+        assert index == {lag: i for i, lag in enumerate(lags)}
+        if n < 3:
+            paulis = [PhasedPauli(0, 0, a) for a in basis_bits(2 * n)]
+            want = [[not commutes(p, q) for q in paulis] for p in paulis]
+            assert anti.dtype == np.float32 and np.array_equal(anti, want)
     assert calls == []
 
 
@@ -449,29 +454,37 @@ def _near_tol_gates(rng):
     return [_perturbed(g, eps, rng) for eps in (1e-12, 1e-10, 3e-10, 1e-9) for g in gates]
 
 
-def test_classify_level_matches_the_hierarchy_oracle(monkeypatch, classify_n3_gates, rng):
+def _span_check_failure_gate():
+    """A gate within TOL of the generalized decision: the first domain
+    with an image gives a monomial pair that fails the span check."""
+    rng = np.random.default_rng(3)
+    return _perturbed(random_c3_gate(1, rng), 1e-9, rng)
+
+
+def test_classify_level_matches_the_hierarchy_oracle(classify_n3_gates, rng):
     gates = list(classify_n3_gates)
     gates += [random_c3_gate(n, rng) for n in (1, 2, 3)]
     gates += [random_monomial_c3_gate(n, rng) for n in (1, 2, 3)]
     gates += [random_monomial_c3_gate(3, rng, cswap=True), Monomial.identity(2)]
-    near_tol = _near_tol_gates(rng)
-    span_errors = 0
+    near_tol = _near_tol_gates(rng) + [_span_check_failure_gate()]
+    undecided = 0
     for u in gates + near_tol:
+        gsc = _outcome(is_generalized_semi_clifford, u)
         for kmax in (1, 2, 3, 4):
-            want = _outcome(hierarchy_level, u, kmax)
-            got = _outcome(lambda: classify(u, kmax).level)
-            if got != want and got[0] is ValueError and "span check" in got[1]:
-                # the generalized search's own error, near TOL: the level
-                # is still the oracle's when the span check passes
-                assert _outcome(is_generalized_semi_clifford, u) == got
-                span_errors += 1
-                with monkeypatch.context() as m:
-                    m.setattr(classify_module, "_verify_span_map", lambda *args: True)
-                    got = _outcome(lambda: classify(u, kmax).level)
-            assert got == want
+            report = classify(u, kmax)
+            assert report.level == hierarchy_level(u, kmax)
+            assert report.semi_clifford == is_semi_clifford(u)[0]
+            if gsc[0] is ValueError:
+                # within TOL of the generalized decision: the other facts
+                # are still reported, and that one is marked undecided
+                assert report.generalized_semi_clifford is None
+                assert report.searched["undecided"] == gsc[1]
+            else:
+                assert report.generalized_semi_clifford == gsc[0]
+        undecided += gsc[0] is ValueError
     levels = {hierarchy_level(u, 4) for u in gates}
     assert levels == {1, 2, 3, None}
-    assert span_errors < len(near_tol)
+    assert 0 < undecided < len(near_tol)
 
 
 def test_classify_errors_come_in_the_parent_order(monkeypatch, rng):
@@ -512,14 +525,19 @@ def test_semi_clifford_witness_bound_keeps_the_generalized_search(classify_n3_ga
 
 
 def test_span_check_failure_near_tol_is_a_clean_value_error():
-    rng = np.random.default_rng(3)
-    u = _perturbed(random_c3_gate(1, rng), 1e-9, rng)
+    u = _span_check_failure_gate()
     with pytest.raises(AssertionError):
         gsc_search_oracle(u)  # the oracle's monomial pair fails its span check too
-    message = r"pair \(2, 0\) is monomial but fails the span check: the gate is within TOL"
-    for search in (is_generalized_semi_clifford, classify):
-        with pytest.raises(ValueError, match=message):
-            search(u)
+    message = (
+        "pair (2, 0) is monomial but fails the span check: "
+        "the gate is within TOL of the decision"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        is_generalized_semi_clifford(u)
+    report = classify(u)
+    assert report.generalized_semi_clifford is None and report.gsc_witness is None
+    assert report.searched["undecided"] == message
+    assert report.semi_clifford == is_semi_clifford(u)[0]
 
 
 def test_full_miss_search_stays_within_a_small_memory_peak():
@@ -538,4 +556,26 @@ def test_full_miss_search_runs_few_monomial_checks(monkeypatch):
     calls = _counting_monomial_checks(monkeypatch)
     u = full_miss_gate(0)
     assert is_generalized_semi_clifford(u) == (False, 135**2)
-    assert len(calls) <= 135
+    assert calls == []
+    for i in range(len(FULL_MISS_CIRCUITS)):
+        # no domain of either gate has a pairwise commuting support union
+        assert list(_domain_images(3, _nonzero_conjugates(full_miss_gate(i))[1])) == []
+
+
+def test_domain_images_match_the_pair_product_oracle(classify_n3_gates, rng):
+    gates = list(classify_n3_gates) + _oracle_gates(rng) + _near_tol_gates(rng)
+    for n in (1, 2, 3):
+        names = ("H", "S", "T", "X", "CX")
+        gates += [circuit_to_dense(random_circuit(n, 6 * n, rng, names=names)) for _ in range(40)]
+    passing = 0
+    for u in gates:
+        u, conjugates = _nonzero_conjugates(u)
+        n = num_qubits(u)
+        # unbounded, and bounded by the semi-Clifford witness
+        bounds = (None, _semi_clifford_search(n, _pauli_stack(conjugates))[2])
+        # each domain's image is unique, so the pair product finds at
+        # most one pair per domain, and in the same order
+        got = [list(_domain_images(n, conjugates, bound)) for bound in bounds]
+        assert got == [candidate_pairs_oracle(n, conjugates, bound) for bound in bounds]
+        passing += bool(got[0])
+    assert 0 < passing < len(gates)
