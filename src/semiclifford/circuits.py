@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import CliffordRep
-from .dense import Monomial, basis_bits, extract_rep
+from .dense import Monomial, _is_integer, basis_bits, extract_rep
 from .pauli import _label_tables, check_dense_cap
 
 _SQ2 = np.sqrt(2.0)
@@ -92,6 +92,8 @@ class CircuitDescription:
     gates: tuple
 
     def __post_init__(self):
+        if not _is_integer(self.n):
+            raise ValueError(f"n={self.n!r} is not an integer")
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got {self.n}")
         for name, qubits in self.gates:
@@ -101,6 +103,9 @@ class CircuitDescription:
                 raise ValueError(
                     f"{name} takes {GATE_ARITY[name]} qubits, got {len(qubits)}"
                 )
+            for q in qubits:
+                if not _is_integer(q):
+                    raise ValueError(f"qubit {q!r} is not an integer")
             if len(set(qubits)) != len(qubits):
                 raise ValueError(f"repeated qubit in {name} {qubits}")
             for q in qubits:

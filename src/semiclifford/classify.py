@@ -10,11 +10,9 @@ stack of the conjugates U tau_a U^dag of all 4^n - 1 nonzero tau_a.
 classify builds one stack for every fact it reports: U, those 4^n - 1
 conjugates, and the (2n)^2 conjugates of the 2n generator conjugates
 by the generators (100 matrices at n = 3).  One _pauli_stack test of it
-gives the hierarchy level (level 1 from U, level 2 from the generator
-rows and level 3 from the second conjugates, each through
-_clifford_reps, as hierarchy_level decides them) and S(U).  Above the
-search cap the level comes from hierarchy_level, the oracle of this
-read-off in the tests.
+gives the hierarchy level (_stack_level) and S(U).  Above the search
+cap the level comes from hierarchy_level, the oracle of this read-off
+in the tests.
 
 Semi-Clifford: S(U) = {a : U tau_a U^dag is Pauli} is a subspace, since
 products of Paulis are Paulis, so the witness is the first Lagrangian,
@@ -26,16 +24,15 @@ when the Pauli supports of the U tau_b U^dag, b in the basis of L, lie
 inside L', since A_L is generated by its basis and both spans have
 dimension 2^n.  So L decides its own image.  With W the union of those
 supports, U A_L U^dag lies in the span of the tau_w, w in span W, so
-dim span W >= n; if W commutes pairwise, span W is isotropic, so it is
-the one Lagrangian L' containing W, and otherwise none contains W.  The
+dim span W >= n; if W commutes pairwise, the isotropic span W is the
+one Lagrangian L' containing W, and otherwise none contains W.  The
 supports are the Pauli coefficients above TOL, read off the stack by
-one product, and one float32 product with the label anticommutation
-table tests every domain.  A passing domain L, in canonical order, is
-the witness when Q_L'^dag U Q_L is monomial (Q_L a Clifford mapping the
-z-Lagrangian onto L) and a direct span check passes; a monomial pair
-that fails it leaves the verdict undecided, U being within TOL of it.
-A semi-Clifford pair (L, L') is such a witness, so in classify the
-first semi-Clifford domain bounds the generalized search.
+one product; one float32 product with the label anticommutation table
+tests every domain, and _image looks L' up as the labels commuting
+with all of W (the semi-Clifford image too).  A passing domain L, in
+canonical order, is the witness when Q_L'^dag U Q_L is monomial (Q_L a
+Clifford mapping the z-Lagrangian onto L) and its members' span check
+passes; a monomial pair failing it leaves U undecided, within TOL.
 """
 
 from __future__ import annotations
@@ -71,15 +68,29 @@ from .pauli import _label_tables, pauli_action
 @lru_cache(maxsize=None)
 def _lagrangian_cliffords(n):
     """GF(2) tables of the Lagrangians, in canonical order: the
-    Lagrangians, a read-only (L, n) array of each one's basis labels, a
-    read-only (4^n, 4^n) float32 array holding 1 where labels a and b
-    anticommute, and a dict from each Lagrangian to its index."""
+    Lagrangians, a read-only (L, n) array of their basis labels, a
+    read-only (4^n, 4^n) float32 table, 1 where labels anticommute, and
+    a dict from the bytes of each (4^n,) bool member mask to its index."""
     lags = tuple(gf2.enumerate_lagrangians(n))
-    labels = np.array([lag.basis for lag in lags]) @ _label_tables(2 * n)[2]
+    bases = np.array([lag.basis for lag in lags])
+    weights = _label_tables(2 * n)[2]
+    labels = bases @ weights
     anti = (basis_bits(2 * n) @ gf2._p_form(n) @ basis_bits(2 * n).T & 1).astype(np.float32)
+    masks = np.zeros((len(lags), 1 << 2 * n), dtype=bool)
+    masks[np.arange(len(lags))[:, None], (gf2._mask_bits(n) @ bases & 1) @ weights] = True
     for arr in (labels, anti):
         arr.flags.writeable = False
-    return lags, labels, anti, {lag: i for i, lag in enumerate(lags)}
+    return lags, labels, anti, {mask.tobytes(): i for i, mask in enumerate(masks)}
+
+
+def _image(n, w):
+    """Index of the Lagrangian span W, for W a 0/1 float32 label mask w:
+    the labels commuting with all of W (AssertionError if no Lagrangian)."""
+    _, _, anti, index = _lagrangian_cliffords(n)
+    image = index.get(((w @ anti) == 0).tobytes())
+    if image is None:
+        raise AssertionError("the labels commuting with W are no Lagrangian")
+    return image
 
 
 @lru_cache(maxsize=None)
@@ -119,23 +130,19 @@ class GscWitness:
     phases: tuple
 
 
-def _verify_span_map(u, domain, image):
-    """Check u . span(A_domain) . u^dag == span(A_image) directly.
+def _verify_span_map(moved, image):
+    """Check u . span(A_domain) . u^dag == span(A_image) directly, given
+    moved, the conjugates u tau_a u^dag of the domain members a.
 
-    Each conjugate u tau_a u^dag of a domain member a, less its
-    orthogonal projection onto the image span, must vanish within TOL.
-    The tau_b of the image members b are an orthogonal basis of that
-    span, each real and of norm^2 2^n; phases of either basis change
-    neither span.
+    Each, less its orthogonal projection onto the image span, must
+    vanish within TOL.  The tau_b of the image members b, columns of
+    _coefficient_basis times 2^n, are an orthogonal basis of that span,
+    each real and of norm^2 2^n; phases of either basis change neither.
     """
-    n = domain.n
-    dim = 1 << n
-    perm, signs = pauli_action(n, image.vectors())
-    basis = np.zeros((dim, dim, dim))
-    basis[np.arange(dim)[:, None], np.arange(dim), perm] = signs
-    basis = basis.reshape(dim, -1)
-    moved = pauli_conjugates(u, domain.vectors()).reshape(dim, -1)
-    return close(moved - (moved @ basis.T) @ basis / dim, 0)
+    dim = 1 << image.n
+    taus = _coefficient_basis(image.n)[:, image.vectors() @ _label_tables(2 * image.n)[2]]
+    moved = moved.reshape(dim, -1)
+    return close(moved - (moved @ taus) @ taus.T * dim, 0)
 
 
 def _nonzero_conjugates(u):
@@ -150,17 +157,17 @@ def _nonzero_conjugates(u):
 
 def _semi_clifford_search(n, tested):
     """The semi-Clifford search on tested = _pauli_stack of the nonzero
-    conjugates (row r is label r + 1): (True, witness, i) for the first
-    Lagrangian i with its basis in S(u), else (False, searched, None)."""
+    conjugates (row r is label r + 1): (True, witness) for the first
+    Lagrangian with its basis in S(u), else (False, searched)."""
     lags, labels = _lagrangian_cliffords(n)[:2]
     pauli, _, images = tested
     rows = labels - 1
     hits = np.flatnonzero(pauli[rows].all(axis=1))
     if hits.size == 0:
-        return False, len(lags), None
-    first = hits[0]
-    image = gf2.Lagrangian(images[rows[first]])
-    return True, SemiCliffordWitness(domain=lags[first], image=image), first
+        return False, len(lags)
+    w = np.zeros(1 << 2 * n, dtype=np.float32)
+    w[images[rows[hits[0]]] @ _label_tables(2 * n)[2]] = 1
+    return True, SemiCliffordWitness(domain=lags[hits[0]], image=lags[_image(n, w)])
 
 
 def is_semi_clifford(u):
@@ -171,48 +178,42 @@ def is_semi_clifford(u):
     (False, searched_count).  All nonzero tau_a are conjugated and
     tested as one stack; a Lagrangian is a witness exactly when its
     basis lies in the subspace S(u) of those whose conjugate is Pauli.
-    The image is re-validated as a Lagrangian.
     """
     u, conjugates = _nonzero_conjugates(u)
-    return _semi_clifford_search(num_qubits(u), _pauli_stack(conjugates))[:2]
+    return _semi_clifford_search(num_qubits(u), _pauli_stack(conjugates))
 
 
-def _domain_images(n, conjugates, last=None):
-    """Yield (i_dom, i_img) for each domain i_dom, in order and with
-    i_dom <= last if given, whose basis conjugates have a support union W
-    that commutes pairwise; Lagrangian i_img is span W (module docstring)."""
-    _, labels, anti, index = _lagrangian_cliffords(n)
-    rows = labels[: None if last is None else last + 1].T - 1
-    # only the conjugates that those bases use, renumbered in order
-    used = np.zeros(len(conjugates), dtype=bool)
-    used[rows] = True
-    support = np.abs(conjugates[used].reshape(-1, 1 << 2 * n) @ _coefficient_basis(n)) > TOL
-    union = support[np.cumsum(used)[rows] - 1].any(axis=0).astype(np.float32)
+def _domain_images(n, conjugates):
+    """Yield (i_dom, i_img) for each domain i_dom, in order, whose basis
+    conjugates have a support union W that commutes pairwise; Lagrangian
+    i_img is span W (module docstring)."""
+    _, labels, anti, _ = _lagrangian_cliffords(n)
+    support = np.abs(conjugates.reshape(-1, 1 << 2 * n) @ _coefficient_basis(n)) > TOL
+    union = support[labels.T - 1].any(axis=0).astype(np.float32)
     for i_dom in np.flatnonzero(((union @ anti) * union).sum(axis=1) == 0).tolist():
-        span, pivots = gf2.rref(basis_bits(2 * n)[union[i_dom] != 0])
-        yield i_dom, index[gf2.Lagrangian(span[: len(pivots)])]
+        yield i_dom, _image(n, union[i_dom])
 
 
-def _gsc_search(u, conjugates, last=None):
-    """The generalized search over domains 0..last if given; (None, message)
-    if a monomial pair fails the span check.  A semi-Clifford witness at
-    domain i makes domain i pass with a monomial pair, so last = i changes
-    no result; near TOL that pair can fail, and then the whole search runs."""
+def _gsc_search(u, conjugates):
+    """The generalized search on the nonzero conjugates of u (row r is
+    label r + 1), whose rows the span check reads; (None, message) if a
+    monomial pair fails that check."""
     n = num_qubits(u)
     lags = _lagrangian_cliffords(n)[0]
-    for i_dom, i_img in _domain_images(n, conjugates, last):
+    weights = _label_tables(2 * n)[2]
+    for i_dom, i_img in _domain_images(n, conjugates):
         q_dom, q_img = _lagrangian_clifford(n, i_dom), _lagrangian_clifford(n, i_img)
         mc = monomial_check(q_img.conj().T @ (u @ q_dom))
         if not mc.is_monomial:
             continue
-        if not _verify_span_map(u, lags[i_dom], lags[i_img]):
+        members = lags[i_dom].vectors()  # row 0 is label 0
+        moved = [pauli_conjugates(u, members[:1]), conjugates[members[1:] @ weights - 1]]
+        if not _verify_span_map(np.concatenate(moved), lags[i_img]):
             return None, (
                 f"pair ({i_dom}, {i_img}) is monomial but fails the span check: "
                 "the gate is within TOL of the decision"
             )
         return True, GscWitness(lags[i_dom], lags[i_img], mc.permutation, mc.phases)
-    if last is not None:
-        return _gsc_search(u, conjugates)
     return False, len(lags) ** 2
 
 
@@ -299,9 +300,8 @@ def classify(u, kmax=3) -> ClassificationReport:
     """Full report: hierarchy level plus both span-based memberships.
 
     At n <= the search cap every fact is read off one tested stack
-    (module docstring), and a semi-Clifford witness at domain i bounds
-    the generalized search to domains 0..i; above it only the level is
-    decided, by hierarchy_level.
+    (module docstring); above it only the level is decided, by
+    hierarchy_level.
     """
     u = check_unitary(u)
     n = num_qubits(u)
@@ -315,12 +315,12 @@ def classify(u, kmax=3) -> ClassificationReport:
         stack, tested = _tested_stack(dense)
         level = _stack_level(stack, tested, kmax)
         nonzero = slice(1, 1 << 2 * n)
-        semi, semi_w, last = _semi_clifford_search(n, tuple(t[nonzero] for t in tested))
+        semi, semi_w = _semi_clifford_search(n, tuple(t[nonzero] for t in tested))
         if semi:
             searched["lagrangians"] = None
         else:
             searched["lagrangians"], semi_w = semi_w, None
-        gsc, gsc_w = _gsc_search(dense, stack[nonzero], last)
+        gsc, gsc_w = _gsc_search(dense, stack[nonzero])
         if not gsc:
             searched["lagrangian_pairs" if gsc is False else "undecided"], gsc_w = gsc_w, None
     return ClassificationReport(

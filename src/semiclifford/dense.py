@@ -239,10 +239,10 @@ def _stack_qubits(us) -> int:
         raise ValueError(f"not a square matrix: {us.shape}")
     dim = us.shape[-1]
     n = dim.bit_length() - 1
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got dimension {dim}")
     if 1 << n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    if not n:
-        raise ValueError("need at least one qubit, got dimension 1")
     return n
 
 
@@ -550,10 +550,15 @@ def _all_in_level(us, k):
     return all(_all_in_level(stack, k - 1) for stack in _conjugate_chunks(us, gens))
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer: a numpy integer too, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def check_kmax(kmax):
-    """Raise ValueError unless kmax is an integer (a numpy integer too,
-    but not a bool) with 1 <= kmax <= HIERARCHY_LEVEL_CAP."""
-    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral):
+    """Raise ValueError unless kmax is an integer (_is_integer) with
+    1 <= kmax <= HIERARCHY_LEVEL_CAP."""
+    if not _is_integer(kmax):
         raise ValueError(f"kmax={kmax!r} is not an integer")
     if kmax < 1:
         raise ValueError(f"kmax={kmax} is below 1")

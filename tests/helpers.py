@@ -292,15 +292,15 @@ def _outside_table(n):
     return np.array([lag.basis @ weights for lag in lags]), outside
 
 
-def candidate_pairs_oracle(n, conjugates, last=None):
-    """The pairs (i_dom, i_img), in row-major order and with i_dom <= last
-    if given, whose domain basis conjugates have Pauli supports inside
-    the image; row r of conjugates is u tau_a u^dag for label a = r + 1.
-    One float32 product of each domain's 0/1 support union with the
-    outside table decides all L^2 pairs.
+def candidate_pairs_oracle(n, conjugates):
+    """The pairs (i_dom, i_img), in row-major order, whose domain basis
+    conjugates have Pauli supports inside the image; row r of conjugates
+    is u tau_a u^dag for label a = r + 1.  One float32 product of each
+    domain's 0/1 support union with the outside table decides all L^2
+    pairs.
     """
     labels, outside = _outside_table(n)
-    rows = labels[: None if last is None else last + 1].T - 1
+    rows = labels.T - 1
     support = np.abs(conjugates.reshape(len(conjugates), -1) @ _coefficient_basis(n)) > TOL
     union = support[rows].any(axis=0).astype(np.float32)
     pairs = divmod(np.flatnonzero(union @ outside == 0), len(labels))
@@ -329,7 +329,7 @@ def gsc_search_oracle(u):
                 continue
             domain = lags[i_dom]
             image = lags[i_img]
-            if not _verify_span_map(u, domain, image):
+            if not _verify_span_map(pauli_conjugates(u, domain.vectors()), image):
                 raise AssertionError("monomial witness failed the span check")
             return True, GscWitness(
                 domain=domain,

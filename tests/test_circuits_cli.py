@@ -204,6 +204,27 @@ def test_description_validation():
         CircuitDescription(n=1, gates=(("H", (1,)),))
 
 
+@pytest.mark.parametrize("n", [True, 2.5, 2.0, "2", None])
+def test_description_rejects_a_non_integer_qubit_count(n):
+    # n = True built a 1-qubit circuit, and n = 2.5 failed in 1 << n
+    with pytest.raises(ValueError, match="is not an integer"):
+        CircuitDescription(n, (("H", (0,)),))
+
+
+@pytest.mark.parametrize("q", [True, False, 0.5, 1.0, "1", None])
+def test_description_rejects_a_non_integer_qubit(q):
+    # (True,) placed X on qubit 1, and (0.5,) failed with an IndexError
+    with pytest.raises(ValueError, match="is not an integer"):
+        CircuitDescription(2, (("X", (q,)),))
+    with pytest.raises(ValueError, match="is not an integer"):
+        standard_gate("CX", (0, q), 2)
+
+
+def test_description_accepts_numpy_integers():
+    desc = CircuitDescription(np.int64(2), (("CX", (np.int32(1), np.uint8(0))),))
+    assert np.array_equal(circuit_to_dense(desc), circuit_to_dense(parse_circuit("qubits 2\nCX 1 0\n")))
+
+
 def test_embed_gate_matches_kron():
     h = GATE_MATRICES["H"]
     want = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -27,11 +27,10 @@ from semiclifford.circuits import (
 )
 from semiclifford.classify import (
     _domain_images,
-    _gsc_search,
+    _image,
     _lagrangian_clifford,
     _lagrangian_cliffords,
     _nonzero_conjugates,
-    _semi_clifford_search,
     _verify_span_map,
     classify,
     is_generalized_semi_clifford,
@@ -40,12 +39,12 @@ from semiclifford.classify import (
 from semiclifford.dense import (
     _STACK_ENTRIES,
     Monomial,
-    _pauli_stack,
     as_dense,
     basis_bits,
     hierarchy_level,
     monomial_check,
     num_qubits,
+    pauli_conjugates,
 )
 from semiclifford.expansion import rep_to_dense
 from semiclifford.pauli import PhasedPauli, commutes, pauli_to_dense
@@ -305,7 +304,7 @@ def _passing_pairs(u):
         for i_dom, q_dom in enumerate(mats)
         for i_img, q_img in enumerate(mats)
         if monomial_check(q_img.conj().T @ (u @ q_dom)).is_monomial
-        and _verify_span_map(u, lags[i_dom], lags[i_img])
+        and _verify_span_map(pauli_conjugates(u, lags[i_dom].vectors()), lags[i_img])
     ]
 
 
@@ -334,7 +333,8 @@ def test_near_tol_perturbations_keep_the_oracle_witness_or_a_checked_one():
                 lags, mats = lagrangian_clifford_table(num_qubits(u))
                 q_dom, q_img = (mats[lags.index(lag)] for lag in (got[1].domain, got[1].image))
                 assert monomial_check(q_img.conj().T @ (u @ q_dom)).is_monomial
-                assert _verify_span_map(u, got[1].domain, got[1].image)
+                moved = pauli_conjugates(u, got[1].domain.vectors())
+                assert _verify_span_map(moved, got[1].image)
             else:
                 assert _passing_pairs(u) == []
     assert oracle_raised > 0
@@ -391,7 +391,13 @@ def test_lagrangian_tables_build_no_dense_matrix(monkeypatch):
         assert not labels.flags.writeable and not anti.flags.writeable
         weights = 1 << np.arange(2 * n - 1, -1, -1)
         assert np.array_equal(labels, [lag.basis @ weights for lag in lags])
-        assert index == {lag: i for i, lag in enumerate(lags)}
+        # distinct keys, in index order: each the (4^n,) member mask of
+        # its Lagrangian, 2^n members each, as vectors() lists them
+        assert list(index.values()) == list(range(len(lags)))
+        for lag, key in zip(lags, index, strict=True):
+            mask = np.frombuffer(key, dtype=bool)
+            assert mask.shape == (1 << 2 * n,) and mask.sum() == 1 << n
+            assert np.array_equal(np.flatnonzero(mask), np.sort(lag.vectors() @ weights))
         if n < 3:
             paulis = [PhasedPauli(0, 0, a) for a in basis_bits(2 * n)]
             want = [[not commutes(p, q) for q in paulis] for p in paulis]
@@ -426,9 +432,9 @@ def test_classify_conjugates_once_for_both_searches(monkeypatch):
                 names = ("hierarchy_level", "is_pauli", "extract_rep")
                 oracles = [_counting(m, name) for name in names]
                 report = classify(u, kmax)
-            # the span check conjugates the 2^n members of a witness's
-            # domain itself, directly
-            span_check = [8] if report.gsc_witness is not None else []
+            # the span check reads a witness's domain members off the
+            # stack and conjugates only label 0 itself
+            span_check = [1] if report.gsc_witness is not None else []
             assert [len(vectors) for _, vectors in conjugates] == [63] + span_check
             assert len(stacks) == 1 and len(unitary) == 1
             assert oracles == [[], [], []]
@@ -504,24 +510,70 @@ def test_classify_errors_come_in_the_parent_order(monkeypatch, rng):
     assert report.semi_clifford is None and report.generalized_semi_clifford is None
 
 
-def _bounded_and_unbounded(u):
-    u, conjugates = _nonzero_conjugates(u)
-    last = _semi_clifford_search(num_qubits(u), _pauli_stack(conjugates))[2]
-    return _gsc_search(u, conjugates, last), _gsc_search(u, conjugates), conjugates, last
+def test_classify_searches_match_the_standalone_searches(classify_n3_gates, rng):
+    # classify runs both searches, unbounded, on its own stack: each of
+    # its fields equals the standalone search's result, or its message
+    gates = classify_n3_gates + _oracle_gates(rng) + _near_tol_gates(rng)
+    outcomes = {True: 0, False: 0, ValueError: 0}
+    for u in gates + [_span_check_failure_gate()]:
+        report = classify(u)
+        semi = is_semi_clifford(u)
+        assert report.semi_clifford == semi[0]
+        if semi[0]:
+            assert repr(report.semi_witness) == repr(semi[1])
+        else:
+            assert report.semi_witness is None and report.searched["lagrangians"] == semi[1]
+        gsc = _outcome(is_generalized_semi_clifford, u)
+        outcomes[gsc[0]] += 1
+        if gsc[0] is ValueError:
+            assert report.generalized_semi_clifford is None and report.gsc_witness is None
+            assert report.searched["undecided"] == gsc[1]
+        elif gsc[0]:
+            assert report.generalized_semi_clifford
+            assert repr(report.gsc_witness) == repr(gsc[1])
+        else:
+            assert report.generalized_semi_clifford is False and report.gsc_witness is None
+            assert report.searched["lagrangian_pairs"] == gsc[1]
+    assert min(outcomes.values()) > 0
 
 
-def test_semi_clifford_witness_bound_keeps_the_generalized_search(classify_n3_gates, rng):
-    bounded = 0
-    for u in classify_n3_gates + _oracle_gates(rng):
-        got, want, conjugates, last = _bounded_and_unbounded(u)
-        assert repr(got) == repr(want)
-        bounded += last is not None
-        if want[0]:
-            # a bound below the witness's domain falls back to the whole search
-            dom = _lagrangian_cliffords(num_qubits(u))[0].index(want[1].domain)
-            for cut in {0, dom - 1} - {-1, dom}:
-                assert repr(_gsc_search(as_dense(u), conjugates, cut)) == repr(want)
-    assert bounded >= 93 - 15
+def test_image_looks_up_only_lagrangians():
+    for n in (1, 2, 3):
+        lags, labels, anti, _ = _lagrangian_cliffords(n)
+        for i in (0, len(lags) - 1):
+            w = np.zeros(1 << 2 * n, dtype=np.float32)
+            w[labels[i]] = 1
+            assert _image(n, w) == i
+            # fewer than n dimensions: the commutant is larger than W
+            w[labels[i][0]] = 0
+            with pytest.raises(AssertionError):
+                _image(n, w)
+            # an anticommuting pair spans no Lagrangian
+            w[:] = 0
+            a = labels[i][0]
+            w[[a, np.flatnonzero(anti[a])[0]]] = 1
+            with pytest.raises(AssertionError):
+                _image(n, w)
+
+
+def test_warm_classify_makes_no_rref_call_and_builds_no_lagrangian(monkeypatch, classify_n3_gates):
+    reports = [classify(u) for u in classify_n3_gates]  # fills the caches
+    assert any(r.semi_witness for r in reports) and any(r.gsc_witness for r in reports)
+    calls = []
+    rref, post_init = gf2.rref, gf2.Lagrangian.__post_init__
+
+    def counting_rref(*args, **kwargs):
+        calls.append("rref")
+        return rref(*args, **kwargs)
+
+    def counting_post_init(self):
+        calls.append("Lagrangian")
+        post_init(self)
+
+    monkeypatch.setattr(gf2, "rref", counting_rref)
+    monkeypatch.setattr(gf2.Lagrangian, "__post_init__", counting_post_init)
+    assert [classify(u) for u in classify_n3_gates] == reports
+    assert calls == []
 
 
 def test_span_check_failure_near_tol_is_a_clean_value_error():
@@ -571,11 +623,9 @@ def test_domain_images_match_the_pair_product_oracle(classify_n3_gates, rng):
     for u in gates:
         u, conjugates = _nonzero_conjugates(u)
         n = num_qubits(u)
-        # unbounded, and bounded by the semi-Clifford witness
-        bounds = (None, _semi_clifford_search(n, _pauli_stack(conjugates))[2])
         # each domain's image is unique, so the pair product finds at
         # most one pair per domain, and in the same order
-        got = [list(_domain_images(n, conjugates, bound)) for bound in bounds]
-        assert got == [candidate_pairs_oracle(n, conjugates, bound) for bound in bounds]
-        passing += bool(got[0])
+        got = list(_domain_images(n, conjugates))
+        assert got == candidate_pairs_oracle(n, conjugates)
+        passing += bool(got)
     assert 0 < passing < len(gates)

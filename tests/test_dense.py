@@ -164,6 +164,13 @@ def test_a_one_by_one_matrix_has_no_qubits(call):
         call()
 
 
+@pytest.mark.parametrize("call", [check_unitary, classify, hierarchy_level, is_pauli])
+def test_a_zero_by_zero_matrix_has_no_qubits(call):
+    # dimension 0 gave Python's "negative shift count"
+    with pytest.raises(ValueError, match="^need at least one qubit, got dimension 0$"):
+        call(np.zeros((0, 0), dtype=complex))
+
+
 @pytest.mark.parametrize("kmax", [0, -3])
 def test_hierarchy_level_rejects_kmax_below_one(kmax):
     # level None would read as "not in the hierarchy" for any gate
