@@ -10,9 +10,10 @@ extract_rep rather than transcribed from tables, so the dense engine
 stays the single source of truth; whether a gate is Clifford is read
 off its matrix too.  A gate's rep lives on its qubits' coordinates
 (_rep_coords): standard_gate places it in a 2n x 2n rep, and
-circuit_to_rep applies it as a tableau update of those rows of C.
-Likewise circuit_to_monomial reads each gate's permutation and phases
-off its GATE_MATRICES entry; every library gate but H is monomial.
+circuit_to_rep applies it as a tableau update of those rows of C, each
+row packed into one int.  Likewise circuit_to_monomial reads each gate's
+permutation and phases off its GATE_MATRICES entry; every library gate
+but H is monomial.
 circuit_to_dense builds small circuits as a chain: up to CHAIN_QUBITS
 = 4 qubits it multiplies the running matrix by each placed gate, a
 cached read-only 2^n x 2^n matrix.  Above it, it applies each gate's
@@ -36,6 +37,7 @@ import numpy as np
 
 from .clifford import CliffordRep
 from .dense import Monomial, _is_integer, basis_bits, extract_rep
+from .gf2 import _unpack_rows
 from .pauli import _label_tables, check_dense_cap
 
 _SQ2 = np.sqrt(2.0)
@@ -88,10 +90,18 @@ CHAIN_QUBITS = 4
 
 @dataclass(frozen=True)
 class CircuitDescription:
+    """n qubits and the gates (name, qubits) that act in order.
+
+    The gates and each gate's qubits are stored as tuples, whatever
+    sequences they came as, so a description hashes and keys the gate
+    caches.
+    """
+
     n: int
     gates: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "gates", tuple((name, tuple(qubits)) for name, qubits in self.gates))
         if not _is_integer(self.n):
             raise ValueError(f"n={self.n!r} is not an integer")
         if self.n < 1:
@@ -340,6 +350,26 @@ def standard_gate(name, qubits, n) -> CliffordRep:
     return CliffordRep(c, h)
 
 
+@lru_cache(maxsize=None)
+def _gate_tableau(name):
+    """A Clifford library gate's tableau update (circuit_to_rep) as index
+    lists into its rows idx (_rep_coords); ValueError if it has no rep.
+
+    Returns (new_rows, h_terms, lows_terms, d_terms): new_rows[a] lists
+    the rows b with g.c[a, b] set, whose sum is the new row a; h_terms
+    the rows a with g.h[a] set; lows_terms the pairs (a, bs) for the
+    nonzero rows a of g.lows, bs its set columns; d_terms the rows a
+    with g.d[a] set.
+    """
+    gate = _clifford_gate(name)
+
+    def ones(bits):
+        return tuple(np.flatnonzero(bits).tolist())
+
+    lows = tuple((a, ones(row)) for a, row in enumerate(gate.lows_matrix) if row.any())
+    return tuple(map(ones, gate.c)), ones(gate.h), lows, ones(gate.d)
+
+
 def circuit_to_rep(desc: CircuitDescription) -> CliffordRep:
     """Rep of a Clifford circuit, by a tableau update per gate.
 
@@ -351,17 +381,42 @@ def circuit_to_rep(desc: CircuitDescription) -> CliffordRep:
     the update, h += g.h rows + diag(rows^T g.lows rows) + (g.d rows) d_C.
     The lows order of idx differs from the global one only on pairs
     other than (q, n + q), where C^T J C + d d^T is symmetric, so the
-    quadratic term is the same.  The cost is O(n) per gate; h sums in
-    uint8, whose wrap mod 256 keeps its parity, and is reduced once.
+    quadratic term is the same.
+
+    The tableau is packed: each row of C is one 2n-bit int (bit x holds
+    column x), and h and d_C = diag(C^T J C) = sum_q C[q] & C[n + q] are
+    one int each, so every term is a few XORs and ANDs of whole rows,
+    read off the gate's cached index lists (_gate_tableau).  d_C changes
+    only on the gate's pairs (q, n + q).  A k-qubit gate costs O(k^2)
+    whole-row operations on 2n-bit ints and no numpy call; C and h are
+    unpacked once, into the checked CliffordRep constructor.
     """
     n = desc.n
-    c = np.eye(2 * n, dtype=np.uint8)
-    h = np.zeros(2 * n, dtype=np.uint8)
+    c = [1 << i for i in range(2 * n)]
+    h = 0
+    d_c = 0
     for name, qubits in desc.gates:
-        gate = _clifford_gate(name)
+        new_rows, h_terms, lows_terms, d_terms = _gate_tableau(name)
         idx = _rep_coords(qubits, n)
-        rows = c[idx]
-        h += gate.h @ rows + ((gate.lows_matrix @ rows) & rows).sum(axis=0, dtype=np.uint8)
-        h += (gate.d @ rows) * (c[:n] & c[n:]).sum(axis=0, dtype=np.uint8)
-        c[idx] = gate.c @ rows & 1
-    return CliffordRep(c, h & 1)
+        rows = [c[i] for i in idx]
+        for a in h_terms:
+            h ^= rows[a]
+        for a, bs in lows_terms:
+            acc = 0
+            for b in bs:
+                acc ^= rows[b]
+            h ^= rows[a] & acc
+        acc = 0
+        for a in d_terms:
+            acc ^= rows[a]
+        h ^= acc & d_c
+        for i, bs in zip(idx, new_rows):
+            acc = 0
+            for b in bs:
+                acc ^= rows[b]
+            c[i] = acc
+        k = len(qubits)
+        for j in range(k):
+            d_c ^= rows[j] & rows[k + j] ^ c[idx[j]] & c[idx[k + j]]
+    bits = _unpack_rows([*c, h], 2 * n)
+    return CliffordRep(bits[:-1], bits[-1])

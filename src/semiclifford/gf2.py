@@ -5,10 +5,14 @@ are 2-D.  Addition is XOR and products are reduced mod 2.  ``uint8``
 matmul accumulates mod 256, which preserves parity, so no dtype
 widening is needed at the sizes used here (dimensions well below 256).
 
-Row reduction packs each row into one Python int, bit c holding column
-c, and eliminates with whole-row XORs, the tableau layout of
-Aaronson-Gottesman (quant-ph/0406196).  The packing stays inside
-``rref``: every function here takes and returns ``uint8`` arrays.
+Per-entry elimination runs on packed rows: _pack_rows turns each row
+into one Python int, bit c holding column c, and the work is whole-row
+XORs, the tableau layout of Aaronson-Gottesman (quant-ph/0406196).
+``rref`` (through _eliminate), ``rank`` (which counts pivots without
+unpacking) and ``symmetric_congruence`` work this way, and
+``circuits.circuit_to_rep`` keeps its tableau in the same layout.  The
+packing stays inside the functions: every public function here takes
+and returns ``uint8`` arrays.
 """
 
 from __future__ import annotations
@@ -46,8 +50,17 @@ def frozenbits(data) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _eye(n):
+    """np.eye(n) as uint8, read-only and built once per n."""
+    eye = np.eye(n, dtype=np.uint8)
+    eye.flags.writeable = False
+    return eye
+
+
 def ident(n):
-    return np.eye(n, dtype=np.uint8)
+    """A fresh writable n x n identity: a copy of the cached _eye(n)."""
+    return _eye(n).copy()
 
 
 def zeros(rows, cols):
@@ -151,6 +164,49 @@ def dot(u, v) -> int:
     return int(asbits(u) @ asbits(v)) & 1
 
 
+def _pack_rows(m):
+    """The rows of a 2-D bit array as Python ints, bit c holding column c."""
+    rows, cols = m.shape
+    # row k is bits [k * width, (k + 1) * width) of one little-endian int
+    width = 8 * ((cols + 7) >> 3)
+    mask = (1 << width) - 1
+    packed = int.from_bytes(np.packbits(m, axis=1, bitorder="little").tobytes(), "little")
+    return [packed >> (k * width) & mask for k in range(rows)]
+
+
+def _unpack_rows(ints, cols):
+    """Inverse of _pack_rows: a fresh (len(ints), cols) uint8 array."""
+    width = 8 * ((cols + 7) >> 3)
+    packed = 0
+    for x in reversed(ints):
+        packed = packed << width | x
+    data = np.frombuffer(packed.to_bytes(len(ints) * width >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(data.reshape(len(ints), width >> 3), axis=1, count=cols, bitorder="little")
+
+
+def _eliminate(ints, n_pivot_cols):
+    """Reduce packed rows (_pack_rows) to RREF in place, pivoting on the
+    first n_pivot_cols columns; returns the pivot column list."""
+    searched = (1 << n_pivot_cols) - 1
+    pivots: list[int] = []
+    for row in range(len(ints)):
+        # searched columns left of the next pivot are zero in rows >= row,
+        # so the lowest set bit among those rows is the next pivot column
+        rest = reduce(or_, ints[row:], 0) & searched
+        if not rest:
+            break
+        bit = rest & -rest
+        hit = row
+        while not ints[hit] & bit:
+            hit += 1
+        top = ints[hit]
+        ints[hit] = ints[row]
+        ints[:] = [x ^ top if x & bit else x for x in ints]
+        ints[row] = top
+        pivots.append(bit.bit_length() - 1)
+    return pivots
+
+
 def rref(m, n_pivot_cols=None):
     """Reduced row echelon form over GF(2).
 
@@ -169,43 +225,22 @@ def rref(m, n_pivot_cols=None):
         n_pivot_cols = cols
     if not rows or not cols:
         return r, []
-    # row k is bits [k * width, (k + 1) * width) of one little-endian int
-    width = 8 * ((cols + 7) >> 3)
-    mask = (1 << width) - 1
-    packed = int.from_bytes(np.packbits(r, axis=1, bitorder="little").tobytes(), "little")
-    ints = [packed >> (k * width) & mask for k in range(rows)]
-    searched = (1 << n_pivot_cols) - 1
-    pivots: list[int] = []
-    for row in range(rows):
-        # searched columns left of the next pivot are zero in rows >= row,
-        # so the lowest set bit among those rows is the next pivot column
-        rest = reduce(or_, ints[row:], 0) & searched
-        if not rest:
-            break
-        bit = rest & -rest
-        hit = row
-        while not ints[hit] & bit:
-            hit += 1
-        top = ints[hit]
-        ints[hit] = ints[row]
-        ints = [x ^ top if x & bit else x for x in ints]
-        ints[row] = top
-        pivots.append(bit.bit_length() - 1)
-    packed = 0
-    for x in reversed(ints):
-        packed = packed << width | x
-    data = np.frombuffer(packed.to_bytes(rows * width >> 3, "little"), dtype=np.uint8)
-    red = np.unpackbits(data.reshape(rows, width >> 3), axis=1, count=cols, bitorder="little")
-    return red, pivots
+    ints = _pack_rows(r)
+    pivots = _eliminate(ints, n_pivot_cols)
+    return _unpack_rows(ints, cols), pivots
 
 
 def rank(m) -> int:
-    """Row rank over GF(2)."""
-    return len(rref(m)[1])
+    """Row rank over GF(2), counted on packed rows without unpacking."""
+    r = asbits(m)
+    return len(_eliminate(_pack_rows(r), r.shape[1]))
 
 
 def inverse(m):
     """Inverse of a square matrix over GF(2).
+
+    Eliminates the packed rows of (m | I) on the columns of m, as rref
+    of that matrix would, and unpacks the right half.
 
     Raises:
         ValueError: if *m* is not square or is singular.
@@ -214,18 +249,29 @@ def inverse(m):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"not a square matrix: {m.shape}")
     n = m.shape[0]
-    aug = np.concatenate([m, ident(n)], axis=1)
-    red, pivots = rref(aug, n_pivot_cols=n)
-    if pivots != list(range(n)):
+    aug = [row | 1 << (n + k) for k, row in enumerate(_pack_rows(m))]
+    if _eliminate(aug, n) != list(range(n)):
         raise ValueError("matrix is singular over GF(2)")
-    return red[:, n:].copy()
+    return _unpack_rows([row >> n for row in aug], n)
+
+
+@lru_cache(maxsize=None)
+def _half_swap_mesh(n):
+    """Read-only index mesh (rows, cols) of the top/bottom half swap of
+    2n coordinates: m[rows, cols] is P m P, P = p_mat(n)."""
+    swap = np.roll(np.arange(2 * n), n)
+    mesh = np.ix_(swap, swap)
+    for arr in mesh:
+        arr.flags.writeable = False
+    return mesh
 
 
 def symplectic_inverse(m):
     """Inverse of a symplectic matrix, P m^T P = (D^T B^T; C^T A^T).
 
     m^T P m = P and P^2 = I give m^{-1} = P m^T P, so no elimination is
-    needed; m = (A B; C D) in n x n blocks.
+    needed; m = (A B; C D) in n x n blocks, and P m^T P is one gather of
+    m^T by the half-swap mesh.
 
     Raises:
         ValueError: if *m* is not square of even size, or not symplectic.
@@ -233,13 +279,7 @@ def symplectic_inverse(m):
     m = asbits(m)
     if not is_symplectic(m):
         raise ValueError("matrix is not symplectic")
-    n = m.shape[0] // 2
-    out = np.empty(m.shape, dtype=np.uint8)
-    out[:n, :n] = m[n:, n:].T
-    out[:n, n:] = m[:n, n:].T
-    out[n:, :n] = m[n:, :n].T
-    out[n:, n:] = m[:n, :n].T
-    return out
+    return m.T[_half_swap_mesh(m.shape[0] // 2)]
 
 
 def solve(m, rhs):
@@ -293,12 +333,12 @@ def is_involution(m) -> bool:
     m = asbits(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return np.array_equal(mat_mul(m, m), ident(m.shape[0]))
+    return np.array_equal(m @ m & 1, _eye(m.shape[0]))
 
 
 def is_symplectic(c) -> bool:
     """Whether C^T P C = P for the binary symplectic form P: the
-    one-matrix case of symplectic_mask, whose bits are read once.
+    one-matrix case of symplectic_mask, compared with P as one matrix.
 
     Raises:
         ValueError: if the matrix is not square of even size.
@@ -306,7 +346,8 @@ def is_symplectic(c) -> bool:
     c = asbits(c)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2:
         raise ValueError(f"need a square even-dimensional matrix, got {c.shape}")
-    return bool(_symplectic(c))
+    tb = _top_bottom(c)
+    return bool(((tb ^ tb.T) == _p_form(c.shape[0] // 2)).all())
 
 
 def symplectic_mask(cs):
@@ -317,13 +358,8 @@ def symplectic_mask(cs):
     size (_top_bottom).  Returns a bool array of the stack's leading
     shape.
     """
-    return _symplectic(asbits(cs))
-
-
-def _symplectic(cs):
-    """symplectic_mask of a stack already read as bits."""
-    tb = _top_bottom(cs)
-    return ((tb ^ np.swapaxes(tb, -1, -2)) == _p_form(cs.shape[-1] // 2)).all(axis=(-2, -1))
+    tb = _top_bottom(asbits(cs))
+    return ((tb ^ np.swapaxes(tb, -1, -2)) == _p_form(tb.shape[-1] // 2)).all(axis=(-2, -1))
 
 
 def symmetric_congruence(e):
@@ -334,6 +370,14 @@ def symmetric_congruence(e):
     Over GF(2) a symmetric matrix can have an all-zero diagonal, so
     after diagonal pivots are exhausted the remaining alternating part
     is reduced with antidiagonal 2x2 pivots.
+
+    w = R e R^T and R are held as packed rows (_pack_rows).  Each pivot
+    clears its column(s) by one elementary matrix E = I + sum of
+    e_k e_p^T over the rows k to clear and the pivot columns p; its
+    factors commute, so E w E^T is the product of the single operations
+    in any order, applied here to all rows and then to all columns.
+    Since w is symmetric, the rows k that column p clears are the set
+    bits of row p.
     """
     e0 = asbits(e)
     if e0.ndim != 2 or e0.shape[0] != e0.shape[1]:
@@ -341,60 +385,64 @@ def symmetric_congruence(e):
     if not np.array_equal(e0, e0.T):
         raise ValueError("matrix is not symmetric")
     n = e0.shape[0]
-    w = e0.copy()
-    r_acc = ident(n)
-
-    def row_op(dst, src):
-        # dst += src on rows and columns of w keeps w symmetric
-        w[dst] ^= w[src]
-        w[:, dst] ^= w[:, src]
-        r_acc[dst] ^= r_acc[src]
+    w = _pack_rows(e0)
+    r_acc = [1 << k for k in range(n)]
 
     def swap(i, j):
         if i == j:
             return
-        w[[i, j]] = w[[j, i]]
-        w[:, [i, j]] = w[:, [j, i]]
-        r_acc[[i, j]] = r_acc[[j, i]]
+        w[i], w[j] = w[j], w[i]
+        r_acc[i], r_acc[j] = r_acc[j], r_acc[i]
+        both = 1 << i | 1 << j
+        w[:] = [x ^ both if (x >> i ^ x >> j) & 1 else x for x in w]
+
+    def clear(p, ks):
+        # rows, then columns: w <- E w E^T, R <- E R, E = I + sum e_k e_p^T
+        src_w, src_r = w[p], r_acc[p]
+        k = ks
+        while k:
+            low = k & -k
+            dst = low.bit_length() - 1
+            w[dst] ^= src_w
+            r_acc[dst] ^= src_r
+            k ^= low
+        w[:] = [x ^ ks if x >> p & 1 else x for x in w]
 
     pos = 0
     while pos < n:
-        diag_hit = next((k for k in range(pos, n) if w[k, k]), None)
+        diag_hit = next((k for k in range(pos, n) if w[k] >> k & 1), None)
         if diag_hit is not None:
             swap(pos, diag_hit)
-            for k in range(n):
-                if k != pos and w[k, pos]:
-                    row_op(k, pos)
+            clear(pos, w[pos] & ~(1 << pos))
             pos += 1
             continue
-        pair = next(
-            ((i, j) for i in range(pos, n) for j in range(i + 1, n) if w[i, j]),
-            None,
-        )
-        if pair is None:
+        # first (i, j), i < j, in row-major order: the lowest bit above i
+        i = next((i for i in range(pos, n) if w[i] >> (i + 1)), None)
+        if i is None:
             break
-        i, j = pair
+        above = w[i] >> (i + 1)
+        j = i + (above & -above).bit_length()
         # j > i >= pos, so swapping pos with i leaves the partner at (pos, j)
         swap(pos, i)
         swap(pos + 1, j)
-        for k in range(n):
-            if k in (pos, pos + 1):
-                continue
-            if w[k, pos + 1]:
-                row_op(k, pos)
-            if w[k, pos]:
-                row_op(k, pos + 1)
+        pair = 3 << pos
+        # E adds row pos to the rows set in column pos + 1 and row pos + 1
+        # to those set in column pos, both read before either clear
+        ks_pos, ks_next = w[pos + 1] & ~pair, w[pos] & ~pair
+        clear(pos, ks_pos)
+        clear(pos + 1, ks_next)
         pos += 2
 
     r = pos
-    check = mat_mul(mat_mul(r_acc, e0), r_acc.T)
-    if not np.array_equal(check, w):
+    out = _unpack_rows(w + r_acc, n)
+    w_bits, r_bits = out[:n], out[n:]
+    if not np.array_equal(r_bits @ e0 @ r_bits.T & 1, w_bits):
         raise AssertionError("congruence bookkeeping failed")
-    if w[r:, :].any() or w[:, r:].any():
+    if any(w[r:]) or any(x >> r for x in w):
         raise AssertionError("trailing block not cleared")
-    if rank(w[:r, :r]) != r:
+    if len(_eliminate(w[:r], r)) != r:
         raise AssertionError("leading block is singular")
-    return r_acc, r
+    return r_bits, r
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ dominant risk here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,23 +65,32 @@ def _pair_coords(r, n):
     return ix, iy
 
 
+@lru_cache(maxsize=None)
+def _pair_mesh(r, n):
+    """Read-only np.ix_ mesh (rows, cols) of the coordinates ix + iy
+    (_pair_coords): c[rows, cols] has the 2r block of c top left and the
+    2(n-r) block bottom right."""
+    ix, iy = _pair_coords(r, n)
+    mesh = np.ix_(ix + iy, ix + iy)
+    for arr in mesh:
+        arr.flags.writeable = False
+    return mesh
+
+
 def _embed_pair(mx, my, r, n):
     """Place a 2r block and a 2(n-r) block on interleaved coordinates."""
-    out = gf2.ident(2 * n)
-    ix, iy = _pair_coords(r, n)
-    if mx.size:
-        out[np.ix_(ix, ix)] = mx
-    if my.size:
-        out[np.ix_(iy, iy)] = my
+    out = gf2.zeros(2 * n, 2 * n)
+    out[_pair_mesh(r, n)] = _block_diag(mx, my)
     return out
 
 
 def _split_pair(c, r, n):
     """Extract the 2r and 2(n-r) diagonal blocks; cross terms must vanish."""
-    ix, iy = _pair_coords(r, n)
-    if c[np.ix_(ix, iy)].any() or c[np.ix_(iy, ix)].any():
+    q = c[_pair_mesh(r, n)]
+    k = 2 * r
+    if q[:k, k:].any() or q[k:, :k].any():
         raise AssertionError("matrix does not split along the claimed coordinates")
-    return c[np.ix_(ix, ix)], c[np.ix_(iy, iy)]
+    return q[:k, :k], q[k:, k:]
 
 
 def _jordan_involution_basis(a):
@@ -103,22 +113,18 @@ def _jordan_involution_basis(a):
     b = np.concatenate([chains, span[:, gf2.image_pivots(span)[k:]]], axis=1)
     jordan = gf2.ident(n)
     jordan[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 1
-    if not np.array_equal(gf2.mat_mul(a, b), gf2.mat_mul(b, jordan)):
+    if not np.array_equal(a @ b & 1, b @ jordan & 1):
         raise AssertionError("Jordan basis bookkeeping failed")
     return b, k
 
 
 def _check_nice(c):
-    """Raise unless c = (I E; 0 I) with E symmetric."""
+    """Raise unless c = (I E; 0 I) with E symmetric: c must equal the
+    identity frame with E^T in its top-right block."""
     n = c.shape[0] // 2
-    e = c[:n, n:]
-    ok = (
-        np.array_equal(c[:n, :n], gf2.ident(n))
-        and np.array_equal(c[n:, n:], gf2.ident(n))
-        and not c[n:, :n].any()
-        and np.array_equal(e, e.T)
-    )
-    if not ok:
+    frame = gf2.ident(2 * n)
+    frame[:n, n:] = c[:n, n:].T
+    if not np.array_equal(c, frame):
         raise AssertionError("conjugation did not reach the (I E; 0 I) form")
 
 
@@ -148,8 +154,8 @@ def _involution_conjugator(c):
             raise AssertionError("AE symmetry should force the lower A corner to vanish")
         einv = gf2.inverse(e)
         s = gf2.zeros(n, n)
-        s[:r, :r] = gf2.mat_mul(einv, a1)
-        s[:r, r:] = gf2.mat_mul(einv, a2)
+        s[:r, :r] = einv @ a1 & 1
+        s[:r, r:] = einv @ a2 & 1
         s[r:, :r] = s[:r, r:].T
         if not np.array_equal(s, s.T):
             raise AssertionError("elimination block is not symmetric")
@@ -166,21 +172,22 @@ def _involution_conjugator(c):
         mx[r:, :r] = einv
         my = _involution_conjugator(y)[0]
         m3 = _embed_pair(mx, my, r, n)
-        m = gf2.mat_mul(gf2.mat_mul(m3, m2), m1)
+        m = m3 @ m2 @ m1 & 1
     elif f_blk.any():
         # swap the roles of the two halves; the image has E' = F nonzero
         p = gf2.p_mat(n)
-        m = gf2.mat_mul(_involution_conjugator(_conj(p, c))[0], p)
+        m = _involution_conjugator(_conj(p, c))[0] @ p & 1
     else:
         # C = (A 0; 0 A^T): Jordan-normalize, then fold each two-block
         # into a symmetric E corner with one z/x coordinate swap
         b, k = _jordan_involution_basis(a_blk.T)
         mj = _block_diag(b.T, gf2.inverse(b))
-        swap = gf2.ident(2 * n)
-        for blk in range(k):
-            pp = 2 * blk
-            swap[[pp, n + pp]] = swap[[n + pp, pp]]
-        m = gf2.mat_mul(swap, mj)
+        # the swap is a row permutation of mj: rows 2i and n + 2i trade
+        # places for each two-block i < k
+        fold = np.arange(2 * n)
+        fold[: 2 * k : 2] += n
+        fold[n : n + 2 * k : 2] -= n
+        m = mj[fold]
     try:  # _conj's symplectic_inverse is this level's one test of m
         normalized = _conj(m, c)
     except ValueError:
@@ -217,7 +224,7 @@ def _noncommuting_pair(stack):
     """First pair i < j of the stack, in row-major order, that does not commute."""
     for i in range(len(stack) - 1):
         rest = stack[i + 1 :]
-        bad = (gf2.mat_mul(stack[i], rest) != gf2.mat_mul(rest, stack[i])).any(axis=(1, 2))
+        bad = (stack[i] @ rest & 1 != rest @ stack[i] & 1).any(axis=(1, 2))
         if bad.any():
             return i, i + 1 + int(np.argmax(bad))
     return None
@@ -234,7 +241,7 @@ def _set_conjugator(stack):
     big_r, r = gf2.symmetric_congruence(pivot[:n, n:])
     if r == 0:
         raise AssertionError("non-identity element normalized to identity")
-    m = gf2.mat_mul(_block_diag(big_r, gf2.inverse(big_r).T), m_a)
+    m = _block_diag(big_r, gf2.inverse(big_r).T) @ m_a & 1
     current = _conj(m, stack)
     # commutation with the full-rank corner of the pivot forces every
     # element's a3, f1, f2 refined blocks to vanish
@@ -243,15 +250,18 @@ def _set_conjugator(stack):
         raise AssertionError("commuting element has forbidden refined blocks")
     if r == n:
         return m, current
-    iy = _pair_coords(r, n)[1]
-    subs = current[:, iy][:, :, iy]
-    for sub in subs:
-        _validate_involution(sub, "projected element")
+    rows, cols = _pair_mesh(r, n)
+    subs = current[:, rows[2 * r :], cols[:, 2 * r :]]
+    symplectic = gf2.symplectic_mask(subs)
+    involution = (subs @ subs & 1 == gf2._eye(subs.shape[-1])).all(axis=(1, 2))
+    bad = np.flatnonzero(~(symplectic & involution))
+    if bad.size:
+        what = "symplectic" if not symplectic[bad[0]] else "an involution"
+        raise ValueError(f"projected element is not {what}")
     if _noncommuting_pair(subs):
         raise AssertionError("projected elements stopped commuting")
-    m_emb = gf2.ident(dim)
-    m_emb[np.ix_(iy, iy)] = _set_conjugator(subs)[0]
-    return gf2.mat_mul(m_emb, m), _conj(m_emb, current)
+    m_emb = _embed_pair(gf2.ident(2 * r), _set_conjugator(subs)[0], r, n)
+    return m_emb @ m & 1, _conj(m_emb, current)
 
 
 def commuting_set_normal_form(cs) -> SetNormalForm:
@@ -286,9 +296,9 @@ def commuting_set_normal_form(cs) -> SetNormalForm:
         raise AssertionError("set conjugator is not symplectic")
     n = dim // 2
     # with a the top-left block, a (a e) = (a^2 ae) is one product
-    a_top = gf2.mat_mul(normalized[:, :n, :n], normalized[:, :n])
+    a_top = normalized[:, :n, :n] @ normalized[:, :n] & 1
     e, ae = normalized[:, :n, n:], a_top[:, :, n:]
-    side = (a_top[:, :, :n] == gf2.ident(n)) & (e == np.swapaxes(e, 1, 2))
+    side = (a_top[:, :, :n] == gf2._eye(n)) & (e == np.swapaxes(e, 1, 2))
     side &= ae == np.swapaxes(ae, 1, 2)
     block = ~normalized[:, n:, :n].any(axis=(1, 2))
     bad = np.flatnonzero(~(block & side.all(axis=(1, 2))))
@@ -312,8 +322,8 @@ def simultaneous_nice_form_obstruction(c1, c2) -> bool:
     c2 = _validate_involution(c2, "second matrix")
     if c1.shape != c2.shape:
         raise ValueError("shape mismatch")
-    if not np.array_equal(gf2.mat_mul(c1, c2), gf2.mat_mul(c2, c1)):
+    if not np.array_equal(c1 @ c2 & 1, c2 @ c1 & 1):
         raise ValueError("matrices do not commute")
-    n2 = c1.shape[0]
-    prod = gf2.mat_mul(gf2.ident(n2) ^ c1, gf2.ident(n2) ^ c2)
+    eye = gf2._eye(c1.shape[0])
+    prod = (eye ^ c1) @ (eye ^ c2) & 1
     return bool(prod.any())

@@ -32,8 +32,11 @@ products with J rather than the library's stacked sign_data.
 symplectic_mask_uint8, sign_data_uint8 and product_table_uint8 are the
 stacked bodies with uint8 products that the library's exact float32 BLAS
 products replaced.
-circuit_to_rep_oracle composes each gate's placed 2n x 2n rep, where
-the library's circuit_to_rep updates the gate's own rows of C in place.
+circuit_to_rep_compose_oracle composes each gate's placed 2n x 2n rep,
+and circuit_to_rep_oracle is the numpy tableau update of the gate's own
+rows of C that the library's circuit_to_rep runs on packed-int rows.
+symmetric_congruence_oracle is the per-entry congruence loop that
+gf2.symmetric_congruence runs on packed-int rows.
 set_normal_form_oracle is the list-based commuting-set normal form that
 the library's stacked one replaced: it conjugates one element at a
 time, first by m_a and then by m_b at each level, and the inputs once
@@ -86,6 +89,7 @@ from semiclifford.dense import (
     as_dense,
     check_unitary,
     close,
+    extract_rep,
     monomial_check,
     num_qubits,
     pauli_conjugates,
@@ -175,13 +179,37 @@ def inverse_oracle(rep: CliffordRep) -> CliffordRep:
     return CliffordRep(cinv, h_prime)
 
 
-def circuit_to_rep_oracle(desc: CircuitDescription) -> CliffordRep:
+def circuit_to_rep_compose_oracle(desc: CircuitDescription) -> CliffordRep:
     """Rep of a Clifford circuit by composing each gate's placed 2n x 2n
     rep (standard_gate) onto the running one."""
     rep = CliffordRep.identity(desc.n)
     for name, qubits in desc.gates:
         rep = compose(standard_gate(name, qubits, desc.n), rep)
     return rep
+
+
+def circuit_to_rep_oracle(desc: CircuitDescription) -> CliffordRep:
+    """Rep of a Clifford circuit by a numpy tableau update per gate.
+
+    Each gate's own rep g updates the rows idx = [q..., n + q...] of the
+    running C, C[idx] = g.c C[idx], and with rows = C[idx] and d_C read
+    before the update, h += g.h rows + diag(rows^T g.lows rows)
+    + (g.d rows) d_C, summed in uint8 (whose wrap keeps the parity) and
+    reduced once.
+    """
+    n = desc.n
+    c = np.eye(2 * n, dtype=np.uint8)
+    h = np.zeros(2 * n, dtype=np.uint8)
+    for name, qubits in desc.gates:
+        gate = extract_rep(GATE_MATRICES[name])
+        if gate is None:
+            raise ValueError(f"{name} is not a Clifford gate")
+        idx = [*qubits, *(n + q for q in qubits)]
+        rows = c[idx]
+        h += gate.h @ rows + ((gate.lows_matrix @ rows) & rows).sum(axis=0, dtype=np.uint8)
+        h += (gate.d @ rows) * (c[:n] & c[n:]).sum(axis=0, dtype=np.uint8)
+        c[idx] = gate.c @ rows & 1
+    return CliffordRep(c, h & 1)
 
 
 _PARSE_RE = re.compile(r"([+-])(i\.)?tau\[([01]+)\|([01]+)\]")
@@ -237,6 +265,72 @@ def rref_oracle(m, n_pivot_cols=None):
         if row == rows:
             break
     return r, pivots
+
+
+def symmetric_congruence_oracle(e):
+    """gf2.symmetric_congruence on a numpy array, reading one entry at a
+    time: each single row operation adds one row and then one column of
+    w, in the order the pivot loops visit them."""
+    e0 = gf2.asbits(e)
+    if e0.ndim != 2 or e0.shape[0] != e0.shape[1]:
+        raise ValueError(f"not a square matrix: {e0.shape}")
+    if not np.array_equal(e0, e0.T):
+        raise ValueError("matrix is not symmetric")
+    n = e0.shape[0]
+    w = e0.copy()
+    r_acc = gf2.ident(n)
+
+    def row_op(dst, src):
+        # dst += src on rows and columns of w keeps w symmetric
+        w[dst] ^= w[src]
+        w[:, dst] ^= w[:, src]
+        r_acc[dst] ^= r_acc[src]
+
+    def swap(i, j):
+        if i == j:
+            return
+        w[[i, j]] = w[[j, i]]
+        w[:, [i, j]] = w[:, [j, i]]
+        r_acc[[i, j]] = r_acc[[j, i]]
+
+    pos = 0
+    while pos < n:
+        diag_hit = next((k for k in range(pos, n) if w[k, k]), None)
+        if diag_hit is not None:
+            swap(pos, diag_hit)
+            for k in range(n):
+                if k != pos and w[k, pos]:
+                    row_op(k, pos)
+            pos += 1
+            continue
+        pair = next(
+            ((i, j) for i in range(pos, n) for j in range(i + 1, n) if w[i, j]),
+            None,
+        )
+        if pair is None:
+            break
+        i, j = pair
+        # j > i >= pos, so swapping pos with i leaves the partner at (pos, j)
+        swap(pos, i)
+        swap(pos + 1, j)
+        for k in range(n):
+            if k in (pos, pos + 1):
+                continue
+            if w[k, pos + 1]:
+                row_op(k, pos)
+            if w[k, pos]:
+                row_op(k, pos + 1)
+        pos += 2
+
+    r = pos
+    check = gf2.mat_mul(gf2.mat_mul(r_acc, e0), r_acc.T)
+    if not np.array_equal(check, w):
+        raise AssertionError("congruence bookkeeping failed")
+    if w[r:, :].any() or w[:, r:].any():
+        raise AssertionError("trailing block not cleared")
+    if gf2.rank(w[:r, :r]) != r:
+        raise AssertionError("leading block is singular")
+    return r_acc, r
 
 
 def hex_to_bits(text, size) -> np.ndarray:

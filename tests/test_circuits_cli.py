@@ -225,6 +225,17 @@ def test_description_accepts_numpy_integers():
     assert np.array_equal(circuit_to_dense(desc), circuit_to_dense(parse_circuit("qubits 2\nCX 1 0\n")))
 
 
+def test_description_takes_lists_as_tuples():
+    # a list of qubits or of gates was stored as it came, and then both
+    # circuit_to_dense's gate cache and hash() raised a bare TypeError
+    want = CircuitDescription(2, (("H", (0,)), ("CX", (0, 1))))
+    for gates in ((("H", [0]), ("CX", [0, 1])), [("H", (0,)), ("CX", (0, 1))], [["H", [0]], ["CX", [0, 1]]]):
+        desc = CircuitDescription(2, gates)
+        assert desc == want and hash(desc) == hash(want)
+        assert desc.gates == want.gates and isinstance(desc.gates, tuple)
+        assert np.array_equal(circuit_to_dense(desc), circuit_to_dense(want))
+
+
 def test_embed_gate_matches_kron():
     h = GATE_MATRICES["H"]
     want = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

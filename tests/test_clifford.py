@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     all_phased_paulis,
+    circuit_to_rep_compose_oracle,
     circuit_to_rep_oracle,
     compose_oracle,
     embed_gate_oracle,
@@ -253,7 +254,8 @@ _CLIFFORD_GATES = ("H", *_H_FREE_CLIFFORDS)
 
 def _assert_tableau_matches(desc):
     rep = circuit_to_rep(desc)
-    assert rep == circuit_to_rep_oracle(desc) == extract_rep(circuit_to_dense(desc)), desc
+    assert rep == circuit_to_rep_compose_oracle(desc) == extract_rep(circuit_to_dense(desc)), desc
+    assert rep == circuit_to_rep_oracle(desc), desc
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -286,6 +288,17 @@ def test_circuit_to_rep_matches_the_monomial_engine_past_the_hierarchy_cap(n, rn
         assert circuit_to_rep(desc) == extract_rep(circuit_to_monomial(desc))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_circuit_to_rep_matches_the_numpy_tableau_bit_for_bit(n, rng):
+    # the packed tableau against the uint8 row update it replaced, past
+    # the dense cap too, including empty circuits
+    names = ("H", "S", "SDG", "X", "Y", "Z", "CX", "CZ", "SWAP")
+    for depth in (0, 1, 3 * n, 12 * n):
+        desc = random_circuit(n, depth, rng, names=names)
+        rep, want = circuit_to_rep(desc), circuit_to_rep_oracle(desc)
+        assert np.array_equal(rep.c, want.c) and np.array_equal(rep.h, want.h), desc
+
+
 _INVERSE_NAME = {"S": "SDG", "SDG": "S"}
 
 
@@ -297,6 +310,7 @@ def test_circuit_to_rep_past_the_dense_cap_reads_no_large_matrix(monkeypatch, rn
         return extract_rep(u)
 
     circuits._gate_rep.cache_clear()
+    circuits._gate_tableau.cache_clear()
     monkeypatch.setattr(circuits, "extract_rep", recording_extract_rep)
     n = 12
     desc = random_circuit(n, 60, rng, names=("H", "S", "SDG", "CX", "CZ", "SWAP", "Y"))

@@ -8,6 +8,7 @@ from helpers import (
     enumerate_lagrangians_oracle,
     random_circuit,
     rref_oracle,
+    symmetric_congruence_oracle,
     symplectic_complete_oracle,
 )
 from semiclifford import gf2
@@ -177,6 +178,33 @@ def test_symmetric_congruence(rng):
         gf2.inverse(r)  # raises if singular
 
 
+@pytest.mark.parametrize("n", range(17))
+def test_symmetric_congruence_matches_the_per_entry_oracle(n, rng):
+    # the packed pivot steps against the per-entry loop, on full, low-rank
+    # and zero-diagonal (alternating) matrices, which need 2 x 2 pivots
+    for trial in range(30):
+        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        if trial % 3 == 1:
+            k = int(rng.integers(0, n + 1))
+            m = m[:, :k] @ rng.integers(0, 2, size=(k, n), dtype=np.uint8) & 1
+        e = np.triu(m) | np.triu(m, 1).T
+        if trial % 3 == 2:
+            np.fill_diagonal(e, 0)
+        r, rk = gf2.symmetric_congruence(e)
+        want, want_rk = symmetric_congruence_oracle(e)
+        assert rk == want_rk
+        assert r.dtype == np.uint8 and r.flags.writeable and np.array_equal(r, want)
+
+
+def test_symmetric_congruence_keeps_its_input_checks():
+    with pytest.raises(ValueError, match="not a square matrix"):
+        gf2.symmetric_congruence(np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="not symmetric"):
+        gf2.symmetric_congruence(np.array([[0, 1], [0, 0]], dtype=np.uint8))
+    with pytest.raises(ValueError, match="other than 0 or 1"):
+        gf2.symmetric_congruence(2 * np.eye(2, dtype=int))
+
+
 @pytest.mark.parametrize("n,count", [(1, 3), (2, 15), (3, 135)])
 def test_enumerate_lagrangians_counts(n, count):
     lags = gf2.enumerate_lagrangians(n)
@@ -298,6 +326,23 @@ def test_rref_edge_shapes(shape):
             assert pivots == want_pivots
             assert red.shape == shape and np.array_equal(red, want)
             assert red.flags.writeable
+
+
+@given(_rref_cases())
+@settings(max_examples=200, deadline=None)
+def test_rank_counts_the_rref_pivots(case):
+    m = case[0]
+    assert gf2.rank(m) == len(gf2.rref(m)[1])
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (3, 64), (2, 65), (65, 2)])
+def test_rank_counts_the_rref_pivots_on_edge_shapes(shape, rng):
+    for m in (
+        np.zeros(shape, dtype=np.uint8),
+        np.ones(shape, dtype=np.uint8),
+        rng.integers(0, 2, size=shape, dtype=np.uint8),
+    ):
+        assert gf2.rank(m) == len(gf2.rref(m)[1]) <= min(shape)
 
 
 def test_symplectic_inverse_matches_inverse(rng, sp4):
