@@ -15,10 +15,10 @@ import numpy as np
 
 from semiclifford import gf2
 from semiclifford.dense import (
+    Monomial,
     close,
     extract_rep,
     hierarchy_level,
-    identity_like,
     pauli_conjugates,
 )
 from semiclifford.pipeline import (
@@ -35,8 +35,8 @@ def main():
     u, v = gottesman_mochon()
     uv = u @ v
     print(f"[{time.monotonic()-t0:5.1f}s] built the 128-dimensional pair")
-    print("  U^2 = I:", close(u @ u, identity_like(u)))
-    print("  V^2 = I:", close(v @ v, identity_like(v)))
+    print("  U^2 = I:", close(u @ u, Monomial.identity(7)))
+    print("  V^2 = I:", close(v @ v, Monomial.identity(7)))
 
     level = hierarchy_level(uv, kmax=3)
     print(f"[{time.monotonic()-t0:5.1f}s] hierarchy level of UV: {level}")

@@ -48,8 +48,7 @@ from .dense import (
     TOL,
     _all_in_level,
     _clifford_reps,
-    _conjugates,
-    _dagger,
+    _Dense,
     _pauli_stack,
     as_dense,
     basis_bits,
@@ -265,12 +264,12 @@ def _tested_stack(u):
     tau_a for each nonzero label a, and the last (2n)^2 rows the
     conjugates g_i tau_(e_j) g_i^dag of the generator conjugates
     g_i = u tau_(e_i) u^dag, over i and then j.  Every conjugate comes
-    from _conjugates, as those of hierarchy_level do.
+    from the dense engine's conjugates, as those of hierarchy_level do.
     """
     n = num_qubits(u)
     conjugates = pauli_conjugates(u, basis_bits(2 * n)[1:])
     gens = conjugates[_label_tables(2 * n)[2] - 1]
-    second = _conjugates(gens, _dagger(gens), gf2.ident(2 * n))
+    second = _Dense.conjugates(gens, _Dense.dag(gens), gf2.ident(2 * n))
     stack = np.concatenate([u[None], conjugates, second])
     return stack, _pauli_stack(stack)
 

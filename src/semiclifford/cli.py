@@ -23,6 +23,7 @@ import numpy as np
 
 from . import gf2
 from .circuits import (
+    _DIGITS,
     circuit_to_dense,
     circuit_to_monomial,
     circuit_to_rep,
@@ -343,6 +344,10 @@ def _print_human(out):
 
 
 def positive_int(text, low=1) -> int:
+    # int() also reads "1_0", "+1", " 1" and non-ASCII digits; a flag
+    # takes the ASCII digits that circuit files and matrix headers do
+    if not _DIGITS.fullmatch(text.removeprefix("-")):
+        raise ValueError(f"not an integer: {text!r}")
     value = int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")

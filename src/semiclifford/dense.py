@@ -5,23 +5,38 @@ Everything symbolic in this package is cross-checked against exact
 hierarchy level decisions, monomial structure, and the realization of
 block-form involutions as permutation-phase matrices.
 
-The engine has two operator types with one code path.  A Monomial
-(permutation times diagonal) is the engine for monomial gates, in
-O(2^n) per operation; dense matrices are the engine for the rest (H)
-and the oracle the tests check the Monomial path against.  Either type
-comes as one matrix or a stack: a (k, d, d) array or a Monomial over
-(k, 2^n) arrays, and @ multiplies two stacks pairwise.  Every Pauli
-conjugation u tau_a u^dag goes through _conjugates, which applies
-tau_a as the signed permutation of pauli.pauli_action (the single
-source of tau_a's permutation and signs): one batched matmul for a
-dense stack, one gather for a Monomial stack.  _pauli_stack is the
-only Pauli test of a built conjugate; is_pauli and the dense Clifford
-test run it on stacks of at most _STACK_ENTRIES (2^14) stored entries.
-At n <= 3, classify runs it once on one such stack (u, its 4^n - 1
-nonzero conjugates and the (2n)^2 conjugates of its generator
+An operator, one matrix or a stack of k, is stored in one of two
+formats, each its own engine: a Monomial (permutation times diagonal,
+(k, 2^n) arrays) for monomial gates, in O(2^n) per operation, and a
+(k, d, d) complex array, run by the stateless _Dense, for the rest (H)
+and as the oracle the tests check Monomials against.  _engine(us) is
+the one choice between them (TypeError for anything else), and shared
+code runs one body on _engine(us).method(us, ...).  Both engines have:
+
+- dag, and conjugates(us, udag, vectors): us[i] tau_a us[i]^dag for
+  each matrix i and row a of vectors, with tau_a the signed permutation
+  of pauli.pauli_action, one batched matmul for a dense stack and one
+  gather for a Monomial stack;
+- entries(us, rows, cols): the (k, c) entries in rows (k, c) of the
+  columns cols (c,);
+- close(us, vs, signs), to_dense, stack(ops), and from_monomial(m), the
+  Monomial m in the engine's format (from_monomial(Monomial.identity(n))
+  is its identity);
+- stored: the stored entries, the matrices or the phases, whose count
+  per matrix sizes the chunks (_per_stack);
+- is_unitary, and largest: the stored entry close_up_to_phase reads;
+- generator_paulis: the Pauli tests of the 2n generator conjugates of
+  each matrix, in chunks.  A Monomial builds no conjugate there:
+  _affine_paulis reads its generator images off its affine permutation
+  and its phase products.
+
+_pauli_stack is the only Pauli test of a built conjugate: it reads each
+candidate Pauli through entries, builds it in the stack's engine and
+verifies the matrix against it with close.  is_pauli and the dense
+Clifford test run it on stacks of at most _STACK_ENTRIES (2^14) stored
+entries.  At n <= 3, classify runs it once on one such stack (u, its
+4^n - 1 nonzero conjugates and the (2n)^2 conjugates of its generator
 conjugates) and reads the hierarchy level and S(u) off that one result.
-A Monomial's Clifford test builds none: _affine_paulis reads its
-generator images off its affine permutation and its phase products.
 
 TOL is the package's one tolerance, and it is absolute: every dense
 test reads it, and every matrix comparison goes through close or
@@ -59,11 +74,10 @@ _STACK_ENTRIES = 1 << 14
 
 
 def _per_stack(us, stacks=1):
-    """Matrices of us's type and size per stack when `stacks` stacks share
-    _STACK_ENTRIES: d^2 entries per dense matrix, 2^n per Monomial, and
-    one matrix when it alone is larger."""
-    d = us.shape[-1]
-    return max(1, _STACK_ENTRIES // (stacks * (d if isinstance(us, Monomial) else d * d)))
+    """Matrices of us's engine and size per stack when `stacks` stacks
+    share _STACK_ENTRIES: d^2 stored entries per dense matrix, 2^n per
+    Monomial, and one matrix when it alone is larger."""
+    return max(1, _STACK_ENTRIES // (stacks * _engine(us).stored(us)[0].size))
 
 
 # qubit cap of the dense hierarchy test, rep_to_dense and the pipeline
@@ -75,15 +89,16 @@ class Monomial:
     """A 2^n x 2^n monomial matrix: u|c> = phases[c] |perm[c]>.
 
     perm[c] is the row of the one nonzero entry of column c, as in
-    MonomialCheck, and phases[c] its value; every phase is above TOL in
-    modulus.  Products, adjoints and Pauli conjugations cost O(2^n).
-    With (k, 2^n) arrays it is a stack of k matrices, the counterpart
-    of a dense (k, d, d) stack: indexing (u[None] too) and iteration run
-    over the first axis, dag, to_dense and the stacked engine take a
-    stack, and a product of two stacks of equal shape multiplies them
-    pairwise, as ndarray @ does.  Every permutation entry lies in
-    [0, 2^n) and is an integer (an integer array of any width), which
-    the constructor checks (ValueError otherwise).
+    MonomialCheck, and phases[c] its value.  Products, adjoints and Pauli
+    conjugations cost O(2^n).  With (k, 2^n) arrays it is a stack of k
+    matrices, the counterpart of a dense (k, d, d) stack: indexing
+    (u[None] too) and iteration run over the first axis, dag, to_dense
+    and the engine methods (module docstring) take a stack, and a
+    product of two stacks of equal shape multiplies them pairwise, as
+    ndarray @ does.  Every permutation entry lies in [0, 2^n) and is an
+    integer (an integer array of any width), and every phase is above
+    TOL in modulus (NaN is let through, for check_unitary to reject),
+    which the constructor checks (ValueError otherwise).
     Products, adjoints and indexing, whose entries are in range by
     construction, build their results unchecked (_unchecked).  Treat the
     arrays as read-only: operations return new Monomials.
@@ -108,6 +123,9 @@ class Monomial:
         # as unsigned integers, negative entries are past every dimension
         if perm.size and perm.view(np.uintp).max() >= dim:
             raise ValueError(f"permutation entry outside [0, {dim})")
+        # close and close_up_to_phase read each phase as a nonzero entry
+        if (np.abs(phases) <= TOL).any():
+            raise ValueError("phase within TOL of 0")
         self.perm = perm
         self.phases = phases
 
@@ -190,40 +208,135 @@ class Monomial:
         except ValueError:  # not 2^n x 2^n for any n >= 1
             return f"Monomial(shape={self.shape})"
 
+    # The engine methods (module docstring), called on the class as
+    # Monomial.method(us, ...), as _Dense's are; dag and to_dense above.
 
-def _stack_ops(ops):
-    """One stack of the operators' type from a sequence of Monomials or
-    of dense matrices: a (k, 2^n) Monomial or a (k, d, d) array."""
-    if isinstance(ops[0], Monomial):
+    def conjugates(self, udag, vectors):
+        # tau_a sends |c> to signs[c + w] |c + w>, so all k m conjugates
+        # are one O(k m 2^n) gather
+        perm, signs = pauli_action(_stack_qubits(self), vectors)
+        rows = np.arange(len(perm))[:, None]
+        t = perm[rows, udag.perm[:, None]]  # (k, m, d): tau_a u^dag's perm
+        phases = np.take_along_axis(self.phases[:, None], t, -1)
+        phases *= signs[rows, t]
+        phases *= udag.phases[:, None]
+        perms = np.take_along_axis(self.perm[:, None], t, -1)
+        d = perm.shape[-1]
+        return Monomial._unchecked(perms.reshape(-1, d), phases.reshape(-1, d))
+
+    def entries(self, rows, cols):
+        return np.where(self.perm[:, cols] == rows, self.phases[:, cols], 0)
+
+    def close(self, vs, signs=1.0):
+        # equal permutations and phases within TOL: the dense test, since
+        # each phase is above TOL in modulus
+        diff = self.phases - np.asarray(signs)[..., None] * vs.phases
+        return (self.perm == vs.perm).all(axis=-1) & (np.abs(diff).max(axis=-1) <= TOL)
+
+    @staticmethod
+    def stack(ops):
         perms, phases = (np.stack([getattr(op, a) for op in ops]) for a in ("perm", "phases"))
         return Monomial._unchecked(perms, phases)
-    return np.stack(ops)
+
+    @staticmethod
+    def from_monomial(m):
+        return m
+
+    def stored(self):
+        return self.phases
+
+    def is_unitary(self):
+        # then u^dag u is diag(|phases|^2)
+        bijective = np.array_equal(np.sort(self.perm), np.arange(self.perm.shape[-1]))
+        return bijective and np.abs(np.abs(self.phases) ** 2 - 1).max() <= TOL
+
+    def largest(self):
+        mags = np.abs(self.phases)
+        cols = np.flatnonzero(mags == mags.max())
+        return cols[self.perm[cols].argmin()]  # the top row among the largest
+
+    def generator_paulis(self):
+        per = _per_stack(self, _stack_qubits(self))  # n X-images of 2^n entries per matrix
+        return (_affine_paulis(self[i : i + per]) for i in range(0, len(self), per))
+
+
+class _Dense:
+    """The dense engine: Monomial's engine methods over (k, d, d) complex
+    arrays, or (d, d) for one matrix, as functions with no state."""
+
+    @staticmethod
+    def dag(us):
+        # C-contiguous, so that the row gathers of conjugates read whole rows
+        return np.ascontiguousarray(np.conj(np.swapaxes(us, -1, -2)))
+
+    @staticmethod
+    def conjugates(us, udag, vectors):
+        # tau_a u^dag is a row permutation of u^dag times +-1 signs, exact
+        # in floating point, and one batched matmul finishes the conjugates
+        perm, signs = pauli_action(_stack_qubits(us), vectors)
+        moved = udag[:, perm, :]
+        moved *= signs[..., None]
+        return (us[:, None] @ moved).reshape((-1,) + us.shape[1:])
+
+    @staticmethod
+    def entries(us, rows, cols):
+        return us[np.arange(len(us))[:, None], rows, cols]
+
+    @staticmethod
+    def close(us, vs, signs=1.0):
+        return np.abs(us - np.asarray(signs)[..., None, None] * vs).max(axis=(-2, -1)) <= TOL
+
+    @staticmethod
+    def to_dense(us):
+        return us
+
+    stored = to_dense  # the stored entries are the matrices
+    stack = staticmethod(np.stack)
+    from_monomial = staticmethod(Monomial.to_dense)
+
+    @staticmethod
+    def is_unitary(u):
+        return _Dense.close(u.conj().T @ u, np.eye(u.shape[0]))
+
+    @staticmethod
+    def largest(u):
+        return np.abs(u).argmax()
+
+    @staticmethod
+    def generator_paulis(us):
+        gens = gf2.ident(2 * _stack_qubits(us))
+        return (_pauli_stack(stack) for stack in _conjugate_chunks(us, gens))
+
+
+def _engine(us):
+    """The engine of an operator or stack, Monomial or _Dense: the one
+    test of the storage format (module docstring)."""
+    if isinstance(us, Monomial):
+        return Monomial
+    if isinstance(us, np.ndarray):
+        return _Dense
+    raise TypeError(f"a {type(us).__name__} is neither a Monomial nor an ndarray")
 
 
 def as_dense(u) -> np.ndarray:
     """u as a complex ndarray; a Monomial is expanded to its dense matrix."""
     u = _as_operator(u)
-    return u.to_dense() if isinstance(u, Monomial) else u
+    return _engine(u).to_dense(u)
 
 
 def _as_operator(u):
     """A Monomial as it is, anything else as a complex ndarray.  Entries
     must be integer, real or complex numbers (ValueError otherwise): a
     cast to complex would parse numeric strings and read bools as 0/1."""
-    if isinstance(u, Monomial):
-        return u
+    try:
+        if _engine(u) is Monomial:
+            return u
+    except TypeError:  # an array-like: a list or a number
+        pass
     u = np.asarray(u)
     if u.dtype.kind not in "iufc":
         raise ValueError(f"matrix entries must be numbers, not {u.dtype}")
     return u.astype(complex, copy=False)
-
-
-def identity_like(u):
-    """The identity of u's size: a Monomial for a Monomial, else dense."""
-    n = num_qubits(u)
-    if isinstance(u, Monomial):
-        return Monomial.identity(n)
-    return np.eye(1 << n)
 
 
 def num_qubits(u) -> int:
@@ -249,45 +362,37 @@ def _stack_qubits(us) -> int:
 def close(a, b) -> bool:
     """Whether a and b agree within TOL in every entry (absolute, max-norm):
     the one-matrix case of _close_stack."""
-    return bool(_close_stack(a, b))
+    return bool(_close_stack(_as_operator(a), _as_operator(b)))
 
 
 def _close_stack(us, vs, signs=1.0):
     """close(us[t], signs[t] * vs[t]) for each matrix t of a stack, where vs
-    is a stack of the same type and length or one matrix for all t.
+    is a stack of the same engine and length or one matrix for all t.  A
+    Monomial is compared only with a Monomial."""
+    engine = _engine(us)
+    if _engine(vs) is not engine:
+        raise TypeError("close compares a Monomial only with a Monomial")
+    return engine.close(us, vs, signs)
 
-    Two Monomials are close when their permutations are equal and their
-    phases agree within TOL, which is the dense test on their matrices,
-    since each phase is above TOL in modulus.  A Monomial is compared
-    only with a Monomial.
-    """
-    if isinstance(us, Monomial) or isinstance(vs, Monomial):
-        if not (isinstance(us, Monomial) and isinstance(vs, Monomial)):
-            raise TypeError("close compares a Monomial only with a Monomial")
-        diff = us.phases - np.asarray(signs)[..., None] * vs.phases
-        return (us.perm == vs.perm).all(axis=-1) & (np.abs(diff).max(axis=-1) <= TOL)
-    return np.abs(us - np.asarray(signs)[..., None, None] * vs).max(axis=(-2, -1)) <= TOL
+
+def _finite_operator(u):
+    """u as one square 2^n-dimensional operator (_as_operator; ValueError
+    otherwise), or None if a stored entry is not finite: no unitary has
+    one, and the dense products would warn on it."""
+    u = _as_operator(u)
+    num_qubits(u)
+    return u if np.isfinite(_engine(u).stored(u)).all() else None
 
 
 def check_unitary(u):
-    """Validate unitarity of an untrusted matrix and return it as complex.
-
-    A Monomial is unitary when its permutation is a bijection and every
-    phase has modulus 1 within TOL: then u^dag u is diag(|phases|^2).
-    """
-    u = _as_operator(u)
-    n = num_qubits(u)
-    # inf entries would make the product below warn before it fails
-    if not np.isfinite(u.phases if isinstance(u, Monomial) else u).all():
+    """Validate unitarity of an untrusted matrix and return it as an
+    operator: finite entries (_finite_operator), then the engine's
+    is_unitary.  A Monomial is unitary when its permutation is a
+    bijection and every phase has modulus 1 within TOL."""
+    v = _finite_operator(u)
+    if v is None or not _engine(v).is_unitary(v):
         raise ValueError("matrix is not unitary")
-    if isinstance(u, Monomial):
-        bijective = np.array_equal(np.sort(u.perm), np.arange(1 << n))
-        if not (bijective and np.abs(np.abs(u.phases) ** 2 - 1).max() <= TOL):
-            raise ValueError("matrix is not unitary")
-        return u
-    if not close(u.conj().T @ u, np.eye(u.shape[0])):
-        raise ValueError("matrix is not unitary")
-    return u
+    return v
 
 
 @lru_cache(maxsize=None)
@@ -301,48 +406,17 @@ def _generator_matrices(n):
 
 
 def pauli_conjugates(u, vectors):
-    """u tau_a u^dag for each row a of vectors, as one stack of u's type.
+    """u tau_a u^dag for each row a of vectors, as one stack of u's engine.
 
     The (m, d, d) dense stack or the (m, 2^n) Monomial stack of all m
-    conjugates, one batched product (_conjugates), unchunked: its peak
-    is about twice the stack, 7 MiB for the 2n = 14 dense conjugates at
-    n = 7.  Longer dense sets go through _conjugate_chunks.
+    conjugates, one batched product (the engine's conjugates),
+    unchunked: its peak is about twice the stack, 7 MiB for the 2n = 14
+    dense conjugates at n = 7.  Longer dense sets go through
+    _conjugate_chunks.
     """
     us = _as_operator(u)[None]
-    return _conjugates(us, _dagger(us), vectors)
-
-
-def _dagger(us):
-    """The adjoint of each matrix of a stack; a dense one C-contiguous so
-    that the row gathers of _conjugates read whole rows."""
-    if isinstance(us, Monomial):
-        return us.dag()
-    return np.ascontiguousarray(np.conj(np.swapaxes(us, -1, -2)))
-
-
-def _conjugates(us, udag, vectors):
-    """us[i] tau_a us[i]^dag for each matrix i of a (k, ...) stack and
-    then each row a of vectors, as a flat stack of k m matrices.
-
-    tau_a is a signed permutation (pauli_action).  For a dense stack,
-    tau_a u^dag is a row permutation of u^dag times +-1 signs, exact in
-    floating point, and one batched matmul finishes the conjugates.  A
-    Monomial tau_a sends |c> to signs[c + w] |c + w>, so all k m
-    Monomial conjugates are one O(k m 2^n) gather.
-    """
-    perm, signs = pauli_action(_stack_qubits(us), vectors)
-    d = us.shape[-1]
-    if isinstance(us, Monomial):
-        rows = np.arange(len(perm))[:, None]
-        t = perm[rows, udag.perm[:, None]]  # (k, m, d): tau_a u^dag's perm
-        phases = np.take_along_axis(us.phases[:, None], t, -1)
-        phases *= signs[rows, t]
-        phases *= udag.phases[:, None]
-        perms = np.take_along_axis(us.perm[:, None], t, -1)
-        return Monomial._unchecked(perms.reshape(-1, d), phases.reshape(-1, d))
-    moved = udag[:, perm, :]
-    moved *= signs[..., None]
-    return (us[:, None] @ moved).reshape(-1, d, d)
+    engine = _engine(us)
+    return engine.conjugates(us, engine.dag(us), vectors)
 
 
 def _conjugate_chunks(us, vectors):
@@ -350,14 +424,15 @@ def _conjugate_chunks(us, vectors):
     over i and then the rows a of vectors, as stacks of at most
     _STACK_ENTRIES stored entries (_per_stack).  Each chunk of us gets
     its own adjoint, so no adjoint of the whole stack is held."""
+    engine = _engine(us)
     per = _per_stack(us)
     m = len(vectors)
     rows, cols = max(1, per // m), min(per, m)
     for i in range(0, us.shape[0], rows):
         chunk = us[i : i + rows]
-        udag = _dagger(chunk)
+        udag = engine.dag(chunk)
         for j in range(0, m, cols):
-            yield _conjugates(chunk, udag, vectors[j : j + cols])
+            yield engine.conjugates(chunk, udag, vectors[j : j + cols])
 
 
 # the group phases i**delta (-1)**epsilon, and their (delta, epsilon) bits
@@ -391,49 +466,37 @@ def _pauli_stack(us):
     (delta, epsilon) and a (k, 2n) its label; elsewhere bits and a mean
     nothing.  The candidate is read off column 0 (one entry z0, in row
     w) and the |e_i> columns (the entry in row w + e_i is +-z0, the
-    sign giving v_i); only the entry access differs by type.  Then it
-    is verified, every entry within TOL of the Pauli's, so near-misses
-    (wrong phase grid, extra support) are rejected: entrywise for a
-    dense stack, and for a Monomial stack by its permutation, which
-    must be c -> c + w exactly, and its phases.
+    sign giving v_i), through the engine's entries.  Then each matrix
+    is verified against its candidate, built in the same engine, by the
+    engine's close, so near-misses (wrong phase grid, extra support) are
+    rejected: every entry within TOL of the Pauli's.
     """
     n = _stack_qubits(us)
-    k = us.shape[0]
-    idx = np.arange(k)
+    engine = _engine(us)
+    d = 1 << n
+    heavy = np.abs(engine.entries(us, np.arange(d), np.zeros(d, dtype=np.intp))) > TOL
+    row0 = heavy.argmax(axis=1)
     # column 0, then |e_i>: the label with only qubit i set
     cols = np.concatenate([[0], _label_tables(n)[2]])
-    if isinstance(us, Monomial):
-        row0 = us.perm[:, 0]
-        at = us.perm[:, cols] == row0[:, None] ^ cols
-        read = np.where(at, us.phases[:, cols], 0)
-        one = np.abs(read[:, 0]) > TOL
-    else:
-        heavy = np.abs(us[:, :, 0]) > TOL
-        one = heavy.sum(axis=1) == 1
-        row0 = heavy.argmax(axis=1)
-        read = us[idx[:, None], row0[:, None] ^ cols, cols]
-    ok, bits, a = _read_pauli(n, one, row0, read)
-    sel = np.flatnonzero(ok)
-    perm, signs = pauli_action(n, a[sel])
-    # bits (delta, epsilon) index _PHASES as 2 * delta + epsilon
-    values = _PHASES[bits[sel] @ (2, 1)][:, None] * signs
-    if isinstance(us, Monomial):
-        # tau_a is an involution, so column c holds values[c + w] in row c + w
-        diff = np.take_along_axis(values, perm, 1)
-        diff -= us.phases[sel]
-        ok[sel] = (us.perm[sel] == perm).all(axis=1) & (np.abs(diff).max(axis=1) <= TOL)
-    else:
-        diff = us[sel]
-        diff[np.arange(sel.size)[:, None], np.arange(1 << n), perm] -= values
-        ok[sel] = np.abs(diff).max(axis=(1, 2)) <= TOL
+    read = engine.entries(us, row0[:, None] ^ cols, cols)
+    ok, bits, a = _read_pauli(n, heavy.sum(axis=1) == 1, row0, read)
+    # the candidates only, and a view of us, no copy, when all are read
+    rows = slice(None) if ok.all() else np.flatnonzero(ok)
+    perm, signs = pauli_action(n, a[rows])
+    # bits (delta, epsilon) index _PHASES as 2 * delta + epsilon; tau_a
+    # is an involution, so column c holds values[c + w] in row c + w
+    values = _PHASES[bits[rows] @ (2, 1)][:, None] * signs
+    paulis = Monomial._unchecked(perm, values[np.arange(len(perm))[:, None], perm])
+    ok[rows] = engine.close(us[rows], engine.from_monomial(paulis))
     return ok, bits, a
 
 
 def is_pauli(u):
     """The unique PhasedPauli realized by u, or None: the one-matrix
-    case of the stacked test (_pauli_stack), for either operator type."""
-    u = _as_operator(u)
-    num_qubits(u)  # rejects anything but a square 2^n-dimensional matrix
+    case of the stacked test (_pauli_stack), for either engine."""
+    u = _finite_operator(u)
+    if u is None:
+        return None
     ok, bits, a = _pauli_stack(u[None])
     return PhasedPauli(*bits[0], a[0]) if ok[0] else None
 
@@ -496,29 +559,19 @@ def _affine_paulis(us):
 
 def _clifford_stack(us):
     """_clifford_reps of a dense or Monomial stack of k matrices, or None
-    if one is not Clifford.
-
-    Dense conjugates go through the Pauli test in chunks
-    (_conjugate_chunks), a Monomial stack through _affine_paulis, both
-    stopping at the first chunk with an image that is not a Pauli.
-    """
+    if one is not Clifford: the engine's generator_paulis, stopping at
+    the first chunk with an image that is not a Pauli."""
     k = us.shape[0]
     m = 2 * _stack_qubits(us)
-    if isinstance(us, Monomial):
-        per = _per_stack(us, m // 2)  # n X-images of 2^n entries per matrix
-        tests = (_affine_paulis(us[i : i + per]) for i in range(0, k, per))
-    else:
-        tests = (_pauli_stack(stack) for stack in _conjugate_chunks(us, gf2.ident(m)))
-    bits = np.empty((k * m, 2), dtype=np.uint8)
-    labels = np.empty((k * m, m), dtype=np.uint8)
-    start = 0
-    for ok, b, a in tests:
+    bits, labels = [], []
+    for ok, b, a in _engine(us).generator_paulis(us):
         if not ok.all():
             return None
-        stop = start + len(ok)
-        bits[start:stop], labels[start:stop] = b, a
-        start = stop
-    return _clifford_reps(bits.reshape(k, m, 2), labels.reshape(k, m, m))
+        bits.append(b)
+        labels.append(a)
+    return _clifford_reps(
+        np.concatenate(bits).reshape(k, m, 2), np.concatenate(labels).reshape(k, m, m)
+    )
 
 
 def extract_rep(u):
@@ -528,9 +581,8 @@ def extract_rep(u):
     phased Paulis.  The Hermiticity constraint d_j = c_j^T J c_j and the
     symplectic condition are verified rather than assumed.
     """
-    u = _as_operator(u)
-    num_qubits(u)  # rejects anything but a square 2^n-dimensional matrix
-    found = _clifford_stack(u[None])
+    u = _finite_operator(u)
+    found = None if u is None else _clifford_stack(u[None])
     if found is None:
         return None
     ct, h = found
@@ -744,6 +796,8 @@ def monomial_check(u) -> MonomialCheck:
     heavy = np.abs(u) > TOL
     if not (heavy.sum(axis=0) == 1).all() or not (heavy.sum(axis=1) == 1).all():
         return MonomialCheck(False)
+    if not np.isfinite(u).all():  # an infinite entry is no phase
+        return MonomialCheck(False)
     rows = heavy.argmax(axis=0)
     phases = u[rows, np.arange(u.shape[0])]
     return MonomialCheck(True, tuple(int(r) for r in rows), tuple(phases))
@@ -753,28 +807,21 @@ def close_up_to_phase(u, v) -> bool:
     """Whether u = e^{i theta} v for a single global phase, within TOL.
 
     The phase is read at the largest entry of v, the first in row-major
-    order among equals.  Two Monomials are compared in O(2^n): their
-    permutations must be equal, and the phase is read at the entry the
-    dense test reads.  A Monomial is compared only with a Monomial.
+    order among equals: the stored entry at the engine's largest.  Two
+    Monomials are compared in O(2^n), and a Monomial only with a
+    Monomial.
     """
-    if isinstance(u, Monomial) or isinstance(v, Monomial):
-        if not (isinstance(u, Monomial) and isinstance(v, Monomial)):
-            raise TypeError("close_up_to_phase compares a Monomial only with a Monomial")
-        if not np.array_equal(u.perm, v.perm):
-            return False
-        mags = np.abs(v.phases)
-        cols = np.flatnonzero(mags == mags.max())
-        col = cols[v.perm[cols].argmin()]  # the top row among the largest
-        phase = u.phases[col] / v.phases[col]
-    else:
-        u = _as_operator(u)
-        v = _as_operator(v)
-        if u.shape != v.shape:
-            return False
-        idx = np.unravel_index(np.abs(v).argmax(), v.shape)
-        if abs(v[idx]) < TOL:
-            return close(u, v)
-        phase = u[idx] / v[idx]
+    u, v = _as_operator(u), _as_operator(v)
+    engine = _engine(u)
+    if _engine(v) is not engine:
+        raise TypeError("close_up_to_phase compares a Monomial only with a Monomial")
+    if u.shape != v.shape:
+        return False
+    at = engine.largest(v)
+    zu, zv = engine.stored(u).flat[at], engine.stored(v).flat[at]
+    if abs(zv) < TOL:
+        return close(u, v)
+    phase = zu / zv
     if abs(abs(phase) - 1) > TOL:
         return False
     return close(u, phase * v)

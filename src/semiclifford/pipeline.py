@@ -11,10 +11,13 @@ resulting group spans the full diagonal algebra, which certifies that
 U is generalized semi-Clifford; the conjugating Clifford and the
 diagonal generators form the certificate.
 
-The operators Q_i are one stack: Monomials when U is one (every
-library gate but H is, and so is the seven-qubit pair of
-gottesman_mochon), and dense matrices otherwise; each step runs on the
-type it is given.  Each fact is tested once, on a stack.  The 2n
+The operators Q_i are one stack in U's engine: Monomials when U is one
+(every library gate but H is, and so is the seven-qubit pair of
+gottesman_mochon), and dense matrices otherwise.  Each step has one
+body, which calls the methods of the stack's engine (dense._engine)
+and never tests its type; only normalize_family, which conjugates dense
+families alone, guards against a Monomial family outside block form.
+Each fact is tested once, on a stack.  The 2n
 conjugates are tested for being Clifford as one stack, whose passing
 C-matrices become reps without a second symplectic test
 (CliffordRep._trusted), and the family's rep checks (involutions,
@@ -25,11 +28,12 @@ products of the ops.  The kernel comes from coset doubling over the 2^n
 f-vectors, the n spectra from one stacked lambda-products evaluation,
 and the rng-gated cross-checks of extract_certificate realize their
 sampled kernel products as one Monomial stack, squared for the
-involution check by one product table, so on a Monomial family every
+involution check by one product table, and compare them with the ops
+in the family's engine (from_monomial), so on a Monomial family every
 step after generators_from_gate is O(2^n) per operator.  The stacked
 GF(2) products run as exact float32 BLAS products (gf2._blas_mat_mul).
-Dense matrices serve only the non-monomial input (whose cross-checks
-densify the realization), its conjugator, and the tests.
+Dense matrices serve only the non-monomial input, its conjugator, and
+the tests.
 
 build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
 are kept as the independent reference that orbit_kernel is tested
@@ -51,16 +55,15 @@ from .dense import (
     Monomial,
     _clifford_stack,
     _close_stack,
+    _engine,
     _lambda_products,
     _per_stack,
     _realize_involutions,
-    _stack_ops,
     basis_bits,
     check_unitary,
     close,
     close_up_to_phase,
     extract_rep,
-    identity_like,
     num_qubits,
     pauli_conjugates,
 )
@@ -84,7 +87,7 @@ class GeneratorFamily:
         """Check the reps and the ops; raise ValueError naming the first failure.
 
         Shapes first: 2n reps on n qubits, 2n ops of size 2^n in one
-        stack (TypeError for any other ops type).  The rep
+        stack of either engine (TypeError for any other ops type).  The rep
         checks read one product_table of all (2n)^2 ordered products
         q_i q_j: every product is symplectic (one symplectic_mask over
         the table, an exact float32 BLAS product), each q_i q_i is the
@@ -101,9 +104,12 @@ class GeneratorFamily:
         if len(self.qs) != m:
             raise ValueError(f"expected {m} generators, got {len(self.qs)}")
         ops = self.ops
-        if not isinstance(ops, (Monomial, np.ndarray)):
+        try:
+            engine = _engine(ops)
+        except TypeError:
             kind = type(ops).__name__
-            raise TypeError(f"generator ops are a {kind}, not a Monomial or ndarray stack")
+            message = f"generator ops are a {kind}, not a Monomial or ndarray stack"
+            raise TypeError(message) from None
         if ops.shape[0] != m or ops.shape[-1] != 1 << n:
             got = f"{ops.shape[0]} of size {ops.shape[-1]}"
             raise ValueError(f"expected {m} generator ops of size {1 << n}, got {got}")
@@ -125,11 +131,11 @@ class GeneratorFamily:
         bad = np.argwhere(~symmetric)  # row-major: the first i, then its first j > i
         if bad.size:
             raise ValueError(f"generators {bad[0, 0]} and {bad[0, 1]} have incompatible reps")
-        ident = identity_like(ops[0])
+        ident = engine.from_monomial(Monomial.identity(n))
         per = _per_stack(ops)
         for s in range(0, m, per):
             a = ops[s : s + per]
-            bad = s + np.flatnonzero(~_close_stack(a @ a, ident))
+            bad = s + np.flatnonzero(~engine.close(a @ a, ident))
             if bad.size:
                 raise ValueError(f"generator op {bad[0]} does not square to I")
         left, right = np.triu_indices(m, 1)  # row-major: the first i, then its first j > i
@@ -137,7 +143,7 @@ class GeneratorFamily:
         per = _per_stack(ops, 2)
         for s in range(0, len(left), per):
             a, b = ops[left[s : s + per]], ops[right[s : s + per]]
-            bad = s + np.flatnonzero(~_close_stack(a @ b, b @ a, signs[s : s + per]))
+            bad = s + np.flatnonzero(~engine.close(a @ b, b @ a, signs[s : s + per]))
             if bad.size:
                 i, j = left[bad[0]], right[bad[0]]
                 raise ValueError(f"generator ops {i}, {j} break the sign pattern")
@@ -384,10 +390,10 @@ class GscCertificate:
 
 
 def _op_product(family: GeneratorFamily, bits):
-    """The product of the generator ops over an exponent vector, in index
-    order, from the first factor (as product_rep)."""
+    """The product of the generator ops over a nonzero exponent vector (a
+    kernel row), in index order, from the first factor (as product_rep)."""
     factors = np.flatnonzero(bits)
-    prod = family.ops[factors[0]] if factors.size else identity_like(family.ops[0])
+    prod = family.ops[factors[0]]
     for k in factors[1:]:
         prod = prod @ family.ops[k]
     return prod
@@ -409,11 +415,10 @@ def extract_certificate(
     realized as one Monomial stack (_realize_involutions: one
     product_table squares them all for the block-form involution
     check), and cross-checked against their diagonals and against the
-    products of the constituent generator ops up to global phase (both
-    O(2^n) for Monomial ops; a dense family's product is compared with
-    the densified realization), and for sampled pairs of kernel rows
-    the two products of generator ops are checked to commute, as one
-    stack.  Each drawn row's product of generator ops is built once.
+    products of the constituent generator ops up to global phase, in the
+    family's engine (both O(2^n) for Monomial ops), and for sampled
+    pairs of kernel rows the two products of generator ops are checked
+    to commute, as one stack.  Each drawn row's product of generator ops is built once.
     """
     n = family.n
     kernel = orbit_kernel(family)
@@ -447,13 +452,12 @@ def extract_certificate(
         diagonal = Monomial(np.broadcast_to(np.arange(dim), realized.perm.shape), spectra[rows])
         if not _close_stack(realized, diagonal).all():
             raise AssertionError("kernel product realization is not its diagonal spectrum")
+        engine = _engine(family.ops)
         for r, one in zip(rows, realized):
-            if not isinstance(prods[r], Monomial):  # a dense family
-                one = one.to_dense()
-            if not close_up_to_phase(prods[r], one):
+            if not close_up_to_phase(prods[r], engine.from_monomial(one)):
                 raise AssertionError("dense product disagrees with the realization")
         if pairs:
-            a, b = (_stack_ops([prods[r] for r in side]) for side in zip(*pairs))
+            a, b = (engine.stack([prods[r] for r in side]) for side in zip(*pairs))
             if not _close_stack(a @ b, b @ a).all():
                 raise AssertionError("kernel realizations do not commute")
         checks = take + len(pairs)
@@ -519,7 +523,8 @@ def counterexample_report(rng=None) -> dict:
 
     u, v = gottesman_mochon()
     n = 7
-    if not (close(u @ u, identity_like(u)) and close(v @ v, identity_like(v))):
+    ident = _engine(u).from_monomial(Monomial.identity(n))
+    if not (close(u @ u, ident) and close(v @ v, ident)):
         raise AssertionError("constituents are not involutions")
     uv = u @ v
     vu = v @ u

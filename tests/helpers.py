@@ -52,9 +52,8 @@ dict per support point, which json.dumps encoded before the CLI wrote
 the table from one encoding of each distinct coefficient.
 random_circuit, write_circuit and parse_pauli (the inverse of
 PhasedPauli's repr) are samplers, writers and readers that only tests
-use; stack_ops, which builds the one operator stack that
-GeneratorFamily.ops holds from single matrices, is the library's
-dense._stack_ops.
+use; stack_ops builds the one operator stack that GeneratorFamily.ops
+holds from single matrices, through the engine's stack.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ from semiclifford.classify import (
 from semiclifford.dense import (
     TOL,
     Monomial,
-    _stack_ops as stack_ops,
+    _engine,
     as_dense,
     check_unitary,
     close,
@@ -213,6 +212,12 @@ def circuit_to_rep_oracle(desc: CircuitDescription) -> CliffordRep:
 
 
 _PARSE_RE = re.compile(r"([+-])(i\.)?tau\[([01]+)\|([01]+)\]")
+
+
+def stack_ops(ops):
+    """One stack of the operators' engine: a (k, 2^n) Monomial or a
+    (k, d, d) array."""
+    return _engine(ops[0]).stack(ops)
 
 
 def parse_pauli(text) -> PhasedPauli:

@@ -786,6 +786,20 @@ def test_phase_labels_match_phase_str():
     assert phase_labels(np.zeros(0, dtype=complex)) == []
 
 
+@pytest.mark.parametrize(
+    "flag,text",
+    [("--kmax", "\uff12"), ("--kmax", "\u0663"), ("--kmax", " 2"), ("--seed", "1_0"), ("--seed", "+3")],
+)
+def test_cli_integer_flags_take_only_ascii_digits(flag, text, capsys):
+    # int() read these as 2, 3, 2, 10 and 3; circuit files and matrix
+    # headers already took only ASCII digits
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", flag, text, "classify", data("circuits/t.cir")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage:") and f"argument {flag}: invalid" in err
+
+
 @pytest.mark.parametrize("verb", ["classify", "pipeline", "verify-counterexample"])
 def test_cli_rejects_negative_seed(verb, capsys):
     # pipeline and verify-counterexample used to exit 1 with numpy's

@@ -433,3 +433,21 @@ def test_non_finite_matrices_fail_the_unitary_check_without_a_warning(bad):
                 check_unitary(m)
         with pytest.raises(ValueError, match="^matrix is not unitary$"):
             classify(u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_matrices_are_no_pauli_clifford_or_monomial(bad):
+    # monomial_check read inf as a phase and skipped a NaN entry, and
+    # is_pauli and extract_rep warned from their products before failing
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    corner = np.diag([bad, 1])
+    mono = Monomial(np.arange(4), np.array([1, bad, 1, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (u, corner, mono):
+            assert is_pauli(m) is None and extract_rep(m) is None
+        for m in (u, corner):
+            assert not monomial_check(m).is_monomial
+            with pytest.raises(ValueError, match="^matrix is not monomial$"):
+                Monomial.from_dense(m)

@@ -23,6 +23,7 @@ from semiclifford.dense import (
     TOL,
     Monomial,
     _close_stack,
+    _Dense,
     check_unitary,
     close,
     close_up_to_phase,
@@ -154,25 +155,26 @@ def test_stack_product_rejects_unequal_stacks_and_dense_operands(rng):
 
 @pytest.mark.parametrize("monomial", [True, False])
 def test_stacked_close_is_close_on_each_matrix(monomial, rng):
-    us = _random_stack(3, 6, rng)
-    nudge = np.where(np.arange(8) == 5, TOL / 2, 0)
-    vs = stack_ops(
-        [
-            us[0],
-            -1.0 * us[1],
-            us[2],
-            Monomial(us[3].perm, us[3].phases + nudge),  # within TOL
-            Monomial(us[4].perm, us[4].phases + 4 * nudge),  # past TOL
-            us[0],
-        ]
-    )
-    if not monomial:
-        us, vs = us.to_dense(), vs.to_dense()
-    signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-    assert _close_stack(us, vs).tolist() == [close(u, v) for u, v in zip(us, vs)]
-    want = [close(u, s * v) for u, v, s in zip(us, vs, signs)]
-    assert _close_stack(us, vs, signs).tolist() == want == [True, True, False, True, False, False]
-    assert _close_stack(us, vs[0]).tolist() == [close(u, vs[0]) for u in us]
+    for n in (2, 3, 4):
+        us = _random_stack(n, 6, rng)
+        nudge = np.where(np.arange(1 << n) == 3, TOL / 2, 0)
+        vs = stack_ops(
+            [
+                us[0],
+                -1.0 * us[1],
+                us[2],
+                Monomial(us[3].perm, us[3].phases + nudge),  # within TOL
+                Monomial(us[4].perm, us[4].phases + 4 * nudge),  # past TOL
+                us[0],
+            ]
+        )
+        if not monomial:
+            us, vs = us.to_dense(), vs.to_dense()
+        signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+        assert _close_stack(us, vs).tolist() == [close(u, v) for u, v in zip(us, vs)]
+        want = [close(u, s * v) for u, v, s in zip(us, vs, signs)]
+        assert _close_stack(us, vs, signs).tolist() == want == [True, True, False, True, False, False]
+        assert _close_stack(us, vs[0]).tolist() == [close(u, vs[0]) for u in us]
 
 
 def test_close_up_to_phase_matches_dense(rng):
@@ -206,6 +208,8 @@ def test_close_up_to_phase_matches_dense(rng):
         ([0, 0, 2, 3], [1, 1, 1, 1]),
         ([0, 1, 2, 3], [1, 1 + 1e-6, 1, 1]),
         ([3, 2, 1, 0], [1, 0.5, 1, 1]),
+        ([0, 1, 2, 3], [1, 1 + TOL / 4, 1, 1]),
+        ([0, 1, 2, 3], [1, 1 + 2 * TOL, 1, 1]),
     ],
 )
 def test_check_unitary_matches_dense(perm, phases):
@@ -220,13 +224,20 @@ def test_check_unitary_matches_dense(perm, phases):
     assert verdicts[0] == verdicts[1]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pauli_conjugates_match_dense(n, rng):
     m = circuit_to_monomial(random_circuit(n, 10, rng, names=MONOMIAL_GATES))
     vectors = rng.integers(0, 2, size=(6, 2 * n)).astype(np.uint8)
     for cm, cd in zip(pauli_conjugates(m, vectors), pauli_conjugates(m.to_dense(), vectors)):
         assert isinstance(cm, Monomial)
         assert close(cm.to_dense(), cd)
+    # the engines' dag and conjugates on stacks of k matrices
+    for k in range(1, 6):
+        us = _random_stack(n, k, rng)
+        ds = us.to_dense()
+        assert np.array_equal(us.dag().to_dense(), _Dense.dag(ds))
+        got = Monomial.conjugates(us, us.dag(), vectors)
+        assert _Dense.close(got.to_dense(), _Dense.conjugates(ds, _Dense.dag(ds), vectors)).all()
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 3, 3], [[0, 1, 2, 3], [1, 1, 2, 3]]])
@@ -238,6 +249,20 @@ def test_dag_and_conjugates_reject_a_permutation_that_is_not_a_bijection(perm):
     if u.ndim == 2:
         with pytest.raises(ValueError, match="not a bijection"):
             pauli_conjugates(u, np.eye(4, dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "phases", [[1e-12, 1e-12], [1, 0], [TOL, 1], [[1, 1], [1, -TOL / 2]]]
+)
+def test_monomial_rejects_a_phase_within_tol_of_zero(phases):
+    # close and close_up_to_phase read every phase as a nonzero entry: two
+    # Monomials of phases 1e-12 were far apart, though their dense matrices
+    # are close, and a zero phase divided by zero
+    with pytest.raises(ValueError, match="^phase within TOL of 0$"):
+        Monomial(np.broadcast_to([0, 1], np.shape(phases)), phases)
+    a, b = Monomial([0, 1], [2 * TOL, 2 * TOL]), Monomial([1, 0], [2 * TOL, 2 * TOL])
+    assert close(a, b) == close(a.to_dense(), b.to_dense()) is False
+    assert np.isnan(Monomial([0, 1], [1, np.nan]).phases[1])
 
 
 @pytest.mark.parametrize("perm", [[-1, 0, 1, 2], [4, 0, 1, 2], [[0, 1, 2, 3], [1, 2, 3, -4]]])

@@ -8,8 +8,10 @@ fall on the same side of TOL in either form, and no stack may outgrow
 the bound that keeps n = 7 memory at one matrix.
 """
 
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +28,15 @@ from helpers import (
     random_c3_gate,
     random_circuit,
     semi_clifford_oracle,
+    stack_ops,
 )
+import semiclifford
 from semiclifford import gf2
 from semiclifford.circuits import (
     GATE_ARITY,
+    GATE_MATRICES,
     circuit_to_dense,
+    circuit_to_monomial,
     parse_circuit,
 )
 from semiclifford.classify import is_generalized_semi_clifford, is_semi_clifford
@@ -39,7 +45,9 @@ from semiclifford.dense import (
     _STACK_ENTRIES,
     Monomial,
     _conjugate_chunks,
+    _Dense,
     _pauli_stack,
+    _per_stack,
     extract_rep,
     hierarchy_level,
     is_pauli,
@@ -194,3 +202,54 @@ def test_seven_qubit_dense_family_holds_two_stacks_of_its_ops():
     gate = circuit_to_dense(parse_circuit("qubits 7\nH 0\nCX 0 1\nS 1\nCCZ 2 3 4\nH 0\n"))
     assert generators_from_gate(gate).ops.shape == (14, 128, 128)
     assert _peak_mib(lambda: generators_from_gate(gate)) <= 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_engines_read_stack_and_size_alike(n, rng):
+    # entries, stack, from_monomial and the stored entries per matrix, the
+    # engine methods no verdict test reaches one by one
+    d = 1 << n
+    names = tuple(name for name in GATE_MATRICES if name != "H")
+    gates = [circuit_to_monomial(random_circuit(n, 10, rng, names=names)) for _ in range(5)]
+    gates.append(Monomial(np.zeros(d, dtype=int), np.ones(d)))  # not a bijection
+    for k in range(1, 6):
+        us = stack_ops(gates[-k:])
+        ds = us.to_dense()
+        rows, cols = rng.integers(0, d, size=(k, 3)), rng.integers(0, d, size=3)
+        assert np.array_equal(Monomial.entries(us, rows, cols), _Dense.entries(ds, rows, cols))
+        assert np.array_equal(Monomial.stack(list(us)).to_dense(), _Dense.stack(list(ds)))
+        assert Monomial.stored(us)[0].size == d and _Dense.stored(ds)[0].size == d * d
+        assert _per_stack(us) == max(1, _STACK_ENTRIES // d)
+        assert _per_stack(ds, 2) == max(1, _STACK_ENTRIES // (2 * d * d))
+    identity = Monomial.identity(n)
+    assert Monomial.from_monomial(identity) is identity
+    assert np.array_equal(_Dense.from_monomial(identity), np.eye(d))
+    with pytest.raises(TypeError):
+        _per_stack(list(ds))
+
+
+def _monomial_type_tests(node, scope=""):
+    """Yield the scope (dotted def and class names) of every isinstance
+    call under node that names Monomial."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+            named = {getattr(x, "id", getattr(x, "attr", None)) for x in ast.walk(child.args[1])}
+            if "Monomial" in named:
+                yield scope
+        yield from _monomial_type_tests(child, inner)
+
+
+def test_only_the_engine_dispatch_tests_for_a_monomial():
+    # the storage format is decided once, in dense._engine; shared code
+    # calls the engine's methods instead of testing the operator's type
+    sites = [
+        f"{path.stem}.{scope}"
+        for path in sorted(Path(semiclifford.__file__).parent.glob("*.py"))
+        for scope in _monomial_type_tests(ast.parse(path.read_text()))
+    ]
+    outside = [s for s in sites if not s.startswith("dense.Monomial.")]
+    # normalize_family's guard raises on a Monomial family outside block form
+    assert outside == ["dense._engine", "pipeline.normalize_family"]
