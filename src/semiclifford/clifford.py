@@ -62,21 +62,6 @@ class CliffordRep:
         self._signs = None
 
     @classmethod
-    def _trusted(cls, c, h):
-        """The rep of bits that a stacked check has already passed: c a
-        symplectic (2n, 2n) and h a (2n,) uint8 bit array.  They are
-        frozen as C-ordered copies, as __init__ does, but not tested
-        again; every other caller goes through the checked constructor.
-        """
-        rep = cls.__new__(cls)
-        rep.c = np.array(c, order="C")
-        rep.h = np.array(h, order="C")
-        rep.c.flags.writeable = False
-        rep.h.flags.writeable = False
-        rep._signs = None
-        return rep
-
-    @classmethod
     def identity(cls, n):
         return cls(gf2.ident(2 * n), np.zeros(2 * n, dtype=np.uint8))
 

@@ -227,10 +227,11 @@ class Monomial:
     def entries(self, rows, cols):
         return np.where(self.perm[:, cols] == rows, self.phases[:, cols], 0)
 
-    def close(self, vs, signs=1.0):
+    def close(self, vs, signs=None):
         # equal permutations and phases within TOL: the dense test, since
         # each phase is above TOL in modulus
-        diff = self.phases - np.asarray(signs)[..., None] * vs.phases
+        other = vs.phases if signs is None else np.asarray(signs)[..., None] * vs.phases
+        diff = self.phases - other
         return (self.perm == vs.perm).all(axis=-1) & (np.abs(diff).max(axis=-1) <= TOL)
 
     @staticmethod
@@ -283,8 +284,9 @@ class _Dense:
         return us[np.arange(len(us))[:, None], rows, cols]
 
     @staticmethod
-    def close(us, vs, signs=1.0):
-        return np.abs(us - np.asarray(signs)[..., None, None] * vs).max(axis=(-2, -1)) <= TOL
+    def close(us, vs, signs=None):
+        diff = us - vs if signs is None else us - np.asarray(signs)[..., None, None] * vs
+        return np.abs(diff).max(axis=(-2, -1)) <= TOL
 
     @staticmethod
     def to_dense(us):
@@ -365,10 +367,10 @@ def close(a, b) -> bool:
     return bool(_close_stack(_as_operator(a), _as_operator(b)))
 
 
-def _close_stack(us, vs, signs=1.0):
-    """close(us[t], signs[t] * vs[t]) for each matrix t of a stack, where vs
-    is a stack of the same engine and length or one matrix for all t.  A
-    Monomial is compared only with a Monomial."""
+def _close_stack(us, vs, signs=None):
+    """close(us[t], signs[t] * vs[t]) for each matrix t of a stack (no sign
+    product at signs=None), where vs is a stack of the same engine and
+    length or one matrix for all t.  A Monomial is compared only with one."""
     engine = _engine(us)
     if _engine(vs) is not engine:
         raise TypeError("close compares a Monomial only with a Monomial")

@@ -12,26 +12,21 @@ U is generalized semi-Clifford; the conjugating Clifford and the
 diagonal generators form the certificate.
 
 The operators Q_i are one stack in U's engine: Monomials when U is one
-(every library gate but H is, and so is the seven-qubit pair of
-gottesman_mochon), and dense matrices otherwise.  Each step has one
-body, which calls the methods of the stack's engine (dense._engine)
-and never tests its type; only normalize_family, which conjugates dense
-families alone, guards against a Monomial family outside block form.
-Each fact is tested once, on a stack.  The 2n
-conjugates are tested for being Clifford as one stack, whose passing
-C-matrices become reps without a second symplectic test
-(CliffordRep._trusted), and the family's rep checks (involutions,
-pairwise commutation, symplectic products) read one table of all
-(2n)^2 ordered products, clifford.product_table: a few batched GF(2)
-products, not one compose per pair; its op checks are a few stacked
-products of the ops.  The kernel comes from coset doubling over the 2^n
-f-vectors, the n spectra from one stacked lambda-products evaluation,
-and the rng-gated cross-checks of extract_certificate realize their
-sampled kernel products as one Monomial stack, squared for the
-involution check by one product table, and compare them with the ops
-in the family's engine (from_monomial), so on a Monomial family every
-step after generators_from_gate is O(2^n) per operator.  The stacked
-GF(2) products run as exact float32 BLAS products (gf2._blas_mat_mul).
+(every library gate but H is, and so is gottesman_mochon's pair), and
+dense matrices otherwise.  Each step has one body on the stack's engine
+(dense._engine); only normalize_family, which conjugates dense families
+alone, guards against a Monomial family outside block form.  The reps
+are two bit stacks, cs and hs in clifford.product_table's layout, kept
+as the stacked Clifford test of the 2n conjugates passes them, and no
+step builds a CliffordRep from them.  validate reads one product_table
+of all (2n)^2 ordered products and a few stacked products of the ops;
+normalize_family conjugates the rep stack by two product tables.  The
+kernel comes from coset doubling over the 2^n f-vectors, its products
+are folded on bits (_products), and the n spectra come from one stacked
+lambda-products evaluation.  The rng-gated cross-checks of
+extract_certificate realize a few kernel products as one Monomial stack
+and compare them with the ops in the family's engine, so on a Monomial
+family every step after generators_from_gate is O(2^n) per operator.
 Dense matrices serve only the non-monomial input, its conjugator, and
 the tests.
 
@@ -43,6 +38,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +52,7 @@ from .dense import (
     _clifford_stack,
     _close_stack,
     _engine,
+    _is_integer,
     _lambda_products,
     _per_stack,
     _realize_involutions,
@@ -68,60 +65,70 @@ from .dense import (
     pauli_conjugates,
 )
 from .expansion import rep_to_dense
-from .pauli import _check_same_n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class GeneratorFamily:
     """2n commuting-pattern Clifford involutions: reps and operators.
 
-    ops is one stack, a (2n, 2^n) Monomial or a (2n, 2^n, 2^n) array,
-    and ops[i] realizes qs[i].
+    Rep i is (cs[i], hs[i]), two uint8 bit stacks of shapes (2n, 2n, 2n)
+    and (2n, 2n) in product_table's layout; ops is one stack, a (2n, 2^n)
+    Monomial or a (2n, 2^n, 2^n) array, and ops[i] realizes rep i.  qs
+    holds the reps as checked CliffordReps, built on first read, for
+    callers off the stacked path (build_fmap and the tests).
     """
 
-    qs: tuple
+    cs: np.ndarray
+    hs: np.ndarray
     ops: Monomial | np.ndarray
     n: int
 
-    def validate(self):
-        """Check the reps and the ops; raise ValueError naming the first failure.
+    @cached_property
+    def qs(self) -> tuple:
+        return tuple(map(CliffordRep, self.cs, self.hs))
 
-        Shapes first: 2n reps on n qubits, 2n ops of size 2^n in one
-        stack of either engine (TypeError for any other ops type).  The rep
-        checks read one product_table of all (2n)^2 ordered products
-        q_i q_j: every product is symplectic (one symplectic_mask over
-        the table, an exact float32 BLAS product), each q_i q_i is the
-        identity rep (q_i is an involution rep), and the table is
-        symmetric (q_i and q_j commute up to a sign).  Then each op
-        squares to I and each pair of ops commutes, or anticommutes
-        exactly for the pair (Z_i, X_i) of one qubit: one stacked
-        product per chunk of ops (_per_stack) and order.  Failures are
-        named in index order: the first non-involution i, then the first
-        incompatible pair i < j.
+    def validate(self):
+        """Check the fields, then the reps and the ops; raise ValueError
+        naming the first failure.
+
+        The fields: n an integer >= 1, cs and hs uint8 bit arrays of
+        shapes (2n, 2n, 2n) and (2n, 2n), and 2n ops of size 2^n in one
+        stack of either engine (TypeError for any other ops type).  The
+        reps: every C symplectic and, in one product_table of all products
+        q_i q_j, each q_i q_i the identity rep and the table symmetric
+        (the reps commute up to a sign).  The ops: each squares to I, and
+        each pair commutes, or anticommutes exactly for (Z_i, X_i) of one
+        qubit, one stacked product per chunk (_per_stack) and order.
+        Failures are named in index order, pairs i < j by i, then j.
         """
-        n = self.n
+        n, cs, hs, ops = self.n, self.cs, self.hs, self.ops
+        if not _is_integer(n) or n < 1:
+            raise ValueError(f"generator family n={n!r} is not an integer >= 1")
         m = 2 * n
-        if len(self.qs) != m:
-            raise ValueError(f"expected {m} generators, got {len(self.qs)}")
-        ops = self.ops
+        for name, bits, ndim in (("cs", cs, 3), ("hs", hs, 2)):
+            uint8 = isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == ndim
+            if not uint8 or bits.max(initial=0) > 1:
+                raise ValueError(f"generator reps {name} are not a {ndim}-d uint8 bit array")
+        if len(cs) != m:
+            raise ValueError(f"expected {m} generators, got {len(cs)}")
         try:
             engine = _engine(ops)
         except TypeError:
             kind = type(ops).__name__
-            message = f"generator ops are a {kind}, not a Monomial or ndarray stack"
-            raise TypeError(message) from None
+            raise TypeError(f"generator ops are a {kind}, not a Monomial or ndarray stack") from None
         if ops.shape[0] != m or ops.shape[-1] != 1 << n:
             got = f"{ops.shape[0]} of size {ops.shape[-1]}"
             raise ValueError(f"expected {m} generator ops of size {1 << n}, got {got}")
-        for q in self.qs:
-            _check_same_n(self, q)
-        cs = np.stack([q.c for q in self.qs])
-        hs = np.stack([q.h for q in self.qs])
-        table_c, table_h = product_table(cs, hs, cs, hs)
-        if not gf2.symplectic_mask(table_c).all():
+        if cs.shape[1] == cs.shape[2] != m and cs.shape[2] % 2 == 0:
+            raise ValueError(f"qubit counts differ: {n} vs {cs.shape[2] // 2}")
+        for name, bits, shape in (("cs", cs, (m, m, m)), ("hs", hs, (m, m))):
+            if bits.shape != shape:
+                raise ValueError(f"generator reps {name} have shape {bits.shape}, expected {shape}")
+        if not gf2.symplectic_mask(cs).all():
             raise ValueError("C is not symplectic")
+        table_c, table_h = product_table(cs, hs, cs, hs)
         diag = np.arange(m)
-        identity = (table_c[diag, diag] == gf2.ident(table_c.shape[-1])).all(axis=(1, 2))
+        identity = (table_c[diag, diag] == gf2.ident(m)).all(axis=(1, 2))
         identity &= ~table_h[diag, diag].any(axis=1)
         bad = np.flatnonzero(~identity)
         if bad.size:
@@ -149,8 +156,7 @@ class GeneratorFamily:
                 raise ValueError(f"generator ops {i}, {j} break the sign pattern")
 
     def is_block_form(self) -> bool:
-        n = self.n
-        return all(not q.c[n:, :n].any() for q in self.qs)
+        return not self.cs[:, self.n :, : self.n].any()
 
 
 def check_pipeline_cap(n):
@@ -163,7 +169,8 @@ def generators_from_gate(u) -> GeneratorFamily:
     """Conjugate all 2n Pauli generators by u and extract their reps.
 
     The 2n conjugates are one stack of u's type (pauli_conjugates), and
-    it goes through one stacked Clifford test.
+    it goes through one stacked Clifford test, whose bits become the
+    family's rep stacks as they are.
 
     Raises:
         ValueError: naming the first witness index when some conjugate
@@ -180,9 +187,8 @@ def generators_from_gate(u) -> GeneratorFamily:
         raise ValueError(
             f"input is not a third-level gate: conjugated generator {first} is not Clifford"
         )
-    # _clifford_stack has tested every C as one stack (symplectic_mask)
-    reps = tuple(CliffordRep._trusted(ct.T, h) for ct, h in zip(*found))
-    family = GeneratorFamily(qs=reps, ops=ops, n=n)
+    ct, hs = found
+    family = GeneratorFamily(*map(gf2.frozenbits, (np.swapaxes(ct, 1, 2), hs)), ops, n)
     family.validate()
     return family
 
@@ -204,12 +210,15 @@ def normalize_family(family: GeneratorFamily):
         return family, CliffordRep.identity(n)
     if isinstance(family.ops, Monomial):
         raise AssertionError("a family of Monomial ops is not in block form")
-    snf = commuting_set_normal_form([q.c for q in family.qs])
+    snf = commuting_set_normal_form(family.cs)
     q_m = CliffordRep(snf.m, np.zeros(2 * n, dtype=np.uint8))
     q_m_inv = inverse(q_m)
-    reps = tuple(compose(compose(q_m, q), q_m_inv) for q in family.qs)
+    # q_m q q_m^-1 for every rep q: a (1, 2n) table, then a (2n, 1) one
+    cs, hs = product_table(q_m.c[None], q_m.h[None], family.cs, family.hs)
+    cs, hs = product_table(cs[0], hs[0], q_m_inv.c[None], q_m_inv.h[None])
     v = rep_to_dense(q_m)
-    out = GeneratorFamily(qs=reps, ops=v @ family.ops @ v.conj().T, n=n)
+    cs, hs = map(gf2.frozenbits, (cs[:, 0], hs[:, 0]))
+    out = GeneratorFamily(cs, hs, v @ family.ops @ v.conj().T, n)
     out.validate()
     if not out.is_block_form():
         raise AssertionError("conjugated family is not in block form")
@@ -303,9 +312,9 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
     n = family.n
     m = 2 * n
     weights = 1 << np.arange(n)
-    shifts = np.stack([q.f for q in family.qs]) @ weights
+    shifts = family.hs[:, :n] @ weights
     # images[k, i] = A_k^T e_i (row i of A_k), so lin[k, y] = A_k^T y
-    images = np.stack([q.c[:n, :n] for q in family.qs]) @ weights
+    images = family.cs[:, :n, :n] @ weights
     lin = np.zeros((m, 1), dtype=images.dtype)
     for i in range(n):
         lin = np.concatenate([lin, lin ^ images[:, i, None]], axis=1)
@@ -338,6 +347,22 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
     return red  # n rows: the steps that did not double the orbit
 
 
+def _products(family: GeneratorFamily, rows):
+    """(cs, hs) of the generator products over exponent vectors rows (k, 2n):
+    each folded from its first factor (a zero row is the identity), and
+    each later factor k left-multiplying its rows by one product_table."""
+    first = rows.argmax(axis=1)
+    cs, hs = family.cs[first], family.hs[first]
+    zero = ~rows.any(axis=1)
+    cs[zero], hs[zero] = gf2.ident(2 * family.n), 0
+    for k in range(1, rows.shape[1]):
+        take = np.flatnonzero((rows[:, k] == 1) & (first < k))
+        if take.size:
+            c, h = product_table(family.cs[k : k + 1], family.hs[k : k + 1], cs[take], hs[take])
+            cs[take], hs[take] = c[0], h[0]
+    return cs, hs
+
+
 def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
     """Rep of the generator product with exponent vector bits.
 
@@ -346,14 +371,10 @@ def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
     Raises ValueError unless bits has one entry per generator.
     """
     bits = gf2.asbits(bits)
-    if bits.ndim != 1 or bits.size != len(family.qs):
-        raise ValueError(f"exponent vector has length {bits.size}, expected {len(family.qs)}")
-    factors = np.flatnonzero(bits)
-    # from the first factor, since compose(q, identity) is q
-    rep = family.qs[factors[0]] if factors.size else CliffordRep.identity(family.n)
-    for k in factors[1:]:
-        rep = compose(family.qs[k], rep)
-    return rep
+    if bits.ndim != 1 or bits.size != len(family.cs):
+        raise ValueError(f"exponent vector has length {bits.size}, expected {len(family.cs)}")
+    cs, hs = _products(family, bits[None])
+    return CliffordRep(cs[0], hs[0])
 
 
 def span_rank(spectra) -> int:
@@ -404,28 +425,23 @@ def extract_certificate(
 ) -> GscCertificate:
     """Certify a block-form family: kernel, product spectra, span.
 
-    The kernel comes from orbit_kernel and its products from
-    product_rep.  Asserts, naming the violated property: identity
-    A-block and zero f-vector for every kernel product, and full rank
-    of the 2^n diagonal patterns (span_rank).  With A = I and f = 0 the
-    product's realization (realize_block) is the diagonal matrix of its
-    lambda products, so the n spectra are read straight off one stacked
-    _lambda_products call, which also checks that every kernel product
-    is in block form.  When an rng is given, a few kernel products are
-    realized as one Monomial stack (_realize_involutions: one
-    product_table squares them all for the block-form involution
-    check), and cross-checked against their diagonals and against the
-    products of the constituent generator ops up to global phase, in the
-    family's engine (both O(2^n) for Monomial ops), and for sampled
-    pairs of kernel rows the two products of generator ops are checked
-    to commute, as one stack.  Each drawn row's product of generator ops is built once.
+    The kernel comes from orbit_kernel and its products from _products,
+    on bits.  Asserts, naming the violated property: identity A-block and
+    zero f-vector for every kernel product, and full rank of the 2^n
+    diagonal patterns (span_rank).  With A = I and f = 0 a product's
+    realization (realize_block) is the diagonal of its lambda products,
+    so the n spectra come from one stacked _lambda_products call, which
+    also checks block form.  With an rng, a few kernel products are
+    realized as one Monomial stack (_realize_involutions) and checked
+    against their diagonals and, up to global phase, against the
+    products of their generator ops in the family's engine (O(2^n) for
+    Monomial ops), each built once; the op products over sampled pairs
+    of kernel rows are checked to commute, as one stack.
     """
     n = family.n
     kernel = orbit_kernel(family)
     dim = 1 << n
-    reps = [product_rep(family, row) for row in kernel]
-    cs = np.stack([rep.c for rep in reps])
-    hs = np.stack([rep.h for rep in reps])
+    cs, hs = _products(family, kernel)
     if not (cs[:, :n, :n] == gf2.ident(n)).all():
         raise AssertionError("kernel product has a non-identity A-block")
     if hs[:, :n].any():
@@ -434,9 +450,7 @@ def extract_certificate(
 
     pattern_rank = span_rank(spectra)
     if pattern_rank != dim:
-        raise AssertionError(
-            f"diagonal group spans rank {pattern_rank}, expected {dim}"
-        )
+        raise AssertionError(f"diagonal group spans rank {pattern_rank}, expected {dim}")
 
     checks = 0
     if rng is not None:

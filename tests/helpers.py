@@ -53,7 +53,8 @@ the table from one encoding of each distinct coefficient.
 random_circuit, write_circuit and parse_pauli (the inverse of
 PhasedPauli's repr) are samplers, writers and readers that only tests
 use; stack_ops builds the one operator stack that GeneratorFamily.ops
-holds from single matrices, through the engine's stack.
+holds from single matrices, through the engine's stack, and family_of
+an unvalidated GeneratorFamily from a sequence of CliffordReps.
 """
 
 from __future__ import annotations
@@ -218,6 +219,12 @@ def stack_ops(ops):
     """One stack of the operators' engine: a (k, 2^n) Monomial or a
     (k, d, d) array."""
     return _engine(ops[0]).stack(ops)
+
+
+def family_of(reps, ops, n) -> GeneratorFamily:
+    """An unvalidated GeneratorFamily holding the bits of the CliffordReps
+    reps as its cs and hs stacks."""
+    return GeneratorFamily(np.stack([q.c for q in reps]), np.stack([q.h for q in reps]), ops, n)
 
 
 def parse_pauli(text) -> PhasedPauli:

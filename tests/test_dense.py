@@ -127,8 +127,6 @@ def test_hierarchy_level_builds_no_pauli_or_rep(monkeypatch):
 
     monkeypatch.setattr(PhasedPauli, "__init__", counting("PhasedPauli", PhasedPauli.__init__))
     monkeypatch.setattr(CliffordRep, "__init__", counting("CliffordRep", CliffordRep.__init__))
-    trusted = counting("CliffordRep", CliffordRep._trusted)
-    monkeypatch.setattr(CliffordRep, "_trusted", classmethod(lambda cls, *args: trusted(*args)))
     for name, level in {"X": 1, "H": 2, "T": 3}.items():
         assert hierarchy_level(GATE_MATRICES[name], kmax=4) == level
     assert hierarchy_level(Monomial.identity(2), kmax=4) == 1

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import embed_gate_oracle, random_circuit, stack_ops
+from helpers import embed_gate_oracle, family_of, random_circuit, stack_ops
 from semiclifford.circuits import (
     GATE_ARITY,
     GATE_MATRICES,
@@ -34,7 +34,6 @@ from semiclifford.dense import (
 )
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 from semiclifford.pipeline import (
-    GeneratorFamily,
     generators_from_gate,
     gottesman_mochon,
     normalize_family,
@@ -363,7 +362,7 @@ def _validate_error(family, k, mutate):
     ops = list(family.ops)
     ops[k] = mutate(ops[k])
     with pytest.raises(ValueError) as exc:
-        GeneratorFamily(qs=family.qs, ops=stack_ops(ops), n=family.n).validate()
+        family_of(family.qs, stack_ops(ops), family.n).validate()
     return str(exc.value)
 
 
@@ -392,7 +391,7 @@ def test_normalize_family_refuses_monomial_family_outside_block_form():
     # reps of H T are not in block form; Monomial ops never come with such reps
     dense = generators_from_gate(GATE_MATRICES["H"] @ GATE_MATRICES["T"])
     assert not dense.is_block_form()
-    fake = GeneratorFamily(qs=dense.qs, ops=stack_ops((Monomial.identity(1),) * 2), n=1)
+    fake = family_of(dense.qs, stack_ops((Monomial.identity(1),) * 2), 1)
     with pytest.raises(AssertionError, match="not in block form"):
         normalize_family(fake)
 

@@ -1,12 +1,8 @@
-import inspect
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import semiclifford
-
 from helpers import (
+    family_of,
     orbit_kernel_oracle,
     pattern_matrix,
     random_c3_gate,
@@ -122,6 +118,27 @@ def test_normalize_family_t_gate():
     qm_inv = inverse(qm)
     for q, q0 in zip(out.qs, fam.qs):
         assert q == compose(compose(qm, q0), qm_inv)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_normalize_family_tables_equal_the_per_rep_compose_oracle(n, rng):
+    # two product tables conjugate the whole rep stack; the reference is
+    # q_m q q_m^-1 composed one rep at a time
+    from semiclifford.clifford import inverse
+
+    gates = [random_c3_gate(n, rng) for _ in range(3)]
+    gates.append(embed_gate_oracle("H", (n - 1,), n) @ embed_gate_oracle("T", (n - 1,), n))
+    moved = 0
+    for u in gates:
+        fam = generators_from_gate(u)
+        out, qm = normalize_family(fam)
+        moved += out is not fam
+        qm_inv = inverse(qm)
+        for q, c, h in zip(fam.qs, out.cs, out.hs, strict=True):
+            want = compose(compose(qm, q), qm_inv)
+            assert c.dtype == want.c.dtype and c.shape == want.c.shape
+            assert c.tobytes() == want.c.tobytes() and h.tobytes() == want.h.tobytes()
+    assert moved
 
 
 def test_normalize_family_nontrivial(rng):
@@ -262,7 +279,7 @@ def test_orbit_kernel_rejects_a_copy_that_meets_the_orbit():
         CliffordRep(gf2.ident(2 * n), [1, 0, 0, 0]),
         CliffordRep(c1, [0, 1, 0, 0]),
     ) + (CliffordRep.identity(n),) * 2
-    fam = GeneratorFamily(qs=qs, ops=stack_ops((np.eye(1 << n),) * (2 * n)), n=n)
+    fam = family_of(qs, stack_ops((np.eye(1 << n),) * (2 * n)), n)
     with pytest.raises(AssertionError, match="^generator 1 maps the orbit of 0 partly into"):
         orbit_kernel(fam)
 
@@ -271,9 +288,7 @@ def test_small_orbit_family_fails_both_paths():
     # unvalidated: every product is the identity, so the orbit of 0 is {0}
     # and the zero set is everything
     n = 2
-    fam = GeneratorFamily(
-        qs=(CliffordRep.identity(n),) * (2 * n), ops=stack_ops((np.eye(1 << n),) * (2 * n)), n=n
-    )
+    fam = family_of((CliffordRep.identity(n),) * (2 * n), stack_ops((np.eye(1 << n),) * (2 * n)), n)
     with pytest.raises(AssertionError, match="orbit of 0 has 1 points") as got:
         orbit_kernel(fam)
     with pytest.raises(AssertionError) as oracle:
@@ -417,11 +432,15 @@ def test_certificate_realizes_only_in_the_cross_check(monkeypatch):
 
 
 def test_generator_reps_equal_the_checked_constructor_bit_for_bit(rng):
-    # the reps come from the constructor that skips the symplectic test
+    # the family keeps the stacked Clifford test's bits as they are, and
+    # qs reads each rep of the stacks through the checked constructor
     for gate in _kernel_families(rng):
-        for q in generators_from_gate(gate).qs:
-            ref = CliffordRep(q.c, q.h)
-            for got, want in ((q.c, ref.c), (q.h, ref.h), (q.d, ref.d)):
+        fam = generators_from_gate(gate)
+        for arr in (fam.cs, fam.hs):
+            assert arr.dtype == np.uint8 and arr.flags.c_contiguous and not arr.flags.writeable
+        for q, c, h in zip(fam.qs, fam.cs, fam.hs, strict=True):
+            ref = CliffordRep(c, h)
+            for got, want in ((q.c, ref.c), (q.h, ref.h), (q.d, ref.d), (c, ref.c), (h, ref.h)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
             assert q.lows_matrix.tobytes() == ref.lows_matrix.tobytes()
@@ -461,29 +480,17 @@ def test_generators_from_gate_builds_no_rep_past_a_failing_stacked_test(monkeypa
     # every candidate stack loses the symplectic C of its last matrix, so
     # the stacked test fails, and so does each conjugate tested alone
     original = dense._clifford_reps
-    trusted = []
+    u, v = gottesman_mochon()
     monkeypatch.setattr(
         dense, "_clifford_reps", lambda bits, ct: original(*_break_symplectic(bits, ct, -1))
     )
-    monkeypatch.setattr(CliffordRep, "_trusted", lambda c, h: trusted.append(c))
-    u, v = gottesman_mochon()
+    built = []
+    init = CliffordRep.__init__
+    monkeypatch.setattr(CliffordRep, "__init__", lambda *args: built.append(init(*args)))
     message = "^input is not a third-level gate: conjugated generator 0 is not Clifford$"
     with pytest.raises(ValueError, match=message):
         generators_from_gate(u @ v)
-    assert trusted == []
-
-
-def test_the_trusted_rep_constructor_has_one_call_site():
-    # only generators_from_gate, right after its stacked Clifford test
-    src = Path(semiclifford.__file__).parent
-    calls = [
-        (path.name, line)
-        for path in sorted(src.glob("*.py"))
-        for line in path.read_text().splitlines()
-        if "._trusted(" in line
-    ]
-    assert [name for name, _ in calls] == ["pipeline.py"]
-    assert "CliffordRep._trusted(" in inspect.getsource(generators_from_gate)
+    assert built == []
 
 
 def _t_family():
@@ -495,7 +502,7 @@ def _with_reps(family, replace):
     qs = list(family.qs)
     for k, q in replace.items():
         qs[k] = q
-    return GeneratorFamily(qs=tuple(qs), ops=family.ops, n=family.n)
+    return family_of(tuple(qs), family.ops, family.n)
 
 
 def test_validate_names_the_first_non_involution_rep():
@@ -519,6 +526,50 @@ def test_validate_names_the_first_incompatible_pair():
         _with_reps(fam, flipped).validate()
     with pytest.raises(ValueError, match="^generators 1 and 3 have incompatible reps$"):
         _with_reps(fam, {1: flipped[1]}).validate()
+
+
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, 0, -1, "1", None])
+def test_validate_rejects_an_n_that_is_not_an_integer_of_at_least_one(n):
+    # n=True passed as a one-qubit family, and n=1.5 expected 3.0 generators
+    fam = generators_from_gate(GATE_MATRICES["T"])
+    bad = GeneratorFamily(fam.cs, fam.hs, fam.ops, n)
+    with pytest.raises(ValueError, match=f"^generator family n={n!r} is not an integer >= 1$"):
+        bad.validate()
+    GeneratorFamily(fam.cs, fam.hs, fam.ops, np.int64(1)).validate()
+
+
+def test_validate_rejects_reps_that_are_not_bit_arrays():
+    # a tuple of reps raised a bare AttributeError on its non-rep entry
+    fam = _t_family()
+    cs, hs = fam.cs, fam.hs
+    cases = [
+        ("cs", (fam.qs[0], 1, fam.qs[2], fam.qs[3]), hs, "are not a 3-d uint8 bit array"),
+        ("cs", fam.qs, hs, "are not a 3-d uint8 bit array"),
+        ("cs", cs.astype(np.int64), hs, "are not a 3-d uint8 bit array"),
+        ("cs", cs[0], hs, "are not a 3-d uint8 bit array"),
+        ("hs", cs, hs.tolist(), "are not a 2-d uint8 bit array"),
+        ("hs", cs, hs[None], "are not a 2-d uint8 bit array"),
+        ("cs", 2 * cs, hs, "are not a 3-d uint8 bit array"),
+        ("hs", cs, hs + 2, "are not a 2-d uint8 bit array"),
+        ("cs", cs[:, :, :3], hs, r"have shape \(4, 4, 3\), expected \(4, 4, 4\)"),
+        ("hs", cs, hs[:, :3], r"have shape \(4, 3\), expected \(4, 4\)"),
+    ]
+    for name, bad_cs, bad_hs, message in cases:
+        with pytest.raises(ValueError, match=f"^generator reps {name} {message}$"):
+            GeneratorFamily(bad_cs, bad_hs, fam.ops, 2).validate()
+    with pytest.raises(ValueError, match="^expected 4 generators, got 3$"):
+        GeneratorFamily(cs[:3], hs[:3], fam.ops, 2).validate()
+    # square C's of another even size are reps on another qubit count
+    with pytest.raises(ValueError, match="^qubit counts differ: 2 vs 1$"):
+        GeneratorFamily(cs[:, :2, :2], hs, fam.ops, 2).validate()
+
+
+def test_validate_rejects_a_c_that_is_not_symplectic():
+    fam = _t_family()
+    cs = fam.cs.copy()
+    cs[2] = 0
+    with pytest.raises(ValueError, match="^C is not symplectic$"):
+        GeneratorFamily(cs, fam.hs, fam.ops, 2).validate()
 
 
 # the fourth root of Z sits at level 4: its X conjugate is not Clifford
@@ -571,7 +622,7 @@ def test_certificate_pair_check_compares_the_generator_ops():
     fam = generators_from_gate(np.eye(1 << n, dtype=complex))
     ops = list(fam.ops)
     ops[3] = pauli_to_dense(PhasedPauli(0, 0, [0] * n + [1] * n))
-    bad = GeneratorFamily(qs=fam.qs, ops=stack_ops(ops), n=n)
+    bad = family_of(fam.qs, stack_ops(ops), n)
     # seed 17 realizes kernel rows 0, 1 and 2 only, then draws the pair (3, 1)
     draws = np.random.default_rng(17)
     assert 3 not in draws.choice(n, size=3, replace=False)
@@ -586,7 +637,7 @@ def _with_ops(family, replace):
     ops = list(family.ops)
     for k, op in replace.items():
         ops[k] = op
-    return GeneratorFamily(qs=family.qs, ops=stack_ops(ops), n=family.n)
+    return family_of(family.qs, stack_ops(ops), family.n)
 
 
 def _uv_family():
@@ -603,10 +654,10 @@ def test_validate_rejects_ops_that_are_not_2n_matrices_of_size_2_to_the_n(monomi
     wider = generators_from_gate(Monomial.identity(3) if monomial else np.eye(8)).ops
     cases = [(ops[:3], "3 of size 4"), (ops + ops[:1], "5 of size 4"), (wider[:4], "4 of size 8")]
     for wrong, got in cases:
-        bad = GeneratorFamily(qs=fam.qs, ops=stack_ops(wrong), n=2)
+        bad = family_of(fam.qs, stack_ops(wrong), 2)
         with pytest.raises(ValueError, match=f"^expected 4 generator ops of size 4, got {got}$"):
             bad.validate()
-    GeneratorFamily(qs=fam.qs, ops=stack_ops(ops), n=2).validate()
+    family_of(fam.qs, stack_ops(ops), 2).validate()
 
 
 @pytest.mark.parametrize("monomial", [True, False])
@@ -617,7 +668,7 @@ def test_validate_rejects_ops_that_are_not_one_stack(monomial):
     for ops in (tuple(f.ops), list(f.ops)):
         message = f"^generator ops are a {type(ops).__name__}, not a Monomial or ndarray stack$"
         with pytest.raises(TypeError, match=message):
-            GeneratorFamily(qs=f.qs, ops=ops, n=2).validate()
+            family_of(f.qs, ops, 2).validate()
 
 
 def test_validate_rejects_reps_of_another_qubit_count():
@@ -626,7 +677,7 @@ def test_validate_rejects_reps_of_another_qubit_count():
     reps = generators_from_gate(np.eye(8, dtype=complex)).qs[:4]
     ops = generators_from_gate(np.eye(4, dtype=complex)).ops
     with pytest.raises(ValueError, match="^qubit counts differ: 2 vs 3$"):
-        GeneratorFamily(qs=reps, ops=ops, n=2).validate()
+        family_of(reps, ops, 2).validate()
 
 
 def test_validate_names_the_first_op_that_does_not_square_to_i():
@@ -652,7 +703,7 @@ def test_validate_names_the_first_pair_that_breaks_the_sign_pattern(monomial):
     # index order (i, then j > i) although (1, 3) has the smaller j
     fam = _uv_family()
     if not monomial:
-        fam = GeneratorFamily(qs=fam.qs, ops=fam.ops.to_dense(), n=fam.n)
+        fam = family_of(fam.qs, fam.ops.to_dense(), fam.n)
     ops = fam.ops
     bad = _with_ops(fam, {5: ops[5] @ ops[7], 3: ops[3] @ ops[8]})
     with pytest.raises(ValueError, match="^generator ops 0, 5 break the sign pattern$"):
@@ -746,3 +797,16 @@ def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
     assert calls["to_dense"] == calls["validate @"] == 0
     assert 0 < calls["validate stacked @"] <= 1 + 2 * -(-91 // (_STACK_ENTRIES // (2 << 7)))
     assert len(rref_rows) == 1 and rref_rows[0] <= 14
+
+
+def test_warm_counterexample_report_builds_one_rep_and_never_reads_qs(monkeypatch):
+    # the reps stay bit stacks from the stacked Clifford test to the
+    # spectra; the one rep built is normalize_family's identity conjugator
+    counterexample_report()  # warm the library's caches
+    built = []
+    init = CliffordRep.__init__
+    monkeypatch.setattr(CliffordRep, "__init__", lambda *args: built.append(init(*args)))
+    monkeypatch.setattr(GeneratorFamily, "qs", property(lambda self: pytest.fail("read qs")))
+    report = counterexample_report(rng=np.random.default_rng(1))
+    assert report["certificate"].conjugator.is_identity()
+    assert len(built) == 1
