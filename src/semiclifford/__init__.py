@@ -8,7 +8,7 @@ complex-matrix oracle at small qubit counts.
 """
 
 from .classify import ClassificationReport, classify, is_generalized_semi_clifford, is_semi_clifford
-from .clifford import CliffordRep, compose, conjugate, from_pauli, inverse
+from .clifford import CliffordRep, compose, conjugate, inverse
 from .circuits import (
     CircuitDescription,
     CircuitSyntaxError,
@@ -16,19 +16,17 @@ from .circuits import (
     circuit_to_monomial,
     circuit_to_rep,
     parse_circuit,
-    standard_gate,
 )
 from .dense import (
     Monomial,
     MonomialCheck,
-    commutator_sign,
     extract_rep,
     hierarchy_level,
     is_pauli,
     monomial_check,
     realize_block,
 )
-from .expansion import ExpansionResult, alpha_vector, expand, rep_to_dense
+from .expansion import ExpansionResult, expand, rep_to_dense
 from .gf2 import Lagrangian, enumerate_lagrangians, symplectic_complete
 from .normal_form import (
     NormalFormResult,
@@ -37,7 +35,7 @@ from .normal_form import (
     involution_normal_form,
     simultaneous_nice_form_obstruction,
 )
-from .pauli import PhasedPauli, commutes, pauli_apply_basis, pauli_mul, pauli_to_dense
+from .pauli import PhasedPauli, pauli_to_dense
 from .pipeline import (
     GeneratorFamily,
     GscCertificate,
@@ -49,7 +47,6 @@ from .pipeline import (
     gottesman_mochon,
     normalize_family,
     orbit_kernel,
-    product_rep,
     run_pipeline,
 )
 

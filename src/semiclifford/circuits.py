@@ -9,11 +9,10 @@ Clifford gate reps are read off each gate's own 2^k x 2^k matrix with
 extract_rep rather than transcribed from tables, so the dense engine
 stays the single source of truth; whether a gate is Clifford is read
 off its matrix too.  A gate's rep lives on its qubits' coordinates
-(_rep_coords): standard_gate places it in a 2n x 2n rep, and
-circuit_to_rep applies it as a tableau update of those rows of C, each
-row packed into one int.  Likewise circuit_to_monomial reads each gate's
-permutation and phases off its GATE_MATRICES entry; every library gate
-but H is monomial.
+(_rep_coords): circuit_to_rep applies it as a tableau update of those
+rows of C, each row packed into one int.  Likewise circuit_to_monomial
+reads each gate's permutation and phases off its GATE_MATRICES entry;
+every library gate but H is monomial.
 circuit_to_dense builds small circuits as a chain: up to CHAIN_QUBITS
 = 4 qubits it multiplies the running matrix by each placed gate, a
 cached read-only 2^n x 2^n matrix.  Above it, it applies each gate's
@@ -92,16 +91,22 @@ CHAIN_QUBITS = 4
 class CircuitDescription:
     """n qubits and the gates (name, qubits) that act in order.
 
-    The gates and each gate's qubits are stored as tuples, whatever
-    sequences they came as, so a description hashes and keys the gate
-    caches.
+    Each gate is a (name, qubits) pair with qubits a tuple or a list, so
+    the qubit order is the one given (ValueError naming the gate
+    otherwise).  The gates and each gate's qubits are stored as tuples,
+    so a description hashes and keys the gate caches.
     """
 
     n: int
     gates: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple((name, tuple(qubits)) for name, qubits in self.gates))
+        gates = tuple(self.gates)
+        for gate in gates:
+            pair = isinstance(gate, (tuple, list)) and len(gate) == 2
+            if not (pair and isinstance(gate[1], (tuple, list))):
+                raise ValueError(f"gate {gate!r} is not a (name, qubits) pair, qubits a tuple or list")
+        object.__setattr__(self, "gates", tuple((name, tuple(qubits)) for name, qubits in gates))
         if not _is_integer(self.n):
             raise ValueError(f"n={self.n!r} is not an integer")
         if self.n < 1:
@@ -329,25 +334,6 @@ def _rep_coords(qubits, n):
     """Coordinates idx = [q..., n + q...] of a gate's rep on the given
     qubits of n: its X coordinates, then its Z coordinates."""
     return [*qubits, *(n + q for q in qubits)]
-
-
-def standard_gate(name, qubits, n) -> CliffordRep:
-    """Rep of a Clifford library gate on the given qubits of n.
-
-    The gate's own rep is placed on coordinates idx (_rep_coords): C is
-    the identity but for the gate's C on idx x idx, and h is zero but
-    for the gate's h on idx.
-    """
-    name = _gate_name(name)
-    qubits = tuple(qubits)
-    CircuitDescription(n, ((name, qubits),))  # checks the name and qubits
-    gate = _clifford_gate(name)
-    idx = _rep_coords(qubits, n)
-    c = np.eye(2 * n, dtype=np.uint8)
-    c[np.ix_(idx, idx)] = gate.c
-    h = np.zeros(2 * n, dtype=np.uint8)
-    h[idx] = gate.h
-    return CliffordRep(c, h)
 
 
 @lru_cache(maxsize=None)

@@ -143,30 +143,6 @@ def inverse(rep: CliffordRep) -> CliffordRep:
     return CliffordRep(cinv, compose(rep, CliffordRep(cinv, np.zeros_like(rep.h))).h)
 
 
-def from_pauli(p: PhasedPauli) -> CliffordRep:
-    """Rep of a Pauli operator: (C = I, h = P a).
-
-    The phase coordinates of p are dropped; the representation cannot
-    see them.
-    """
-    h = gf2.mat_mul(gf2.p_mat(p.n), p.a)
-    return CliffordRep(gf2.ident(2 * p.n), h)
-
-
-def is_involution_rep(rep: CliffordRep) -> bool:
-    """Whether the represented phase class contains an involution.
-
-    Equivalent to C^2 = I together with the h-condition that makes the
-    rep of Q^2 the identity rep.
-    """
-    return compose(rep, rep).is_identity()
-
-
-def reps_commute(a: CliffordRep, b: CliffordRep) -> bool:
-    """Whether the operators commute up to a sign (reps of ab and ba agree)."""
-    return compose(a, b) == compose(b, a)
-
-
 def product_table(left_c, left_h, right_c, right_h):
     """Reps of l_i r_j for every ordered pair of two families, all at once.
 

@@ -57,10 +57,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .clifford import CliffordRep, product_table, reps_commute, sign_data
-from .pauli import (
-    PhasedPauli, _check_same_n, _label_tables, check_dense_cap, pauli_action, pauli_to_dense
-)
+from .clifford import CliffordRep, product_table, sign_data
+from .pauli import PhasedPauli, _label_tables, check_dense_cap, pauli_action, pauli_to_dense
 
 TOL = 1e-9
 # Most stored entries in one batched stack: a single dense 2^7 x 2^7
@@ -722,8 +720,8 @@ def _realize_involutions(cs, hs) -> Monomial:
 def realize_block(rep: CliffordRep) -> Monomial:
     """The involution Q with Q|x> = lambda_x |f + A^T x>, as a Monomial.
 
-    rep is in block form, C = (A E; 0 A^T) and h = (f; g), and passes
-    is_involution_rep; that makes A an involution, E and AE symmetric
+    rep is in block form, C = (A E; 0 A^T) and h = (f; g), and squares
+    to the identity rep; that makes A an involution, E and AE symmetric
     and A^T f = f.  Raises ValueError otherwise.
 
     The phase products lambda_0 lambda_{f+y} are fixed by the rep; only
@@ -735,47 +733,6 @@ def realize_block(rep: CliffordRep) -> Monomial:
     one-rep case of the stacked _realize_involutions.
     """
     return _realize_involutions(rep.c[None], rep.h[None])[0]
-
-
-def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
-    """+1 if the realized involutions commute, -1 if they anticommute.
-
-    Evaluated purely from the lambda products, never from dense
-    matrices: with both operators pinned as involutions, QQ' = Q'Q
-    exactly when
-
-        (lambda_0 lambda_f) * (lambda'_0 lambda'_{f+f'})
-            == (lambda'_0 lambda'_{f'}) * (lambda_0 lambda_{f+f'}),
-
-    each factor being a _lambda_products entry of one of the two reps.  In
-    particular f = f' = 0 forces the +1 branch.  Both reps must be block
-    involutions, as for realize_block.
-    """
-    _check_same_n(q1, q2)
-    cs = np.stack([q1.c, q2.c])
-    hs = np.stack([q1.h, q2.h])
-    _check_involutions(cs, hs)
-    if not np.array_equal(gf2.mat_mul(q1.c, q2.c), gf2.mat_mul(q2.c, q1.c)):
-        raise ValueError("C-matrices do not commute")
-    if not reps_commute(q1, q2):
-        raise ValueError("reps do not satisfy the sign-compatibility condition")
-    n = q1.n
-    fcomp_l = (q2.f ^ gf2.mat_mul(q1.c[:n, :n].T, q2.f)) & 1
-    fcomp_r = (q1.f ^ gf2.mat_mul(q2.c[:n, :n].T, q1.f)) & 1
-    if not np.array_equal(fcomp_l, fcomp_r):
-        raise ValueError("f-vectors are not compatible")
-    fsum = q1.f ^ q2.f
-    (l1_f, l1_sum), (l2_f, l2_sum) = _lambda_products(
-        cs, hs, np.array([[q1.f, fsum], [q2.f, fsum]])
-    )
-    lhs = l1_f * l2_sum
-    rhs = l2_f * l1_sum
-    ratio = lhs / rhs
-    if abs(ratio - 1) < TOL:
-        return 1
-    if abs(ratio + 1) < TOL:
-        return -1
-    raise AssertionError("sign relation produced a non-real ratio")
 
 
 @dataclass(frozen=True)

@@ -65,19 +65,15 @@ def _fixed_space(rep: CliffordRep):
     return ic, gf2._rref_kernel(red, pivots), pivots
 
 
-def alpha_vector(rep: CliffordRep):
-    """Vector alpha with alpha^T b = b^T lows(C^T J C + d d^T) b on Ker(I+C).
+def _alpha_on(rep: CliffordRep, kernel):
+    """Vector alpha with alpha^T b = b^T lows(C^T J C + d d^T) b on Ker(I+C),
+    given the basis kernel of Ker(I + C) (_fixed_space).
 
     The quadratic form on the left is linear on the fixed space of C;
     the associated bilinear form is checked to vanish there before the
     linear system is solved (a failure would mean an upstream bug, so
     it raises loudly).  Free coordinates of alpha are gauged to zero.
     """
-    return _alpha_on(rep, _fixed_space(rep)[1])
-
-
-def _alpha_on(rep: CliffordRep, kernel):
-    """alpha_vector(rep), given the basis kernel of Ker(I + C)."""
     low = rep.lows_matrix
     if (kernel @ (low ^ low.T) @ kernel.T & 1).any():
         raise AssertionError("quadratic phase form is not linear on Ker(I + C)")

@@ -148,11 +148,6 @@ def _top_bottom(cs):
     return top @ cs[..., n:, :] & 1
 
 
-def lows(m):
-    """Strictly lower triangular part of a square matrix."""
-    return np.tril(asbits(m), -1)
-
-
 def quad_form(m, v) -> int:
     """Evaluate v^T m v over GF(2)."""
     v = asbits(v)

@@ -83,22 +83,6 @@ def _check_same_n(p, q):
         raise ValueError(f"qubit counts differ: {p.n} vs {q.n}")
 
 
-def pauli_mul(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
-    """Group product p * q."""
-    _check_same_n(p, q)
-    j = gf2.j_mat(p.n)
-    delta = p.delta ^ q.delta
-    cross = gf2.dot(q.a, gf2.mat_mul(j, p.a))
-    epsilon = p.epsilon ^ q.epsilon ^ (p.delta & q.delta) ^ cross
-    return PhasedPauli(delta, epsilon, p.a ^ q.a)
-
-
-def commutes(p: PhasedPauli, q: PhasedPauli) -> bool:
-    """Whether p and q commute (phases are irrelevant)."""
-    _check_same_n(p, q)
-    return gf2.dot(q.a, gf2.mat_mul(gf2.p_mat(p.n), p.a)) == 0
-
-
 def check_dense_cap(n):
     """Raise before a 2^n x 2^n matrix is allocated past DENSE_QUBIT_CAP."""
     if n > DENSE_QUBIT_CAP:
@@ -141,18 +125,3 @@ def pauli_to_dense(p: PhasedPauli) -> np.ndarray:
     out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
     out[_label_tables(p.n)[0], perm] = p.phase * signs
     return out
-
-
-def pauli_apply_basis(p: PhasedPauli, x):
-    """Apply p to the basis state |x>.
-
-    Returns (phase, label): p|x> = phase |label> with label = x + w and
-    phase = i**delta (-1)**(epsilon + v.(x+w)).
-    """
-    x = gf2.asbits(x)
-    if x.ndim != 1 or x.size != p.n:
-        raise ValueError(f"basis label has length {x.size}, expected {p.n}")
-    flipped = x ^ p.w
-    sign = gf2.dot(p.v, flipped)
-    phase = (1j ** p.delta) * ((-1.0) ** ((p.epsilon + sign) & 1))
-    return phase, flipped

@@ -61,10 +61,12 @@ from .dense import (
     close,
     close_up_to_phase,
     extract_rep,
+    hierarchy_level,
     num_qubits,
     pauli_conjugates,
 )
 from .expansion import rep_to_dense
+from .normal_form import commuting_set_normal_form
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared by identity
@@ -203,8 +205,6 @@ def normalize_family(family: GeneratorFamily):
     Monomial ops is always in block form; only dense families are
     conjugated.
     """
-    from .normal_form import commuting_set_normal_form
-
     n = family.n
     if family.is_block_form():
         return family, CliffordRep.identity(n)
@@ -363,20 +363,6 @@ def _products(family: GeneratorFamily, rows):
     return cs, hs
 
 
-def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
-    """Rep of the generator product with exponent vector bits.
-
-    The reps pairwise commute, so the composition order does not change
-    the result: it equals build_fmap's reps[x] for the same exponents.
-    Raises ValueError unless bits has one entry per generator.
-    """
-    bits = gf2.asbits(bits)
-    if bits.ndim != 1 or bits.size != len(family.cs):
-        raise ValueError(f"exponent vector has length {bits.size}, expected {len(family.cs)}")
-    cs, hs = _products(family, bits[None])
-    return CliffordRep(cs[0], hs[0])
-
-
 def span_rank(spectra) -> int:
     """Rank of the 2^n diagonal patterns of n +-1 valued spectra.
 
@@ -412,7 +398,7 @@ class GscCertificate:
 
 def _op_product(family: GeneratorFamily, bits):
     """The product of the generator ops over a nonzero exponent vector (a
-    kernel row), in index order, from the first factor (as product_rep)."""
+    kernel row), in index order, from the first factor (as _products)."""
     factors = np.flatnonzero(bits)
     prod = family.ops[factors[0]]
     for k in factors[1:]:
@@ -502,9 +488,6 @@ def run_pipeline(u, rng=None) -> GscCertificate:
     return extract_certificate(normalized, q_m, rng=rng)
 
 
-GM_QUBITS = "A1 A2 A3 B1 B2 B3 R".split()
-
-
 def gottesman_mochon():
     """The seven-qubit pair (U, V) as Monomials: controlled swaps and CCZs.
 
@@ -533,8 +516,6 @@ def counterexample_report(rng=None) -> dict:
     pipeline still produces a complete certificate for UV.  Every step
     runs on the type gottesman_mochon returns: Monomials.
     """
-    from .dense import hierarchy_level
-
     u, v = gottesman_mochon()
     n = 7
     ident = _engine(u).from_monomial(Monomial.identity(n))

@@ -50,6 +50,11 @@ quad_form and mat_mul calls per generator of the expansion.
 coefficient_dicts_oracle is the expand report's coefficient list of one
 dict per support point, which json.dumps encoded before the CLI wrote
 the table from one encoding of each distinct coefficient.
+pauli_mul, commutes, from_pauli, is_involution_rep, reps_commute,
+commutator_sign, standard_gate, product_rep and alpha_vector were
+library functions that no verb, script or benchmark called; they are
+oracles here, product_rep and alpha_vector as one-line calls of the
+library's _products and _alpha_on.
 random_circuit, write_circuit and parse_pauli (the inverse of
 PhasedPauli's repr) are samplers, writers and readers that only tests
 use; stack_ops builds the one operator stack that GeneratorFamily.ops
@@ -70,12 +75,14 @@ from semiclifford.circuits import (
     GATE_ARITY,
     GATE_MATRICES,
     CircuitDescription,
+    _clifford_gate,
+    _gate_name,
+    _rep_coords,
     circuit_to_dense,
     circuit_to_monomial,
-    standard_gate,
 )
 from semiclifford.cli import matrix_rows
-from semiclifford.clifford import CliffordRep, compose, is_involution_rep, reps_commute
+from semiclifford.clifford import CliffordRep, compose
 from semiclifford.classify import (
     GscWitness,
     SemiCliffordWitness,
@@ -85,7 +92,9 @@ from semiclifford.classify import (
 from semiclifford.dense import (
     TOL,
     Monomial,
+    _check_involutions,
     _engine,
+    _lambda_products,
     as_dense,
     check_unitary,
     close,
@@ -94,15 +103,15 @@ from semiclifford.dense import (
     num_qubits,
     pauli_conjugates,
 )
-from semiclifford.expansion import rep_to_dense
+from semiclifford.expansion import _alpha_on, _fixed_space, rep_to_dense
 from semiclifford.normal_form import (
     _block_diag,
     _involution_conjugator,
     _pair_coords,
     _validate_involution,
 )
-from semiclifford.pauli import PhasedPauli, pauli_to_dense
-from semiclifford.pipeline import GeneratorFamily
+from semiclifford.pauli import PhasedPauli, _check_same_n, pauli_to_dense
+from semiclifford.pipeline import GeneratorFamily, _products
 
 
 # single-qubit tau matrices; tau_00 is the group identity
@@ -118,7 +127,7 @@ def _sign_data_oracle(c):
     """d = diag(C^T J C) and lows(C^T J C + d d^T) of one matrix, J = (0 I; 0 0)."""
     cjc = gf2.mat_mul(gf2.mat_mul(c.T, gf2.j_mat(c.shape[0] // 2)), c)
     d = np.diagonal(cjc).copy()
-    return d, gf2.lows((cjc ^ np.outer(d, d)) & 1)
+    return d, np.tril((cjc ^ np.outer(d, d)) & 1, -1)
 
 
 def symplectic_mask_uint8(cs):
@@ -179,6 +188,37 @@ def inverse_oracle(rep: CliffordRep) -> CliffordRep:
     return CliffordRep(cinv, h_prime)
 
 
+def from_pauli(p: PhasedPauli) -> CliffordRep:
+    """Rep (C = I, h = P a) of a Pauli operator; the rep cannot see p's phase."""
+    return CliffordRep(gf2.ident(2 * p.n), gf2.mat_mul(gf2.p_mat(p.n), p.a))
+
+
+def is_involution_rep(rep: CliffordRep) -> bool:
+    """Whether the represented phase class contains an involution: the
+    rep of Q^2 is the identity rep."""
+    return compose(rep, rep).is_identity()
+
+
+def reps_commute(a: CliffordRep, b: CliffordRep) -> bool:
+    """Whether the operators commute up to a sign (reps of ab and ba agree)."""
+    return compose(a, b) == compose(b, a)
+
+
+def standard_gate(name, qubits, n) -> CliffordRep:
+    """Rep of a Clifford library gate on the given qubits of n: the gate's
+    own rep placed on coordinates idx (_rep_coords) of the identity rep."""
+    name = _gate_name(name)
+    qubits = tuple(qubits)
+    CircuitDescription(n, ((name, qubits),))  # checks the name and qubits
+    gate = _clifford_gate(name)
+    idx = _rep_coords(qubits, n)
+    c = np.eye(2 * n, dtype=np.uint8)
+    c[np.ix_(idx, idx)] = gate.c
+    h = np.zeros(2 * n, dtype=np.uint8)
+    h[idx] = gate.h
+    return CliffordRep(c, h)
+
+
 def circuit_to_rep_compose_oracle(desc: CircuitDescription) -> CliffordRep:
     """Rep of a Clifford circuit by composing each gate's placed 2n x 2n
     rep (standard_gate) onto the running one."""
@@ -227,6 +267,16 @@ def family_of(reps, ops, n) -> GeneratorFamily:
     return GeneratorFamily(np.stack([q.c for q in reps]), np.stack([q.h for q in reps]), ops, n)
 
 
+def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
+    """Rep of the generator product with exponent vector bits (one entry
+    per generator, ValueError otherwise): pipeline._products on one row."""
+    bits = gf2.asbits(bits)
+    if bits.ndim != 1 or bits.size != len(family.cs):
+        raise ValueError(f"exponent vector has length {bits.size}, expected {len(family.cs)}")
+    cs, hs = _products(family, bits[None])
+    return CliffordRep(cs[0], hs[0])
+
+
 def parse_pauli(text) -> PhasedPauli:
     """Inverse of PhasedPauli's repr, e.g. ``-i.tau[01|10]``."""
     m = _PARSE_RE.fullmatch(text.strip())
@@ -245,6 +295,22 @@ def kron_pauli_to_dense(p: PhasedPauli) -> np.ndarray:
     for vi, wi in zip(p.v, p.w):
         out = np.kron(out, _TAU[(int(vi), int(wi))])
     return p.phase * out
+
+
+def pauli_mul(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
+    """Group product p * q."""
+    _check_same_n(p, q)
+    j = gf2.j_mat(p.n)
+    delta = p.delta ^ q.delta
+    cross = gf2.dot(q.a, gf2.mat_mul(j, p.a))
+    epsilon = p.epsilon ^ q.epsilon ^ (p.delta & q.delta) ^ cross
+    return PhasedPauli(delta, epsilon, p.a ^ q.a)
+
+
+def commutes(p: PhasedPauli, q: PhasedPauli) -> bool:
+    """Whether p and q commute (phases are irrelevant)."""
+    _check_same_n(p, q)
+    return gf2.dot(q.a, gf2.mat_mul(gf2.p_mat(p.n), p.a)) == 0
 
 
 def rref_oracle(m, n_pivot_cols=None):
@@ -772,6 +838,12 @@ def symplectic_complete_oracle(lag):
     return c
 
 
+def alpha_vector(rep: CliffordRep):
+    """Vector alpha with alpha^T b = b^T lows(C^T J C + d d^T) b on
+    Ker(I+C): the library's _alpha_on on the kernel of _fixed_space."""
+    return _alpha_on(rep, _fixed_space(rep)[1])
+
+
 def alpha_vector_oracle(rep: CliffordRep):
     """alpha_vector with one quad_form per kernel basis vector."""
     kernel = gf2.kernel_basis(gf2.ident(2 * rep.n) ^ rep.c)
@@ -969,6 +1041,35 @@ def sample_admissible_pair(n, rng):
         r2 = CliffordRep(c2, sol[n2:])
         if is_involution_rep(r1) and is_involution_rep(r2) and reps_commute(r1, r2):
             return r1, r2
+
+
+def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
+    """+1 if the realized block involutions (realize_block) commute, -1 if
+    they anticommute, from lambda products alone: QQ' = Q'Q exactly when
+    L(f) L'(f+f') == L'(f') L(f+f'), with L, L' the reps' _lambda_products."""
+    _check_same_n(q1, q2)
+    cs = np.stack([q1.c, q2.c])
+    hs = np.stack([q1.h, q2.h])
+    _check_involutions(cs, hs)
+    if not np.array_equal(gf2.mat_mul(q1.c, q2.c), gf2.mat_mul(q2.c, q1.c)):
+        raise ValueError("C-matrices do not commute")
+    if not reps_commute(q1, q2):
+        raise ValueError("reps do not satisfy the sign-compatibility condition")
+    n = q1.n
+    fcomp_l = (q2.f ^ gf2.mat_mul(q1.c[:n, :n].T, q2.f)) & 1
+    fcomp_r = (q1.f ^ gf2.mat_mul(q2.c[:n, :n].T, q1.f)) & 1
+    if not np.array_equal(fcomp_l, fcomp_r):
+        raise ValueError("f-vectors are not compatible")
+    fsum = q1.f ^ q2.f
+    (l1_f, l1_sum), (l2_f, l2_sum) = _lambda_products(
+        cs, hs, np.array([[q1.f, fsum], [q2.f, fsum]])
+    )
+    ratio = l1_f * l2_sum / (l2_f * l1_sum)
+    if abs(ratio - 1) < TOL:
+        return 1
+    if abs(ratio + 1) < TOL:
+        return -1
+    raise AssertionError("sign relation produced a non-real ratio")
 
 
 def random_commuting_involution_set(n, rng, size):

@@ -17,7 +17,10 @@ import pytest
 
 from helpers import (
     all_phased_paulis,
+    commutator_sign,
+    commutes,
     embed_gate_oracle,
+    pauli_mul,
     pauli_projection,
     random_c3_gate,
     random_circuit,
@@ -29,7 +32,6 @@ from semiclifford.classify import is_generalized_semi_clifford, is_semi_clifford
 from semiclifford.clifford import CliffordRep, compose, inverse
 from semiclifford.dense import (
     close_up_to_phase,
-    commutator_sign,
     extract_rep,
     hierarchy_level,
     is_pauli,
@@ -41,7 +43,7 @@ from semiclifford.normal_form import (
     involution_normal_form,
     simultaneous_nice_form_obstruction,
 )
-from semiclifford.pauli import commutes, pauli_mul, pauli_to_dense
+from semiclifford.pauli import pauli_to_dense
 from semiclifford.pipeline import counterexample_report, run_pipeline
 
 C1 = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)

@@ -1,7 +1,17 @@
 """The package's public names, pinned: removing or renaming one is an API
-change, and it should show up as an edit to this list."""
+change, and it should show up as an edit to this list.  Every exported
+function has a caller outside the tests, and every top-level name of the
+library is read somewhere: both checked by parsing the sources."""
+
+import ast
+import inspect
+from pathlib import Path
 
 import semiclifford
+from test_benchmark_hooks import _perfbench_layers
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "semiclifford"
 
 PUBLIC_NAMES = [
     "CircuitDescription",
@@ -17,7 +27,6 @@ PUBLIC_NAMES = [
     "NormalFormResult",
     "PhasedPauli",
     "SetNormalForm",
-    "alpha_vector",
     "build_fmap",
     "circuit_to_dense",
     "circuit_to_monomial",
@@ -25,8 +34,6 @@ PUBLIC_NAMES = [
     "circuits",
     "classify",
     "clifford",
-    "commutator_sign",
-    "commutes",
     "commuting_set_normal_form",
     "compose",
     "conjugate",
@@ -38,7 +45,6 @@ PUBLIC_NAMES = [
     "extract_certificate",
     "extract_rep",
     "fmap_kernel",
-    "from_pauli",
     "generators_from_gate",
     "gf2",
     "gottesman_mochon",
@@ -54,19 +60,64 @@ PUBLIC_NAMES = [
     "orbit_kernel",
     "parse_circuit",
     "pauli",
-    "pauli_apply_basis",
-    "pauli_mul",
     "pauli_to_dense",
     "pipeline",
-    "product_rep",
     "realize_block",
     "rep_to_dense",
     "run_pipeline",
     "simultaneous_nice_form_obstruction",
-    "standard_gate",
     "symplectic_complete",
 ]
 
 
 def test_public_names_are_pinned():
     assert sorted(semiclifford.__all__) == PUBLIC_NAMES
+
+
+def _statements(*patterns):
+    """(path, defines, reads) for each top-level statement of the files
+    matching the patterns: the names it binds (def, class or assignment)
+    and the bare and attribute names it loads (imports are not reads)."""
+    out = []
+    for pattern in patterns:
+        for path in ROOT.glob(pattern):
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                defines = {getattr(stmt, "name", None), *(t.id for t in targets if isinstance(t, ast.Name))}
+                loads = [n for n in ast.walk(stmt) if isinstance(getattr(n, "ctx", None), ast.Load)]
+                reads = {getattr(n, "id", getattr(n, "attr", None)) for n in loads}
+                out.append((path, defines - {None}, reads - {None}))
+    return out
+
+
+def _perfbench_names():
+    """The library names perfbench resolves: its tracing.LAYERS table and
+    the attributes setup_probe.py reads."""
+    names = {fn for fns in _perfbench_layers().values() for fn in fns}
+    return names.union(*(reads for _, _, reads in _statements("perfbench/setup_probe.py")))
+
+
+def _names_read(statements):
+    """perfbench's names and each name a statement reads outside its own
+    definition (a function's recursion is not a caller)."""
+    return _perfbench_names().union(*(reads - defines for _, defines, reads in statements))
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    statements = _statements("src/semiclifford/*.py", "scripts/*.py")
+    called = _names_read([s for s in statements if s[0].name != "__init__.py"])
+    exported = [name for name in semiclifford.__all__ if inspect.isfunction(getattr(semiclifford, name))]
+    assert sorted(set(exported) - called) == []
+
+
+def test_every_top_level_library_name_is_read_somewhere():
+    statements = _statements("src/semiclifford/*.py", "scripts/*.py", "tests/*.py", "perfbench/**/*.py")
+    read = _names_read(statements)
+    unread = [
+        f"{path.stem}.{name}"
+        for path, defines, _ in statements
+        if path.parent == SRC
+        for name in defines - read
+        if not name.startswith("__")
+    ]
+    assert unread == []

@@ -22,13 +22,13 @@ from semiclifford.circuits import (
     _placed_gate,
     circuit_to_dense,
     parse_circuit,
-    standard_gate,
 )
 from helpers import (
     circuit_to_dense_oracle,
     embed_gate_oracle,
     hex_to_bits,
     random_circuit,
+    standard_gate,
     write_circuit,
 )
 from semiclifford import cli
@@ -234,6 +234,19 @@ def test_description_takes_lists_as_tuples():
         assert desc == want and hash(desc) == hash(want)
         assert desc.gates == want.gates and isinstance(desc.gates, tuple)
         assert np.array_equal(circuit_to_dense(desc), circuit_to_dense(want))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [("CX", {1, 0}), ("CX", frozenset((0, 1))), ("H", 0), ("H",), ("H", (0,), ()), "H0"]
+    + [("H", range(1)), ("H", np.array([0]))],
+)
+def test_description_rejects_a_gate_that_is_not_a_name_and_qubits_pair(gate):
+    # {1, 0} built CX 0 1, ("H", 0) raised a bare TypeError and ("H",) a
+    # ValueError on unpacking that named no gate
+    with pytest.raises(ValueError, match="not a \\(name, qubits\\) pair") as info:
+        CircuitDescription(2, (gate,))
+    assert repr(gate) in str(info.value)
 
 
 def test_embed_gate_matches_kron():

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     candidate_pairs_oracle,
+    commutes,
     embed_gate_oracle,
     gsc_search_oracle,
     lagrangian_clifford_table,
@@ -47,7 +48,7 @@ from semiclifford.dense import (
     pauli_conjugates,
 )
 from semiclifford.expansion import rep_to_dense
-from semiclifford.pauli import PhasedPauli, commutes, pauli_to_dense
+from semiclifford.pauli import PhasedPauli, pauli_to_dense
 
 # The package re-exports the classify function under the module's name.
 classify_module = importlib.import_module("semiclifford.classify")

@@ -9,15 +9,18 @@ import pytest
 
 from helpers import (
     all_phased_paulis,
+    commutator_sign,
+    from_pauli,
     kron_pauli_to_dense,
     sample_admissible_pair,
     sample_block_rep,
+    standard_gate,
 )
 import semiclifford
 from semiclifford import gf2
 from semiclifford.classify import classify, is_generalized_semi_clifford, is_semi_clifford
-from semiclifford.circuits import GATE_MATRICES, standard_gate
-from semiclifford.clifford import CliffordRep, compose, from_pauli
+from semiclifford.circuits import GATE_MATRICES
+from semiclifford.clifford import CliffordRep, compose
 from semiclifford.dense import (
     Monomial,
     _lambda_products,
@@ -26,7 +29,6 @@ from semiclifford.dense import (
     check_unitary,
     close,
     close_up_to_phase,
-    commutator_sign,
     extract_rep,
     hierarchy_level,
     is_pauli,

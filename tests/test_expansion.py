@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from helpers import (
+    alpha_vector,
     alpha_vector_oracle,
     expand_oracle,
     int_to_bits,
     pauli_projection,
     random_circuit,
     random_clifford_dense,
+    standard_gate,
 )
 from semiclifford import gf2
-from semiclifford.circuits import circuit_to_dense, circuit_to_rep, standard_gate
+from semiclifford.circuits import circuit_to_dense, circuit_to_rep
 from semiclifford.clifford import CliffordRep
 from semiclifford.dense import close_up_to_phase, extract_rep
-from semiclifford.expansion import alpha_vector, expand, rep_to_dense
+from semiclifford.expansion import expand, rep_to_dense
 
 
 def test_alpha_identity_c_matrix():

@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 from helpers import (
     all_bare_paulis,
     all_phased_paulis,
+    commutes,
     int_to_bits,
     kron_pauli_to_dense,
     parse_pauli,
+    pauli_mul,
 )
 from semiclifford import gf2
-from semiclifford.pauli import (
-    PhasedPauli,
-    commutes,
-    pauli_action,
-    pauli_apply_basis,
-    pauli_mul,
-    pauli_to_dense,
-)
+from semiclifford.pauli import PhasedPauli, pauli_action, pauli_to_dense
 
 
 def test_identity_element():
@@ -165,36 +160,6 @@ def test_hermiticity_criterion(n):
         d = pauli_to_dense(p)
         # the rule dense._clifford_reps reads Hermiticity with: delta == v . w
         assert np.allclose(d, d.conj().T) == (p.delta == gf2.dot(p.v, p.w))
-
-
-def test_apply_basis_cases():
-    x = PhasedPauli(0, 0, [0, 1])
-    phase, lab = pauli_apply_basis(x, [0])
-    assert phase == 1 and lab.tolist() == [1]
-    z = PhasedPauli(0, 0, [1, 0])
-    phase, lab = pauli_apply_basis(z, [1])
-    assert phase == -1 and lab.tolist() == [1]
-    ident = PhasedPauli.identity(2)
-    phase, lab = pauli_apply_basis(ident, [1, 0])
-    assert phase == 1 and lab.tolist() == [1, 0]
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_apply_basis_matches_dense_columns(n):
-    for p in all_phased_paulis(n):
-        d = pauli_to_dense(p)
-        for col in range(1 << n):
-            xbits = np.array([(col >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-            phase, lab = pauli_apply_basis(p, xbits)
-            row = int("".join(str(int(b)) for b in lab), 2)
-            expect = np.zeros(1 << n, dtype=complex)
-            expect[row] = phase
-            assert np.allclose(d[:, col], expect)
-
-
-def test_apply_basis_length_mismatch():
-    with pytest.raises(ValueError):
-        pauli_apply_basis(PhasedPauli.identity(2), [0])
 
 
 def test_mul_mismatched_n():

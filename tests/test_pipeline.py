@@ -3,8 +3,10 @@ import pytest
 
 from helpers import (
     family_of,
+    from_pauli,
     orbit_kernel_oracle,
     pattern_matrix,
+    product_rep,
     random_c3_gate,
     embed_gate_oracle,
     random_clifford_dense,
@@ -15,7 +17,7 @@ from helpers import (
 )
 from semiclifford import dense, gf2
 from semiclifford.circuits import GATE_MATRICES
-from semiclifford.clifford import CliffordRep, compose, from_pauli
+from semiclifford.clifford import CliffordRep, compose
 from semiclifford.dense import (
     _STACK_ENTRIES,
     Monomial,
@@ -38,7 +40,6 @@ from semiclifford.pipeline import (
     gottesman_mochon,
     normalize_family,
     orbit_kernel,
-    product_rep,
     run_pipeline,
     span_rank,
 )
