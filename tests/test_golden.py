@@ -8,7 +8,9 @@ Clifford . diagonal . Clifford gate (semi-Clifford on a late
 Lagrangian) and a Clifford+T gate for which both searches run to the
 end.  ``pipeline`` runs on every circuit under ``circuits/``, and
 ``verify-counterexample``, which takes no circuit, runs once; both use
-the default seed.  ``normalform`` runs on ``matrices/c1c2.mat`` (set
+the default seed.  ``pipeline`` also runs on an n = 2 gate whose family
+is outside block form and whose kernel products each take two
+generators.  ``normalform`` runs on ``matrices/c1c2.mat`` (set
 mode, two elements), a single n = 6 involution, a three-element n = 6
 commuting set and a three-element n = 5 set whose set normal form
 recurses once and completes a Jordan basis; ``expand`` also runs on an n = 5 Clifford whose C
@@ -44,6 +46,7 @@ CASES += [
     ("normalform", "tests/golden/set3_5.mat"),
 ]
 CASES += [("pipeline", c) for c in CIRCUITS]
+CASES += [("pipeline", "tests/golden/nonblock2.cir")]
 CASES += [("verify-counterexample", None)]
 
 
