@@ -112,7 +112,7 @@ class CircuitDescription:
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got {self.n}")
         for name, qubits in self.gates:
-            if name not in GATE_MATRICES:
+            if not isinstance(name, str) or name not in GATE_MATRICES:
                 raise ValueError(f"unknown gate {name!r}")
             if len(qubits) != GATE_ARITY[name]:
                 raise ValueError(

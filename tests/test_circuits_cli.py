@@ -249,6 +249,15 @@ def test_description_rejects_a_gate_that_is_not_a_name_and_qubits_pair(gate):
     assert repr(gate) in str(info.value)
 
 
+@pytest.mark.parametrize("name", [["H"], {"H"}, {"H": (0,)}, bytearray(b"H")])
+def test_description_rejects_a_gate_name_that_is_not_a_string(name):
+    # an unhashable name raised a bare TypeError from the gate-table lookup;
+    # it now gets the message a name of None gets
+    with pytest.raises(ValueError) as err:
+        CircuitDescription(1, ((name, (0,)),))
+    assert str(err.value) == f"unknown gate {name!r}"
+
+
 def test_embed_gate_matches_kron():
     h = GATE_MATRICES["H"]
     want = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
