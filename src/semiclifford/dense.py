@@ -741,25 +741,28 @@ class MonomialCheck:
 
     permutation[col] is the row of the unique significant entry of that
     column and phases[col] its value, so u = P Lambda with
-    P[permutation[c], c] = 1 and Lambda = diag(phases).
+    P[permutation[c], c] = 1 and Lambda = diag(phases); both are None
+    when u is not monomial.
     """
 
-    is_monomial: bool
     permutation: tuple | None = None
     phases: tuple | None = None
+
+    @property
+    def is_monomial(self) -> bool:
+        return self.permutation is not None
 
 
 def monomial_check(u) -> MonomialCheck:
     """Decompose u as permutation times diagonal, if it is monomial."""
     u = as_dense(u)
     heavy = np.abs(u) > TOL
-    if not (heavy.sum(axis=0) == 1).all() or not (heavy.sum(axis=1) == 1).all():
-        return MonomialCheck(False)
-    if not np.isfinite(u).all():  # an infinite entry is no phase
-        return MonomialCheck(False)
+    one_each = (heavy.sum(axis=0) == 1).all() and (heavy.sum(axis=1) == 1).all()
+    if not (one_each and np.isfinite(u).all()):  # an infinite entry is no phase
+        return MonomialCheck()
     rows = heavy.argmax(axis=0)
     phases = u[rows, np.arange(u.shape[0])]
-    return MonomialCheck(True, tuple(int(r) for r in rows), tuple(phases))
+    return MonomialCheck(tuple(int(r) for r in rows), tuple(phases))
 
 
 def close_up_to_phase(u, v) -> bool:

@@ -29,20 +29,24 @@ class ExpansionResult:
     """Support coset and coefficients of a Clifford in the Pauli basis.
 
     a0 is the anchor point, image_basis spans Im(I + C) (one vector per
-    row), s = dim Ker(I + C), support holds the 2^{2n-s} coset points
-    (rows, anchor first) and values the matching complex coefficients.
-    The anchor coefficient is gauged real positive.
+    row), support holds the 2^{2n-s} coset points (rows, anchor first)
+    and values the matching complex coefficients, where
+    s = dim Ker(I + C) = 2n - rank(I + C).  The anchor coefficient is
+    gauged real positive.
     """
 
     a0: np.ndarray
     image_basis: np.ndarray
-    s: int
     support: np.ndarray
     values: np.ndarray
 
     @property
     def n(self) -> int:
         return self.a0.size // 2
+
+    @property
+    def s(self) -> int:
+        return 2 * self.n - len(self.image_basis)
 
     @property
     def magnitude(self) -> float:
@@ -152,7 +156,7 @@ def expand(rep: CliffordRep) -> ExpansionResult:
     values.flags.writeable = False
     a0.flags.writeable = False
     gens.flags.writeable = False
-    return ExpansionResult(a0=a0, image_basis=gens, s=s, support=support, values=values)
+    return ExpansionResult(a0=a0, image_basis=gens, support=support, values=values)
 
 
 def rep_to_dense(rep: CliffordRep) -> np.ndarray:

@@ -15,20 +15,21 @@ The operators Q_i are one stack in U's engine: Monomials when U is one
 (every library gate but H is, and so is gottesman_mochon's pair), and
 dense matrices otherwise.  Each step has one body on the stack's engine
 (dense._engine); only normalize_family, which conjugates dense families
-alone, guards against a Monomial family outside block form.  The reps
-are two bit stacks, cs and hs in clifford.product_table's layout, kept
-as the stacked Clifford test of the 2n conjugates passes them, and no
-step builds a CliffordRep from them.  validate reads one product_table
-of all (2n)^2 ordered products and a few stacked products of the ops;
+alone, asks the engine whether a family outside block form is Monomial.
+The reps are two bit stacks, cs and hs in clifford.product_table's
+layout, kept as the stacked Clifford test of the 2n conjugates passes
+them, and the qubit count is read off hs; only build_fmap builds
+CliffordReps from them.  validate reads one product_table of all
+(2n)^2 ordered products and a few stacked products of the ops;
 normalize_family conjugates the rep stack by two product tables.  The
 kernel comes from coset doubling over the 2^n f-vectors, its products
 are folded on bits (_products), and the n spectra come from one stacked
 lambda-products evaluation.  The rng-gated cross-checks of
 extract_certificate realize a few kernel products as one Monomial stack
-and compare them with the ops in the family's engine, so on a Monomial
-family every step after generators_from_gate is O(2^n) per operator.
-Dense matrices serve only the non-monomial input, its conjugator, and
-the tests.
+and compare them with the ops in the family's engine, multiplied by the
+engine's own @, so on a Monomial family every step after
+generators_from_gate is O(2^n) per operator.  Dense matrices serve only
+the non-monomial input, its conjugator, and the tests.
 
 build_fmap and fmap_kernel scan all 2^{2n} rep products instead; they
 are kept as the independent reference that orbit_kernel is tested
@@ -38,7 +39,8 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .dense import (
     _clifford_stack,
     _close_stack,
     _engine,
-    _is_integer,
     _lambda_products,
     _per_stack,
     _realize_involutions,
@@ -75,42 +76,42 @@ class GeneratorFamily:
 
     Rep i is (cs[i], hs[i]), two uint8 bit stacks of shapes (2n, 2n, 2n)
     and (2n, 2n) in product_table's layout; ops is one stack, a (2n, 2^n)
-    Monomial or a (2n, 2^n, 2^n) array, and ops[i] realizes rep i.  qs
-    holds the reps as checked CliffordReps, built on first read, for
-    callers off the stacked path (build_fmap and the tests).
+    Monomial or a (2n, 2^n, 2^n) array, and ops[i] realizes rep i.  The
+    qubit count n is read off hs, so no field can disagree with it.
     """
 
     cs: np.ndarray
     hs: np.ndarray
     ops: Monomial | np.ndarray
-    n: int
 
-    @cached_property
-    def qs(self) -> tuple:
-        return tuple(map(CliffordRep, self.cs, self.hs))
+    @property
+    def n(self) -> int:
+        return self.hs.shape[1] // 2
 
     def validate(self):
         """Check the fields, then the reps and the ops; raise ValueError
         naming the first failure.
 
-        The fields: n an integer >= 1, cs and hs uint8 bit arrays of
-        shapes (2n, 2n, 2n) and (2n, 2n), and 2n ops of size 2^n in one
-        stack of either engine (TypeError for any other ops type).  The
-        reps: every C symplectic and, in one product_table of all products
-        q_i q_j, each q_i q_i the identity rep and the table symmetric
-        (the reps commute up to a sign).  The ops: each squares to I, and
-        each pair commutes, or anticommutes exactly for (Z_i, X_i) of one
-        qubit, one stacked product per chunk (_per_stack) and order.
-        Failures are named in index order, pairs i < j by i, then j.
+        The fields: cs and hs uint8 bit arrays, hs with an even number
+        2n >= 2 of columns, of shapes (2n, 2n, 2n) and (2n, 2n), and 2n
+        ops of size 2^n in one stack of either engine (TypeError for any
+        other ops type).  The reps: every C symplectic and, in one
+        product_table of all products q_i q_j, each q_i q_i the identity
+        rep and the table symmetric (the reps commute up to a sign).  The
+        ops: each squares to I, and each pair commutes, or anticommutes
+        exactly for (Z_i, X_i) of one qubit, one stacked product per chunk
+        (_per_stack) and order.  Failures are named in index order, pairs
+        i < j by i, then j.
         """
-        n, cs, hs, ops = self.n, self.cs, self.hs, self.ops
-        if not _is_integer(n) or n < 1:
-            raise ValueError(f"generator family n={n!r} is not an integer >= 1")
-        m = 2 * n
+        cs, hs, ops = self.cs, self.hs, self.ops
         for name, bits, ndim in (("cs", cs, 3), ("hs", hs, 2)):
             uint8 = isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == ndim
             if not uint8 or bits.max(initial=0) > 1:
                 raise ValueError(f"generator reps {name} are not a {ndim}-d uint8 bit array")
+        if hs.shape[1] < 2 or hs.shape[1] % 2:
+            raise ValueError(f"generator reps hs have {hs.shape[1]} columns, not an even count >= 2")
+        n = self.n
+        m = 2 * n
         if len(cs) != m:
             raise ValueError(f"expected {m} generators, got {len(cs)}")
         try:
@@ -121,8 +122,6 @@ class GeneratorFamily:
         if ops.shape[0] != m or ops.shape[-1] != 1 << n:
             got = f"{ops.shape[0]} of size {ops.shape[-1]}"
             raise ValueError(f"expected {m} generator ops of size {1 << n}, got {got}")
-        if cs.shape[1] == cs.shape[2] != m and cs.shape[2] % 2 == 0:
-            raise ValueError(f"qubit counts differ: {n} vs {cs.shape[2] // 2}")
         for name, bits, shape in (("cs", cs, (m, m, m)), ("hs", hs, (m, m))):
             if bits.shape != shape:
                 raise ValueError(f"generator reps {name} have shape {bits.shape}, expected {shape}")
@@ -190,7 +189,7 @@ def generators_from_gate(u) -> GeneratorFamily:
             f"input is not a third-level gate: conjugated generator {first} is not Clifford"
         )
     ct, hs = found
-    family = GeneratorFamily(*map(gf2.frozenbits, (np.swapaxes(ct, 1, 2), hs)), ops, n)
+    family = GeneratorFamily(*map(gf2.frozenbits, (np.swapaxes(ct, 1, 2), hs)), ops)
     family.validate()
     return family
 
@@ -208,7 +207,7 @@ def normalize_family(family: GeneratorFamily):
     n = family.n
     if family.is_block_form():
         return family, CliffordRep.identity(n)
-    if isinstance(family.ops, Monomial):
+    if _engine(family.ops) is Monomial:
         raise AssertionError("a family of Monomial ops is not in block form")
     snf = commuting_set_normal_form(family.cs)
     q_m = CliffordRep(snf.m, np.zeros(2 * n, dtype=np.uint8))
@@ -218,7 +217,7 @@ def normalize_family(family: GeneratorFamily):
     cs, hs = product_table(cs[0], hs[0], q_m_inv.c[None], q_m_inv.h[None])
     v = rep_to_dense(q_m)
     cs, hs = map(gf2.frozenbits, (cs[:, 0], hs[:, 0]))
-    out = GeneratorFamily(cs, hs, v @ family.ops @ v.conj().T, n)
+    out = GeneratorFamily(cs, hs, v @ family.ops @ v.conj().T)
     out.validate()
     if not out.is_block_form():
         raise AssertionError("conjugated family is not in block form")
@@ -243,6 +242,7 @@ def build_fmap(family: GeneratorFamily) -> FMapScan:
     if not family.is_block_form():
         raise ValueError("family must be normalized to block form first")
     n = family.n
+    qs = tuple(map(CliffordRep, family.cs, family.hs))
     m = 2 * n
     count = 1 << m
     reps: list = [None] * count
@@ -254,7 +254,7 @@ def build_fmap(family: GeneratorFamily) -> FMapScan:
     for t in range(1, count):
         gray = t ^ (t >> 1)
         k = (prev_gray ^ gray).bit_length() - 1
-        current = compose(family.qs[k], current)
+        current = compose(qs[k], current)
         reps[gray] = current
         fvals[gray] = current.f
         prev_gray = gray
@@ -386,24 +386,17 @@ class GscCertificate:
     conjugator moves the family to block form; the kernel-product reps
     over kernel_basis realize as diagonal involutions, diag(spectra[r]),
     whose group spans the full diagonal algebra, i.e. the span of the
-    sigma_z subgroup.
+    sigma_z subgroup.  n is read off the conjugator.
     """
 
-    n: int
     conjugator: CliffordRep
     kernel_basis: np.ndarray
     spectra: tuple
     verdicts: dict
 
-
-def _op_product(family: GeneratorFamily, bits):
-    """The product of the generator ops over a nonzero exponent vector (a
-    kernel row), in index order, from the first factor (as _products)."""
-    factors = np.flatnonzero(bits)
-    prod = family.ops[factors[0]]
-    for k in factors[1:]:
-        prod = prod @ family.ops[k]
-    return prod
+    @property
+    def n(self) -> int:
+        return self.conjugator.n
 
 
 def extract_certificate(
@@ -446,8 +439,9 @@ def extract_certificate(
             rng.choice(len(kernel), size=2, replace=False)
             for _ in range(min(3, len(kernel) * (len(kernel) - 1) // 2))
         ]
-        # the product of generator ops of each drawn kernel row, built once
-        prods = {r: _op_product(family, kernel[r]) for r in {*rows, *np.ravel(pairs)}}
+        # the product of generator ops of each drawn kernel row, in index order, built once
+        drawn = {*rows, *np.ravel(pairs)}
+        prods = {r: reduce(matmul, family.ops[np.flatnonzero(kernel[r])]) for r in drawn}
         realized = _realize_involutions(cs[rows], hs[rows])
         diagonal = Monomial(np.broadcast_to(np.arange(dim), realized.perm.shape), spectra[rows])
         if not _close_stack(realized, diagonal).all():
@@ -472,13 +466,7 @@ def extract_certificate(
         "span_full": True,
         "dense_cross_checks": checks,
     }
-    return GscCertificate(
-        n=n,
-        conjugator=conjugator,
-        kernel_basis=kernel,
-        spectra=tuple(spectra),
-        verdicts=verdicts,
-    )
+    return GscCertificate(conjugator, kernel, tuple(spectra), verdicts)
 
 
 def run_pipeline(u, rng=None) -> GscCertificate:
@@ -518,7 +506,7 @@ def counterexample_report(rng=None) -> dict:
     """
     u, v = gottesman_mochon()
     n = 7
-    ident = _engine(u).from_monomial(Monomial.identity(n))
+    ident = Monomial.identity(n)
     if not (close(u @ u, ident) and close(v @ v, ident)):
         raise AssertionError("constituents are not involutions")
     uv = u @ v

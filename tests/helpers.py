@@ -58,8 +58,11 @@ library's _products and _alpha_on.
 random_circuit, write_circuit and parse_pauli (the inverse of
 PhasedPauli's repr) are samplers, writers and readers that only tests
 use; stack_ops builds the one operator stack that GeneratorFamily.ops
-holds from single matrices, through the engine's stack, and family_of
-an unvalidated GeneratorFamily from a sequence of CliffordReps.
+holds from single matrices, through the engine's stack, family_of an
+unvalidated GeneratorFamily from a sequence of CliffordReps, whose
+qubit count is read off their h-vectors, and reps_of the reverse: a
+family's reps as checked CliffordReps, which the library builds only
+in build_fmap.
 """
 
 from __future__ import annotations
@@ -261,10 +264,15 @@ def stack_ops(ops):
     return _engine(ops[0]).stack(ops)
 
 
-def family_of(reps, ops, n) -> GeneratorFamily:
+def family_of(reps, ops) -> GeneratorFamily:
     """An unvalidated GeneratorFamily holding the bits of the CliffordReps
     reps as its cs and hs stacks."""
-    return GeneratorFamily(np.stack([q.c for q in reps]), np.stack([q.h for q in reps]), ops, n)
+    return GeneratorFamily(np.stack([q.c for q in reps]), np.stack([q.h for q in reps]), ops)
+
+
+def reps_of(family: GeneratorFamily) -> tuple:
+    """The family's reps as checked CliffordReps, rep i from (cs[i], hs[i])."""
+    return tuple(map(CliffordRep, family.cs, family.hs))
 
 
 def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
@@ -1151,7 +1159,7 @@ def orbit_kernel_oracle(family: GeneratorFamily) -> np.ndarray:
     weights = 1 << np.arange(n)
     moves = [
         (int(q.f @ weights), [int(row @ weights) for row in q.c[:n, :n]])
-        for q in family.qs
+        for q in reps_of(family)
     ]
     word = {0: 0}
     points = [0]

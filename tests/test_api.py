@@ -1,13 +1,22 @@
 """The package's public names, pinned: removing or renaming one is an API
 change, and it should show up as an edit to this list.  Every exported
 function has a caller outside the tests, and every top-level name of the
-library is read somewhere: both checked by parsing the sources."""
+library is read somewhere: both checked by parsing the sources.  The
+value types store only the fields that no other field fixes, also
+pinned."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import semiclifford
+from semiclifford.clifford import CliffordRep
+from semiclifford.dense import MonomialCheck, monomial_check
+from semiclifford.expansion import ExpansionResult, expand
+from semiclifford.pipeline import GeneratorFamily, GscCertificate, run_pipeline
 from test_benchmark_hooks import _perfbench_layers
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -121,3 +130,21 @@ def test_every_top_level_library_name_is_read_somewhere():
         if not name.startswith("__")
     ]
     assert unread == []
+
+
+def test_value_types_store_only_the_fields_no_other_field_fixes():
+    # n, s and is_monomial are read off the stored fields, so no instance
+    # holds one that disagrees with them
+    types = (GeneratorFamily, GscCertificate, ExpansionResult, MonomialCheck)
+    assert {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in types} == {
+        "GeneratorFamily": ["cs", "hs", "ops"],
+        "GscCertificate": ["conjugator", "kernel_basis", "spectra", "verdicts"],
+        "ExpansionResult": ["a0", "image_basis", "support", "values"],
+        "MonomialCheck": ["permutation", "phases"],
+    }
+    cert = run_pipeline(np.diag([1, np.exp(1j * np.pi / 4)]))
+    assert cert.n == 1 and type(cert.n) is int
+    res = expand(CliffordRep.identity(2))
+    assert res.s == 4 and type(res.s) is int
+    for u, want in ((np.eye(2), True), (np.ones((2, 2)) / np.sqrt(2), False)):
+        assert monomial_check(u).is_monomial is want

@@ -17,6 +17,7 @@ from helpers import (
     random_circuit,
     random_clifford_dense,
     reps_commute,
+    reps_of,
     sign_data_uint8,
     standard_gate,
     symplectic_mask_uint8,
@@ -423,7 +424,7 @@ def test_product_table_matches_compose_on_the_uv_family():
     from semiclifford.pipeline import generators_from_gate, gottesman_mochon
 
     u, v = gottesman_mochon()
-    _assert_table_matches_compose(generators_from_gate(u @ v).qs)
+    _assert_table_matches_compose(reps_of(generators_from_gate(u @ v)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

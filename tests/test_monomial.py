@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import embed_gate_oracle, family_of, random_circuit, stack_ops
+from helpers import embed_gate_oracle, random_circuit, reps_of, stack_ops
 from semiclifford.circuits import (
     GATE_ARITY,
     GATE_MATRICES,
@@ -34,6 +34,7 @@ from semiclifford.dense import (
 )
 from semiclifford.pauli import PhasedPauli, pauli_to_dense
 from semiclifford.pipeline import (
+    GeneratorFamily,
     generators_from_gate,
     gottesman_mochon,
     normalize_family,
@@ -335,7 +336,7 @@ def test_uv_family_reps_match_dense():
     fam_m = generators_from_gate(uv)
     fam_d = generators_from_gate(uv.to_dense())
     assert all(isinstance(op, Monomial) for op in fam_m.ops)
-    assert fam_m.qs == fam_d.qs
+    assert reps_of(fam_m) == reps_of(fam_d)
     for om, od in zip(fam_m.ops, fam_d.ops):
         assert close(om.to_dense(), od)
 
@@ -362,7 +363,7 @@ def _validate_error(family, k, mutate):
     ops = list(family.ops)
     ops[k] = mutate(ops[k])
     with pytest.raises(ValueError) as exc:
-        family_of(family.qs, stack_ops(ops), family.n).validate()
+        GeneratorFamily(family.cs, family.hs, stack_ops(ops)).validate()
     return str(exc.value)
 
 
@@ -391,7 +392,7 @@ def test_normalize_family_refuses_monomial_family_outside_block_form():
     # reps of H T are not in block form; Monomial ops never come with such reps
     dense = generators_from_gate(GATE_MATRICES["H"] @ GATE_MATRICES["T"])
     assert not dense.is_block_form()
-    fake = family_of(dense.qs, stack_ops((Monomial.identity(1),) * 2), 1)
+    fake = GeneratorFamily(dense.cs, dense.hs, stack_ops((Monomial.identity(1),) * 2))
     with pytest.raises(AssertionError, match="not in block form"):
         normalize_family(fake)
 

@@ -8,6 +8,7 @@ from helpers import (
     pattern_matrix,
     product_rep,
     random_c3_gate,
+    reps_of,
     embed_gate_oracle,
     random_clifford_dense,
     random_monomial_c3_gate,
@@ -47,7 +48,7 @@ from semiclifford.pipeline import (
 
 def test_identity_family_is_bare_paulis():
     fam = generators_from_gate(np.eye(4, dtype=complex))
-    for i, q in enumerate(fam.qs):
+    for i, q in enumerate(reps_of(fam)):
         a = np.zeros(4, dtype=np.uint8)
         a[i] = 1
         assert q == from_pauli(PhasedPauli(0, 0, a))
@@ -56,8 +57,10 @@ def test_identity_family_is_bare_paulis():
 def test_hadamard_family_swaps():
     fam = generators_from_gate(GATE_MATRICES["H"])
     # H Z H = X, H X H = Z
-    assert fam.qs[0] == from_pauli(PhasedPauli(0, 0, [0, 1]))
-    assert fam.qs[1] == from_pauli(PhasedPauli(0, 0, [1, 0]))
+    assert reps_of(fam)[:2] == (
+        from_pauli(PhasedPauli(0, 0, [0, 1])),
+        from_pauli(PhasedPauli(0, 0, [1, 0])),
+    )
 
 
 def test_t_family_has_non_pauli_member():
@@ -117,7 +120,7 @@ def test_normalize_family_t_gate():
     out, qm = normalize_family(fam)
     assert out.is_block_form()
     qm_inv = inverse(qm)
-    for q, q0 in zip(out.qs, fam.qs):
+    for q, q0 in zip(reps_of(out), reps_of(fam)):
         assert q == compose(compose(qm, q0), qm_inv)
 
 
@@ -135,7 +138,7 @@ def test_normalize_family_tables_equal_the_per_rep_compose_oracle(n, rng):
         out, qm = normalize_family(fam)
         moved += out is not fam
         qm_inv = inverse(qm)
-        for q, c, h in zip(fam.qs, out.cs, out.hs, strict=True):
+        for q, c, h in zip(reps_of(fam), out.cs, out.hs, strict=True):
             want = compose(compose(qm, q), qm_inv)
             assert c.dtype == want.c.dtype and c.shape == want.c.shape
             assert c.tobytes() == want.c.tobytes() and h.tobytes() == want.h.tobytes()
@@ -152,7 +155,7 @@ def test_normalize_family_nontrivial(rng):
     assert out.is_block_form()
     out.validate()
     qm_inv = inverse(qm)
-    for q, q0 in zip(out.qs, fam.qs):
+    for q, q0 in zip(reps_of(out), reps_of(fam)):
         assert q == compose(compose(qm, q0), qm_inv)
 
 
@@ -170,7 +173,7 @@ def test_fmap_values_and_additivity(rng):
     # T(0) = 0 and T(e_k) = f-vector of generator k
     assert not scan.fvals[0].any()
     for k in range(2 * n):
-        assert np.array_equal(scan.fvals[1 << k], norm.qs[k].f)
+        assert np.array_equal(scan.fvals[1 << k], reps_of(norm)[k].f)
     # T(x + y) = T(x) + A_x^T T(y)
     for _ in range(40):
         x = int(rng.integers(0, 1 << (2 * n)))
@@ -226,7 +229,7 @@ def test_orbit_kernel_matches_scan_oracle(n, rng):
     moved = False
     for u in gates:
         norm, _ = normalize_family(generators_from_gate(u))
-        moved |= any((q.c[:n, :n] != gf2.ident(n)).any() for q in norm.qs)
+        moved |= any((q.c[:n, :n] != gf2.ident(n)).any() for q in reps_of(norm))
         kernel = orbit_kernel(norm)
         assert np.array_equal(kernel, orbit_kernel_oracle(norm))
         if n <= 5:
@@ -253,10 +256,11 @@ def test_product_rep_equals_the_fold_from_the_identity(rng):
     for fam in families:
         m = 2 * fam.n
         rows = [np.zeros(m, np.uint8)] + list(gf2.ident(m)) + list(rng.integers(0, 2, (20, m)))
+        qs = reps_of(fam)
         for row in rows:
             fold = CliffordRep.identity(fam.n)
             for k in np.flatnonzero(row):
-                fold = compose(fam.qs[k], fold)
+                fold = compose(qs[k], fold)
             assert product_rep(fam, row) == fold
 
 
@@ -280,7 +284,7 @@ def test_orbit_kernel_rejects_a_copy_that_meets_the_orbit():
         CliffordRep(gf2.ident(2 * n), [1, 0, 0, 0]),
         CliffordRep(c1, [0, 1, 0, 0]),
     ) + (CliffordRep.identity(n),) * 2
-    fam = family_of(qs, stack_ops((np.eye(1 << n),) * (2 * n)), n)
+    fam = family_of(qs, stack_ops((np.eye(1 << n),) * (2 * n)))
     with pytest.raises(AssertionError, match="^generator 1 maps the orbit of 0 partly into"):
         orbit_kernel(fam)
 
@@ -289,7 +293,7 @@ def test_small_orbit_family_fails_both_paths():
     # unvalidated: every product is the identity, so the orbit of 0 is {0}
     # and the zero set is everything
     n = 2
-    fam = family_of((CliffordRep.identity(n),) * (2 * n), stack_ops((np.eye(1 << n),) * (2 * n)), n)
+    fam = family_of((CliffordRep.identity(n),) * (2 * n), stack_ops((np.eye(1 << n),) * (2 * n)))
     with pytest.raises(AssertionError, match="orbit of 0 has 1 points") as got:
         orbit_kernel(fam)
     with pytest.raises(AssertionError) as oracle:
@@ -337,10 +341,12 @@ def test_counterexample_level_matches_full_hierarchy_test():
 
 
 def test_counterexample_report_rejects_gate_outside_level_3(monkeypatch):
-    # C^6 Z is an involution at level 7, so the shared family fails
+    # C^6 Z is an involution at level 7, so the shared family fails; the
+    # report takes its pair as Monomials, as gottesman_mochon builds it
     c6z = np.diag([1.0] * 127 + [-1.0]).astype(complex)
     monkeypatch.setattr(
-        "semiclifford.pipeline.gottesman_mochon", lambda: (np.eye(128, dtype=complex), c6z)
+        "semiclifford.pipeline.gottesman_mochon",
+        lambda: (Monomial.identity(7), Monomial.from_dense(c6z)),
     )
     with pytest.raises(ValueError, match="not a third-level gate"):
         counterexample_report()
@@ -434,12 +440,12 @@ def test_certificate_realizes_only_in_the_cross_check(monkeypatch):
 
 def test_generator_reps_equal_the_checked_constructor_bit_for_bit(rng):
     # the family keeps the stacked Clifford test's bits as they are, and
-    # qs reads each rep of the stacks through the checked constructor
+    # reps_of reads each rep of the stacks through the checked constructor
     for gate in _kernel_families(rng):
         fam = generators_from_gate(gate)
         for arr in (fam.cs, fam.hs):
             assert arr.dtype == np.uint8 and arr.flags.c_contiguous and not arr.flags.writeable
-        for q, c, h in zip(fam.qs, fam.cs, fam.hs, strict=True):
+        for q, c, h in zip(reps_of(fam), fam.cs, fam.hs, strict=True):
             ref = CliffordRep(c, h)
             for got, want in ((q.c, ref.c), (q.h, ref.h), (q.d, ref.d), (c, ref.c), (h, ref.h)):
                 assert got.dtype == want.dtype and got.shape == want.shape
@@ -452,7 +458,7 @@ def test_generator_reps_equal_the_checked_constructor_bit_for_bit(rng):
 def _uv_candidates():
     """(bits, ct) of the UV family's generator images, as _clifford_reps reads them."""
     u, v = gottesman_mochon()
-    qs = generators_from_gate(u @ v).qs
+    qs = reps_of(generators_from_gate(u @ v))
     ct = np.stack([q.c.T for q in qs])
     n = ct.shape[-1] // 2
     delta = (ct[..., :n] & ct[..., n:]).sum(axis=-1) & 1
@@ -500,10 +506,10 @@ def _t_family():
 
 
 def _with_reps(family, replace):
-    qs = list(family.qs)
+    qs = list(reps_of(family))
     for k, q in replace.items():
         qs[k] = q
-    return family_of(tuple(qs), family.ops, family.n)
+    return family_of(tuple(qs), family.ops)
 
 
 def test_validate_names_the_first_non_involution_rep():
@@ -518,34 +524,37 @@ def test_validate_names_the_first_incompatible_pair():
     # generator 3 moves e_1 (C_3^T e_1 != e_1), so only pairs (0, 3) and
     # (1, 3) stop commuting
     fam = _t_family()
+    qs = reps_of(fam)
     flipped = {}
     for k in (0, 1):
-        h = fam.qs[k].h.copy()
+        h = qs[k].h.copy()
         h[1] ^= 1
-        flipped[k] = CliffordRep(fam.qs[k].c, h)
+        flipped[k] = CliffordRep(qs[k].c, h)
     with pytest.raises(ValueError, match="^generators 0 and 3 have incompatible reps$"):
         _with_reps(fam, flipped).validate()
     with pytest.raises(ValueError, match="^generators 1 and 3 have incompatible reps$"):
         _with_reps(fam, {1: flipped[1]}).validate()
 
 
-@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, 0, -1, "1", None])
-def test_validate_rejects_an_n_that_is_not_an_integer_of_at_least_one(n):
-    # n=True passed as a one-qubit family, and n=1.5 expected 3.0 generators
-    fam = generators_from_gate(GATE_MATRICES["T"])
-    bad = GeneratorFamily(fam.cs, fam.hs, fam.ops, n)
-    with pytest.raises(ValueError, match=f"^generator family n={n!r} is not an integer >= 1$"):
-        bad.validate()
-    GeneratorFamily(fam.cs, fam.hs, fam.ops, np.int64(1)).validate()
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_validate_rejects_an_hs_whose_width_is_not_2n(width):
+    # the family reads n off the width of hs, so that width must be 2n, n >= 1
+    fam = _t_family()
+    hs = np.zeros((4, width), dtype=np.uint8)
+    message = f"^generator reps hs have {width} columns, not an even count >= 2$"
+    with pytest.raises(ValueError, match=message):
+        GeneratorFamily(fam.cs, hs, fam.ops).validate()
+    assert fam.n == 2 and type(fam.n) is int
 
 
 def test_validate_rejects_reps_that_are_not_bit_arrays():
     # a tuple of reps raised a bare AttributeError on its non-rep entry
     fam = _t_family()
     cs, hs = fam.cs, fam.hs
+    qs = reps_of(fam)
     cases = [
-        ("cs", (fam.qs[0], 1, fam.qs[2], fam.qs[3]), hs, "are not a 3-d uint8 bit array"),
-        ("cs", fam.qs, hs, "are not a 3-d uint8 bit array"),
+        ("cs", (qs[0], 1, qs[2], qs[3]), hs, "are not a 3-d uint8 bit array"),
+        ("cs", qs, hs, "are not a 3-d uint8 bit array"),
         ("cs", cs.astype(np.int64), hs, "are not a 3-d uint8 bit array"),
         ("cs", cs[0], hs, "are not a 3-d uint8 bit array"),
         ("hs", cs, hs.tolist(), "are not a 2-d uint8 bit array"),
@@ -553,16 +562,15 @@ def test_validate_rejects_reps_that_are_not_bit_arrays():
         ("cs", 2 * cs, hs, "are not a 3-d uint8 bit array"),
         ("hs", cs, hs + 2, "are not a 2-d uint8 bit array"),
         ("cs", cs[:, :, :3], hs, r"have shape \(4, 4, 3\), expected \(4, 4, 4\)"),
-        ("hs", cs, hs[:, :3], r"have shape \(4, 3\), expected \(4, 4\)"),
+        ("hs", cs, hs[:3], r"have shape \(3, 4\), expected \(4, 4\)"),
+        # square C's of another even size are reps on another qubit count
+        ("cs", cs[:, :2, :2], hs, r"have shape \(4, 2, 2\), expected \(4, 4, 4\)"),
     ]
     for name, bad_cs, bad_hs, message in cases:
         with pytest.raises(ValueError, match=f"^generator reps {name} {message}$"):
-            GeneratorFamily(bad_cs, bad_hs, fam.ops, 2).validate()
+            GeneratorFamily(bad_cs, bad_hs, fam.ops).validate()
     with pytest.raises(ValueError, match="^expected 4 generators, got 3$"):
-        GeneratorFamily(cs[:3], hs[:3], fam.ops, 2).validate()
-    # square C's of another even size are reps on another qubit count
-    with pytest.raises(ValueError, match="^qubit counts differ: 2 vs 1$"):
-        GeneratorFamily(cs[:, :2, :2], hs, fam.ops, 2).validate()
+        GeneratorFamily(cs[:3], hs[:3], fam.ops).validate()
 
 
 def test_validate_rejects_a_c_that_is_not_symplectic():
@@ -570,7 +578,7 @@ def test_validate_rejects_a_c_that_is_not_symplectic():
     cs = fam.cs.copy()
     cs[2] = 0
     with pytest.raises(ValueError, match="^C is not symplectic$"):
-        GeneratorFamily(cs, fam.hs, fam.ops, 2).validate()
+        GeneratorFamily(cs, fam.hs, fam.ops).validate()
 
 
 # the fourth root of Z sits at level 4: its X conjugate is not Clifford
@@ -623,7 +631,7 @@ def test_certificate_pair_check_compares_the_generator_ops():
     fam = generators_from_gate(np.eye(1 << n, dtype=complex))
     ops = list(fam.ops)
     ops[3] = pauli_to_dense(PhasedPauli(0, 0, [0] * n + [1] * n))
-    bad = family_of(fam.qs, stack_ops(ops), n)
+    bad = GeneratorFamily(fam.cs, fam.hs, stack_ops(ops))
     # seed 17 realizes kernel rows 0, 1 and 2 only, then draws the pair (3, 1)
     draws = np.random.default_rng(17)
     assert 3 not in draws.choice(n, size=3, replace=False)
@@ -638,7 +646,7 @@ def _with_ops(family, replace):
     ops = list(family.ops)
     for k, op in replace.items():
         ops[k] = op
-    return family_of(family.qs, stack_ops(ops), family.n)
+    return GeneratorFamily(family.cs, family.hs, stack_ops(ops))
 
 
 def _uv_family():
@@ -655,10 +663,10 @@ def test_validate_rejects_ops_that_are_not_2n_matrices_of_size_2_to_the_n(monomi
     wider = generators_from_gate(Monomial.identity(3) if monomial else np.eye(8)).ops
     cases = [(ops[:3], "3 of size 4"), (ops + ops[:1], "5 of size 4"), (wider[:4], "4 of size 8")]
     for wrong, got in cases:
-        bad = family_of(fam.qs, stack_ops(wrong), 2)
+        bad = GeneratorFamily(fam.cs, fam.hs, stack_ops(wrong))
         with pytest.raises(ValueError, match=f"^expected 4 generator ops of size 4, got {got}$"):
             bad.validate()
-    family_of(fam.qs, stack_ops(ops), 2).validate()
+    GeneratorFamily(fam.cs, fam.hs, stack_ops(ops)).validate()
 
 
 @pytest.mark.parametrize("monomial", [True, False])
@@ -669,16 +677,17 @@ def test_validate_rejects_ops_that_are_not_one_stack(monomial):
     for ops in (tuple(f.ops), list(f.ops)):
         message = f"^generator ops are a {type(ops).__name__}, not a Monomial or ndarray stack$"
         with pytest.raises(TypeError, match=message):
-            family_of(f.qs, ops, 2).validate()
+            GeneratorFamily(f.cs, f.hs, ops).validate()
 
 
 def test_validate_rejects_reps_of_another_qubit_count():
     # the first four reps of the 3-qubit identity family commute in a
-    # valid pattern, but they act on 3 qubits, not on the family's 2
-    reps = generators_from_gate(np.eye(8, dtype=complex)).qs[:4]
+    # valid pattern, but they act on 3 qubits, so the family reads n = 3
+    # off them and four reps are too few for it; so are 2-qubit ops
+    reps = reps_of(generators_from_gate(np.eye(8, dtype=complex)))[:4]
     ops = generators_from_gate(np.eye(4, dtype=complex)).ops
-    with pytest.raises(ValueError, match="^qubit counts differ: 2 vs 3$"):
-        family_of(reps, ops, 2).validate()
+    with pytest.raises(ValueError, match="^expected 6 generators, got 4$"):
+        family_of(reps, ops).validate()
 
 
 def test_validate_names_the_first_op_that_does_not_square_to_i():
@@ -704,7 +713,7 @@ def test_validate_names_the_first_pair_that_breaks_the_sign_pattern(monomial):
     # index order (i, then j > i) although (1, 3) has the smaller j
     fam = _uv_family()
     if not monomial:
-        fam = family_of(fam.qs, fam.ops.to_dense(), fam.n)
+        fam = GeneratorFamily(fam.cs, fam.hs, fam.ops.to_dense())
     ops = fam.ops
     bad = _with_ops(fam, {5: ops[5] @ ops[7], 3: ops[3] @ ops[8]})
     with pytest.raises(ValueError, match="^generator ops 0, 5 break the sign pattern$"):
@@ -807,7 +816,7 @@ def test_warm_counterexample_report_builds_one_rep_and_never_reads_qs(monkeypatc
     built = []
     init = CliffordRep.__init__
     monkeypatch.setattr(CliffordRep, "__init__", lambda *args: built.append(init(*args)))
-    monkeypatch.setattr(GeneratorFamily, "qs", property(lambda self: pytest.fail("read qs")))
+    assert not hasattr(GeneratorFamily, "qs")  # no second copy of the reps to read
     report = counterexample_report(rng=np.random.default_rng(1))
     assert report["certificate"].conjugator.is_identity()
     assert len(built) == 1

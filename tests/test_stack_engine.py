@@ -251,5 +251,4 @@ def test_only_the_engine_dispatch_tests_for_a_monomial():
         for scope in _monomial_type_tests(ast.parse(path.read_text()))
     ]
     outside = [s for s in sites if not s.startswith("dense.Monomial.")]
-    # normalize_family's guard raises on a Monomial family outside block form
-    assert outside == ["dense._engine", "pipeline.normalize_family"]
+    assert outside == ["dense._engine"]
