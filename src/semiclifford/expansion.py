@@ -50,7 +50,7 @@ class ExpansionResult:
 
     @property
     def magnitude(self) -> float:
-        return 2.0 ** (-(2 * self.n - self.s) / 2)
+        return 2.0 ** (-len(self.image_basis) / 2)
 
     @property
     def coeffs(self) -> dict:
