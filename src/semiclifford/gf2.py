@@ -8,11 +8,14 @@ widening is needed at the sizes used here (dimensions well below 256).
 Per-entry elimination runs on packed rows: _pack_rows turns each row
 into one Python int, bit c holding column c, and the work is whole-row
 XORs, the tableau layout of Aaronson-Gottesman (quant-ph/0406196).
-``rref`` (through _eliminate), ``rank`` (which counts pivots without
-unpacking) and ``symmetric_congruence`` work this way, and
+``rref`` and ``rank`` eliminate this way (_eliminate), and
 ``circuits.circuit_to_rep`` keeps its tableau in the same layout.  The
-packing stays inside the functions: every public function here takes
-and returns ``uint8`` arrays.
+packed-row primitives _row_mul, _row_transpose, _row_inverse,
+_row_symplectic_inverse and _row_congruence take and return lists of
+such ints; ``normal_form`` holds its matrices this way from entry to
+result.  ``inverse``, ``symplectic_inverse`` and
+``symmetric_congruence`` are their ``uint8`` faces: each packs its
+input once and unpacks the result.
 """
 
 from __future__ import annotations
@@ -35,12 +38,16 @@ def asbits(data) -> np.ndarray:
             value is silently reduced mod 2.
     """
     arr = np.asarray(data)
-    out = arr if arr.dtype == np.uint8 else arr.astype(np.uint8)
-    # deleting the bytes 0 and 1 leaves nothing of an array of bits; on
-    # small arrays this is several times faster than out.max()
-    if out.tobytes().translate(None, b"\0\1") or (out is not arr and not np.array_equal(out, arr)):
+    if arr.dtype == np.uint8:
+        # deleting the bytes 0 and 1 leaves nothing of an array of bits; on
+        # small arrays this is several times faster than arr.max()
+        if arr.tobytes().translate(None, b"\0\1"):
+            raise ValueError("bit array has an entry other than 0 or 1")
+        return arr
+    # compared before the cast, which warns on nan, inf, 1e20 or complex
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bit array has an entry other than 0 or 1")
-    return out
+    return (arr.real if arr.dtype.kind == "c" else arr).astype(np.uint8)
 
 
 def frozenbits(data) -> np.ndarray:
@@ -231,11 +238,49 @@ def rank(m) -> int:
     return len(_eliminate(_pack_rows(r), r.shape[1]))
 
 
-def inverse(m):
-    """Inverse of a square matrix over GF(2).
+def _row_mul(a, b):
+    """Product of packed-row matrices (_pack_rows): row i is the XOR of
+    b's rows at the set bits of a's row i."""
+    out = []
+    for x in a:
+        acc = 0
+        while x:
+            j = x.bit_length() - 1
+            acc ^= b[j]
+            x ^= 1 << j
+        out.append(acc)
+    return out
 
-    Eliminates the packed rows of (m | I) on the columns of m, as rref
-    of that matrix would, and unpacks the right half.
+
+def _row_transpose(rows, cols):
+    """Transpose of a packed-row matrix with *cols* columns."""
+    out = [0] * cols
+    for i, x in enumerate(rows):
+        bit = 1 << i
+        while x:
+            j = x.bit_length() - 1
+            out[j] |= bit
+            x ^= 1 << j
+    return out
+
+
+def _row_inverse(rows):
+    """Inverse of a square packed-row matrix: eliminates the rows of
+    (m | I) on the columns of m, as rref of that matrix would, and keeps
+    the right half.
+
+    Raises:
+        ValueError: if the matrix is singular.
+    """
+    n = len(rows)
+    aug = [row | 1 << (n + k) for k, row in enumerate(rows)]
+    if _eliminate(aug, n) != list(range(n)):
+        raise ValueError("matrix is singular over GF(2)")
+    return [row >> n for row in aug]
+
+
+def inverse(m):
+    """Inverse of a square matrix over GF(2): _row_inverse on its rows.
 
     Raises:
         ValueError: if *m* is not square or is singular.
@@ -243,38 +288,41 @@ def inverse(m):
     m = asbits(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"not a square matrix: {m.shape}")
-    n = m.shape[0]
-    aug = [row | 1 << (n + k) for k, row in enumerate(_pack_rows(m))]
-    if _eliminate(aug, n) != list(range(n)):
-        raise ValueError("matrix is singular over GF(2)")
-    return _unpack_rows([row >> n for row in aug], n)
+    return _unpack_rows(_row_inverse(_pack_rows(m)), m.shape[0])
 
 
-@lru_cache(maxsize=None)
-def _half_swap_mesh(n):
-    """Read-only index mesh (rows, cols) of the top/bottom half swap of
-    2n coordinates: m[rows, cols] is P m P, P = p_mat(n)."""
-    swap = np.roll(np.arange(2 * n), n)
-    mesh = np.ix_(swap, swap)
-    for arr in mesh:
-        arr.flags.writeable = False
-    return mesh
+def _row_symplectic_inverse(m):
+    """P m^T P for a packed-row matrix m of size 2n, P = p_mat(n).
+
+    m = (A B; C D) in n x n blocks gives P m^T P = (D^T B^T; C^T A^T):
+    m^T with its row halves and its column halves swapped.  That is
+    m^{-1} iff m is symplectic (m^T P m = P and P^2 = I), so the
+    product m (P m^T P) = I is the symplectic test.
+
+    Raises:
+        ValueError: if m is not symplectic.
+    """
+    dim = len(m)
+    n = dim // 2
+    low = (1 << n) - 1
+    t = _row_transpose(m, dim)
+    inv = [x >> n | (x & low) << n for x in t[n:] + t[:n]]
+    if _row_mul(m, inv) != [1 << i for i in range(dim)]:
+        raise ValueError("matrix is not symplectic")
+    return inv
 
 
 def symplectic_inverse(m):
-    """Inverse of a symplectic matrix, P m^T P = (D^T B^T; C^T A^T).
-
-    m^T P m = P and P^2 = I give m^{-1} = P m^T P, so no elimination is
-    needed; m = (A B; C D) in n x n blocks, and P m^T P is one gather of
-    m^T by the half-swap mesh.
+    """Inverse of a symplectic matrix, P m^T P: _row_symplectic_inverse
+    on its rows.
 
     Raises:
         ValueError: if *m* is not square of even size, or not symplectic.
     """
     m = asbits(m)
-    if not is_symplectic(m):
-        raise ValueError("matrix is not symplectic")
-    return m.T[_half_swap_mesh(m.shape[0] // 2)]
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise ValueError(f"need a square even-dimensional matrix, got {m.shape}")
+    return _unpack_rows(_row_symplectic_inverse(_pack_rows(m)), m.shape[0])
 
 
 def solve(m, rhs):
@@ -319,11 +367,6 @@ def _rref_kernel(red, pivots):
     return basis
 
 
-def image_pivots(m) -> list[int]:
-    """Column indices whose columns form a basis of the image."""
-    return rref(m)[1]
-
-
 def is_involution(m) -> bool:
     m = asbits(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -358,29 +401,40 @@ def symplectic_mask(cs):
 
 
 def symmetric_congruence(e):
-    """Congruence-reduce a symmetric matrix to (e 0; 0 0) form.
+    """Congruence-reduce a symmetric matrix to (e 0; 0 0) form:
+    _row_congruence on its rows.
 
     Returns (R, r) with R invertible such that R e R^T has an
     invertible symmetric r x r leading block and zeros elsewhere.
-    Over GF(2) a symmetric matrix can have an all-zero diagonal, so
-    after diagonal pivots are exhausted the remaining alternating part
-    is reduced with antidiagonal 2x2 pivots.
-
-    w = R e R^T and R are held as packed rows (_pack_rows).  Each pivot
-    clears its column(s) by one elementary matrix E = I + sum of
-    e_k e_p^T over the rows k to clear and the pivot columns p; its
-    factors commute, so E w E^T is the product of the single operations
-    in any order, applied here to all rows and then to all columns.
-    Since w is symmetric, the rows k that column p clears are the set
-    bits of row p.
     """
     e0 = asbits(e)
     if e0.ndim != 2 or e0.shape[0] != e0.shape[1]:
         raise ValueError(f"not a square matrix: {e0.shape}")
-    if not np.array_equal(e0, e0.T):
+    big_r, r = _row_congruence(_pack_rows(e0))
+    return _unpack_rows(big_r, e0.shape[0]), r
+
+
+def _row_congruence(e):
+    """symmetric_congruence of a packed-row matrix: (R, r), R packed.
+
+    Over GF(2) a symmetric matrix can have an all-zero diagonal, so
+    after diagonal pivots are exhausted the remaining alternating part
+    is reduced with antidiagonal 2x2 pivots.
+
+    w = R e R^T and R are held as packed rows.  Each pivot clears its
+    column(s) by one elementary matrix E = I + sum of e_k e_p^T over the
+    rows k to clear and the pivot columns p; its factors commute, so
+    E w E^T is the product of the single operations in any order,
+    applied here to all rows and then to all columns.  Since w is
+    symmetric, the rows k that column p clears are the set bits of row p.
+
+    Raises:
+        ValueError: if e is not symmetric.
+    """
+    n = len(e)
+    if _row_transpose(e, n) != e:
         raise ValueError("matrix is not symmetric")
-    n = e0.shape[0]
-    w = _pack_rows(e0)
+    w = list(e)
     r_acc = [1 << k for k in range(n)]
 
     def swap(i, j):
@@ -429,15 +483,13 @@ def symmetric_congruence(e):
         pos += 2
 
     r = pos
-    out = _unpack_rows(w + r_acc, n)
-    w_bits, r_bits = out[:n], out[n:]
-    if not np.array_equal(r_bits @ e0 @ r_bits.T & 1, w_bits):
+    if _row_mul(_row_mul(r_acc, e), _row_transpose(r_acc, n)) != w:
         raise AssertionError("congruence bookkeeping failed")
     if any(w[r:]) or any(x >> r for x in w):
         raise AssertionError("trailing block not cleared")
     if len(_eliminate(w[:r], r)) != r:
         raise AssertionError("leading block is singular")
-    return r_bits, r
+    return r_acc, r
 
 
 @lru_cache(maxsize=None)

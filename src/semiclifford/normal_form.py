@@ -4,25 +4,26 @@ Two normal forms are provided:
 
 * a single symplectic involution C is conjugated to (I E; 0 I) with E
   symmetric, by an explicit symplectic M;
-* a pairwise-commuting set of symplectic involutions, held as one
-  (k, 2n, 2n) stack, is conjugated by one shared symplectic M so that
-  every element gets the block shape (A E; 0 A^T) (zero lower-left
-  block).
+* a pairwise-commuting set of symplectic involutions is conjugated by
+  one shared symplectic M so that every element gets the block shape
+  (A E; 0 A^T) (zero lower-left block).
 
 The stronger simultaneous (I E; 0 I) form is generally impossible in
 characteristic two; ``simultaneous_nice_form_obstruction`` certifies
 the failure for a given pair via the product (I+C1)(I+C2).
 
-Every conjugator is inverted, and its symplecticity re-verified, once:
-one conjugation per conjugator, of the whole stack at once.  The final
-forms are checked again rather than trusted; index bookkeeping is the
-dominant risk here.
+The entry points check their ``uint8`` input and pack each matrix once
+(``gf2._pack_rows``); the recursion runs on packed rows (``gf2._row_*``),
+with the interleaved 2r / 2(n-r) split and embedding as shifts and masks,
+and the results are unpacked once.  Every conjugator is inverted, and its
+symplecticity re-verified, once: one conjugation per conjugator, of the
+whole stack at once.  The final forms are checked again rather than
+trusted; index bookkeeping is the dominant risk here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,151 +46,146 @@ class SetNormalForm:
     normalized: tuple
 
 
-def _conj(m, c):
-    """m c m^{-1} for a bit matrix or stack c; every conjugator here is symplectic."""
-    return m @ c @ gf2.symplectic_inverse(m) & 1  # uint8 products keep their parity
+def _eye(dim):
+    return [1 << i for i in range(dim)]
+
+
+def _conj(m, stack):
+    """m c m^{-1} for each packed-row c of the list stack; m is symplectic."""
+    minv = gf2._row_symplectic_inverse(m)
+    return [gf2._row_mul(gf2._row_mul(m, c), minv) for c in stack]
 
 
 def _block_diag(p, q):
-    n = p.shape[0] + q.shape[0]
-    out = gf2.zeros(n, n)
-    out[: p.shape[0], : p.shape[0]] = p
-    out[p.shape[0] :, p.shape[0] :] = q
-    return out
+    """(p 0; 0 q) for square packed-row matrices p and q."""
+    return p + [x << len(p) for x in q]
 
 
-def _pair_coords(r, n):
-    """Coordinate lists for the interleaved 2r / 2(n-r) split."""
-    ix = list(range(r)) + list(range(n, n + r))
-    iy = list(range(r, n)) + list(range(n + r, 2 * n))
-    return ix, iy
-
-
-@lru_cache(maxsize=None)
-def _pair_mesh(r, n):
-    """Read-only np.ix_ mesh (rows, cols) of the coordinates ix + iy
-    (_pair_coords): c[rows, cols] has the 2r block of c top left and the
-    2(n-r) block bottom right."""
-    ix, iy = _pair_coords(r, n)
-    mesh = np.ix_(ix + iy, ix + iy)
-    for arr in mesh:
-        arr.flags.writeable = False
-    return mesh
+def _congruence_conjugator(e):
+    """(diag(R, R^{-T}), r) for (R, r) = gf2._row_congruence(e)."""
+    big_r, r = gf2._row_congruence(e)
+    return _block_diag(big_r, gf2._row_transpose(gf2._row_inverse(big_r), len(e))), r
 
 
 def _embed_pair(mx, my, r, n):
-    """Place a 2r block and a 2(n-r) block on interleaved coordinates."""
-    out = gf2.zeros(2 * n, 2 * n)
-    out[_pair_mesh(r, n)] = _block_diag(mx, my)
-    return out
+    """Place a 2r block and a 2(n-r) block on the interleaved coordinates
+    ix = [0, r) + [n, n + r) and iy = [r, n) + [n + r, 2n)."""
+    s = n - r
+    lo, hi = (1 << r) - 1, (1 << s) - 1
+    x = [v & lo | v >> r << n for v in mx]
+    y = [(v & hi) << r | v >> s << n + r for v in my]
+    return x[:r] + y[:s] + x[r:] + y[s:]
+
+
+def _residual(c, r, n):
+    """The 2(n-r) diagonal block of c on the coordinates iy (_embed_pair)."""
+    hi = (1 << n - r) - 1
+    return [v >> r & hi | v >> n + r << n - r for v in c[r:n] + c[n + r :]]
 
 
 def _split_pair(c, r, n):
     """Extract the 2r and 2(n-r) diagonal blocks; cross terms must vanish."""
-    q = c[_pair_mesh(r, n)]
-    k = 2 * r
-    if q[:k, k:].any() or q[k:, :k].any():
+    lo = (1 << r) - 1
+    on_x = lo | lo << n
+    rows_x = c[:r] + c[n : n + r]
+    if any(v & ~on_x for v in rows_x) or any(v & on_x for v in c[r:n] + c[n + r :]):
         raise AssertionError("matrix does not split along the claimed coordinates")
-    return q[:k, :k], q[k:, k:]
+    return [v & lo | v >> n << r for v in rows_x], _residual(c, r, n)
 
 
-def _jordan_involution_basis(a):
-    """Basis B with a B = B N, N the Jordan form of an involution.
+def _jordan_involution_basis(at):
+    """(rows of B^T, k) from the rows of a^T: a B = B N, N the Jordan form
+    of the involution a.
 
     Over GF(2), a^2 = I makes N = I + a square to zero, so the Jordan
-    structure is rank(N) two-blocks followed by fixed vectors.  B's
-    columns come in chains (N u, u) for pivot columns u of N, then a
-    completion of Im(N) to Ker(N).
+    structure is k = rank(N) two-blocks followed by fixed vectors.  B's
+    columns come in chains (N u, u) for pivot columns u of N, then the
+    kernel vectors that each raise the rank of Im(N) and of those kept
+    before them: a completion of Im(N) to Ker(N).
     """
-    n = a.shape[0]
-    nil = gf2.ident(n) ^ a
-    pivots = gf2.image_pivots(nil)
+    n = len(at)
+    cols = [x ^ 1 << i for i, x in enumerate(at)]  # the columns of N
+    red = gf2._row_transpose(cols, n)
+    pivots = gf2._eliminate(red, n)
     k = len(pivots)
-    image = nil[:, pivots]
-    chains = np.stack([image, gf2.ident(n)[:, pivots]], axis=2).reshape(n, 2 * k)
-    # the kernel vectors that each raise the rank of Im(N) and of the ones
-    # kept before them are the pivot columns of (image | ker) past the image
-    span = np.concatenate([image, gf2.kernel_basis(nil).T], axis=1)
-    b = np.concatenate([chains, span[:, gf2.image_pivots(span)[k:]]], axis=1)
-    jordan = gf2.ident(n)
-    jordan[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 1
-    if not np.array_equal(a @ b & 1, b @ jordan & 1):
+    bt = [v for j in pivots for v in (cols[j], 1 << j)]
+    # kernel vector of free column f: e_f plus red[i, f] in pivot column i
+    free = [f for f in range(n) if f not in pivots]
+    kernel = [1 << f | sum((red[i] >> f & 1) << p for i, p in enumerate(pivots)) for f in free]
+    lead = {}  # rank test: a vector of the span so far per top bit
+    for i, v in enumerate([cols[j] for j in pivots] + kernel):
+        w = v
+        while w.bit_length() in lead:
+            w ^= lead[w.bit_length()]
+        if w:
+            lead[w.bit_length()] = w
+            if i >= k:
+                bt.append(v)
+    # rows of (a B)^T = B^T a^T and of (B N)^T, whose row 2i + 1 adds row 2i
+    jordan = [v ^ bt[j - 1] if j < 2 * k and j % 2 else v for j, v in enumerate(bt)]
+    if gf2._row_mul(bt, at) != jordan:
         raise AssertionError("Jordan basis bookkeeping failed")
-    return b, k
+    return bt, k
 
 
 def _check_nice(c):
     """Raise unless c = (I E; 0 I) with E symmetric: c must equal the
     identity frame with E^T in its top-right block."""
-    n = c.shape[0] // 2
-    frame = gf2.ident(2 * n)
-    frame[:n, n:] = c[:n, n:].T
-    if not np.array_equal(c, frame):
+    n = len(c) // 2
+    e_t = gf2._row_transpose([x >> n for x in c[:n]], n)
+    if c != [1 << i | x << n for i, x in enumerate(e_t)] + _eye(2 * n)[n:]:
         raise AssertionError("conjugation did not reach the (I E; 0 I) form")
 
 
 def _involution_conjugator(c):
-    """Recursive core: symplectic m with m c m^{-1} = (I E; 0 I).
-
-    Returns (m, m c m^{-1}); the second has passed _check_nice.
-    """
-    n = c.shape[0] // 2
+    """Recursive core on packed rows: (m, m c m^{-1}), m symplectic and the
+    second in (I E; 0 I) form, which _check_nice has passed."""
+    n = len(c) // 2
     if n == 0:
-        return c.copy(), c.copy()
-    a_blk = c[:n, :n]
-    e_blk = c[:n, n:]
-    f_blk = c[n:, :n]
-    r = gf2.rank(e_blk)
+        return [], []
+    mask = (1 << n) - 1
+    e_blk = [x >> n for x in c[:n]]
+    r = len(gf2._eliminate(list(e_blk), n))
     if r > 0:
         # congruence-normalize E, then strip A down to its residual corner
-        big_r, rr = gf2.symmetric_congruence(e_blk)
+        m1, rr = _congruence_conjugator(e_blk)
         if rr != r:
             raise AssertionError("congruence rank mismatch")
-        m1 = _block_diag(big_r, gf2.inverse(big_r).T)
-        c1 = _conj(m1, c)
-        e = c1[:r, n : n + r]
-        a1 = c1[:r, :r]
-        a2 = c1[:r, r:n]
-        if c1[r:n, :r].any():
+        (c1,) = _conj(m1, [c])
+        lo = (1 << r) - 1
+        e = [x >> n & lo for x in c1[:r]]
+        if any(x & lo for x in c1[r:n]):
             raise AssertionError("AE symmetry should force the lower A corner to vanish")
-        einv = gf2.inverse(e)
-        s = gf2.zeros(n, n)
-        s[:r, :r] = einv @ a1 & 1
-        s[:r, r:] = einv @ a2 & 1
-        s[r:, :r] = s[:r, r:].T
-        if not np.array_equal(s, s.T):
+        einv = gf2._row_inverse(e)
+        # s = (einv a1, einv a2; (einv a2)^T, 0) for c1's top A rows (a1 a2)
+        top = gf2._row_mul(einv, [x & mask for x in c1[:r]])
+        s = top + gf2._row_transpose([x >> r for x in top], n - r)
+        if gf2._row_transpose(s, n) != s:
             raise AssertionError("elimination block is not symmetric")
-        m2 = gf2.ident(2 * n)
-        m2[n:, :n] = s
-        c2 = _conj(m2, c1)
+        m2 = _eye(n) + [x | 1 << n + i for i, x in enumerate(s)]
+        (c2,) = _conj(m2, [c1])
         x, y = _split_pair(c2, r, n)
-        expect_x = gf2.zeros(2 * r, 2 * r)
-        expect_x[:r, r:] = e
-        expect_x[r:, :r] = einv
-        if not np.array_equal(x, expect_x):
+        if x != [v << r for v in e] + einv:
             raise AssertionError("antidiagonal corner has unexpected shape")
-        mx = gf2.ident(2 * r)
-        mx[r:, :r] = einv
-        my = _involution_conjugator(y)[0]
-        m3 = _embed_pair(mx, my, r, n)
-        m = m3 @ m2 @ m1 & 1
-    elif f_blk.any():
+        mx = _eye(r) + [v | 1 << r + i for i, v in enumerate(einv)]
+        m3 = _embed_pair(mx, _involution_conjugator(y)[0], r, n)
+        m = gf2._row_mul(gf2._row_mul(m3, m2), m1)
+    elif any(x & mask for x in c[n:]):
         # swap the roles of the two halves; the image has E' = F nonzero
-        p = gf2.p_mat(n)
-        m = _involution_conjugator(_conj(p, c))[0] @ p & 1
+        p = _eye(2 * n)[n:] + _eye(n)
+        m = gf2._row_mul(_involution_conjugator(_conj(p, [c])[0])[0], p)
     else:
         # C = (A 0; 0 A^T): Jordan-normalize, then fold each two-block
         # into a symmetric E corner with one z/x coordinate swap
-        b, k = _jordan_involution_basis(a_blk.T)
-        mj = _block_diag(b.T, gf2.inverse(b))
+        bt, k = _jordan_involution_basis([x & mask for x in c[:n]])
+        mj = _block_diag(bt, gf2._row_transpose(gf2._row_inverse(bt), n))
         # the swap is a row permutation of mj: rows 2i and n + 2i trade
         # places for each two-block i < k
-        fold = np.arange(2 * n)
-        fold[: 2 * k : 2] += n
-        fold[n : n + 2 * k : 2] -= n
-        m = mj[fold]
-    try:  # _conj's symplectic_inverse is this level's one test of m
-        normalized = _conj(m, c)
+        m = list(mj)
+        for i in range(0, 2 * k, 2):
+            m[i], m[n + i] = mj[n + i], mj[i]
+    try:  # _conj's symplectic inverse is this level's one test of m
+        (normalized,) = _conj(m, [c])
     except ValueError:
         raise AssertionError("partial conjugator lost symplecticity") from None
     _check_nice(normalized)
@@ -214,10 +210,10 @@ def involution_normal_form(c) -> NormalFormResult:
     half-swap and Jordan normalization of the involutive A block.
     """
     c = _validate_involution(c)
-    m, normalized = _involution_conjugator(c)
-    normalized.flags.writeable = False
-    m.flags.writeable = False
-    return NormalFormResult(m=m, normalized=normalized)
+    m, normalized = _involution_conjugator(gf2._pack_rows(c))
+    both = gf2._unpack_rows(m + normalized, len(c))
+    both.flags.writeable = False
+    return NormalFormResult(m=both[: len(c)], normalized=both[len(c) :])
 
 
 def _noncommuting_pair(stack):
@@ -231,37 +227,39 @@ def _noncommuting_pair(stack):
 
 
 def _set_conjugator(stack):
-    """(m, m stack m^{-1}) with every conjugated element in block form."""
-    dim = stack.shape[1]
+    """(m, m stack m^{-1}) with every element in block form, on packed rows."""
+    dim = len(stack[0])
     n = dim // 2
-    if not stack[:, n:, :n].any():
-        return gf2.ident(dim), stack
-    first = int(np.flatnonzero((stack != gf2.ident(dim)).any(axis=(1, 2)))[0])
+    mask = (1 << n) - 1
+    if not any(x & mask for c in stack for x in c[n:]):
+        return _eye(dim), stack
+    first = next(i for i, c in enumerate(stack) if c != _eye(dim))
     m_a, pivot = _involution_conjugator(stack[first])
-    big_r, r = gf2.symmetric_congruence(pivot[:n, n:])
+    m_b, r = _congruence_conjugator([x >> n for x in pivot[:n]])
     if r == 0:
         raise AssertionError("non-identity element normalized to identity")
-    m = _block_diag(big_r, gf2.inverse(big_r).T) @ m_a & 1
+    m = gf2._row_mul(m_b, m_a)
     current = _conj(m, stack)
     # commutation with the full-rank corner of the pivot forces every
     # element's a3, f1, f2 refined blocks to vanish
-    bad = current[:, r:n, :r].any() or current[:, n : n + r, :n].any()
-    if bad or current[:, n + r :, :r].any():
+    lo = (1 << r) - 1
+    bad = any(x & lo for c in current for x in c[r:n] + c[n + r :])
+    if bad or any(x & mask for c in current for x in c[n : n + r]):
         raise AssertionError("commuting element has forbidden refined blocks")
     if r == n:
         return m, current
-    rows, cols = _pair_mesh(r, n)
-    subs = current[:, rows[2 * r :], cols[:, 2 * r :]]
-    symplectic = gf2.symplectic_mask(subs)
-    involution = (subs @ subs & 1 == gf2._eye(subs.shape[-1])).all(axis=(1, 2))
-    bad = np.flatnonzero(~(symplectic & involution))
-    if bad.size:
-        what = "symplectic" if not symplectic[bad[0]] else "an involution"
-        raise ValueError(f"projected element is not {what}")
-    if _noncommuting_pair(subs):
+    subs = [_residual(c, r, n) for c in current]
+    for sub in subs:
+        try:
+            gf2._row_symplectic_inverse(sub)
+        except ValueError:
+            raise ValueError("projected element is not symplectic") from None
+        if gf2._row_mul(sub, sub) != _eye(len(sub)):
+            raise ValueError("projected element is not an involution")
+    if any(gf2._row_mul(a, b) != gf2._row_mul(b, a) for i, a in enumerate(subs) for b in subs[i + 1 :]):
         raise AssertionError("projected elements stopped commuting")
-    m_emb = _embed_pair(gf2.ident(2 * r), _set_conjugator(subs)[0], r, n)
-    return m_emb @ m & 1, _conj(m_emb, current)
+    m_emb = _embed_pair(_eye(2 * r), _set_conjugator(subs)[0], r, n)
+    return gf2._row_mul(m_emb, m), _conj(m_emb, current)
 
 
 def commuting_set_normal_form(cs) -> SetNormalForm:
@@ -291,7 +289,11 @@ def commuting_set_normal_form(cs) -> SetNormalForm:
     pair = _noncommuting_pair(stack)
     if pair:
         raise ValueError(f"elements {pair[0]} and {pair[1]} do not commute")
-    m, normalized = _set_conjugator(stack)
+    rows = gf2._pack_rows(stack.reshape(len(mats) * dim, dim))
+    m, current = _set_conjugator([rows[i * dim : (i + 1) * dim] for i in range(len(mats))])
+    out = gf2._unpack_rows(m + [x for c in current for x in c], dim).reshape(len(mats) + 1, dim, dim)
+    out.flags.writeable = False  # before the views are taken, which keep the flag
+    m, normalized = out[0], out[1:]
     if not gf2.is_symplectic(m):
         raise AssertionError("set conjugator is not symplectic")
     n = dim // 2
@@ -306,8 +308,6 @@ def commuting_set_normal_form(cs) -> SetNormalForm:
         raise AssertionError(f"element {bad[0]} was not reduced to block form")
     if bad.size:
         raise AssertionError(f"element {bad[0]} violates the block-form side conditions")
-    normalized.flags.writeable = False
-    m.flags.writeable = False
     return SetNormalForm(m=m, normalized=tuple(normalized))
 
 

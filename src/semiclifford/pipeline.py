@@ -348,13 +348,11 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
 
 
 def _products(family: GeneratorFamily, rows):
-    """(cs, hs) of the generator products over exponent vectors rows (k, 2n):
-    each folded from its first factor (a zero row is the identity), and
-    each later factor k left-multiplying its rows by one product_table."""
+    """(cs, hs) of the generator products over nonzero exponent vectors
+    rows (k, 2n): each folded from its first factor, and each later
+    factor k left-multiplying its rows by one product_table."""
     first = rows.argmax(axis=1)
     cs, hs = family.cs[first], family.hs[first]
-    zero = ~rows.any(axis=1)
-    cs[zero], hs[zero] = gf2.ident(2 * family.n), 0
     for k in range(1, rows.shape[1]):
         take = np.flatnonzero((rows[:, k] == 1) & (first < k))
         if take.size:

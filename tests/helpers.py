@@ -37,11 +37,17 @@ and circuit_to_rep_oracle is the numpy tableau update of the gate's own
 rows of C that the library's circuit_to_rep runs on packed-int rows.
 symmetric_congruence_oracle is the per-entry congruence loop that
 gf2.symmetric_congruence runs on packed-int rows.
+involution_normal_form_oracle and commuting_set_normal_form_oracle are
+the normal_form oracle: the numpy module that the library's packed-row
+one replaced, with uint8 products, np.ix_ meshes for the interleaved
+split, symmetric_congruence_oracle and symplectic_inverse_oracle (the
+gather of m^T by the half-swap mesh that gf2.symplectic_inverse
+replaced) at every level.
 set_normal_form_oracle is the list-based commuting-set normal form that
-the library's stacked one replaced: it conjugates one element at a
-time, first by m_a and then by m_b at each level, and the inputs once
-more by the final M.  jordan_basis_oracle completes Im(N) to Ker(N) by
-growing rank tests, one elimination per kernel vector.
+the stacked one replaced: it conjugates one element at a time, first by
+m_a and then by m_b at each level, and the inputs once more by the
+final M.  jordan_basis_oracle completes Im(N) to Ker(N) by growing rank
+tests, one elimination per kernel vector.
 enumerate_lagrangians_oracle, symplectic_complete_oracle,
 alpha_vector_oracle and expand_oracle are the one-vector-at-a-time
 bodies that the library's stacked GF(2) products replaced: a basis per
@@ -108,9 +114,9 @@ from semiclifford.dense import (
 )
 from semiclifford.expansion import _alpha_on, _fixed_space, rep_to_dense
 from semiclifford.normal_form import (
-    _block_diag,
-    _involution_conjugator,
-    _pair_coords,
+    NormalFormResult,
+    SetNormalForm,
+    _noncommuting_pair,
     _validate_involution,
 )
 from semiclifford.pauli import PhasedPauli, _check_same_n, pauli_to_dense
@@ -277,10 +283,13 @@ def reps_of(family: GeneratorFamily) -> tuple:
 
 def product_rep(family: GeneratorFamily, bits) -> CliffordRep:
     """Rep of the generator product with exponent vector bits (one entry
-    per generator, ValueError otherwise): pipeline._products on one row."""
+    per generator, ValueError otherwise): pipeline._products on one
+    nonzero row, and the identity on a zero row."""
     bits = gf2.asbits(bits)
     if bits.ndim != 1 or bits.size != len(family.cs):
         raise ValueError(f"exponent vector has length {bits.size}, expected {len(family.cs)}")
+    if not bits.any():
+        return CliffordRep.identity(family.n)
     cs, hs = _products(family, bits[None])
     return CliffordRep(cs[0], hs[0])
 
@@ -884,7 +893,7 @@ def expand_oracle(rep: CliffordRep):
         if gf2.solve(ic, gf2.mat_mul(p, delta)) is None:
             raise AssertionError("anchor coset depends on the alpha gauge")
     a0 = gf2.mat_mul(p, (rep.h ^ alpha) & 1)
-    pivots = gf2.image_pivots(ic)
+    pivots = gf2.rref(ic)[1]
     m = len(pivots)
     if m != n2 - s:
         raise AssertionError("rank bookkeeping failed")
@@ -1192,6 +1201,194 @@ def orbit_kernel_oracle(family: GeneratorFamily) -> np.ndarray:
     return red[:n].copy()
 
 
+def symplectic_inverse_oracle(m):
+    """gf2.symplectic_inverse as one gather of m^T by the half-swap mesh,
+    after gf2.is_symplectic."""
+    m = gf2.asbits(m)
+    if not gf2.is_symplectic(m):
+        raise ValueError("matrix is not symplectic")
+    swap = np.roll(np.arange(m.shape[0]), m.shape[0] // 2)
+    return m.T[np.ix_(swap, swap)]
+
+
+def _nf_conj(m, c):
+    """m c m^{-1} for a bit matrix or stack c; every conjugator here is symplectic."""
+    return m @ c @ symplectic_inverse_oracle(m) & 1  # uint8 products keep their parity
+
+
+def _block_diag(p, q):
+    n = p.shape[0] + q.shape[0]
+    out = gf2.zeros(n, n)
+    out[: p.shape[0], : p.shape[0]] = p
+    out[p.shape[0] :, p.shape[0] :] = q
+    return out
+
+
+def _pair_coords(r, n):
+    """Coordinate lists for the interleaved 2r / 2(n-r) split."""
+    ix = list(range(r)) + list(range(n, n + r))
+    iy = list(range(r, n)) + list(range(n + r, 2 * n))
+    return ix, iy
+
+
+def _pair_mesh(r, n):
+    """np.ix_ mesh of the coordinates ix + iy (_pair_coords): c[mesh] has
+    the 2r block of c top left and the 2(n-r) block bottom right."""
+    ix, iy = _pair_coords(r, n)
+    return np.ix_(ix + iy, ix + iy)
+
+
+def _nf_embed_pair(mx, my, r, n):
+    """Place a 2r block and a 2(n-r) block on interleaved coordinates."""
+    out = gf2.zeros(2 * n, 2 * n)
+    out[_pair_mesh(r, n)] = _block_diag(mx, my)
+    return out
+
+
+def _nf_split_pair(c, r, n):
+    """Extract the 2r and 2(n-r) diagonal blocks; cross terms must vanish."""
+    q = c[_pair_mesh(r, n)]
+    k = 2 * r
+    if q[:k, k:].any() or q[k:, :k].any():
+        raise AssertionError("matrix does not split along the claimed coordinates")
+    return q[:k, :k], q[k:, k:]
+
+
+def _nf_jordan_basis(a):
+    """(B, k): basis B with a B = B N, N the Jordan form of the involution
+    a, k two-blocks, from pivot columns of (image | kernel)."""
+    n = a.shape[0]
+    nil = gf2.ident(n) ^ a
+    pivots = gf2.rref(nil)[1]
+    k = len(pivots)
+    image = nil[:, pivots]
+    chains = np.stack([image, gf2.ident(n)[:, pivots]], axis=2).reshape(n, 2 * k)
+    span = np.concatenate([image, gf2.kernel_basis(nil).T], axis=1)
+    b = np.concatenate([chains, span[:, gf2.rref(span)[1][k:]]], axis=1)
+    jordan = gf2.ident(n)
+    jordan[np.arange(0, 2 * k, 2), np.arange(1, 2 * k, 2)] = 1
+    if not np.array_equal(a @ b & 1, b @ jordan & 1):
+        raise AssertionError("Jordan basis bookkeeping failed")
+    return b, k
+
+
+def _nf_check_nice(c):
+    n = c.shape[0] // 2
+    frame = gf2.ident(2 * n)
+    frame[:n, n:] = c[:n, n:].T
+    if not np.array_equal(c, frame):
+        raise AssertionError("conjugation did not reach the (I E; 0 I) form")
+
+
+def _nf_involution_conjugator(c):
+    """(m, m c m^{-1}) with the second in (I E; 0 I) form, on uint8 arrays."""
+    n = c.shape[0] // 2
+    if n == 0:
+        return c.copy(), c.copy()
+    a_blk = c[:n, :n]
+    e_blk = c[:n, n:]
+    f_blk = c[n:, :n]
+    r = gf2.rank(e_blk)
+    if r > 0:
+        big_r, rr = symmetric_congruence_oracle(e_blk)
+        if rr != r:
+            raise AssertionError("congruence rank mismatch")
+        m1 = _block_diag(big_r, gf2.inverse(big_r).T)
+        c1 = _nf_conj(m1, c)
+        e = c1[:r, n : n + r]
+        a1 = c1[:r, :r]
+        a2 = c1[:r, r:n]
+        if c1[r:n, :r].any():
+            raise AssertionError("AE symmetry should force the lower A corner to vanish")
+        einv = gf2.inverse(e)
+        s = gf2.zeros(n, n)
+        s[:r, :r] = einv @ a1 & 1
+        s[:r, r:] = einv @ a2 & 1
+        s[r:, :r] = s[:r, r:].T
+        if not np.array_equal(s, s.T):
+            raise AssertionError("elimination block is not symmetric")
+        m2 = gf2.ident(2 * n)
+        m2[n:, :n] = s
+        c2 = _nf_conj(m2, c1)
+        x, y = _nf_split_pair(c2, r, n)
+        expect_x = gf2.zeros(2 * r, 2 * r)
+        expect_x[:r, r:] = e
+        expect_x[r:, :r] = einv
+        if not np.array_equal(x, expect_x):
+            raise AssertionError("antidiagonal corner has unexpected shape")
+        mx = gf2.ident(2 * r)
+        mx[r:, :r] = einv
+        my = _nf_involution_conjugator(y)[0]
+        m3 = _nf_embed_pair(mx, my, r, n)
+        m = m3 @ m2 @ m1 & 1
+    elif f_blk.any():
+        p = gf2.p_mat(n)
+        m = _nf_involution_conjugator(_nf_conj(p, c))[0] @ p & 1
+    else:
+        b, k = _nf_jordan_basis(a_blk.T)
+        mj = _block_diag(b.T, gf2.inverse(b))
+        fold = np.arange(2 * n)
+        fold[: 2 * k : 2] += n
+        fold[n : n + 2 * k : 2] -= n
+        m = mj[fold]
+    try:
+        normalized = _nf_conj(m, c)
+    except ValueError:
+        raise AssertionError("partial conjugator lost symplecticity") from None
+    _nf_check_nice(normalized)
+    return m, normalized
+
+
+def involution_normal_form_oracle(c) -> NormalFormResult:
+    """normal_form.involution_normal_form with numpy arrays at every level."""
+    m, normalized = _nf_involution_conjugator(_validate_involution(c))
+    return NormalFormResult(m=m, normalized=normalized)
+
+
+def _nf_set_conjugator(stack):
+    """(m, m stack m^{-1}) with every element in block form, on a uint8 stack."""
+    dim = stack.shape[1]
+    n = dim // 2
+    if not stack[:, n:, :n].any():
+        return gf2.ident(dim), stack
+    first = int(np.flatnonzero((stack != gf2.ident(dim)).any(axis=(1, 2)))[0])
+    m_a, pivot = _nf_involution_conjugator(stack[first])
+    big_r, r = symmetric_congruence_oracle(pivot[:n, n:])
+    if r == 0:
+        raise AssertionError("non-identity element normalized to identity")
+    m = _block_diag(big_r, gf2.inverse(big_r).T) @ m_a & 1
+    current = _nf_conj(m, stack)
+    bad = current[:, r:n, :r].any() or current[:, n : n + r, :n].any()
+    if bad or current[:, n + r :, :r].any():
+        raise AssertionError("commuting element has forbidden refined blocks")
+    if r == n:
+        return m, current
+    _, iy = _pair_coords(r, n)
+    subs = current[:, iy][:, :, iy]
+    symplectic = gf2.symplectic_mask(subs)
+    involution = (subs @ subs & 1 == gf2.ident(subs.shape[-1])).all(axis=(1, 2))
+    bad = np.flatnonzero(~(symplectic & involution))
+    if bad.size:
+        what = "symplectic" if not symplectic[bad[0]] else "an involution"
+        raise ValueError(f"projected element is not {what}")
+    if _noncommuting_pair(subs):
+        raise AssertionError("projected elements stopped commuting")
+    m_emb = _nf_embed_pair(gf2.ident(2 * r), _nf_set_conjugator(subs)[0], r, n)
+    return m_emb @ m & 1, _nf_conj(m_emb, current)
+
+
+def commuting_set_normal_form_oracle(cs) -> SetNormalForm:
+    """normal_form.commuting_set_normal_form with numpy arrays at every
+    level; its input checks are the library's, so the inputs must pass."""
+    stack = np.stack([_validate_involution(c) for c in cs])
+    if _noncommuting_pair(stack):
+        raise ValueError("elements do not commute")
+    m, normalized = _nf_set_conjugator(stack)
+    if not gf2.is_symplectic(m):
+        raise AssertionError("set conjugator is not symplectic")
+    return SetNormalForm(m=m, normalized=tuple(normalized))
+
+
 def _conj_oracle(m, c):
     return gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m))
 
@@ -1205,7 +1402,7 @@ def _set_conjugator_oracle(mats):
     first = next(
         i for i, c in enumerate(mats) if not np.array_equal(c, gf2.ident(2 * n))
     )
-    m_a, pivot = _involution_conjugator(mats[first])
+    m_a, pivot = _nf_involution_conjugator(mats[first])
     current = [pivot if i == first else _conj_oracle(m_a, c) for i, c in enumerate(mats)]
     big_r, r = gf2.symmetric_congruence(pivot[:n, n:])
     m_b = _block_diag(big_r, gf2.inverse(big_r).T)
@@ -1251,7 +1448,7 @@ def jordan_basis_oracle(a):
     """(B, k) of normal_form._jordan_involution_basis by incremental rank."""
     n = a.shape[0]
     nil = gf2.ident(n) ^ a
-    pivots = gf2.image_pivots(nil)
+    pivots = gf2.rref(nil)[1]
     k = len(pivots)
     cols = []
     for j in pivots:

@@ -10,6 +10,7 @@ from helpers import (
     rref_oracle,
     symmetric_congruence_oracle,
     symplectic_complete_oracle,
+    symplectic_inverse_oracle,
 )
 from semiclifford import gf2
 from semiclifford.circuits import circuit_to_rep
@@ -349,15 +350,29 @@ def test_symplectic_inverse_matches_inverse(rng, sp4):
     mats = list(sp4)
     mats += [circuit_to_rep(random_circuit(5, 20, rng)).c for _ in range(10)]
     for m in mats:
-        assert np.array_equal(gf2.symplectic_inverse(m), gf2.inverse(m))
+        got = gf2.symplectic_inverse(m)
+        assert np.array_equal(got, gf2.inverse(m))
+        assert np.array_equal(got, symplectic_inverse_oracle(m))
 
 
 def test_symplectic_inverse_conjugates_bit_for_bit(rng):
+    # normal_form._conj on packed rows against two uint8 products
     for _ in range(10):
         m = circuit_to_rep(random_circuit(5, 20, rng)).c
         c = rng.integers(0, 2, size=(10, 10)).astype(np.uint8)
         want = gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m))
-        assert np.array_equal(_conj(m, c), want)
+        (got,) = _conj(gf2._pack_rows(m), [gf2._pack_rows(c)])
+        assert np.array_equal(gf2._unpack_rows(got, 10), want)
+
+
+@pytest.mark.parametrize("rows, inner, cols", [(1, 1, 1), (3, 5, 2), (8, 8, 8), (20, 20, 20), (4, 70, 3)])
+def test_row_mul_and_transpose_match_numpy(rows, inner, cols, rng):
+    for _ in range(10):
+        a = rng.integers(0, 2, size=(rows, inner), dtype=np.uint8)
+        b = rng.integers(0, 2, size=(inner, cols), dtype=np.uint8)
+        got = gf2._row_mul(gf2._pack_rows(a), gf2._pack_rows(b))
+        assert np.array_equal(gf2._unpack_rows(got, cols), gf2.mat_mul(a, b))
+        assert np.array_equal(gf2._unpack_rows(gf2._row_transpose(gf2._pack_rows(a), inner), rows), a.T)
 
 
 def test_symplectic_inverse_rejects_non_symplectic():
@@ -372,9 +387,12 @@ def test_symplectic_inverse_rejects_non_symplectic():
 
 @pytest.mark.parametrize(
     "data",
-    [[2, 0], [0, -1], [[1, 0], [0, 3]], [0.5, 1.0], [256, 1], 1.7 * np.eye(2)],
+    [[2, 0], [0, -1], [[1, 0], [0, 3]], [0.5, 1.0], [256, 1], 1.7 * np.eye(2)]
+    + [[np.nan], [np.inf], [-np.inf], [1e20], [1 + 1j], [1j], np.array([1, None], dtype=object)],
 )
 def test_frozenbits_rejects_non_bits(data):
+    # nan, inf and 1e20 used to raise RuntimeWarning (invalid value in the
+    # cast) and 1 + 1j ComplexWarning, not this ValueError, under -W error
     with pytest.raises(ValueError, match="other than 0 or 1"):
         gf2.frozenbits(data)
 
@@ -418,6 +436,9 @@ def test_gf2_rejects_non_bits(call):
 
 
 def test_asbits_accepts_bits_and_bools_and_keeps_uint8():
+    for data in ([1.0, 0.0], [1 + 0j, 0j], np.array([1, 0], dtype=object)):
+        out = gf2.asbits(data)
+        assert out.dtype == np.uint8 and out.tolist() == [1, 0]
     for data in ([1, 0, 1], np.array([True, False]), np.eye(2), np.zeros((0, 3)), [[0, 1]]):
         out = gf2.asbits(data)
         assert out.dtype == np.uint8 and np.array_equal(out, np.asarray(data))

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import (
+    _pair_coords,
+    commuting_set_normal_form_oracle,
+    involution_normal_form_oracle,
     jordan_basis_oracle,
     random_commuting_involution_set,
     random_involution_matrix,
@@ -9,10 +14,10 @@ from helpers import (
     symplectic_involutions,
 )
 from semiclifford import gf2
+from semiclifford.cli import read_bit_matrices
 from semiclifford.normal_form import (
     NormalFormResult,
     _embed_pair,
-    _pair_coords,
     _split_pair,
     commuting_set_normal_form,
     involution_normal_form,
@@ -99,13 +104,16 @@ def test_split_pair_rejects_any_cross_block_entry(r, n, rng):
     c = gf2.ident(2 * n)
     c[np.ix_(ix, ix)] = rng.integers(0, 2, (2 * r, 2 * r))
     c[np.ix_(iy, iy)] = rng.integers(0, 2, (2 * (n - r), 2 * (n - r)))
-    x, y = _split_pair(c, r, n)
-    assert np.array_equal(_embed_pair(x, y, r, n), c)
+    x, y = _split_pair(gf2._pack_rows(c), r, n)
+    # the blocks are the np.ix_ meshes of the interleaved coordinates
+    assert np.array_equal(gf2._unpack_rows(x, 2 * r), c[np.ix_(ix, ix)])
+    assert np.array_equal(gf2._unpack_rows(y, 2 * (n - r)), c[np.ix_(iy, iy)])
+    assert np.array_equal(gf2._unpack_rows(_embed_pair(x, y, r, n), 2 * n), c)
     for i, j in [(ix[0], iy[-1]), (iy[0], ix[-1])]:
         bad = c.copy()
         bad[i, j] = 1
         with pytest.raises(AssertionError, match="^matrix does not split along"):
-            _split_pair(bad, r, n)
+            _split_pair(gf2._pack_rows(bad), r, n)
 
 
 def test_idempotence():
@@ -173,8 +181,9 @@ _THREE_I = 3 * np.eye(4, dtype=int)
         lambda: commuting_set_normal_form([gf2.ident(4), _THREE_I]),
         lambda: simultaneous_nice_form_obstruction(_THREE_I, gf2.ident(4)),
         lambda: simultaneous_nice_form_obstruction(gf2.ident(4), 2 * gf2.ident(4)),
+        lambda: involution_normal_form(np.full((2, 2), np.nan)),
     ],
-    ids=["single", "set", "pair-first", "pair-second"],
+    ids=["single", "set", "pair-first", "pair-second", "nan"],
 )
 def test_involution_inputs_must_be_bits(call):
     # 3 I used to be read as I and given the identity normal form
@@ -269,36 +278,35 @@ def test_commuting_triples_from_sp4(sp4_involutions):
 def test_set_normal_form_makes_few_general_inverses(monkeypatch):
     """Conjugators are symplectic, so their inverse is P m^T P.
 
-    With every conjugation inverting by ``gf2.inverse`` (elimination of
-    the augmented matrix), this n = 8 set made 25 such calls; only the
-    congruence and Jordan bases, which need not be symplectic, still
-    eliminate, and they make 6.
+    With every conjugation inverting by elimination of the augmented
+    matrix (now ``gf2._row_inverse``), this n = 8 set made 25 such calls;
+    only the congruence and Jordan bases, which need not be symplectic,
+    still eliminate, and they make 6.
     """
     mats = random_commuting_involution_set(8, np.random.default_rng(8008), 3)
-    calls = []
-    inverse = gf2.inverse
-
-    def counting(m):
-        calls.append(1)
-        return inverse(m)
-
-    monkeypatch.setattr(gf2, "inverse", counting)
+    calls, symplectic = [], []
+    inverse, symplectic_inverse = gf2._row_inverse, gf2._row_symplectic_inverse
+    monkeypatch.setattr(gf2, "_row_inverse", lambda m: calls.append(1) or inverse(m))
+    monkeypatch.setattr(
+        gf2, "_row_symplectic_inverse", lambda m: symplectic.append(1) or symplectic_inverse(m)
+    )
     res = commuting_set_normal_form(mats)
     assert all(not c[8:, :8].any() for c in res.normalized)
-    assert len(calls) <= 6
+    assert 0 < len(calls) <= 6 and symplectic
 
 
 def _record_conjugations(monkeypatch):
-    """Patch normal_form._conj to log the ids of (m, c) of every conjugation
-    it builds; the log holds the arrays too, so no id is reused."""
+    """Patch normal_form._conj to log, for every conjugation it builds, the
+    ids of its conjugator and of each packed matrix of its stack; the log
+    holds the lists too, so no id is reused."""
     from semiclifford import normal_form
 
     calls = []
     conj = normal_form._conj
 
-    def recording(m, c):
-        calls.append((id(m), id(c), m, c))
-        return conj(m, c)
+    def recording(m, stack):
+        calls.append((id(m), tuple(map(id, stack)), m, stack))
+        return conj(m, stack)
 
     monkeypatch.setattr(normal_form, "_conj", recording)
     return calls
@@ -306,7 +314,7 @@ def _record_conjugations(monkeypatch):
 
 def _rebuilt(calls):
     """Whether one matrix object was conjugated by one conjugator object twice."""
-    pairs = [call[:2] for call in calls]
+    pairs = [(m, c) for m, stack, *_ in calls for c in stack]
     return len(set(pairs)) != len(pairs)
 
 
@@ -328,10 +336,14 @@ def test_normal_forms_build_each_conjugation_once(monkeypatch, rng):
 
 def test_each_conjugator_is_tested_symplectic_once(monkeypatch, rng):
     # each level used to test its conjugator m, then test it again in the
-    # symplectic_inverse of the conjugation by m
+    # symplectic inverse of the conjugation by m; the input is tested as a
+    # uint8 array, each conjugator on packed rows
     tested = []
-    is_symplectic = gf2.is_symplectic
+    is_symplectic, symplectic_inverse = gf2.is_symplectic, gf2._row_symplectic_inverse
     monkeypatch.setattr(gf2, "is_symplectic", lambda m: tested.append(m) or is_symplectic(m))
+    monkeypatch.setattr(
+        gf2, "_row_symplectic_inverse", lambda m: tested.append(m) or symplectic_inverse(m)
+    )
     calls = _record_conjugations(monkeypatch)
     mats = [C1, C2, JORDAN_C, *(random_commuting_involution_set(n, rng, 1)[0] for n in range(2, 7))]
     for c in mats:
@@ -341,6 +353,7 @@ def test_each_conjugator_is_tested_symplectic_once(monkeypatch, rng):
         tested = tested[:-1]  # assert_nice's own test of the result
         # the input once, then each conjugator once, in its conjugation
         assert len(tested) == 1 + len(calls)
+        assert [id(m) for m in tested[1:]] == [call[0] for call in calls]
         assert len({id(m) for m in tested}) == len(tested)
 
 
@@ -351,7 +364,7 @@ def test_a_conjugator_that_is_not_symplectic_fails_its_level(monkeypatch):
 
     def spoiled(p, q):
         out = block_diag(p, q)
-        out[0, -1] ^= 1
+        out[0] ^= 1 << len(out) - 1  # entry (0, -1) of the packed rows
         return out
 
     # JORDAN_C takes the E = F = 0 branch, whose only _block_diag is the
@@ -389,7 +402,7 @@ def _count_levels(monkeypatch):
 
     def level(stack):
         n = len(stack[0]) // 2
-        if depth[0] and np.asarray(stack)[:, n:, :n].any():
+        if depth[0] and any(x & (1 << n) - 1 for c in stack for x in c[n:]):
             seen.append("nested")
         depth[0] += 1
         try:
@@ -397,11 +410,11 @@ def _count_levels(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def basis(a):
-        b, k = jordan(a)
-        if 0 < 2 * k < a.shape[0]:
+    def basis(a_t):
+        b_t, k = jordan(a_t)
+        if 0 < 2 * k < len(a_t):
             seen.append("completion")
-        return b, k
+        return b_t, k
 
     monkeypatch.setattr(normal_form, "_set_conjugator", level)
     monkeypatch.setattr(normal_form, "_jordan_involution_basis", basis)
@@ -433,18 +446,14 @@ def test_jordan_basis_matches_incremental_rank_oracle():
     for n in range(1, 9):
         for _ in range(12):
             a = random_involution_matrix(n, rng)
-            b, k = _jordan_involution_basis(a)
+            b_t, k = _jordan_involution_basis(gf2._pack_rows(a.T))
             want_b, want_k = jordan_basis_oracle(a)
-            assert k == want_k and np.array_equal(b, want_b)
+            assert k == want_k and np.array_equal(gf2._unpack_rows(b_t, n).T, want_b)
             shapes.add((k > 0, 2 * k < n))
     assert (True, True) in shapes  # two-blocks and a nonempty completion
 
 
 def test_golden_recursion_set_reaches_nested_level(monkeypatch):
-    from pathlib import Path
-
-    from semiclifford.cli import read_bit_matrices
-
     seen = _count_levels(monkeypatch)
     path = Path(__file__).resolve().parent / "golden" / "set3_5.mat"
     commuting_set_normal_form(read_bit_matrices(str(path)))
@@ -481,14 +490,15 @@ def test_set_normal_form_inverts_each_conjugator_once(monkeypatch):
     # each conjugator used to be inverted once per element it conjugated,
     # and the final M once more per input
     received = []
-    inverse = gf2.symplectic_inverse
+    inverse = gf2._row_symplectic_inverse
 
     def recording(m):
         received.append(m)  # held, so no id is reused within a call
         return inverse(m)
 
-    monkeypatch.setattr(gf2, "symplectic_inverse", recording)
+    monkeypatch.setattr(gf2, "_row_symplectic_inverse", recording)
     rng = np.random.default_rng(3030)
+    inverted = 0
     for _ in range(30):
         n = int(rng.integers(2, 7))
         mats = random_commuting_involution_set(n, rng, int(rng.integers(2, 6)))
@@ -496,6 +506,8 @@ def test_set_normal_form_inverts_each_conjugator_once(monkeypatch):
         commuting_set_normal_form(mats)
         ids = [id(m) for m in received]
         assert len(set(ids)) == len(ids)
+        inverted += len(ids)
+    assert inverted
 
 
 def test_conj_of_a_stack_is_the_conj_of_each_element(rng):
@@ -503,6 +515,51 @@ def test_conj_of_a_stack_is_the_conj_of_each_element(rng):
 
     mats = np.stack(random_commuting_involution_set(4, rng, 4))
     m = involution_normal_form(mats[0]).m
-    stacked = _conj(m, mats)
+    stacked = _conj(gf2._pack_rows(m), [gf2._pack_rows(c) for c in mats])
     for c, got in zip(mats, stacked):
-        assert np.array_equal(got, gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m)))
+        want = gf2.mat_mul(gf2.mat_mul(m, c), gf2.inverse(m))
+        assert np.array_equal(gf2._unpack_rows(got, 8), want)
+
+
+MAT_FILES = sorted((Path(__file__).resolve().parent.parent / "matrices").glob("*.mat")) + sorted(
+    (Path(__file__).resolve().parent / "golden").glob("*.mat")
+)
+
+
+def _assert_matches_oracle(mats):
+    """Both normal forms of mats, bit for bit against the numpy module the
+    packed-row one replaced."""
+    got, want = commuting_set_normal_form(mats), commuting_set_normal_form_oracle(mats)
+    assert np.array_equal(got.m, want.m) and len(got.normalized) == len(want.normalized)
+    for g, w in zip(got.normalized, want.normalized):
+        assert np.array_equal(g, w)
+    for c in mats:
+        got, want = involution_normal_form(c), involution_normal_form_oracle(c)
+        assert np.array_equal(got.m, want.m) and np.array_equal(got.normalized, want.normalized)
+
+
+@pytest.mark.parametrize("path", MAT_FILES, ids=lambda p: p.name)
+def test_matrix_files_match_the_numpy_oracle(path):
+    _assert_matches_oracle(read_bit_matrices(str(path)))
+
+
+def test_random_inputs_match_the_numpy_oracle():
+    rng = np.random.default_rng(2024)
+    count = 0
+    for n in range(1, 17):
+        for size in (1, 2, 3, 4, 5):
+            for _ in range(4 if n <= 8 else 2):
+                mats = random_commuting_involution_set(n, rng, size)
+                _assert_matches_oracle(mats)
+                count += 1 + size  # the set and each of its involutions
+    assert count >= 300
+
+
+def test_results_are_read_only_and_empty_inputs_work():
+    res = involution_normal_form(C1)
+    snf = commuting_set_normal_form([C1, C2])
+    for arr in (res.m, res.normalized, snf.m, *snf.normalized):
+        assert not arr.flags.writeable
+    empty = np.zeros((0, 0), dtype=np.uint8)
+    assert involution_normal_form(empty).m.shape == (0, 0)
+    assert [c.shape for c in commuting_set_normal_form([empty, empty]).normalized] == [(0, 0)] * 2

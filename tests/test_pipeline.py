@@ -439,14 +439,17 @@ def test_certificate_realizes_only_in_the_cross_check(monkeypatch):
 
 
 def test_generator_reps_equal_the_checked_constructor_bit_for_bit(rng):
-    # the family keeps the stacked Clifford test's bits as they are, and
-    # reps_of reads each rep of the stacks through the checked constructor
+    # the family keeps the stacked Clifford test's bits as they are: rep i
+    # is the checked rep that extract_rep reads off the one dense conjugate
+    # U tau_i U^dag, built one generator at a time
     for gate in _kernel_families(rng):
         fam = generators_from_gate(gate)
         for arr in (fam.cs, fam.hs):
             assert arr.dtype == np.uint8 and arr.flags.c_contiguous and not arr.flags.writeable
-        for q, c, h in zip(reps_of(fam), fam.cs, fam.hs, strict=True):
-            ref = CliffordRep(c, h)
+        u = dense.as_dense(gate)
+        generators = gf2.ident(2 * fam.n)
+        for q, e, c, h in zip(reps_of(fam), generators, fam.cs, fam.hs, strict=True):
+            ref = extract_rep(u @ pauli_to_dense(PhasedPauli(0, 0, e)) @ u.conj().T)
             for got, want in ((q.c, ref.c), (q.h, ref.h), (q.d, ref.d), (c, ref.c), (h, ref.h)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
