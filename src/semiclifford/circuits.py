@@ -205,40 +205,21 @@ def parse_circuit(text) -> CircuitDescription:
 
 
 @lru_cache(maxsize=None)
-def _placement(qubits, n):
-    """Read-only label tables (sub, rest, spread) placing a gate on the
-    given qubits of n.
-
-    For each basis label c of n qubits, sub[c] is the gate's own label
-    read off those qubits (the first listed most significant) and
-    rest[c] is c with those qubits cleared; spread[s] sets the gate's
-    label s on them.  So the gate's column sub[c] lands in column c,
-    its row s in row rest[c] | spread[s].
-    """
-    labels, _, weights = _label_tables(n)
-    place = weights[list(qubits)]
-    spread = basis_bits(len(qubits)) @ place
-    sub = ((labels[:, None] & place) != 0) @ _label_tables(len(qubits))[2]
-    rest = labels & ~spread[-1]
-    for arr in (sub, rest, spread):
-        arr.flags.writeable = False
-    return sub, rest, spread
-
-
-@lru_cache(maxsize=None)
 def _gate_rows(qubits, n):
     """Read-only (2^(n-k), 2^k) label table of a k-qubit gate's blocks.
 
     Row r lists the labels that share one setting of the other qubits,
-    in the gate's own label order: base | spread[s] for the r-th label
-    base with the gate's qubits clear.  So the gate acts on each block
+    in the gate's own label order: the r-th label with the gate's qubits
+    clear, OR'd with each k-bit label s of the gate set on its qubits
+    (the first listed most significant).  So the gate acts on each block
     of u's rows as u[rows[r]] = gate @ u[rows[r]]; circuit_to_dense
-    stacks the blocks through rows.T into one product, and _placed_gate
-    scatters the gate onto every block of a 2^n x 2^n matrix.
+    stacks the blocks through rows.T into one product, _placed_gate
+    scatters the gate onto every block of a 2^n x 2^n matrix, and
+    _embed_monomial maps each block's columns through the gate's.
     """
-    _, rest, spread = _placement(qubits, n)
-    labels = _label_tables(n)[0]
-    rows = labels[rest == labels][:, None] | spread
+    labels, _, weights = _label_tables(n)
+    spread = basis_bits(len(qubits)) @ weights[list(qubits)]
+    rows = labels[(labels & spread[-1]) == 0][:, None] | spread
     rows.flags.writeable = False
     return rows
 
@@ -290,9 +271,14 @@ def _gate_monomial(name):
 
 
 def _embed_monomial(gate: Monomial, qubits, n) -> Monomial:
-    """gate on the given qubits of n, in O(2^n), laid out by _placement."""
-    sub, rest, spread = _placement(tuple(qubits), n)
-    return Monomial(rest | spread[gate.perm[sub]], gate.phases[sub])
+    """gate on the given qubits of n, in O(2^n): column rows[r, s] of
+    each block (_gate_rows) goes to row rows[r, gate.perm[s]]."""
+    rows = _gate_rows(tuple(qubits), n)
+    perm = np.empty(1 << n, dtype=np.intp)
+    phases = np.empty(1 << n, dtype=complex)
+    perm[rows] = rows[:, gate.perm]
+    phases[rows] = gate.phases
+    return Monomial(perm, phases)
 
 
 def circuit_to_monomial(desc: CircuitDescription) -> Monomial | None:

@@ -180,24 +180,21 @@ def read_bit_matrices(path) -> list:
     return mats
 
 
-def load_circuit(path, check_size=None):
+def load_circuit(path):
     """Parse the circuit file at path and check its size against the dense
-    cap, then against check_size(n), the size check of a verb whose engine
-    stops below it, before any 2^n x 2^n matrix is built."""
+    cap before any 2^n x 2^n matrix is built; a verb whose engine stops
+    below that cap checks its own cap next."""
     with open(path) as fh:
         desc = parse_circuit(fh.read())
     check_dense_cap(desc.n)
-    if check_size is not None:
-        check_size(desc.n)
     return desc
 
 
 def cmd_classify(args) -> dict:
-    def check_size(n):
-        check_kmax(args.kmax)  # hierarchy_level tests kmax before the size
-        check_hierarchy_cap(n)
-
-    u = circuit_to_dense(load_circuit(args.circuit, check_size))
+    desc = load_circuit(args.circuit)
+    check_kmax(args.kmax)  # hierarchy_level tests kmax before the size
+    check_hierarchy_cap(desc.n)
+    u = circuit_to_dense(desc)
     report = classify(u, kmax=args.kmax)
     out = {
         "command": "classify",
@@ -286,7 +283,8 @@ def certificate_to_json(cert) -> dict:
 
 
 def cmd_pipeline(args) -> dict:
-    desc = load_circuit(args.circuit, check_pipeline_cap)
+    desc = load_circuit(args.circuit)
+    check_pipeline_cap(desc.n)
     u = circuit_to_monomial(desc)
     if u is None:  # an H gate: the dense engine
         u = circuit_to_dense(desc)

@@ -63,10 +63,11 @@ class ExpansionResult:
 
 def _fixed_space(rep: CliffordRep):
     """I + C, a basis of Ker(I + C) (one vector per row) and the pivot
-    columns of I + C, which span Im(I + C): all from one rref."""
+    columns of I + C, which span Im(I + C): all from one elimination."""
     ic = gf2.ident(2 * rep.n) ^ rep.c
-    red, pivots = gf2.rref(ic)
-    return ic, gf2._rref_kernel(red, pivots), pivots
+    red = gf2._pack_rows(ic)
+    pivots = gf2._eliminate(red, len(ic))
+    return ic, gf2._unpack_rows(gf2._row_kernel(red, pivots, len(ic)), len(ic)), pivots
 
 
 def _alpha_on(rep: CliffordRep, kernel):

@@ -8,14 +8,14 @@ widening is needed at the sizes used here (dimensions well below 256).
 Per-entry elimination runs on packed rows: _pack_rows turns each row
 into one Python int, bit c holding column c, and the work is whole-row
 XORs, the tableau layout of Aaronson-Gottesman (quant-ph/0406196).
-``rref`` and ``rank`` eliminate this way (_eliminate), and
-``circuits.circuit_to_rep`` keeps its tableau in the same layout.  The
-packed-row primitives _row_mul, _row_transpose, _row_inverse,
-_row_symplectic_inverse and _row_congruence take and return lists of
-such ints; ``normal_form`` holds its matrices this way from entry to
-result.  ``inverse``, ``symplectic_inverse`` and
-``symmetric_congruence`` are their ``uint8`` faces: each packs its
-input once and unpacks the result.
+``rref``, ``rank``, ``solve`` and ``kernel_basis`` eliminate this way
+(_eliminate), and ``circuits.circuit_to_rep`` keeps its tableau in the
+same layout.  The packed-row primitives _row_kernel, _row_mul,
+_row_transpose, _row_inverse, _row_symplectic_inverse and
+_row_congruence take and return lists of such ints; ``normal_form``
+holds its matrices this way from entry to result.  ``inverse``,
+``symplectic_inverse`` and ``symmetric_congruence`` are their
+``uint8`` faces: each packs its input once and unpacks the result.
 """
 
 from __future__ import annotations
@@ -186,10 +186,11 @@ def _unpack_rows(ints, cols):
     return np.unpackbits(data.reshape(len(ints), width >> 3), axis=1, count=cols, bitorder="little")
 
 
-def _eliminate(ints, n_pivot_cols):
+def _eliminate(ints, cols):
     """Reduce packed rows (_pack_rows) to RREF in place, pivoting on the
-    first n_pivot_cols columns; returns the pivot column list."""
-    searched = (1 << n_pivot_cols) - 1
+    first *cols* columns (row operations span the whole row); returns
+    the pivot column list."""
+    searched = (1 << cols) - 1
     pivots: list[int] = []
     for row in range(len(ints)):
         # searched columns left of the next pivot are zero in rows >= row,
@@ -209,26 +210,19 @@ def _eliminate(ints, n_pivot_cols):
     return pivots
 
 
-def rref(m, n_pivot_cols=None):
+def rref(m):
     """Reduced row echelon form over GF(2).
-
-    Args:
-        m: binary matrix.
-        n_pivot_cols: restrict pivot search to the first this-many
-            columns (row operations still span the full width).
 
     Returns:
         (R, pivot_cols): the reduced matrix and the pivot column list
-        (its length is the GF(2) rank of the searched columns).
+        (its length is the GF(2) rank).
     """
     r = asbits(m)
     rows, cols = r.shape
-    if n_pivot_cols is None:
-        n_pivot_cols = cols
     if not rows or not cols:
         return r, []
     ints = _pack_rows(r)
-    pivots = _eliminate(ints, n_pivot_cols)
+    pivots = _eliminate(ints, cols)
     return _unpack_rows(ints, cols), pivots
 
 
@@ -334,15 +328,14 @@ def solve(m, rhs):
     rhs = asbits(rhs)
     if rhs.ndim != 1 or m.shape[0] != rhs.shape[0]:
         raise ValueError(f"dimension mismatch: {m.shape} vs {rhs.shape}")
-    rows, cols = m.shape
-    aug = np.concatenate([m, rhs.reshape(-1, 1)], axis=1)
-    red, pivots = rref(aug, n_pivot_cols=cols)
-    for k in range(rows):
-        if red[k, cols] and not red[k, :cols].any():
-            return None
+    _, cols = m.shape
+    # eliminated on m's columns, a nonzero row past the pivots reads 0 = 1
+    aug = _pack_rows(np.concatenate([m, rhs.reshape(-1, 1)], axis=1))
+    pivots = _eliminate(aug, cols)
+    if any(aug[len(pivots) :]):
+        return None
     x = np.zeros(cols, dtype=np.uint8)
-    for row, col in enumerate(pivots):
-        x[col] = red[row, cols]
+    x[pivots] = [row >> cols & 1 for row in aug[: len(pivots)]]
     return x
 
 
@@ -352,19 +345,18 @@ def kernel_basis(m):
     The result has shape (cols - rank, cols); it is empty (0 rows) for
     injective maps.
     """
-    return _rref_kernel(*rref(m))
+    m = asbits(m)
+    _, cols = m.shape
+    red = _pack_rows(m)
+    return _unpack_rows(_row_kernel(red, _eliminate(red, cols), cols), cols)
 
 
-def _rref_kernel(red, pivots):
-    """kernel_basis of a matrix from its rref (red, pivots): free column f
-    gives e_f plus red[r, f] in each pivot column r."""
-    free = np.ones(red.shape[1], dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((free.size, red.shape[1]), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = red[: len(pivots), free].T
-    return basis
+def _row_kernel(red, pivots, cols):
+    """Kernel basis, as packed rows, of a matrix with *cols* columns from
+    its elimination (red, pivots) by _eliminate: free column f gives e_f
+    plus red[i, f] in pivot column pivots[i]."""
+    free = [f for f in range(cols) if f not in pivots]
+    return [1 << f | sum((red[i] >> f & 1) << p for i, p in enumerate(pivots)) for f in free]
 
 
 def is_involution(m) -> bool:

@@ -109,9 +109,7 @@ def _jordan_involution_basis(at):
     pivots = gf2._eliminate(red, n)
     k = len(pivots)
     bt = [v for j in pivots for v in (cols[j], 1 << j)]
-    # kernel vector of free column f: e_f plus red[i, f] in pivot column i
-    free = [f for f in range(n) if f not in pivots]
-    kernel = [1 << f | sum((red[i] >> f & 1) << p for i, p in enumerate(pivots)) for f in free]
+    kernel = gf2._row_kernel(red, pivots, n)
     lead = {}  # rank test: a vector of the span so far per top bit
     for i, v in enumerate([cols[j] for j in pivots] + kernel):
         w = v

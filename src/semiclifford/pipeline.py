@@ -273,13 +273,13 @@ def fmap_kernel(scan: FMapScan) -> np.ndarray:
         raise AssertionError(
             f"kernel has size {len(zero_idx)}, expected {1 << n}; invalid family"
         )
-    members = (zero_idx[:, None] >> np.arange(2 * n)) & 1  # bit k: exponent of generator k
-    red, pivots = gf2.rref(members.astype(np.uint8))
+    members = zero_idx.tolist()  # bit k: exponent of generator k
+    pivots = gf2._eliminate(members, 2 * n)
     if len(pivots) != n:
         raise AssertionError(f"kernel rank {len(pivots)}, expected {n}")
     if len(np.unique(scan.fvals, axis=0)) != 1 << n:
         raise AssertionError("f-vector map is not surjective")
-    return red[:n].copy()
+    return gf2._unpack_rows(members[:n], 2 * n)
 
 
 def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
@@ -299,8 +299,9 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
     with word w, generator k maps the orbit onto itself and e_k + w
     joins the stabilizer.  Points are packed ints (bit i holds
     coordinate i), and A_k^T is tabulated over all 2^n of them in n
-    doubling steps, so each copy is one gather and the kernel one rref
-    of at most 2n stabilizer generators.
+    doubling steps, so each copy is one gather, and the stabilizer
+    words are eliminated as packed rows (gf2._eliminate) and unpacked
+    once.
 
     The orbit is verified to have all 2^n points (T is surjective) and
     the kernel to have rank n; a copy that meets the orbit, which only
@@ -325,7 +326,7 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
     stabilizer = []
     for k, f in enumerate(shifts):
         if position[f] >= 0:
-            stabilizer.append(words[position[f]] ^ (1 << k))
+            stabilizer.append(int(words[position[f]]) ^ 1 << k)
             continue
         copy = lin[k, points] ^ f
         if (position[copy] >= 0).any():
@@ -340,11 +341,10 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
             f"f-vector map is not surjective: the orbit of 0 has {len(points)} "
             f"points, expected {1 << n}"
         )
-    members = (np.array(stabilizer, dtype=lin.dtype)[:, None] >> np.arange(m)) & 1
-    red, pivots = gf2.rref(members.astype(np.uint8))
+    pivots = gf2._eliminate(stabilizer, m)
     if len(pivots) != n:
         raise AssertionError(f"kernel rank {len(pivots)}, expected {n}")
-    return red  # n rows: the steps that did not double the orbit
+    return gf2._unpack_rows(stabilizer, m)  # n rows: the steps that did not double the orbit
 
 
 def _products(family: GeneratorFamily, rows):

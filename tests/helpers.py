@@ -333,8 +333,9 @@ def commutes(p: PhasedPauli, q: PhasedPauli) -> bool:
 def rref_oracle(m, n_pivot_cols=None):
     """Reduced row echelon form over GF(2), one numpy bit at a time.
 
-    Same contract as ``gf2.rref``: (R, pivot_cols), with the pivot
-    search restricted to the first n_pivot_cols columns.
+    Same contract as ``gf2.rref``, (R, pivot_cols), with the pivot
+    search restricted to the first n_pivot_cols columns as in
+    ``gf2._eliminate``.
     """
     r = gf2.asbits(m).copy()
     rows, cols = r.shape

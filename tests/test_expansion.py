@@ -192,16 +192,17 @@ def test_expand_matches_scalar_oracle_on_random_reps(n, rng):
 
 
 def test_expand_eliminates_i_plus_c_once(monkeypatch, rng):
-    # the kernel, alpha's system and the image pivots share one rref of I + C
+    # the kernel, alpha's system and the image pivots share one elimination
+    # of I + C's packed rows on all its columns
     rep = circuit_to_rep(random_circuit(3, 18, rng))
-    ic = gf2.ident(6) ^ rep.c
-    real, seen = gf2.rref, []
+    ic = gf2._pack_rows(gf2.ident(6) ^ rep.c)
+    real, seen = gf2._eliminate, []
 
-    def recording_rref(m, *args, **kwargs):
-        seen.append(np.array_equal(m, ic))
-        return real(m, *args, **kwargs)
+    def recording_eliminate(ints, cols):
+        seen.append(ints == ic and cols == 6)
+        return real(ints, cols)
 
-    monkeypatch.setattr(gf2, "rref", recording_rref)
+    monkeypatch.setattr(gf2, "_eliminate", recording_eliminate)
     expand(rep)
     alpha_vector(rep)
     assert sum(seen) == 2

@@ -304,29 +304,80 @@ def _rref_cases(draw):
     return m, n_pivot_cols
 
 
+def _eliminated(m, n_pivot_cols):
+    """(R, pivot_cols) of m by the packed-row elimination, pivoting on its
+    first n_pivot_cols columns (all of them for None), as solve and
+    _row_inverse call it."""
+    ints = gf2._pack_rows(m)
+    pivots = gf2._eliminate(ints, m.shape[1] if n_pivot_cols is None else n_pivot_cols)
+    return gf2._unpack_rows(ints, m.shape[1]), pivots
+
+
 @given(_rref_cases())
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_per_bit_oracle(case):
     m, n_pivot_cols = case
     before = m.copy()
-    red, pivots = gf2.rref(m, n_pivot_cols)
-    want, want_pivots = rref_oracle(m, n_pivot_cols)
-    assert pivots == want_pivots
-    assert red.dtype == np.uint8 and red.shape == m.shape
-    assert np.array_equal(red, want)
-    assert red.flags.writeable and not np.shares_memory(red, m)
+    for (red, pivots), (want, want_pivots) in (
+        (_eliminated(m, n_pivot_cols), rref_oracle(m, n_pivot_cols)),
+        (gf2.rref(m), rref_oracle(m)),
+    ):
+        assert pivots == want_pivots
+        assert red.dtype == np.uint8 and red.shape == m.shape
+        assert np.array_equal(red, want)
+        assert red.flags.writeable and not np.shares_memory(red, m)
     assert np.array_equal(m, before)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (3, 64), (2, 65)])
 def test_rref_edge_shapes(shape):
     for m in (np.zeros(shape, dtype=np.uint8), np.ones(shape, dtype=np.uint8)):
-        for n_pivot_cols in range(shape[1] + 1):
-            red, pivots = gf2.rref(m, n_pivot_cols)
-            want, want_pivots = rref_oracle(m, n_pivot_cols)
+        cases = [(_eliminated(m, k), rref_oracle(m, k)) for k in range(shape[1] + 1)]
+        for (red, pivots), (want, want_pivots) in [*cases, (gf2.rref(m), rref_oracle(m))]:
             assert pivots == want_pivots
             assert red.shape == shape and np.array_equal(red, want)
             assert red.flags.writeable
+
+
+@given(_rref_cases(), st.integers(0, 2**40 - 1), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_the_rref_oracle(case, bits, consistent):
+    # x[pivot] is the RREF's rhs bit, free variables zero; None when a row
+    # past the pivots has its rhs bit set
+    m = case[0]
+    rows, cols = m.shape
+    if consistent:
+        rhs = m @ ((bits >> np.arange(cols)) & 1).astype(np.uint8) & 1
+    else:
+        rhs = ((bits >> np.arange(rows)) & 1).astype(np.uint8)
+    red, pivots = rref_oracle(np.concatenate([m, rhs[:, None]], axis=1), cols)
+    got = gf2.solve(m, rhs)
+    if red[len(pivots) :, cols].any():
+        assert got is None
+        assert gf2.rank(m) < gf2.rank(np.concatenate([m, rhs[:, None]], axis=1))
+        assert not consistent
+        return
+    want = np.zeros(cols, dtype=np.uint8)
+    want[pivots] = red[: len(pivots), cols]
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert np.array_equal(m @ got & 1, rhs)
+
+
+@given(_rref_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_matches_the_rref_oracle(case):
+    # free column f gives e_f plus the RREF's column f at the pivots
+    m = case[0]
+    cols = m.shape[1]
+    red, pivots = rref_oracle(m)
+    free = [f for f in range(cols) if f not in pivots]
+    want = np.zeros((len(free), cols), dtype=np.uint8)
+    want[np.arange(len(free)), free] = 1
+    want[:, pivots] = red[: len(pivots), free].T
+    got = gf2.kernel_basis(m)
+    assert got.dtype == np.uint8 and got.shape == (cols - len(pivots), cols)
+    assert np.array_equal(got, want)
+    assert not (m @ got.T & 1).any()
 
 
 @given(_rref_cases())

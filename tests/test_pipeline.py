@@ -766,12 +766,13 @@ def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
     # Monomials), multiplies no single Monomial pair inside validate (its
     # op checks multiply stacks, at most one product per chunk and order:
     # the 14 squares fit one chunk, the 91 pairs i < j come in chunks of
-    # _STACK_ENTRIES // (2 * 2^7), in two orders), and runs one rref in
-    # orbit_kernel, on at most 2n = 14 rows (one per stabilizer generator)
+    # _STACK_ENTRIES // (2 * 2^7), in two orders), and runs one packed-row
+    # elimination in orbit_kernel, on at most 2n = 14 rows (one per
+    # stabilizer generator)
     import semiclifford.pipeline as pipeline_module
 
     calls = {"to_dense": 0, "validate @": 0, "validate stacked @": 0}
-    rref_rows = []
+    eliminated_rows = []
     inside = set()
 
     def flagged(name, fn):
@@ -784,7 +785,7 @@ def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
 
         return wrapper
 
-    to_dense, matmul, rref = Monomial.to_dense, Monomial.__matmul__, gf2.rref
+    to_dense, matmul, eliminate = Monomial.to_dense, Monomial.__matmul__, gf2._eliminate
 
     def counting_to_dense(self):
         calls["to_dense"] += 1
@@ -795,21 +796,21 @@ def test_counterexample_report_keeps_the_certificate_path_o_2n(monkeypatch):
             calls["validate stacked @" if self.perm.ndim > 1 else "validate @"] += 1
         return matmul(self, other)
 
-    def counting_rref(m, *args):
+    def counting_eliminate(ints, cols):
         if "orbit_kernel" in inside:
-            rref_rows.append(len(m))
-        return rref(m, *args)
+            eliminated_rows.append(len(ints))
+        return eliminate(ints, cols)
 
     monkeypatch.setattr(Monomial, "to_dense", counting_to_dense)
     monkeypatch.setattr(Monomial, "__matmul__", counting_matmul)
-    monkeypatch.setattr(gf2, "rref", counting_rref)
+    monkeypatch.setattr(gf2, "_eliminate", counting_eliminate)
     monkeypatch.setattr(GeneratorFamily, "validate", flagged("validate", GeneratorFamily.validate))
     monkeypatch.setattr(pipeline_module, "orbit_kernel", flagged("orbit_kernel", orbit_kernel))
     report = counterexample_report(rng=np.random.default_rng(1))
     assert report["certificate"].verdicts["dense_cross_checks"] == 6
     assert calls["to_dense"] == calls["validate @"] == 0
     assert 0 < calls["validate stacked @"] <= 1 + 2 * -(-91 // (_STACK_ENTRIES // (2 << 7)))
-    assert len(rref_rows) == 1 and rref_rows[0] <= 14
+    assert len(eliminated_rows) == 1 and eliminated_rows[0] <= 14
 
 
 def test_warm_counterexample_report_builds_one_rep_and_never_reads_qs(monkeypatch):
