@@ -11,8 +11,9 @@ stays the single source of truth; whether a gate is Clifford is read
 off its matrix too.  A gate's rep lives on its qubits' coordinates
 (_rep_coords): circuit_to_rep applies it as a tableau update of those
 rows of C, each row packed into one int.  Likewise circuit_to_monomial
-reads each gate's permutation and phases off its GATE_MATRICES entry;
-every library gate but H is monomial.
+reads each gate's permutation and phases off its GATE_MATRICES entry,
+as exponents of omega = e^{i pi/4}; every library gate but H is
+monomial.
 circuit_to_dense builds small circuits as a chain: up to CHAIN_QUBITS
 = 4 qubits it multiplies the running matrix by each placed gate, a
 cached read-only 2^n x 2^n matrix.  Above it, it applies each gate's
@@ -266,26 +267,28 @@ def _gate_monomial(name):
     except ValueError:
         return None
     gate.perm.flags.writeable = False
-    gate.phases.flags.writeable = False
+    gate.exps.flags.writeable = False
     return gate
 
 
 def _embed_monomial(gate: Monomial, qubits, n) -> Monomial:
     """gate on the given qubits of n, in O(2^n): column rows[r, s] of
-    each block (_gate_rows) goes to row rows[r, gate.perm[s]]."""
+    each block (_gate_rows) goes to row rows[r, gate.perm[s]], with the
+    exponent gate.exps[s]."""
     rows = _gate_rows(tuple(qubits), n)
     perm = np.empty(1 << n, dtype=np.intp)
-    phases = np.empty(1 << n, dtype=complex)
+    exps = np.empty(1 << n, dtype=np.uint8)
     perm[rows] = rows[:, gate.perm]
-    phases[rows] = gate.phases
-    return Monomial(perm, phases)
+    exps[rows] = gate.exps
+    return Monomial._unchecked(perm, exps)
 
 
 def circuit_to_monomial(desc: CircuitDescription) -> Monomial | None:
     """Monomial unitary of a circuit, or None if a gate is not monomial.
 
     Listed gates act in order, as in circuit_to_dense, whose matrix
-    this equals within TOL; the cost is O(2^n) per gate.
+    this equals within TOL; the cost is O(2^n) per gate, in exact
+    exponent arithmetic.
     """
     check_dense_cap(desc.n)
     u = Monomial.identity(desc.n)

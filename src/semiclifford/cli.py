@@ -121,12 +121,13 @@ def phase_str(z) -> str:
 
 
 def phase_labels(zs) -> list:
-    """phase_str of every entry of a 1-D array, with one distance test
-    for the whole array; only entries far from 1, -1, i and -i are
-    formatted one at a time."""
-    near = np.abs(np.asarray(zs)[:, None] - _PHASES) < TOL
-    labels = np.array(_PHASE_NAMES, dtype=object)[near.argmax(axis=1)]
-    for t in np.flatnonzero(~near.any(axis=1)):
+    """phase_str of every entry of an array, as nested lists of its
+    shape, with one distance test for the whole array; only entries far
+    from 1, -1, i and -i are formatted one at a time."""
+    zs = np.asarray(zs)
+    near = np.abs(zs[..., None] - _PHASES) < TOL
+    labels = np.array(_PHASE_NAMES, dtype=object)[near.argmax(axis=-1)]
+    for t in zip(*np.nonzero(~near.any(axis=-1))):
         labels[t] = phase_str(zs[t])
     return labels.tolist()
 
@@ -277,7 +278,7 @@ def certificate_to_json(cert) -> dict:
         "n": cert.n,
         "conjugator": rep_to_json(cert.conjugator),
         "kernel_basis": matrix_rows(cert.kernel_basis),
-        "diagonal_spectra": [phase_labels(spectrum) for spectrum in cert.spectra],
+        "diagonal_spectra": phase_labels(cert.spectra),
         "verdicts": cert.verdicts,
     }
 

@@ -7,9 +7,10 @@ block-form involutions as permutation-phase matrices.
 
 An operator, one matrix or a stack of k, is stored in one of two
 formats, each its own engine: a Monomial (permutation times diagonal,
-(k, 2^n) arrays) for monomial gates, in O(2^n) per operation, and a
-(k, d, d) complex array, run by the stateless _Dense, for the rest (H)
-and as the oracle the tests check Monomials against.  _engine(us) is
+(k, 2^n) arrays, the diagonal as exponents mod 8 of omega = e^{i pi/4})
+for monomial gates, in O(2^n) integer operations, and a (k, d, d)
+complex array, run by the stateless _Dense, for the rest (H) and as the
+oracle the tests check Monomials against.  _engine(us) is
 the one choice between them (TypeError for anything else), and shared
 code runs one body on _engine(us).method(us, ...).  Both engines have:
 
@@ -22,13 +23,13 @@ code runs one body on _engine(us).method(us, ...).  Both engines have:
 - close(us, vs, signs), to_dense, stack(ops), and from_monomial(m), the
   Monomial m in the engine's format (from_monomial(Monomial.identity(n))
   is its identity);
-- stored: the stored entries, the matrices or the phases, whose count
+- stored: the stored entries, the matrices or the exponents, whose count
   per matrix sizes the chunks (_per_stack);
-- is_unitary, and largest: the stored entry close_up_to_phase reads;
+- is_unitary and close_up_to_phase;
 - generator_paulis: the Pauli tests of the 2n generator conjugates of
   each matrix, in chunks.  A Monomial builds no conjugate there:
   _affine_paulis reads its generator images off its affine permutation
-  and its phase products.
+  and its exponent differences.
 
 _pauli_stack is the only Pauli test of a built conjugate: it reads each
 candidate Pauli through entries, builds it in the stack's engine and
@@ -38,14 +39,17 @@ entries.  At n <= 3, classify runs it once on one such stack (u, its
 4^n - 1 nonzero conjugates and the (2n)^2 conjugates of its generator
 conjugates) and reads the hierarchy level and S(u) off that one result.
 
-TOL is the package's one tolerance, and it is absolute: every dense
-test reads it, and every matrix comparison goes through close or
-_close_stack, which bounds the largest entrywise difference by TOL
-with no relative term.  The entries of Paulis, Cliffords and the
-certificate spectra are 0 or an eighth root of unity over a power of
-sqrt(2), and at the supported sizes two distinct such values differ by
-far more than TOL.  So TOL only absorbs accumulated rounding, which
-stays near machine epsilon, and never merges two exact values.
+TOL is the package's one tolerance, and it is absolute.  It applies to
+dense input, and to the one snap of a phase to an eighth root of unity
+when a Monomial is built from phases; Monomial arithmetic is exact and
+its comparisons are integer equalities.  Every dense test reads TOL,
+and every dense comparison goes through close or _close_stack, which
+bounds the largest entrywise difference by TOL with no relative term.
+The entries of Paulis, Cliffords and the certificate spectra are 0 or
+an eighth root of unity over a power of sqrt(2), and at the supported
+sizes two distinct such values differ by far more than TOL.  So TOL
+only absorbs accumulated rounding, which stays near machine epsilon,
+and never merges two exact values.
 """
 
 from __future__ import annotations
@@ -83,26 +87,59 @@ HIERARCHY_QUBIT_CAP = 7
 HIERARCHY_LEVEL_CAP = 4
 
 
+# omega**k for k = 0..7, omega = e^{i pi/4}: the phases of a Monomial,
+# stored as their exponents k.  Entries 0, 1, 2, 4, 6 and 7 are bit for
+# bit the nonzero entries 1, omega, 1j, -1, -1j and omega**7 of
+# circuits.GATE_MATRICES (T, S, Y, Z, SDG and TDG hold them), and entry
+# k + 4 is -entry k.
+_OMEGA = np.array(
+    [1, np.exp(1j * np.pi / 4), 1j, 1j * np.exp(1j * np.pi / 4)]
+    + [-1, -np.exp(1j * np.pi / 4), -1j, np.exp(-1j * np.pi / 4)]
+)
+_OMEGA.flags.writeable = False
+
+
+def _exponents(phases) -> np.ndarray:
+    """The uint8 exponents k of the eighth roots omega**k within TOL of
+    phases; ValueError if a phase has none (zero, NaN or off the grid)."""
+    phases = np.asarray(phases, dtype=complex)
+    with np.errstate(invalid="ignore"):  # a NaN casts to some k and fails below
+        exps = np.rint(np.angle(phases) * (4 / np.pi)).astype(np.int8) & 7
+    exps = exps.view(np.uint8)
+    if not (np.abs(phases - _OMEGA[exps]) <= TOL).all():
+        raise ValueError("phase not within TOL of an eighth root of unity")
+    return exps
+
+
+def _sign_exps(signs) -> np.ndarray:
+    """The exponents of +-1 signs: 4 where the sign is -1, else 0."""
+    return (np.asarray(signs) < 0).astype(np.uint8) << 2
+
+
 class Monomial:
-    """A 2^n x 2^n monomial matrix: u|c> = phases[c] |perm[c]>.
+    """A 2^n x 2^n monomial matrix: u|c> = omega**exps[c] |perm[c]>.
 
     perm[c] is the row of the one nonzero entry of column c, as in
-    MonomialCheck, and phases[c] its value.  Products, adjoints and Pauli
-    conjugations cost O(2^n).  With (k, 2^n) arrays it is a stack of k
-    matrices, the counterpart of a dense (k, d, d) stack: indexing
+    MonomialCheck, and exps[c] is the uint8 exponent mod 8 of its value,
+    an eighth root of unity omega**k (omega = e^{i pi/4}); phases reads
+    the values off _OMEGA.  Every library gate but H is such a matrix,
+    and so is every product, adjoint and Pauli conjugate of them, so
+    products add exponents, adjoints negate them and every comparison is
+    an integer equality, in O(2^n).  With (k, 2^n) arrays it is a stack
+    of k matrices, the counterpart of a dense (k, d, d) stack: indexing
     (u[None] too) and iteration run over the first axis, dag, to_dense
     and the engine methods (module docstring) take a stack, and a
     product of two stacks of equal shape multiplies them pairwise, as
-    ndarray @ does.  Every permutation entry lies in [0, 2^n) and is an
-    integer (an integer array of any width), and every phase is above
-    TOL in modulus (NaN is let through, for check_unitary to reject),
-    which the constructor checks (ValueError otherwise).
-    Products, adjoints and indexing, whose entries are in range by
-    construction, build their results unchecked (_unchecked).  Treat the
-    arrays as read-only: operations return new Monomials.
+    ndarray @ does.  The constructor takes phases: every permutation
+    entry lies in [0, 2^n) and is an integer (an integer array of any
+    width), and every phase is snapped to the eighth root within TOL of
+    it (ValueError otherwise, zero and NaN included); so does a scalar
+    product s * u.  Products, adjoints and indexing, whose entries are in
+    range by construction, build their results unchecked (_unchecked).
+    Treat the arrays as read-only: operations return new Monomials.
     """
 
-    __slots__ = ("perm", "phases")
+    __slots__ = ("perm", "exps")
     # numpy operators defer to this class: `-1.0 * m` reaches __rmul__,
     # and `ndarray @ m` raises instead of building an object array
     __array_ufunc__ = None
@@ -121,25 +158,23 @@ class Monomial:
         # as unsigned integers, negative entries are past every dimension
         if perm.size and perm.view(np.uintp).max() >= dim:
             raise ValueError(f"permutation entry outside [0, {dim})")
-        # close and close_up_to_phase read each phase as a nonzero entry
-        if (np.abs(phases) <= TOL).any():
-            raise ValueError("phase within TOL of 0")
         self.perm = perm
-        self.phases = phases
+        self.exps = _exponents(phases)
 
     @classmethod
-    def _unchecked(cls, perm, phases):
-        """A Monomial of intp perm and complex phases arrays of one shape
-        whose entries are in range by construction: no check runs."""
+    def _unchecked(cls, perm, exps):
+        """A Monomial of an intp perm and a uint8 exps array in [0, 8) of
+        one shape whose entries are in range by construction: no check
+        runs."""
         out = cls.__new__(cls)
         out.perm = perm
-        out.phases = phases
+        out.exps = exps
         return out
 
     @classmethod
     def identity(cls, n):
         dim = 1 << n
-        return cls._unchecked(np.arange(dim), np.ones(dim, dtype=complex))
+        return cls._unchecked(np.arange(dim), np.zeros(dim, dtype=np.uint8))
 
     @classmethod
     def from_dense(cls, u):
@@ -147,6 +182,13 @@ class Monomial:
         if not mc.is_monomial:
             raise ValueError("matrix is not monomial")
         return cls(mc.permutation, mc.phases)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The nonzero entries omega**exps, a read-only array."""
+        out = _OMEGA[self.exps]
+        out.flags.writeable = False
+        return out
 
     @property
     def shape(self):
@@ -160,31 +202,31 @@ class Monomial:
         return len(self.perm)
 
     def __getitem__(self, index):
-        perm, phases = self.perm[index], self.phases[index]
+        perm, exps = self.perm[index], self.exps[index]
         if perm.shape[-1:] != self.perm.shape[-1:]:  # the index reached the column axis
-            return Monomial(perm, phases)
-        return Monomial._unchecked(perm, phases)
+            return Monomial(perm, _OMEGA[exps])
+        return Monomial._unchecked(perm, exps)
 
     def __matmul__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
         if self.perm.shape != other.perm.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not multiply")
-        index, perm, phases = other.perm, self.perm, self.phases
+        index, perm, exps = other.perm, self.perm, self.exps
         if index.ndim > 1:
             # one flat gather: matrix t's entries lie in [0, d), so t * d + entry
             # reads its own matrix, at a third of take_along_axis's call cost
             d = index.shape[-1]
             index = index + np.arange(0, index.size, d).reshape(index.shape[:-1] + (1,))
-            perm, phases = perm.reshape(-1), phases.reshape(-1)
-        phases = phases[index]
-        phases *= other.phases
-        return Monomial._unchecked(perm[index], phases)
+            perm, exps = perm.reshape(-1), exps.reshape(-1)
+        exps = exps[index] + other.exps
+        exps &= 7
+        return Monomial._unchecked(perm[index], exps)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return Monomial._unchecked(self.perm, scalar * self.phases)
+        return Monomial._unchecked(self.perm, (self.exps + _exponents(scalar)) & 7)
 
     def dag(self):
         """The adjoint: column perm[c] holds conj(phases[c]) in row c;
@@ -193,11 +235,14 @@ class Monomial:
         np.put_along_axis(inv, self.perm, np.arange(self.perm.shape[-1]), axis=-1)
         if (inv < 0).any():
             raise ValueError("permutation is not a bijection")
-        return Monomial._unchecked(inv, np.take_along_axis(self.phases, inv, axis=-1).conj())
+        return Monomial._unchecked(inv, -np.take_along_axis(self.exps, inv, axis=-1) & 7)
 
     def to_dense(self) -> np.ndarray:
+        # entry (t, perm[t, c], c) of a stack sits at t d^2 + perm[t, c] d + c
+        d = self.perm.shape[-1]
         out = np.zeros(self.shape, dtype=complex)
-        np.put_along_axis(out, self.perm[..., None, :], self.phases[..., None, :], axis=-2)
+        flat = np.arange(0, self.perm.size * d, d * d).reshape(self.perm.shape[:-1] + (1,))
+        out.reshape(-1)[flat + self.perm * d + np.arange(d)] = _OMEGA[self.exps]
         return out
 
     def __repr__(self):
@@ -211,48 +256,48 @@ class Monomial:
 
     def conjugates(self, udag, vectors):
         # tau_a sends |c> to signs[c + w] |c + w>, so all k m conjugates
-        # are one O(k m 2^n) gather
+        # are one O(k m 2^n) gather, and their exponents sum
         perm, signs = pauli_action(_stack_qubits(self), vectors)
         rows = np.arange(len(perm))[:, None]
         t = perm[rows, udag.perm[:, None]]  # (k, m, d): tau_a u^dag's perm
-        phases = np.take_along_axis(self.phases[:, None], t, -1)
-        phases *= signs[rows, t]
-        phases *= udag.phases[:, None]
-        perms = np.take_along_axis(self.perm[:, None], t, -1)
+        mats = np.arange(len(self))[:, None, None]
+        exps = self.exps[mats, t]
+        exps += _sign_exps(signs)[rows, t]
+        exps += udag.exps[:, None]
+        exps &= 7
+        perms = self.perm[mats, t]
         d = perm.shape[-1]
-        return Monomial._unchecked(perms.reshape(-1, d), phases.reshape(-1, d))
+        return Monomial._unchecked(perms.reshape(-1, d), exps.reshape(-1, d))
 
     def entries(self, rows, cols):
-        return np.where(self.perm[:, cols] == rows, self.phases[:, cols], 0)
+        return np.where(self.perm[:, cols] == rows, _OMEGA[self.exps[:, cols]], 0)
 
     def close(self, vs, signs=None):
-        # equal permutations and phases within TOL: the dense test, since
-        # each phase is above TOL in modulus
-        other = vs.phases if signs is None else np.asarray(signs)[..., None] * vs.phases
-        diff = self.phases - other
-        return (self.perm == vs.perm).all(axis=-1) & (np.abs(diff).max(axis=-1) <= TOL)
+        # equal permutations and exponents: the dense test, exactly, since
+        # two distinct eighth roots differ by far more than TOL
+        other = vs.exps if signs is None else vs.exps + _sign_exps(signs)[..., None]
+        return (self.perm == vs.perm).all(axis=-1) & (self.exps == other & 7).all(axis=-1)
+
+    def close_up_to_phase(self, v):
+        # one global phase is one exponent shift in every column
+        shift = (self.exps - v.exps) & 7
+        return np.array_equal(self.perm, v.perm) and bool((shift == shift[0]).all())
 
     @staticmethod
     def stack(ops):
-        perms, phases = (np.stack([getattr(op, a) for op in ops]) for a in ("perm", "phases"))
-        return Monomial._unchecked(perms, phases)
+        perms, exps = (np.stack([getattr(op, a) for op in ops]) for a in ("perm", "exps"))
+        return Monomial._unchecked(perms, exps)
 
     @staticmethod
     def from_monomial(m):
         return m
 
     def stored(self):
-        return self.phases
+        return self.exps
 
     def is_unitary(self):
-        # then u^dag u is diag(|phases|^2)
-        bijective = np.array_equal(np.sort(self.perm), np.arange(self.perm.shape[-1]))
-        return bijective and np.abs(np.abs(self.phases) ** 2 - 1).max() <= TOL
-
-    def largest(self):
-        mags = np.abs(self.phases)
-        cols = np.flatnonzero(mags == mags.max())
-        return cols[self.perm[cols].argmin()]  # the top row among the largest
+        # every phase has modulus 1, so u^dag u = I exactly when perm is a bijection
+        return np.array_equal(np.sort(self.perm), np.arange(self.perm.shape[-1]))
 
     def generator_paulis(self):
         per = _per_stack(self, _stack_qubits(self))  # n X-images of 2^n entries per matrix
@@ -299,8 +344,17 @@ class _Dense:
         return _Dense.close(u.conj().T @ u, np.eye(u.shape[0]))
 
     @staticmethod
-    def largest(u):
-        return np.abs(u).argmax()
+    def close_up_to_phase(u, v):
+        # the phase is read at the largest entry of v, the first in
+        # row-major order among equals
+        at = np.abs(v).argmax()
+        zu, zv = u.flat[at], v.flat[at]
+        if abs(zv) < TOL:
+            return bool(_Dense.close(u, v))
+        phase = zu / zv
+        if abs(abs(phase) - 1) > TOL:
+            return False
+        return bool(_Dense.close(u, phase * v))
 
     @staticmethod
     def generator_paulis(us):
@@ -366,9 +420,10 @@ def close(a, b) -> bool:
 
 
 def _close_stack(us, vs, signs=None):
-    """close(us[t], signs[t] * vs[t]) for each matrix t of a stack (no sign
-    product at signs=None), where vs is a stack of the same engine and
-    length or one matrix for all t.  A Monomial is compared only with one."""
+    """close(us[t], signs[t] * vs[t]) for each matrix t of a stack, with
+    signs +-1 (no sign product at signs=None), where vs is a stack of the
+    same engine and length or one matrix for all t.  A Monomial is
+    compared only with one."""
     engine = _engine(us)
     if _engine(vs) is not engine:
         raise TypeError("close compares a Monomial only with a Monomial")
@@ -388,7 +443,7 @@ def check_unitary(u):
     """Validate unitarity of an untrusted matrix and return it as an
     operator: finite entries (_finite_operator), then the engine's
     is_unitary.  A Monomial is unitary when its permutation is a
-    bijection and every phase has modulus 1 within TOL."""
+    bijection: its phases are eighth roots of unity."""
     v = _finite_operator(u)
     if v is None or not _engine(v).is_unitary(v):
         raise ValueError("matrix is not unitary")
@@ -435,24 +490,30 @@ def _conjugate_chunks(us, vectors):
             yield engine.conjugates(chunk, udag, vectors[j : j + cols])
 
 
-# the group phases i**delta (-1)**epsilon, and their (delta, epsilon) bits
-_PHASES = np.array([1, -1, 1j, -1j])
+# the group phases i**delta (-1)**epsilon, indexed by 2 delta + epsilon:
+# their exponents 2 delta + 4 epsilon, their values, and their bits
+_PHASE_EXPS = np.array([0, 4, 2, 6], dtype=np.uint8)
+_PHASES = _OMEGA[_PHASE_EXPS]
 _PHASE_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
 
 
 def _read_pauli(n, one, row0, read):
     """(ok, bits, a) of the candidate Paulis read off (k, n + 1) entries:
     z0 in column 0 and row row0 (`one` if alone above TOL there), then
-    +-z0 (the sign gives v_i) in row row0 + e_i of each |e_i> column."""
+    +-z0 (the sign gives v_i) in row row0 + e_i of each |e_i> column.
+
+    The bounds are those of close: a matrix within TOL of a Pauli in
+    every entry has z0 within TOL of its phase and each +-z0 entry within
+    2 TOL of +-z0, so it reads as that Pauli, and the caller's check of
+    every entry decides."""
     # a matrix with no single heavy entry is rejected; 1 keeps it finite
-    z0 = np.where(one, read[:, 0], 1)
-    ratio = read[:, 1:] / z0[:, None]
-    plus = np.abs(ratio - 1) < TOL
-    minus = np.abs(ratio + 1) < TOL
+    z0 = np.where(one, read[:, 0], 1)[:, None]
+    plus = np.abs(read[:, 1:] - z0) <= 2 * TOL
+    minus = np.abs(read[:, 1:] + z0) <= 2 * TOL
     v = minus.astype(np.uint8)
     w = basis_bits(n)[row0]
-    base = z0 * (-1.0) ** ((v & w).sum(axis=1) & 1)
-    near = np.abs(base[:, None] - _PHASES) < TOL
+    base = z0[:, 0] * (-1.0) ** ((v & w).sum(axis=1) & 1)
+    near = np.abs(base[:, None] - _PHASES) <= TOL
     ok = one & (plus | minus).all(axis=1) & near.any(axis=1)
     return ok, _PHASE_BITS[near.argmax(axis=1)], np.concatenate([v, w], axis=1)
 
@@ -483,10 +544,11 @@ def _pauli_stack(us):
     # the candidates only, and a view of us, no copy, when all are read
     rows = slice(None) if ok.all() else np.flatnonzero(ok)
     perm, signs = pauli_action(n, a[rows])
-    # bits (delta, epsilon) index _PHASES as 2 * delta + epsilon; tau_a
-    # is an involution, so column c holds values[c + w] in row c + w
-    values = _PHASES[bits[rows] @ (2, 1)][:, None] * signs
-    paulis = Monomial._unchecked(perm, values[np.arange(len(perm))[:, None], perm])
+    # bits (delta, epsilon) index _PHASE_EXPS as 2 * delta + epsilon; tau_a
+    # is an involution, so column c holds exps[c + w] in row c + w
+    exps = _PHASE_EXPS[bits[rows] @ (2, 1)][:, None] + _sign_exps(signs)
+    exps &= 7
+    paulis = Monomial._unchecked(perm, exps[np.arange(len(perm))[:, None], perm])
     ok[rows] = engine.close(us[rows], engine.from_monomial(paulis))
     return ok, bits, a
 
@@ -519,41 +581,44 @@ def _clifford_reps(bits, ct):
 
 def _affine_paulis(us):
     """_pauli_stack of the conjugates of all 2n generators by each Monomial
-    u|x> = phi(x)|pi(x)> of a stack, in _conjugate_chunks's order, read
-    off u.  The X-images are translations exactly when pi is affine,
-    pi(x) = A x + b, checked in one doubling step per qubit.  Then
-    u Z_j u^dag holds (-1)**x_j |phi(x)|^2 in column pi(x), and u X_j u^dag
-    holds r_j(x) = phi(x + e_j) conj(phi(x)) in row pi(x) + A e_j, bit for
-    bit the conjugates' entries: _read_pauli reads the same candidates off
-    x = pi^-1(0), pi^-1(e_i), and each is verified at every x.  If a
-    permutation is not an affine bijection, every image fails.
+    u|x> = omega**e(x) |pi(x)> of a stack, in _conjugate_chunks's order,
+    read off u.  The X-images are translations exactly when pi is affine,
+    pi(x) = A x + b: pi must equal the table that n doubling steps build
+    from pi(0) and the A e_j.  Then u Z_j u^dag holds (-1)**x_j in column
+    pi(x), and u X_j u^dag holds omega**r_j(x), r_j(x) = e(x + e_j) - e(x),
+    in row pi(x) + A e_j, the conjugates' entries: _read_pauli reads the
+    candidates off the values at x = pi^-1(0), pi^-1(e_i), and each
+    X-image is verified at every x on exponents (each Z-image, affine in
+    pi(x), is fixed by its candidate).  If a permutation is not an affine
+    bijection, every image fails.
     """
     n = _stack_qubits(us)
     check_dense_cap(n)  # the cap of the conjugates this test replaces
     labels, popsigns, weights = _label_tables(n)
-    perm, phases = us.perm, us.phases
+    perm, exps = us.perm, us.exps
     rows = np.arange(len(perm))[:, None]
     inv = np.zeros_like(perm)
     inv[rows, perm] = labels
-    cols = perm[:, weights] ^ perm[:, :1]  # A e_j; pi(c + e_j) = pi(c) + A e_j for labels c < e_j
-    steps = zip(weights, cols.T[:, :, None])
-    if not (all((perm[:, e : 2 * e] == perm[:, :e] ^ col).all() for e, col in steps)
-            and (inv[rows, perm] == labels).all()):
+    cols = perm[:, weights] ^ perm[:, :1]  # A e_j
+    affine = np.empty_like(perm)  # affine[:, x] = pi(0) + A x, doubled from the lowest weight
+    affine[:, :1] = perm[:, :1]
+    for e, col in zip(weights[::-1], cols.T[::-1, :, None]):
+        affine[:, e : 2 * e] = affine[:, :e] ^ col
+    if not (np.array_equal(perm, affine) and (inv[rows, perm] == labels).all()):
         return np.zeros(2 * n * len(perm), dtype=bool), None, None
     xs = inv[:, np.concatenate([[0], weights])]  # x at columns 0 and |e_i>
-    squares = phases * phases.conj()
-    z = np.where(xs[:, None] & weights[:, None], -1, 1) * squares[rows, xs][:, None]
-    x = phases[rows[..., None], xs[:, None] ^ weights[:, None]] * phases[rows, xs].conj()[:, None]
-    read = np.concatenate([z, x], axis=1).reshape(-1, n + 1)
+    z = ((xs[:, None] & weights[:, None]) != 0).astype(np.uint8) << 2  # 4 x_j: (k, n, n + 1)
+    r = exps[:, labels ^ weights[:, None]] - exps[:, None]  # (k, n, d)
+    r &= 7
+    x = r[rows[..., None], np.arange(n)[:, None], xs[:, None]]
+    read = _OMEGA[np.concatenate([z, x], axis=1)].reshape(-1, n + 1)
     row0 = np.concatenate([np.zeros_like(cols), cols], axis=1).ravel()
-    ok, bits, a = _read_pauli(n, np.abs(read[:, 0]) > TOL, row0, read)
+    ok, bits, a = _read_pauli(n, True, row0, read)
     ok = ok.reshape(-1, 2 * n)
-    ok[:, :n] &= (np.abs(1 - squares).max(axis=1) <= TOL)[:, None]
     vw = a.reshape(-1, 2 * n, 2, n)[:, n:] @ weights  # (k, n, 2): X-image v and w
-    values = _PHASES[bits.reshape(-1, 2 * n, 2)[:, n:] @ (2, 1)][..., None]
-    values = values * popsigns[(perm[:, None] ^ vw[..., 1:]) & vw[..., :1]]
-    values -= phases[:, labels ^ weights[:, None]] * phases.conj()[:, None]
-    ok[:, n:] &= np.abs(values).max(axis=-1) <= TOL
+    want = _PHASE_EXPS[bits.reshape(-1, 2 * n, 2)[:, n:] @ (2, 1)][..., None]
+    want = want + _sign_exps(popsigns)[(perm[:, None] ^ vw[..., 1:]) & vw[..., :1]]
+    ok[:, n:] &= (want & 7 == r).all(axis=-1)
     return ok.ravel(), bits, a
 
 
@@ -658,9 +723,10 @@ def _check_block_form(cs):
 
 def _lambda_products(cs, hs, ybits) -> np.ndarray:
     """The gauge-invariant products lambda_0 * lambda_{f+y} of each rep of
-    a block-form stack, one per row y: a (k, r) array for the C's cs
-    (k, 2n, 2n) and h's hs (k, 2n) of k reps, with ybits (r, n) shared
-    by all reps or (k, r, n), one set per rep.
+    a block-form stack, one per row y, as exponents k of omega**k (values
+    +-1, +-i): a (k, r) uint8 array for the C's cs (k, 2n, 2n) and h's hs
+    (k, 2n) of k reps, with ybits (r, n) shared by all reps or (k, r, n),
+    one set per rep.
 
     For a block-form rep C = (A E; 0 A^T), h = (f; g), evaluates
     i**(d0.y) * (-1)**(d0.y + g.y + y^T lows(AE + d0 d0^T) y), which pins
@@ -685,8 +751,8 @@ def _lambda_products(cs, hs, ybits) -> np.ndarray:
     weights[:, n:, 1] = low[:, n:, n:].reshape(k, n * n)
     terms = gf2._blas_mat_mul(features, weights)
     iexp = terms[..., 0]
-    # i**iexp (-1)**sexp is _PHASES[2 iexp + sexp], -0.0 imaginary parts included
-    return _PHASES[2 * iexp + (iexp ^ terms[..., 1])]
+    # i**iexp (-1)**sexp is omega**_PHASE_EXPS[2 iexp + sexp]
+    return _PHASE_EXPS[2 * iexp + (iexp ^ terms[..., 1])]
 
 
 def _check_involutions(cs, hs):
@@ -713,8 +779,10 @@ def _realize_involutions(cs, hs) -> Monomial:
     targets = gf2._blas_mat_mul(xbits, cs[:, :n, :n]) @ weights ^ shift
     # the products at y = x + f are those at y = x, read at label x ^ f
     rhs = np.take_along_axis(_lambda_products(cs, hs, xbits), labels ^ shift, axis=1)
-    lam0 = np.exp(1j * np.angle(rhs[:, :1]) / 2)
-    return Monomial(targets, rhs / lam0)
+    # lambda_0's principal square root halves the angle in (-pi, pi]: the
+    # even exponents 0, 2, 4, 6 halve to 0, 1, 2 and 7
+    lam0 = np.where(rhs[:, :1] == 6, 7, rhs[:, :1] >> 1)
+    return Monomial._unchecked(targets, (rhs - lam0) & 7)
 
 
 def realize_block(rep: CliffordRep) -> Monomial:
@@ -768,22 +836,13 @@ def monomial_check(u) -> MonomialCheck:
 def close_up_to_phase(u, v) -> bool:
     """Whether u = e^{i theta} v for a single global phase, within TOL.
 
-    The phase is read at the largest entry of v, the first in row-major
-    order among equals: the stored entry at the engine's largest.  Two
-    Monomials are compared in O(2^n), and a Monomial only with a
-    Monomial.
+    Dense matrices read the phase at the largest entry of v, the first
+    in row-major order among equals.  Two Monomials are compared in
+    O(2^n), as equal permutations whose exponents differ by one
+    constant, and a Monomial only with a Monomial.
     """
     u, v = _as_operator(u), _as_operator(v)
     engine = _engine(u)
     if _engine(v) is not engine:
         raise TypeError("close_up_to_phase compares a Monomial only with a Monomial")
-    if u.shape != v.shape:
-        return False
-    at = engine.largest(v)
-    zu, zv = engine.stored(u).flat[at], engine.stored(v).flat[at]
-    if abs(zv) < TOL:
-        return close(u, v)
-    phase = zu / zv
-    if abs(abs(phase) - 1) > TOL:
-        return False
-    return close(u, phase * v)
+    return u.shape == v.shape and engine.close_up_to_phase(u, v)

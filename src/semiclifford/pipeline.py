@@ -48,6 +48,7 @@ from . import gf2
 from .circuits import CircuitDescription, circuit_to_monomial
 from .clifford import CliffordRep, compose, inverse, product_table
 from .dense import (
+    _OMEGA,
     HIERARCHY_QUBIT_CAP,
     TOL,
     Monomial,
@@ -350,14 +351,15 @@ def orbit_kernel(family: GeneratorFamily) -> np.ndarray:
 def _products(family: GeneratorFamily, rows):
     """(cs, hs) of the generator products over nonzero exponent vectors
     rows (k, 2n): each folded from its first factor, and each later
-    factor k left-multiplying its rows by one product_table."""
+    factor k, a generator that some row holds after its first factor,
+    left-multiplying its rows by one product_table."""
     first = rows.argmax(axis=1)
+    later = (rows == 1) & (np.arange(rows.shape[1]) > first[:, None])
     cs, hs = family.cs[first], family.hs[first]
-    for k in range(1, rows.shape[1]):
-        take = np.flatnonzero((rows[:, k] == 1) & (first < k))
-        if take.size:
-            c, h = product_table(family.cs[k : k + 1], family.hs[k : k + 1], cs[take], hs[take])
-            cs[take], hs[take] = c[0], h[0]
+    for k in np.flatnonzero(later.any(axis=0)):
+        take = later[:, k]
+        c, h = product_table(family.cs[k : k + 1], family.hs[k : k + 1], cs[take], hs[take])
+        cs[take], hs[take] = c[0], h[0]
     return cs, hs
 
 
@@ -423,7 +425,8 @@ def extract_certificate(
         raise AssertionError("kernel product has a non-identity A-block")
     if hs[:, :n].any():
         raise AssertionError("kernel product has a nonzero f-vector")
-    spectra = _lambda_products(cs, hs, basis_bits(n))
+    exps = _lambda_products(cs, hs, basis_bits(n))
+    spectra = _OMEGA[exps]
 
     pattern_rank = span_rank(spectra)
     if pattern_rank != dim:
@@ -441,7 +444,7 @@ def extract_certificate(
         drawn = {*rows, *np.ravel(pairs)}
         prods = {r: reduce(matmul, family.ops[np.flatnonzero(kernel[r])]) for r in drawn}
         realized = _realize_involutions(cs[rows], hs[rows])
-        diagonal = Monomial(np.broadcast_to(np.arange(dim), realized.perm.shape), spectra[rows])
+        diagonal = Monomial._unchecked(np.broadcast_to(np.arange(dim), (take, dim)), exps[rows])
         if not _close_stack(realized, diagonal).all():
             raise AssertionError("kernel product realization is not its diagonal spectrum")
         engine = _engine(family.ops)

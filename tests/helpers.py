@@ -99,6 +99,7 @@ from semiclifford.classify import (
     _verify_span_map,
 )
 from semiclifford.dense import (
+    _OMEGA,
     TOL,
     Monomial,
     _check_involutions,
@@ -758,6 +759,32 @@ def random_circuit(n, depth, rng, names=("H", "S", "CX")) -> CircuitDescription:
     return CircuitDescription(n=n, gates=tuple(gates))
 
 
+# the eighth-root exponent each diagonal gate adds when all its qubits are set
+_ORACLE_DIAGONAL_EXPS = {"T": 1, "TDG": 7, "S": 2, "SDG": 6, "Z": 4, "CZ": 4, "CCZ": 4}
+
+
+def monomial_exponents_oracle(desc: CircuitDescription):
+    """(perm, exps) of a circuit of diagonal gates and CSWAP, one basis
+    state at a time in Python integers: u|x> = omega**exps[x] |perm[x]>
+    with omega = e^{i pi/4}.  Each gate acts on every state's current
+    label perm[x]: a diagonal gate adds its exponent mod 8 when all its
+    qubits are set, and CSWAP (c, a, b) swaps bits a and b when bit c is
+    set.  Qubit 0 is the most significant bit of a label."""
+    n = desc.n
+    perm, exps = list(range(1 << n)), [0] * (1 << n)
+    for name, qubits in desc.gates:
+        masks = [1 << (n - 1 - q) for q in qubits]
+        for x in range(1 << n):
+            y = perm[x]
+            if name == "CSWAP":
+                c, a, b = masks
+                if y & c and bool(y & a) != bool(y & b):
+                    perm[x] = y ^ a ^ b
+            elif all(y & mask for mask in masks):
+                exps[x] = (exps[x] + _ORACLE_DIAGONAL_EXPS[name]) % 8
+    return perm, exps
+
+
 def write_circuit(path, desc) -> str:
     """Write desc to path in the circuit file format; returns the path."""
     lines = [f"qubits {desc.n}"] + [" ".join([name, *map(str, qs)]) for name, qs in desc.gates]
@@ -1079,9 +1106,9 @@ def commutator_sign(q1: CliffordRep, q2: CliffordRep) -> int:
     if not np.array_equal(fcomp_l, fcomp_r):
         raise ValueError("f-vectors are not compatible")
     fsum = q1.f ^ q2.f
-    (l1_f, l1_sum), (l2_f, l2_sum) = _lambda_products(
+    (l1_f, l1_sum), (l2_f, l2_sum) = _OMEGA[_lambda_products(
         cs, hs, np.array([[q1.f, fsum], [q2.f, fsum]])
-    )
+    )]
     ratio = l1_f * l2_sum / (l2_f * l1_sum)
     if abs(ratio - 1) < TOL:
         return 1

@@ -1,10 +1,12 @@
 """The Monomial Clifford test against the dense Pauli-stack test.
 
 _clifford_stack reads a Monomial stack's reps off each permutation as
-an affine map and off its phase products; a dense stack goes through
-the conjugates of all 2n generators and _pauli_stack.  The two must
-give the same result, None or the same (C^T, h) bits, on every
-operator below, near-misses of TOL included.
+an affine map and off its exponent differences; a dense stack goes
+through the conjugates of all 2n generators and _pauli_stack.  The two
+must give the same result, None or the same (C^T, h) bits, on every
+operator below.  Near-misses of TOL are no Monomials: a phase snaps to
+its eighth root or raises, and the dense test keeps its own verdicts
+on the raw matrices.
 """
 
 import itertools
@@ -91,13 +93,16 @@ def _cliffords(n, rng):
 
 # one phase times 2 (not unitary), rotated by half of TOL and by 10 TOL,
 # and grown in modulus by 0.7 TOL: its phase products stay within TOL,
-# but |phi|^2, the entries of the Z-images, moves by 1.4 TOL
+# but |phi|^2, the entries of the Z-images, moves by 1.4 TOL.  The
+# first and third are off the eighth roots by more than TOL and raise
+# at the Monomial constructor; the other two snap back onto the phase.
 NEAR_MISS_FACTORS = (
     ("x2", 2),
     ("tol/2", np.exp(0.5j * TOL)),
     ("10 tol", np.exp(10j * TOL)),
     ("modulus", 1 + 0.7 * TOL),
 )
+OFF_GRID = ("x2", "10 tol")
 
 
 def _with(m, perm=None, phases=None):
@@ -110,7 +115,12 @@ def test_near_misses_fall_on_the_same_side_of_tol(n):
     verdicts = {}
     for m in _cliffords(n, rng):
         assert _assert_same_result(m[None])
-        verdicts.setdefault("phase", []).append(_assert_same_result(np.exp(0.3j) * m[None]))
+        # a global phase e^{0.3i} is no eighth root: the dense stack alone
+        # holds it
+        with pytest.raises(ValueError, match="eighth root"):
+            np.exp(0.3j) * m[None]
+        rotated = np.exp(0.3j) * m.to_dense()[None]
+        verdicts.setdefault("phase", []).append(_clifford_stack(rotated) is not None)
         # the last qubit's bit cleared: affine, but not a bijection, and
         # every image fails, although the symplectic test would reject it
         singular = _with(m, perm=m.perm & -2)
@@ -118,9 +128,18 @@ def test_near_misses_fall_on_the_same_side_of_tol(n):
         verdicts.setdefault("singular", []).append(_assert_same_result(singular))
         for c in range(1 << n):
             for name, factor in NEAR_MISS_FACTORS:
+                raw = m.to_dense()
+                raw[m.perm[c], c] *= factor
+                verdicts.setdefault(name, []).append(_clifford_stack(raw[None]) is not None)
                 phases = m.phases.copy()
                 phases[c] *= factor
-                verdicts.setdefault(name, []).append(_assert_same_result(_with(m, phases=phases)))
+                if name in OFF_GRID:
+                    with pytest.raises(ValueError, match="eighth root"):
+                        Monomial(m.perm, phases)
+                    continue
+                snapped = _with(m, phases=phases)
+                assert np.array_equal(snapped.exps[0], m.exps)
+                assert _assert_same_result(snapped)
             for c2 in range(c):
                 perm = m.perm.copy()
                 perm[[c, c2]] = perm[[c2, c]]

@@ -354,6 +354,19 @@ def test_is_pauli_tolerance_is_absolute():
     assert is_pauli(zz) is None
 
 
+@pytest.mark.parametrize("turn, accepted", [(0.5, True), (0.9, True), (1.1, False)])
+def test_is_pauli_accepts_what_close_accepts(turn, accepted):
+    # the two entries of X turned by +-turn TOL: each lies turn TOL from
+    # X's, and their ratio about 2 turn TOL from 1
+    x = np.array([[0, np.exp(-1j * turn * TOL)], [np.exp(1j * turn * TOL), 0]])
+    assert close(x, GATE_MATRICES["X"]) == accepted
+    assert (is_pauli(x) == is_pauli(GATE_MATRICES["X"])) == accepted
+    # a column of S turned by turn TOL: its X-image is x up to phase
+    s = GATE_MATRICES["S"].copy()
+    s[1, 1] *= np.exp(1j * turn * TOL)
+    assert (extract_rep(s) == extract_rep(GATE_MATRICES["S"])) == accepted
+
+
 def test_close_up_to_phase_tolerance_is_absolute():
     # every entry has modulus 1, and the largest entry (0, 0) is untouched,
     # so the phase read off it is exactly 1
@@ -425,12 +438,14 @@ def test_lists_of_python_numbers_are_still_matrices():
 def test_non_finite_matrices_fail_the_unitary_check_without_a_warning(bad):
     u = np.eye(4, dtype=complex)
     u[1, 2] = bad
-    mono = Monomial(np.arange(4), np.array([1, bad, 1, 1]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for m in (u, mono):
-            with pytest.raises(ValueError, match="^matrix is not unitary$"):
-                check_unitary(m)
+        # a Monomial snaps its phases to eighth roots: a non-finite one
+        # fails there
+        with pytest.raises(ValueError, match="^phase not within TOL of an eighth root of unity$"):
+            Monomial(np.arange(4), np.array([1, bad, 1, 1]))
+        with pytest.raises(ValueError, match="^matrix is not unitary$"):
+            check_unitary(u)
         with pytest.raises(ValueError, match="^matrix is not unitary$"):
             classify(u)
 
@@ -442,12 +457,29 @@ def test_non_finite_matrices_are_no_pauli_clifford_or_monomial(bad):
     u = np.eye(4, dtype=complex)
     u[1, 2] = bad
     corner = np.diag([bad, 1])
-    mono = Monomial(np.arange(4), np.array([1, bad, 1, 1]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for m in (u, corner, mono):
+        with pytest.raises(ValueError, match="^phase not within TOL of an eighth root of unity$"):
+            Monomial(np.arange(4), np.array([1, bad, 1, 1]))
+        for m in (u, corner):
             assert is_pauli(m) is None and extract_rep(m) is None
         for m in (u, corner):
             assert not monomial_check(m).is_monomial
             with pytest.raises(ValueError, match="^matrix is not monomial$"):
                 Monomial.from_dense(m)
+
+
+def test_realize_block_takes_the_principal_root_for_lambda_0():
+    # lambda_0 is the square root of lambda_0 lambda_{f+f} (the lambda
+    # product at y = f) whose angle lies in (-pi/2, pi/2]: the root of -i
+    # is omega**7, not omega**3
+    rng = np.random.default_rng(3710)
+    squares = set()
+    for n in (1, 2, 3):
+        for _ in range(60):
+            rep = sample_block_rep(n, rng)
+            square = int(_lambda_products(rep.c[None], rep.h[None], rep.f[None])[0, 0])
+            lam0 = int(realize_block(rep).exps[0])
+            assert (2 * lam0) % 8 == square and lam0 in (0, 1, 2, 7)
+            squares.add(square)
+    assert squares == {0, 2, 4, 6}

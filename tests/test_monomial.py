@@ -11,11 +11,18 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import embed_gate_oracle, random_circuit, reps_of, stack_ops
+from helpers import (
+    embed_gate_oracle,
+    monomial_exponents_oracle,
+    random_circuit,
+    reps_of,
+    stack_ops,
+)
 from semiclifford.circuits import (
     GATE_ARITY,
     GATE_MATRICES,
     CircuitDescription,
+    _gate_monomial,
     circuit_to_dense,
     circuit_to_monomial,
 )
@@ -100,9 +107,17 @@ def test_monomial_algebra_matches_dense(rng):
     a = circuit_to_monomial(random_circuit(n, 12, rng, names=MONOMIAL_GATES))
     b = circuit_to_monomial(random_circuit(n, 12, rng, names=MONOMIAL_GATES))
     assert close((a @ b).to_dense(), a.to_dense() @ b.to_dense())
-    assert np.array_equal(a.dag().to_dense(), a.to_dense().conj().T)
-    assert np.array_equal((-1.0 * a).to_dense(), -a.to_dense())
-    assert np.array_equal((np.float64(-1.0) * a).to_dense(), -a.to_dense())
+    # fl(e^{i pi/4}) has unequal real and imaginary parts, so omega**5 is
+    # not conj(omega**3) bit for bit: the adjoint and the negation are
+    # exponent identities, and close to their dense counterparts
+    dag = a.dag()
+    assert np.array_equal(dag.perm[a.perm], np.arange(1 << n))
+    assert np.array_equal(dag.exps[a.perm], -a.exps & 7)
+    assert close(dag.to_dense(), a.to_dense().conj().T)
+    for minus in (-1.0 * a, np.float64(-1.0) * a, -1 * a, (-1 + 0j) * a):
+        assert np.array_equal(minus.perm, a.perm)
+        assert np.array_equal(minus.exps, (a.exps + 4) & 7)
+        assert close(minus.to_dense(), -a.to_dense())
     assert np.array_equal(Monomial.from_dense(a.to_dense()).to_dense(), a.to_dense())
     assert close(a @ a.dag(), Monomial.identity(n))
     with pytest.raises(TypeError):
@@ -117,12 +132,22 @@ def test_monomial_algebra_matches_dense(rng):
 
 def test_close_matches_dense_close(rng):
     a = circuit_to_monomial(random_circuit(3, 10, rng, names=MONOMIAL_GATES))
-    nudged = Monomial(a.perm, a.phases + np.where(np.arange(8) == 5, TOL / 2, 0))
-    pushed = Monomial(a.perm, a.phases + np.where(np.arange(8) == 5, 2 * TOL, 0))
+    nudge, push = (np.where(np.arange(8) == 5, x, 0) for x in (TOL / 2, 2 * TOL))
+    nudged = Monomial(a.perm, a.phases + nudge)  # snapped back onto a's exponents
+    stepped = Monomial(a.perm, a.phases * np.where(np.arange(8) == 5, 1j, 1))
     swapped = Monomial(a.perm[[1, 0, 2, 3, 4, 5, 6, 7]], a.phases)
-    for other in (a, nudged, pushed, swapped):
+    for other in (a, nudged, stepped, swapped):
         assert close(a, other) == close(a.to_dense(), other.to_dense())
-    assert close(a, nudged) and not close(a, pushed) and not close(a, swapped)
+    assert close(a, nudged) and not close(a, stepped) and not close(a, swapped)
+    assert np.array_equal(nudged.exps, a.exps)
+    # a phase 2 TOL off its eighth root is no Monomial; the dense matrices
+    # keep their own verdicts on either side of TOL
+    with pytest.raises(ValueError, match="^phase not within TOL of an eighth root of unity$"):
+        Monomial(a.perm, a.phases + push)
+    for bump, want in ((nudge, True), (push, False)):
+        raw = a.to_dense()
+        raw[a.perm, np.arange(8)] += bump
+        assert close(a.to_dense(), raw) is want
 
 
 def _random_stack(n, k, rng):
@@ -157,19 +182,19 @@ def test_stack_product_rejects_unequal_stacks_and_dense_operands(rng):
 def test_stacked_close_is_close_on_each_matrix(monomial, rng):
     for n in (2, 3, 4):
         us = _random_stack(n, 6, rng)
-        nudge = np.where(np.arange(1 << n) == 3, TOL / 2, 0)
-        vs = stack_ops(
-            [
-                us[0],
-                -1.0 * us[1],
-                us[2],
-                Monomial(us[3].perm, us[3].phases + nudge),  # within TOL
-                Monomial(us[4].perm, us[4].phases + 4 * nudge),  # past TOL
-                us[0],
-            ]
-        )
-        if not monomial:
+        column = np.arange(1 << n) == 3
+        nudge = np.where(column, TOL / 2, 0)
+        vs = stack_ops([us[0], -1.0 * us[1], us[2], us[3], us[4], us[0]])
+        if monomial:
+            # phases snap to the eighth roots: a nudge within TOL snaps back,
+            # and the Monomial past TOL is one exponent step off instead
+            within = Monomial(us[3].perm, us[3].phases + nudge)
+            past = Monomial(us[4].perm, us[4].phases * np.where(column, 1j, 1))
+            vs = stack_ops([vs[0], vs[1], vs[2], within, past, vs[5]])
+        else:
             us, vs = us.to_dense(), vs.to_dense()
+            vs[3][:, 3] += np.where(vs[3][:, 3] != 0, TOL / 2, 0)  # within TOL
+            vs[4][:, 3] += np.where(vs[4][:, 3] != 0, 2 * TOL, 0)  # past TOL
         signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         assert _close_stack(us, vs).tolist() == [close(u, v) for u, v in zip(us, vs)]
         want = [close(u, s * v) for u, v, s in zip(us, vs, signs)]
@@ -177,26 +202,46 @@ def test_stacked_close_is_close_on_each_matrix(monomial, rng):
         assert _close_stack(us, vs[0]).tolist() == [close(u, vs[0]) for u in us]
 
 
+def _bumps(phases, phase):
+    """phase * phases, off by +0.8 TOL at column c and by -0.8 TOL at
+    column c + 1, for each column c."""
+    for c in range(8):
+        bump = np.zeros(8, dtype=complex)
+        bump[c] += 0.8 * TOL
+        bump[(c + 1) % 8] -= 0.8 * TOL
+        yield c, phase * phases + bump
+
+
 def test_close_up_to_phase_matches_dense(rng):
-    # the entry the global phase is read at decides borderline cases: u =
-    # phase v, off by +0.8 TOL at column c and by -0.8 TOL at column c + 1,
-    # passes exactly when the phase is read at neither column
     a = circuit_to_monomial(random_circuit(3, 10, rng, names=MONOMIAL_GATES))
-    scaled = Monomial(a.perm, a.phases * np.array([1, 0.5, 1, 2, 2, 1, 0.5, 1]))
+    swap = [1, 0, 2, 3, 4, 5, 6, 7]
+    # Monomials hold eighth roots only: a global phase omega**3 is one
+    # shift of every exponent, the bumped phases snap back onto it, and
+    # e^{0.7i} and 2 are no scalar of a Monomial
+    omega3 = np.exp(3j * np.pi / 4)
+    one_off = Monomial(a.perm, a.phases * np.where(np.arange(8) == 2, 1j, 1))
+    others = [omega3 * a, Monomial(a.perm[swap], a.phases), one_off]
+    others += [Monomial(a.perm, phases) for _, phases in _bumps(a.phases, omega3)]
+    verdicts = [close_up_to_phase(u, a) for u in others]
+    assert verdicts == [close_up_to_phase(u.to_dense(), a.to_dense()) for u in others]
+    assert verdicts == [True, False, False] + [True] * 8
+    for scalar in (np.exp(0.7j), 2.0):
+        with pytest.raises(ValueError, match="^phase not within TOL of an eighth root of unity$"):
+            scalar * a
+    # dense matrices keep their own borderline verdicts: the entry the
+    # global phase is read at decides them, so u = phase v with the bumps
+    # passes when the phase is read at neither bumped column
+    scaled = a.to_dense() * np.array([1, 0.5, 1, 2, 2, 1, 0.5, 1])
     phase = np.exp(0.7j)
-    verdicts = set()
-    for v in (a, scaled):
-        others = [phase * v, 2.0 * v, Monomial(v.perm[[1, 0, 2, 3, 4, 5, 6, 7]], v.phases)]
-        for c in range(8):
-            bump = np.zeros(8, dtype=complex)
-            bump[c] += 0.8 * TOL
-            bump[(c + 1) % 8] -= 0.8 * TOL
-            others.append(Monomial(v.perm, phase * v.phases + bump))
-        for u in others:
-            verdict = close_up_to_phase(u, v)
-            assert verdict == close_up_to_phase(u.to_dense(), v.to_dense())
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
+    for v in (a.to_dense(), scaled):
+        at = int(np.abs(v).argmax()) % 8  # the column the phase is read at
+        assert close_up_to_phase(phase * v, v) and close_up_to_phase(2.0 * v, v) is False
+        assert close_up_to_phase(v[:, swap], v) is False
+        rows = np.abs(v).argmax(axis=0)
+        for c, phases in _bumps(v[rows, np.arange(8)], phase):
+            u = np.zeros_like(v)
+            u[rows, np.arange(8)] = phases
+            assert close_up_to_phase(u, v) or at in (c, (c + 1) % 8)
     with pytest.raises(TypeError):
         close_up_to_phase(a, a.to_dense())
 
@@ -213,15 +258,25 @@ def test_close_up_to_phase_matches_dense(rng):
     ],
 )
 def test_check_unitary_matches_dense(perm, phases):
-    m = Monomial(perm, phases)
+    raw = np.zeros((4, 4), dtype=complex)
+    raw[perm, np.arange(4)] = phases
+    try:
+        m = Monomial(perm, phases)
+    except ValueError as exc:
+        # a phase off the eighth roots is no Monomial, and no unitary
+        # has it: the dense matrix fails too
+        assert str(exc) == "phase not within TOL of an eighth root of unity"
+        with pytest.raises(ValueError, match="^matrix is not unitary$"):
+            check_unitary(raw)
+        return
     verdicts = []
-    for u in (m, m.to_dense()):
+    for u in (m, m.to_dense(), raw):
         try:
             check_unitary(u)
             verdicts.append(True)
         except ValueError:
             verdicts.append(False)
-    assert verdicts[0] == verdicts[1]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -235,7 +290,13 @@ def test_pauli_conjugates_match_dense(n, rng):
     for k in range(1, 6):
         us = _random_stack(n, k, rng)
         ds = us.to_dense()
-        assert np.array_equal(us.dag().to_dense(), _Dense.dag(ds))
+        # omega**5 is not conj(omega**3) bit for bit: the adjoint is the
+        # inverse permutation with negated exponents, close to _Dense.dag
+        dag = us.dag()
+        rows = np.arange(k)[:, None]
+        assert (dag.perm[rows, us.perm] == np.arange(1 << n)).all()
+        assert np.array_equal(dag.exps[rows, us.perm], -us.exps & 7)
+        assert _Dense.close(dag.to_dense(), _Dense.dag(ds)).all()
         got = Monomial.conjugates(us, us.dag(), vectors)
         assert _Dense.close(got.to_dense(), _Dense.conjugates(ds, _Dense.dag(ds), vectors)).all()
 
@@ -257,12 +318,15 @@ def test_dag_and_conjugates_reject_a_permutation_that_is_not_a_bijection(perm):
 def test_monomial_rejects_a_phase_within_tol_of_zero(phases):
     # close and close_up_to_phase read every phase as a nonzero entry: two
     # Monomials of phases 1e-12 were far apart, though their dense matrices
-    # are close, and a zero phase divided by zero
-    with pytest.raises(ValueError, match="^phase within TOL of 0$"):
+    # are close, and a zero phase divided by zero; every phase now snaps to
+    # an eighth root of unity, so small phases, and NaN, raise with the
+    # off-grid ones
+    message = "^phase not within TOL of an eighth root of unity$"
+    with pytest.raises(ValueError, match=message):
         Monomial(np.broadcast_to([0, 1], np.shape(phases)), phases)
-    a, b = Monomial([0, 1], [2 * TOL, 2 * TOL]), Monomial([1, 0], [2 * TOL, 2 * TOL])
-    assert close(a, b) == close(a.to_dense(), b.to_dense()) is False
-    assert np.isnan(Monomial([0, 1], [1, np.nan]).phases[1])
+    for bad in ([2 * TOL, 2 * TOL], [1, np.nan], [1, 0.5], [1, np.exp(0.3j)]):
+        with pytest.raises(ValueError, match=message):
+            Monomial([1, 0], bad)
 
 
 @pytest.mark.parametrize("perm", [[-1, 0, 1, 2], [4, 0, 1, 2], [[0, 1, 2, 3], [1, 2, 3, -4]]])
@@ -403,3 +467,42 @@ def test_monomial_repr_prints_qubits_or_shape():
     # no valid qubit count: the repr shows the shape and never raises
     assert repr(Monomial.identity(0)) == "Monomial(shape=(1, 1))"
     assert repr(Monomial(np.arange(3), np.ones(3))) == "Monomial(shape=(3, 3))"
+
+
+@pytest.mark.parametrize("scalar", [0, 1e-12, np.nan, np.exp(0.3j), np.float64(1e-12)])
+def test_scalar_products_keep_the_constructor_phase_rule(scalar):
+    # a scalar product wrapped any phase unchecked: 1e-12 * m held phases
+    # the constructor rejects, and close of two such products was False
+    # where close of their dense matrices is True
+    for m in (Monomial.identity(1), Monomial([1, 0], [1, 1]), Monomial.identity(2)[None]):
+        with pytest.raises(ValueError, match="^phase not within TOL of an eighth root of unity$"):
+            scalar * m
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_exponents_equal_the_integer_oracle_past_the_dense_oracle(n):
+    # no dense matrix is built: the oracle follows each basis state
+    rng = np.random.default_rng(3700 + n)
+    for depth in (5, 40):
+        desc = random_circuit(n, depth, rng, names=("T", "TDG", "S", "CCZ", "CSWAP"))
+        u = circuit_to_monomial(desc)
+        perm, exps = monomial_exponents_oracle(desc)
+        assert u.exps.dtype == np.uint8
+        assert np.array_equal(u.perm, perm) and np.array_equal(u.exps, exps)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_t_eight_times_on_every_qubit_is_exactly_the_identity(n):
+    desc = CircuitDescription(n, tuple(("T", (q,)) for q in range(n) for _ in range(8)))
+    u, ident = circuit_to_monomial(desc), Monomial.identity(n)
+    assert np.array_equal(u.perm, ident.perm) and np.array_equal(u.exps, ident.exps)
+    if n <= 3:
+        assert np.array_equal(u.to_dense(), np.eye(1 << n))
+
+
+@pytest.mark.parametrize("name", MONOMIAL_GATES)
+def test_library_gate_phases_are_their_matrix_entries_bit_for_bit(name):
+    gate, m = GATE_MATRICES[name], _gate_monomial(name)
+    assert m.phases.tobytes() == gate[m.perm, np.arange(len(gate))].tobytes()
+    assert m.to_dense().tobytes() == gate.tobytes()
+    assert not m.phases.flags.writeable

@@ -595,9 +595,29 @@ _ROOT_Z = np.diag([1, np.exp(1j * np.pi / 8)])
     ids=["qubit-1", "both-qubits"],
 )
 def test_witness_is_the_first_non_clifford_generator(gate, witness, monomial):
-    u = Monomial.from_dense(gate) if monomial else gate
+    if monomial:
+        # e^{i pi/8} is no eighth root of unity, so no Monomial holds it;
+        # the test below takes the Monomial engine through controlled-T
+        with pytest.raises(ValueError, match="eighth root"):
+            Monomial.from_dense(gate)
+        return
     with pytest.raises(ValueError, match=f"conjugated generator {witness} is not Clifford"):
-        generators_from_gate(u)
+        generators_from_gate(gate)
+
+
+# controlled-T sits at level 4 as well, with eighth-root phases
+_CT = np.diag([1, 1, 1, np.exp(1j * np.pi / 4)])
+
+
+@pytest.mark.parametrize(
+    "gate,witness",
+    [(_CT, 2), (np.kron(_CT, np.eye(2)), 3), (np.kron(np.eye(2), _CT), 4)],
+    ids=["ct", "ct-on-0-1", "ct-on-1-2"],
+)
+def test_both_engines_name_the_first_non_clifford_generator(gate, witness):
+    for u in (gate, Monomial.from_dense(gate)):
+        with pytest.raises(ValueError, match=f"conjugated generator {witness} is not Clifford"):
+            generators_from_gate(u)
 
 
 def test_uv_family_is_one_clifford_stack_and_no_scalar_compose(monkeypatch):
